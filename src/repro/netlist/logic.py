@@ -94,6 +94,10 @@ class Netlist:
         self._output_index: dict[str, int] = {}
         self._topo_cache: Optional[tuple[int, ...]] = None
         self._registers_cache: Optional[tuple[int, ...]] = None
+        #: ``(version, value)`` caches of :attr:`num_gates` and
+        #: :meth:`logic_levels`, stale once ``version`` moves on.
+        self._gates_cache: Optional[tuple[int, int]] = None
+        self._levels_cache: Optional[tuple[int, int]] = None
         #: Monotonic structural revision, bumped on every mutation (including
         #: :meth:`add_output`, which does not disturb the topological order
         #: but does change what a compiled simulator must produce).  Derived
@@ -228,15 +232,23 @@ class Netlist:
 
     @property
     def num_gates(self) -> int:
-        """Number of combinational gates (excludes sources and registers)."""
-        return sum(
+        """Number of combinational gates (excludes sources and registers).
+
+        Cached against the structural ``version`` counter.
+        """
+        cached = self._gates_cache
+        if cached is not None and cached[0] == self.version:
+            return cached[1]
+        count = sum(
             1 for g in self.gates.values()
             if not g.is_source and not g.is_register
         )
+        self._gates_cache = (self.version, count)
+        return count
 
     @property
     def num_registers(self) -> int:
-        return sum(1 for g in self.gates.values() if g.is_register)
+        return len(self.registers)
 
     @property
     def registers(self) -> list[int]:
@@ -371,7 +383,14 @@ class Netlist:
         return gate.fanins
 
     def logic_levels(self) -> int:
-        """Longest combinational path length in gate levels."""
+        """Longest combinational path length in gate levels.
+
+        Cached against the structural ``version`` counter, like
+        :meth:`content_hash`.
+        """
+        cached = self._levels_cache
+        if cached is not None and cached[0] == self.version:
+            return cached[1]
         level: dict[int, int] = {}
         for gid in self.topological_order():
             gate = self.gates[gid]
@@ -379,7 +398,9 @@ class Netlist:
                 level[gid] = 0
             else:
                 level[gid] = 1 + max((level[f] for f in gate.fanins), default=0)
-        return max(level.values(), default=0)
+        depth = max(level.values(), default=0)
+        self._levels_cache = (self.version, depth)
+        return depth
 
     def stats(self) -> dict[str, int]:
         """Basic size statistics of the netlist."""

@@ -15,8 +15,8 @@ names, so any optimized netlist can be formally checked against its source
 with :func:`repro.netlist.sat.check_equivalence`.
 """
 
-from .cut import (build_truth, cut_truth, enumerate_cuts, npn_canon,
-                  npn_canonical)
+from .cut import (build_truth, cut_truth, enumerate_cut_truths,
+                  enumerate_cuts, npn_canon, npn_canonical)
 from .fraig import (FraigPass, FraigStats, SweepResult, fraig_sweep,
                     fraig_sweep_map)
 from .map import LUT, MapResult, MapStats, map_aig
@@ -52,6 +52,7 @@ __all__ = [
     "build_truth",
     "cut_truth",
     "enumerate_cuts",
+    "enumerate_cut_truths",
     "npn_canon",
     "npn_canonical",
     "LUT",

@@ -6,12 +6,19 @@ This is the shared truth-table kernel behind DAG-aware rewriting
 
 * :func:`enumerate_cuts` computes, bottom-up, the k-feasible cuts of every
   node in a cone — each cut a set of *leaf* nodes such that every path from
-  the node to the primary inputs passes through a leaf.
+  the node to the primary inputs passes through a leaf.  Leaf sets are
+  ``int`` bitmasks while merging, so union, size and dominance checks are
+  single integer operations.
+* :func:`enumerate_cut_truths` also carries each cut's truth table,
+  composed from its two child cuts' tables during enumeration (stretch
+  each over the merged leaves, complement per fanin edge, AND) — this is
+  what the rewriter consumes.
 * :func:`cut_truth` evaluates a cut's cone with packed *elementary* words
   (:func:`repro.netlist.sim.elementary_words` fed through
   :func:`repro.netlist.sim.packed_eval` — the same word-parallel core that
   drives FRAIG signatures), yielding the node's truth table over the cut
-  leaves as a single int.
+  leaves as a single int.  It is the reference oracle for the carried
+  tables, and the mapper uses it for the few cuts it finally selects.
 * :func:`npn_canon` reduces a 4-input truth table to its NPN class
   representative (input permutation x input negation x output negation:
   24 * 16 * 2 = 768 transforms, 222 classes over the 65536 functions) and
@@ -26,14 +33,15 @@ This is the shared truth-table kernel behind DAG-aware rewriting
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterable, Optional, Sequence
 
-from ..aig import AIG
+from ..aig import _AND, AIG
 from ..sim import elementary_words, packed_eval
 
 __all__ = [
     "enumerate_cuts",
+    "enumerate_cut_truths",
     "cut_cone",
     "cut_truth",
     "npn_canon",
@@ -49,31 +57,128 @@ _ONES4 = 0xFFFF
 # Cut enumeration
 # ---------------------------------------------------------------------------
 
-def _merge_leaves(a: Sequence[int], b: Sequence[int], k: int
-                  ) -> Optional[tuple[int, ...]]:
-    """Sorted-merge of two ascending leaf tuples; None if the union > k."""
-    out: list[int] = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        x, y = a[i], b[j]
-        if x == y:
-            out.append(x)
-            i += 1
-            j += 1
-        elif x < y:
-            out.append(x)
-            i += 1
-        else:
-            out.append(y)
-            j += 1
-        if len(out) > k:
-            return None
-    out.extend(a[i:])
-    out.extend(b[j:])
-    if len(out) > k:
-        return None
+def _swap_masks(k: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Per adjacent variable pair ``(j, j + 1)`` of a k-variable table:
+    the masks and shift that exchange the two variables."""
+    span = 1 << k
+    out = []
+    for j in range(k - 1):
+        keep = m10 = m01 = 0
+        for m in range(span):
+            lo, hi = (m >> j) & 1, (m >> (j + 1)) & 1
+            if lo == hi:
+                keep |= 1 << m
+            elif lo:
+                m10 |= 1 << m
+            else:
+                m01 |= 1 << m
+        out.append((keep, m10, m01, 1 << j))
     return tuple(out)
+
+
+def _stretch(tt: int, positions: tuple[int, ...],
+             swaps: Sequence[tuple[int, int, int, int]]) -> int:
+    """Re-express a cut table over a superset of its leaves.
+
+    ``tt`` depends on variables ``0..len(positions)-1`` only; variable
+    ``i`` moves to ``positions[i]`` (ascending), by adjacent swaps from
+    the top variable down, so every swap partner is a variable the
+    table does not depend on.
+    """
+    for i in range(len(positions) - 1, -1, -1):
+        for j in range(i, positions[i]):
+            keep, m10, m01, s = swaps[j]
+            tt = (tt & keep) | ((tt & m10) << s) | ((tt & m01) >> s)
+    return tt
+
+
+def _enumerate(aig: AIG, k: int, limit: int, nodes: Optional[Sequence[int]],
+               truths: bool
+               ) -> tuple[dict[int, list[tuple[int, ...]]],
+                          Optional[dict[int, tuple[int, ...]]]]:
+    """The cut enumeration behind :func:`enumerate_cuts` and
+    :func:`enumerate_cut_truths`.
+
+    Leaf sets are ``int`` bitmasks while merging (union ``|``, size
+    ``bit_count``, domination ``p & u == p``); leaf tuples — and, with
+    ``truths``, the tables — are built only for the cuts that are kept.
+    """
+    if nodes is None:
+        nodes = sorted(aig.cone(aig.and_roots()))
+    kinds, fanin0, fanin1 = aig._kind, aig._fanin0, aig._fanin1
+    full = (1 << (1 << k)) - 1
+    var0 = elementary_words(k)[0] if k else 0
+    swaps = _swap_masks(k)
+    stretched: dict[tuple[int, tuple[int, ...]], int] = {}
+    # Per node: its cuts, and as tuples (ints only, so the cyclic GC
+    # stops tracking them) their bitmasks and truth tables.
+    cuts: dict[int, list[tuple[int, ...]]] = {}
+    masks: dict[int, tuple[int, ...]] = {}
+    tables: dict[int, tuple[int, ...]] = {}
+
+    def expand(tt: int, sub: tuple[int, ...], leaves: tuple[int, ...]
+               ) -> int:
+        positions = tuple(map(leaves.index, sub))
+        if positions[-1] == len(positions) - 1:
+            return tt
+        key = (tt, positions)
+        out = stretched.get(key)
+        if out is None:
+            out = stretched[key] = _stretch(tt, positions, swaps)
+        return out
+
+    for nid in nodes:
+        node_cuts = cuts[nid] = [(nid,)]
+        masks[nid] = (1 << nid,)
+        tables[nid] = (var0,)
+        if kinds[nid] != _AND:
+            continue
+        f0, f1 = fanin0[nid], fanin1[nid]
+        n0, n1 = f0 >> 1, f1 >> 1
+        l0 = cuts.get(n0) or [(n0,)]
+        l1 = cuts.get(n1) or [(n1,)]
+        m0 = masks.get(n0) or (1 << n0,)
+        m1 = masks.get(n1) or (1 << n1,)
+        t0 = tables.get(n0) or (var0,)
+        t1 = tables.get(n1) or (var0,)
+        node_tables = [var0]
+        # Bucketing by size keeps insertion order within a size — the
+        # same order as a stable sort of the merges by length.
+        by_size: list[list[tuple[int, int, int]]] = [[] for _ in range(k + 1)]
+        seen: set[int] = set()
+        for i, ma in enumerate(m0):
+            for j, mb in enumerate(m1):
+                u = ma | mb
+                size = u.bit_count()
+                if size > k or u in seen:
+                    continue
+                seen.add(u)
+                by_size[size].append((u, i, j))
+        kept: list[int] = []
+        for u, i, j in chain.from_iterable(by_size):
+            for prev in kept:
+                if prev & u == prev:
+                    break
+            else:
+                kept.append(u)
+                a, b = l0[i], l1[j]
+                leaves = tuple(sorted({*a, *b}))
+                node_cuts.append(leaves)
+                if truths:
+                    n = len(leaves)
+                    ta = t0[i] if len(a) == n else expand(t0[i], a, leaves)
+                    tb = t1[j] if len(b) == n else expand(t1[j], b, leaves)
+                    if f0 & 1:
+                        ta ^= full
+                    if f1 & 1:
+                        tb ^= full
+                    node_tables.append(ta & tb)
+                if len(kept) >= limit:
+                    break
+        masks[nid] = (1 << nid, *kept)
+        if truths:
+            tables[nid] = tuple(node_tables)
+    return cuts, (tables if truths else None)
 
 
 def enumerate_cuts(aig: AIG, k: int = 4, limit: int = 8,
@@ -91,38 +196,25 @@ def enumerate_cuts(aig: AIG, k: int = 4, limit: int = 8,
     first.  The cap is what makes this a *priority*-cut enumeration: cost
     is linear in ``limit**2`` per node instead of exponential.
     """
-    if nodes is None:
-        nodes = sorted(aig.cone(aig.and_roots()))
-    cuts: dict[int, list[tuple[int, ...]]] = {}
-    for nid in nodes:
-        if not aig.is_and(nid):
-            cuts[nid] = [(nid,)]
-            continue
-        f0, f1 = aig.fanins(nid)
-        c0 = cuts.get(f0 >> 1) or [(f0 >> 1,)]
-        c1 = cuts.get(f1 >> 1) or [(f1 >> 1,)]
-        merged: list[tuple[int, ...]] = []
-        seen: set[tuple[int, ...]] = set()
-        for a in c0:
-            for b in c1:
-                union = _merge_leaves(a, b, k)
-                if union is None or union in seen:
-                    continue
-                seen.add(union)
-                merged.append(union)
-        merged.sort(key=len)
-        kept: list[tuple[int, ...]] = []
-        kept_sets: list[set[int]] = []
-        for cand in merged:
-            cset = set(cand)
-            if any(prev <= cset for prev in kept_sets):
-                continue
-            kept.append(cand)
-            kept_sets.append(cset)
-            if len(kept) >= limit:
-                break
-        cuts[nid] = [(nid,)] + kept
-    return cuts
+    return _enumerate(aig, k, limit, nodes, False)[0]
+
+
+def enumerate_cut_truths(aig: AIG, k: int = 4, limit: int = 8,
+                         nodes: Optional[Sequence[int]] = None
+                         ) -> tuple[dict[int, list[tuple[int, ...]]],
+                                    dict[int, tuple[int, ...]]]:
+    """:func:`enumerate_cuts` plus each cut's truth table.
+
+    Returns ``(cuts, tables)`` with ``tables[node][i]`` the function of
+    ``cuts[node][i]``.  A kept cut's table is composed from its two child
+    cuts' tables: each is stretched over the merged leaves, complemented
+    when its fanin edge is, and the two are ANDed — no cone is simulated.
+    Tables are ``k``-variable tables that depend on the first
+    ``len(cut)`` variables only (a 4-cut table is ready for
+    :func:`npn_canon` at any cut size), so the low ``2**len(cut)`` bits
+    equal :func:`cut_truth` of the cut, which stays the reference oracle.
+    """
+    return _enumerate(aig, k, limit, nodes, True)
 
 
 def cut_cone(aig: AIG, root: int, leaves: Iterable[int]) -> list[int]:

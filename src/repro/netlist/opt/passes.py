@@ -47,7 +47,14 @@ _XOR_FAMILY = {GateType.XOR: False, GateType.XNOR: True}
 
 
 class Pass:
-    """Base class: a named netlist-to-netlist transformation."""
+    """Base class: a named netlist-to-netlist transformation.
+
+    ``run`` must be a deterministic function of its input's structure
+    and must never mutate the input netlist (returning it unchanged is
+    fine).  :class:`~repro.netlist.opt.pipeline.PassManager` relies on
+    both: within one run it hands back a pass's earlier output when the
+    pass sees an input with the same content hash again.
+    """
 
     name = "pass"
 

@@ -106,6 +106,13 @@ class PassManager:
     The pipeline is re-run while a full iteration still improves gate count
     or logic depth, bounded by ``max_iterations``.  Every pass execution is
     timed and recorded as a :class:`PassStats` row.
+
+    Within one :meth:`run`, a pass handed a netlist whose
+    :meth:`~repro.netlist.logic.Netlist.content_hash` it has already
+    processed returns its earlier output instead of redoing the work
+    (passes are deterministic functions of their input).  Such a row
+    records no pass work (``details=None``) and its span is marked
+    ``reused``.  The memo lives for one :meth:`run` only.
     """
 
     def __init__(self, passes: Optional[Sequence[PassSpec]] = None,
@@ -120,20 +127,32 @@ class PassManager:
         stats: list[PassStats] = []
         tracer = get_tracer()
         current = netlist
+        # Per pass position: the (input, output) pairs it has produced.
+        memo: list[list[tuple[Netlist, Netlist]]] = [[] for _ in self.passes]
         for iteration in range(1, self.max_iterations + 1):
             gates = current.num_gates
             levels = current.logic_levels()
-            for opt_pass in self.passes:
+            for index, opt_pass in enumerate(self.passes):
                 before = current.stats()
                 start = time.perf_counter()
                 with tracer.span(f"opt.{opt_pass.name}",
                                  iteration=iteration,
                                  gates=before["gates"]) as span:
-                    current = opt_pass.run(current)
+                    reused = _lookup(memo[index], current)
+                    if reused is None:
+                        result = opt_pass.run(current)
+                        memo[index].append((current, result))
+                        current = result
+                    else:
+                        current = reused
+                        span.set(reused=True)
                     elapsed = time.perf_counter() - start
                     after = current.stats()
                     span.set(gates_after=after["gates"])
-                details = getattr(opt_pass, "stats_dict", lambda: None)()
+                details = None
+                if reused is None:
+                    details = getattr(opt_pass, "stats_dict",
+                                      lambda: None)()
                 stats.append(PassStats(
                     name=opt_pass.name,
                     iteration=iteration,
@@ -149,6 +168,20 @@ class PassManager:
             if current.num_gates >= gates and current.logic_levels() >= levels:
                 break
         return current, stats
+
+
+def _lookup(seen: list[tuple[Netlist, Netlist]],
+            netlist: Netlist) -> Optional[Netlist]:
+    """The output recorded for an input with ``netlist``'s content hash.
+
+    The cached gate count screens out most candidates, so a netlist is
+    hashed only when an earlier input of the same size exists.
+    """
+    for source, output in seen:
+        if source.num_gates == netlist.num_gates and \
+                source.content_hash() == netlist.content_hash():
+            return output
+    return None
 
 
 @dataclass

@@ -1,11 +1,13 @@
 """DAG-aware rewriting: replace 4-cut cones with optimal NPN structures.
 
 The classic ABC ``rewrite`` pass on this repo's hash-consed AIG.  For
-every AND node, in topological order, the pass enumerates its 4-feasible
-cuts (:func:`repro.netlist.opt.cut.enumerate_cuts`), computes each cut's
-truth table with the packed simulator, and asks whether instantiating the
-precomputed size-optimal structure for the function's NPN class would
-beat rebuilding the node as-is:
+every AND node, in topological order, the pass takes its 4-feasible cuts
+together with their truth tables, which cut enumeration composes as it
+goes (:func:`repro.netlist.opt.cut.enumerate_cut_truths`; no cone is
+re-simulated — :func:`~repro.netlist.opt.cut.cut_truth` stays as the
+reference oracle), and asks whether instantiating the precomputed
+size-optimal structure for the function's NPN class would beat
+rebuilding the node as-is:
 
 * *saved* is the size of the node's maximal fanout-free cone w.r.t. the
   cut — the nodes that die with it, measured by the standard
@@ -14,7 +16,10 @@ beat rebuilding the node as-is:
   insert, probed against the output graph's unique table *without*
   inserting anything — logic already built (by earlier replacements, by
   sharing with untouched cones) is free, which is what makes the pass
-  DAG-aware rather than tree-local.
+  DAG-aware rather than tree-local.  A probe is bounded: only a gain of
+  at least ``max(rebuild gain, best gain so far)`` can change the choice,
+  so the probe stops as soon as its cost rules that out, and is skipped
+  when even a free structure could not reach it.
 
 On top of the structural probe, every sweep keeps a *functional
 cut-sweep table*: each committed node registers, for every cut evaluated
@@ -36,13 +41,13 @@ pipeline ahead of ``fraig``, so SAT sweeping sees the smaller graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ...obs import get_tracer
 from ..aig import _AND, AIG, from_netlist, to_netlist
 from ..logic import Netlist
-from .cut import cut_truth, enumerate_cuts, npn_canon, npn_transforms
+from .cut import enumerate_cut_truths, npn_canon, npn_transforms
 from .npn4 import NPN4_LIBRARY
 from .passes import Pass
 
@@ -60,7 +65,6 @@ class RewriteStats:
     replacements: int = 0
     zero_gain_depth: int = 0
     nodes_saved: int = 0
-    details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -118,21 +122,25 @@ _VIRT_BASE = 1 << 40
 
 
 def _probe_structure(new: AIG, levels: dict[int, int], root: int,
-                     nodes: tuple, slots: list[int]
-                     ) -> tuple[int, int, Optional[int]]:
+                     nodes: tuple, inputs: tuple[int, ...], budget: int
+                     ) -> Optional[tuple[int, int, Optional[int]]]:
     """Dry-run a library structure against ``new``'s unique table.
 
+    ``inputs`` are the literals on the structure's formal inputs
+    (library slots 1 and up).
     Mirrors :meth:`AIG.aig_and`'s folding exactly but inserts nothing:
     structure nodes that fold away or already exist are free, anything
     else becomes a virtual literal costing one node.  Returns
     ``(cost, level, real_root_lit)`` where ``real_root_lit`` is the
     concrete output literal when the whole structure resolved to existing
-    logic (cost 0), else None.
+    logic (cost 0), else None.  Returns None as soon as the cost exceeds
+    ``budget`` — the caller has no use for a candidate that expensive.
     """
     table = new._table
+    # Virtual nodes created so far, by fanin key, and their levels.
     vtable: dict[tuple[int, int], int] = {}
     vlevel: dict[int, int] = {}
-    vals = slots[:]
+    vals = [0, *inputs]
     cost = 0
     vnext = _VIRT_BASE
     for l0, l1 in nodes:
@@ -148,34 +156,31 @@ def _probe_structure(new: AIG, levels: dict[int, int], root: int,
             r = a
         else:
             key = (a, b) if a < b else (b, a)
-            r = vtable.get(key)
-            if r is None and key[1] < _VIRT_BASE:
-                r = table.get(key)
+            r = table.get(key) if key[1] < _VIRT_BASE else None
             if r is None:
-                r = vnext
-                vnext += 2
+                r = vtable.get(key)
+            if r is None:
                 cost += 1
-                la = vlevel.get(a >> 1)
-                if la is None:
-                    la = levels.get(a >> 1, 0)
-                lb = vlevel.get(b >> 1)
-                if lb is None:
-                    lb = levels.get(b >> 1, 0)
+                if cost > budget:
+                    return None
+                r = vtable[key] = vnext
+                vnext += 2
+                la = levels.get(a >> 1, 0) if a < _VIRT_BASE \
+                    else vlevel[a >> 1]
+                lb = levels.get(b >> 1, 0) if b < _VIRT_BASE \
+                    else vlevel[b >> 1]
                 vlevel[r >> 1] = 1 + (la if la >= lb else lb)
-            vtable[key] = r
         vals.append(r)
     out = vals[root >> 1] ^ (root & 1)
-    onid = out >> 1
-    olevel = vlevel.get(onid)
-    if olevel is None:
-        olevel = levels.get(onid, 0)
-    return cost, olevel, (out if out < _VIRT_BASE else None)
+    if out < _VIRT_BASE:
+        return cost, levels.get(out >> 1, 0), out
+    return cost, vlevel[out >> 1], None
 
 
 def _build_structure(new: AIG, levels: dict[int, int], root: int,
-                     nodes: tuple, slots: list[int]) -> int:
+                     nodes: tuple, inputs: tuple[int, ...]) -> int:
     """Actually insert a library structure; keeps ``levels`` current."""
-    vals = slots[:]
+    vals = [0, *inputs]
     for l0, l1 in nodes:
         a = vals[l0 >> 1] ^ (l0 & 1)
         b = vals[l1 >> 1] ^ (l1 & 1)
@@ -188,6 +193,23 @@ def _build_structure(new: AIG, levels: dict[int, int], root: int,
             levels[nid] = 1 + (la if la >= lb else lb)
         vals.append(r)
     return vals[root >> 1] ^ (root & 1)
+
+
+#: Per 4-input truth table (so at most 65536 entries, like the NPN caches
+#: in :mod:`repro.netlist.opt.cut`): its NPN class, the class's library
+#: structure and the cached transforms onto the table, each decoded to
+#: ``(perm[0..3], negation bit 0..3, output complement)``.
+_PLANS: dict[int, tuple] = {}
+
+
+def _plan(tt4: int) -> tuple:
+    """Compute and cache the :data:`_PLANS` entry of ``tt4``."""
+    canon = npn_canon(tt4)[0]
+    root, nodes = NPN4_LIBRARY[canon]
+    transforms = tuple((*perm, *((neg >> i) & 1 for i in range(4)), out)
+                       for perm, neg, out in npn_transforms(tt4))
+    plan = _PLANS[tt4] = (canon, root, nodes, transforms)
+    return plan
 
 
 def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats,
@@ -205,7 +227,7 @@ def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats,
     for lit in aig.and_roots():
         refs[lit >> 1] += 1
 
-    cuts = enumerate_cuts(aig, 4, cut_limit, live)
+    cuts, tables = enumerate_cut_truths(aig, 4, cut_limit, live)
     new = AIG(aig.name)
     levels: dict[int, int] = {0: 0}
     lit_map: dict[int, int] = {0: 0}
@@ -225,6 +247,7 @@ def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats,
     # cone (possibly structured completely differently) already exists in
     # the output graph, so the node merges into it at zero cost.
     func_map: dict[tuple[int, tuple[int, int, int, int]], int] = {}
+    evaluated = 0
     for nid in live:
         if kinds[nid] != _AND:
             continue
@@ -235,49 +258,54 @@ def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats,
         # Baseline: rebuild the node as-is.  Probing it through a
         # one-node pseudo-structure reuses the exact fold mirror.
         d_cost, d_level, d_lit = _probe_structure(
-            new, levels, 10, ((2, 4),), [0, m0, m1, 0, 0])
+            new, levels, 6, ((2, 4),), (m0, m1), 1)
         d_gain = 1 - d_cost
 
         best = None
-        cut_keys: list[tuple[int, tuple[int, int, int, int], int]] = []
-        for cut in cuts[nid][1:]:
+        cut_keys: list[tuple[tuple[int, tuple[int, ...]], int]] = []
+        for cut, tt4 in zip(cuts[nid], tables[nid]):
             if len(cut) < 2:
                 continue
-            stats.cuts_evaluated += 1
+            evaluated += 1
             leaves = set(cut)
             saved = _deref_cone(aig, refs, nid, leaves, replaced)
             _ref_cone(aig, refs, nid, leaves, replaced)
-            tt = cut_truth(aig, nid, cut)
-            tt4 = tt if len(cut) == 4 else _pad(tt, len(cut))
-            canon = npn_canon(tt4)[0]
-            lib_root, lib_nodes = NPN4_LIBRARY[canon]
+            canon, lib_root, lib_nodes, transforms = \
+                _PLANS.get(tt4) or _plan(tt4)
             leaf_lits = [lit_map[leaf] for leaf in cut]
             leaf_lits += [0] * (4 - len(leaf_lits))
             # Every cached transform instantiates the class structure
             # differently over the same leaves; each is probed for
             # sharing with logic the rebuild has already committed, and
             # each yields a functional key for the cut-sweep table.
-            for perm, neg, out in npn_transforms(tt4):
-                inputs = (leaf_lits[perm[0]] ^ (neg & 1),
-                          leaf_lits[perm[1]] ^ ((neg >> 1) & 1),
-                          leaf_lits[perm[2]] ^ ((neg >> 2) & 1),
-                          leaf_lits[perm[3]] ^ ((neg >> 3) & 1))
-                cut_keys.append((canon, inputs, out))
-                hit = func_map.get((canon, inputs))
+            for p0, p1, p2, p3, n0, n1, n2, n3, out in transforms:
+                key = (canon, (leaf_lits[p0] ^ n0, leaf_lits[p1] ^ n1,
+                               leaf_lits[p2] ^ n2, leaf_lits[p3] ^ n3))
+                inputs = key[1]
+                cut_keys.append((key, out))
+                hit = func_map.get(key)
                 if hit is not None:
                     # A committed cone already computes this function of
                     # these exact literals: merge for free, the whole
                     # MFFC is the gain.
                     gain = saved
                     level = levels.get(hit >> 1, 0)
-                    cand = (gain, level, cut, 0, (), [0], hit ^ out)
+                    cand = (gain, level, cut, 0, (), (), hit ^ out)
                 else:
+                    # Only a gain of at least ``floor`` can be committed
+                    # or beat the best so far, so the probe stops once
+                    # its cost passes ``saved - floor``.
+                    floor = d_gain if best is None else best[0]
+                    if saved < floor:
+                        continue
                     root = lib_root ^ out
-                    slots = [0, *inputs]
-                    cost, level, real = _probe_structure(
-                        new, levels, root, lib_nodes, slots)
+                    probe = _probe_structure(new, levels, root, lib_nodes,
+                                             inputs, saved - floor)
+                    if probe is None:
+                        continue
+                    cost, level, real = probe
                     gain = saved - cost
-                    cand = (gain, level, cut, root, lib_nodes, slots, real)
+                    cand = (gain, level, cut, root, lib_nodes, inputs, real)
                 if gain < d_gain or (gain == d_gain and level > d_level) or \
                         (gain == d_gain and level == d_level
                          and not zero_cost):
@@ -287,10 +315,10 @@ def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats,
                     best = cand
 
         if best is None:
-            lit_map[nid] = _build_structure(new, levels, 10, ((2, 4),),
-                                            [0, m0, m1, 0, 0])
+            lit_map[nid] = _build_structure(new, levels, 6, ((2, 4),),
+                                            (m0, m1))
         else:
-            gain, level, cut, root, nodes, slots, real = best
+            gain, level, cut, root, nodes, inputs, real = best
             stats.replacements += 1
             if gain > d_gain:
                 stats.nodes_saved += gain - d_gain
@@ -305,12 +333,13 @@ def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats,
                 lit_map[nid] = real
             else:
                 lit_map[nid] = _build_structure(new, levels, root, nodes,
-                                                slots)
+                                                inputs)
         # Register every evaluated cut's function of the final literal in
         # the sweep table so later nodes can merge into this cone.
         final = lit_map[nid]
-        for canon, inputs, out in cut_keys:
-            func_map.setdefault((canon, inputs), final ^ out)
+        for key, out in cut_keys:
+            func_map.setdefault(key, final ^ out)
+    stats.cuts_evaluated += evaluated
 
     for name, lit in aig.outputs:
         new.add_output(name, lit_map[lit >> 1] ^ (lit & 1))
@@ -319,15 +348,6 @@ def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats,
             nxt = aig._next[qnid]
             new.set_next(lit_map[qnid], lit_map[nxt >> 1] ^ (nxt & 1))
     return new
-
-
-def _pad(tt: int, num_vars: int) -> int:
-    span = 1 << num_vars
-    tt &= (1 << span) - 1
-    while span < 16:
-        tt |= tt << span
-        span <<= 1
-    return tt
 
 
 def _copy_live(aig: AIG) -> AIG:
@@ -378,7 +398,7 @@ def rewrite_aig(aig: AIG, cut_limit: int = 8, max_sweeps: int = 8,
             with tracer.span("rewrite.sweep"):
                 swept = _copy_live(_sweep(current, cut_limit, stats,
                                           zero_cost=zero_cost))
-            new_count = len(_live_ands(swept))
+            new_count = swept.num_ands
             if new_count >= count:
                 if new_count == count:
                     current = swept

@@ -19,6 +19,7 @@ from repro.netlist.emit import netlist_to_verilog
 from repro.netlist.opt import (
     build_truth,
     cut_truth,
+    enumerate_cut_truths,
     enumerate_cuts,
     map_aig,
     npn_canon,
@@ -30,7 +31,14 @@ from repro.netlist.opt.cut import npn_transforms
 from repro.netlist.opt.fraig import fraig_sweep_map
 from repro.netlist.opt.map import MapStats
 from repro.netlist.opt.npn4 import NPN4_LIBRARY
-from repro.netlist.opt.rewrite import RewriteStats
+from repro.netlist.opt.rewrite import (
+    RewriteStats,
+    _build_structure,
+    _copy_live,
+    _live_ands,
+    _probe_structure,
+    _sweep,
+)
 from repro.netlist.sim import aig_signatures, elementary_words
 
 from test_opt import DESIGNS, DESIGN_IDS, _assert_equivalent
@@ -177,6 +185,59 @@ def test_cut_enumeration_and_truths_on_small_design():
             assert tt == _aig_node_truth(aig, nid, var_of)
 
 
+def _reference_cuts(aig: AIG, k: int, limit: int) -> dict:
+    """Sorted-merge priority-cut enumeration over leaf tuples and sets:
+    the plain statement of the algorithm the bitmask kernel implements."""
+    cuts = {}
+    for nid in sorted(aig.cone(aig.and_roots())):
+        if not aig.is_and(nid):
+            cuts[nid] = [(nid,)]
+            continue
+        f0, f1 = aig.fanins(nid)
+        merged = []
+        for a in cuts[f0 >> 1]:
+            for b in cuts[f1 >> 1]:
+                union = tuple(sorted(set(a) | set(b)))
+                if len(union) <= k and union not in merged:
+                    merged.append(union)
+        merged.sort(key=len)
+        kept = []
+        for cand in merged:
+            if not any(set(prev) <= set(cand) for prev in kept):
+                kept.append(cand)
+                if len(kept) >= limit:
+                    break
+        cuts[nid] = [(nid,)] + kept
+    return cuts
+
+
+@pytest.mark.parametrize("k,limit", [(4, 8), (6, 8), (3, 2)])
+@pytest.mark.parametrize("name,source,top,params", DESIGNS, ids=DESIGN_IDS)
+def test_enumerate_cuts_matches_reference(name, source, top, params, k,
+                                          limit):
+    aig = from_netlist(elaborate(source, top=top, params=params))
+    assert enumerate_cuts(aig, k, limit) == _reference_cuts(aig, k, limit)
+
+
+@pytest.mark.parametrize("k", [4, 6])
+@pytest.mark.parametrize("name,source,top,params", DESIGNS, ids=DESIGN_IDS)
+def test_carried_truth_tables_match_cut_truth(name, source, top, params, k):
+    """Tables composed during enumeration equal the cone-simulating
+    oracle on every kept cut, as k-variable tables that ignore the
+    variables past the cut's leaves."""
+    aig = from_netlist(elaborate(source, top=top, params=params))
+    cuts, tables = enumerate_cut_truths(aig, k)
+    assert cuts == enumerate_cuts(aig, k)
+    for nid, node_cuts in cuts.items():
+        assert len(tables[nid]) == len(node_cuts)
+        for cut, tt in zip(node_cuts, tables[nid]):
+            want, span = cut_truth(aig, nid, cut), 1 << len(cut)
+            while span < 1 << k:
+                want |= want << span
+                span <<= 1
+            assert tt == want, (nid, cut)
+
+
 @pytest.mark.parametrize("num_vars", [2, 3, 4, 5, 6])
 def test_build_truth_realizes_arbitrary_functions(num_vars):
     rng = random.Random(num_vars)
@@ -206,6 +267,73 @@ def test_rewrite_cec_round_trip(name, source, top, params):
     rewritten = rewrite_aig(aig, stats=stats)
     assert stats.ands_after <= stats.ands_before
     _assert_equivalent(netlist, to_netlist(rewritten))
+
+
+#: Per design: the ``content_hash()`` of ``rewrite_aig`` on the elaborated
+#: AIG, then ``optimize()`` gates and levels.  Pinned from the
+#: sorted-merge / cone-simulating rewriter; the bitmask kernel, carried
+#: truth tables, bounded probing and the pass memo must not move them.
+PINNED = {
+    "rca": ("2854d79834f8674e82b2829933105640150f5f7ef2f354bdffe951cdf03bf182",
+            20, 9),
+    "alu": ("35ed6f1fe3009d65af27c71a3389dd426b2fe29ed59bdb404c27b9d174dd9063",
+            100, 18),
+    "alu_w8": ("2cc5a9978a6130f448d86c2fc0fba42a2608c7117fc479b61e5690df56cdd48e",
+               200, 27),
+    "counter": ("1aa45d3c70386adfd5123dda22f30522b39b77f6735bc9df95746feefaccfa5a",
+                15, 5),
+    "fsm": ("7ec2d3f89af0bf0874522a96bfecd88ba0cc3933f6deddbd26dd59fca113dfcd",
+            8, 4),
+    "muxtree": ("96ff6a2f62b6ee8dfd9e78efdda2bfcd4749871d34bb16b509cc7d0586733169",
+                7, 3),
+    "shifter": ("1f845300ea5ba90ff5fd08894f71e261b0e7ef5df834f7163b2d101c7a633242",
+                143, 20),
+    "forloop": ("7a88cd6f916b291965285375208e013d83fb552f31e9339f7b56440897ee6368",
+                0, 0),
+    "shiftreg": ("56876afe53c0a6d0d0362ab997123c64bf78db7698c2351e4a9dcace51cd7968",
+                 0, 0),
+}
+
+
+@pytest.mark.parametrize("name,source,top,params", DESIGNS, ids=DESIGN_IDS)
+def test_rewrite_and_optimize_match_pinned_results(name, source, top,
+                                                   params):
+    netlist = elaborate(source, top=top, params=params)
+    digest, gates, levels = PINNED[name]
+    assert rewrite_aig(from_netlist(netlist)).content_hash() == digest
+    result = optimize(netlist)
+    assert (result.gates_after, result.levels_after) == (gates, levels)
+
+
+@pytest.mark.parametrize("name,source,top,params", DESIGNS, ids=DESIGN_IDS)
+def test_compacted_sweep_has_only_live_ands(name, source, top, params):
+    """``rewrite_aig`` counts a compacted sweep by ``num_ands``: after
+    ``_copy_live`` every AND in the unique table is live."""
+    aig = from_netlist(elaborate(source, top=top, params=params))
+    swept = _sweep(aig, 8, RewriteStats())
+    compact = _copy_live(swept)
+    assert compact.num_ands == len(_live_ands(compact)) \
+        == len(_live_ands(swept))
+
+
+def test_probe_stops_once_cost_passes_budget():
+    canon = max(NPN4_LIBRARY, key=lambda c: len(NPN4_LIBRARY[c][1]))
+    root, nodes = NPN4_LIBRARY[canon]
+    new = AIG("probe")
+    inputs = tuple(new.add_input(f"x{i}") for i in range(4))
+    levels = {0: 0, **{lit >> 1: 0 for lit in inputs}}
+    cost, level, real = _probe_structure(new, levels, root, nodes, inputs,
+                                         len(nodes))
+    assert cost == len(nodes) and real is None
+    assert _probe_structure(new, levels, root, nodes, inputs,
+                            cost - 1) is None
+    assert _probe_structure(new, levels, root, nodes, inputs,
+                            cost) == (cost, level, None)
+    # Built logic is free: once the structure exists the probe costs 0
+    # and resolves to the real root literal under any budget.
+    built = _build_structure(new, levels, root, nodes, inputs)
+    assert _probe_structure(new, levels, root, nodes, inputs, 0) == \
+        (0, level, built)
 
 
 def test_rewrite_reduces_wide_alu_beyond_strash_balance():

@@ -74,6 +74,27 @@ def test_topological_order_cached_and_invalidated():
     assert len(netlist.topological_order()) == len(netlist.gates)
 
 
+def test_gate_count_and_levels_cached_and_invalidated():
+    netlist = Netlist()
+    a = netlist.add_input("a")
+    b = netlist.add_input("b")
+    gate = netlist.make_and(a, b)
+    netlist.add_output("y", gate)
+    assert (netlist.num_gates, netlist.logic_levels()) == (1, 1)
+    assert netlist._gates_cache == (netlist.version, 1)
+    assert netlist._levels_cache == (netlist.version, 1)
+    # Every structural mutation moves ``version`` on, so the cached
+    # values are recomputed rather than served stale.
+    inv = netlist.make_not(gate)
+    assert (netlist.num_gates, netlist.logic_levels()) == (2, 2)
+    buf = netlist.add_gate(GateType.BUF, (a,))
+    netlist.set_fanins(inv, (buf,))
+    assert (netlist.num_gates, netlist.logic_levels()) == (3, 2)
+    netlist.add_dff(inv, name="q")
+    assert (netlist.num_gates, netlist.num_registers) == (3, 1)
+    assert netlist.stats()["levels"] == 2
+
+
 def test_set_fanins_patches_and_invalidates():
     netlist = Netlist()
     a = netlist.add_input("a")

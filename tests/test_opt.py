@@ -33,6 +33,7 @@ from repro.netlist.opt import (
     optimize,
 )
 from repro.netlist.sat import check_equivalence
+from repro.obs import Tracer, use_tracer
 
 from test_elaborate import (
     ALU,
@@ -339,6 +340,34 @@ def test_fixpoint_iterates_until_no_improvement():
     last = max(iterations)
     last_rows = [row for row in result.stats if row.iteration == last]
     assert all(row.gates_removed == 0 for row in last_rows)
+
+
+def _rewrite_cuts(result):
+    return sum(row.details["cuts_evaluated"] for row in result.stats
+               if row.name == "rewrite" and row.details)
+
+
+def test_pass_reuses_output_for_input_seen_in_same_run():
+    """The adder's second rewrite gets the first one's input back, so it
+    is served from the memo: no work, a ``reused`` span, same counts."""
+    netlist = elaborate(RCA, top="rca")
+    tracer = Tracer()
+    with use_tracer(tracer):
+        result = optimize(netlist)
+    first, second = [row for row in result.stats if row.name == "rewrite"]
+    assert first.details["cuts_evaluated"] > 0
+    assert second.iteration == 2 and second.details is None
+    assert (second.gates_before, second.gates_after) == \
+        (first.gates_before, first.gates_after)
+    spans = [rec for rec in tracer.spans() if rec.name == "opt.rewrite"]
+    assert [rec.args.get("reused", False) for rec in spans] == [False, True]
+
+
+def test_pass_memo_is_scoped_to_one_run():
+    netlist = elaborate(RCA, top="rca")
+    first, second = optimize(netlist), optimize(netlist)
+    assert _rewrite_cuts(first) == _rewrite_cuts(second) > 0
+    assert first.netlist.content_hash() == second.netlist.content_hash()
 
 
 def test_custom_pipeline_by_name_and_instance():

@@ -21,7 +21,7 @@ from .hierarchy import (
     PortInfo,
     resolve_module_info,
 )
-from .lexer import Lexer, Token, VerilogLexError, tokenize
+from .lexer import Token, VerilogLexError, tokenize
 from .parser import Parser, VerilogSyntaxError, parse, parse_module
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "ModuleInfo",
     "PortInfo",
     "resolve_module_info",
-    "Lexer",
     "Token",
     "VerilogLexError",
     "tokenize",

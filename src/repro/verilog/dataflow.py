@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import networkx as nx
-
 from . import ast
 from .ast import expression_signals, lvalue_signals
 from .hierarchy import DesignHierarchy
@@ -30,6 +28,19 @@ def _sig(scope: str, name: str) -> tuple[str, str, str]:
 
 def _inst(path: str) -> tuple[str, str]:
     return ("inst", path)
+
+
+def _reachable(edges: dict[tuple, set[tuple]], start: tuple) -> set[tuple]:
+    """Nodes reachable from ``start`` along ``edges``, excluding ``start``."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for node in edges[frontier.pop()]:
+            if node not in seen:
+                seen.add(node)
+                frontier.append(node)
+    seen.discard(start)
+    return seen
 
 
 @dataclass
@@ -94,15 +105,29 @@ class DataflowGraph:
     """Hierarchy-wide dataflow graph of a design.
 
     Nodes are either ``("sig", scope_path, signal_name)`` or
-    ``("inst", instance_path)``.  A directed edge ``a -> b`` means "a feeds b".
+    ``("inst", instance_path)``.  A directed edge ``a -> b`` means "a feeds b";
+    ``successors`` and ``predecessors`` hold each node's outgoing and incoming
+    neighbours (every node has an entry in both).
     """
 
     def __init__(self, hierarchy: DesignHierarchy):
         self.hierarchy = hierarchy
         self.source = hierarchy.source
         self.top = hierarchy.top
-        self.graph = nx.DiGraph()
+        self.successors: dict[tuple, set[tuple]] = {}
+        self.predecessors: dict[tuple, set[tuple]] = {}
         self._build_scope(self.source.module(self.top), self.top)
+
+    def _add_node(self, node: tuple) -> None:
+        if node not in self.successors:
+            self.successors[node] = set()
+            self.predecessors[node] = set()
+
+    def _add_edge(self, source: tuple, target: tuple) -> None:
+        self._add_node(source)
+        self._add_node(target)
+        self.successors[source].add(target)
+        self.predecessors[target].add(source)
 
     # -- construction -----------------------------------------------------------
 
@@ -126,8 +151,8 @@ class DataflowGraph:
                     sources |= expression_signals(child)
         for target in targets:
             for source in sources:
-                self.graph.add_edge(_sig(scope, source), _sig(scope, target))
-            self.graph.add_node(_sig(scope, target))
+                self._add_edge(_sig(scope, source), _sig(scope, target))
+            self._add_node(_sig(scope, target))
 
     def _add_always(self, scope: str, item: ast.Always) -> None:
         summary = summarize_statement(item.statement)
@@ -137,13 +162,13 @@ class DataflowGraph:
                 reads |= expression_signals(sens.signal)
         for target in summary.writes:
             for source in reads:
-                self.graph.add_edge(_sig(scope, source), _sig(scope, target))
-            self.graph.add_node(_sig(scope, target))
+                self._add_edge(_sig(scope, source), _sig(scope, target))
+            self._add_node(_sig(scope, target))
 
     def _add_instance(self, scope: str, inst: ast.Instance) -> None:
         child_scope = f"{scope}.{inst.instance_name}"
         inst_node = _inst(child_scope)
-        self.graph.add_node(inst_node)
+        self._add_node(inst_node)
 
         if not self.source.has_module(inst.module_name):
             # Black box: connect conservatively in both directions.
@@ -151,8 +176,8 @@ class DataflowGraph:
                 if conn.expr is None:
                     continue
                 for signal in expression_signals(conn.expr):
-                    self.graph.add_edge(_sig(scope, signal), inst_node)
-                    self.graph.add_edge(inst_node, _sig(scope, signal))
+                    self._add_edge(_sig(scope, signal), inst_node)
+                    self._add_edge(inst_node, _sig(scope, signal))
             return
 
         child_module = self.source.module(inst.module_name)
@@ -165,18 +190,18 @@ class DataflowGraph:
             child_node = _sig(child_scope, port_name)
             if port.direction == "input":
                 for signal in parent_signals:
-                    self.graph.add_edge(_sig(scope, signal), child_node)
-                self.graph.add_edge(child_node, inst_node)
+                    self._add_edge(_sig(scope, signal), child_node)
+                self._add_edge(child_node, inst_node)
             elif port.direction == "output":
                 for signal in parent_signals:
-                    self.graph.add_edge(child_node, _sig(scope, signal))
-                self.graph.add_edge(inst_node, child_node)
+                    self._add_edge(child_node, _sig(scope, signal))
+                self._add_edge(inst_node, child_node)
             else:  # inout: conservative, both directions
                 for signal in parent_signals:
-                    self.graph.add_edge(_sig(scope, signal), child_node)
-                    self.graph.add_edge(child_node, _sig(scope, signal))
-                self.graph.add_edge(inst_node, child_node)
-                self.graph.add_edge(child_node, inst_node)
+                    self._add_edge(_sig(scope, signal), child_node)
+                    self._add_edge(child_node, _sig(scope, signal))
+                self._add_edge(inst_node, child_node)
+                self._add_edge(child_node, inst_node)
         self._build_scope(child_module, child_scope)
 
     @staticmethod
@@ -202,18 +227,18 @@ class DataflowGraph:
     def instances_affecting_output(self, output: str) -> set[str]:
         """Instance paths whose logic lies in the fan-in cone of ``output``."""
         node = self.output_node(output)
-        if node not in self.graph:
+        if node not in self.predecessors:
             return set()
-        ancestors = nx.ancestors(self.graph, node)
+        ancestors = _reachable(self.predecessors, node)
         return {name[1] for name in ancestors if name[0] == "inst"}
 
     def outputs_affected_by_instance(self, instance_path: str,
                                      outputs: Iterable[str]) -> set[str]:
         """Subset of ``outputs`` reachable from the given instance."""
         node = _inst(instance_path)
-        if node not in self.graph:
+        if node not in self.successors:
             return set()
-        descendants = nx.descendants(self.graph, node)
+        descendants = _reachable(self.successors, node)
         reachable = set()
         for output in outputs:
             if self.output_node(output) in descendants:
@@ -223,16 +248,16 @@ class DataflowGraph:
     def signal_fanin(self, scope: str, signal: str) -> set[tuple[str, str]]:
         """All (scope, signal) pairs in the transitive fan-in of a signal."""
         node = _sig(scope, signal)
-        if node not in self.graph:
+        if node not in self.predecessors:
             return set()
         return {
             (item[1], item[2])
-            for item in nx.ancestors(self.graph, node)
+            for item in _reachable(self.predecessors, node)
             if item[0] == "sig"
         }
 
     def instance_nodes(self) -> set[str]:
-        return {n[1] for n in self.graph.nodes if n[0] == "inst"}
+        return {n[1] for n in self.successors if n[0] == "inst"}
 
     def score_instances(self, outputs: Iterable[str]) -> dict[str, int]:
         """Score every instance by the number of selected outputs it influences.

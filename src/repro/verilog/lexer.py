@@ -1,15 +1,23 @@
 """Tokenizer for the synthesizable Verilog subset.
 
-The lexer strips comments (``//`` and ``/* */``), handles sized and unsized
-numeric literals, identifiers (including escaped identifiers), operators and
-punctuation.  It produces a flat list of :class:`Token` objects consumed by
-:mod:`repro.verilog.parser`.
+One compiled master pattern, an alternation of named groups, is matched
+with ``pattern.match(text, pos)`` at each position.  The group that
+matched (``lastgroup``) names the token kind; whitespace, ``//`` and
+``/* */`` comments and backtick directives are skipped.  Lines are counted
+from the newlines inside skipped text and string literals, and columns are
+offsets from the last newline, so no per-character bookkeeping runs.
+An unterminated ``/*`` comment or string literal raises
+:class:`VerilogLexError` naming the line it opens on.
+Sized literals (``8'hFF``, ``4 'b0101``, ``'d15``), escaped identifiers and
+maximal-munch operators are covered.  The result is a flat list of
+:class:`Token` objects consumed by :mod:`repro.verilog.parser`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 
 class VerilogLexError(Exception):
@@ -35,7 +43,7 @@ OPERATORS = [
 PUNCTUATION = ["(", ")", "[", "]", "{", "}", ",", ";", ":", ".", "#", "@"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     """A single lexical token."""
 
@@ -48,181 +56,86 @@ class Token:
         return f"Token({self.kind}, {self.value!r}, line={self.line})"
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_" or ch == "\\" or ch == "$"
+# The first alternative that matches wins, so group order matters:
+#   SKIP          whitespace, ``//`` and ``/* */`` comments, backtick
+#                 directives (skipped to the end of the line);
+#   ID            identifiers and keywords with an ASCII first character;
+#   SIZED_NUMBER  ``8'hFF``, ``4 'b0`` (blanks before the tick), ``'sd3``;
+#   STRING        the text between the quotes, escapes left as written;
+#   OPEN          a ``/*`` or ``"`` whose terminated form did not match,
+#                 tried before OP so ``/*`` is not read as two operators;
+#   OP            longest operator first (maximal munch);
+#   ESCAPED       ``\name`` up to the next whitespace;
+#   UNICODE_ID    a non-ASCII first character, which must be a letter;
+#   BAD_TICK      a tick without a valid base.
+# ``\w`` is exactly ``str.isalnum()`` plus ``_``, the identifier rule.
+_SIZED_TAIL = r"'[sS]?[bBoOdDhH][\w?]*"
+_MASTER = re.compile("|".join([
+    r"(?P<SKIP>[ \t\r\n]+|//[^\n]*|/\*.*?\*/|`[^\n]*)",
+    r"(?P<ID>[A-Za-z_$][\w$]*)",
+    "(?P<PUNCT>[" + re.escape("".join(PUNCTUATION)) + "])",
+    rf"(?P<SIZED_NUMBER>\d[\d_]*[ \t]*{_SIZED_TAIL}|{_SIZED_TAIL})",
+    r"(?P<NUMBER>\d[\d_]*)",
+    r'"(?P<STRING>(?:[^"\\]|\\.)*)"',
+    r"(?P<OPEN>/\*|\")",
+    "(?P<OP>" + "|".join(re.escape(op) for op in OPERATORS) + ")",
+    r"\\(?P<ESCAPED>\S*)",
+    r"(?P<UNICODE_ID>[^\W\d][\w$]*)",
+    r"(?P<BAD_TICK>')",
+]), re.DOTALL)
+_TOKEN_GROUPS = frozenset({"PUNCT", "OP", "NUMBER", "SIZED_NUMBER", "STRING"})
 
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_" or ch == "$"
-
-
-class Lexer:
-    """Convert Verilog source text into a list of tokens."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    # -- low-level helpers ----------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index < len(self.text):
-            return self.text[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> str:
-        chunk = self.text[self.pos:self.pos + count]
-        for ch in chunk:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += count
-        return chunk
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.text) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                self._advance(2)
-            elif ch == "`":
-                # Compiler directives (`timescale, `define, ...) are skipped to
-                # the end of the line; the benchmarks do not rely on macros.
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            else:
-                break
-
-    # -- token producers ------------------------------------------------------
-
-    def _lex_identifier(self) -> Token:
-        line, col = self.line, self.col
-        if self._peek() == "\\":
-            # Escaped identifier: backslash up to whitespace.
-            self._advance()
-            start = self.pos
-            while self.pos < len(self.text) and not self._peek().isspace():
-                self._advance()
-            name = self.text[start:self.pos]
-            return Token("ID", name, line, col)
-        start = self.pos
-        while self.pos < len(self.text) and _is_ident_char(self._peek()):
-            self._advance()
-        name = self.text[start:self.pos]
-        kind = "KEYWORD" if name in KEYWORDS else "ID"
-        return Token(kind, name, line, col)
-
-    def _lex_number(self) -> Token:
-        line, col = self.line, self.col
-        start = self.pos
-        while self.pos < len(self.text) and (self._peek().isdigit() or self._peek() == "_"):
-            self._advance()
-        # Sized literal such as 8'hFF or '<base><digits>.
-        self._skip_whitespace_in_number()
-        if self._peek() == "'":
-            self._advance()
-            if self._peek() in "sS":
-                self._advance()
-            base = self._peek().lower()
-            if base not in "bodh":
-                raise VerilogLexError(
-                    f"invalid number base {base!r} at line {self.line}"
-                )
-            self._advance()
-            while self.pos < len(self.text) and (
-                self._peek().isalnum() or self._peek() in "_xXzZ?"
-            ):
-                self._advance()
-            return Token("SIZED_NUMBER", self.text[start:self.pos], line, col)
-        return Token("NUMBER", self.text[start:self.pos], line, col)
-
-    def _skip_whitespace_in_number(self) -> None:
-        # Verilog allows "4 'b0"; tolerate a single space before the tick.
-        save = self.pos
-        while self.pos < len(self.text) and self._peek() in " \t":
-            self._advance()
-        if self._peek() != "'":
-            self.pos = save
-
-    def _lex_tick_number(self) -> Token:
-        """A literal that starts with a tick, e.g. ``'b0`` or ``'d15``."""
-        line, col = self.line, self.col
-        start = self.pos
-        self._advance()  # consume tick
-        if self._peek() in "sS":
-            self._advance()
-        base = self._peek().lower()
-        if base not in "bodh":
-            raise VerilogLexError(f"invalid number base {base!r} at line {self.line}")
-        self._advance()
-        while self.pos < len(self.text) and (
-            self._peek().isalnum() or self._peek() in "_xXzZ?"
-        ):
-            self._advance()
-        return Token("SIZED_NUMBER", self.text[start:self.pos], line, col)
-
-    def _lex_string(self) -> Token:
-        line, col = self.line, self.col
-        self._advance()  # opening quote
-        start = self.pos
-        while self.pos < len(self.text) and self._peek() != '"':
-            if self._peek() == "\\":
-                self._advance()
-            self._advance()
-        value = self.text[start:self.pos]
-        self._advance()  # closing quote
-        return Token("STRING", value, line, col)
-
-    def _lex_operator(self) -> Token:
-        line, col = self.line, self.col
-        for op in OPERATORS:
-            if self.text.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token("OP", op, line, col)
-        ch = self._peek()
-        if ch in PUNCTUATION:
-            self._advance()
-            return Token("PUNCT", ch, line, col)
-        raise VerilogLexError(f"unexpected character {ch!r} at line {self.line}")
-
-    # -- public API -----------------------------------------------------------
-
-    def tokens(self) -> Iterator[Token]:
-        """Yield tokens until the input is exhausted."""
-        while True:
-            self._skip_whitespace_and_comments()
-            if self.pos >= len(self.text):
-                return
-            ch = self._peek()
-            if _is_ident_start(ch):
-                yield self._lex_identifier()
-            elif ch.isdigit():
-                yield self._lex_number()
-            elif ch == "'":
-                yield self._lex_tick_number()
-            elif ch == '"':
-                yield self._lex_string()
-            else:
-                yield self._lex_operator()
+def _lex_error(text: str, pos: int, line: int, kind: Optional[str]) -> VerilogLexError:
+    """The diagnostic for a failed match (``kind`` None) or an error group."""
+    if kind == "BAD_TICK":
+        base = pos + 1
+        if text[base:base + 1] in ("s", "S"):
+            base += 1
+        return VerilogLexError(
+            f"invalid number base {text[base:base + 1].lower()!r} at line {line}"
+        )
+    if kind == "OPEN":
+        what = "block comment" if text[pos] == "/" else "string literal"
+        return VerilogLexError(f"unterminated {what} starting at line {line}")
+    return VerilogLexError(f"unexpected character {text[pos]!r} at line {line}")
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text`` and return the full token list."""
-    return list(Lexer(text).tokens())
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _MASTER.match
+    pos, end = 0, len(text)
+    line, line_start = 1, 0
+    while pos < end:
+        m = match(text, pos)
+        kind = m.lastgroup if m is not None else None
+        if kind == "SKIP":
+            stop = m.end()
+            newlines = text.count("\n", pos, stop)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, stop) + 1
+            pos = stop
+            continue
+        if kind == "ID":
+            value = m.group(kind)
+            if value in KEYWORDS:
+                kind = "KEYWORD"
+        elif kind in _TOKEN_GROUPS:
+            value = m.group(kind)
+        elif kind == "ESCAPED" or (kind == "UNICODE_ID" and text[pos].isalpha()):
+            value = m.group(kind)
+            kind = "ID"
+        else:
+            raise _lex_error(text, pos, line, kind)
+        append(Token(kind, value, line, pos - line_start + 1))
+        pos = m.end()
+        if kind == "STRING" and "\n" in value:
+            line += value.count("\n")
+            line_start = text.rindex("\n", 0, pos) + 1
+    return tokens
 
 
 def parse_sized_number(literal: str) -> tuple[int, Optional[int], str]:

@@ -16,6 +16,12 @@ benchmark suite used by ALICE:
 * the full expression grammar (ternary, logical, bitwise, relational, shifts,
   arithmetic, unary/reduction operators, concatenation, replication, bit and
   part selects)
+
+Statements and declarations are parsed by recursive descent.  Binary
+expressions are parsed by precedence climbing (one loop, one recursion per
+tighter operand) over :data:`BINDING_POWER`, the single source of operator
+precedence and associativity; unary operators come from
+:data:`UNARY_OPERATORS`.
 """
 
 from __future__ import annotations
@@ -28,6 +34,33 @@ from .lexer import Token, VerilogLexError, parse_sized_number, tokenize
 
 class VerilogSyntaxError(Exception):
     """Raised when the token stream does not match the expected grammar."""
+
+
+#: Binary operator -> binding power (higher binds tighter): the single
+#: source of operator precedence.  Every level is left-associative except
+#: ``**``, which is right-associative.  Unary operators bind tighter than all
+#: of them, ``**`` included, so ``-a ** b`` is ``(-a) ** b``.
+BINDING_POWER = {
+    op: power
+    for power, level in enumerate((
+        ("||",),
+        ("&&",),
+        ("|", "~|"),
+        ("^", "~^", "^~"),
+        ("&", "~&"),
+        ("==", "!=", "===", "!=="),
+        ("<", ">", "<=", ">="),
+        ("<<", ">>", "<<<", ">>>"),
+        ("+", "-"),
+        ("*", "/", "%"),
+        ("**",),
+    ), start=1)
+    for op in level
+}
+
+UNARY_OPERATORS = frozenset(
+    ("~&", "~|", "~^", "^~", "!", "~", "-", "+", "&", "|", "^")
+)
 
 
 class Parser:
@@ -49,35 +82,40 @@ class Parser:
         return self.pos >= len(self.tokens)
 
     def _check(self, kind: str, value: Optional[str] = None, offset: int = 0) -> bool:
-        tok = self._peek(offset)
-        if tok is None:
+        index = self.pos + offset
+        if index >= len(self.tokens):
             return False
-        if tok.kind != kind:
-            return False
-        return value is None or tok.value == value
+        tok = self.tokens[index]
+        return tok.kind == kind and (value is None or tok.value == value)
 
     def _advance(self) -> Token:
-        tok = self._peek()
-        if tok is None:
+        pos = self.pos
+        if pos >= len(self.tokens):
             raise VerilogSyntaxError("unexpected end of input")
-        self.pos += 1
-        return tok
+        self.pos = pos + 1
+        return self.tokens[pos]
 
     def _expect(self, kind: str, value: Optional[str] = None) -> Token:
-        tok = self._peek()
-        if tok is None:
+        pos = self.pos
+        if pos >= len(self.tokens):
             raise VerilogSyntaxError(
                 f"unexpected end of input, expected {value or kind}"
             )
+        tok = self.tokens[pos]
         if tok.kind != kind or (value is not None and tok.value != value):
             raise VerilogSyntaxError(
                 f"expected {value or kind} but found {tok.value!r} at line {tok.line}"
             )
-        return self._advance()
+        self.pos = pos + 1
+        return tok
 
     def _accept(self, kind: str, value: Optional[str] = None) -> Optional[Token]:
-        if self._check(kind, value):
-            return self._advance()
+        pos = self.pos
+        if pos < len(self.tokens):
+            tok = self.tokens[pos]
+            if tok.kind == kind and (value is None or tok.value == value):
+                self.pos = pos + 1
+                return tok
         return None
 
     # -- top level --------------------------------------------------------------
@@ -536,7 +574,7 @@ class Parser:
         return self._parse_ternary()
 
     def _parse_ternary(self) -> ast.Expression:
-        cond = self._parse_logical_or()
+        cond = self._parse_binary(1)
         if self._accept("OP", "?"):
             true_value = self.parse_expression()
             self._expect("PUNCT", ":")
@@ -545,66 +583,31 @@ class Parser:
                                false_value=false_value)
         return cond
 
-    def _parse_binary_level(self, operators: tuple[str, ...], next_level):
-        expr = next_level()
-        while True:
-            matched = None
-            for op in operators:
-                if self._check("OP", op):
-                    matched = op
-                    break
-            if matched is None:
-                return expr
-            self._advance()
-            right = next_level()
-            expr = ast.BinaryOp(op=matched, left=expr, right=right)
+    def _parse_binary(self, min_power: int) -> ast.Expression:
+        """Precedence climbing over :data:`BINDING_POWER`.
 
-    def _parse_logical_or(self) -> ast.Expression:
-        return self._parse_binary_level(("||",), self._parse_logical_and)
-
-    def _parse_logical_and(self) -> ast.Expression:
-        return self._parse_binary_level(("&&",), self._parse_bitwise_or)
-
-    def _parse_bitwise_or(self) -> ast.Expression:
-        return self._parse_binary_level(("|", "~|"), self._parse_bitwise_xor)
-
-    def _parse_bitwise_xor(self) -> ast.Expression:
-        return self._parse_binary_level(("^", "~^", "^~"), self._parse_bitwise_and)
-
-    def _parse_bitwise_and(self) -> ast.Expression:
-        return self._parse_binary_level(("&", "~&"), self._parse_equality)
-
-    def _parse_equality(self) -> ast.Expression:
-        return self._parse_binary_level(("==", "!=", "===", "!=="),
-                                        self._parse_relational)
-
-    def _parse_relational(self) -> ast.Expression:
-        return self._parse_binary_level(("<", ">", "<=", ">="), self._parse_shift)
-
-    def _parse_shift(self) -> ast.Expression:
-        return self._parse_binary_level(("<<", ">>", "<<<", ">>>"),
-                                        self._parse_additive)
-
-    def _parse_additive(self) -> ast.Expression:
-        return self._parse_binary_level(("+", "-"), self._parse_multiplicative)
-
-    def _parse_multiplicative(self) -> ast.Expression:
-        return self._parse_binary_level(("*", "/", "%"), self._parse_power)
-
-    def _parse_power(self) -> ast.Expression:
-        base = self._parse_unary()
-        if self._accept("OP", "**"):
-            # ``**`` is right-associative.
-            exponent = self._parse_power()
-            return ast.BinaryOp(op="**", left=base, right=exponent)
-        return base
+        Operators binding at least ``min_power`` are folded into the left
+        operand.  The right operand of a left-associative operator only takes
+        strictly tighter operators; ``**`` also takes itself, so it nests to
+        the right.
+        """
+        left = self._parse_unary()
+        tokens = self.tokens
+        while self.pos < len(tokens):
+            tok = tokens[self.pos]
+            power = BINDING_POWER.get(tok.value) if tok.kind == "OP" else None
+            if power is None or power < min_power:
+                break
+            self.pos += 1
+            right = self._parse_binary(power if tok.value == "**" else power + 1)
+            left = ast.BinaryOp(op=tok.value, left=left, right=right)
+        return left
 
     def _parse_unary(self) -> ast.Expression:
-        for op in ("~&", "~|", "~^", "^~", "!", "~", "-", "+", "&", "|", "^"):
-            if self._check("OP", op):
-                self._advance()
-                operand = self._parse_unary()
-                return ast.UnaryOp(op=op, operand=operand)
+        tok = self._peek()
+        if tok is not None and tok.kind == "OP" and tok.value in UNARY_OPERATORS:
+            self.pos += 1
+            return ast.UnaryOp(op=tok.value, operand=self._parse_unary())
         return self._parse_primary()
 
     def _parse_primary(self) -> ast.Expression:

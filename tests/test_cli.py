@@ -89,6 +89,21 @@ def test_syntax_error_diagnostic(tmp_path, capsys):
     assert "syntax error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,what", [
+    ("module m(input a, output y);\n  /* open\n  assign y = a;\nendmodule\n",
+     "unterminated block comment starting at line 2"),
+    ('module m(input a, output y);\n\n  initial "open;\nendmodule\n',
+     "unterminated string literal starting at line 3"),
+])
+def test_unterminated_input_diagnostic(tmp_path, capsys, text, what):
+    path = tmp_path / "open.v"
+    path.write_text(text)
+    assert run([str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "syntax error" in err and what in err
+
+
 def test_elaboration_error_diagnostic(tmp_path, capsys):
     path = tmp_path / "undriven.v"
     path.write_text("module m(input a, output y); assign y = ghost; endmodule")

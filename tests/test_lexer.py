@@ -84,3 +84,52 @@ def test_line_numbers_tracked():
 def test_lex_error_on_bad_base():
     with pytest.raises(VerilogLexError):
         tokenize("4'q1010")
+
+
+def test_columns_are_one_based_and_exact():
+    toks = tokenize("assign y = 5 + b;\n\tq <= 4 'b1;")
+    assert [(t.value, t.line, t.col) for t in toks] == [
+        ("assign", 1, 1), ("y", 1, 8), ("=", 1, 10), ("5", 1, 12),
+        ("+", 1, 14), ("b", 1, 16), (";", 1, 17),
+        ("q", 2, 2), ("<=", 2, 4), ("4 'b1", 2, 7), (";", 2, 12),
+    ]
+
+
+def test_lines_count_newlines_inside_comments_and_strings():
+    toks = tokenize('/* a\nb */ x "s\ntr" y\n// c\nz')
+    assert [(t.value, t.line, t.col) for t in toks] == [
+        ("x", 2, 6), ("s\ntr", 2, 8), ("y", 3, 5), ("z", 5, 1),
+    ]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("wire a;\n/* never closed\nwire b;",
+     "unterminated block comment starting at line 2"),
+    ("/*/", "unterminated block comment starting at line 1"),
+    ('a\nb\n"open \\" still open\n', "unterminated string literal starting at line 3"),
+])
+def test_unterminated_comment_or_string_is_an_error(text, message):
+    with pytest.raises(VerilogLexError, match=message):
+        tokenize(text)
+
+
+def test_bad_base_message_names_the_base_and_line():
+    with pytest.raises(VerilogLexError, match=r"invalid number base 'q' at line 2"):
+        tokenize("a\n4 'Q1")
+    with pytest.raises(VerilogLexError, match=r"invalid number base 'x' at line 1"):
+        tokenize("'sx0")
+
+
+def test_unexpected_character_message():
+    with pytest.raises(VerilogLexError, match=r"unexpected character '\\x0c' at line 3"):
+        tokenize("a\n\nb \f c")
+
+
+def test_non_ascii_identifiers_follow_isalnum():
+    # Letters start an identifier; any str.isalnum() character continues it.
+    toks = tokenize("größe ñ_2 x٣ é$")
+    assert [(t.kind, t.value) for t in toks] == [
+        ("ID", "größe"), ("ID", "ñ_2"), ("ID", "x٣"), ("ID", "é$"),
+    ]
+    with pytest.raises(VerilogLexError, match="unexpected character '½'"):
+        tokenize("a ½")

@@ -181,3 +181,67 @@ def test_syntax_error_reports_line():
 def test_parse_module_requires_single_module():
     with pytest.raises(VerilogSyntaxError):
         parse_module(HIER)
+
+
+def _rhs(expression):
+    return parse_module(
+        f"module m(output y); assign y = {expression}; endmodule"
+    ).assigns[0].rhs
+
+
+_A, _B, _C, _D, _E, _F, _G, _H, _I, _J, _K, _L = (
+    ast.Identifier(name) for name in "abcdefghijkl"
+)
+
+
+def _bin(op, left, right):
+    return ast.BinaryOp(op=op, left=left, right=right)
+
+
+def _un(op, operand):
+    return ast.UnaryOp(op=op, operand=operand)
+
+
+@pytest.mark.parametrize("expression,tree", [
+    # Binary levels are left-associative.
+    ("a - b - c", _bin("-", _bin("-", _A, _B), _C)),
+    ("a == b != c", _bin("!=", _bin("==", _A, _B), _C)),
+    # ``**`` is right-associative and binds below unary operators.
+    ("a ** b ** c", _bin("**", _A, _bin("**", _B, _C))),
+    ("-a ** b", _bin("**", _un("-", _A), _B)),
+    ("a ** -b", _bin("**", _A, _un("-", _B))),
+    # The ternary nests to the right, in both arms.
+    ("a ? b : c ? d : e",
+     ast.Ternary(_A, _B, ast.Ternary(_C, _D, _E))),
+    ("a ? b ? c : d : e",
+     ast.Ternary(_A, ast.Ternary(_B, _C, _D), _E)),
+    # Every level, loosest first: each operator takes the rest as its right.
+    ("a || b && c | d ^ e & f == g < h << i + j * k ** l",
+     _bin("||", _A, _bin("&&", _B, _bin("|", _C, _bin("^", _D, _bin(
+         "&", _E, _bin("==", _F, _bin("<", _G, _bin("<<", _H, _bin(
+             "+", _I, _bin("*", _J, _bin("**", _K, _L)))))))))))),
+    # Every level, tightest first: the tree nests to the left instead.
+    ("a ** b * c + d << e < f == g & h ^ i | j && k || l",
+     _bin("||", _bin("&&", _bin("|", _bin("^", _bin("&", _bin("==", _bin(
+         "<", _bin("<<", _bin("+", _bin("*", _bin("**", _A, _B), _C), _D),
+                   _E), _F), _G), _H), _I), _J), _K), _L)),
+    # Reduction and logical unary operators bind tightest.
+    ("~&a || !b", _bin("||", _un("~&", _A), _un("!", _B))),
+    ("~^a ^ ^~b", _bin("^", _un("~^", _A), _un("^~", _B))),
+])
+def test_expression_trees(expression, tree):
+    assert _rhs(expression) == tree
+
+
+@pytest.mark.parametrize("text,message", [
+    ("module m(output y); assign y = a +; endmodule",
+     "unexpected token ';' at line 1 in expression"),
+    ("module m(output y); assign y = (a; endmodule",
+     "expected \\) but found ';' at line 1"),
+    ("module m(output y); assign y = a ? b c; endmodule",
+     "expected : but found 'c' at line 1"),
+    ("module m(output y); assign y = a", "unexpected end of input, expected ;"),
+])
+def test_expression_error_messages(text, message):
+    with pytest.raises(VerilogSyntaxError, match=message):
+        parse(text)

@@ -525,7 +525,7 @@ def bench_aig(factory, width: int) -> dict:
         "self_cec_aig": _cec_record(netlist, netlist, "aig"),
     }
 
-    # Bypass FraigPass's never-worse guard and measure the raw sweep+raise
+    # Bypass optimize()'s never-worse guard and measure the raw sweep+raise
     # result: the guard would otherwise mask a raising regression by
     # silently returning the input netlist, making the CI check on
     # gates_after vacuous.
@@ -576,8 +576,8 @@ def run_aig_bench(width: int, out_path: str) -> tuple[list[str], dict]:
         # Guard the sweep on its own metric: merges can only shrink the
         # live AND cone.  Gate counts after raising are recorded but not
         # enforced — re-deriving XOR/MUX idioms from a merged AIG can
-        # legitimately cost gates (the optimizer's FraigPass has a
-        # never-worse guard for that).
+        # legitimately cost gates (optimize() has a never-worse guard
+        # for that).
         tier.guard(
             fraig["ands_after"] <= fraig["ands_before"],
             f"{row['design']}: fraig increased the live AND count "
@@ -588,8 +588,8 @@ def run_aig_bench(width: int, out_path: str) -> tuple[list[str], dict]:
 
 
 #: The enforced rewrite-reduction floor on the W=16 ALU: DAG-aware
-#: rewriting must shave at least this fraction of the AND nodes left
-#: after simplify/strash/balance.
+#: rewriting must shave at least this fraction of the AND nodes of the
+#: lowered (structurally hashed) design.
 REWRITE_ALU_FLOOR = 0.05
 
 #: Timer-noise allowance for the pre- vs post-rewrite FRAIG timing
@@ -614,9 +614,7 @@ def bench_map(factory, width: int, fraig_timing: bool = False) -> dict:
     name, src, _ = factory(width)
     mark = _trace_mark()
     netlist = elaborate(src, top=name)
-    base = optimize(netlist,
-                    passes=("simplify", "strash", "balance")).netlist
-    aig = from_netlist(base)
+    aig = from_netlist(netlist)
     ands_before = aig.num_ands
 
     stats = RewriteStats()
@@ -624,7 +622,7 @@ def bench_map(factory, width: int, fraig_timing: bool = False) -> dict:
     rewritten = rewrite_aig(aig, stats=stats)
     rewrite_seconds = time.perf_counter() - start
     ands_after = rewritten.num_ands
-    rewrite_cec = check_equivalence(base, to_netlist(rewritten))
+    rewrite_cec = check_equivalence(netlist, to_netlist(rewritten))
 
     row = {
         "design": name,
@@ -674,7 +672,7 @@ def bench_map(factory, width: int, fraig_timing: bool = False) -> dict:
 def run_map_bench(width: int, out_path: str) -> tuple[list[str], dict]:
     """Rewrite + k-LUT mapping QoR tier; returns (regressions, report).
 
-    Every design goes simplify/strash/balance -> rewrite (CEC-proven),
+    Every design goes lower -> rewrite (CEC-proven),
     then through the priority-cut mapper at k=4 and k=6; each LUT cover
     is emitted as Verilog, re-elaborated and CEC-proven against the
     unoptimized source.  The ALU row always runs at W >= 16 and carries

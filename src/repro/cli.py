@@ -1,9 +1,11 @@
 """Command-line front door: ``python -m repro <design.v>``.
 
 Parses and elaborates a Verilog file, optionally optimizes the netlist
-(``--optimize`` / ``--passes``), optionally proves the optimized netlist
-equivalent to the unoptimized one with the SAT checker (``--check``) or
-to a second design (``--check-against FILE``), optionally measures
+(``--optimize``: lower to the AIG once, run the AIG passes — ``rewrite``
+by default, ``--passes rewrite,fraig`` to choose — raise once and
+balance), optionally proves the optimized netlist equivalent to the
+unoptimized one with the SAT checker (``--check``) or to a second
+design (``--check-against FILE``), optionally measures
 simulation throughput over random stimulus (``--cycles``, with ``--sim
 compiled|interp`` selecting the engine), and prints gate/depth/flip-flop
 statistics — as a table or as JSON.  Frontend and elaboration problems
@@ -118,13 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="override a top-module parameter (repeatable)")
     parser.add_argument(
         "-O", "--optimize", action="store_true",
-        help="run the optimization pipeline and report per-pass statistics")
+        help="optimize on the AIG and report per-pass statistics")
     parser.add_argument(
         "--passes", metavar="P1,P2,...",
-        help="comma-separated pass pipeline (implies --optimize)")
-    parser.add_argument(
-        "--no-fixpoint", action="store_true",
-        help="run the pipeline once instead of iterating to a fixpoint")
+        help="comma-separated AIG passes to run in order: rewrite, fraig "
+             "(default: rewrite; implies --optimize)")
     parser.add_argument(
         "--check", action="store_true",
         help="SAT-prove the optimized netlist equivalent to the original "
@@ -290,7 +290,6 @@ def _execute(args, out, tracer) -> int:
     # optimized netlist against the original, so it implies one.
     do_optimize = (args.optimize or bool(args.passes)
                    or (do_check and not args.check_against))
-    passes = args.passes.split(",") if args.passes else None
 
     try:
         netlist = elaborate(source, top=args.top, params=params or None)
@@ -307,8 +306,8 @@ def _execute(args, out, tracer) -> int:
     result = None
     if do_optimize:
         try:
-            result = optimize(netlist, passes=passes,
-                              fixpoint=not args.no_fixpoint)
+            result = (optimize(netlist, passes=args.passes.split(","))
+                      if args.passes else optimize(netlist))
         except OptimizationError as exc:
             raise CLIError(str(exc)) from exc
         report["optimized_stats"] = result.netlist.stats()

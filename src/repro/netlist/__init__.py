@@ -8,7 +8,7 @@ bit-parallel engine in :mod:`repro.netlist.sim` by default).
 :func:`compile_netlist` levelizes a netlist into a straight-line Python
 function and :class:`CompiledSim` drives it statefully, packing up to W
 stimulus patterns per net.  :mod:`repro.netlist.opt` shrinks a netlist
-through a verified pass pipeline (``elaborate(..., optimize=True)`` runs it
+by rewriting it on the AIG (``elaborate(..., optimize=True)`` runs it
 inline); :mod:`repro.netlist.sat` proves an optimized netlist equivalent to
 its source via a Tseitin-encoded miter.  :class:`Interpreter` executes the
 same designs directly at vector level and serves as the elaborator's
@@ -27,7 +27,7 @@ from .elaborate import (
 from .environment import ElaborationError, Scope
 from .interp import Interpreter, InterpreterError
 from .logic import Gate, GateType, Netlist, NetlistError, simulate
-from .opt import OptResult, PassManager, PassStats, optimize
+from .opt import OptResult, PassStats, optimize
 from .sat import EquivalenceResult, check_equivalence
 from .sim import CompiledNetlist, CompiledSim, compile_netlist, simulate_compiled
 
@@ -60,7 +60,6 @@ __all__ = [
     "compile_netlist",
     "simulate_compiled",
     "OptResult",
-    "PassManager",
     "PassStats",
     "optimize",
     "EquivalenceResult",

@@ -748,10 +748,10 @@ def elaborate(source: Union[str, ast.Source], top: Optional[str] = None,
     one primary input/output per bit named ``port[i]`` (plain ``port`` for
     scalars); use :func:`simulate_vectors` to drive the result word-wise.
 
-    ``optimize`` runs the :mod:`repro.netlist.opt` pipeline on the lowered
-    netlist: ``True`` selects the default pipeline, a list/tuple of pass
-    names or :class:`~repro.netlist.opt.Pass` objects selects a custom one.
-    The per-pass statistics are attached to the returned netlist as
+    ``optimize`` runs :func:`repro.netlist.opt.optimize` on the lowered
+    netlist: ``True`` with its default AIG passes, a list/tuple of AIG
+    pass names (``"rewrite"``, ``"fraig"``) with those.  The per-step
+    statistics are attached to the returned netlist as
     ``netlist.opt_stats``.
     """
     tracer = get_tracer()
@@ -776,8 +776,9 @@ def elaborate(source: Union[str, ast.Source], top: Optional[str] = None,
         span.set(gates=netlist.num_gates)
         if optimize:
             from .opt import optimize as run_pipeline
-            passes = None if optimize is True else list(optimize)
-            netlist = run_pipeline(netlist, passes=passes).netlist
+            result = (run_pipeline(netlist) if optimize is True
+                      else run_pipeline(netlist, passes=optimize))
+            netlist = result.netlist
     return netlist
 
 

@@ -1,4 +1,4 @@
-"""Netlist optimization: a composable pass pipeline over the gate-level IR.
+"""Netlist optimization on the AIG, plus k-LUT mapping.
 
 Typical use::
 
@@ -6,45 +6,24 @@ Typical use::
     from repro.netlist.opt import optimize
 
     netlist = elaborate(source, top="alu")
-    result = optimize(netlist)           # default pipeline, run to fixpoint
-    print(result.summary())              # per-pass gate/depth/latency table
+    result = optimize(netlist)           # lower, rewrite, raise, balance
+    print(result.summary())              # per-step size/depth/latency table
     smaller = result.netlist
 
-Every pass preserves the primary input/output interface and flip-flop
-names, so any optimized netlist can be formally checked against its source
-with :func:`repro.netlist.sat.check_equivalence`.
+:func:`optimize` preserves the primary input/output interface and
+flip-flop names, so any optimized netlist can be formally checked against
+its source with :func:`repro.netlist.sat.check_equivalence`.
 """
 
 from .cut import (build_truth, cut_truth, enumerate_cut_truths,
                   enumerate_cuts, npn_canon, npn_canonical)
-from .fraig import (FraigPass, FraigStats, SweepResult, fraig_sweep,
-                    fraig_sweep_map)
+from .fraig import FraigStats, SweepResult, fraig_sweep, fraig_sweep_map
 from .map import LUT, MapResult, MapStats, map_aig
-from .rewrite import RewritePass, RewriteStats, rewrite_aig
-from .passes import (
-    BalancePass,
-    ConstPropPass,
-    Pass,
-    SimplifyPass,
-    StrashPass,
-    SweepPass,
-)
-from .pipeline import (
-    DEFAULT_PIPELINE,
-    OptimizationError,
-    OptResult,
-    PASS_REGISTRY,
-    PassManager,
-    PassStats,
-    optimize,
-    resolve_passes,
-)
-from .rebuild import Rebuilder, live_set
+from .rewrite import RewriteStats, rewrite_aig
+from .pipeline import OptimizationError, OptResult, PassStats, optimize
+from .rebuild import Rebuilder, balance, live_set
 
 __all__ = [
-    "BalancePass",
-    "ConstPropPass",
-    "FraigPass",
     "FraigStats",
     "fraig_sweep",
     "fraig_sweep_map",
@@ -59,21 +38,13 @@ __all__ = [
     "MapResult",
     "MapStats",
     "map_aig",
-    "RewritePass",
     "RewriteStats",
     "rewrite_aig",
-    "Pass",
-    "SimplifyPass",
-    "StrashPass",
-    "SweepPass",
-    "DEFAULT_PIPELINE",
     "OptimizationError",
     "OptResult",
-    "PASS_REGISTRY",
-    "PassManager",
     "PassStats",
     "optimize",
-    "resolve_passes",
+    "balance",
     "Rebuilder",
     "live_set",
 ]

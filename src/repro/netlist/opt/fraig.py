@@ -40,13 +40,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ...obs import attach_solver_progress, get_tracer
-from ..aig import AIG, from_netlist, to_netlist
-from ..logic import Netlist
+from ..aig import AIG
 from ..sat.cnf import CNF, aig_lit_sat, encode_aig_cone
 from ..sat.proof import ProofLog, check_drat
 from ..sat.solver import Solver, SolverStats
 from ..sim import aig_signatures
-from .passes import Pass
 
 
 class FraigStats:
@@ -577,43 +575,3 @@ def _fraig_sweep_parallel(aig: AIG, max_rounds: int, stats: FraigStats,
             })
             tracer.metrics.absorb("fraig.solver", stats.solver.to_dict())
     return SweepResult(new, lit_map, words, num_patterns, stats)
-
-
-class FraigPass(Pass):
-    """SAT sweeping: merge functionally equivalent nodes the structural
-    hash cannot see (same function, different structure).
-
-    Lowers to the AIG, runs :func:`fraig_sweep`, raises back.  Per-run
-    counters are attached to the pass instance as :attr:`fraig_stats` and
-    exposed to the pass manager's :class:`~repro.netlist.opt.PassStats`
-    rows through :meth:`stats_dict`.
-    """
-
-    name = "fraig"
-
-    def __init__(self, patterns: int = 64, max_rounds: int = 16,
-                 seed: int = 2022):
-        self.patterns = patterns
-        self.max_rounds = max_rounds
-        self.seed = seed
-        self.fraig_stats: Optional[FraigStats] = None
-
-    def stats_dict(self) -> Optional[dict]:
-        """The last run's sweep counters (aggregated solver stats
-        included), for the ``details`` field of its PassStats row."""
-        if self.fraig_stats is None:
-            return None
-        return self.fraig_stats.to_dict()
-
-    def run(self, netlist: Netlist) -> Netlist:
-        self.fraig_stats = FraigStats()
-        swept = fraig_sweep(from_netlist(netlist), patterns=self.patterns,
-                            max_rounds=self.max_rounds, seed=self.seed,
-                            stats=self.fraig_stats)
-        result = to_netlist(swept)
-        # Same guard as StrashPass: when the sweep finds little to merge,
-        # raising overhead must not leave the netlist worse than it came.
-        if result.num_gates > netlist.num_gates or \
-                result.logic_levels() > netlist.logic_levels():
-            return netlist
-        return result

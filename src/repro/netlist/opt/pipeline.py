@@ -1,74 +1,55 @@
-"""Pass manager: composition, fixpoint iteration and per-pass statistics."""
+"""``optimize()``: lower once, run AIG passes, raise once, balance."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from ...obs import get_tracer
+from ..aig import AIG, from_netlist, to_netlist
 from ..logic import Netlist
-from .fraig import FraigPass
-from .passes import (
-    BalancePass,
-    ConstPropPass,
-    Pass,
-    SimplifyPass,
-    StrashPass,
-    SweepPass,
-)
-from .rewrite import RewritePass
-
-#: Registry of stock passes by name (CLI ``--passes`` and tests use this).
-PASS_REGISTRY: dict[str, type[Pass]] = {
-    cls.name: cls
-    for cls in (ConstPropPass, SimplifyPass, StrashPass, BalancePass,
-                SweepPass, FraigPass, RewritePass)
-}
-
-#: The default pipeline: clean identities, canonicalize through the AIG
-#: (which folds constants and shares structure in one round-trip —
-#: ``constprop`` stays in the registry as an alias but would duplicate
-#: ``strash`` here), shorten chains, rewrite 4-cut cones against the NPN
-#: structure library, then sweep what died along the way.  ``fraig`` stays
-#: opt-in (SAT cost), but when it runs it now sees the rewritten graph.
-DEFAULT_PIPELINE = ("simplify", "strash", "balance", "rewrite", "sweep")
-
-PassSpec = Union[str, Pass]
+from .fraig import FraigStats, fraig_sweep
+from .rebuild import balance
+from .rewrite import RewriteStats, rewrite_aig
 
 
 class OptimizationError(Exception):
     """Raised on malformed pass specifications."""
 
 
-def resolve_passes(passes: Optional[Sequence[PassSpec]] = None) -> list[Pass]:
-    """Instantiate a pass list from names and/or :class:`Pass` objects."""
-    resolved: list[Pass] = []
-    for spec in (passes if passes is not None else DEFAULT_PIPELINE):
-        if isinstance(spec, Pass):
-            resolved.append(spec)
-        elif isinstance(spec, str):
-            cls = PASS_REGISTRY.get(spec)
-            if cls is None:
-                known = ", ".join(sorted(PASS_REGISTRY))
-                raise OptimizationError(
-                    f"unknown pass '{spec}' (known passes: {known})"
-                )
-            resolved.append(cls())
-        else:
-            raise OptimizationError(
-                f"pass spec must be a name or Pass instance, "
-                f"got {type(spec).__name__}"
-            )
-    return resolved
+def _rewrite(aig: AIG) -> tuple[AIG, dict]:
+    stats = RewriteStats()
+    return rewrite_aig(aig, stats=stats), stats.to_dict()
+
+
+def _fraig(aig: AIG) -> tuple[AIG, dict]:
+    stats = FraigStats()
+    return fraig_sweep(aig, stats=stats), stats.to_dict()
+
+
+def _qor(aig: AIG) -> tuple[int, int]:
+    """Live AND nodes and depth: what an AIG pass row records."""
+    return sum(map(aig.is_and, aig.cone(aig.and_roots()))), aig.levels()
+
+
+#: The AIG-to-AIG passes ``optimize(passes=...)`` accepts, by name.  Each
+#: returns the new AIG plus the counters for its row's ``details``.
+_AIG_PASSES: dict[str, Callable[[AIG], tuple[AIG, dict]]] = {
+    "rewrite": _rewrite,
+    "fraig": _fraig,
+}
 
 
 @dataclass
 class PassStats:
-    """Size/depth/latency record for one pass execution."""
+    """Size/depth/latency record for one step of :func:`optimize`.
+
+    AIG pass rows count AND nodes and AIG depth; the ``balance`` row
+    counts netlist gates and levels.
+    """
 
     name: str
-    iteration: int
     gates_before: int
     gates_after: int
     levels_before: int
@@ -76,8 +57,7 @@ class PassStats:
     registers_before: int
     registers_after: int
     seconds: float
-    #: Optional pass-specific counters (a pass exposes them by defining
-    #: ``stats_dict()`` — FRAIG reports its sweep and aggregated solver
+    #: Pass-specific counters (rewrite and FRAIG report their
     #: statistics here).  ``None`` rows serialize without the key.
     details: Optional[dict] = field(default=None, compare=False)
 
@@ -92,96 +72,13 @@ class PassStats:
         return record
 
     def __str__(self) -> str:
+        unit = "ands " if self.name in _AIG_PASSES else "gates"
         return (
-            f"{self.name:<10} gates {self.gates_before:>6} -> "
+            f"{self.name:<10} {unit} {self.gates_before:>6} -> "
             f"{self.gates_after:<6} levels {self.levels_before:>4} -> "
             f"{self.levels_after:<4} regs {self.registers_before:>4} -> "
             f"{self.registers_after:<4} ({self.seconds * 1e3:.2f} ms)"
         )
-
-
-class PassManager:
-    """Runs a pass pipeline, optionally iterating it to a fixpoint.
-
-    The pipeline is re-run while a full iteration still improves gate count
-    or logic depth, bounded by ``max_iterations``.  Every pass execution is
-    timed and recorded as a :class:`PassStats` row.
-
-    Within one :meth:`run`, a pass handed a netlist whose
-    :meth:`~repro.netlist.logic.Netlist.content_hash` it has already
-    processed returns its earlier output instead of redoing the work
-    (passes are deterministic functions of their input).  Such a row
-    records no pass work (``details=None``) and its span is marked
-    ``reused``.  The memo lives for one :meth:`run` only.
-    """
-
-    def __init__(self, passes: Optional[Sequence[PassSpec]] = None,
-                 fixpoint: bool = True, max_iterations: int = 8):
-        if max_iterations < 1:
-            raise OptimizationError("max_iterations must be >= 1")
-        self.passes = resolve_passes(passes)
-        self.fixpoint = fixpoint
-        self.max_iterations = max_iterations if fixpoint else 1
-
-    def run(self, netlist: Netlist) -> tuple[Netlist, list[PassStats]]:
-        stats: list[PassStats] = []
-        tracer = get_tracer()
-        current = netlist
-        # Per pass position: the (input, output) pairs it has produced.
-        memo: list[list[tuple[Netlist, Netlist]]] = [[] for _ in self.passes]
-        for iteration in range(1, self.max_iterations + 1):
-            gates = current.num_gates
-            levels = current.logic_levels()
-            for index, opt_pass in enumerate(self.passes):
-                before = current.stats()
-                start = time.perf_counter()
-                with tracer.span(f"opt.{opt_pass.name}",
-                                 iteration=iteration,
-                                 gates=before["gates"]) as span:
-                    reused = _lookup(memo[index], current)
-                    if reused is None:
-                        result = opt_pass.run(current)
-                        memo[index].append((current, result))
-                        current = result
-                    else:
-                        current = reused
-                        span.set(reused=True)
-                    elapsed = time.perf_counter() - start
-                    after = current.stats()
-                    span.set(gates_after=after["gates"])
-                details = None
-                if reused is None:
-                    details = getattr(opt_pass, "stats_dict",
-                                      lambda: None)()
-                stats.append(PassStats(
-                    name=opt_pass.name,
-                    iteration=iteration,
-                    gates_before=before["gates"],
-                    gates_after=after["gates"],
-                    levels_before=before["levels"],
-                    levels_after=after["levels"],
-                    registers_before=before["registers"],
-                    registers_after=after["registers"],
-                    seconds=elapsed,
-                    details=details,
-                ))
-            if current.num_gates >= gates and current.logic_levels() >= levels:
-                break
-        return current, stats
-
-
-def _lookup(seen: list[tuple[Netlist, Netlist]],
-            netlist: Netlist) -> Optional[Netlist]:
-    """The output recorded for an input with ``netlist``'s content hash.
-
-    The cached gate count screens out most candidates, so a netlist is
-    hashed only when an earlier input of the same size exists.
-    """
-    for source, output in seen:
-        if source.num_gates == netlist.num_gates and \
-                source.content_hash() == netlist.content_hash():
-            return output
-    return None
 
 
 @dataclass
@@ -229,25 +126,61 @@ class OptResult:
 
 
 def optimize(netlist: Netlist,
-             passes: Optional[Sequence[PassSpec]] = None,
-             fixpoint: bool = True,
-             max_iterations: int = 8) -> OptResult:
-    """Optimize a netlist through a (default or custom) pass pipeline.
+             passes: Sequence[str] = ("rewrite",)) -> OptResult:
+    """Optimize a netlist on the AIG.
 
-    The input netlist is left untouched; the result carries the per-pass
-    statistics both in :attr:`OptResult.stats` and on the returned netlist's
-    ``opt_stats`` attribute.
+    The netlist is lowered to the AIG once (which folds constants,
+    cancels double inverters, merges structurally identical cones and
+    drops logic outside the output cone), each named AIG pass in
+    ``passes`` runs in order (``"rewrite"``: :func:`rewrite_aig`,
+    ``"fraig"``: :func:`fraig_sweep`), and the result is raised back
+    once.  Raising is canonical, not minimal, so the input is kept when
+    the raised netlist has more gates or more levels.  A final
+    :func:`~repro.netlist.opt.rebuild.balance` shortens AND/OR/XOR
+    chains.
+
+    The input netlist is left untouched; the result is always a fresh
+    netlist carrying the per-step statistics both in
+    :attr:`OptResult.stats` and on its ``opt_stats`` attribute.
     """
-    manager = PassManager(passes, fixpoint=fixpoint,
-                          max_iterations=max_iterations)
+    for name in passes:
+        if name not in _AIG_PASSES:
+            known = ", ".join(sorted(_AIG_PASSES))
+            raise OptimizationError(
+                f"unknown pass '{name}' (known passes: {known})")
     gates_before = netlist.num_gates
     levels_before = netlist.logic_levels()
+    stats: list[PassStats] = []
     tracer = get_tracer()
     with tracer.span("optimize", design=netlist.name,
                      gates=gates_before) as span:
-        optimized, stats = manager.run(netlist)
-        span.set(gates_after=optimized.num_gates,
-                 passes=len(stats))
+        aig = from_netlist(netlist)
+        after = _qor(aig)
+        for name in passes:
+            before = after
+            start = time.perf_counter()
+            with tracer.span(f"opt.{name}", ands=before[0]) as pass_span:
+                aig, details = _AIG_PASSES[name](aig)
+                elapsed = time.perf_counter() - start
+                after = _qor(aig)
+                pass_span.set(ands_after=after[0])
+            stats.append(PassStats(
+                name, before[0], after[0], before[1], after[1],
+                aig.num_latches, aig.num_latches, elapsed, details))
+        raised = to_netlist(aig)
+        if raised.num_gates > gates_before or \
+                raised.logic_levels() > levels_before:
+            raised = netlist
+        start = time.perf_counter()
+        with tracer.span("opt.balance", gates=raised.num_gates) as pass_span:
+            optimized = balance(raised)
+            elapsed = time.perf_counter() - start
+            pass_span.set(gates_after=optimized.num_gates)
+        stats.append(PassStats(
+            "balance", raised.num_gates, optimized.num_gates,
+            raised.logic_levels(), optimized.logic_levels(),
+            raised.num_registers, optimized.num_registers, elapsed))
+        span.set(gates_after=optimized.num_gates, passes=len(stats))
     if tracer.enabled:
         tracer.metrics.counter("opt.passes_run").inc(len(stats))
         tracer.metrics.counter("opt.gates_removed").inc(

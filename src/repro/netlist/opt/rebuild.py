@@ -1,16 +1,14 @@
-"""Cone-directed netlist reconstruction: the substrate every pass runs on.
+"""Cone-directed netlist reconstruction, and chain balancing built on it.
 
-An optimization pass never mutates a :class:`~repro.netlist.logic.Netlist`
-in place.  Instead it drives a :class:`Rebuilder`, which walks the *live*
+:func:`balance` never mutates a :class:`~repro.netlist.logic.Netlist` in
+place.  Instead it drives a :class:`Rebuilder`, which walks the *live*
 cone of the source netlist (everything reachable backwards from the primary
 outputs, iterating through flip-flop data pins) in topological order and
 asks a builder callback to re-emit each combinational gate into a fresh
-netlist.  The callback returns the new net id for the gate — which may be a
-freshly created gate, an existing (hashed) gate, a constant, or one of its
-own fanins — so constant folding, CSE and identity rewrites all fall out of
-the same mechanism.
+netlist.  The callback returns the new net id for the gate — a freshly
+created gate, or ``None`` when the gate was absorbed into its consumer.
 
-The rebuilder guarantees the external interface survives every pass:
+The rebuilder guarantees the external interface survives:
 
 * primary inputs are recreated first, in order, with their names (even when
   dead, so input vectors remain valid across optimization);
@@ -26,9 +24,13 @@ simply never visited.
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Optional
 
 from ..logic import Gate, GateType, Netlist
+
+#: Associative two-input chain types :func:`balance` restructures.
+BALANCED_TYPES = {GateType.AND, GateType.OR, GateType.XOR}
 
 #: A builder receives the rebuilder, the original gate and the new-netlist
 #: net ids of its fanins; it returns the new net id implementing the gate,
@@ -86,10 +88,6 @@ class Rebuilder:
         """Logic level of a net in the result netlist."""
         return self.levels.get(net, 0)
 
-    def gtype(self, net: int) -> GateType:
-        """Gate type of a net in the result netlist."""
-        return self.result.gate(net).gtype
-
     # -- the rebuild loop ---------------------------------------------------
 
     def run(self, build: GateBuilder) -> Netlist:
@@ -140,11 +138,66 @@ class Rebuilder:
                 )
             result.add_output(name, new)
 
-        result.opt_stats = source.opt_stats
         return result
 
 
-def identity_builder(rb: Rebuilder, gate: Gate,
-                     fanins: list[Optional[int]]) -> int:
-    """Re-emit a gate unchanged (used by the dead-gate sweep)."""
-    return rb.emit(gate.gtype, tuple(fanins), name=gate.name)
+def balance(netlist: Netlist) -> Netlist:
+    """Rebuild two-input AND/OR/XOR chains as depth-minimal trees.
+
+    A chain gate is *absorbed* into its consumer when it has exactly one use,
+    the same gate type as the consumer, and two fanins — so no logic is ever
+    duplicated.  The collected operands are combined lowest-level-first
+    (Huffman style), which minimizes the depth of the rebuilt tree.  Like
+    every rebuild, the result is a fresh netlist without dead logic.
+    """
+    rb = Rebuilder(netlist)
+
+    uses: dict[int, int] = {}
+    consumer: dict[int, int] = {}
+    for gid in rb.live:
+        for fid in netlist.gates[gid].fanins:
+            uses[fid] = uses.get(fid, 0) + 1
+            consumer[fid] = gid
+    for _, net in netlist.outputs:
+        uses[net] = uses.get(net, 0) + 1
+        consumer.pop(net, None)
+
+    def absorbable(gid: int) -> bool:
+        gate = netlist.gates[gid]
+        if gate.gtype not in BALANCED_TYPES or len(gate.fanins) != 2:
+            return False
+        if uses.get(gid, 0) != 1 or gid not in consumer:
+            return False
+        parent = netlist.gates[consumer[gid]]
+        return parent.gtype == gate.gtype and len(parent.fanins) == 2
+
+    absorbed = {gid for gid in rb.live if absorbable(gid)}
+
+    def collect(gid: int, out: list[int]) -> None:
+        stack = list(reversed(netlist.gates[gid].fanins))
+        while stack:
+            fid = stack.pop()
+            if fid in absorbed:
+                stack.extend(reversed(netlist.gates[fid].fanins))
+            else:
+                out.append(rb.map[fid])
+
+    def build(rb: Rebuilder, gate: Gate,
+              fanins: list[Optional[int]]) -> Optional[int]:
+        if gate.gid in absorbed:
+            return None
+        if gate.gtype in BALANCED_TYPES and len(gate.fanins) == 2:
+            operands: list[int] = []
+            collect(gate.gid, operands)
+            heap = [(rb.level(net), net) for net in operands]
+            heapq.heapify(heap)
+            while len(heap) > 1:
+                _, a = heapq.heappop(heap)
+                _, b = heapq.heappop(heap)
+                node = rb.emit(gate.gtype, (a, b),
+                               name=gate.name if len(heap) == 0 else None)
+                heapq.heappush(heap, (rb.level(node), node))
+            return heap[0][1]
+        return rb.emit(gate.gtype, tuple(fanins), name=gate.name)
+
+    return rb.run(build)

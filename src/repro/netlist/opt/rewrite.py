@@ -34,9 +34,10 @@ any SAT.
 A replacement is committed when it strictly saves nodes, or saves nothing
 but strictly reduces the node's level (zero-gain depth rescue).  One
 rewrite sweep is a single topological rebuild; :func:`rewrite_aig` runs
-sweeps to a fixpoint and compacts the survivor cone.  The pass is
-registered as ``rewrite`` in the default :func:`repro.netlist.opt.optimize`
-pipeline ahead of ``fraig``, so SAT sweeping sees the smaller graph.
+sweeps to a fixpoint and compacts the survivor cone.  It is the
+``rewrite`` pass of :func:`repro.netlist.opt.optimize`, which runs it by
+default; listed ahead of ``fraig``, it lets SAT sweeping see the smaller
+graph.
 """
 
 from __future__ import annotations
@@ -45,13 +46,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ...obs import get_tracer
-from ..aig import _AND, AIG, from_netlist, to_netlist
-from ..logic import Netlist
+from ..aig import _AND, AIG
 from .cut import enumerate_cut_truths, npn_canon, npn_transforms
 from .npn4 import NPN4_LIBRARY
-from .passes import Pass
 
-__all__ = ["RewriteStats", "rewrite_aig", "RewritePass"]
+__all__ = ["RewriteStats", "rewrite_aig"]
 
 
 @dataclass
@@ -406,37 +405,3 @@ def rewrite_aig(aig: AIG, cut_limit: int = 8, max_sweeps: int = 8,
             current, count = swept, new_count
     stats.ands_after = count
     return current
-
-
-class RewritePass(Pass):
-    """DAG-aware 4-cut rewriting against the precomputed NPN library.
-
-    Lowers to the AIG, runs :func:`rewrite_aig` to a fixpoint, raises
-    back.  Like the other AIG round-trip passes it carries a never-worse
-    guard: if rewriting (plus the netlist round trip) fails to improve
-    the gate count or depth, the input netlist is returned unchanged.
-    """
-
-    name = "rewrite"
-
-    def __init__(self, cut_limit: int = 8, max_sweeps: int = 8):
-        self.cut_limit = cut_limit
-        self.max_sweeps = max_sweeps
-        self.rewrite_stats: Optional[RewriteStats] = None
-
-    def stats_dict(self) -> Optional[dict]:
-        if self.rewrite_stats is None:
-            return None
-        return self.rewrite_stats.to_dict()
-
-    def run(self, netlist: Netlist) -> Netlist:
-        self.rewrite_stats = RewriteStats()
-        rewritten = rewrite_aig(from_netlist(netlist),
-                                cut_limit=self.cut_limit,
-                                max_sweeps=self.max_sweeps,
-                                stats=self.rewrite_stats)
-        result = to_netlist(rewritten)
-        if result.num_gates > netlist.num_gates or \
-                result.logic_levels() > netlist.logic_levels():
-            return netlist
-        return result

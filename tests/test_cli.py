@@ -69,12 +69,11 @@ def test_param_override(alu_file):
 
 
 def test_custom_passes(alu_file):
-    code, text = _run([alu_file, "--passes", "constprop,sweep",
-                       "--no-fixpoint", "--json"])
+    code, text = _run([alu_file, "--passes", "rewrite,fraig", "--json"])
     assert code == 0
     names = [row["name"] for row in
              json.loads(text)["optimization"]["passes"]]
-    assert names == ["constprop", "sweep"]
+    assert names == ["rewrite", "fraig", "balance"]
 
 
 def test_missing_file_diagnostic(capsys):
@@ -119,6 +118,8 @@ def test_bad_param_diagnostic(alu_file, capsys):
 def test_unknown_pass_diagnostic(alu_file, capsys):
     assert run([alu_file, "--passes", "nosuch"]) == 1
     assert "unknown pass" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        run([alu_file, "--no-fixpoint"])
 
 
 def test_cycles_throughput_readout(alu_file):
@@ -188,12 +189,12 @@ def test_ir_aig_stats(alu_file):
 
 
 def test_passes_fraig(alu_file):
-    code, text = _run([alu_file, "--passes", "fraig,sweep", "--check",
+    code, text = _run([alu_file, "--passes", "fraig", "--check",
                        "--json"])
     assert code == 0
     report = json.loads(text)
-    assert [row["name"] for row in report["optimization"]["passes"][:2]] \
-        == ["fraig", "sweep"]
+    assert [row["name"] for row in report["optimization"]["passes"]] \
+        == ["fraig", "balance"]
     assert report["equivalence"]["equivalent"]
 
 

@@ -1,10 +1,11 @@
-"""Tests for the optimization pass pipeline (repro.netlist.opt).
+"""Tests for ``optimize()`` and its steps (repro.netlist.opt).
 
-Every pass — and the full default pipeline — is verified on all the
-elaborator test designs twice over: formally, by the SAT-based miter
-(``check_equivalence`` must return UNSAT-proven equivalence), and
-dynamically, by randomized co-simulation of the optimized netlist against
-both the unoptimized netlist and the independent vector interpreter.
+Every step — lowering, each AIG pass, balancing — and the full default
+``optimize()`` are verified on all the elaborator test designs twice
+over: formally, by the SAT-based miter (``check_equivalence`` must return
+UNSAT-proven equivalence), and dynamically, by randomized co-simulation
+of the optimized netlist against both the unoptimized netlist and the
+independent vector interpreter.
 """
 
 import random
@@ -16,21 +17,17 @@ from repro.netlist import (
     Netlist,
     GateType,
     elaborate,
+    from_netlist,
     simulate_sequence,
+    to_netlist,
 )
 from repro.netlist.opt import (
-    BalancePass,
-    ConstPropPass,
-    DEFAULT_PIPELINE,
-    FraigPass,
     OptimizationError,
-    PASS_REGISTRY,
-    PassManager,
-    SimplifyPass,
-    StrashPass,
-    SweepPass,
+    balance,
+    fraig_sweep,
     live_set,
     optimize,
+    rewrite_aig,
 )
 from repro.netlist.sat import check_equivalence
 from repro.obs import Tracer, use_tracer
@@ -119,18 +116,44 @@ def test_pipeline_against_interpreter_oracle(name, source, top, params):
     assert simulate_sequence(optimized, vectors) == interp.run(vectors)
 
 
-@pytest.mark.parametrize("pass_name", sorted(PASS_REGISTRY))
+#: Each step of ``optimize()`` alone, netlist to netlist, with no
+#: never-worse guard that could hand back the input instead: ``strash``
+#: is the bare lower/raise round trip every AIG pass runs inside.
+PASSES = {
+    "balance": balance,
+    "fraig": lambda netlist: to_netlist(fraig_sweep(from_netlist(netlist))),
+    "rewrite": lambda netlist: to_netlist(rewrite_aig(from_netlist(netlist))),
+    "strash": lambda netlist: to_netlist(from_netlist(netlist)),
+}
+
+
+@pytest.mark.parametrize("pass_name", sorted(PASSES))
 @pytest.mark.parametrize("name,source,top,params", DESIGNS, ids=DESIGN_IDS)
 def test_each_pass_individually_verified(name, source, top, params,
                                          pass_name):
     """Every single pass alone must preserve every design (SAT-proven)."""
     netlist = elaborate(source, top=top, params=params)
-    transformed = PASS_REGISTRY[pass_name]().run(netlist)
+    transformed = PASSES[pass_name](netlist)
     _assert_equivalent(netlist, transformed)
 
 
+@pytest.mark.parametrize("name,source,top,params", DESIGNS, ids=DESIGN_IDS)
+def test_optimize_never_mutates_or_returns_its_input(name, source, top,
+                                                     params):
+    """A fresh, never-worse netlist, even where the guard keeps the input
+    (the shifter raises to more gates than it was elaborated with)."""
+    netlist = elaborate(source, top=top, params=params)
+    digest = netlist.content_hash()
+    result = optimize(netlist)
+    assert result.netlist is not netlist
+    assert netlist.opt_stats is None
+    assert netlist.content_hash() == digest
+    assert result.gates_after <= netlist.num_gates
+    assert result.levels_after <= netlist.logic_levels()
+
+
 # ---------------------------------------------------------------------------
-# Targeted per-pass unit tests
+# Targeted unit tests: what lowering, raising and balancing fold away
 # ---------------------------------------------------------------------------
 
 
@@ -140,7 +163,7 @@ def test_constprop_folds_dominating_constants():
     dead = netlist.make_and(a, netlist.const0())
     keep = netlist.make_or(dead, a)
     netlist.add_output("y", keep)
-    out = ConstPropPass().run(netlist)
+    out = optimize(netlist).netlist
     # AND(a, 0) -> 0, OR(0, a) -> a: no combinational gates survive.
     assert out.num_gates == 0
     assert out.output_net("y") == out.input_net("a")
@@ -152,7 +175,7 @@ def test_constprop_folds_mux_with_constant_select():
     b = netlist.add_input("b")
     m = netlist.make_mux(netlist.const1(), a, b)
     netlist.add_output("y", m)
-    out = ConstPropPass().run(netlist)
+    out = optimize(netlist).netlist
     assert out.num_gates == 0
     assert out.output_net("y") == out.input_net("b")
 
@@ -163,7 +186,7 @@ def test_constprop_strength_reduces_mux_with_constant_data():
     a = netlist.add_input("a")
     m = netlist.make_mux(s, netlist.const0(), a)  # s ? a : 0  ==  s & a
     netlist.add_output("y", m)
-    out = ConstPropPass().run(netlist)
+    out = optimize(netlist).netlist
     [gate] = [g for g in out.gates.values()
               if not g.is_source and not g.is_register]
     assert gate.gtype == GateType.AND
@@ -174,10 +197,9 @@ def test_simplify_cancels_double_inverters():
     a = netlist.add_input("a")
     nn = netlist.make_not(netlist.make_not(a))
     netlist.add_output("y", nn)
-    out = SimplifyPass().run(netlist)
+    out = optimize(netlist).netlist
     assert out.output_net("y") == out.input_net("a")
-    # The orphaned inner inverter is dead, not simplify's job to remove:
-    assert SweepPass().run(out).num_gates == 0
+    assert out.num_gates == 0
 
 
 def test_simplify_complementary_operands():
@@ -187,9 +209,8 @@ def test_simplify_complementary_operands():
     netlist.add_output("and0", netlist.make_and(a, na))
     netlist.add_output("or1", netlist.make_or(a, na))
     netlist.add_output("xor1", netlist.make_xor(a, na))
-    out = SimplifyPass().run(netlist)
-    assert out.num_gates == 1  # only the NOT survives (it feeds nothing
-    # needed, but the pass keeps shared structure until sweep)
+    out = optimize(netlist).netlist
+    assert out.num_gates == 0
     assert out.gate(out.output_net("and0")).gtype == GateType.CONST0
     assert out.gate(out.output_net("or1")).gtype == GateType.CONST1
     assert out.gate(out.output_net("xor1")).gtype == GateType.CONST1
@@ -201,7 +222,7 @@ def test_simplify_rewrites_mux_of_complement_to_xor():
     d = netlist.add_input("d")
     nd = netlist.make_not(d)
     netlist.add_output("y", netlist.make_mux(s, d, nd))  # s ? ~d : d
-    out = SimplifyPass().run(netlist)
+    out = optimize(netlist).netlist
     assert out.gate(out.output_net("y")).gtype == GateType.XOR
 
 
@@ -213,7 +234,7 @@ def test_strash_merges_structurally_identical_cones():
     x2 = netlist.make_xor(b, a)  # same function, swapped operands
     netlist.add_output("p", netlist.make_and(x1, a))
     netlist.add_output("q", netlist.make_and(x2, a))
-    out = StrashPass().run(netlist)
+    out = optimize(netlist).netlist
     assert out.num_gates == 2  # one XOR + one AND shared by both outputs
     assert out.output_net("p") == out.output_net("q")
 
@@ -224,9 +245,9 @@ def test_strash_canonicalizes_inverted_gate_variants():
     b = netlist.add_input("b")
     nand = netlist.add_gate(GateType.NAND, (a, b))
     netlist.add_output("y", netlist.make_not(nand))  # ~(~(a&b)) == a&b
-    out = StrashPass().run(netlist)
+    out = optimize(netlist).netlist
     assert out.gate(out.output_net("y")).gtype == GateType.AND
-    assert SweepPass().run(out).num_gates == 1
+    assert out.num_gates == 1
 
 
 def test_balance_reduces_reduction_chain_depth():
@@ -237,7 +258,7 @@ def test_balance_reduces_reduction_chain_depth():
     """
     netlist = elaborate(source, top="r")
     assert netlist.logic_levels() == 31
-    balanced = BalancePass().run(netlist)
+    balanced = balance(netlist)
     assert balanced.logic_levels() == 5  # ceil(log2(32))
     assert balanced.num_gates == netlist.num_gates
     _assert_equivalent(netlist, balanced)
@@ -250,7 +271,7 @@ def test_balance_does_not_duplicate_shared_nodes():
     chain = netlist.make_and(netlist.make_and(shared, bits[2]), bits[3])
     netlist.add_output("y", chain)
     netlist.add_output("z", shared)  # 'shared' has fanout 2
-    out = BalancePass().run(netlist)
+    out = balance(netlist)
     assert out.num_gates <= netlist.num_gates
     _assert_equivalent(netlist, out)
 
@@ -263,7 +284,7 @@ def test_sweep_drops_dead_gates_and_registers():
     netlist.add_dff(netlist.make_xor(a, b), name="dead_ff")
     netlist.add_output("y", netlist.make_or(a, b))
     assert netlist.num_gates == 3 and netlist.num_registers == 1
-    out = SweepPass().run(netlist)
+    out = optimize(netlist).netlist
     assert out.num_gates == 1
     assert out.num_registers == 0
     assert out.input_names() == ["a", "b"]  # dead inputs survive
@@ -275,7 +296,7 @@ def test_constprop_keeps_inverted_gate_types_when_nothing_folds():
     a = netlist.add_input("a")
     b = netlist.add_input("b")
     netlist.add_output("y", netlist.add_gate(GateType.NAND, (a, b)))
-    out = ConstPropPass().run(netlist)
+    out = optimize(netlist).netlist
     assert out.num_gates == 1
     assert out.gate(out.output_net("y")).gtype == GateType.NAND
 
@@ -300,7 +321,7 @@ def test_balance_handles_very_long_chains_iteratively():
     for bit in bits[1:]:
         acc = netlist.make_and(acc, bit)
     netlist.add_output("y", acc)
-    out = BalancePass().run(netlist)  # must not hit the recursion limit
+    out = balance(netlist)  # must not hit the recursion limit
     assert out.logic_levels() == 12  # ceil(log2(3000))
     assert out.num_gates == netlist.num_gates
 
@@ -317,80 +338,75 @@ def test_live_set_traverses_register_data_cones():
 
 
 # ---------------------------------------------------------------------------
-# Pass manager / pipeline mechanics
+# optimize() mechanics
 # ---------------------------------------------------------------------------
 
 
-def test_pass_manager_records_stats_per_pass():
+def test_optimize_records_a_row_per_pass():
+    """One row and one ``opt.<name>`` span per AIG pass, counted in ANDs
+    and AIG depth, then a ``balance`` row in netlist gates and levels."""
     netlist = elaborate(ALU, top="alu")
-    result = optimize(netlist, fixpoint=False)
-    assert [row.name for row in result.stats] == list(DEFAULT_PIPELINE)
-    for row in result.stats:
-        assert row.iteration == 1
-        assert row.seconds >= 0
-        assert row.gates_after >= 0
-    assert result.netlist.opt_stats is result.stats
-
-
-def test_fixpoint_iterates_until_no_improvement():
-    netlist = elaborate(ALU, top="alu")
-    result = optimize(netlist)
-    iterations = {row.iteration for row in result.stats}
-    assert len(iterations) >= 2  # ran at least once more to confirm
-    last = max(iterations)
-    last_rows = [row for row in result.stats if row.iteration == last]
-    assert all(row.gates_removed == 0 for row in last_rows)
-
-
-def _rewrite_cuts(result):
-    return sum(row.details["cuts_evaluated"] for row in result.stats
-               if row.name == "rewrite" and row.details)
-
-
-def test_pass_reuses_output_for_input_seen_in_same_run():
-    """The adder's second rewrite gets the first one's input back, so it
-    is served from the memo: no work, a ``reused`` span, same counts."""
-    netlist = elaborate(RCA, top="rca")
+    lowered = from_netlist(netlist)
     tracer = Tracer()
     with use_tracer(tracer):
         result = optimize(netlist)
-    first, second = [row for row in result.stats if row.name == "rewrite"]
-    assert first.details["cuts_evaluated"] > 0
-    assert second.iteration == 2 and second.details is None
-    assert (second.gates_before, second.gates_after) == \
-        (first.gates_before, first.gates_after)
-    spans = [rec for rec in tracer.spans() if rec.name == "opt.rewrite"]
-    assert [rec.args.get("reused", False) for rec in spans] == [False, True]
+    assert [rec.name for rec in tracer.spans()
+            if rec.name.startswith("opt.")] == ["opt.rewrite", "opt.balance"]
+    rewrite, last = result.stats
+    assert (rewrite.name, last.name) == ("rewrite", "balance")
+    assert (rewrite.gates_before, rewrite.levels_before) == \
+        (lowered.num_ands, lowered.levels())
+    assert rewrite.gates_after < rewrite.gates_before
+    assert rewrite.details["cuts_evaluated"] > 0
+    assert last.details is None and "details" not in last.to_dict()
+    assert (last.gates_after, last.levels_after) == \
+        (result.gates_after, result.levels_after)
+    assert all(row.seconds >= 0 for row in result.stats)
+    assert result.netlist.opt_stats is result.stats
 
 
-def test_pass_memo_is_scoped_to_one_run():
+def test_optimize_is_deterministic():
     netlist = elaborate(RCA, top="rca")
     first, second = optimize(netlist), optimize(netlist)
-    assert _rewrite_cuts(first) == _rewrite_cuts(second) > 0
+    assert first.stats[0].details == second.stats[0].details
     assert first.netlist.content_hash() == second.netlist.content_hash()
 
 
-def test_custom_pipeline_by_name_and_instance():
+def test_passes_run_in_the_given_order():
     netlist = elaborate(ALU, top="alu")
-    manager = PassManager(["constprop", StrashPass()], fixpoint=False)
-    out, stats = manager.run(netlist)
-    assert [row.name for row in stats] == ["constprop", "strash"]
-    _assert_equivalent(netlist, out)
+    result = optimize(netlist, passes=["fraig", "rewrite"])
+    fraig, rewrite, last = result.stats
+    assert [row.name for row in result.stats] == \
+        ["fraig", "rewrite", "balance"]
+    assert rewrite.gates_before == fraig.gates_after
+    assert "sat_checks" in fraig.details
+    assert "cuts_evaluated" in rewrite.details
+    _assert_equivalent(netlist, result.netlist)
+    bare = optimize(netlist, passes=())
+    assert [row.name for row in bare.stats] == ["balance"]
+    _assert_equivalent(netlist, bare.netlist)
 
 
 def test_unknown_pass_name_rejected():
-    with pytest.raises(OptimizationError, match="unknown pass 'frobnicate'"):
-        PassManager(["frobnicate"])
+    """Only AIG passes have names; the old netlist pass names are gone."""
+    netlist = elaborate(RCA, top="rca")
+    for name in ("frobnicate", "strash", "balance"):
+        with pytest.raises(OptimizationError,
+                           match=f"unknown pass '{name}' "
+                                 r"\(known passes: fraig, rewrite\)"):
+            optimize(netlist, passes=["rewrite", name])
 
 
 def test_elaborate_optimize_hook_attaches_stats():
     plain = elaborate(ALU, top="alu")
     assert plain.opt_stats is None
     optimized = elaborate(ALU, top="alu", optimize=True)
-    assert optimized.opt_stats
+    assert [row.name for row in optimized.opt_stats] == \
+        ["rewrite", "balance"]
     assert optimized.num_gates <= plain.num_gates
-    custom = elaborate(ALU, top="alu", optimize=["sweep"])
-    assert {row.name for row in custom.opt_stats} == {"sweep"}
+    custom = elaborate(ALU, top="alu", optimize=["fraig"])
+    assert [row.name for row in custom.opt_stats] == ["fraig", "balance"]
+    _assert_equivalent(plain, custom)
 
 
 def test_alu_reaches_thirty_percent_reduction_without_depth_increase():
@@ -426,40 +442,35 @@ def test_alu_reaches_thirty_percent_reduction_without_depth_increase():
 # ---------------------------------------------------------------------------
 
 
-def test_fraig_registered_in_pass_registry():
-    assert "fraig" in PASS_REGISTRY
-    assert PASS_REGISTRY["fraig"] is FraigPass
-
-
 @pytest.mark.parametrize("name,source,top,params", DESIGNS, ids=DESIGN_IDS)
 def test_fraig_preserves_equivalence_and_never_grows(name, source, top,
                                                      params):
     netlist = elaborate(source, top=top, params=params)
-    fraig = FraigPass()
-    out = fraig.run(netlist)
+    result = optimize(netlist, passes=["fraig"])
+    out = result.netlist
     assert out.num_gates <= netlist.num_gates, \
         f"{name}: fraig grew the netlist"
     _assert_equivalent(netlist, out)
-    stats = fraig.fraig_stats
-    assert stats is not None and stats.rounds >= 1
-    assert stats.ands_after <= stats.ands_before or stats.proven == 0
+    stats = result.stats[0].details
+    assert stats["rounds"] >= 1
+    assert stats["ands_after"] <= stats["ands_before"] or \
+        stats["proven"] == 0
 
 
 def test_fraig_merges_beyond_structural_hashing():
-    # y1 and y2 compute a & b through structurally different cones:
-    # strash cannot merge them, SAT sweeping must.
+    # y1 and y2 compute a & b & c through differently associated AND
+    # trees: structural hashing cannot merge them, SAT sweeping must.
     netlist = Netlist("t")
     a = netlist.add_input("a")
     b = netlist.add_input("b")
-    direct = netlist.make_and(a, b)
-    # a & b == mux(a, 0, b): different AIG structure for the same function.
-    via_mux = netlist.make_mux(a, netlist.const0(), b)
-    netlist.add_output("y1", direct)
-    netlist.add_output("y2", via_mux)
-    strashed = StrashPass().run(netlist)
-    fraiged = FraigPass().run(netlist)
+    c = netlist.add_input("c")
+    netlist.add_output("y1", netlist.make_and(netlist.make_and(a, b), c))
+    netlist.add_output("y2", netlist.make_and(a, netlist.make_and(b, c)))
+    strashed = optimize(netlist, passes=()).netlist
+    fraiged = optimize(netlist, passes=["fraig"]).netlist
+    assert strashed.output_net("y1") != strashed.output_net("y2")
     assert fraiged.output_net("y1") == fraiged.output_net("y2")
-    assert fraiged.num_gates <= strashed.num_gates
+    assert fraiged.num_gates < strashed.num_gates
     _assert_equivalent(netlist, fraiged)
 
 
@@ -471,21 +482,22 @@ def test_fraig_proves_constant_cones():
     left = netlist.make_and(a, b)
     right = netlist.make_and(b, a)
     netlist.add_output("z", netlist.make_xor(left, right))
-    out = FraigPass().run(netlist)
+    out = optimize(netlist, passes=["fraig"]).netlist
     assert out.gate(out.output_net("z")).gtype == GateType.CONST0
     _assert_equivalent(netlist, out)
 
 
 def test_fraig_in_pipeline_via_name():
     netlist = elaborate(ALU, top="alu")
-    result = optimize(netlist, passes=["fraig", "sweep"])
+    result = optimize(netlist, passes=["fraig"])
+    assert [row.name for row in result.stats] == ["fraig", "balance"]
     assert result.gates_after <= result.gates_before
     _assert_equivalent(netlist, result.netlist)
 
 
 def test_fraig_distinguishes_near_equivalent_cones():
     # y1 = a & b, y2 = a & (b | c): signatures often collide on few
-    # patterns until a counterexample splits the classes — the pass must
+    # patterns until a counterexample splits the classes — the sweep must
     # never merge them.
     netlist = Netlist("t")
     a = netlist.add_input("a")
@@ -493,7 +505,6 @@ def test_fraig_distinguishes_near_equivalent_cones():
     c = netlist.add_input("c")
     netlist.add_output("y1", netlist.make_and(a, b))
     netlist.add_output("y2", netlist.make_and(a, netlist.make_or(b, c)))
-    fraig = FraigPass(patterns=1, seed=0)
-    out = fraig.run(netlist)
+    out = to_netlist(fraig_sweep(from_netlist(netlist), patterns=1, seed=0))
     assert out.output_net("y1") != out.output_net("y2")
     _assert_equivalent(netlist, out)

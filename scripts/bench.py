@@ -632,7 +632,6 @@ def bench_map(factory, width: int, fraig_timing: bool = False) -> dict:
         "rewrite_reduction": (1.0 - ands_after / ands_before
                               if ands_before else 0.0),
         "rewrite_seconds": rewrite_seconds,
-        "rewrite_sweeps": stats.sweeps,
         "rewrite_replacements": stats.replacements,
         "rewrite_cec_equivalent": rewrite_cec.equivalent,
         "map": {},

@@ -94,6 +94,12 @@ def _parse_params(items: Sequence[str]) -> dict[str, int]:
     return params
 
 
+def _parse_passes(text: str) -> list[str]:
+    """``--passes`` names: whitespace around a name and empty entries
+    (``"rewrite, fraig"``, ``"rewrite,"``) are ignored."""
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
 def _stats_lines(title: str, stats: dict[str, int]) -> list[str]:
     return [
         f"{title}:",
@@ -306,7 +312,7 @@ def _execute(args, out, tracer) -> int:
     result = None
     if do_optimize:
         try:
-            result = (optimize(netlist, passes=args.passes.split(","))
+            result = (optimize(netlist, passes=_parse_passes(args.passes))
                       if args.passes else optimize(netlist))
         except OptimizationError as exc:
             raise CLIError(str(exc)) from exc

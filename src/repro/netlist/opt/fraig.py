@@ -13,9 +13,16 @@ verification"):
 3. rebuild the AIG node by node; when a node's class already has a built
    representative, ask the incremental CDCL solver whether the pair can
    differ — **UNSAT merges the node into its representative**, SAT yields
-   a distinguishing input assignment that is appended to the stimulus,
-   refining every class it splits;
-4. repeat until a rebuild completes with no refuted candidates.
+   a distinguishing input assignment that is appended to the stimulus;
+4. before asking SAT about a later pair in the same round, simulate the
+   source AIG under the round's counterexamples so far (one packed bit
+   each, evaluated lazily up to the current node and redone only when a
+   new counterexample lands): a pair they already separate is refuted
+   without a SAT call (:attr:`FraigStats.sim_refuted`; serial rounds
+   only — with ``jobs > 1`` a round's candidates are solved as collected);
+5. repeat until a rebuild completes with no refuted candidates — the
+   next round's signatures include every counterexample, so the classes
+   they split are refined for good.
 
 All SAT queries share one growing cone encoding and one solver instance
 (assumption-gated miters per pair), so learned clauses from early checks
@@ -26,9 +33,10 @@ only merged on proof — signatures guide, SAT decides.
 Observability: each sweep opens a ``fraig`` span on the current
 :mod:`repro.obs` tracer, with one ``fraig.round`` span per
 simulate/rebuild iteration (annotated with its candidate-class count and
-proof-batch counters) and a ``fraig.signatures`` span around each packed
-re-simulation; the per-round solver's search statistics are accumulated
-into :attr:`FraigStats.solver` rather than discarded, so callers (CLI
+its ``sat_checks`` / ``proven`` / ``refuted`` / ``sim_refuted`` counts)
+and a ``fraig.signatures`` span around each packed re-simulation; the
+per-round solver's search statistics are accumulated into
+:attr:`FraigStats.solver` rather than discarded, so callers (CLI
 ``--json``, ``BENCH_sat.json``) see the sweep's total SAT effort.
 """
 
@@ -40,11 +48,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ...obs import attach_solver_progress, get_tracer
-from ..aig import AIG
+from ..aig import _AND, AIG
 from ..sat.cnf import CNF, aig_lit_sat, encode_aig_cone
 from ..sat.proof import ProofLog, check_drat
 from ..sat.solver import Solver, SolverStats
-from ..sim import aig_signatures
+from ..sim import aig_signatures, packed_eval
 
 
 class FraigStats:
@@ -55,6 +63,9 @@ class FraigStats:
         self.sat_checks = 0
         self.proven = 0
         self.refuted = 0
+        #: Candidate pairs a counterexample found earlier in the same
+        #: round already separates: refuted by simulation, never solved.
+        self.sim_refuted = 0
         self.ands_before = 0
         self.ands_after = 0
         #: Aggregated search statistics of every per-round solver instance.
@@ -74,6 +85,7 @@ class FraigStats:
             "sat_checks": self.sat_checks,
             "proven": self.proven,
             "refuted": self.refuted,
+            "sim_refuted": self.sim_refuted,
             "ands_before": self.ands_before,
             "ands_after": self.ands_after,
             "solver": self.solver.to_dict(),
@@ -88,6 +100,7 @@ class FraigStats:
         return (f"FraigStats(rounds={self.rounds}, "
                 f"sat_checks={self.sat_checks}, proven={self.proven}, "
                 f"refuted={self.refuted}, "
+                f"sim_refuted={self.sim_refuted}, "
                 f"ands={self.ands_before}->{self.ands_after})")
 
 
@@ -236,11 +249,13 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, max_rounds: int = 16,
         new = aig
         lit_map: dict[int, int] = {
             nid: nid << 1 for nid in range(aig.num_nodes)}
+        kinds = aig._kind
         for round_no in range(1, max_rounds + 1):
             stats.rounds += 1
             checks_at = stats.sat_checks
             proven_at = stats.proven
             refuted_at = stats.refuted
+            sim_refuted_at = stats.sim_refuted
             round_span = tracer.span("fraig.round", round=round_no,
                                      patterns=num_patterns)
             with round_span:
@@ -286,6 +301,12 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, max_rounds: int = 16,
                         set_proof(proof)
                 var_map: dict[int, int] = {}
                 cex_found = False
+                # This round's counterexamples are the stimulus bits from
+                # ``base`` up; ``cex_sim`` holds the source AIG simulated
+                # under them for nodes up to ``sim_upto`` (None: stale).
+                base = num_patterns
+                cex_sim: Optional[dict[int, int]] = None
+                sim_upto = 0
 
                 for nid in leaves:
                     sig = sigs[nid]
@@ -314,13 +335,33 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, max_rounds: int = 16,
                     # signature; the phases say how each relates to it, so
                     # the node's merge target is the rep's literal XOR the
                     # phase difference.
-                    candidate = lit_map[r] ^ phase ^ phase_of[r]
+                    delta = phase ^ phase_of[r]
+                    candidate = lit_map[r] ^ delta
                     if built == candidate:
                         continue  # hashing already merged them
                     cached = proven.get((r, nid))
                     if cached is not None:
                         lit_map[nid] = lit_map[r] ^ cached
                         continue
+                    if num_patterns > base:
+                        # A counterexample found earlier this round may
+                        # already separate the pair: no SAT call needed.
+                        cex_mask = (1 << (num_patterns - base)) - 1
+                        if cex_sim is None:
+                            cex_sim = {leaf: words[leaf] >> base
+                                       for leaf in leaves}
+                            cex_sim[0] = 0
+                            sim_upto = 0
+                        if sim_upto < nid:
+                            packed_eval(aig, cex_sim, cex_mask,
+                                        (n for n in range(sim_upto + 1,
+                                                          nid + 1)
+                                         if kinds[n] == _AND))
+                            sim_upto = nid
+                        if cex_sim[nid] ^ cex_sim[r] != \
+                                (cex_mask if delta else 0):
+                            stats.sim_refuted += 1
+                            continue
                     # SAT-check built != candidate on the new AIG, gated by
                     # a fresh assumption literal so refuted pairs don't
                     # pollute later queries.
@@ -361,12 +402,12 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, max_rounds: int = 16,
                                 stats.proofs_checked += 1
                             else:
                                 stats.proofs_failed += 1
-                        proven[(r, nid)] = phase ^ phase_of[r]
+                        proven[(r, nid)] = delta
                         lit_map[nid] = candidate
                         continue
                     # Refuted: the model distinguishes the pair — append it
-                    # to the stimulus so the next round's signatures split
-                    # every class it refutes.
+                    # to the stimulus so the rest of this round and the
+                    # next round's signatures split every class it refutes.
                     stats.refuted += 1
                     cex_found = True
                     assert result.model is not None
@@ -375,6 +416,7 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, max_rounds: int = 16,
                         bit = int(result.model.get(var, False)) if var else 0
                         words[old_leaf] |= bit << num_patterns
                     num_patterns += 1
+                    cex_sim = None
 
                 for nid in aig.latches:
                     if nid in aig._next:
@@ -388,7 +430,9 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, max_rounds: int = 16,
                 round_span.set(classes=len(rep),
                                sat_checks=stats.sat_checks - checks_at,
                                proven=stats.proven - proven_at,
-                               refuted=stats.refuted - refuted_at)
+                               refuted=stats.refuted - refuted_at,
+                               sim_refuted=(stats.sim_refuted
+                                            - sim_refuted_at))
             if not cex_found:
                 break
         # Count the observable cone, not the unique table: every proven
@@ -397,11 +441,13 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, max_rounds: int = 16,
             1 for nid in new.cone(new.and_roots()) if new.is_and(nid))
         sweep_span.set(rounds=stats.rounds, sat_checks=stats.sat_checks,
                        proven=stats.proven, refuted=stats.refuted,
+                       sim_refuted=stats.sim_refuted,
                        ands_after=stats.ands_after)
         if tracer.enabled:
             tracer.metrics.absorb("fraig", {
                 "rounds": stats.rounds, "sat_checks": stats.sat_checks,
                 "proven": stats.proven, "refuted": stats.refuted,
+                "sim_refuted": stats.sim_refuted,
             })
             tracer.metrics.absorb("fraig.solver", stats.solver.to_dict())
     return SweepResult(new, lit_map, words, num_patterns, stats)

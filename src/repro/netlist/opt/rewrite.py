@@ -32,12 +32,19 @@ catches functional redundancy structural hashing can never see, without
 any SAT.
 
 A replacement is committed when it strictly saves nodes, or saves nothing
-but strictly reduces the node's level (zero-gain depth rescue).  One
-rewrite sweep is a single topological rebuild; :func:`rewrite_aig` runs
-sweeps to a fixpoint and compacts the survivor cone.  It is the
-``rewrite`` pass of :func:`repro.netlist.opt.optimize`, which runs it by
-default; listed ahead of ``fraig``, it lets SAT sweeping see the smaller
-graph.
+but strictly reduces the node's level (zero-gain depth rescue).
+:func:`rewrite_aig` is one sweep — a single topological rebuild — plus a
+compaction of the survivor cone, as ABC's ``rewrite`` is one pass.  A
+second sweep over its output rebuilds the same AIG on every test and
+benchmark design, so there is no sweep loop; a caller that wants more
+effort runs the pass again (``optimize(passes=("rewrite", "rewrite"))``).
+It is the ``rewrite`` pass of :func:`repro.netlist.opt.optimize`, which
+runs it by default; listed ahead of ``fraig``, it lets SAT sweeping see
+the smaller graph.
+
+The sweep's gain is a prediction made against the graph as it stood:
+:attr:`RewriteStats.nodes_saved` sums the committed gains, while
+``ands_before - ands_after`` is the saving actually realized.
 """
 
 from __future__ import annotations
@@ -55,11 +62,16 @@ __all__ = ["RewriteStats", "rewrite_aig"]
 
 @dataclass
 class RewriteStats:
-    """Counters for one :func:`rewrite_aig` run (all sweeps summed)."""
+    """Counters for one :func:`rewrite_aig` run.
+
+    ``nodes_saved`` is the *predicted* saving (the sum of the committed
+    replacements' gains); ``ands_before - ands_after`` is the *realized*
+    one.  When the sweep grows the graph its result is discarded, so
+    ``replacements``, ``zero_gain_depth`` and ``nodes_saved`` read 0.
+    """
 
     ands_before: int = 0
     ands_after: int = 0
-    sweeps: int = 0
     cuts_evaluated: int = 0
     replacements: int = 0
     zero_gain_depth: int = 0
@@ -69,7 +81,6 @@ class RewriteStats:
         return {
             "ands_before": self.ands_before,
             "ands_after": self.ands_after,
-            "sweeps": self.sweeps,
             "cuts_evaluated": self.cuts_evaluated,
             "replacements": self.replacements,
             "zero_gain_depth": self.zero_gain_depth,
@@ -211,11 +222,23 @@ def _plan(tt4: int) -> tuple:
     return plan
 
 
-def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats,
-           zero_cost: bool = False) -> AIG:
+def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats) -> AIG:
     """One topological rewrite-and-rebuild sweep; returns the new AIG
     (its table may hold garbage — callers compact via :func:`_copy_live`)."""
+    tracer = get_tracer()
     live = sorted(aig.cone(aig.and_roots()))
+    with tracer.span("rewrite.cuts"):
+        cuts, tables = enumerate_cut_truths(aig, 4, cut_limit, live)
+    with tracer.span("rewrite.eval") as span:
+        new = _evaluate(aig, live, cuts, tables, stats)
+        span.set(replacements=stats.replacements)
+    return new
+
+
+def _evaluate(aig: AIG, live: list[int], cuts: dict, tables: dict,
+              stats: RewriteStats) -> AIG:
+    """The sweep's node loop: rebuild ``live`` into a new AIG, committing
+    the best replacement found among each node's ``cuts``."""
     refs: dict[int, int] = {nid: 0 for nid in live}
     refs[0] = 0
     kinds = aig._kind
@@ -226,7 +249,6 @@ def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats,
     for lit in aig.and_roots():
         refs[lit >> 1] += 1
 
-    cuts, tables = enumerate_cut_truths(aig, 4, cut_limit, live)
     new = AIG(aig.name)
     levels: dict[int, int] = {0: 0}
     lit_map: dict[int, int] = {0: 0}
@@ -305,9 +327,7 @@ def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats,
                     cost, level, real = probe
                     gain = saved - cost
                     cand = (gain, level, cut, root, lib_nodes, inputs, real)
-                if gain < d_gain or (gain == d_gain and level > d_level) or \
-                        (gain == d_gain and level == d_level
-                         and not zero_cost):
+                if gain < d_gain or (gain == d_gain and level >= d_level):
                     continue
                 if best is None or gain > best[0] or \
                         (gain == best[0] and level < best[1]):
@@ -372,36 +392,31 @@ def _copy_live(aig: AIG) -> AIG:
     return out
 
 
-def rewrite_aig(aig: AIG, cut_limit: int = 8, max_sweeps: int = 8,
-                stats: Optional[RewriteStats] = None,
-                zero_cost: bool = False) -> AIG:
-    """Run rewrite sweeps to a fixpoint and return the compacted result.
+def rewrite_aig(aig: AIG, cut_limit: int = 8,
+                stats: Optional[RewriteStats] = None) -> AIG:
+    """Run one rewrite sweep and return the compacted result.
 
-    Each sweep rebuilds the live cone once (see :func:`_sweep`); sweeps
-    repeat while the live AND count strictly improves, up to
-    ``max_sweeps``.  Purely structural — no SAT calls — so the cost is a
-    small constant factor over plain strashing.  ``zero_cost=True``
-    additionally commits replacements that change neither size nor
-    level, diversifying structure (useful ahead of mapping) at the cost
-    of extra churn per sweep.
+    The sweep rebuilds the live cone once (see :func:`_sweep`) and
+    :func:`_copy_live` compacts it.  If that grew the live AND count the
+    input is returned unchanged (and ``stats`` reports no replacements).
+    Purely structural — no SAT calls — so the cost is a small constant
+    factor over plain strashing.
     """
     tracer = get_tracer()
     if stats is None:
         stats = RewriteStats()
-    stats.ands_before = len(_live_ands(aig))
-    current = aig
-    count = stats.ands_before
-    with tracer.span("rewrite", ands_before=count):
-        for _ in range(max_sweeps):
-            stats.sweeps += 1
-            with tracer.span("rewrite.sweep"):
-                swept = _copy_live(_sweep(current, cut_limit, stats,
-                                          zero_cost=zero_cost))
-            new_count = swept.num_ands
-            if new_count >= count:
-                if new_count == count:
-                    current = swept
-                break
-            current, count = swept, new_count
-    stats.ands_after = count
-    return current
+    before = stats.ands_before = len(_live_ands(aig))
+    with tracer.span("rewrite", ands_before=before) as span:
+        swept = _sweep(aig, cut_limit, stats)
+        with tracer.span("rewrite.compact"):
+            swept = _copy_live(swept)
+        if swept.num_ands > before:
+            # The sweep grew the graph: keep the input, commit nothing.
+            swept = aig
+            stats.replacements = stats.zero_gain_depth = 0
+            stats.nodes_saved = 0
+            stats.ands_after = before
+        else:
+            stats.ands_after = swept.num_ands
+        span.set(ands_after=stats.ands_after)
+    return swept

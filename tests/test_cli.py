@@ -76,6 +76,19 @@ def test_custom_passes(alu_file):
     assert names == ["rewrite", "fraig", "balance"]
 
 
+@pytest.mark.parametrize("spec,names", [
+    ("rewrite, fraig", ["rewrite", "fraig", "balance"]),
+    (" fraig ,rewrite", ["fraig", "rewrite", "balance"]),
+    ("rewrite,", ["rewrite", "balance"]),
+    (",,fraig,,", ["fraig", "balance"]),
+])
+def test_passes_ignore_spaces_and_empty_entries(alu_file, spec, names):
+    code, text = _run([alu_file, "--passes", spec, "--json"])
+    assert code == 0
+    assert [row["name"] for row in
+            json.loads(text)["optimization"]["passes"]] == names
+
+
 def test_missing_file_diagnostic(capsys):
     assert run(["/nonexistent/x.v"]) == 1
     assert "cannot read" in capsys.readouterr().err

@@ -557,6 +557,23 @@ def test_solver_stats_accumulate():
     assert (a.conflicts, a.lbd_sum, a.learned_clauses) == (7, 16, 4)
 
 
+def test_rewrite_span_splits_into_cuts_eval_compact():
+    """The rewrite sweep's time is attributed to its three phases."""
+    tracer = Tracer()
+    with use_tracer(tracer):
+        optimize(elaborate(ALU, top="alu"))
+    spans = [r for r in tracer.spans() if r.name.startswith("rewrite")]
+    assert {r.name for r in spans} == {"rewrite", "rewrite.cuts",
+                                       "rewrite.eval", "rewrite.compact"}
+    (top,) = [r for r in spans if r.name == "rewrite"]
+    assert top.args["ands_after"] <= top.args["ands_before"]
+    for record in spans:
+        if record is not top:
+            assert record.path[-1] == "rewrite"
+    (evaluated,) = [r for r in spans if r.name == "rewrite.eval"]
+    assert "replacements" in evaluated.args
+
+
 def test_fraig_sweep_aggregates_solver_stats():
     netlist = elaborate(ALU, top="alu")
     stats = FraigStats()
@@ -566,6 +583,7 @@ def test_fraig_sweep_aggregates_solver_stats():
     assert stats.solver.propagations > 0
     snap = stats.to_dict()
     assert snap["sat_checks"] == stats.sat_checks
+    assert snap["sim_refuted"] == stats.sim_refuted
     assert snap["solver"]["propagations"] == stats.solver.propagations
     assert "mean_lbd" in snap["solver"]
 

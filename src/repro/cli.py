@@ -354,11 +354,14 @@ def _execute(args, out, tracer) -> int:
         cache_key = None
         eq_report = None
         if args.cache and not args.solve_log:
-            from .server.cache import ResultCache, content_key
+            from .server.cache import CacheError, ResultCache, content_key
             options = {"encoding": args.encoding,
                        "certify": args.certify,
                        "preprocess": not args.no_preprocess}
-            cache = ResultCache(args.cache)
+            try:
+                cache = ResultCache(args.cache)
+            except CacheError as exc:
+                raise CLIError(str(exc)) from exc
             cache_key = content_key(lhs.content_hash(),
                                     rhs.content_hash(), options)
             eq_report = cache.get(cache_key)

@@ -738,6 +738,24 @@ class Elaborator:
         return lower(expr, width)
 
 
+def select_top(source: ast.Source, top: Optional[str],
+               error: type[Exception]) -> str:
+    """The top module's name: ``top`` if ``source`` defines it, else the
+    source's only module.  Raises ``error`` with a diagnostic otherwise
+    (shared by :func:`elaborate` and the :class:`Interpreter`)."""
+    if top is not None:
+        if not source.has_module(top):
+            raise error(f"top module '{top}' not found in source")
+        return top
+    names = source.module_names()
+    if not names:
+        raise error("the source defines no module")
+    if len(names) > 1:
+        raise error(f"a top module name is required when the source "
+                    f"defines multiple modules (found: {', '.join(names)})")
+    return names[0]
+
+
 def elaborate(source: Union[str, ast.Source], top: Optional[str] = None,
               params: Optional[Mapping[str, int]] = None,
               optimize: Union[bool, list, tuple] = False) -> Netlist:
@@ -759,16 +777,7 @@ def elaborate(source: Union[str, ast.Source], top: Optional[str] = None,
         if isinstance(source, str):
             with tracer.span("elaborate.parse", bytes=len(source)):
                 source = parse(source)
-        if top is None:
-            if len(source.modules) != 1:
-                names = ", ".join(source.module_names()) or "<none>"
-                raise ElaborationError(
-                    f"a top module name is required when the source defines "
-                    f"multiple modules (found: {names})"
-                )
-            top = source.modules[0].name
-        if not source.has_module(top):
-            raise ElaborationError(f"top module '{top}' not found in source")
+        top = select_top(source, top, ElaborationError)
         span.set(top=top)
         with tracer.span("elaborate.lower", top=top) as lower_span:
             netlist = Elaborator(source, top, params).run()

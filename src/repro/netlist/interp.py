@@ -27,7 +27,7 @@ from repro.verilog.hierarchy import DesignHierarchy, HierarchyError
 from repro.verilog.parser import parse
 
 from .bitblast import binary_width, natural_width
-from .elaborate import _collect_writes
+from .elaborate import _collect_writes, select_top
 from .environment import (
     ElaborationError,
     Scope,
@@ -104,16 +104,7 @@ class Interpreter:
                  params: Optional[Mapping[str, int]] = None):
         if isinstance(source, str):
             source = parse(source)
-        if top is None:
-            if len(source.modules) != 1:
-                names = ", ".join(source.module_names()) or "<none>"
-                raise InterpreterError(
-                    f"a top module name is required when the source defines "
-                    f"multiple modules (found: {names})"
-                )
-            top = source.modules[0].name
-        if not source.has_module(top):
-            raise InterpreterError(f"top module '{top}' not found in source")
+        top = select_top(source, top, InterpreterError)
         try:
             DesignHierarchy(source, top)
         except HierarchyError as exc:

@@ -19,7 +19,10 @@ rebuilding the node as-is:
   DAG-aware rather than tree-local.  A probe is bounded: only a gain of
   at least ``max(rebuild gain, best gain so far)`` can change the choice,
   so the probe stops as soon as its cost rules that out, and is skipped
-  when even a free structure could not reach it.
+  when even a free structure could not reach it.  A function's cached
+  NPN transforms often build the same ANDs over the cut's leaves; each
+  table's plan groups them by that *leaf program*, and a cut probes each
+  group once (:attr:`RewriteStats.probes` counts the probes run).
 
 On top of the structural probe, every sweep keeps a *functional
 cut-sweep table*: each committed node registers, for every cut evaluated
@@ -68,6 +71,8 @@ class RewriteStats:
     replacements' gains); ``ands_before - ands_after`` is the *realized*
     one.  When the sweep grows the graph its result is discarded, so
     ``replacements``, ``zero_gain_depth`` and ``nodes_saved`` read 0.
+    ``probes`` counts the structure probes the cut loop ran, not the
+    per-node probe of rebuilding the node as-is.
     """
 
     ands_before: int = 0
@@ -76,6 +81,7 @@ class RewriteStats:
     replacements: int = 0
     zero_gain_depth: int = 0
     nodes_saved: int = 0
+    probes: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -85,6 +91,7 @@ class RewriteStats:
             "replacements": self.replacements,
             "zero_gain_depth": self.zero_gain_depth,
             "nodes_saved": self.nodes_saved,
+            "probes": self.probes,
         }
 
 
@@ -134,10 +141,11 @@ _VIRT_BASE = 1 << 40
 def _probe_structure(new: AIG, levels: dict[int, int], root: int,
                      nodes: tuple, inputs: tuple[int, ...], budget: int
                      ) -> Optional[tuple[int, int, Optional[int]]]:
-    """Dry-run a library structure against ``new``'s unique table.
+    """Dry-run a structure against ``new``'s unique table.
 
-    ``inputs`` are the literals on the structure's formal inputs
-    (library slots 1 and up).
+    ``inputs`` are the literals on the structure's inputs, slots 1 and
+    up: a library structure's formal inputs, or the cut's four leaves
+    for a leaf program (see :func:`_leaf_program`).
     Mirrors :meth:`AIG.aig_and`'s folding exactly but inserts nothing:
     structure nodes that fold away or already exist are free, anything
     else becomes a virtual literal costing one node.  Returns
@@ -207,18 +215,47 @@ def _build_structure(new: AIG, levels: dict[int, int], root: int,
 
 #: Per 4-input truth table (so at most 65536 entries, like the NPN caches
 #: in :mod:`repro.netlist.opt.cut`): its NPN class, the class's library
-#: structure and the cached transforms onto the table, each decoded to
-#: ``(perm[0..3], negation bit 0..3, output complement)``.
+#: structure, the cached transforms onto the table, each decoded to
+#: ``(perm[0..3], negation bit 0..3, output complement, group)``, and the
+#: groups' leaf programs (see :func:`_leaf_program`).
 _PLANS: dict[int, tuple] = {}
+
+
+def _leaf_program(root: int, nodes: tuple, perm: tuple[int, ...],
+                  flips: tuple[int, ...]) -> tuple[int, tuple]:
+    """A transform's structure relabeled over the cut's leaf slots.
+
+    Formal input ``i`` of the library structure ``(root, nodes)`` is fed
+    by leaf slot ``perm[i]``, complemented when ``flips[i]``; the result
+    is ``(root, nodes)`` in :func:`_probe_structure`'s format with the
+    four leaf literals as its inputs and each node's fanins in ascending
+    order.  Transforms with equal programs build the same ANDs over any
+    leaf literals, so a probe of one answers for all of them.
+    """
+    slots = [0, *(2 * (p + 1) ^ f for p, f in zip(perm, flips))]
+
+    def relabel(lit: int) -> int:
+        # Slots 0-4 are the constant and the formal inputs; AND nodes
+        # keep their literals.
+        return slots[lit >> 1] ^ (lit & 1) if lit >> 1 < 5 else lit
+
+    return relabel(root), tuple(tuple(sorted((relabel(l0), relabel(l1))))
+                                for l0, l1 in nodes)
 
 
 def _plan(tt4: int) -> tuple:
     """Compute and cache the :data:`_PLANS` entry of ``tt4``."""
     canon = npn_canon(tt4)[0]
     root, nodes = NPN4_LIBRARY[canon]
-    transforms = tuple((*perm, *((neg >> i) & 1 for i in range(4)), out)
-                       for perm, neg, out in npn_transforms(tt4))
-    plan = _PLANS[tt4] = (canon, root, nodes, transforms)
+    groups: dict[tuple[int, tuple], int] = {}
+    transforms = []
+    for perm, neg, out in npn_transforms(tt4):
+        flips = tuple((neg >> i) & 1 for i in range(4))
+        program = _leaf_program(root ^ out, nodes, perm, flips)
+        group = groups.setdefault(program, len(groups))
+        transforms.append((*perm, *flips, out, group))
+    plan = _PLANS[tt4] = (canon, root, nodes, tuple(transforms),
+                          tuple(groups))
     return plan
 
 
@@ -231,7 +268,7 @@ def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats) -> AIG:
         cuts, tables = enumerate_cut_truths(aig, 4, cut_limit, live)
     with tracer.span("rewrite.eval") as span:
         new = _evaluate(aig, live, cuts, tables, stats)
-        span.set(replacements=stats.replacements)
+        span.set(replacements=stats.replacements, probes=stats.probes)
     return new
 
 
@@ -267,8 +304,8 @@ def _evaluate(aig: AIG, live: list[int], cuts: dict, tables: dict,
     # function of those literals.  A hit means a functionally identical
     # cone (possibly structured completely differently) already exists in
     # the output graph, so the node merges into it at zero cost.
-    func_map: dict[tuple[int, tuple[int, int, int, int]], int] = {}
-    evaluated = 0
+    func_map: dict[tuple[int, int, int, int, int], int] = {}
+    evaluated = probes = 0
     for nid in live:
         if kinds[nid] != _AND:
             continue
@@ -283,7 +320,9 @@ def _evaluate(aig: AIG, live: list[int], cuts: dict, tables: dict,
         d_gain = 1 - d_cost
 
         best = None
-        cut_keys: list[tuple[tuple[int, tuple[int, ...]], int]] = []
+        # Flat: each evaluated transform's sweep-table key, then its
+        # output complement.
+        cut_keys: list = []
         for cut, tt4 in zip(cuts[nid], tables[nid]):
             if len(cut) < 2:
                 continue
@@ -291,19 +330,23 @@ def _evaluate(aig: AIG, live: list[int], cuts: dict, tables: dict,
             leaves = set(cut)
             saved = _deref_cone(aig, refs, nid, leaves, replaced)
             _ref_cone(aig, refs, nid, leaves, replaced)
-            canon, lib_root, lib_nodes, transforms = \
+            canon, lib_root, lib_nodes, transforms, programs = \
                 _PLANS.get(tt4) or _plan(tt4)
             leaf_lits = [lit_map[leaf] for leaf in cut]
             leaf_lits += [0] * (4 - len(leaf_lits))
             # Every cached transform instantiates the class structure
-            # differently over the same leaves; each is probed for
-            # sharing with logic the rebuild has already committed, and
-            # each yields a functional key for the cut-sweep table.
-            for p0, p1, p2, p3, n0, n1, n2, n3, out in transforms:
-                key = (canon, (leaf_lits[p0] ^ n0, leaf_lits[p1] ^ n1,
-                               leaf_lits[p2] ^ n2, leaf_lits[p3] ^ n3))
-                inputs = key[1]
-                cut_keys.append((key, out))
+            # over the same leaves, and each yields a functional key for
+            # the cut-sweep table.  Transforms whose leaf programs are
+            # equal build the same ANDs, so each group is probed for
+            # sharing at most once: within a cut the floor only rises
+            # and an equal (gain, level) never replaces ``best``, so a
+            # later member could not be chosen.
+            probed = 0
+            for p0, p1, p2, p3, n0, n1, n2, n3, out, group in transforms:
+                key = (canon, leaf_lits[p0] ^ n0, leaf_lits[p1] ^ n1,
+                       leaf_lits[p2] ^ n2, leaf_lits[p3] ^ n3)
+                cut_keys.append(key)
+                cut_keys.append(out)
                 hit = func_map.get(key)
                 if hit is not None:
                     # A committed cone already computes this function of
@@ -313,20 +356,26 @@ def _evaluate(aig: AIG, live: list[int], cuts: dict, tables: dict,
                     level = levels.get(hit >> 1, 0)
                     cand = (gain, level, cut, 0, (), (), hit ^ out)
                 else:
+                    if probed >> group & 1:
+                        continue
                     # Only a gain of at least ``floor`` can be committed
                     # or beat the best so far, so the probe stops once
                     # its cost passes ``saved - floor``.
                     floor = d_gain if best is None else best[0]
                     if saved < floor:
                         continue
-                    root = lib_root ^ out
-                    probe = _probe_structure(new, levels, root, lib_nodes,
-                                             inputs, saved - floor)
+                    probed |= 1 << group
+                    probes += 1
+                    prog_root, prog_nodes = programs[group]
+                    probe = _probe_structure(new, levels, prog_root,
+                                             prog_nodes, leaf_lits,
+                                             saved - floor)
                     if probe is None:
                         continue
                     cost, level, real = probe
                     gain = saved - cost
-                    cand = (gain, level, cut, root, lib_nodes, inputs, real)
+                    cand = (gain, level, cut, lib_root ^ out, lib_nodes,
+                            key[1:], real)
                 if gain < d_gain or (gain == d_gain and level >= d_level):
                     continue
                 if best is None or gain > best[0] or \
@@ -356,9 +405,11 @@ def _evaluate(aig: AIG, live: list[int], cuts: dict, tables: dict,
         # Register every evaluated cut's function of the final literal in
         # the sweep table so later nodes can merge into this cone.
         final = lit_map[nid]
-        for key, out in cut_keys:
+        flat = iter(cut_keys)
+        for key, out in zip(flat, flat):
             func_map.setdefault(key, final ^ out)
     stats.cuts_evaluated += evaluated
+    stats.probes += probes
 
     for name, lit in aig.outputs:
         new.add_output(name, lit_map[lit >> 1] ^ (lit & 1))

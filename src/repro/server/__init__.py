@@ -29,6 +29,7 @@ worker-scaling and cache-hit rows land in ``BENCH_server.json``.
 
 from .cache import (
     OPTION_DEFAULTS,
+    CacheError,
     ResultCache,
     canonical_options,
     content_key,
@@ -40,6 +41,7 @@ from .jobs import run_verify_job
 
 __all__ = [
     "OPTION_DEFAULTS",
+    "CacheError",
     "ResultCache",
     "ServerClient",
     "ServerError",

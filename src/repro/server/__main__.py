@@ -16,6 +16,7 @@ import signal
 import sys
 
 from ..obs import Tracer, write_chrome_trace
+from .cache import CacheError, ResultCache
 from .daemon import VerifyDaemon
 
 
@@ -34,6 +35,12 @@ def main(argv=None) -> int:
                         help="write a Chrome trace of all jobs on "
                              "shutdown")
     args = parser.parse_args(argv)
+    if args.cache:
+        try:
+            ResultCache(args.cache)
+        except CacheError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
     tracer = Tracer() if args.trace else None
     daemon = VerifyDaemon(host=args.host, port=args.port,

@@ -78,8 +78,17 @@ def source_key(before: str, after: str, options: Optional[dict]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+class CacheError(Exception):
+    """Raised when a cache directory cannot be created or used."""
+
+
 class ResultCache:
-    """In-memory + on-disk store of verification reports by content key."""
+    """In-memory + on-disk store of verification reports by content key.
+
+    Raises :class:`CacheError` when ``cache_dir`` cannot be created.
+    Once constructed, a failed disk read is a miss and a failed disk
+    write is dropped, so the cache never fails a verdict.
+    """
 
     def __init__(self, cache_dir: Optional[str] = None) -> None:
         self.cache_dir = cache_dir
@@ -89,7 +98,14 @@ class ResultCache:
         self.misses = 0
         self.writes = 0
         if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
+            try:
+                os.makedirs(cache_dir, exist_ok=True)
+            except OSError as exc:
+                reason = ("not a directory"
+                          if isinstance(exc, FileExistsError)
+                          else exc.strerror or str(exc))
+                raise CacheError(f"cannot use cache directory "
+                                 f"'{cache_dir}': {reason}") from exc
 
     def _path(self, key: str) -> str:
         assert self.cache_dir is not None
@@ -121,16 +137,18 @@ class ResultCache:
         self.writes += 1
         if not self.cache_dir:
             return
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+        tmp = None
         try:
+            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(report, fh, sort_keys=True)
             os.replace(tmp, self._path(key))
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
 
     def stats(self) -> dict:
         return {

@@ -116,6 +116,14 @@ def test_unterminated_input_diagnostic(tmp_path, capsys, text, what):
     assert "syntax error" in err and what in err
 
 
+def test_empty_source_diagnostic(tmp_path, capsys):
+    path = tmp_path / "empty.v"
+    path.write_text("")
+    assert run([str(path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: elaboration error: the source defines no module\n"
+
+
 def test_elaboration_error_diagnostic(tmp_path, capsys):
     path = tmp_path / "undriven.v"
     path.write_text("module m(input a, output y); assign y = ghost; endmodule")
@@ -459,6 +467,15 @@ def test_cache_cold_then_warm(mult_pair, tmp_path):
     assert warm["cache_hit"] is True
     assert warm["equivalent"] == cold["equivalent"]
     assert warm["compared"] == cold["compared"]
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_unusable_cache_directory_diagnostic(alu_file, capsys, sub):
+    cache = f"{alu_file}/{sub}" if sub else alu_file
+    assert run([alu_file, "--check", "--cache", cache]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot use cache directory '{cache}': ")
+    assert err.count("\n") == 1
 
 
 def test_cache_refuted_still_exits_2(mult_pair, tmp_path):

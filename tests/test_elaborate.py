@@ -449,6 +449,15 @@ def test_top_required_for_multi_module_source():
         elaborate(RCA)
 
 
+@pytest.mark.parametrize("source", ["", "// only a comment\n"])
+def test_source_without_modules_diagnostic(source):
+    with pytest.raises(ElaborationError) as info:
+        elaborate(source)
+    assert str(info.value) == "the source defines no module"
+    with pytest.raises(ElaborationError, match="top module 'm' not found"):
+        elaborate(source, top="m")
+
+
 def test_elaborate_accepts_parsed_source():
     from repro.verilog.parser import parse
 

@@ -42,6 +42,18 @@ def test_hierarchy_with_parameter_overrides():
     assert out == {"twice": 10, "triple": 15}
 
 
+@pytest.mark.parametrize("source,message", [
+    ("", "the source defines no module"),
+    ("module a(); endmodule\nmodule b(); endmodule\n",
+     "a top module name is required when the source defines multiple "
+     "modules (found: a, b)"),
+])
+def test_top_selection_diagnostics(source, message):
+    with pytest.raises(InterpreterError) as info:
+        Interpreter(source)
+    assert str(info.value) == message
+
+
 def test_missing_input_diagnostic():
     interp = Interpreter("module m(input a, output y); assign y = a; endmodule")
     with pytest.raises(InterpreterError, match="missing value"):

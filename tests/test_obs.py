@@ -561,7 +561,7 @@ def test_rewrite_span_splits_into_cuts_eval_compact():
     """The rewrite sweep's time is attributed to its three phases."""
     tracer = Tracer()
     with use_tracer(tracer):
-        optimize(elaborate(ALU, top="alu"))
+        result = optimize(elaborate(ALU, top="alu"))
     spans = [r for r in tracer.spans() if r.name.startswith("rewrite")]
     assert {r.name for r in spans} == {"rewrite", "rewrite.cuts",
                                        "rewrite.eval", "rewrite.compact"}
@@ -572,6 +572,8 @@ def test_rewrite_span_splits_into_cuts_eval_compact():
             assert record.path[-1] == "rewrite"
     (evaluated,) = [r for r in spans if r.name == "rewrite.eval"]
     assert "replacements" in evaluated.args
+    (row,) = [r for r in result.stats if r.name == "rewrite"]
+    assert evaluated.args["probes"] == row.details["probes"] > 0
 
 
 def test_fraig_sweep_aggregates_solver_stats():

@@ -8,6 +8,7 @@ import pytest
 from repro.netlist import elaborate
 from repro.server import (
     OPTION_DEFAULTS,
+    CacheError,
     ResultCache,
     ServerClient,
     ServerError,
@@ -119,6 +120,47 @@ def test_result_cache_memory_only():
     cache.put("k1", {"equivalent": False})
     assert cache.get("k1") == {"equivalent": False}
     assert ResultCache(cache_dir=None).get("k1") is None
+
+
+def test_result_cache_put_survives_a_vanished_directory(tmp_path):
+    """A disk write that fails is dropped; the entry stays in memory."""
+    cache_dir = tmp_path / "gone"
+    cache = ResultCache(cache_dir=str(cache_dir))
+    cache_dir.rmdir()
+    cache.put("k1", {"equivalent": True})
+    assert cache.get("k1") == {"equivalent": True}
+    assert not cache_dir.exists()
+
+
+@pytest.mark.parametrize("sub,reason", [("", "not a directory"),
+                                        ("sub", "Not a directory")])
+def test_result_cache_rejects_an_unusable_directory(tmp_path, sub, reason):
+    path = tmp_path / "file"
+    path.write_text("")
+    where = str(path / sub) if sub else str(path)
+    with pytest.raises(CacheError) as info:
+        ResultCache(cache_dir=where)
+    assert str(info.value) == \
+        f"cannot use cache directory '{where}': {reason}"
+
+
+def test_verify_job_reports_an_unusable_cache_directory(tmp_path):
+    path = tmp_path / "file"
+    path.write_text("")
+    reply = run_verify_job(_payload(cache_dir=str(path)))
+    assert reply["ok"] is False and reply["error_type"] == "CacheError"
+    assert "cannot use cache directory" in reply["error"]
+
+
+def test_server_main_rejects_an_unusable_cache_directory(tmp_path, capsys):
+    from repro.server.__main__ import main
+
+    path = tmp_path / "file"
+    path.write_text("")
+    assert main(["--port", "0", "--cache", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot use cache directory '{path}': " \
+        "not a directory\n"
 
 
 # ---------------------------------------------------------------------------

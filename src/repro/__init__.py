@@ -18,9 +18,9 @@ Subpackages:
   library, dead-gate sweep) with per-pass statistics, plus the
   priority-cut k-LUT technology mapper (``opt.map``) on the shared
   cut/truth-table kernel (``opt.cut``);
-* :mod:`repro.netlist.sat` — Tseitin CNF encoding, a small CDCL solver and
-  miter-based combinational equivalence checking, used to formally verify
-  every optimization;
+* :mod:`repro.netlist.sat` — Tseitin CNF encoding of AIG cones, a small
+  CDCL solver and miter-based combinational equivalence checking, used to
+  formally verify every optimization;
 * :mod:`repro.obs` — the unified tracing & metrics layer: hierarchical
   span tracing across every engine above, a counters/gauges/histograms
   registry, solver progress events, and Chrome-trace / ndjson / profile

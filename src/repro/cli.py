@@ -150,20 +150,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream the solver's DRAT proof (learned-clause additions "
              "and deletions) to FILE during --check (implies --check)")
     parser.add_argument(
-        "--encoding", choices=("aig", "gate"), default="aig",
-        help="miter construction for --check: the shared hash-consed AIG "
-             "(default) or the legacy gate-level Tseitin encoding")
-    parser.add_argument(
         "--no-preprocess", action="store_true",
         help="skip SatELite-style CNF preprocessing (subsumption, "
              "self-subsuming resolution, bounded variable elimination) "
              "of the miter before solving during --check")
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="solve the miter's root pairs in up to N worker processes "
-             "during --check (fanin-cone-balanced partitions; the first "
-             "refuting worker cancels its siblings, and --certify still "
-             "RUP-checks every worker's proof)")
+        help="solve the miter's root pairs in up to N (>= 1) worker "
+             "processes during --check (fanin-cone-balanced partitions; "
+             "the first refuting worker cancels its siblings, and "
+             "--certify still RUP-checks every worker's proof)")
     parser.add_argument(
         "--cache", metavar="DIR",
         help="consult (and fill) the content-hash result cache in DIR "
@@ -288,6 +284,8 @@ def _execute(args, out, tracer) -> int:
     """The traced body of :func:`run`; returns the exit code."""
     if args.cycles is not None and args.cycles < 1:
         raise CLIError("--cycles expects a positive integer")
+    if args.jobs < 1:
+        raise CLIError("--jobs expects a positive integer")
     source = _read_source(args.source)
     params = _parse_params(args.param)
     do_check = (args.check or args.certify or bool(args.solve_log)
@@ -355,8 +353,7 @@ def _execute(args, out, tracer) -> int:
         eq_report = None
         if args.cache and not args.solve_log:
             from .server.cache import CacheError, ResultCache, content_key
-            options = {"encoding": args.encoding,
-                       "certify": args.certify,
+            options = {"certify": args.certify,
                        "preprocess": not args.no_preprocess}
             try:
                 cache = ResultCache(args.cache)
@@ -369,10 +366,8 @@ def _execute(args, out, tracer) -> int:
         if eq_report is None:
             try:
                 verdict = check_equivalence(
-                    lhs, rhs, encoding=args.encoding,
-                    certify=args.certify, proof=proof,
-                    preprocess=not args.no_preprocess,
-                    jobs=max(1, args.jobs))
+                    lhs, rhs, certify=args.certify, proof=proof,
+                    preprocess=not args.no_preprocess, jobs=args.jobs)
             except CECError as exc:
                 raise CLIError(str(exc)) from exc
             finally:

@@ -37,7 +37,7 @@ its ``sat_checks`` / ``proven`` / ``refuted`` / ``sim_refuted`` counts)
 and a ``fraig.signatures`` span around each packed re-simulation; the
 per-round solver's search statistics are accumulated into
 :attr:`FraigStats.solver` rather than discarded, so callers (CLI
-``--json``, ``BENCH_sat.json``) see the sweep's total SAT effort.
+``--json``, the CEC report) see the sweep's total SAT effort.
 """
 
 from __future__ import annotations
@@ -134,7 +134,6 @@ class SweepResult:
 def fraig_sweep(aig: AIG, patterns: int = 64, max_rounds: int = 16,
                 seed: int = 2022,
                 stats: Optional[FraigStats] = None,
-                solver_factory=Solver,
                 certify: bool = False,
                 jobs: int = 1,
                 words: Optional[dict[int, int]] = None,
@@ -146,10 +145,7 @@ def fraig_sweep(aig: AIG, patterns: int = 64, max_rounds: int = 16,
     appended as extra patterns).  ``max_rounds`` bounds the
     simulate/rebuild iteration; every returned AIG is correct regardless —
     merges happen only on UNSAT proofs — later rounds only discover
-    *more* merges.  ``solver_factory`` swaps the CDCL engine (the
-    benchmark passes the reference solver to measure the old-vs-new
-    split); it must provide the incremental API (``ensure_vars`` /
-    ``add_clauses`` / ``solve(assumptions=)``).
+    *more* merges.
 
     ``certify=True`` logs a DRAT proof per round and runs every UNSAT
     (merge-proving) verdict through the independent RUP checker, with
@@ -160,9 +156,9 @@ def fraig_sweep(aig: AIG, patterns: int = 64, max_rounds: int = 16,
     changed — a rejected proof counts in ``proofs_failed`` and the
     caller decides how loudly to fail.
 
-    ``jobs > 1`` (default solver only) proves each round's merge
-    candidates in up to ``jobs`` worker processes instead of one shared
-    solver — see :func:`fraig_sweep_map`.
+    ``jobs > 1`` proves each round's merge candidates in up to ``jobs``
+    worker processes instead of one shared solver — see
+    :func:`fraig_sweep_map`.
 
     ``words`` / ``signatures`` let a caller that has *already* simulated
     the graph (the CEC path, a rewrite pipeline that computed packed
@@ -172,7 +168,6 @@ def fraig_sweep(aig: AIG, patterns: int = 64, max_rounds: int = 16,
     """
     return fraig_sweep_map(aig, patterns=patterns, max_rounds=max_rounds,
                            seed=seed, stats=stats,
-                           solver_factory=solver_factory,
                            certify=certify, jobs=jobs,
                            words=words, signatures=signatures).aig
 
@@ -180,7 +175,6 @@ def fraig_sweep(aig: AIG, patterns: int = 64, max_rounds: int = 16,
 def fraig_sweep_map(aig: AIG, patterns: int = 64, max_rounds: int = 16,
                     seed: int = 2022,
                     stats: Optional[FraigStats] = None,
-                    solver_factory=Solver,
                     certify: bool = False,
                     jobs: int = 1,
                     words: Optional[dict[int, int]] = None,
@@ -196,9 +190,8 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, max_rounds: int = 16,
     missed them) merge here, every merge certified the same way FRAIG
     certifies its own, and the final solve sees a collapsed cone.
 
-    With ``jobs > 1`` (and the default solver — a custom
-    ``solver_factory`` cannot cross the process boundary) each round's
-    candidate proofs run sharded across worker processes
+    With ``jobs > 1`` each round's candidate proofs run sharded across
+    worker processes
     (:func:`~repro.netlist.sat.partition.solve_sweep_parallel`): the
     round first rebuilds without solving to collect its candidate pairs,
     the workers prove or refute them independently (each on its own
@@ -239,7 +232,7 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, max_rounds: int = 16,
     #: re-rebuild never re-solves a settled pair.
     proven: dict[tuple[int, int], int] = {}
 
-    if jobs > 1 and solver_factory is Solver:
+    if jobs > 1:
         return _fraig_sweep_parallel(aig, max_rounds, stats, words,
                                      num_patterns, certify, jobs,
                                      signatures=signatures)
@@ -291,14 +284,12 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, max_rounds: int = 16,
                 phase_of = {0: 0}
                 # Lazy incremental solving state over the *new* AIG.
                 cnf = CNF()
-                solver = solver_factory(0, ())
+                solver = Solver(0, ())
                 attach_solver_progress(solver, tracer)
                 proof = None
                 if certify:
                     proof = ProofLog()
-                    set_proof = getattr(solver, "set_proof", None)
-                    if set_proof is not None:
-                        set_proof(proof)
+                    solver.set_proof(proof)
                 var_map: dict[int, int] = {}
                 cex_found = False
                 # This round's counterexamples are the stimulus bits from

@@ -1,5 +1,5 @@
-"""SAT machinery for the netlist IR: Tseitin CNF encoding, a small CDCL
-solver, and miter-based combinational equivalence checking.
+"""SAT machinery for the netlist IR: Tseitin CNF encoding of AIG cones, a
+small CDCL solver, and miter-based combinational equivalence checking.
 
 Typical use::
 
@@ -25,12 +25,10 @@ from .cec import (
     CECError,
     Counterexample,
     EquivalenceResult,
-    build_miter,
-    build_miter_aig,
     check_equivalence,
     replay_counterexample,
 )
-from .cnf import CNF, aig_lit_sat, encode_aig_cone, encode_cone, encode_gate
+from .cnf import CNF, aig_lit_sat, encode_aig_cone
 from .partition import (
     PartitionedVerdict,
     PartitionOptions,
@@ -53,15 +51,11 @@ __all__ = [
     "CECError",
     "Counterexample",
     "EquivalenceResult",
-    "build_miter",
-    "build_miter_aig",
     "check_equivalence",
     "replay_counterexample",
     "CNF",
     "aig_lit_sat",
     "encode_aig_cone",
-    "encode_cone",
-    "encode_gate",
     "PartitionOptions",
     "PartitionedVerdict",
     "extract_cone",

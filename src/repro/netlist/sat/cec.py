@@ -7,14 +7,11 @@ outputs by register name), and the disjunction of the XORs is asserted.
 The formula is satisfiable exactly when some input/state assignment makes
 the designs disagree, so **UNSAT proves equivalence**.
 
-The default construction works at AIG level (``encoding="aig"``): both
-netlists are lowered into *one* shared hash-consed
-:class:`~repro.netlist.aig.AIG` over common input/latch nodes, so any
-logic the two designs share merges in the unique table **before the solver
-ever sees it** — root pairs that hash to the same literal are proven
-structurally, for free.  The legacy gate-level encoding
-(``encoding="gate"``) Tseitin-encodes both netlists separately and
-remains available for comparison benchmarks.
+The miter is built at AIG level: both netlists are lowered into *one*
+shared hash-consed :class:`~repro.netlist.aig.AIG` over common
+input/latch nodes, so any logic the two designs share merges in the
+unique table **before the solver ever sees it** — root pairs that hash to
+the same literal are proven structurally, for free.
 
 The pairs hashing cannot settle run through a staged pipeline that tries
 progressively heavier artillery, in order:
@@ -70,9 +67,9 @@ from typing import Optional, Union
 from ...obs import attach_solver_progress, get_tracer
 from ..aig import AIG, insert_netlist
 from ..elaborate import _split_bit_name
-from ..logic import Gate, GateType, Netlist
+from ..logic import Netlist
 from ..sim import aig_signatures, simulate_compiled
-from .cnf import CNF, aig_lit_sat, encode_aig_cone, encode_cone
+from .cnf import CNF, aig_lit_sat, encode_aig_cone
 from .partition import PartitionOptions, solve_pairs_parallel
 from .preprocess import preprocess as simplify_cnf
 from .proof import ProofLog, check_drat
@@ -144,14 +141,11 @@ class EquivalenceResult:
     #: Tseitin encoding) vs solving it.
     encode_seconds: float = 0.0
     solve_seconds: float = 0.0
-    #: Miter construction used ("aig" or "gate").
-    encoding: str = "aig"
     #: Size of the CNF handed to the solver (before preprocessing).
     cnf_vars: int = 0
     cnf_clauses: int = 0
     #: Root pairs proven equal structurally (identical AIG literals in the
-    #: shared unique table) — they never reach the solver.  Always 0 for
-    #: the gate-level encoding.
+    #: shared unique table) — they never reach the solver.
     hash_proven: int = 0
     #: DRAT certification (``certify=True`` / ``proof=``).  ``proof_checked``
     #: is True/False when UNSAT evidence was run through the independent
@@ -188,8 +182,8 @@ class EquivalenceResult:
                   include_proof: Optional[bool] = None) -> dict:
         """The verdict as the JSON-ready ``equivalence`` report dict.
 
-        One shape shared by every frontend (CLI ``--json``, the
-        ``repro.server`` daemon, the bench tiers), so parallel and serial
+        One shape shared by every frontend (CLI ``--json`` and the
+        ``repro.server`` daemon), so parallel and serial
         runs — and daemon and one-shot runs — are field-for-field
         comparable.  ``include_proof`` defaults to ``certify``; pass True
         to include the proof block for an uncertified-but-logged run.
@@ -197,7 +191,6 @@ class EquivalenceResult:
         report = {
             "equivalent": self.equivalent,
             "compared": self.compared,
-            "encoding": self.encoding,
             "hash_proven": self.hash_proven,
             "cnf_vars": self.cnf_vars,
             "cnf_clauses": self.cnf_clauses,
@@ -273,55 +266,6 @@ def _assert_disagreement(cnf: CNF,
     cnf.add_clause(*disagree)
 
 
-def build_miter(before: Netlist, after: Netlist
-                ) -> tuple[CNF, dict[str, int], dict[str, int],
-                           list[tuple[str, str, int, int]]]:
-    """Encode the gate-level miter of two netlists.
-
-    Returns ``(cnf, input_vars, state_vars, compared)`` where ``input_vars``
-    / ``state_vars`` map primary-input bit names and flip-flop names to
-    their shared CNF variables and ``compared`` lists
-    ``(kind, name, before_var, after_var)`` for every matched root pair.
-    """
-    b_in, b_out, b_regs = _interface(before)
-    a_in, a_out, a_regs = _interface(after)
-    _check_interfaces(b_in, a_in, b_out, a_out)
-    tracer = get_tracer()
-
-    cnf = CNF()
-    input_vars = {name: cnf.new_var() for name in sorted(b_in)}
-    state_vars = {
-        name: cnf.new_var() for name in sorted(set(b_regs) | set(a_regs))
-    }
-
-    def leaf_var(gate: Gate) -> int:
-        if gate.gtype == GateType.INPUT:
-            return input_vars[gate.name or f"pi_{gate.gid}"]
-        return state_vars[gate.name or f"dff_{gate.gid}"]
-
-    shared_regs = sorted(set(b_regs) & set(a_regs))
-    b_roots = list(b_out.values()) + \
-        [before.gates[b_regs[name]].fanins[0] for name in shared_regs]
-    a_roots = list(a_out.values()) + \
-        [after.gates[a_regs[name]].fanins[0] for name in shared_regs]
-    with tracer.span("cec.encode", design=before.name, side="before"):
-        b_map = encode_cone(cnf, before, b_roots, leaf_var)
-    with tracer.span("cec.encode", design=after.name, side="after"):
-        a_map = encode_cone(cnf, after, a_roots, leaf_var)
-
-    compared: list[tuple[str, str, int, int]] = []
-    for name in sorted(b_out):
-        compared.append(("output", name,
-                         b_map[b_out[name]], a_map[a_out[name]]))
-    for name in shared_regs:
-        compared.append(("next_state", name,
-                         b_map[before.gates[b_regs[name]].fanins[0]],
-                         a_map[after.gates[a_regs[name]].fanins[0]]))
-
-    _assert_disagreement(cnf, [(b, a) for _, _, b, a in compared])
-    return cnf, input_vars, state_vars, compared
-
-
 def _lower_miter(before: Netlist, after: Netlist
                  ) -> tuple[AIG, dict[str, int], dict[str, int],
                             list[tuple[str, str, int, int]]]:
@@ -395,42 +339,6 @@ def _encode_pairs(cnf: CNF, aig: AIG, pairs: list[tuple[int, int]],
     return var_map, input_vars, state_vars
 
 
-def build_miter_aig(before: Netlist, after: Netlist,
-                    structural: bool = True
-                    ) -> tuple[CNF, dict[str, int], dict[str, int],
-                               int, int]:
-    """Encode the miter of two netlists at AIG level.
-
-    Both designs are lowered into one shared hash-consed AIG over common
-    primary-input and latch nodes, so structurally equal cones merge before
-    encoding.  Root pairs that end up as the *same literal* are proven
-    equal by hashing alone; only the remaining pairs are encoded
-    (``structural=True`` pattern-matches XOR/MUX/majority cones, see
-    :func:`~repro.netlist.sat.cnf.encode_aig_cone`) and XOR-ed.  Returns
-    ``(cnf, input_vars, state_vars, compared, hash_proven)`` — when
-    ``hash_proven == compared`` the CNF is empty and the designs are
-    equivalent with no solving at all.
-    """
-    tracer = get_tracer()
-    aig, pi_lits, latch_lits, named_pairs = _lower_miter(before, after)
-    differing = [(b, a) for _, _, b, a in named_pairs if b != a]
-    hash_proven = len(named_pairs) - len(differing)
-    if tracer.enabled:
-        for kind, name, b, a in named_pairs:
-            tracer.instant("cec.pair", kind=kind, name=name,
-                           hash_proven=(b == a))
-    cnf = CNF()
-    input_vars: dict[str, int] = {}
-    state_vars: dict[str, int] = {}
-    if differing:
-        with tracer.span("cec.encode", design=before.name,
-                         pairs=len(differing)) as span:
-            _, input_vars, state_vars = _encode_pairs(
-                cnf, aig, differing, pi_lits, latch_lits, structural)
-            span.set(cnf_vars=cnf.num_vars, cnf_clauses=len(cnf.clauses))
-    return cnf, input_vars, state_vars, len(named_pairs), hash_proven
-
-
 def _lit_sig(sigs, mask: int, lit: int) -> int:
     """Packed simulation value of an AIG literal (edge polarity applied)."""
     s = sigs[lit >> 1]
@@ -475,6 +383,19 @@ def _confirm_sim_refutation(before: Netlist, after: Netlist,
     return Counterexample(inputs=inputs, state=state, diff=diffs)
 
 
+def _confirm_model(before: Netlist, after: Netlist,
+                   inputs: dict[str, int],
+                   state: dict[str, int]) -> Counterexample:
+    """Replay a solver model into a confirmed :class:`Counterexample`."""
+    diffs = replay_counterexample(before, after, inputs, state)
+    if not diffs:
+        raise CECError(
+            "solver returned a model but simulation shows no "
+            "disagreement (CNF encoding bug)"
+        )
+    return Counterexample(inputs=inputs, state=state, diff=diffs)
+
+
 def _sweep_worthwhile(aig: AIG, sigs, mask: int,
                       pairs: list[tuple[int, int]]) -> bool:
     """``sweep="auto"`` policy: candidate-merge density of the differing
@@ -494,10 +415,10 @@ def _sweep_worthwhile(aig: AIG, sigs, mask: int,
     return candidates >= _SWEEP_MIN_DENSITY * len(cone_ands)
 
 
-def _seed_solver(solver, var_map: dict[int, int], aig: AIG,
+def _seed_solver(solver: Solver, var_map: dict[int, int], aig: AIG,
                  sigs, mask: int, num_patterns: int) -> None:
     """Seed saved phases from simulation majority votes and initial VSIDS
-    activity from cone fanout counts, when the engine supports either.
+    activity from cone fanout counts.
 
     A variable's seeded phase is the value its AIG node took on the
     majority of the stimulus patterns — near-equivalent root pairs make
@@ -508,26 +429,22 @@ def _seed_solver(solver, var_map: dict[int, int], aig: AIG,
     heavily shared signals are decided early, like the fanout-weighted
     variable orders of circuit-aware SAT solvers.
     """
-    seed_phases = getattr(solver, "seed_phases", None)
-    if seed_phases is not None:
-        seed_phases({
-            var: bin(sigs[nid] & mask).count("1") * 2 >= num_patterns
-            for nid, var in var_map.items()
+    solver.seed_phases({
+        var: bin(sigs[nid] & mask).count("1") * 2 >= num_patterns
+        for nid, var in var_map.items()
+    })
+    fanout: dict[int, int] = {}
+    for nid in var_map:
+        if aig.is_and(nid):
+            for fanin in aig.fanins(nid):
+                node = fanin >> 1
+                fanout[node] = fanout.get(node, 0) + 1
+    top = max(fanout.values(), default=0)
+    if top:
+        solver.seed_activity({
+            var_map[nid]: 0.5 * count / top
+            for nid, count in fanout.items() if nid in var_map
         })
-    seed_activity = getattr(solver, "seed_activity", None)
-    if seed_activity is not None:
-        fanout: dict[int, int] = {}
-        for nid in var_map:
-            if aig.is_and(nid):
-                for fanin in aig.fanins(nid):
-                    node = fanin >> 1
-                    fanout[node] = fanout.get(node, 0) + 1
-        top = max(fanout.values(), default=0)
-        if top:
-            seed_activity({
-                var_map[nid]: 0.5 * count / top
-                for nid, count in fanout.items() if nid in var_map
-            })
 
 
 def replay_counterexample(before: Netlist, after: Netlist,
@@ -565,8 +482,6 @@ def replay_counterexample(before: Netlist, after: Netlist,
 
 
 def check_equivalence(before: Netlist, after: Netlist,
-                      encoding: str = "aig",
-                      solver_factory=Solver,
                       certify: bool = False,
                       proof: Optional[ProofLog] = None,
                       *,
@@ -584,12 +499,11 @@ def check_equivalence(before: Netlist, after: Netlist,
     miter is satisfiable the model is replayed through the simulator and
     returned as a confirmed :class:`Counterexample`.
 
-    ``encoding`` selects the miter construction: ``"aig"`` (default)
-    lowers both designs into one shared hash-consed AIG and runs the
-    staged pipeline from the module docstring — simulation refutation
-    check, SAT sweeping, structure-aware encoding, CNF preprocessing,
-    phase/activity-seeded CDCL — while ``"gate"`` is the legacy per-gate
-    Tseitin encoding (only CNF preprocessing applies to it).
+    Both designs are lowered into one shared hash-consed AIG and the root
+    pairs hashing cannot settle run through the staged pipeline from the
+    module docstring — simulation refutation check, SAT sweeping,
+    structure-aware encoding, CNF preprocessing, phase/activity-seeded
+    CDCL.
 
     Pipeline knobs (keyword-only):
 
@@ -609,25 +523,17 @@ def check_equivalence(before: Netlist, after: Netlist,
       random stimulus used by the simulation checks, the sweep, and
       phase seeding.  ``sim_patterns=0`` disables the simulation check
       and everything fed by its signatures (auto-sweeping, phase and
-      activity seeding) — the benchmark's legacy configuration.
-    * ``jobs`` — with ``jobs > 1`` (AIG encoding, default solver, no
-      caller-supplied ``proof``) the root pairs surviving stages 1–2 are
-      partitioned into fanin-cone-balanced groups and stages 3–4 run in
-      up to ``jobs`` worker processes
-      (:mod:`~repro.netlist.sat.partition`).  The verdict is identical
-      to the serial path: the first refuting worker cancels its
-      siblings, all-UNSAT shards merge their solver statistics, and
-      under ``certify=True`` every worker RUP-checks its own shard's
-      proof (``proof_checked`` is True only if all of them pass).  The
-      result's ``jobs``/``partitions`` fields report the fan-out.
-
-    ``solver_factory`` swaps the SAT engine — it is called as
-    ``factory(num_vars, clauses)`` with the clause iterable streamed
-    straight from the (possibly preprocessed) miter CNF.  The default is
-    the production flat-array CDCL solver; ``scripts/bench.py`` passes
-    :class:`~repro.netlist.sat.reference.ReferenceSolver` to measure the
-    old-vs-new split.  Phase/activity seeding is applied only when the
-    engine exposes ``seed_phases`` / ``seed_activity``.
+      activity seeding), so every differing pair goes to the solver.
+    * ``jobs`` — with ``jobs > 1`` (and no caller-supplied ``proof``)
+      the root pairs surviving stages 1–2 are partitioned into
+      fanin-cone-balanced groups and stages 3–4 run in up to ``jobs``
+      worker processes (:mod:`~repro.netlist.sat.partition`).  The
+      verdict is identical to the serial path: the first refuting
+      worker cancels its siblings, all-UNSAT shards merge their solver
+      statistics, and under ``certify=True`` every worker RUP-checks its
+      own shard's proof (``proof_checked`` is True only if all of them
+      pass).  The result's ``jobs``/``partitions`` fields report the
+      fan-out.
 
     ``certify=True`` turns on DRAT proof logging and, on an UNSAT
     verdict, replays the proof through the independent RUP checker
@@ -637,19 +543,14 @@ def check_equivalence(before: Netlist, after: Netlist,
     merges are certified per-merge inside the sweep; a rejected sweep
     proof makes ``proof_checked`` False even when the top-level proof
     checks.  The result's ``proof_checked`` then certifies the verdict
-    (False means some proof was rejected — callers such as the CLI and
-    bench treat that as a hard failure).  ``proof`` supplies the
+    (False means some proof was rejected — callers such as the CLI
+    treat that as a hard failure).  ``proof`` supplies the
     :class:`ProofLog` to write into — pass one with a stream to keep the
     DRAT text on disk (the CLI's ``--solve-log``); with ``proof`` alone
     the log is recorded but not checked.
     """
-    if encoding not in ("aig", "gate"):
-        raise ValueError(
-            f"unknown miter encoding '{encoding}' "
-            f"(valid encodings: 'aig', 'gate')"
-        )
     tracer = get_tracer()
-    with tracer.span("cec", encoding=encoding, before=before.name,
+    with tracer.span("cec", before=before.name,
                      after=after.name) as cec_span:
         start = time.perf_counter()
         sigs = None
@@ -659,277 +560,241 @@ def check_equivalence(before: Netlist, after: Netlist,
         sweep_proven = 0
         sweep_seconds = 0.0
         pre = None
-        var_map: dict[int, int] = {}
-        work_aig: Optional[AIG] = None
 
-        if encoding == "aig":
-            aig, pi_lits, latch_lits, named_pairs = _lower_miter(before,
-                                                                 after)
-            differing = [(b, a) for _, _, b, a in named_pairs if b != a]
-            compared = len(named_pairs)
-            hash_proven = compared - len(differing)
-            if tracer.enabled:
-                for kind, name, b, a in named_pairs:
-                    tracer.instant("cec.pair", kind=kind, name=name,
-                                   hash_proven=(b == a))
-            encode_seconds = time.perf_counter() - start
-            cec_span.set(compared=compared, hash_proven=hash_proven)
-            if not differing:
-                # Every root pair hash-merged to the same literal:
-                # structurally proven, nothing to solve.
-                cec_span.set(equivalent=True)
-                return EquivalenceResult(True, compared=compared,
-                                         encode_seconds=encode_seconds,
-                                         encoding=encoding,
-                                         hash_proven=hash_proven)
+        aig, pi_lits, latch_lits, named_pairs = _lower_miter(before, after)
+        differing = [(b, a) for _, _, b, a in named_pairs if b != a]
+        compared = len(named_pairs)
+        hash_proven = compared - len(differing)
+        if tracer.enabled:
+            for kind, name, b, a in named_pairs:
+                tracer.instant("cec.pair", kind=kind, name=name,
+                               hash_proven=(b == a))
+        encode_seconds = time.perf_counter() - start
+        cec_span.set(compared=compared, hash_proven=hash_proven)
+        if not differing:
+            # Every root pair hash-merged to the same literal:
+            # structurally proven, nothing to solve.
+            cec_span.set(equivalent=True)
+            return EquivalenceResult(True, compared=compared,
+                                     encode_seconds=encode_seconds,
+                                     hash_proven=hash_proven)
 
-            # Stage 1: simulation refutation check.  Any random pattern a
-            # root pair disagrees on is already a complete counterexample.
-            # ``sim_patterns=0`` disables the check (and the signatures
-            # that auto-sweep and phase seeding feed on) — the bench's
-            # legacy configuration.
-            pairs = differing
-            work_aig = aig
-            in_lits, st_lits = pi_lits, latch_lits
-            words = None
-            if sim_patterns > 0:
-                rng = random.Random(seed)
-                leaves = list(aig.inputs) + list(aig.latches)
-                words = {nid: rng.getrandbits(sim_patterns)
-                         for nid in leaves}
-                num_patterns = sim_patterns
-                mask = (1 << num_patterns) - 1
-                start = time.perf_counter()
-                with tracer.span("cec.simcheck", patterns=num_patterns,
-                                 pairs=len(pairs)) as sim_span:
-                    sigs = aig_signatures(
-                        aig,
-                        [words[nid] for nid in aig.inputs],
-                        [words[nid] for nid in aig.latches],
-                        mask,
-                    )
-                    bit = _first_diff_bit(sigs, mask, pairs)
-                    sim_span.set(refuted=bit is not None)
-                encode_seconds += time.perf_counter() - start
-                if bit is not None:
-                    with tracer.span("cec.replay"):
-                        cex = _confirm_sim_refutation(
-                            before, after, words, pi_lits, latch_lits, bit)
-                    cec_span.set(equivalent=False,
-                                 refuted_by="simulation")
-                    return EquivalenceResult(False, counterexample=cex,
-                                             compared=compared,
-                                             encode_seconds=encode_seconds,
-                                             encoding=encoding,
-                                             hash_proven=hash_proven,
-                                             refuted_by_simulation=True)
-
-            # Stage 2: SAT-sweep the miter AIG — internal equivalences
-            # the unique table missed collapse under incremental SAT, and
-            # root pairs whose cones merge are proven without the
-            # top-level solve.
-            do_sweep = sweep if isinstance(sweep, bool) else (
-                sigs is not None
-                and _sweep_worthwhile(aig, sigs, mask, pairs))
-            if do_sweep:
-                # Imported lazily: opt.fraig imports sat.cnf/proof/solver,
-                # so a module-level import here would be circular.
-                from ..opt.fraig import FraigStats, fraig_sweep_map
-                sweep_start = time.perf_counter()
-                sweep_stats = FraigStats()
-                with tracer.span("cec.sweep", ands=aig.num_ands,
-                                 pairs=len(pairs)) as sweep_span:
-                    # Stage 1's stimulus and signatures are handed to
-                    # the sweep so its first round does not resimulate.
-                    swept = fraig_sweep_map(
-                        aig,
-                        patterns=sim_patterns if sim_patterns > 0 else 64,
-                        seed=seed,
-                        stats=sweep_stats, solver_factory=solver_factory,
-                        certify=certify, words=words, signatures=sigs)
-                    mapped = [(swept.map_lit(b), swept.map_lit(a))
-                              for b, a in pairs]
-                    pairs = [(b, a) for b, a in mapped if b != a]
-                    sweep_proven = len(mapped) - len(pairs)
-                    sweep_span.set(sweep_proven=sweep_proven,
-                                   remaining=len(pairs))
-                sweep_seconds = time.perf_counter() - sweep_start
-                work_aig = swept.aig
-                in_lits = {name: swept.map_lit(lit)
-                           for name, lit in pi_lits.items()}
-                st_lits = {name: swept.map_lit(lit)
-                           for name, lit in latch_lits.items()}
-                words = swept.words
-                num_patterns = swept.num_patterns
-                mask = (1 << num_patterns) - 1
-                cec_span.set(sweep_proven=sweep_proven)
-                if tracer.enabled:
-                    tracer.metrics.absorb("cec.sweep", {
-                        "proven": sweep_stats.proven,
-                        "refuted": sweep_stats.refuted,
-                        "pairs_proven": sweep_proven,
-                    })
-                if not pairs:
-                    # Hashing + sweeping proved every root pair; under
-                    # certify every merge proof was already RUP-checked.
-                    proof_checked = None
-                    if certify:
-                        proof_checked = sweep_stats.proofs_failed == 0
-                    cec_span.set(equivalent=True)
-                    return EquivalenceResult(
-                        True, compared=compared,
-                        encode_seconds=encode_seconds,
-                        encoding=encoding, hash_proven=hash_proven,
-                        proof_checked=proof_checked,
-                        proof_clauses=sweep_stats.proof_clauses,
-                        proof_bytes=sweep_stats.proof_bytes,
-                        proof_check_seconds=sweep_stats.proof_check_seconds,
-                        sweep_proven=sweep_proven,
-                        sweep_seconds=sweep_seconds)
-                # The sweep's refuted candidates appended distinguishing
-                # patterns to the stimulus — re-check the surviving pairs
-                # under the enriched batch.
-                start = time.perf_counter()
-                with tracer.span("cec.simcheck", patterns=num_patterns,
-                                 pairs=len(pairs),
-                                 post_sweep=True) as sim_span:
-                    sigs = aig_signatures(
-                        work_aig,
-                        [words[nid] for nid in aig.inputs],
-                        [words[nid] for nid in aig.latches],
-                        mask,
-                    )
-                    bit = _first_diff_bit(sigs, mask, pairs)
-                    sim_span.set(refuted=bit is not None)
-                encode_seconds += time.perf_counter() - start
-                if bit is not None:
-                    with tracer.span("cec.replay"):
-                        cex = _confirm_sim_refutation(
-                            before, after, words, pi_lits, latch_lits, bit)
-                    cec_span.set(equivalent=False, refuted_by="simulation")
-                    return EquivalenceResult(
-                        False, counterexample=cex, compared=compared,
-                        encode_seconds=encode_seconds, encoding=encoding,
-                        hash_proven=hash_proven,
-                        refuted_by_simulation=True,
-                        sweep_proven=sweep_proven,
-                        sweep_seconds=sweep_seconds)
-
-            # Parallel path: shard the surviving pairs across worker
-            # processes — stages 3–4 (encode, preprocess, seeded solve,
-            # per-shard certification) run independently per partition
-            # and the merged verdict returns here.  Restricted to the
-            # default solver and no caller-supplied proof log: a custom
-            # engine or a shared on-disk DRAT stream cannot cross the
-            # process boundary.
-            if (jobs > 1 and len(pairs) > 1 and proof is None
-                    and solver_factory is Solver):
-                options = PartitionOptions(structural=structural,
-                                           preprocess=preprocess,
-                                           certify=certify)
-                words_by_name = None
-                if num_patterns > 0:
-                    words_by_name = {
-                        name: words[lit >> 1]
-                        for name, lit in (*pi_lits.items(),
-                                          *latch_lits.items())
-                    }
-                start = time.perf_counter()
-                with tracer.span("cec.parallel", jobs=jobs,
-                                 pairs=len(pairs)) as par_span:
-                    verdict = solve_pairs_parallel(
-                        work_aig, pairs, in_lits, st_lits, jobs,
-                        options=options, words_by_name=words_by_name,
-                        num_patterns=num_patterns)
-                    par_span.set(partitions=verdict.partitions,
-                                 satisfiable=verdict.satisfiable)
-                solve_seconds = time.perf_counter() - start
-                if tracer.enabled:
-                    tracer.metrics.absorb("cec.solver",
-                                          verdict.stats.to_dict())
-                    tracer.metrics.histogram("cec.solve_seconds").observe(
-                        solve_seconds)
-                proof_clauses = verdict.proof_clauses
-                proof_bytes = verdict.proof_bytes
-                proof_check_seconds = verdict.proof_check_seconds
-                if sweep_stats is not None:
-                    proof_clauses += sweep_stats.proof_clauses
-                    proof_bytes += sweep_stats.proof_bytes
-                    proof_check_seconds += sweep_stats.proof_check_seconds
-                if not verdict.satisfiable:
-                    proof_checked = None
-                    if certify:
-                        proof_checked = (
-                            verdict.proof_checked is True
-                            and (sweep_stats is None
-                                 or sweep_stats.proofs_failed == 0))
-                    cec_span.set(equivalent=True)
-                    return EquivalenceResult(
-                        True, solver_stats=verdict.stats,
-                        compared=compared,
-                        encode_seconds=(encode_seconds
-                                        + verdict.encode_seconds),
-                        solve_seconds=verdict.solve_seconds,
-                        encoding=encoding,
-                        cnf_vars=verdict.cnf_vars,
-                        cnf_clauses=verdict.cnf_clauses,
-                        hash_proven=hash_proven,
-                        proof_checked=proof_checked,
-                        proof_clauses=proof_clauses,
-                        proof_bytes=proof_bytes,
-                        proof_check_seconds=proof_check_seconds,
-                        sweep_proven=sweep_proven,
-                        sweep_seconds=sweep_seconds,
-                        preprocessor=verdict.preprocessor,
-                        jobs=jobs, partitions=verdict.partitions)
-                inputs = {name: 0 for name in before.input_names()}
-                inputs.update(verdict.inputs or {})
-                state = dict(verdict.state or {})
+        # Stage 1: simulation refutation check.  Any random pattern a
+        # root pair disagrees on is already a complete counterexample.
+        # ``sim_patterns=0`` disables the check (and the signatures that
+        # auto-sweep and phase seeding feed on).
+        pairs = differing
+        work_aig = aig
+        in_lits, st_lits = pi_lits, latch_lits
+        words = None
+        if sim_patterns > 0:
+            rng = random.Random(seed)
+            leaves = list(aig.inputs) + list(aig.latches)
+            words = {nid: rng.getrandbits(sim_patterns) for nid in leaves}
+            num_patterns = sim_patterns
+            mask = (1 << num_patterns) - 1
+            start = time.perf_counter()
+            with tracer.span("cec.simcheck", patterns=num_patterns,
+                             pairs=len(pairs)) as sim_span:
+                sigs = aig_signatures(
+                    aig,
+                    [words[nid] for nid in aig.inputs],
+                    [words[nid] for nid in aig.latches],
+                    mask,
+                )
+                bit = _first_diff_bit(sigs, mask, pairs)
+                sim_span.set(refuted=bit is not None)
+            encode_seconds += time.perf_counter() - start
+            if bit is not None:
                 with tracer.span("cec.replay"):
-                    diffs = replay_counterexample(before, after, inputs,
-                                                  state)
-                if not diffs:
-                    raise CECError(
-                        "solver returned a model but simulation shows no "
-                        "disagreement (CNF encoding bug)"
-                    )
-                cec_span.set(equivalent=False)
-                cex = Counterexample(inputs=inputs, state=state,
-                                     diff=diffs)
+                    cex = _confirm_sim_refutation(
+                        before, after, words, pi_lits, latch_lits, bit)
+                cec_span.set(equivalent=False, refuted_by="simulation")
+                return EquivalenceResult(False, counterexample=cex,
+                                         compared=compared,
+                                         encode_seconds=encode_seconds,
+                                         hash_proven=hash_proven,
+                                         refuted_by_simulation=True)
+
+        # Stage 2: SAT-sweep the miter AIG — internal equivalences the
+        # unique table missed collapse under incremental SAT, and root
+        # pairs whose cones merge are proven without the top-level solve.
+        do_sweep = sweep if isinstance(sweep, bool) else (
+            sigs is not None and _sweep_worthwhile(aig, sigs, mask, pairs))
+        if do_sweep:
+            # Imported lazily: opt.fraig imports sat.cnf/proof/solver, so
+            # a module-level import here would be circular.
+            from ..opt.fraig import FraigStats, fraig_sweep_map
+            sweep_start = time.perf_counter()
+            sweep_stats = FraigStats()
+            with tracer.span("cec.sweep", ands=aig.num_ands,
+                             pairs=len(pairs)) as sweep_span:
+                # Stage 1's stimulus and signatures are handed to the
+                # sweep so its first round does not resimulate.
+                swept = fraig_sweep_map(
+                    aig, patterns=sim_patterns if sim_patterns > 0 else 64,
+                    seed=seed, stats=sweep_stats, certify=certify,
+                    words=words, signatures=sigs)
+                mapped = [(swept.map_lit(b), swept.map_lit(a))
+                          for b, a in pairs]
+                pairs = [(b, a) for b, a in mapped if b != a]
+                sweep_proven = len(mapped) - len(pairs)
+                sweep_span.set(sweep_proven=sweep_proven,
+                               remaining=len(pairs))
+            sweep_seconds = time.perf_counter() - sweep_start
+            work_aig = swept.aig
+            in_lits = {name: swept.map_lit(lit)
+                       for name, lit in pi_lits.items()}
+            st_lits = {name: swept.map_lit(lit)
+                       for name, lit in latch_lits.items()}
+            words = swept.words
+            num_patterns = swept.num_patterns
+            mask = (1 << num_patterns) - 1
+            cec_span.set(sweep_proven=sweep_proven)
+            if tracer.enabled:
+                tracer.metrics.absorb("cec.sweep", {
+                    "proven": sweep_stats.proven,
+                    "refuted": sweep_stats.refuted,
+                    "pairs_proven": sweep_proven,
+                })
+            if not pairs:
+                # Hashing + sweeping proved every root pair; under
+                # certify every merge proof was already RUP-checked.
+                proof_checked = None
+                if certify:
+                    proof_checked = sweep_stats.proofs_failed == 0
+                cec_span.set(equivalent=True)
                 return EquivalenceResult(
-                    False, counterexample=cex,
-                    solver_stats=verdict.stats, compared=compared,
-                    encode_seconds=(encode_seconds
-                                    + verdict.encode_seconds),
+                    True, compared=compared,
+                    encode_seconds=encode_seconds,
+                    hash_proven=hash_proven,
+                    proof_checked=proof_checked,
+                    proof_clauses=sweep_stats.proof_clauses,
+                    proof_bytes=sweep_stats.proof_bytes,
+                    proof_check_seconds=sweep_stats.proof_check_seconds,
+                    sweep_proven=sweep_proven,
+                    sweep_seconds=sweep_seconds)
+            # The sweep's refuted candidates appended distinguishing
+            # patterns to the stimulus — re-check the surviving pairs
+            # under the enriched batch.
+            start = time.perf_counter()
+            with tracer.span("cec.simcheck", patterns=num_patterns,
+                             pairs=len(pairs), post_sweep=True) as sim_span:
+                sigs = aig_signatures(
+                    work_aig,
+                    [words[nid] for nid in aig.inputs],
+                    [words[nid] for nid in aig.latches],
+                    mask,
+                )
+                bit = _first_diff_bit(sigs, mask, pairs)
+                sim_span.set(refuted=bit is not None)
+            encode_seconds += time.perf_counter() - start
+            if bit is not None:
+                with tracer.span("cec.replay"):
+                    cex = _confirm_sim_refutation(
+                        before, after, words, pi_lits, latch_lits, bit)
+                cec_span.set(equivalent=False, refuted_by="simulation")
+                return EquivalenceResult(
+                    False, counterexample=cex, compared=compared,
+                    encode_seconds=encode_seconds,
+                    hash_proven=hash_proven,
+                    refuted_by_simulation=True,
+                    sweep_proven=sweep_proven,
+                    sweep_seconds=sweep_seconds)
+
+        # Parallel path: shard the surviving pairs across worker
+        # processes — stages 3–4 (encode, preprocess, seeded solve,
+        # per-shard certification) run independently per partition and
+        # the merged verdict returns here.  A caller-supplied proof log
+        # (a shared on-disk DRAT stream) cannot cross the process
+        # boundary, so it keeps the serial path.
+        if jobs > 1 and len(pairs) > 1 and proof is None:
+            options = PartitionOptions(structural=structural,
+                                       preprocess=preprocess,
+                                       certify=certify)
+            words_by_name = None
+            if num_patterns > 0:
+                words_by_name = {
+                    name: words[lit >> 1]
+                    for name, lit in (*pi_lits.items(),
+                                      *latch_lits.items())
+                }
+            start = time.perf_counter()
+            with tracer.span("cec.parallel", jobs=jobs,
+                             pairs=len(pairs)) as par_span:
+                verdict = solve_pairs_parallel(
+                    work_aig, pairs, in_lits, st_lits, jobs,
+                    options=options, words_by_name=words_by_name,
+                    num_patterns=num_patterns)
+                par_span.set(partitions=verdict.partitions,
+                             satisfiable=verdict.satisfiable)
+            solve_seconds = time.perf_counter() - start
+            if tracer.enabled:
+                tracer.metrics.absorb("cec.solver", verdict.stats.to_dict())
+                tracer.metrics.histogram("cec.solve_seconds").observe(
+                    solve_seconds)
+            proof_clauses = verdict.proof_clauses
+            proof_bytes = verdict.proof_bytes
+            proof_check_seconds = verdict.proof_check_seconds
+            if sweep_stats is not None:
+                proof_clauses += sweep_stats.proof_clauses
+                proof_bytes += sweep_stats.proof_bytes
+                proof_check_seconds += sweep_stats.proof_check_seconds
+            if not verdict.satisfiable:
+                proof_checked = None
+                if certify:
+                    proof_checked = (
+                        verdict.proof_checked is True
+                        and (sweep_stats is None
+                             or sweep_stats.proofs_failed == 0))
+                cec_span.set(equivalent=True)
+                return EquivalenceResult(
+                    True, solver_stats=verdict.stats,
+                    compared=compared,
+                    encode_seconds=encode_seconds + verdict.encode_seconds,
                     solve_seconds=verdict.solve_seconds,
-                    encoding=encoding,
                     cnf_vars=verdict.cnf_vars,
                     cnf_clauses=verdict.cnf_clauses,
                     hash_proven=hash_proven,
+                    proof_checked=proof_checked,
                     proof_clauses=proof_clauses,
                     proof_bytes=proof_bytes,
+                    proof_check_seconds=proof_check_seconds,
                     sweep_proven=sweep_proven,
                     sweep_seconds=sweep_seconds,
                     preprocessor=verdict.preprocessor,
                     jobs=jobs, partitions=verdict.partitions)
+            inputs = {name: 0 for name in before.input_names()}
+            inputs.update(verdict.inputs or {})
+            state = dict(verdict.state or {})
+            with tracer.span("cec.replay"):
+                cex = _confirm_model(before, after, inputs, state)
+            cec_span.set(equivalent=False)
+            return EquivalenceResult(
+                False, counterexample=cex,
+                solver_stats=verdict.stats, compared=compared,
+                encode_seconds=encode_seconds + verdict.encode_seconds,
+                solve_seconds=verdict.solve_seconds,
+                cnf_vars=verdict.cnf_vars,
+                cnf_clauses=verdict.cnf_clauses,
+                hash_proven=hash_proven,
+                proof_clauses=proof_clauses,
+                proof_bytes=proof_bytes,
+                sweep_proven=sweep_proven,
+                sweep_seconds=sweep_seconds,
+                preprocessor=verdict.preprocessor,
+                jobs=jobs, partitions=verdict.partitions)
 
-            # Stage 3: structure-aware encoding of the surviving cones.
-            start = time.perf_counter()
-            cnf = CNF()
-            with tracer.span("cec.encode", design=before.name,
-                             pairs=len(pairs)) as span:
-                var_map, input_vars, state_vars = _encode_pairs(
-                    cnf, work_aig, pairs, in_lits, st_lits, structural)
-                span.set(cnf_vars=cnf.num_vars,
-                         cnf_clauses=len(cnf.clauses))
-            encode_seconds += time.perf_counter() - start
-        else:
-            cnf, input_vars, state_vars, compared_roots = \
-                build_miter(before, after)
-            compared, hash_proven = len(compared_roots), 0
-            encode_seconds = time.perf_counter() - start
-        cec_span.set(compared=compared, hash_proven=hash_proven,
-                     cnf_clauses=len(cnf.clauses))
+        # Stage 3: structure-aware encoding of the surviving cones.
+        start = time.perf_counter()
+        cnf = CNF()
+        with tracer.span("cec.encode", design=before.name,
+                         pairs=len(pairs)) as span:
+            var_map, input_vars, state_vars = _encode_pairs(
+                cnf, work_aig, pairs, in_lits, st_lits, structural)
+            span.set(cnf_vars=cnf.num_vars, cnf_clauses=len(cnf.clauses))
+        encode_seconds += time.perf_counter() - start
+        cec_span.set(cnf_clauses=len(cnf.clauses))
 
         if certify and proof is None:
             proof = ProofLog()
@@ -961,12 +826,10 @@ def check_equivalence(before: Netlist, after: Netlist,
         else:
             with tracer.span("cec.solve", cnf_vars=cnf.num_vars,
                              cnf_clauses=len(solve_clauses)) as solve_span:
-                solver = solver_factory(cnf.num_vars, solve_clauses)
+                solver = Solver(cnf.num_vars, solve_clauses)
                 if proof is not None:
-                    set_proof = getattr(solver, "set_proof", None)
-                    if set_proof is not None:
-                        set_proof(proof)
-                if sigs is not None and var_map:
+                    solver.set_proof(proof)
+                if sigs is not None:
                     # Stage 4: point the search where simulation and
                     # structure say the action is.
                     _seed_solver(solver, var_map, work_aig, sigs, mask,
@@ -1002,7 +865,6 @@ def check_equivalence(before: Netlist, after: Netlist,
                                      compared=compared,
                                      encode_seconds=encode_seconds,
                                      solve_seconds=solve_seconds,
-                                     encoding=encoding,
                                      cnf_vars=cnf.num_vars,
                                      cnf_clauses=len(cnf.clauses),
                                      hash_proven=hash_proven,
@@ -1016,8 +878,8 @@ def check_equivalence(before: Netlist, after: Netlist,
         assert result.model is not None
         # Eliminated variables are re-valued by replaying the
         # preprocessor's reconstruction stack; inputs outside every
-        # encoded cone (AIG path) carry no CNF variable, so the replay
-        # defaults them to 0.
+        # encoded cone carry no CNF variable, so the replay defaults them
+        # to 0.
         model = pre.reconstruct(result.model) if pre is not None \
             else result.model
         inputs = {name: 0 for name in before.input_names()}
@@ -1030,20 +892,13 @@ def check_equivalence(before: Netlist, after: Netlist,
             for name, var in state_vars.items()
         }
         with tracer.span("cec.replay"):
-            diffs = replay_counterexample(before, after, inputs, state)
-        if not diffs:
-            raise CECError(
-                "solver returned a model but simulation shows no "
-                "disagreement (CNF encoding bug)"
-            )
+            cex = _confirm_model(before, after, inputs, state)
         cec_span.set(equivalent=False)
-        cex = Counterexample(inputs=inputs, state=state, diff=diffs)
         return EquivalenceResult(False, counterexample=cex,
                                  solver_stats=result.stats,
                                  compared=compared,
                                  encode_seconds=encode_seconds,
                                  solve_seconds=solve_seconds,
-                                 encoding=encoding,
                                  cnf_vars=cnf.num_vars,
                                  cnf_clauses=len(cnf.clauses),
                                  hash_proven=hash_proven,

@@ -1,21 +1,16 @@
-"""CNF formulas and Tseitin encoding of netlist and AIG cones.
+"""CNF formulas and Tseitin encoding of AIG cones.
 
 Literals follow the DIMACS convention: variables are positive integers,
 ``v`` means *true*, ``-v`` means *false*.  :class:`CNF` is a plain clause
-container; :func:`encode_cone` walks the combinational cone of a set of
-root nets and emits the Tseitin clauses for every gate, treating primary
-inputs and flip-flop outputs as free variables supplied by the caller —
-which is what lets the miter construction share input variables between
-two netlists.
+container.  :func:`encode_aig_cone` encodes the cone of a set of AIG
+literals: every node is a two-input AND, so each costs exactly three
+clauses, inversion is free (a complemented edge is just a negated DIMACS
+literal), and the hash-consing the AIG performed at construction time
+has already merged shared structure.  Primary inputs and latches are
+leaf variables supplied by the caller, which is what lets incremental
+callers share them between calls.
 
-:func:`encode_aig_cone` is the AIG-native encoder: every node is a
-two-input AND, so each costs exactly three clauses, inversion is free (a
-complemented edge is just a negated DIMACS literal), and the hash-consing
-the AIG performed at construction time has already merged shared
-structure — the CNF the solver sees is a fraction of the gate-level
-encoding's size.
-
-The AIG encoder is additionally **structure-aware** (``structural=True``,
+The encoder is additionally **structure-aware** (``structural=True``,
 the default): AND nodes whose local shape spells XOR, MUX, or 3-input
 majority — the cells arithmetic lowers to, a full adder being one XOR3
 and one MAJ3 — are encoded as one direct constraint over their operand
@@ -31,7 +26,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 from ..aig import AIG, _match_mux, lit_compl, lit_node
-from ..logic import Gate, GateType, Netlist, NetlistError
 
 
 class CNF:
@@ -56,141 +50,6 @@ class CNF:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CNF(vars={self.num_vars}, clauses={len(self.clauses)})"
-
-
-# The gate encoders below append clause tuples directly: every literal they
-# emit comes from ``cnf.new_var()`` or an already-validated var map, so the
-# per-literal range check in ``add_clause`` would only burn time on the
-# hottest path of miter construction.
-
-
-def _equal(cnf: CNF, a: int, b: int) -> None:
-    clauses = cnf.clauses
-    clauses.append((-a, b))
-    clauses.append((a, -b))
-
-
-def _xor_clauses(cnf: CNF, y: int, a: int, b: int) -> None:
-    """y <-> a XOR b."""
-    clauses = cnf.clauses
-    clauses.append((-y, a, b))
-    clauses.append((-y, -a, -b))
-    clauses.append((y, -a, b))
-    clauses.append((y, a, -b))
-
-
-def _and_clauses(cnf: CNF, y: int, operands: list[int]) -> None:
-    """y <-> AND(operands)."""
-    clauses = cnf.clauses
-    for lit in operands:
-        clauses.append((-y, lit))
-    clauses.append((y,) + tuple(-lit for lit in operands))
-
-
-def _or_clauses(cnf: CNF, y: int, operands: list[int]) -> None:
-    """y <-> OR(operands)."""
-    clauses = cnf.clauses
-    for lit in operands:
-        clauses.append((y, -lit))
-    clauses.append((-y,) + tuple(operands))
-
-
-def _xor_chain(cnf: CNF, y: int, operands: list[int]) -> None:
-    """y <-> XOR(operands), decomposed into binary XORs with aux vars."""
-    acc = operands[0]
-    for lit in operands[1:-1]:
-        aux = cnf.new_var()
-        _xor_clauses(cnf, aux, acc, lit)
-        acc = aux
-    if len(operands) == 1:
-        _equal(cnf, y, acc)
-    else:
-        _xor_clauses(cnf, y, acc, operands[-1])
-
-
-def _mux_clauses(cnf: CNF, y: int, select: int, data0: int,
-                 data1: int) -> None:
-    """y <-> (select ? data1 : data0)."""
-    clauses = cnf.clauses
-    clauses.append((-select, -data1, y))
-    clauses.append((-select, data1, -y))
-    clauses.append((select, -data0, y))
-    clauses.append((select, data0, -y))
-    # Redundant but propagation-friendly: if both data pins agree, so does y.
-    clauses.append((-data0, -data1, y))
-    clauses.append((data0, data1, -y))
-
-
-def encode_gate(cnf: CNF, gate: Gate, y: int, operands: list[int]) -> None:
-    """Emit the Tseitin clauses asserting ``y <-> gate(operands)``."""
-    gtype = gate.gtype
-    if gtype == GateType.BUF:
-        _equal(cnf, y, operands[0])
-    elif gtype == GateType.NOT:
-        _equal(cnf, y, -operands[0])
-    elif gtype == GateType.AND:
-        _and_clauses(cnf, y, operands)
-    elif gtype == GateType.NAND:
-        _and_clauses(cnf, -y, operands)
-    elif gtype == GateType.OR:
-        _or_clauses(cnf, y, operands)
-    elif gtype == GateType.NOR:
-        _or_clauses(cnf, -y, operands)
-    elif gtype == GateType.XOR:
-        _xor_chain(cnf, y, operands)
-    elif gtype == GateType.XNOR:
-        _xor_chain(cnf, -y, operands)
-    elif gtype == GateType.MUX:
-        _mux_clauses(cnf, y, *operands)
-    else:
-        raise NetlistError(f"cannot encode gate type {gtype.value} into CNF")
-
-
-def encode_cone(cnf: CNF, netlist: Netlist, roots: Iterable[int],
-                leaf_var: Optional[Callable[[Gate], int]] = None,
-                var_map: Optional[dict[int, int]] = None
-                ) -> dict[int, int]:
-    """Tseitin-encode the combinational cone of ``roots`` into ``cnf``.
-
-    Returns a map from net id to CNF variable.  Primary inputs and flip-flop
-    outputs are cut points: their variables come from ``leaf_var`` (a fresh
-    variable per leaf by default), so two encodings can share leaves.
-    Constants become variables pinned by a unit clause.
-
-    ``var_map`` may carry the result of a previous call over the *same*
-    netlist: gates already present are skipped, so cones shared between
-    successive root sets (e.g. incremental per-output miters) are encoded
-    exactly once.  The map is updated in place and returned.
-    """
-    if leaf_var is None:
-        leaf_var = lambda gate: cnf.new_var()  # noqa: E731
-    cone = netlist.transitive_fanin(roots)
-    if var_map is None:
-        var_map = {}
-    gates = netlist.gates
-    operands: list[int] = []  # reused across gates to avoid reallocation
-    for gid in netlist.topological_order():
-        if gid not in cone or gid in var_map:
-            continue
-        gate = gates[gid]
-        if gate.gtype == GateType.INPUT or gate.is_register:
-            var_map[gid] = leaf_var(gate)
-        elif gate.gtype == GateType.CONST0:
-            var = cnf.new_var()
-            cnf.clauses.append((-var,))
-            var_map[gid] = var
-        elif gate.gtype == GateType.CONST1:
-            var = cnf.new_var()
-            cnf.clauses.append((var,))
-            var_map[gid] = var
-        else:
-            var = cnf.new_var()
-            operands.clear()
-            for f in gate.fanins:
-                operands.append(var_map[f])
-            encode_gate(cnf, gate, var, operands)
-            var_map[gid] = var
-    return var_map
 
 
 def aig_lit_sat(var_map: dict[int, int], lit: int) -> int:

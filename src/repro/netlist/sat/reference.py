@@ -1,4 +1,4 @@
-"""The original compact CDCL solver, retained as a reference oracle.
+"""The original compact CDCL solver, retained as the test oracle.
 
 This is the pre-arena engine: clauses live as Python lists-of-lists,
 watches in a dict keyed by literal, and decisions come from a linear scan
@@ -6,15 +6,11 @@ over variable activities.  It is algorithmically a CDCL solver (two
 watched literals, first-UIP learning, non-chronological backtracking,
 geometric restarts) but makes no attempt at constant-factor speed.
 
-It exists for two jobs:
-
-* **oracle** — the randomized solver tests cross-check the production
-  engine (:class:`repro.netlist.sat.solver.Solver`) against this one on
-  the same instances, so a bug has to appear in two independent
-  implementations to slip through;
-* **baseline** — ``scripts/bench.py`` solves the same miters with both
-  engines and writes the old-vs-new split to ``BENCH_sat.json``, which is
-  what makes solver-throughput regressions (or claimed speedups) visible.
+The randomized solver tests cross-check the production engine
+(:class:`repro.netlist.sat.solver.Solver`) against this one on the same
+instances — random 3-SAT with too many variables for brute force, and
+pigeonhole DRAT proofs — so a bug has to appear in two independent
+implementations to slip through.  No production path uses it.
 
 The incremental API mirrors the production solver: ``ensure_vars`` /
 ``add_clause`` / ``add_clauses`` between ``solve`` calls, assumptions as

@@ -53,9 +53,8 @@ materialized per clause, so one-shot callers (the CEC path) pay no
 intermediate copy.
 
 The original compact solver survives as
-:class:`repro.netlist.sat.reference.ReferenceSolver` — the randomized
-tests cross-check this engine against it, and ``scripts/bench.py``
-measures the old-vs-new split into ``BENCH_sat.json``.
+:class:`repro.netlist.sat.reference.ReferenceSolver`, retained as the
+test oracle: the randomized tests cross-check this engine against it.
 """
 
 from __future__ import annotations

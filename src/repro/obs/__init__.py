@@ -17,12 +17,12 @@ against this zero-dependency subsystem:
 * Exporters: :func:`write_chrome_trace` (Perfetto /
   ``chrome://tracing``-loadable JSON), :func:`ndjson_sink` (streaming
   structured log), :func:`profile_tree` (human self/total summary),
-  :func:`span_totals` (per-phase seconds, embedded in the BENCH_*.json
-  rows).
+  :func:`span_totals` (per-phase seconds, embedded in the CLI's JSON
+  report).
 
 The CLI exposes all three through ``--trace FILE.json``, ``-v`` /
-``--log-level``, and ``--profile``; ``scripts/bench.py`` runs every tier
-under a tracer.  The solver additionally emits MiniSat-style progress
+``--log-level``, and ``--profile``; ``perfbench/run.py --trace 1`` reads
+its per-layer timings from the same spans.  The solver additionally emits MiniSat-style progress
 events every N conflicts through a pluggable callback —
 :func:`attach_solver_progress` routes them into the current tracer.
 """

@@ -22,9 +22,9 @@ The ``equivalence`` block of a job record is byte-compatible with the
 CLI's ``--check --json`` report
 (:meth:`EquivalenceResult.to_report
 <repro.netlist.sat.cec.EquivalenceResult.to_report>`), so downstream
-tooling can consume either entry point.  ``scripts/bench.py --tier
-server`` measures the daemon end-to-end: jobs/sec, p50/p99 latency,
-worker-scaling and cache-hit rows land in ``BENCH_server.json``.
+tooling can consume either entry point.  The ``server_mix`` workload of
+``perfbench/run.py`` measures the daemon end-to-end: jobs/sec, latency
+and the alias, dedup and disk cache hits.
 """
 
 from .cache import (

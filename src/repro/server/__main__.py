@@ -28,13 +28,18 @@ def main(argv=None) -> int:
     parser.add_argument("--port", type=int, default=8347,
                         help="listen port (0 picks an ephemeral one)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: CPU count)")
+                        help="worker processes, a positive integer "
+                             "(default: CPU count)")
     parser.add_argument("--cache", default=None, metavar="DIR",
                         help="shared on-disk result cache directory")
     parser.add_argument("--trace", default=None, metavar="FILE",
                         help="write a Chrome trace of all jobs on "
                              "shutdown")
     args = parser.parse_args(argv)
+    if args.workers is not None and args.workers < 1:
+        print("error: --workers expects a positive integer",
+              file=sys.stderr)
+        return 1
     if args.cache:
         try:
             ResultCache(args.cache)

@@ -31,7 +31,6 @@ from typing import Optional
 #: are rejected at canonicalization time so a typo cannot silently alias
 #: two different requests onto one entry.
 OPTION_DEFAULTS = {
-    "encoding": "aig",
     "certify": False,
     "preprocess": True,
 }
@@ -50,7 +49,6 @@ def canonical_options(options: Optional[dict]) -> dict:
         raise ValueError(f"unknown verification options: {unknown}")
     canonical = dict(OPTION_DEFAULTS)
     canonical.update(options)
-    canonical["encoding"] = str(canonical["encoding"])
     canonical["certify"] = bool(canonical["certify"])
     canonical["preprocess"] = bool(canonical["preprocess"])
     return canonical

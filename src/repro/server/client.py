@@ -2,7 +2,7 @@
 
 :class:`ServerClient` wraps the daemon's four endpoints with plain
 :mod:`http.client` calls — no dependencies, safe to use from tests, CI
-smoke scripts, and ``scripts/bench.py``'s server tier.  ``submit`` +
+smoke scripts, and the ``server_mix`` benchmark workload.  ``submit`` +
 ``wait`` is the common round trip::
 
     client = ServerClient(port=8347)

@@ -60,7 +60,6 @@ def run_verify_job(payload: dict) -> dict:
                 else:
                     verdict = check_equivalence(
                         before, after,
-                        encoding=options["encoding"],
                         certify=options["certify"],
                         preprocess=options["preprocess"])
                     report = verdict.to_report(

@@ -171,7 +171,6 @@ def test_check_reports_encode_and_solve_time(alu_file):
     code, text = _run([alu_file, "--check", "--json"])
     assert code == 0
     equivalence = json.loads(text)["equivalence"]
-    assert equivalence["encoding"] == "aig"
     assert equivalence["encode_seconds"] > 0
     # The shared-AIG miter may prove every root pair by hashing, in which
     # case the solver never runs at all.
@@ -180,20 +179,16 @@ def test_check_reports_encode_and_solve_time(alu_file):
         assert equivalence["cnf_clauses"] > 0
 
 
-def test_check_gate_encoding_always_solves(alu_file):
-    code, text = _run([alu_file, "--check", "--encoding", "gate", "--json"])
-    assert code == 0
-    equivalence = json.loads(text)["equivalence"]
-    assert equivalence["encoding"] == "gate"
-    assert equivalence["hash_proven"] == 0
-    assert equivalence["encode_seconds"] > 0
-    assert equivalence["solve_seconds"] > 0
-    assert equivalence["cnf_clauses"] > 0
-
-
 def test_bad_cycles_diagnostic(alu_file, capsys):
     assert run([alu_file, "--cycles", "0"]) == 1
     assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_bad_jobs_diagnostic(alu_file, jobs, capsys):
+    assert run([alu_file, "--check", "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == \
+        "error: --jobs expects a positive integer\n"
 
 
 def test_ir_aig_stats(alu_file):
@@ -240,10 +235,12 @@ def test_emit_write_failure_is_diagnosed(alu_file, tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
-def test_check_prints_solver_stats_when_solving(alu_file):
-    # The gate encoding always reaches the solver, so the human-readable
-    # output must carry the search statistics line.
-    code, text = _run([alu_file, "--check", "--encoding", "gate"])
+def test_check_prints_solver_stats_when_solving(mult_pair):
+    # The two multipliers do not hash-merge, so the miter reaches the
+    # solver and the human-readable output must carry the search
+    # statistics line.
+    fa, fb = mult_pair
+    code, text = _run([fa, "--check-against", fb])
     assert code == 0
     assert "solver:" in text
     assert "conflicts" in text and "restarts" in text
@@ -261,10 +258,14 @@ def test_check_omits_solver_stats_when_hash_proven(alu_file):
     assert "solver:" not in text
 
 
-def test_check_json_carries_new_solver_counters(alu_file):
-    code, text = _run([alu_file, "--check", "--encoding", "gate", "--json"])
+def test_check_json_carries_new_solver_counters(mult_pair):
+    fa, fb = mult_pair
+    code, text = _run([fa, "--check-against", fb, "--json"])
     assert code == 0
-    solver = json.loads(text)["equivalence"]["solver"]
+    equivalence = json.loads(text)["equivalence"]
+    assert equivalence["hash_proven"] < equivalence["compared"]
+    solver = equivalence["solver"]
+    assert solver["propagations"] > 0
     for key in ("conflicts", "restarts", "lbd_sum", "reduced_clauses",
                 "gc_runs"):
         assert key in solver

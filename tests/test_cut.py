@@ -17,10 +17,12 @@ from repro.netlist import elaborate
 from repro.netlist.aig import AIG, from_netlist, to_netlist
 from repro.netlist.emit import netlist_to_verilog
 from repro.netlist.opt import (
+    FraigStats,
     build_truth,
     cut_truth,
     enumerate_cut_truths,
     enumerate_cuts,
+    fraig_sweep,
     map_aig,
     npn_canon,
     npn_canonical,
@@ -46,6 +48,8 @@ from repro.netlist.sim import aig_signatures, elementary_words
 from repro.obs import Tracer, use_tracer
 
 from test_opt import DESIGNS, DESIGN_IDS, _assert_equivalent
+from test_serialize import DESIGNS as BENCH_DESIGNS
+from test_serialize import _design_id, designs as bench_designs
 
 _MASK16 = 0xFFFF
 
@@ -491,6 +495,48 @@ def test_rewrite_reduces_wide_alu_beyond_strash_balance():
     rewritten = rewrite_aig(aig)
     assert rewritten.num_ands < aig.num_ands
     _assert_equivalent(netlist, to_netlist(rewritten))
+
+
+# ---------------------------------------------------------------------------
+# QoR floors on the benchmark generators (perfbench/designs.py)
+# ---------------------------------------------------------------------------
+
+
+def _bench_aig(factory, width):
+    design = factory(width)
+    return from_netlist(elaborate(design.src, top=design.top))
+
+
+@pytest.mark.parametrize("factory", BENCH_DESIGNS, ids=_design_id)
+def test_fraig_never_increases_live_ands(factory):
+    """Merges only redirect fanouts onto existing nodes, so the live AND
+    count can only shrink (adder 70 -> 68, ALU 275 -> 252, multiplier
+    300 -> 296 at W=6)."""
+    aig = _bench_aig(factory, 6)
+    stats = FraigStats()
+    fraig_sweep(aig, stats=stats)
+    assert stats.ands_before == aig.num_ands
+    assert stats.ands_after <= stats.ands_before
+
+
+def test_rewrite_removes_five_percent_of_the_benchmark_alu():
+    """The rewrite floor on the W=16 benchmark ALU: at least 5% of the
+    structurally hashed AND nodes go (755 -> 696, 7.8%, today)."""
+    aig = _bench_aig(bench_designs.alu, 16)
+    rewritten = rewrite_aig(aig)
+    assert rewritten.num_ands <= 0.95 * aig.num_ands
+
+
+def test_fraig_after_rewrite_makes_no_more_sat_checks():
+    """Rewriting first must not make the downstream SAT sweep work
+    harder on the W=16 benchmark ALU (58 -> 32 SAT checks today)."""
+    aig = _bench_aig(bench_designs.alu, 16)
+    checks = []
+    for graph in (aig, rewrite_aig(aig)):
+        stats = FraigStats()
+        fraig_sweep(graph, stats=stats)
+        checks.append(stats.sat_checks)
+    assert checks[1] <= checks[0]
 
 
 # ---------------------------------------------------------------------------

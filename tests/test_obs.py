@@ -27,6 +27,8 @@ from repro.obs import (
     write_chrome_trace,
 )
 
+from test_proof import MULT_A, MULT_B
+
 ALU = """
 module alu #(parameter W = 4) (
   input [W-1:0] a, input [W-1:0] b, input [1:0] op,
@@ -602,11 +604,12 @@ def test_pipeline_spans_cover_elaborate_opt_cec():
         result = optimize(netlist)
         verdict = check_equivalence(netlist, result.netlist)
         # The AIG miter hash-proves this workload without ever invoking
-        # the solver; the gate-level encoding has to solve, so it also
-        # exercises the solver-stats absorb path.
-        gate_verdict = check_equivalence(netlist, result.netlist,
-                                         encoding="gate")
-    assert verdict.equivalent and gate_verdict.equivalent
+        # the solver; the two multipliers do not hash-merge, so with the
+        # sweep off they also exercise the encode/solve spans and the
+        # solver-stats absorb path.
+        solved = check_equivalence(elaborate(MULT_A), elaborate(MULT_B),
+                                   sweep=False)
+    assert verdict.equivalent and solved.equivalent
     names = {r.name for r in tracer.spans()}
     assert {"elaborate", "elaborate.parse", "elaborate.lower",
             "optimize", "cec", "cec.lower", "cec.encode",

@@ -325,12 +325,15 @@ def test_check_equivalence_proof_stream(tmp_path):
     assert steps == proof.steps
 
 
-def test_check_equivalence_certify_with_reference_engine():
+def test_check_equivalence_certify_preprocessed():
+    # With the sweep off the whole differing cone reaches the CNF
+    # preprocessor, whose eliminations must stay inside the certified
+    # proof.
     before = elaborate(MULT_A)
     after = elaborate(MULT_B)
-    result = check_equivalence(before, after, certify=True,
-                               solver_factory=ReferenceSolver)
+    result = check_equivalence(before, after, certify=True, sweep=False)
     assert result.equivalent and result.proof_checked is True
+    assert result.preprocessor["eliminated_vars"] > 0
 
 
 def test_fraig_sweep_certify():

@@ -13,6 +13,7 @@ from repro.netlist import (
     InterpreterError,
     Netlist,
     elaborate,
+    from_netlist,
     simulate,
 )
 from repro.netlist.aig import aig_not
@@ -24,14 +25,14 @@ from repro.netlist.sat import (
     aig_lit_sat,
     check_equivalence,
     encode_aig_cone,
-    encode_cone,
     solve,
 )
 
 from test_elaborate import ALU
+from test_proof import MULT_A, MULT_B
 
 # ---------------------------------------------------------------------------
-# CNF / Tseitin encoding
+# CNF / Tseitin encoding of lowered gates
 # ---------------------------------------------------------------------------
 
 _GATE_CASES = [
@@ -49,24 +50,26 @@ _GATE_CASES = [
 @pytest.mark.parametrize("gtype,arity", _GATE_CASES,
                          ids=[f"{g.value}{n}" for g, n in _GATE_CASES])
 def test_gate_encoding_matches_simulator(gtype, arity):
-    """Exhaustive truth-table check: the CNF of one gate admits exactly the
-    assignments the bit-level simulator produces."""
+    """Exhaustive truth-table check: one gate lowered to the AIG and
+    encoded (with XOR/MUX matching) admits exactly the assignments the
+    bit-level simulator produces."""
     netlist = Netlist("g")
     inputs = [netlist.add_input(f"i{k}") for k in range(arity)]
     out = netlist.add_gate(gtype, inputs)
     netlist.add_output("y", out)
+    aig = from_netlist(netlist)
+    root = aig.output_lit("y")
+    leaf = {aig.node_name(nid): nid for nid in aig.inputs}
 
     for assignment in itertools.product((0, 1), repeat=arity):
         expected, _ = simulate(
             netlist, {f"i{k}": v for k, v in enumerate(assignment)})
         cnf = CNF()
-        var_map = encode_cone(cnf, netlist, [out])
-        units = [
-            (var_map[gid] if value else -var_map[gid],)
-            for gid, value in zip(inputs, assignment)
-        ]
+        var_map = encode_aig_cone(cnf, aig, [root])
+        pins = [var_map[leaf[f"i{k}"]] for k in range(arity)]
+        units = [(v if value else -v,) for v, value in zip(pins, assignment)]
         # Forcing the correct output value must be satisfiable...
-        y = var_map[out]
+        y = aig_lit_sat(var_map, root)
         ok = solve(cnf.num_vars,
                    cnf.clauses + units + [(y if expected["y"] else -y,)])
         assert ok.satisfiable
@@ -74,22 +77,6 @@ def test_gate_encoding_matches_simulator(gtype, arity):
         bad = solve(cnf.num_vars,
                     cnf.clauses + units + [(-y if expected["y"] else y,)])
         assert not bad.satisfiable
-
-
-def test_encode_cone_shares_leaves_between_calls():
-    netlist = Netlist("t")
-    a = netlist.add_input("a")
-    y = netlist.make_not(a)
-    netlist.add_output("y", y)
-    cnf = CNF()
-    shared = cnf.new_var()
-    m1 = encode_cone(cnf, netlist, [y], lambda gate: shared)
-    m2 = encode_cone(cnf, netlist, [y], lambda gate: shared)
-    assert m1[a] == m2[a] == shared
-    # The two encodings of NOT(a) over the same leaf must agree:
-    diff = solve(cnf.num_vars, cnf.clauses + [(m1[y], m2[y]),
-                                              (-m1[y], -m2[y])])
-    assert not diff.satisfiable
 
 
 def test_cnf_rejects_unknown_literals():
@@ -299,44 +286,18 @@ def test_interpreter_state_injection_validates():
 
 
 def test_solver_stats_surface_through_equivalence_result():
-    before = elaborate(COUNTER, top="counter")
-    after = optimize(before).netlist
-    # The gate-level encoding always goes through the solver.
-    verdict = check_equivalence(before, after, encoding="gate")
+    # The two multipliers do not hash-merge, and with the sweep off the
+    # differing root pairs go straight to the solver.
+    before = elaborate(MULT_A)
+    after = elaborate(MULT_B)
+    verdict = check_equivalence(before, after, sweep=False)
     assert verdict.equivalent
-    assert verdict.encoding == "gate"
+    assert verdict.hash_proven < verdict.compared
     stats = verdict.solver_stats.to_dict()
     assert stats["propagations"] > 0
     assert verdict.encode_seconds > 0
     assert verdict.solve_seconds > 0
     assert verdict.cnf_clauses > 0
-    # The AIG miter proves what it can by hashing; whatever reaches the
-    # solver is a strictly smaller CNF.
-    aig_verdict = check_equivalence(before, after)
-    assert aig_verdict.equivalent
-    assert aig_verdict.encoding == "aig"
-    assert 0 <= aig_verdict.hash_proven <= aig_verdict.compared
-    assert aig_verdict.cnf_clauses < verdict.cnf_clauses
-
-
-def test_encode_cone_var_map_reuse_skips_shared_cones():
-    netlist = Netlist("t")
-    a = netlist.add_input("a")
-    b = netlist.add_input("b")
-    shared = netlist.make_and(a, b)
-    y = netlist.make_not(shared)
-    z = netlist.make_xor(shared, a)
-    netlist.add_output("y", y)
-    netlist.add_output("z", z)
-    cnf = CNF()
-    var_map = encode_cone(cnf, netlist, [y])
-    clauses_after_first = len(cnf.clauses)
-    shared_var = var_map[shared]
-    # Second call over a root sharing the AND cone: only XOR clauses added,
-    # and the shared gate keeps its variable.
-    encode_cone(cnf, netlist, [z], var_map=var_map)
-    assert var_map[shared] == shared_var
-    assert len(cnf.clauses) == clauses_after_first + 4  # binary XOR only
 
 
 def test_miter_of_gate_free_design():
@@ -400,38 +361,6 @@ def test_aig_miter_hash_proves_commuted_operands():
     assert verdict.solve_seconds == 0.0
 
 
-def test_aig_and_gate_encodings_agree_on_refutation():
-    good = elaborate(ALU, top="alu")
-    bad = elaborate(ALU.replace("a ^ b", "a ^ ~b"), top="alu")
-    for encoding in ("aig", "gate"):
-        verdict = check_equivalence(good, bad, encoding=encoding)
-        assert not verdict.equivalent
-        assert verdict.counterexample is not None
-        assert verdict.counterexample.diff  # replay confirmed it
-        assert verdict.encoding == encoding
-
-
-def test_aig_miter_cnf_smaller_than_gate_miter():
-    before = elaborate(ALU, top="alu")
-    after = elaborate(ALU, top="alu")
-    # Perturb `after` so the miter actually reaches the solver: re-express
-    # one output bit through an inverter pair the AIG folds away.
-    net = after.output_net("y[0]")
-    doubled = after.make_not(after.make_not(net))
-    after.outputs[after.output_names().index("y[0]")] = ("y[0]", doubled)
-    after._output_index["y[0]"] = doubled
-    gate = check_equivalence(before, after, encoding="gate")
-    aig = check_equivalence(before, after, encoding="aig")
-    assert gate.equivalent and aig.equivalent
-    assert aig.cnf_clauses < gate.cnf_clauses
-
-
-def test_unknown_encoding_rejected():
-    netlist = _and_xor_netlist()
-    with pytest.raises(ValueError, match="'aig', 'gate'"):
-        check_equivalence(netlist, netlist, encoding="bdd")
-
-
 # ---------------------------------------------------------------------------
 # Incremental solver: assumptions, added clauses, reuse
 # ---------------------------------------------------------------------------
@@ -487,59 +416,6 @@ def test_solver_assumption_gated_miters():
     assert solver.solve(assumptions=(4,)).satisfiable
     assert not solver.solve(assumptions=(3,)).satisfiable
     assert solver.solve().satisfiable
-
-
-# ---------------------------------------------------------------------------
-# Solver-factory parity: the reference engine through the same workloads
-# ---------------------------------------------------------------------------
-
-
-def test_check_equivalence_accepts_a_solver_factory():
-    from repro.netlist.sat import ReferenceSolver
-
-    netlist = elaborate(ALU, top="alu")
-    optimized = optimize(netlist).netlist
-    production = check_equivalence(netlist, optimized, encoding="gate")
-    reference = check_equivalence(netlist, optimized, encoding="gate",
-                                  solver_factory=ReferenceSolver)
-    assert production.equivalent and reference.equivalent
-    # Both engines really solved (the gate encoding cannot hash-prove).
-    assert production.solver_stats.propagations > 0
-    assert reference.solver_stats.propagations > 0
-
-
-def test_solver_factories_agree_on_a_refutation():
-    from repro.netlist.sat import ReferenceSolver
-
-    source = """
-module tiny(input a, input b, output y);
-  assign y = a & b;
-endmodule
-"""
-    broken = """
-module tiny(input a, input b, output y);
-  assign y = a | b;
-endmodule
-"""
-    before = elaborate(source, top="tiny")
-    after = elaborate(broken, top="tiny")
-    for factory in (Solver, ReferenceSolver):
-        verdict = check_equivalence(before, after, solver_factory=factory)
-        assert not verdict.equivalent
-        assert verdict.counterexample is not None
-        assert verdict.counterexample.diff
-
-
-def test_fraig_sweep_accepts_a_solver_factory():
-    from repro.netlist import from_netlist, to_netlist
-    from repro.netlist.opt import fraig_sweep
-    from repro.netlist.sat import ReferenceSolver
-
-    netlist = elaborate(ALU, top="alu")
-    for factory in (Solver, ReferenceSolver):
-        swept = to_netlist(fraig_sweep(from_netlist(netlist), patterns=8,
-                                       solver_factory=factory))
-        assert check_equivalence(netlist, swept).equivalent
 
 
 # ---------------------------------------------------------------------------

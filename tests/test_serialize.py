@@ -10,14 +10,15 @@ properties of :class:`Netlist` and :class:`AIG`:
   because it keys the service layer's result cache.
 
 The designs under test are the benchmark generators themselves
-(``scripts/bench.py``), so every shape the perf suite exercises is also
-covered here.
+(``perfbench/designs.py``, loaded read-only by path), so every shape the
+benchmark exercises is also covered here.
 """
 
 import importlib.util
 import os
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -32,22 +33,29 @@ from repro.netlist.logic import Netlist
 from repro.netlist.sat import check_equivalence
 from repro.netlist.sim import input_word_widths
 
-_BENCH = os.path.join(os.path.dirname(__file__), os.pardir,
-                      "scripts", "bench.py")
-_spec = importlib.util.spec_from_file_location("_bench_designs", _BENCH)
-_bench = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_bench)
+_DESIGNS_PY = os.path.join(os.path.dirname(__file__), os.pardir,
+                           "perfbench", "designs.py")
+_spec = importlib.util.spec_from_file_location("_perfbench_designs",
+                                               _DESIGNS_PY)
+designs = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = designs  # dataclasses resolve annotations here
+_spec.loader.exec_module(designs)
 
-DESIGNS = _bench.DESIGNS
+DESIGNS = [designs.adder, designs.muxtree, designs.counter, designs.alu,
+           designs.multiplier, designs.shift_add_multiplier]
 WIDTH = 4
 
 
+def _design_id(factory):
+    return f"{factory.__name__}_design"
+
+
 def _elaborated(factory, width=WIDTH):
-    name, src, _ = factory(width)
-    return src, name, elaborate(src, top=name)
+    design = factory(width)
+    return design.src, design.top, elaborate(design.src, top=design.top)
 
 
-@pytest.fixture(params=DESIGNS, ids=lambda f: f.__name__)
+@pytest.fixture(params=DESIGNS, ids=_design_id)
 def design(request):
     return _elaborated(request.param)
 
@@ -109,7 +117,7 @@ def test_content_hash_stable_under_reelaboration(design):
     assert variant.content_hash() == netlist.content_hash()
 
 
-@pytest.mark.parametrize("factory", DESIGNS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("factory", DESIGNS, ids=_design_id)
 def test_content_hash_changes_on_width_mutation(factory):
     _, _, narrow = _elaborated(factory, WIDTH)
     _, _, wide = _elaborated(factory, WIDTH + 1)
@@ -117,9 +125,9 @@ def test_content_hash_changes_on_width_mutation(factory):
 
 
 def test_content_hash_changes_on_semantic_mutation():
-    _, _, good = _elaborated(_bench.shift_add_multiplier_design)
-    name, src, _ = _bench.shift_add_multiplier_design(WIDTH)
-    broken = elaborate(src.replace("a * b", "a * b + 1"), top=name)
+    _, _, good = _elaborated(designs.shift_add_multiplier)
+    bug = designs.shift_add_multiplier(WIDTH, bug=True)
+    broken = elaborate(bug.src, top=bug.top)
     assert broken.content_hash() != good.content_hash()
     # The AIG-level hash must split them too (it keys FRAIG-side reuse).
     assert from_netlist(broken).content_hash() \

@@ -67,13 +67,16 @@ def test_canonical_options_drops_jobs():
 
 
 def test_canonical_options_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        canonical_options({"encodng": "aig"})
+    # "encoding" is a retired option: the miter is always the shared AIG.
+    for options in ({"certfy": True}, {"encoding": "aig"}):
+        with pytest.raises(ValueError,
+                           match="unknown verification options"):
+            canonical_options(options)
 
 
 def test_canonical_options_coerces_and_orders():
-    a = canonical_options({"certify": 1, "encoding": "aig"})
-    b = canonical_options({"encoding": "aig", "certify": True})
+    a = canonical_options({"certify": 1, "preprocess": 0})
+    b = canonical_options({"preprocess": False, "certify": True})
     assert a == b
     assert a["certify"] is True
 
@@ -161,6 +164,15 @@ def test_server_main_rejects_an_unusable_cache_directory(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: cannot use cache directory '{path}': " \
         "not a directory\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_server_main_rejects_non_positive_workers(workers, capsys):
+    from repro.server.__main__ import main
+
+    assert main(["--port", "0", "--workers", workers]) == 1
+    assert capsys.readouterr().err == \
+        "error: --workers expects a positive integer\n"
 
 
 # ---------------------------------------------------------------------------

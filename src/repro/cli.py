@@ -159,7 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="solve the miter's root pairs in up to N (>= 1) worker "
              "processes during --check (fanin-cone-balanced partitions; "
              "the first refuting worker cancels its siblings, and "
-             "--certify still RUP-checks every worker's proof)")
+             "--certify still RUP-checks every worker's proof); "
+             "--solve-log keeps the solve in one process, because its "
+             "DRAT stream cannot cross processes")
     parser.add_argument(
         "--cache", metavar="DIR",
         help="consult (and fill) the content-hash result cache in DIR "
@@ -342,7 +344,8 @@ def _execute(args, out, tracer) -> int:
                 raise CLIError(
                     f"cannot write '{args.solve_log}': "
                     f"{exc.strerror}") from exc
-        if args.certify or args.solve_log:
+            # The streamed log keeps the solve in this process;
+            # --certify alone lets every --jobs worker certify its shard.
             proof = ProofLog(stream=log_handle)
         # The on-disk content-hash cache (shared with repro.server):
         # when the exact pair + options was verified before, serve the

@@ -18,8 +18,7 @@ verification"):
    source AIG under the round's counterexamples so far (one packed bit
    each, evaluated lazily up to the current node and redone only when a
    new counterexample lands): a pair they already separate is refuted
-   without a SAT call (:attr:`FraigStats.sim_refuted`; serial rounds
-   only — with ``jobs > 1`` a round's candidates are solved as collected);
+   without a SAT call (:attr:`FraigStats.sim_refuted`);
 5. repeat until a rebuild completes with no refuted candidates — the
    next round's signatures include every counterexample, so the classes
    they split are refined for good.
@@ -135,7 +134,6 @@ def fraig_sweep(aig: AIG, patterns: int = 64, max_rounds: int = 16,
                 seed: int = 2022,
                 stats: Optional[FraigStats] = None,
                 certify: bool = False,
-                jobs: int = 1,
                 words: Optional[dict[int, int]] = None,
                 signatures=None) -> AIG:
     """Rebuild ``aig`` with all SAT-provably-equivalent nodes merged.
@@ -156,10 +154,6 @@ def fraig_sweep(aig: AIG, patterns: int = 64, max_rounds: int = 16,
     changed — a rejected proof counts in ``proofs_failed`` and the
     caller decides how loudly to fail.
 
-    ``jobs > 1`` proves each round's merge candidates in up to ``jobs``
-    worker processes instead of one shared solver — see
-    :func:`fraig_sweep_map`.
-
     ``words`` / ``signatures`` let a caller that has *already* simulated
     the graph (the CEC path, a rewrite pipeline that computed packed
     signatures) hand its stimulus and round-1 node signatures in, so the
@@ -167,8 +161,7 @@ def fraig_sweep(aig: AIG, patterns: int = 64, max_rounds: int = 16,
     :func:`fraig_sweep_map`.
     """
     return fraig_sweep_map(aig, patterns=patterns, max_rounds=max_rounds,
-                           seed=seed, stats=stats,
-                           certify=certify, jobs=jobs,
+                           seed=seed, stats=stats, certify=certify,
                            words=words, signatures=signatures).aig
 
 
@@ -176,7 +169,6 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, max_rounds: int = 16,
                     seed: int = 2022,
                     stats: Optional[FraigStats] = None,
                     certify: bool = False,
-                    jobs: int = 1,
                     words: Optional[dict[int, int]] = None,
                     signatures=None) -> SweepResult:
     """The class-refinement core behind :func:`fraig_sweep`.
@@ -189,18 +181,6 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, max_rounds: int = 16,
     implement identically (but with different structure, so hashing
     missed them) merge here, every merge certified the same way FRAIG
     certifies its own, and the final solve sees a collapsed cone.
-
-    With ``jobs > 1`` each round's candidate proofs run sharded across
-    worker processes
-    (:func:`~repro.netlist.sat.partition.solve_sweep_parallel`): the
-    round first rebuilds without solving to collect its candidate pairs,
-    the workers prove or refute them independently (each on its own
-    incremental solver over its shard's cones, per-merge certification
-    included), and the proofs feed the ``proven`` cache so the *next*
-    rebuild applies the merges.  Merges still happen only on UNSAT
-    proofs, so the result is correct regardless of scheduling; deferring
-    them by one rebuild can only change how many rounds the fixpoint
-    takes.
 
     ``words`` (a leaf-node-id to packed-stimulus dict holding
     ``patterns`` bits per leaf) replaces the seeded random stimulus, and
@@ -231,11 +211,6 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, max_rounds: int = 16,
     #: meaning ``node == rep ^ phase``.  Survives across rounds so a
     #: re-rebuild never re-solves a settled pair.
     proven: dict[tuple[int, int], int] = {}
-
-    if jobs > 1:
-        return _fraig_sweep_parallel(aig, max_rounds, stats, words,
-                                     num_patterns, certify, jobs,
-                                     signatures=signatures)
 
     with tracer.span("fraig", ands=aig.num_ands, patterns=patterns,
                      seed=seed) as sweep_span:
@@ -443,172 +418,3 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, max_rounds: int = 16,
             tracer.metrics.absorb("fraig.solver", stats.solver.to_dict())
     return SweepResult(new, lit_map, words, num_patterns, stats)
 
-
-def _rebuild_and_collect(aig: AIG, sigs, mask: int, leaves: list[int],
-                         proven: dict[tuple[int, int], int]
-                         ) -> tuple[AIG, dict[int, int],
-                                    list[tuple[int, int, int, int, int]]]:
-    """One solver-free rebuild pass: apply cached proven merges, collect
-    the merge candidates a serial round would SAT-check.
-
-    Returns ``(new, lit_map, candidates)`` with each candidate as
-    ``(built_lit, cand_lit, rep, nid, delta)`` — literals over ``new``,
-    node ids over ``aig``, ``delta`` the phase to record in ``proven`` on
-    an UNSAT verdict.
-    """
-    new = AIG(name=aig.name)
-    lit_map: dict[int, int] = {0: 0}
-    for nid in aig.inputs:
-        lit_map[nid] = new.add_input(aig.node_name(nid) or f"pi_{nid}")
-    for nid in aig.latches:
-        lit_map[nid] = new.add_latch(aig.node_name(nid) or f"latch_{nid}")
-
-    def mlit(lit: int) -> int:
-        return lit_map[lit >> 1] ^ (lit & 1)
-
-    rep: dict[int, int] = {0: 0}
-    phase_of = {0: 0}
-    candidates: list[tuple[int, int, int, int, int]] = []
-    for nid in leaves:
-        sig = sigs[nid]
-        key = min(sig, sig ^ mask)
-        rep.setdefault(key, nid)
-        if rep[key] == nid:
-            phase_of[nid] = 1 if sig != key else 0
-    for nid in range(1, aig.num_nodes):
-        if not aig.is_and(nid):
-            continue
-        f0, f1 = aig.fanins(nid)
-        built = new.aig_and(mlit(f0), mlit(f1))
-        lit_map[nid] = built
-        sig = sigs[nid]
-        key = min(sig, sig ^ mask)
-        phase = 1 if sig != key else 0
-        r = rep.get(key)
-        if r is None:
-            rep[key] = nid
-            phase_of[nid] = phase
-            continue
-        if r == nid:
-            continue
-        candidate = lit_map[r] ^ phase ^ phase_of[r]
-        if built == candidate:
-            continue
-        cached = proven.get((r, nid))
-        if cached is not None:
-            lit_map[nid] = lit_map[r] ^ cached
-            continue
-        candidates.append((built, candidate, r, nid,
-                           phase ^ phase_of[r]))
-    for nid in aig.latches:
-        if nid in aig._next:
-            new.set_next(lit_map[nid], mlit(aig._next[nid]))
-    for name, lit in aig.outputs:
-        new.add_output(name, mlit(lit))
-    return new, lit_map, candidates
-
-
-def _fraig_sweep_parallel(aig: AIG, max_rounds: int, stats: FraigStats,
-                          words: dict[int, int], num_patterns: int,
-                          certify: bool, jobs: int,
-                          signatures=None) -> SweepResult:
-    """Parallel round loop of :func:`fraig_sweep_map` (``jobs > 1``).
-
-    Each round rebuilds without solving, ships the candidate list to
-    :func:`~repro.netlist.sat.partition.solve_sweep_parallel`, folds the
-    verdicts back (UNSAT → ``proven`` cache, SAT → stimulus pattern) and
-    iterates until a rebuild surfaces no unsettled candidates.
-    """
-    # Imported lazily, same cycle as the sat package's fraig import.
-    from ..sat.partition import solve_sweep_parallel
-
-    tracer = get_tracer()
-    leaves = list(aig.inputs) + list(aig.latches)
-    leaf_by_name = {
-        (aig.node_name(nid) or f"pi_{nid}"): nid for nid in leaves}
-    proven: dict[tuple[int, int], int] = {}
-
-    with tracer.span("fraig", ands=aig.num_ands, jobs=jobs,
-                     patterns=num_patterns) as sweep_span:
-        new = aig
-        lit_map: dict[int, int] = {
-            nid: nid << 1 for nid in range(aig.num_nodes)}
-        dirty = False
-        for round_no in range(1, max_rounds + 1):
-            stats.rounds += 1
-            mask = (1 << num_patterns) - 1
-            with tracer.span("fraig.round", round=round_no,
-                             patterns=num_patterns,
-                             jobs=jobs) as round_span:
-                if round_no == 1 and signatures is not None:
-                    sigs = signatures
-                else:
-                    with tracer.span("fraig.signatures",
-                                     patterns=num_patterns):
-                        sigs = aig_signatures(
-                            aig,
-                            [words[nid] for nid in aig.inputs],
-                            [words[nid] for nid in aig.latches],
-                            mask,
-                        )
-                new, lit_map, cands = _rebuild_and_collect(
-                    aig, sigs, mask, leaves, proven)
-                dirty = False
-                if not cands:
-                    round_span.set(sat_checks=0)
-                    break
-                reply = solve_sweep_parallel(
-                    new, [(built, cand) for built, cand, *_ in cands],
-                    jobs, certify=certify)
-                stats.sat_checks += len(cands)
-                stats.solver.accumulate(reply["stats"])
-                stats.proofs_checked += reply["proofs_checked"]
-                stats.proofs_failed += reply["proofs_failed"]
-                stats.proof_clauses += reply["proof_clauses"]
-                stats.proof_bytes += reply["proof_bytes"]
-                stats.proof_check_seconds += reply["proof_check_seconds"]
-                proven_now = refuted_now = 0
-                for (built, cand, r, nid, delta), verdict in zip(
-                        cands, reply["verdicts"]):
-                    if verdict["proven"]:
-                        proven[(r, nid)] = delta
-                        proven_now += 1
-                        dirty = True
-                    else:
-                        # Distinguishing pattern: extend the stimulus so
-                        # next round's signatures split the class.
-                        for name, bit in verdict["model"].items():
-                            leaf = leaf_by_name.get(name)
-                            if leaf is not None and bit:
-                                words[leaf] |= 1 << num_patterns
-                        num_patterns += 1
-                        refuted_now += 1
-                stats.proven += proven_now
-                stats.refuted += refuted_now
-                round_span.set(sat_checks=len(cands), proven=proven_now,
-                               refuted=refuted_now,
-                               partitions=reply["partitions"])
-        if dirty:
-            # The loop ended right after a round that proved merges —
-            # one more solver-free rebuild applies them.
-            mask = (1 << num_patterns) - 1
-            sigs = aig_signatures(
-                aig,
-                [words[nid] for nid in aig.inputs],
-                [words[nid] for nid in aig.latches],
-                mask,
-            )
-            new, lit_map, _ = _rebuild_and_collect(aig, sigs, mask,
-                                                   leaves, proven)
-        stats.ands_after = sum(
-            1 for nid in new.cone(new.and_roots()) if new.is_and(nid))
-        sweep_span.set(rounds=stats.rounds, sat_checks=stats.sat_checks,
-                       proven=stats.proven, refuted=stats.refuted,
-                       ands_after=stats.ands_after)
-        if tracer.enabled:
-            tracer.metrics.absorb("fraig", {
-                "rounds": stats.rounds, "sat_checks": stats.sat_checks,
-                "proven": stats.proven, "refuted": stats.refuted,
-            })
-            tracer.metrics.absorb("fraig.solver", stats.solver.to_dict())
-    return SweepResult(new, lit_map, words, num_patterns, stats)

@@ -25,17 +25,12 @@ from .cec import (
     CECError,
     Counterexample,
     EquivalenceResult,
+    ShardVerdict,
     check_equivalence,
     replay_counterexample,
 )
 from .cnf import CNF, aig_lit_sat, encode_aig_cone
-from .partition import (
-    PartitionedVerdict,
-    PartitionOptions,
-    extract_cone,
-    partition_pairs,
-    solve_pairs_parallel,
-)
+from .partition import extract_cone, partition_pairs, solve_pairs_parallel
 from .preprocess import PreprocessResult, PreprocessStats, preprocess
 from .proof import (
     DratCheckResult,
@@ -51,13 +46,12 @@ __all__ = [
     "CECError",
     "Counterexample",
     "EquivalenceResult",
+    "ShardVerdict",
     "check_equivalence",
     "replay_counterexample",
     "CNF",
     "aig_lit_sat",
     "encode_aig_cone",
-    "PartitionOptions",
-    "PartitionedVerdict",
     "extract_cone",
     "partition_pairs",
     "solve_pairs_parallel",

@@ -70,10 +70,9 @@ from ..elaborate import _split_bit_name
 from ..logic import Netlist
 from ..sim import aig_signatures, simulate_compiled
 from .cnf import CNF, aig_lit_sat, encode_aig_cone
-from .partition import PartitionOptions, solve_pairs_parallel
 from .preprocess import preprocess as simplify_cnf
 from .proof import ProofLog, check_drat
-from .solver import Solver, SolverResult, SolverStats
+from .solver import Solver, SolverStats
 
 #: ``sweep="auto"`` runs the miter sweep only on differing cones at least
 #: this many AND nodes large — smaller miters solve faster than they
@@ -138,7 +137,9 @@ class EquivalenceResult:
     #: Number of (output + next-state) functions compared by the miter.
     compared: int = 0
     #: Wall time spent building the miter (lowering, simulation checks,
-    #: Tseitin encoding) vs solving it.
+    #: Tseitin encoding) vs solving it.  CNF preprocessing counts in
+    #: neither: its time is ``preprocessor["seconds"]``.  With a process
+    #: pool the encode and solve times are the slowest shard's.
     encode_seconds: float = 0.0
     solve_seconds: float = 0.0
     #: Size of the CNF handed to the solver (before preprocessing).
@@ -169,9 +170,10 @@ class EquivalenceResult:
     #: a dict when CNF preprocessing ran, else None.
     preprocessor: Optional[dict] = None
     #: Worker-process count requested (``jobs=``) and the number of
-    #: independent miter partitions actually solved.  ``partitions`` is 0
+    #: miter partitions the process pool solved.  Both stay at 1 / 0
     #: when the staged pipeline settled the verdict before the solve
-    #: (hash/sweep-proven, simulation-refuted) or the serial path ran.
+    #: (hash/sweep-proven, simulation-refuted) or the solve ran in
+    #: process.
     jobs: int = 1
     partitions: int = 0
 
@@ -355,32 +357,28 @@ def _first_diff_bit(sigs, mask: int,
     return None
 
 
-def _pattern_assignment(words: dict[int, int], pi_lits: dict[str, int],
-                        latch_lits: dict[str, int], bit: int
-                        ) -> tuple[dict[str, int], dict[str, int]]:
-    """Extract stimulus pattern ``bit`` as named input/state assignments."""
+def _refute_by_pattern(result: EquivalenceResult, before: Netlist,
+                       after: Netlist, words: dict[int, int],
+                       pi_lits: dict[str, int], latch_lits: dict[str, int],
+                       bit: int) -> EquivalenceResult:
+    """Replay a simulation-found distinguishing pattern into ``result`` as
+    a confirmed :class:`Counterexample` (same guard as the solver path)."""
     inputs = {name: (words[lit >> 1] >> bit) & 1
               for name, lit in pi_lits.items()}
     state = {name: (words[lit >> 1] >> bit) & 1
              for name, lit in latch_lits.items()}
-    return inputs, state
-
-
-def _confirm_sim_refutation(before: Netlist, after: Netlist,
-                            words: dict[int, int],
-                            pi_lits: dict[str, int],
-                            latch_lits: dict[str, int],
-                            bit: int) -> Counterexample:
-    """Replay a simulation-found distinguishing pattern into a confirmed
-    :class:`Counterexample` (same guard as the solver path)."""
-    inputs, state = _pattern_assignment(words, pi_lits, latch_lits, bit)
-    diffs = replay_counterexample(before, after, inputs, state)
+    with get_tracer().span("cec.replay"):
+        diffs = replay_counterexample(before, after, inputs, state)
     if not diffs:
         raise CECError(
             "miter simulation disagrees but netlist replay does not "
             "(AIG lowering bug)"
         )
-    return Counterexample(inputs=inputs, state=state, diff=diffs)
+    result.equivalent = False
+    result.refuted_by_simulation = True
+    result.counterexample = Counterexample(inputs=inputs, state=state,
+                                           diff=diffs)
+    return result
 
 
 def _confirm_model(before: Netlist, after: Netlist,
@@ -481,6 +479,118 @@ def replay_counterexample(before: Netlist, after: Netlist,
     return diffs
 
 
+@dataclass
+class ShardVerdict:
+    """Stage-3/4 outcome for one group of root pairs (:func:`_solve_shard`).
+
+    Plain picklable data, so it crosses the process boundary unchanged
+    when the shard was solved by a pool worker.
+    """
+
+    satisfiable: bool
+    #: Named input / state assignment of the model (SAT only).
+    inputs: Optional[dict[str, int]] = None
+    state: Optional[dict[str, int]] = None
+    stats: SolverStats = field(default_factory=SolverStats)
+    cnf_vars: int = 0
+    cnf_clauses: int = 0
+    encode_seconds: float = 0.0
+    solve_seconds: float = 0.0
+    preprocessor: Optional[dict] = None
+    proof_checked: Optional[bool] = None
+    proof_clauses: int = 0
+    proof_bytes: int = 0
+    proof_check_seconds: float = 0.0
+
+
+def _solve_shard(aig: AIG, pairs: list[tuple[int, int]],
+                 in_lits: dict[str, int], st_lits: dict[str, int],
+                 sigs, mask: int, num_patterns: int, *,
+                 certify: bool, preprocess: bool, structural: bool,
+                 proof: Optional[ProofLog] = None) -> ShardVerdict:
+    """Stages 3–4 for the root ``pairs`` of ``aig``: encode, preprocess,
+    seeded solve, model reconstruction and DRAT check.
+
+    The one place the top-level miter is solved: :func:`check_equivalence`
+    calls it in-process on the whole miter, and every pool worker of
+    :func:`~repro.netlist.sat.partition.solve_pairs_parallel` calls it on
+    its copy of one group's cone.  ``sigs`` are the packed node
+    signatures of ``aig`` under ``num_patterns`` stimulus patterns (None
+    disables phase/activity seeding).  ``proof`` is the log to write into;
+    under ``certify`` one is created when None, and an UNSAT verdict is
+    checked against the shard's original (pre-preprocessing) CNF.
+    """
+    tracer = get_tracer()
+    start = time.perf_counter()
+    cnf = CNF()
+    with tracer.span("cec.encode", pairs=len(pairs)) as span:
+        var_map, input_vars, state_vars = _encode_pairs(
+            cnf, aig, pairs, in_lits, st_lits, structural)
+        span.set(cnf_vars=cnf.num_vars, cnf_clauses=len(cnf.clauses))
+    shard = ShardVerdict(False, cnf_vars=cnf.num_vars,
+                         cnf_clauses=len(cnf.clauses),
+                         encode_seconds=time.perf_counter() - start)
+
+    if certify and proof is None:
+        proof = ProofLog()
+    # CNF preprocessing: the proof steps it emits precede the solver's,
+    # so one log certifies the whole pipeline against the original CNF.
+    # Input/state variables are frozen — they must survive for model
+    # readback and counterexample reconstruction.
+    pre = None
+    solve_clauses = cnf.clauses
+    if preprocess and cnf.clauses:
+        frozen = set(input_vars.values()) | set(state_vars.values())
+        with tracer.span("cec.preprocess",
+                         cnf_clauses=len(cnf.clauses)) as pp_span:
+            pre = simplify_cnf(cnf.num_vars, cnf.clauses,
+                               frozen=frozen, proof=proof)
+            pp_span.set(clauses_out=len(pre.clauses), unsat=pre.unsat)
+        solve_clauses = pre.clauses
+        shard.preprocessor = pre.stats.to_dict()
+
+    # When preprocessing alone derived the empty clause the proof already
+    # ends in it: no search, and certification proceeds as for any other
+    # UNSAT verdict.
+    if pre is None or not pre.unsat:
+        start = time.perf_counter()
+        with tracer.span("cec.solve", cnf_vars=cnf.num_vars,
+                         cnf_clauses=len(solve_clauses)) as solve_span:
+            solver = Solver(cnf.num_vars, solve_clauses)
+            if proof is not None:
+                solver.set_proof(proof)
+            if sigs is not None:
+                # Stage 4: point the search where simulation and
+                # structure say the action is.
+                _seed_solver(solver, var_map, aig, sigs, mask, num_patterns)
+            attach_solver_progress(solver, tracer)
+            result = solver.solve()
+            solve_span.set(satisfiable=result.satisfiable,
+                           conflicts=result.stats.conflicts)
+        shard.solve_seconds = time.perf_counter() - start
+        shard.stats = result.stats
+        shard.satisfiable = result.satisfiable
+        if result.satisfiable:
+            # Eliminated variables are re-valued by replaying the
+            # preprocessor's reconstruction stack.
+            model = pre.reconstruct(result.model) if pre is not None \
+                else result.model
+            shard.inputs = {name: int(model.get(var, False))
+                            for name, var in input_vars.items()}
+            shard.state = {name: int(model.get(var, False))
+                           for name, var in state_vars.items()}
+
+    if proof is not None:
+        shard.proof_clauses = proof.num_added
+        shard.proof_bytes = proof.size_bytes()
+    if certify and not shard.satisfiable:
+        start = time.perf_counter()
+        with tracer.span("cec.certify", lemmas=proof.num_added):
+            shard.proof_checked = check_drat(cnf, proof).ok
+        shard.proof_check_seconds = time.perf_counter() - start
+    return shard
+
+
 def check_equivalence(before: Netlist, after: Netlist,
                       certify: bool = False,
                       proof: Optional[ProofLog] = None,
@@ -525,12 +635,12 @@ def check_equivalence(before: Netlist, after: Netlist,
       and everything fed by its signatures (auto-sweeping, phase and
       activity seeding), so every differing pair goes to the solver.
     * ``jobs`` — with ``jobs > 1`` (and no caller-supplied ``proof``)
-      the root pairs surviving stages 1–2 are partitioned into
-      fanin-cone-balanced groups and stages 3–4 run in up to ``jobs``
-      worker processes (:mod:`~repro.netlist.sat.partition`).  The
-      verdict is identical to the serial path: the first refuting
-      worker cancels its siblings, all-UNSAT shards merge their solver
-      statistics, and under ``certify=True`` every worker RUP-checks its
+      the root pairs surviving stages 1–2 are split into
+      fanin-cone-balanced groups, and each group runs the same stage-3/4
+      shard solve in one of up to ``jobs`` worker processes
+      (:mod:`~repro.netlist.sat.partition`).  The verdict is identical
+      to the in-process solve: the first refuting worker cancels its
+      siblings, and under ``certify=True`` every worker RUP-checks its
       own shard's proof (``proof_checked`` is True only if all of them
       pass).  The result's ``jobs``/``partitions`` fields report the
       fan-out.
@@ -553,31 +663,23 @@ def check_equivalence(before: Netlist, after: Netlist,
     with tracer.span("cec", before=before.name,
                      after=after.name) as cec_span:
         start = time.perf_counter()
-        sigs = None
-        mask = 0
-        num_patterns = 0
-        sweep_stats = None
-        sweep_proven = 0
-        sweep_seconds = 0.0
-        pre = None
-
         aig, pi_lits, latch_lits, named_pairs = _lower_miter(before, after)
         differing = [(b, a) for _, _, b, a in named_pairs if b != a]
-        compared = len(named_pairs)
-        hash_proven = compared - len(differing)
+        result = EquivalenceResult(
+            True, compared=len(named_pairs),
+            hash_proven=len(named_pairs) - len(differing))
         if tracer.enabled:
             for kind, name, b, a in named_pairs:
                 tracer.instant("cec.pair", kind=kind, name=name,
                                hash_proven=(b == a))
-        encode_seconds = time.perf_counter() - start
-        cec_span.set(compared=compared, hash_proven=hash_proven)
+        result.encode_seconds = time.perf_counter() - start
+        cec_span.set(compared=result.compared,
+                     hash_proven=result.hash_proven)
         if not differing:
             # Every root pair hash-merged to the same literal:
             # structurally proven, nothing to solve.
             cec_span.set(equivalent=True)
-            return EquivalenceResult(True, compared=compared,
-                                     encode_seconds=encode_seconds,
-                                     hash_proven=hash_proven)
+            return result
 
         # Stage 1: simulation refutation check.  Any random pattern a
         # root pair disagrees on is already a complete counterexample.
@@ -587,6 +689,10 @@ def check_equivalence(before: Netlist, after: Netlist,
         work_aig = aig
         in_lits, st_lits = pi_lits, latch_lits
         words = None
+        sigs = None
+        mask = 0
+        num_patterns = 0
+        sweep_stats = None
         if sim_patterns > 0:
             rng = random.Random(seed)
             leaves = list(aig.inputs) + list(aig.latches)
@@ -604,17 +710,11 @@ def check_equivalence(before: Netlist, after: Netlist,
                 )
                 bit = _first_diff_bit(sigs, mask, pairs)
                 sim_span.set(refuted=bit is not None)
-            encode_seconds += time.perf_counter() - start
+            result.encode_seconds += time.perf_counter() - start
             if bit is not None:
-                with tracer.span("cec.replay"):
-                    cex = _confirm_sim_refutation(
-                        before, after, words, pi_lits, latch_lits, bit)
                 cec_span.set(equivalent=False, refuted_by="simulation")
-                return EquivalenceResult(False, counterexample=cex,
-                                         compared=compared,
-                                         encode_seconds=encode_seconds,
-                                         hash_proven=hash_proven,
-                                         refuted_by_simulation=True)
+                return _refute_by_pattern(result, before, after, words,
+                                          pi_lits, latch_lits, bit)
 
         # Stage 2: SAT-sweep the miter AIG — internal equivalences the
         # unique table missed collapse under incremental SAT, and root
@@ -638,10 +738,14 @@ def check_equivalence(before: Netlist, after: Netlist,
                 mapped = [(swept.map_lit(b), swept.map_lit(a))
                           for b, a in pairs]
                 pairs = [(b, a) for b, a in mapped if b != a]
-                sweep_proven = len(mapped) - len(pairs)
-                sweep_span.set(sweep_proven=sweep_proven,
+                result.sweep_proven = len(mapped) - len(pairs)
+                sweep_span.set(sweep_proven=result.sweep_proven,
                                remaining=len(pairs))
-            sweep_seconds = time.perf_counter() - sweep_start
+            result.sweep_seconds = time.perf_counter() - sweep_start
+            # Every merge proof was already RUP-checked under certify.
+            result.proof_clauses = sweep_stats.proof_clauses
+            result.proof_bytes = sweep_stats.proof_bytes
+            result.proof_check_seconds = sweep_stats.proof_check_seconds
             work_aig = swept.aig
             in_lits = {name: swept.map_lit(lit)
                        for name, lit in pi_lits.items()}
@@ -650,30 +754,19 @@ def check_equivalence(before: Netlist, after: Netlist,
             words = swept.words
             num_patterns = swept.num_patterns
             mask = (1 << num_patterns) - 1
-            cec_span.set(sweep_proven=sweep_proven)
+            cec_span.set(sweep_proven=result.sweep_proven)
             if tracer.enabled:
                 tracer.metrics.absorb("cec.sweep", {
                     "proven": sweep_stats.proven,
                     "refuted": sweep_stats.refuted,
-                    "pairs_proven": sweep_proven,
+                    "pairs_proven": result.sweep_proven,
                 })
             if not pairs:
-                # Hashing + sweeping proved every root pair; under
-                # certify every merge proof was already RUP-checked.
-                proof_checked = None
+                # Hashing + sweeping proved every root pair.
                 if certify:
-                    proof_checked = sweep_stats.proofs_failed == 0
+                    result.proof_checked = sweep_stats.proofs_failed == 0
                 cec_span.set(equivalent=True)
-                return EquivalenceResult(
-                    True, compared=compared,
-                    encode_seconds=encode_seconds,
-                    hash_proven=hash_proven,
-                    proof_checked=proof_checked,
-                    proof_clauses=sweep_stats.proof_clauses,
-                    proof_bytes=sweep_stats.proof_bytes,
-                    proof_check_seconds=sweep_stats.proof_check_seconds,
-                    sweep_proven=sweep_proven,
-                    sweep_seconds=sweep_seconds)
+                return result
             # The sweep's refuted candidates appended distinguishing
             # patterns to the stimulus — re-check the surviving pairs
             # under the enriched batch.
@@ -688,30 +781,22 @@ def check_equivalence(before: Netlist, after: Netlist,
                 )
                 bit = _first_diff_bit(sigs, mask, pairs)
                 sim_span.set(refuted=bit is not None)
-            encode_seconds += time.perf_counter() - start
+            result.encode_seconds += time.perf_counter() - start
             if bit is not None:
-                with tracer.span("cec.replay"):
-                    cex = _confirm_sim_refutation(
-                        before, after, words, pi_lits, latch_lits, bit)
                 cec_span.set(equivalent=False, refuted_by="simulation")
-                return EquivalenceResult(
-                    False, counterexample=cex, compared=compared,
-                    encode_seconds=encode_seconds,
-                    hash_proven=hash_proven,
-                    refuted_by_simulation=True,
-                    sweep_proven=sweep_proven,
-                    sweep_seconds=sweep_seconds)
+                return _refute_by_pattern(result, before, after, words,
+                                          pi_lits, latch_lits, bit)
 
-        # Parallel path: shard the surviving pairs across worker
-        # processes — stages 3–4 (encode, preprocess, seeded solve,
-        # per-shard certification) run independently per partition and
-        # the merged verdict returns here.  A caller-supplied proof log
-        # (a shared on-disk DRAT stream) cannot cross the process
-        # boundary, so it keeps the serial path.
+        # Stages 3–4, once per shard: in-process on the whole miter, or
+        # with ``jobs > 1`` on fanin-cone-balanced groups in worker
+        # processes.  A caller-supplied proof log (a shared on-disk DRAT
+        # stream) cannot cross the process boundary, so it keeps the
+        # solve in this process.
+        options = dict(certify=certify, preprocess=preprocess,
+                       structural=structural)
         if jobs > 1 and len(pairs) > 1 and proof is None:
-            options = PartitionOptions(structural=structural,
-                                       preprocess=preprocess,
-                                       certify=certify)
+            # Imported lazily: partition imports this module.
+            from .partition import solve_pairs_parallel
             words_by_name = None
             if num_patterns > 0:
                 words_by_name = {
@@ -719,191 +804,60 @@ def check_equivalence(before: Netlist, after: Netlist,
                     for name, lit in (*pi_lits.items(),
                                       *latch_lits.items())
                 }
-            start = time.perf_counter()
             with tracer.span("cec.parallel", jobs=jobs,
                              pairs=len(pairs)) as par_span:
-                verdict = solve_pairs_parallel(
+                shards, result.partitions = solve_pairs_parallel(
                     work_aig, pairs, in_lits, st_lits, jobs,
-                    options=options, words_by_name=words_by_name,
-                    num_patterns=num_patterns)
-                par_span.set(partitions=verdict.partitions,
-                             satisfiable=verdict.satisfiable)
-            solve_seconds = time.perf_counter() - start
-            if tracer.enabled:
-                tracer.metrics.absorb("cec.solver", verdict.stats.to_dict())
-                tracer.metrics.histogram("cec.solve_seconds").observe(
-                    solve_seconds)
-            proof_clauses = verdict.proof_clauses
-            proof_bytes = verdict.proof_bytes
-            proof_check_seconds = verdict.proof_check_seconds
-            if sweep_stats is not None:
-                proof_clauses += sweep_stats.proof_clauses
-                proof_bytes += sweep_stats.proof_bytes
-                proof_check_seconds += sweep_stats.proof_check_seconds
-            if not verdict.satisfiable:
-                proof_checked = None
-                if certify:
-                    proof_checked = (
-                        verdict.proof_checked is True
-                        and (sweep_stats is None
-                             or sweep_stats.proofs_failed == 0))
-                cec_span.set(equivalent=True)
-                return EquivalenceResult(
-                    True, solver_stats=verdict.stats,
-                    compared=compared,
-                    encode_seconds=encode_seconds + verdict.encode_seconds,
-                    solve_seconds=verdict.solve_seconds,
-                    cnf_vars=verdict.cnf_vars,
-                    cnf_clauses=verdict.cnf_clauses,
-                    hash_proven=hash_proven,
-                    proof_checked=proof_checked,
-                    proof_clauses=proof_clauses,
-                    proof_bytes=proof_bytes,
-                    proof_check_seconds=proof_check_seconds,
-                    sweep_proven=sweep_proven,
-                    sweep_seconds=sweep_seconds,
-                    preprocessor=verdict.preprocessor,
-                    jobs=jobs, partitions=verdict.partitions)
-            inputs = {name: 0 for name in before.input_names()}
-            inputs.update(verdict.inputs or {})
-            state = dict(verdict.state or {})
-            with tracer.span("cec.replay"):
-                cex = _confirm_model(before, after, inputs, state)
-            cec_span.set(equivalent=False)
-            return EquivalenceResult(
-                False, counterexample=cex,
-                solver_stats=verdict.stats, compared=compared,
-                encode_seconds=encode_seconds + verdict.encode_seconds,
-                solve_seconds=verdict.solve_seconds,
-                cnf_vars=verdict.cnf_vars,
-                cnf_clauses=verdict.cnf_clauses,
-                hash_proven=hash_proven,
-                proof_clauses=proof_clauses,
-                proof_bytes=proof_bytes,
-                sweep_proven=sweep_proven,
-                sweep_seconds=sweep_seconds,
-                preprocessor=verdict.preprocessor,
-                jobs=jobs, partitions=verdict.partitions)
-
-        # Stage 3: structure-aware encoding of the surviving cones.
-        start = time.perf_counter()
-        cnf = CNF()
-        with tracer.span("cec.encode", design=before.name,
-                         pairs=len(pairs)) as span:
-            var_map, input_vars, state_vars = _encode_pairs(
-                cnf, work_aig, pairs, in_lits, st_lits, structural)
-            span.set(cnf_vars=cnf.num_vars, cnf_clauses=len(cnf.clauses))
-        encode_seconds += time.perf_counter() - start
-        cec_span.set(cnf_clauses=len(cnf.clauses))
-
-        if certify and proof is None:
-            proof = ProofLog()
-        # CNF preprocessing: the proof steps it emits precede the
-        # solver's, so one log certifies the whole pipeline against the
-        # original CNF.  Input/state variables are frozen — they must
-        # survive for model readback and counterexample reconstruction.
-        solve_clauses = cnf.clauses
-        if preprocess and cnf.clauses:
-            frozen = set(input_vars.values()) | set(state_vars.values())
-            with tracer.span("cec.preprocess",
-                             cnf_clauses=len(cnf.clauses)) as pp_span:
-                pre = simplify_cnf(cnf.num_vars, cnf.clauses,
-                                   frozen=frozen, proof=proof)
-                pp_span.set(clauses_out=len(pre.clauses),
-                            unsat=pre.unsat)
-            solve_clauses = pre.clauses
-            if tracer.enabled:
-                tracer.metrics.absorb("cec.preprocess",
-                                      pre.stats.to_dict())
-
-        start = time.perf_counter()
-        if pre is not None and pre.unsat:
-            # Preprocessing alone derived the empty clause — the proof
-            # already ends in it, so certification below proceeds as for
-            # any other UNSAT verdict.
-            result = SolverResult(False, stats=SolverStats())
-            solve_seconds = 0.0
+                    words_by_name, num_patterns, **options)
+                par_span.set(partitions=result.partitions)
+            result.jobs = jobs
         else:
-            with tracer.span("cec.solve", cnf_vars=cnf.num_vars,
-                             cnf_clauses=len(solve_clauses)) as solve_span:
-                solver = Solver(cnf.num_vars, solve_clauses)
-                if proof is not None:
-                    solver.set_proof(proof)
-                if sigs is not None:
-                    # Stage 4: point the search where simulation and
-                    # structure say the action is.
-                    _seed_solver(solver, var_map, work_aig, sigs, mask,
-                                 num_patterns)
-                attach_solver_progress(solver, tracer)
-                result = solver.solve()
-                solve_span.set(satisfiable=result.satisfiable,
-                               conflicts=result.stats.conflicts)
-            solve_seconds = time.perf_counter() - start
+            shards = [_solve_shard(work_aig, pairs, in_lits, st_lits, sigs,
+                                   mask, num_patterns, proof=proof,
+                                   **options)]
+
+        # One tail for every shard layout: the slowest shard's times,
+        # summed sizes and counters.
+        for shard in shards:
+            result.solver_stats.accumulate(shard.stats)
+            result.cnf_vars += shard.cnf_vars
+            result.cnf_clauses += shard.cnf_clauses
+            result.proof_clauses += shard.proof_clauses
+            result.proof_bytes += shard.proof_bytes
+            result.proof_check_seconds += shard.proof_check_seconds
+        result.encode_seconds += max(shard.encode_seconds
+                                     for shard in shards)
+        result.solve_seconds = max(shard.solve_seconds for shard in shards)
+        pre_stats = [shard.preprocessor for shard in shards
+                     if shard.preprocessor is not None]
+        if pre_stats:
+            result.preprocessor = {key: sum(stats[key] for stats in pre_stats)
+                                   for key in pre_stats[0]}
+        cec_span.set(cnf_clauses=result.cnf_clauses)
         if tracer.enabled:
-            tracer.metrics.absorb("cec.solver", result.stats.to_dict())
+            if result.preprocessor is not None:
+                tracer.metrics.absorb("cec.preprocess", result.preprocessor)
+            tracer.metrics.absorb("cec.solver",
+                                  result.solver_stats.to_dict())
             tracer.metrics.histogram("cec.solve_seconds").observe(
-                solve_seconds)
-        pre_dict = pre.stats.to_dict() if pre is not None else None
-        proof_clauses = proof.num_added if proof is not None else 0
-        proof_bytes = proof.size_bytes() if proof is not None else 0
-        proof_check_seconds = 0.0
-        if sweep_stats is not None:
-            proof_clauses += sweep_stats.proof_clauses
-            proof_bytes += sweep_stats.proof_bytes
-            proof_check_seconds += sweep_stats.proof_check_seconds
-        if not result.satisfiable:
-            proof_checked = None
+                result.solve_seconds)
+        refuting = next((shard for shard in shards if shard.satisfiable),
+                        None)
+        if refuting is None:
             if certify:
-                check_start = time.perf_counter()
-                with tracer.span("cec.certify", lemmas=proof.num_added):
-                    verdict = check_drat(cnf, proof)
-                proof_check_seconds += time.perf_counter() - check_start
-                proof_checked = verdict.ok and (
-                    sweep_stats is None or sweep_stats.proofs_failed == 0)
+                result.proof_checked = (
+                    all(shard.proof_checked for shard in shards)
+                    and (sweep_stats is None
+                         or sweep_stats.proofs_failed == 0))
             cec_span.set(equivalent=True)
-            return EquivalenceResult(True, solver_stats=result.stats,
-                                     compared=compared,
-                                     encode_seconds=encode_seconds,
-                                     solve_seconds=solve_seconds,
-                                     cnf_vars=cnf.num_vars,
-                                     cnf_clauses=len(cnf.clauses),
-                                     hash_proven=hash_proven,
-                                     proof_checked=proof_checked,
-                                     proof_clauses=proof_clauses,
-                                     proof_bytes=proof_bytes,
-                                     proof_check_seconds=proof_check_seconds,
-                                     sweep_proven=sweep_proven,
-                                     sweep_seconds=sweep_seconds,
-                                     preprocessor=pre_dict)
-        assert result.model is not None
-        # Eliminated variables are re-valued by replaying the
-        # preprocessor's reconstruction stack; inputs outside every
-        # encoded cone carry no CNF variable, so the replay defaults them
-        # to 0.
-        model = pre.reconstruct(result.model) if pre is not None \
-            else result.model
+            return result
+        # Inputs outside every encoded cone carry no CNF variable, so
+        # the replay defaults them to 0.
         inputs = {name: 0 for name in before.input_names()}
-        inputs.update({
-            name: int(model.get(var, False))
-            for name, var in input_vars.items()
-        })
-        state = {
-            name: int(model.get(var, False))
-            for name, var in state_vars.items()
-        }
+        inputs.update(refuting.inputs)
         with tracer.span("cec.replay"):
-            cex = _confirm_model(before, after, inputs, state)
+            result.counterexample = _confirm_model(before, after, inputs,
+                                                   refuting.state)
+        result.equivalent = False
         cec_span.set(equivalent=False)
-        return EquivalenceResult(False, counterexample=cex,
-                                 solver_stats=result.stats,
-                                 compared=compared,
-                                 encode_seconds=encode_seconds,
-                                 solve_seconds=solve_seconds,
-                                 cnf_vars=cnf.num_vars,
-                                 cnf_clauses=len(cnf.clauses),
-                                 hash_proven=hash_proven,
-                                 proof_clauses=proof_clauses,
-                                 proof_bytes=proof_bytes,
-                                 sweep_proven=sweep_proven,
-                                 sweep_seconds=sweep_seconds,
-                                 preprocessor=pre_dict)
+        return result

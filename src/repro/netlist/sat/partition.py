@@ -1,31 +1,27 @@
-"""Per-output-pair partitioning of miters into parallel SAT sub-jobs.
+"""Per-output-pair partitioning of the CEC miter into parallel SAT shards.
 
 A multi-output miter is embarrassingly parallel: every root pair (output
 or next-state function) can be decided by its own solver over its own
-fanin cone.  This module turns the tail of the staged CEC pipeline into
-exactly that shape so :func:`~repro.netlist.sat.cec.check_equivalence`
-(``jobs=N``), :func:`~repro.netlist.opt.fraig.fraig_sweep` (``jobs=N``)
-and the :mod:`repro.server` daemon can shard proof work across a
+fanin cone.  With ``jobs=N``,
+:func:`~repro.netlist.sat.cec.check_equivalence` hands the root pairs
+that survive its stages 1–2 to this module, which solves them on a
 :mod:`multiprocessing` pool:
 
-* :func:`extract_cone` copies the combinational cone of a set of literals
-  into a fresh, self-contained (and therefore cheaply picklable) AIG —
-  the shard a worker process receives;
-* :func:`partition_pairs` splits the surviving root pairs into
-  size-balanced groups (greedy largest-cone-first bin packing, so one
-  huge output does not serialize the batch behind it);
-* :func:`solve_partition` is the module-level worker entry point: it runs
-  stages 3–4 of the CEC pipeline (structure-aware encoding, CNF
-  preprocessing with frozen interface variables, signature-seeded CDCL)
-  on one shard and returns a plain picklable dict — including the DRAT
-  certification verdict when asked, checked *inside the worker* against
-  the shard's own CNF;
+* :func:`partition_pairs` splits the pairs into size-balanced groups
+  (greedy largest-cone-first bin packing, so one huge output does not
+  serialize the batch behind it);
+* :func:`solve_partition` is the module-level worker entry point and a
+  thin wrapper: it copies the group's cone into a fresh AIG
+  (:func:`extract_cone`), re-simulates that shard under the stimulus
+  words the parent sent by leaf name, and runs the same stage-3/4 shard
+  solve the serial path runs in-process
+  (:func:`~repro.netlist.sat.cec._solve_shard`: encode, preprocess,
+  seeded solve, model reconstruction and, when asked, the DRAT check
+  against the shard's own CNF);
 * :func:`solve_pairs_parallel` drives the pool: payloads are dispatched
   with ``imap_unordered`` and **the first refuting worker cancels its
   siblings** (a counterexample for any pair refutes the whole miter, so
-  finishing the other shards would be wasted work).  All-UNSAT shards
-  merge into one verdict with accumulated solver statistics and summed
-  proof counters.
+  finishing the other shards would be wasted work).
 
 Verdict parity with the serial path is a hard guarantee: partitioning
 changes *who* solves each pair, never *what* is asked, and a SAT model
@@ -35,25 +31,12 @@ believed.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ...obs import Tracer, get_tracer, use_tracer
 from ..aig import AIG, _AND, _LATCH, _PI
-from .solver import SolverStats
-
-
-@dataclass
-class PartitionOptions:
-    """Picklable knobs for one worker solve (mirrors the serial stage-3/4
-    arguments of ``check_equivalence``)."""
-
-    structural: bool = True
-    preprocess: bool = True
-    certify: bool = False
-    #: Record per-shard ``repro.obs`` spans and return them for stitching.
-    trace: bool = False
+from ..sim import aig_signatures
+from .cec import ShardVerdict, _solve_shard
 
 
 def extract_cone(aig: AIG, roots: Sequence[int]
@@ -111,398 +94,82 @@ def partition_pairs(aig: AIG, pairs: Sequence[tuple[int, int]],
     return [group for group in groups if group]
 
 
-def make_payload(aig: AIG, pairs: Sequence[tuple[int, int]],
-                 pi_lits: dict[str, int], latch_lits: dict[str, int],
-                 options: PartitionOptions,
-                 words_by_name: Optional[dict[str, int]] = None,
-                 num_patterns: int = 0) -> tuple:
-    """Build the picklable shard a worker receives for one pair group.
-
-    The shard AIG contains only the group's cones; leaf stimulus words
-    (for solver phase/activity seeding) travel keyed by leaf *name* so
-    they survive the node renumbering.
-    """
-    roots = [lit for pair in pairs for lit in pair]
-    sub, lit_of = extract_cone(aig, roots)
-    sub_pairs = [(lit_of[b >> 1] ^ (b & 1), lit_of[a >> 1] ^ (a & 1))
-                 for b, a in pairs]
-    sub_inputs = {name: lit_of[lit >> 1] ^ (lit & 1)
-                  for name, lit in pi_lits.items()
-                  if (lit >> 1) in lit_of}
-    sub_latches = {name: lit_of[lit >> 1] ^ (lit & 1)
-                   for name, lit in latch_lits.items()
-                   if (lit >> 1) in lit_of}
-    words = None
-    if words_by_name is not None and num_patterns > 0:
-        words = {name: words_by_name.get(name, 0)
-                 for name in (*sub_inputs, *sub_latches)}
-    return (sub, sub_pairs, sub_inputs, sub_latches, options, words,
-            num_patterns)
-
-
-def solve_partition(payload: tuple) -> dict:
-    """Worker entry point: decide one shard of the miter.
+def solve_partition(payload: tuple) -> tuple[ShardVerdict, list]:
+    """Worker entry point: decide one group of the miter's root pairs.
 
     Module-level (and all-picklable in and out) so it crosses the
-    :mod:`multiprocessing` boundary.  Runs encode → preprocess → seeded
-    solve → (optionally) independent DRAT check, all against the shard's
-    own CNF, and returns a plain dict the parent merges.
+    :mod:`multiprocessing` boundary.  Returns the shard's verdict and,
+    when the parent is tracing, the spans this worker recorded.
     """
-    # Imported lazily: cec imports this module at module level.
-    from ..sim import aig_signatures
-    from .cec import _encode_pairs, _seed_solver
-    from .cnf import CNF
-    from .preprocess import preprocess as simplify_cnf
-    from .proof import ProofLog, check_drat
-    from .solver import Solver
-
-    (sub, pairs, input_lits, latch_lits, options, words,
-     num_patterns) = payload
-    tracer = Tracer() if options.trace else get_tracer()
-    with use_tracer(tracer):
-        with tracer.span("cec.partition", pairs=len(pairs),
-                         ands=sub.num_ands) as part_span:
-            start = time.perf_counter()
-            cnf = CNF()
-            with tracer.span("cec.encode", pairs=len(pairs)):
-                var_map, input_vars, state_vars = _encode_pairs(
-                    cnf, sub, list(pairs), input_lits, latch_lits,
-                    options.structural)
-            proof = ProofLog() if options.certify else None
-            pre = None
-            solve_clauses = cnf.clauses
-            if options.preprocess and cnf.clauses:
-                frozen = set(input_vars.values()) | set(state_vars.values())
-                with tracer.span("cec.preprocess",
-                                 cnf_clauses=len(cnf.clauses)):
-                    pre = simplify_cnf(cnf.num_vars, cnf.clauses,
-                                       frozen=frozen, proof=proof)
-                solve_clauses = pre.clauses
-            encode_seconds = time.perf_counter() - start
-
-            sigs = None
-            mask = 0
-            if words is not None and num_patterns > 0:
-                mask = (1 << num_patterns) - 1
-                sigs = aig_signatures(
-                    sub,
-                    [words.get(sub.node_name(nid) or f"pi_{nid}", 0)
-                     for nid in sub.inputs],
-                    [words.get(sub.node_name(nid) or f"latch_{nid}", 0)
-                     for nid in sub.latches],
-                    mask,
-                )
-
-            start = time.perf_counter()
-            if pre is not None and pre.unsat:
-                satisfiable, model, stats = False, None, SolverStats()
-            else:
-                with tracer.span("cec.solve", cnf_vars=cnf.num_vars,
-                                 cnf_clauses=len(solve_clauses)):
-                    solver = Solver(cnf.num_vars, solve_clauses)
-                    if proof is not None:
-                        solver.set_proof(proof)
-                    if sigs is not None and var_map:
-                        _seed_solver(solver, var_map, sub, sigs, mask,
-                                     num_patterns)
-                    result = solver.solve()
-                satisfiable, model = result.satisfiable, result.model
-                stats = result.stats
-            solve_seconds = time.perf_counter() - start
-
-            inputs = state = None
-            if satisfiable:
-                full = pre.reconstruct(model) if pre is not None else model
-                inputs = {name: int(full.get(var, False))
-                          for name, var in input_vars.items()}
-                state = {name: int(full.get(var, False))
-                         for name, var in state_vars.items()}
-
-            proof_checked = None
-            proof_check_seconds = 0.0
-            if options.certify and not satisfiable:
-                start = time.perf_counter()
-                with tracer.span("cec.certify", lemmas=proof.num_added):
-                    proof_checked = check_drat(cnf, proof).ok
-                proof_check_seconds = time.perf_counter() - start
-            part_span.set(satisfiable=satisfiable,
-                          conflicts=stats.conflicts)
-
-    return {
-        "satisfiable": satisfiable,
-        "pairs": len(pairs),
-        "inputs": inputs,
-        "state": state,
-        "stats": stats,
-        "cnf_vars": cnf.num_vars,
-        "cnf_clauses": len(cnf.clauses),
-        "encode_seconds": encode_seconds,
-        "solve_seconds": solve_seconds,
-        "preprocessor": pre.stats.to_dict() if pre is not None else None,
-        "proof_checked": proof_checked,
-        "proof_clauses": proof.num_added if proof is not None else 0,
-        "proof_bytes": proof.size_bytes() if proof is not None else 0,
-        "proof_check_seconds": proof_check_seconds,
-        "spans": tracer.records if options.trace else [],
-    }
-
-
-def _partition_indexed(aig: AIG, pairs: Sequence[tuple[int, int]],
-                       jobs: int) -> list[list[int]]:
-    """Like :func:`partition_pairs` but over pair *indices*, for callers
-    that must correlate shard answers back to their own bookkeeping (the
-    FRAIG sweep's candidate list)."""
-    jobs = max(1, min(jobs, len(pairs)))
-    if jobs == 1:
-        return [list(range(len(pairs)))]
-    sized = sorted(
-        ((len(aig.cone(pairs[i])), i) for i in range(len(pairs))),
-        reverse=True)
-    groups: list[list[int]] = [[] for _ in range(jobs)]
-    loads = [0] * jobs
-    for size, i in sized:
-        k = loads.index(min(loads))
-        groups[k].append(i)
-        loads[k] += size
-    return [sorted(group) for group in groups if group]
-
-
-def sweep_partition(payload: tuple) -> dict:
-    """Worker entry point for parallel FRAIG candidate proofs.
-
-    Receives a self-contained shard AIG plus a list of
-    ``(built_lit, cand_lit, idx)`` merge candidates and answers each with
-    one assumption-gated query on a single incremental solver — the same
-    shared-cone, shared-learned-clauses discipline as the serial sweep,
-    just restricted to this shard's candidates.  Refuted candidates
-    return their distinguishing leaf assignment keyed by leaf *name* so
-    the parent can extend the stimulus of the full graph.
-    """
-    from .cnf import CNF, aig_lit_sat, encode_aig_cone
-    from .proof import ProofLog, check_drat
-    from .solver import Solver
-
-    sub, cands, certify, trace = payload
+    (aig, pairs, pi_lits, latch_lits, words_by_name, num_patterns,
+     trace, options) = payload
     tracer = Tracer() if trace else get_tracer()
-    results: list[dict] = []
-    proofs_checked = proofs_failed = 0
-    proof_check_seconds = 0.0
-    with use_tracer(tracer):
-        with tracer.span("fraig.partition", candidates=len(cands),
-                         ands=sub.num_ands):
-            cnf = CNF()
-            solver = Solver(0, ())
-            proof = None
-            if certify:
-                proof = ProofLog()
-                solver.set_proof(proof)
-            var_map: dict[int, int] = {}
-            leaves = list(sub.inputs) + list(sub.latches)
-            for built, cand, idx in cands:
-                before_clauses = len(cnf.clauses)
-                encode_aig_cone(cnf, sub, (built, cand), var_map=var_map)
-                a = aig_lit_sat(var_map, built)
-                b = aig_lit_sat(var_map, cand)
-                gate_var = cnf.new_var()
-                cnf.add_clause(-gate_var, a, b)
-                cnf.add_clause(-gate_var, -a, -b)
-                solver.ensure_vars(cnf.num_vars)
-                solver.add_clauses(cnf.clauses[before_clauses:])
-                result = solver.solve(assumptions=(gate_var,))
-                if not result.satisfiable:
-                    if proof is not None:
-                        check_start = time.perf_counter()
-                        verdict = check_drat(cnf, proof,
-                                             assumptions=(gate_var,))
-                        proof_check_seconds += \
-                            time.perf_counter() - check_start
-                        if verdict.ok:
-                            proofs_checked += 1
-                        else:
-                            proofs_failed += 1
-                    results.append({"idx": idx, "proven": True})
-                else:
-                    model = result.model
-                    assignment = {}
-                    for nid in leaves:
-                        var = var_map.get(nid)
-                        bit = int(model.get(var, False)) if var else 0
-                        assignment[sub.node_name(nid) or f"pi_{nid}"] = bit
-                    results.append({"idx": idx, "proven": False,
-                                    "model": assignment})
-    return {
-        "results": results,
-        "stats": solver.stats,
-        "proofs_checked": proofs_checked,
-        "proofs_failed": proofs_failed,
-        "proof_clauses": proof.num_added if proof is not None else 0,
-        "proof_bytes": proof.size_bytes() if proof is not None else 0,
-        "proof_check_seconds": proof_check_seconds,
-        "spans": tracer.records if trace else [],
-    }
+    with use_tracer(tracer), tracer.span("cec.partition",
+                                         pairs=len(pairs)) as span:
+        sub, lit_of = extract_cone(aig,
+                                   [lit for pair in pairs for lit in pair])
 
+        def sub_lit(lit: int) -> int:
+            return lit_of[lit >> 1] ^ (lit & 1)
 
-def solve_sweep_parallel(aig: AIG, cands: Sequence[tuple[int, int]],
-                         jobs: int, certify: bool = False) -> dict:
-    """Prove/refute FRAIG merge candidates on a process pool.
+        def leaves(lits: dict[str, int]) -> dict[str, int]:
+            return {name: sub_lit(lit) for name, lit in lits.items()
+                    if (lit >> 1) in lit_of}
 
-    ``cands`` are ``(built_lit, cand_lit)`` pairs over ``aig`` (the
-    round's rebuilt graph).  Every candidate is answered — there is no
-    early cancellation here, the sweep needs all verdicts — and the
-    merged reply carries ``verdicts`` (a list aligned with ``cands``:
-    ``{"proven": bool, "model": {leaf: bit} | None}``), accumulated
-    solver statistics, and the certification counters summed across
-    workers.
-    """
-    import multiprocessing
-
-    tracer = get_tracer()
-    trace = bool(tracer.enabled)
-    groups = _partition_indexed(aig, cands, jobs)
-    payloads = []
-    for group in groups:
-        roots = [lit for i in group for lit in cands[i]]
-        sub, lit_of = extract_cone(aig, roots)
-        shard = [(lit_of[cands[i][0] >> 1] ^ (cands[i][0] & 1),
-                  lit_of[cands[i][1] >> 1] ^ (cands[i][1] & 1), i)
-                 for i in group]
-        payloads.append((sub, shard, certify, trace))
-    if len(payloads) == 1:
-        replies = [sweep_partition(payloads[0])]
-    else:
-        with multiprocessing.Pool(processes=len(payloads)) as pool:
-            replies = list(pool.imap_unordered(sweep_partition, payloads))
-    verdicts: list[Optional[dict]] = [None] * len(cands)
-    merged = {
-        "verdicts": verdicts,
-        "stats": SolverStats(),
-        "proofs_checked": 0,
-        "proofs_failed": 0,
-        "proof_clauses": 0,
-        "proof_bytes": 0,
-        "proof_check_seconds": 0.0,
-        "partitions": len(payloads),
-    }
-    for worker, reply in enumerate(replies):
-        merged["stats"].accumulate(reply["stats"])
-        merged["proofs_checked"] += reply["proofs_checked"]
-        merged["proofs_failed"] += reply["proofs_failed"]
-        merged["proof_clauses"] += reply["proof_clauses"]
-        merged["proof_bytes"] += reply["proof_bytes"]
-        merged["proof_check_seconds"] += reply["proof_check_seconds"]
-        for res in reply["results"]:
-            verdicts[res["idx"]] = res
-        if trace:
-            adopt = getattr(tracer, "adopt", None)
-            if adopt is not None:
-                adopt(reply["spans"], tid=20_000_000 + worker)
-    return merged
-
-
-@dataclass
-class PartitionedVerdict:
-    """Merged outcome of a pool of :func:`solve_partition` shards."""
-
-    satisfiable: bool
-    #: Named counterexample assignment from the refuting shard (SAT only).
-    inputs: Optional[dict[str, int]] = None
-    state: Optional[dict[str, int]] = None
-    stats: SolverStats = field(default_factory=SolverStats)
-    cnf_vars: int = 0
-    cnf_clauses: int = 0
-    #: Critical-path (max-over-workers) encode/solve wall time.
-    encode_seconds: float = 0.0
-    solve_seconds: float = 0.0
-    preprocessor: Optional[dict] = None
-    proof_checked: Optional[bool] = None
-    proof_clauses: int = 0
-    proof_bytes: int = 0
-    proof_check_seconds: float = 0.0
-    partitions: int = 0
-    #: Shards actually completed (fewer than ``partitions`` when the
-    #: first refutation cancelled its siblings).
-    completed: int = 0
-
-
-def _merge_results(results: list[dict], partitions: int,
-                   certify: bool) -> PartitionedVerdict:
-    merged = PartitionedVerdict(satisfiable=False, partitions=partitions,
-                                completed=len(results))
-    pp_sum: dict[str, float] = {}
-    saw_pp = False
-    for res in results:
-        merged.stats.accumulate(res["stats"])
-        merged.cnf_vars += res["cnf_vars"]
-        merged.cnf_clauses += res["cnf_clauses"]
-        merged.encode_seconds = max(merged.encode_seconds,
-                                    res["encode_seconds"])
-        merged.solve_seconds = max(merged.solve_seconds,
-                                   res["solve_seconds"])
-        merged.proof_clauses += res["proof_clauses"]
-        merged.proof_bytes += res["proof_bytes"]
-        merged.proof_check_seconds += res["proof_check_seconds"]
-        if res["preprocessor"] is not None:
-            saw_pp = True
-            for key, value in res["preprocessor"].items():
-                if isinstance(value, (int, float)):
-                    pp_sum[key] = pp_sum.get(key, 0) + value
-        if res["satisfiable"]:
-            merged.satisfiable = True
-            merged.inputs = res["inputs"]
-            merged.state = res["state"]
-    if saw_pp:
-        merged.preprocessor = pp_sum
-    if certify and not merged.satisfiable:
-        merged.proof_checked = all(
-            res["proof_checked"] is True for res in results)
-    return merged
+        sigs = None
+        mask = 0
+        if words_by_name is not None:
+            mask = (1 << num_patterns) - 1
+            sigs = aig_signatures(
+                sub,
+                [words_by_name.get(sub.node_name(nid), 0)
+                 for nid in sub.inputs],
+                [words_by_name.get(sub.node_name(nid), 0)
+                 for nid in sub.latches],
+                mask,
+            )
+        shard = _solve_shard(
+            sub, [(sub_lit(b), sub_lit(a)) for b, a in pairs],
+            leaves(pi_lits), leaves(latch_lits), sigs, mask, num_patterns,
+            **options)
+        span.set(ands=sub.num_ands, satisfiable=shard.satisfiable,
+                 conflicts=shard.stats.conflicts)
+    return shard, tracer.records if trace else []
 
 
 def solve_pairs_parallel(aig: AIG, pairs: Sequence[tuple[int, int]],
                          pi_lits: dict[str, int],
                          latch_lits: dict[str, int],
                          jobs: int,
-                         options: Optional[PartitionOptions] = None,
                          words_by_name: Optional[dict[str, int]] = None,
-                         num_patterns: int = 0) -> PartitionedVerdict:
-    """Partition ``pairs``, solve the shards on a process pool, merge.
+                         num_patterns: int = 0,
+                         **options) -> tuple[list[ShardVerdict], int]:
+    """Partition ``pairs``, solve the groups on a process pool.
 
-    The pool is sized ``min(jobs, shards)``; results stream back through
-    ``imap_unordered`` and the first satisfiable shard terminates the
-    pool (its siblings' UNSAT answers cannot change the verdict).  With a
-    single shard the solve runs in-process — no pool, no pickling.
-    Recorded worker spans are stitched into the ambient tracer under
-    synthetic worker thread ids.
+    ``options`` (``certify``, ``preprocess``, ``structural``) go to every
+    shard solve unchanged.  The pool is sized to the number of groups;
+    results stream back through ``imap_unordered`` and the first
+    satisfiable shard terminates the pool (its siblings' UNSAT answers
+    cannot change the verdict).  Returns the completed shards' verdicts
+    and the number of groups.  Recorded worker spans are stitched into
+    the ambient tracer under synthetic worker thread ids.
     """
     import multiprocessing
 
-    if options is None:
-        options = PartitionOptions()
     tracer = get_tracer()
-    if tracer.enabled:
-        options = PartitionOptions(structural=options.structural,
-                                   preprocess=options.preprocess,
-                                   certify=options.certify, trace=True)
-    parts = partition_pairs(aig, pairs, jobs)
-    payloads = [
-        make_payload(aig, part, pi_lits, latch_lits, options,
-                     words_by_name, num_patterns)
-        for part in parts
-    ]
-    results: list[dict] = []
-    if len(payloads) == 1:
-        results.append(solve_partition(payloads[0]))
-    else:
-        with multiprocessing.Pool(processes=len(payloads)) as pool:
-            for res in pool.imap_unordered(solve_partition, payloads):
-                results.append(res)
-                if res["satisfiable"]:
-                    # First refuting worker cancels its siblings.
-                    pool.terminate()
-                    break
-    if tracer.enabled:
-        for worker, res in enumerate(results):
-            adopt = getattr(tracer, "adopt", None)
-            if adopt is not None:
-                adopt(res["spans"], tid=10_000_000 + worker)
-    return _merge_results(results, len(parts), options.certify)
+    groups = partition_pairs(aig, pairs, jobs)
+    payloads = [(aig, group, pi_lits, latch_lits, words_by_name,
+                 num_patterns, tracer.enabled, options)
+                for group in groups]
+    shards: list[ShardVerdict] = []
+    with multiprocessing.Pool(processes=len(payloads)) as pool:
+        for worker, (shard, spans) in enumerate(
+                pool.imap_unordered(solve_partition, payloads)):
+            shards.append(shard)
+            if tracer.enabled:
+                tracer.adopt(spans, tid=10_000_000 + worker)
+            if shard.satisfiable:
+                # First refuting worker cancels its siblings.
+                pool.terminate()
+                break
+    return shards, len(groups)

@@ -449,6 +449,8 @@ def test_jobs_certified_parallel(mult_pair):
     assert code == 0
     eq = json.loads(text)["equivalence"]
     assert eq["equivalent"] is True
+    assert eq["jobs"] == 2
+    assert eq["partitions"] >= 2
     assert eq["proof"]["certified"] is True
     assert eq["proof"]["checked"] is True
 

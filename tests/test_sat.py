@@ -25,11 +25,14 @@ from repro.netlist.sat import (
     aig_lit_sat,
     check_equivalence,
     encode_aig_cone,
+    replay_counterexample,
     solve,
 )
+from repro.obs import NullTracer, Tracer, use_tracer
 
 from test_elaborate import ALU
 from test_proof import MULT_A, MULT_B
+from test_serialize import designs
 
 # ---------------------------------------------------------------------------
 # CNF / Tseitin encoding of lowered gates
@@ -298,6 +301,70 @@ def test_solver_stats_surface_through_equivalence_result():
     assert verdict.encode_seconds > 0
     assert verdict.solve_seconds > 0
     assert verdict.cnf_clauses > 0
+
+
+@pytest.mark.parametrize("width,counters", [
+    (4, dict(conflicts=385, propagations=10_717, decisions=462,
+             cnf_vars=106, cnf_clauses=355, proof_clauses=539,
+             eliminated_vars=31)),
+    (5, dict(conflicts=1953, propagations=85_511, decisions=2313,
+             cnf_vars=179, cnf_clauses=617, proof_clauses=2230,
+             eliminated_vars=54)),
+])
+def test_serial_solve_counters_pinned(width, counters):
+    """The in-process stage-3/4 solve is one deterministic program: the
+    CNF it encodes, what preprocessing eliminates and the CDCL search on
+    the carry-save vs shift-add multiplier miter are pinned exactly."""
+    a = designs.multiplier(width)
+    b = designs.shift_add_multiplier(width)
+    verdict = check_equivalence(elaborate(a.src, top=a.top),
+                                elaborate(b.src, top=b.top), certify=True)
+    assert verdict.equivalent and verdict.proof_checked is True
+    assert verdict.sweep_proven == 0
+    assert verdict.partitions == 0
+    stats = verdict.solver_stats
+    assert dict(
+        conflicts=stats.conflicts, propagations=stats.propagations,
+        decisions=stats.decisions, cnf_vars=verdict.cnf_vars,
+        cnf_clauses=verdict.cnf_clauses,
+        proof_clauses=verdict.proof_clauses,
+        eliminated_vars=verdict.preprocessor["eliminated_vars"],
+    ) == counters
+
+
+@pytest.mark.parametrize("case", ["equivalent", "refuted", "traced"])
+def test_check_equivalence_process_pool(case):
+    """``jobs=2`` solves the multiplier miter's root pairs on a process
+    pool: the proof is certified per worker, a refutation comes back
+    replay-confirmed, and worker spans land on their own trace tracks."""
+    a = designs.multiplier(4)
+    b = designs.shift_add_multiplier(4, bug=case == "refuted")
+    before = elaborate(a.src, top=a.top)
+    after = elaborate(b.src, top=b.top)
+    if case == "refuted":
+        # Random simulation refutes the off-by-one before any solve;
+        # without it the pool has to find the counterexample.
+        verdict = check_equivalence(before, after, jobs=2, sim_patterns=0)
+        assert not verdict.equivalent
+        assert not verdict.refuted_by_simulation
+        assert verdict.partitions == 2
+        cex = verdict.counterexample
+        assert cex.diff
+        assert replay_counterexample(before, after, cex.inputs,
+                                     cex.state) == cex.diff
+        return
+    tracer = Tracer() if case == "traced" else NullTracer()
+    with use_tracer(tracer):
+        verdict = check_equivalence(before, after, jobs=2,
+                                    certify=case == "equivalent")
+    assert verdict.equivalent
+    assert verdict.jobs == 2 and verdict.partitions == 2
+    if case == "equivalent":
+        assert verdict.proof_checked is True
+    else:
+        tids = sorted(record.tid for record in tracer.records
+                      if record.name == "cec.partition")
+        assert len(tids) == 2 and tids[0] >= 10_000_000
 
 
 def test_miter_of_gate_free_design():

@@ -1,8 +1,8 @@
 """Pickle / content-hash round-trips for the picklable core.
 
-The parallel engines (``check_equivalence(jobs=N)``, ``fraig_sweep``
-shards) and the ``repro.server`` worker pool all depend on two
-properties of :class:`Netlist` and :class:`AIG`:
+The parallel engines (``check_equivalence(jobs=N)`` miter shards and
+the ``repro.server`` worker pool) both depend on two properties of
+:class:`Netlist` and :class:`AIG`:
 
 * they survive pickling byte-exactly (same structure, same behaviour),
 * :meth:`content_hash` is a *structural* identity — stable across

@@ -111,6 +111,22 @@ def _stats_lines(title: str, stats: dict[str, int]) -> list[str]:
     ]
 
 
+def _proof_stages(eq: dict) -> str:
+    """The stages that proved an equivalent verdict, with their counts.
+
+    Cached reports from before exhaustive simulation lack
+    ``sim_proven``; the pairs no earlier stage proved went to the solve.
+    """
+    sim = eq.get("sim_proven", 0)
+    sat = eq["compared"] - eq["hash_proven"] - sim - eq["sweep_proven"]
+    stages = ((eq["hash_proven"], "hash-proven"),
+              (sim, "proven by exhaustive simulation"),
+              (eq["sweep_proven"], "sweep-proven"),
+              (sat, f"SAT-proven (miter UNSAT, {eq['cnf_clauses']} "
+                    f"clauses)"))
+    return ", ".join(f"{count} {label}" for count, label in stages if count)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -460,15 +476,13 @@ def _execute(args, out, tracer) -> int:
                         f"functions hash-merged in the shared AIG)")
                 else:
                     lines.append(
-                        f"equivalence: PROVEN (miter UNSAT over "
-                        f"{eq['compared']} functions, "
-                        f"{eq['hash_proven']} hash-proven, "
-                        f"{eq['cnf_clauses']} clauses)")
+                        f"equivalence: PROVEN ({eq['compared']} functions: "
+                        f"{_proof_stages(eq)})")
             else:
                 lines.append("equivalence: REFUTED")
                 if eq.get("refuted_by_simulation"):
                     lines.append(
-                        "  refuted by random simulation of the miter "
+                        "  refuted by simulating the miter "
                         "(no solver search)")
                 for kind, name, b, a in eq["counterexample"]["diff"]:
                     lines.append(
@@ -479,7 +493,8 @@ def _execute(args, out, tracer) -> int:
                     f"SAT-sweep-proven inside the shared miter AIG "
                     f"({eq['sweep_seconds'] * 1e3:.1f} ms)")
             solver = eq["solver"]
-            if eq["hash_proven"] < eq["compared"]:
+            if eq["cnf_clauses"]:
+                # The miter reached the top-level solve (stages 3-4).
                 lines.append(
                     f"  solver: {solver['conflicts']} conflicts, "
                     f"{solver['restarts']} restarts, "

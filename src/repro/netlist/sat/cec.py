@@ -16,12 +16,17 @@ the same literal are proven structurally, for free.
 The pairs hashing cannot settle run through a staged pipeline that tries
 progressively heavier artillery, in order:
 
-1. **simulation refutation check** — the shared miter AIG is simulated
-   under a batch of packed random patterns
-   (:func:`~repro.netlist.sim.aig_signatures`); any pattern on which a
-   root pair disagrees *is* a complete counterexample, extracted and
-   replayed without a single solver conflict.  Easy-SAT instances never
-   pay CDCL start-up cost.
+1. **simulation** — the shared miter AIG is simulated under a batch of
+   packed patterns (:func:`~repro.netlist.sim.aig_signatures`); any
+   pattern on which a root pair disagrees *is* a complete
+   counterexample, extracted and replayed without a single solver
+   conflict.  When the miter is small enough that its packed signatures
+   over *all* ``2**n`` leaf assignments fit :data:`_EXHAUSTIVE_BITS`,
+   and no DRAT evidence is requested, the patterns are exactly those
+   assignments (:func:`~repro.netlist.sim.elementary_words`): no
+   disagreement then proves every root pair (``sim_proven``) and the
+   later stages never run.  Otherwise the patterns are seeded random
+   and the stage can only refute.
 2. **SAT sweeping of the miter** (FRAIG-style, shared with the optimizer
    via :func:`~repro.netlist.opt.fraig.fraig_sweep_map`) — internal
    points the two designs implement identically but with different
@@ -68,7 +73,7 @@ from ...obs import attach_solver_progress, get_tracer
 from ..aig import AIG, insert_netlist
 from ..elaborate import _split_bit_name
 from ..logic import Netlist
-from ..sim import aig_signatures, simulate_compiled
+from ..sim import aig_signatures, elementary_words, simulate_compiled
 from .cnf import CNF, aig_lit_sat, encode_aig_cone
 from .preprocess import preprocess as simplify_cnf
 from .proof import ProofLog, check_drat
@@ -85,6 +90,10 @@ _SWEEP_MIN_ANDS = 256
 #: structure-free miters (cross-implementation arithmetic) every sweep
 #: query is a hard monolithic proof and one guided top-level solve wins.
 _SWEEP_MIN_DENSITY = 0.2
+#: Stage 1 simulates every leaf assignment instead of random patterns
+#: when the miter's packed signatures fit this many bits:
+#: ``aig.num_nodes << len(leaves)`` (4 MiB of signature words).
+_EXHAUSTIVE_BITS = 1 << 25
 
 
 class CECError(Exception):
@@ -163,6 +172,9 @@ class EquivalenceResult:
     #: the shared AIG), and the wall time the sweep took.
     sweep_proven: int = 0
     sweep_seconds: float = 0.0
+    #: Root pairs proven by exhaustive simulation: the miter was small
+    #: enough to simulate every leaf assignment, and none disagreed.
+    sim_proven: int = 0
     #: True when the counterexample came from the packed-simulation check
     #: — the solver never ran (``solver_stats`` is all zeros).
     refuted_by_simulation: bool = False
@@ -172,7 +184,7 @@ class EquivalenceResult:
     #: Worker-process count requested (``jobs=``) and the number of
     #: miter partitions the process pool solved.  Both stay at 1 / 0
     #: when the staged pipeline settled the verdict before the solve
-    #: (hash/sweep-proven, simulation-refuted) or the solve ran in
+    #: (hash/sim/sweep-proven, simulation-refuted) or the solve ran in
     #: process.
     jobs: int = 1
     partitions: int = 0
@@ -201,6 +213,7 @@ class EquivalenceResult:
             "solver": self.solver_stats.to_dict(),
             "sweep_proven": self.sweep_proven,
             "sweep_seconds": self.sweep_seconds,
+            "sim_proven": self.sim_proven,
             "refuted_by_simulation": self.refuted_by_simulation,
             "preprocessor": self.preprocessor,
             "jobs": self.jobs,
@@ -611,9 +624,9 @@ def check_equivalence(before: Netlist, after: Netlist,
 
     Both designs are lowered into one shared hash-consed AIG and the root
     pairs hashing cannot settle run through the staged pipeline from the
-    module docstring — simulation refutation check, SAT sweeping,
-    structure-aware encoding, CNF preprocessing, phase/activity-seeded
-    CDCL.
+    module docstring — simulation (exhaustive on small miters), SAT
+    sweeping, structure-aware encoding, CNF preprocessing,
+    phase/activity-seeded CDCL.
 
     Pipeline knobs (keyword-only):
 
@@ -631,9 +644,14 @@ def check_equivalence(before: Netlist, after: Netlist,
       encoding (see :func:`~repro.netlist.sat.cnf.encode_aig_cone`).
     * ``sim_patterns`` / ``seed`` — width and RNG seed of the packed
       random stimulus used by the simulation checks, the sweep, and
-      phase seeding.  ``sim_patterns=0`` disables the simulation check
-      and everything fed by its signatures (auto-sweeping, phase and
-      activity seeding), so every differing pair goes to the solver.
+      phase seeding.  When the miter's signatures over every leaf
+      assignment fit :data:`_EXHAUSTIVE_BITS` (and no proof is
+      requested) stage 1 simulates all ``2**n`` assignments instead:
+      it refutes or proves every differing pair (``sim_proven``), and
+      nothing after it runs.  ``sim_patterns=0`` disables the
+      simulation stage, exhaustive or not, and everything fed by its
+      signatures (auto-sweeping, phase and activity seeding), so every
+      differing pair goes to the solver.
     * ``jobs`` — with ``jobs > 1`` (and no caller-supplied ``proof``)
       the root pairs surviving stages 1–2 are split into
       fanin-cone-balanced groups, and each group runs the same stage-3/4
@@ -657,7 +675,9 @@ def check_equivalence(before: Netlist, after: Netlist,
     treat that as a hard failure).  ``proof`` supplies the
     :class:`ProofLog` to write into — pass one with a stream to keep the
     DRAT text on disk (the CLI's ``--solve-log``); with ``proof`` alone
-    the log is recorded but not checked.
+    the log is recorded but not checked.  Either keeps stage 1 on random
+    stimulus, so an UNSAT verdict is always SAT-proven and DRAT-logged,
+    never decided by exhaustive simulation.
     """
     tracer = get_tracer()
     with tracer.span("cec", before=before.name,
@@ -681,9 +701,12 @@ def check_equivalence(before: Netlist, after: Netlist,
             cec_span.set(equivalent=True)
             return result
 
-        # Stage 1: simulation refutation check.  Any random pattern a
-        # root pair disagrees on is already a complete counterexample.
-        # ``sim_patterns=0`` disables the check (and the signatures that
+        # Stage 1: simulation.  Any pattern a root pair disagrees on is
+        # already a complete counterexample.  A small miter is simulated
+        # under every leaf assignment (latches are free variables too),
+        # which also proves the pairs it cannot refute; DRAT-certified
+        # runs keep random stimulus so UNSAT stays solver-proven.
+        # ``sim_patterns=0`` disables the stage (and the signatures that
         # auto-sweep and phase seeding feed on).
         pairs = differing
         work_aig = aig
@@ -694,14 +717,22 @@ def check_equivalence(before: Netlist, after: Netlist,
         num_patterns = 0
         sweep_stats = None
         if sim_patterns > 0:
-            rng = random.Random(seed)
             leaves = list(aig.inputs) + list(aig.latches)
-            words = {nid: rng.getrandbits(sim_patterns) for nid in leaves}
-            num_patterns = sim_patterns
+            exhaustive = (not certify and proof is None and
+                          aig.num_nodes << len(leaves) <= _EXHAUSTIVE_BITS)
+            if exhaustive:
+                words = dict(zip(leaves, elementary_words(len(leaves))))
+                num_patterns = 1 << len(leaves)
+            else:
+                rng = random.Random(seed)
+                words = {nid: rng.getrandbits(sim_patterns)
+                         for nid in leaves}
+                num_patterns = sim_patterns
             mask = (1 << num_patterns) - 1
             start = time.perf_counter()
             with tracer.span("cec.simcheck", patterns=num_patterns,
-                             pairs=len(pairs)) as sim_span:
+                             pairs=len(pairs),
+                             exhaustive=exhaustive) as sim_span:
                 sigs = aig_signatures(
                     aig,
                     [words[nid] for nid in aig.inputs],
@@ -715,6 +746,11 @@ def check_equivalence(before: Netlist, after: Netlist,
                 cec_span.set(equivalent=False, refuted_by="simulation")
                 return _refute_by_pattern(result, before, after, words,
                                           pi_lits, latch_lits, bit)
+            if exhaustive:
+                # All 2**n assignments agree: every pair is proven.
+                result.sim_proven = len(pairs)
+                cec_span.set(sim_proven=result.sim_proven, equivalent=True)
+                return result
 
         # Stage 2: SAT-sweep the miter AIG — internal equivalences the
         # unique table missed collapse under incremental SAT, and root

@@ -434,10 +434,15 @@ def elementary_words(num_vars: int) -> tuple[int, ...]:
         span = 1 << num_vars
         words = []
         for i in range(num_vars):
-            block = (1 << (1 << i)) - 1
-            word = 0
-            for start in range(1 << i, span, 1 << (i + 1)):
-                word |= block << start
+            # One period (``1 << i`` zeros, then as many ones), doubled
+            # until it spans every assignment: a few big-int shifts per
+            # word, not one per period, so exhaustive CEC stimulus over
+            # ~20 leaves stays cheap.
+            word = ((1 << (1 << i)) - 1) << (1 << i)
+            width = 1 << (i + 1)
+            while width < span:
+                word |= word << width
+                width <<= 1
             words.append(word)
         cached = tuple(words)
         _ELEMENTARY[num_vars] = cached

@@ -7,6 +7,8 @@ import pytest
 
 from repro.cli import run
 
+from test_serialize import designs
+
 ALU = """
 module alu #(parameter W = 4) (
   input [W-1:0] a, input [W-1:0] b, input [1:0] op,
@@ -236,15 +238,58 @@ def test_emit_write_failure_is_diagnosed(alu_file, tmp_path, capsys):
 
 
 def test_check_prints_solver_stats_when_solving(mult_pair):
-    # The two multipliers do not hash-merge, so the miter reaches the
-    # solver and the human-readable output must carry the search
-    # statistics line.
+    # The two multipliers do not hash-merge, and a certified check keeps
+    # the miter off exhaustive simulation, so it reaches the solver and
+    # the human-readable output must carry the search statistics line.
     fa, fb = mult_pair
-    code, text = _run([fa, "--check-against", fb])
+    code, text = _run([fa, "--check-against", fb, "--certify"])
     assert code == 0
     assert "solver:" in text
     assert "conflicts" in text and "restarts" in text
     assert "reduced clauses" in text
+
+
+def test_check_names_exhaustive_simulation_without_solver_line(mult_pair):
+    # Uncertified, the 8-input multiplier miter is decided by simulating
+    # all 256 input assignments: the headline names that stage and no
+    # solve ran, so there is no solver line.
+    fa, fb = mult_pair
+    code, text = _run([fa, "--check-against", fb])
+    assert code == 0
+    assert ("equivalence: PROVEN (8 functions: 2 hash-proven, "
+            "6 proven by exhaustive simulation)") in text
+    assert "miter UNSAT" not in text
+    assert "solver:" not in text
+    code, text = _run([fa, "--check-against", fb, "--json"])
+    equivalence = json.loads(text)["equivalence"]
+    assert equivalence["sim_proven"] == 6
+    assert equivalence["solver"]["conflicts"] == 0
+    assert equivalence["cnf_clauses"] == 0
+
+
+def test_check_names_sweep_without_solver_line(tmp_path):
+    # The flow's W=16 ALU has 35 inputs, too many to enumerate, and the
+    # miter sweep proves every output of its optimized self-check.
+    design = designs.alu(16)
+    path = tmp_path / "alu.v"
+    path.write_text(design.src)
+    code, text = _run([str(path), "--top", design.top, "-O", "--check"])
+    assert code == 0
+    assert "equivalence: PROVEN (16 functions: 16 sweep-proven)" in text
+    assert "miter UNSAT" not in text
+    assert "solver:" not in text
+
+
+def test_solve_log_keeps_the_solve(mult_pair, tmp_path):
+    # A streamed DRAT log needs an UNSAT proof to log, so the miter skips
+    # exhaustive simulation and the headline credits the solver.
+    fa, fb = mult_pair
+    code, text = _run([fa, "--check-against", fb,
+                       "--solve-log", str(tmp_path / "p.drat")])
+    assert code == 0
+    assert "6 SAT-proven (miter UNSAT" in text
+    assert "proven by exhaustive simulation" not in text
+    assert "solver:" in text
 
 
 def test_check_omits_solver_stats_when_hash_proven(alu_file):
@@ -259,8 +304,9 @@ def test_check_omits_solver_stats_when_hash_proven(alu_file):
 
 
 def test_check_json_carries_new_solver_counters(mult_pair):
+    # Certified, so exhaustive simulation leaves the miter to the solver.
     fa, fb = mult_pair
-    code, text = _run([fa, "--check-against", fb, "--json"])
+    code, text = _run([fa, "--check-against", fb, "--certify", "--json"])
     assert code == 0
     equivalence = json.loads(text)["equivalence"]
     assert equivalence["hash_proven"] < equivalence["compared"]
@@ -414,10 +460,13 @@ def test_trace_json_carries_histogram_metrics(mult_pair, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_jobs_json_parity_with_serial(mult_pair):
+    # Certified, so both runs reach the solve (uncertified, exhaustive
+    # simulation decides this miter before the pool is used).
     fa, fb = mult_pair
-    code_s, text_s = _run([fa, "--check-against", fb, "--json"])
-    code_p, text_p = _run([fa, "--check-against", fb, "--jobs", "4",
+    code_s, text_s = _run([fa, "--check-against", fb, "--certify",
                            "--json"])
+    code_p, text_p = _run([fa, "--check-against", fb, "--certify",
+                           "--jobs", "4", "--json"])
     assert code_s == 0 and code_p == 0
     serial = json.loads(text_s)["equivalence"]
     parallel = json.loads(text_p)["equivalence"]

@@ -21,6 +21,7 @@ from repro.netlist.opt import optimize
 from repro.netlist.sat import (
     CECError,
     CNF,
+    ProofLog,
     Solver,
     aig_lit_sat,
     check_equivalence,
@@ -28,6 +29,7 @@ from repro.netlist.sat import (
     replay_counterexample,
     solve,
 )
+from repro.netlist.sat import cec
 from repro.obs import NullTracer, Tracer, use_tracer
 
 from test_elaborate import ALU
@@ -289,11 +291,11 @@ def test_interpreter_state_injection_validates():
 
 
 def test_solver_stats_surface_through_equivalence_result():
-    # The two multipliers do not hash-merge, and with the sweep off the
-    # differing root pairs go straight to the solver.
+    # The two multipliers do not hash-merge, and with simulation and the
+    # sweep off the differing root pairs go straight to the solver.
     before = elaborate(MULT_A)
     after = elaborate(MULT_B)
-    verdict = check_equivalence(before, after, sweep=False)
+    verdict = check_equivalence(before, after, sweep=False, sim_patterns=0)
     assert verdict.equivalent
     assert verdict.hash_proven < verdict.compared
     stats = verdict.solver_stats.to_dict()
@@ -354,9 +356,12 @@ def test_check_equivalence_process_pool(case):
                                      cex.state) == cex.diff
         return
     tracer = Tracer() if case == "traced" else NullTracer()
+    # Uncertified, the small miter is decided by exhaustive simulation;
+    # without simulation the pool has to prove it.
+    options = (dict(certify=True) if case == "equivalent"
+               else dict(sim_patterns=0))
     with use_tracer(tracer):
-        verdict = check_equivalence(before, after, jobs=2,
-                                    certify=case == "equivalent")
+        verdict = check_equivalence(before, after, jobs=2, **options)
     assert verdict.equivalent
     assert verdict.jobs == 2 and verdict.partitions == 2
     if case == "equivalent":
@@ -626,3 +631,131 @@ endmodule
     for sweep in ("auto", True, False):
         verdict = check_equivalence(before, after, sweep=sweep)
         assert verdict.equivalent, f"sweep={sweep}"
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive simulation: small uncertified miters skip the solve
+# ---------------------------------------------------------------------------
+
+
+def _mult_pair(width):
+    a = designs.multiplier(width)
+    b = designs.shift_add_multiplier(width)
+    return elaborate(a.src, top=a.top), elaborate(b.src, top=b.top)
+
+
+def _simcheck_spans(tracer):
+    return [record.args for record in tracer.spans()
+            if record.name == "cec.simcheck"]
+
+
+@pytest.mark.parametrize("width", [4, 5])
+def test_small_miter_proven_by_exhaustive_simulation(width):
+    before, after = _mult_pair(width)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        verdict = check_equivalence(before, after)
+    assert verdict.equivalent
+    assert verdict.hash_proven < verdict.compared
+    assert verdict.sim_proven == verdict.compared - verdict.hash_proven
+    assert verdict.sweep_proven == 0
+    assert verdict.solver_stats.conflicts == 0
+    assert verdict.solver_stats.propagations == 0
+    assert verdict.cnf_clauses == 0
+    assert verdict.to_report()["sim_proven"] == verdict.sim_proven
+    names = {record.name for record in tracer.spans()}
+    assert "cec.solve" not in names and "cec.encode" not in names
+    [sim] = _simcheck_spans(tracer)
+    assert sim["exhaustive"] is True
+    assert sim["patterns"] == 2 ** (2 * width)
+    [cec_span] = [record.args for record in tracer.spans()
+                  if record.name == "cec"]
+    assert cec_span["sim_proven"] == verdict.sim_proven
+
+
+def test_needle_bug_refuted_by_exhaustive_simulation():
+    before, _ = _mult_pair(4)
+    # Wrong on exactly one of the 256 input assignments.
+    after = elaborate("""
+module multiplier(input [3:0] a, input [3:0] b, output [7:0] p);
+  assign p = (a * b) ^ {7'b0, (a == 4'd13) & (b == 4'd11)};
+endmodule
+""", top="multiplier")
+    verdict = check_equivalence(before, after)
+    assert not verdict.equivalent
+    assert verdict.refuted_by_simulation
+    assert verdict.solver_stats.conflicts == 0
+    cex = verdict.counterexample
+    assert cex.packed_inputs() == {"a": 13, "b": 11}
+    assert replay_counterexample(before, after, cex.inputs,
+                                 cex.state) == cex.diff
+    # Certified, the 64 random patterns miss the needle and SAT finds it.
+    certified = check_equivalence(before, after, certify=True)
+    assert not certified.equivalent
+    assert not certified.refuted_by_simulation
+    assert certified.solver_stats.conflicts > 0
+    assert certified.counterexample.packed_inputs() == {"a": 13, "b": 11}
+
+
+def test_exhaustive_budget_boundary(monkeypatch):
+    """The budget is ``num_nodes << leaves`` bits, inclusive: one bit
+    less sends the same miter down the random-stimulus path."""
+    before, after = _mult_pair(4)
+    aig, pi_lits, latch_lits, _ = cec._lower_miter(before, after)
+    leaves = len(pi_lits) + len(latch_lits)
+    bits = aig.num_nodes << leaves
+    for budget, exhaustive in ((bits, True), (bits - 1, False)):
+        monkeypatch.setattr(cec, "_EXHAUSTIVE_BITS", budget)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            verdict = check_equivalence(before, after)
+        assert verdict.equivalent
+        [sim] = _simcheck_spans(tracer)
+        assert sim["exhaustive"] is exhaustive
+        assert sim["patterns"] == (2 ** leaves if exhaustive else 64)
+        assert (verdict.sim_proven > 0) is exhaustive
+        assert (verdict.solver_stats.conflicts > 0) is not exhaustive
+
+
+def test_sequential_next_state_bug_refuted_exhaustively():
+    """Latches are free variables of the register-correspondence miter,
+    so they are leaves of the exhaustive enumeration too."""
+    good = """
+module acc(input clk, input en, output [4:0] y);
+  reg [4:0] q;
+  always @(posedge clk) q <= en ? q + 5'd1 : q;
+  assign y = q;
+endmodule
+"""
+    bad = good.replace("q <= en ? q + 5'd1 : q;",
+                       "q <= en ? (q == 5'd21 ? 5'd3 : q + 5'd1) : q;")
+    before = elaborate(good, top="acc")
+    after = elaborate(bad, top="acc")
+    tracer = Tracer()
+    with use_tracer(tracer):
+        verdict = check_equivalence(before, after)
+    assert not verdict.equivalent and verdict.refuted_by_simulation
+    [sim] = _simcheck_spans(tracer)
+    assert sim["exhaustive"] is True
+    assert sim["patterns"] == 2 ** (before.num_inputs
+                                    + before.num_registers)
+    cex = verdict.counterexample
+    assert cex.packed_state() == {"acc.q": 21}
+    assert cex.inputs["en"] == 1
+    assert all(kind == "next_state" for kind, *_ in cex.diff)
+    assert replay_counterexample(before, after, cex.inputs,
+                                 cex.state) == cex.diff
+
+
+@pytest.mark.parametrize("evidence", ["certify", "proof"])
+def test_drat_evidence_keeps_the_solve(evidence):
+    """A certified run or a caller-supplied proof log never trades the
+    DRAT-logged UNSAT proof for exhaustive simulation."""
+    before, after = _mult_pair(4)
+    options = (dict(certify=True) if evidence == "certify"
+               else dict(proof=ProofLog()))
+    verdict = check_equivalence(before, after, **options)
+    assert verdict.equivalent
+    assert verdict.sim_proven == 0
+    assert verdict.solver_stats.conflicts > 0
+    assert verdict.proof_clauses > 0

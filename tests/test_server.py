@@ -195,6 +195,10 @@ def test_run_verify_job_proves_equivalence():
     assert reply["cache_hit"] is False
     assert reply["report"]["equivalent"] is True
     assert reply["hashes"][0] != reply["hashes"][1]
+    # The 9-input adder miter is small enough to simulate exhaustively.
+    report = reply["report"]
+    assert report["sim_proven"] == report["compared"] - report["hash_proven"]
+    assert report["solver"]["conflicts"] == 0
 
 
 def test_run_verify_job_refutes():

@@ -21,7 +21,9 @@ any UNSAT equivalence verdict through the independent RUP checker
 (exit 1 if the certificate is refused); ``--solve-log FILE`` streams the
 DRAT text to disk for offline re-checking (e.g. with drat-trim).
 Preprocessing steps land in the same proof, so certified runs keep
-preprocessing on.
+preprocessing on.  A miter small enough to simulate exhaustively is
+certified without the solver: its proof is a cube tree over the input
+assignments.
 
 Observability (:mod:`repro.obs`): ``--trace FILE.json`` records every
 phase of the run as Chrome trace-event JSON (open it in Perfetto or
@@ -116,11 +118,16 @@ def _proof_stages(eq: dict) -> str:
 
     Cached reports from before exhaustive simulation lack
     ``sim_proven``; the pairs no earlier stage proved went to the solve.
+    A certified exhaustive verdict names its checked cube-tree proof.
     """
     sim = eq.get("sim_proven", 0)
     sat = eq["compared"] - eq["hash_proven"] - sim - eq["sweep_proven"]
+    sim_label = "proven by exhaustive simulation"
+    proof = eq.get("proof")
+    if sim and proof is not None and proof["checked"] is True:
+        sim_label += f" (DRAT-checked, {proof['clauses']} lemmas)"
     stages = ((eq["hash_proven"], "hash-proven"),
-              (sim, "proven by exhaustive simulation"),
+              (sim, sim_label),
               (eq["sweep_proven"], "sweep-proven"),
               (sat, f"SAT-proven (miter UNSAT, {eq['cnf_clauses']} "
                     f"clauses)"))
@@ -163,8 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
              "check exits 1 (implies --check)")
     parser.add_argument(
         "--solve-log", metavar="FILE",
-        help="stream the solver's DRAT proof (learned-clause additions "
-             "and deletions) to FILE during --check (implies --check)")
+        help="stream the DRAT proof (the solver's learned-clause "
+             "additions and deletions, or the cube tree of an "
+             "exhaustively simulated miter) to FILE during --check "
+             "(implies --check)")
     parser.add_argument(
         "--no-preprocess", action="store_true",
         help="skip SatELite-style CNF preprocessing (subsumption, "
@@ -493,7 +502,7 @@ def _execute(args, out, tracer) -> int:
                     f"SAT-sweep-proven inside the shared miter AIG "
                     f"({eq['sweep_seconds'] * 1e3:.1f} ms)")
             solver = eq["solver"]
-            if eq["cnf_clauses"]:
+            if eq["cnf_clauses"] and not eq.get("sim_proven"):
                 # The miter reached the top-level solve (stages 3-4).
                 lines.append(
                     f"  solver: {solver['conflicts']} conflicts, "

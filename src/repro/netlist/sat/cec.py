@@ -22,11 +22,15 @@ progressively heavier artillery, in order:
    counterexample, extracted and replayed without a single solver
    conflict.  When the miter is small enough that its packed signatures
    over *all* ``2**n`` leaf assignments fit :data:`_EXHAUSTIVE_BITS`,
-   and no DRAT evidence is requested, the patterns are exactly those
-   assignments (:func:`~repro.netlist.sim.elementary_words`): no
-   disagreement then proves every root pair (``sim_proven``) and the
-   later stages never run.  Otherwise the patterns are seeded random
-   and the stage can only refute.
+   the patterns are exactly those assignments
+   (:func:`~repro.netlist.sim.elementary_words`): no disagreement then
+   proves every root pair (``sim_proven``) and the later stages never
+   run.  When DRAT evidence is requested the budget is the smaller
+   :data:`_CUBE_BITS`, and the verdict comes with a *cube-tree* proof:
+   the differing cones are encoded without preprocessing, and one RUP
+   lemma per node of the binary tree over the leaf variables refutes
+   every assignment (:func:`_cube_tree`).  Otherwise the patterns are
+   seeded random and the stage can only refute.
 2. **SAT sweeping of the miter** (FRAIG-style, shared with the optimizer
    via :func:`~repro.netlist.opt.fraig.fraig_sweep_map`) — internal
    points the two designs implement identically but with different
@@ -56,7 +60,8 @@ or next-state disagreement.
 A SAT verdict is never returned raw: the model is replayed through the
 compiled simulation engine on both netlists (:func:`replay_counterexample`)
 to confirm the disagreement and name the differing signals, guarding
-against encoder bugs.  Certification survives every stage: preprocessing
+against encoder bugs.  Certification survives every stage: an exhaustive
+simulation verdict is certified by its cube-tree proof, preprocessing
 emits RUP-checkable DRAT steps into the same proof log the solver extends,
 sweep merges are certified per-merge inside the sweep, and an UNSAT
 verdict is checked against the *original* (pre-preprocessing) CNF.
@@ -94,6 +99,15 @@ _SWEEP_MIN_DENSITY = 0.2
 #: when the miter's packed signatures fit this many bits:
 #: ``aig.num_nodes << len(leaves)`` (4 MiB of signature words).
 _EXHAUSTIVE_BITS = 1 << 25
+#: The same measure's budget when DRAT evidence is requested: the
+#: exhaustive verdict then also costs a cube-tree proof of about
+#: ``1.5 * 2**n`` lemmas, and its check costs about one propagation of
+#: the miter CNF per leaf assignment, whatever the miter's hardness.
+#: It admits the W<=5 multiplier miters (W=5: 333,824 bits), which the
+#: cube proves 3-4x faster than the solver, and keeps out the W=4 ALU
+#: vs its optimized netlist (583,680 bits), which the solver proves
+#: with no search 30x faster than the cube.
+_CUBE_BITS = 1 << 19
 
 
 class CECError(Exception):
@@ -146,12 +160,14 @@ class EquivalenceResult:
     #: Number of (output + next-state) functions compared by the miter.
     compared: int = 0
     #: Wall time spent building the miter (lowering, simulation checks,
-    #: Tseitin encoding) vs solving it.  CNF preprocessing counts in
-    #: neither: its time is ``preprocessor["seconds"]``.  With a process
-    #: pool the encode and solve times are the slowest shard's.
+    #: Tseitin encoding, cube-tree proof) vs solving it.  CNF
+    #: preprocessing counts in neither: its time is
+    #: ``preprocessor["seconds"]``.  With a process pool the encode and
+    #: solve times are the slowest shard's.
     encode_seconds: float = 0.0
     solve_seconds: float = 0.0
-    #: Size of the CNF handed to the solver (before preprocessing).
+    #: Size of the CNF handed to the solver (before preprocessing), or
+    #: of the CNF a cube-tree proof refutes.
     cnf_vars: int = 0
     cnf_clauses: int = 0
     #: Root pairs proven equal structurally (identical AIG literals in the
@@ -159,11 +175,11 @@ class EquivalenceResult:
     hash_proven: int = 0
     #: DRAT certification (``certify=True`` / ``proof=``).  ``proof_checked``
     #: is True/False when UNSAT evidence was run through the independent
-    #: RUP checker (the top-level proof, the sweep's per-merge proofs, or
-    #: both), and None when there was nothing to check: certification
-    #: off, a SAT verdict (certified by the replayed counterexample
-    #: instead), or a fully hash-proven miter that never reached the
-    #: solver.
+    #: RUP checker (the cube-tree or top-level proof, the sweep's
+    #: per-merge proofs, or both), and None when there was nothing to
+    #: check: certification off, a SAT verdict (certified by the
+    #: replayed counterexample instead), or a fully hash-proven miter
+    #: that never reached the solver.
     proof_checked: Optional[bool] = None
     proof_clauses: int = 0
     proof_bytes: int = 0
@@ -174,6 +190,8 @@ class EquivalenceResult:
     sweep_seconds: float = 0.0
     #: Root pairs proven by exhaustive simulation: the miter was small
     #: enough to simulate every leaf assignment, and none disagreed.
+    #: With DRAT evidence requested, the ``proof_*`` fields describe the
+    #: cube-tree proof of the same verdict.
     sim_proven: int = 0
     #: True when the counterexample came from the packed-simulation check
     #: — the solver never ran (``solver_stats`` is all zeros).
@@ -492,6 +510,80 @@ def replay_counterexample(before: Netlist, after: Netlist,
     return diffs
 
 
+def _cube_tree(proof: ProofLog, leaves: list[int]) -> None:
+    """Write a cube-tree refutation over the CNF ``leaves`` into ``proof``.
+
+    Every node of the binary tree over the leaf variables (in order) is
+    one lemma, the negation of its partial assignment (cube); the root's
+    lemma is the empty clause.  A parent is added after its children,
+    which are then deleted, so the checker's active set stays one
+    root-to-node path wide.  Each lemma is RUP: under a *full* leaf cube
+    the miter CNF propagates every gate, and since simulation showed the
+    designs agree there, the asserted disagreement clause conflicts; an
+    inner cube propagates to the conflicts of its two children's lemmas.
+    Under each depth-``n-1`` node only one leaf lemma is emitted: it
+    forces the last leaf, so propagation refutes the parent's other leaf
+    cube without its lemma.  That is ``2**n + 2**(n-1) - 1`` lemmas.
+    """
+    add, delete = proof.add, proof.delete
+    last = len(leaves) - 1
+
+    def refute(lemma: tuple[int, ...]) -> None:
+        depth = len(lemma)
+        if depth < last:
+            var = leaves[depth]
+            children = ((-var,) + lemma, (var,) + lemma)
+            for child in children:
+                refute(child)
+            add(lemma)
+            for child in children:
+                delete(child)
+        elif depth == last:
+            leaf = (-leaves[depth],) + lemma
+            add(leaf)
+            add(lemma)
+            delete(leaf)
+        else:                        # no leaves: the root alone
+            add(lemma)
+
+    refute(())
+
+
+def _certify_exhaustive(result: EquivalenceResult, aig: AIG,
+                        pairs: list[tuple[int, int]],
+                        pi_lits: dict[str, int], latch_lits: dict[str, int],
+                        *, certify: bool, structural: bool,
+                        proof: Optional[ProofLog]) -> None:
+    """DRAT evidence for pairs exhaustive simulation proved: encode their
+    cones (no preprocessing), write a :func:`_cube_tree` proof into
+    ``proof`` (a fresh log when None) and, under ``certify``, check it
+    against that CNF."""
+    tracer = get_tracer()
+    start = time.perf_counter()
+    cnf = CNF()
+    with tracer.span("cec.encode", pairs=len(pairs)) as span:
+        _, input_vars, state_vars = _encode_pairs(
+            cnf, aig, pairs, pi_lits, latch_lits, structural)
+        span.set(cnf_vars=cnf.num_vars, cnf_clauses=len(cnf.clauses))
+    result.cnf_vars = cnf.num_vars
+    result.cnf_clauses = len(cnf.clauses)
+    if proof is None:
+        proof = ProofLog()
+    leaves = sorted({*input_vars.values(), *state_vars.values()})
+    before = proof.num_added
+    with tracer.span("cec.cube", leaves=len(leaves)) as span:
+        _cube_tree(proof, leaves)
+        span.set(lemmas=proof.num_added - before)
+    result.encode_seconds += time.perf_counter() - start
+    result.proof_clauses = proof.num_added
+    result.proof_bytes = proof.size_bytes()
+    if certify:
+        start = time.perf_counter()
+        with tracer.span("cec.certify", lemmas=proof.num_added):
+            result.proof_checked = check_drat(cnf, proof).ok
+        result.proof_check_seconds = time.perf_counter() - start
+
+
 @dataclass
 class ShardVerdict:
     """Stage-3/4 outcome for one group of root pairs (:func:`_solve_shard`).
@@ -645,10 +737,11 @@ def check_equivalence(before: Netlist, after: Netlist,
     * ``sim_patterns`` / ``seed`` — width and RNG seed of the packed
       random stimulus used by the simulation checks, the sweep, and
       phase seeding.  When the miter's signatures over every leaf
-      assignment fit :data:`_EXHAUSTIVE_BITS` (and no proof is
-      requested) stage 1 simulates all ``2**n`` assignments instead:
-      it refutes or proves every differing pair (``sim_proven``), and
-      nothing after it runs.  ``sim_patterns=0`` disables the
+      assignment fit :data:`_EXHAUSTIVE_BITS` (:data:`_CUBE_BITS` when
+      DRAT evidence is requested) stage 1 simulates all ``2**n``
+      assignments instead: it refutes or proves every differing pair
+      (``sim_proven``), and nothing after it runs.  ``sim_patterns=0``
+      disables the
       simulation stage, exhaustive or not, and everything fed by its
       signatures (auto-sweeping, phase and activity seeding), so every
       differing pair goes to the solver.
@@ -675,9 +768,11 @@ def check_equivalence(before: Netlist, after: Netlist,
     treat that as a hard failure).  ``proof`` supplies the
     :class:`ProofLog` to write into — pass one with a stream to keep the
     DRAT text on disk (the CLI's ``--solve-log``); with ``proof`` alone
-    the log is recorded but not checked.  Either keeps stage 1 on random
-    stimulus, so an UNSAT verdict is always SAT-proven and DRAT-logged,
-    never decided by exhaustive simulation.
+    the log is recorded but not checked.  A miter exhaustive simulation
+    proves within :data:`_CUBE_BITS` needs no solve: its proof is a
+    cube tree over the leaf variables of the encoded cones, with
+    ``2**n + 2**(n-1) - 1`` lemmas, checked against that
+    (unpreprocessed) CNF; ``solver_stats`` stay zero.
     """
     tracer = get_tracer()
     with tracer.span("cec", before=before.name,
@@ -704,10 +799,10 @@ def check_equivalence(before: Netlist, after: Netlist,
         # Stage 1: simulation.  Any pattern a root pair disagrees on is
         # already a complete counterexample.  A small miter is simulated
         # under every leaf assignment (latches are free variables too),
-        # which also proves the pairs it cannot refute; DRAT-certified
-        # runs keep random stimulus so UNSAT stays solver-proven.
-        # ``sim_patterns=0`` disables the stage (and the signatures that
-        # auto-sweep and phase seeding feed on).
+        # which also proves the pairs it cannot refute; when DRAT
+        # evidence is requested the budget is smaller and the proof is a
+        # cube tree.  ``sim_patterns=0`` disables the stage (and the
+        # signatures that auto-sweep and phase seeding feed on).
         pairs = differing
         work_aig = aig
         in_lits, st_lits = pi_lits, latch_lits
@@ -718,8 +813,9 @@ def check_equivalence(before: Netlist, after: Netlist,
         sweep_stats = None
         if sim_patterns > 0:
             leaves = list(aig.inputs) + list(aig.latches)
-            exhaustive = (not certify and proof is None and
-                          aig.num_nodes << len(leaves) <= _EXHAUSTIVE_BITS)
+            evidence = certify or proof is not None
+            budget = _CUBE_BITS if evidence else _EXHAUSTIVE_BITS
+            exhaustive = aig.num_nodes << len(leaves) <= budget
             if exhaustive:
                 words = dict(zip(leaves, elementary_words(len(leaves))))
                 num_patterns = 1 << len(leaves)
@@ -749,6 +845,10 @@ def check_equivalence(before: Netlist, after: Netlist,
             if exhaustive:
                 # All 2**n assignments agree: every pair is proven.
                 result.sim_proven = len(pairs)
+                if evidence:
+                    _certify_exhaustive(result, aig, pairs, pi_lits,
+                                        latch_lits, certify=certify,
+                                        structural=structural, proof=proof)
                 cec_span.set(sim_proven=result.sim_proven, equivalent=True)
                 return result
 

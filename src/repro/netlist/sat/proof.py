@@ -19,19 +19,22 @@ This module provides both halves:
 ``check_drat(cnf, proof)``
     A pure-Python *backward* RUP checker.  It shares **no** code with
     either solver engine: it has its own clause database, its own
-    two-watched-literal unit propagation, and its own trail.  A proof is
-    accepted iff the empty clause is RUP (reverse unit propagation)
-    with respect to the formula plus the proof's surviving additions,
-    and — walking the proof backwards — every addition *used* by that
-    derivation is itself RUP at the point it was introduced.  Backward
-    checking with core marking skips lemmas that never feed the final
-    conflict, which is what makes checking multi-thousand-lemma proofs
-    tolerable in pure Python; ``verify_all=True`` forces every lemma to
-    be checked regardless.
+    two-watched-literal unit propagation over flat per-literal arrays,
+    and its own trail.  A proof is accepted iff the empty clause is RUP
+    (reverse unit propagation) with respect to the formula plus the
+    proof's surviving additions, and — walking the proof backwards —
+    every addition *used* by that derivation is itself RUP at the point
+    it was introduced.  "Used" is the whole implication graph of each
+    checked conflict (the core); backward checking skips lemmas outside
+    it, and ``verify_all=True`` checks every lemma regardless.
 
 Checking is deliberately restricted to the RUP fragment of DRAT: both
 in-tree solvers only ever learn clauses by resolution (1-UIP), and every
 such clause is RUP with respect to the clause database at learn time.
+The cube-tree proofs of certified exhaustive simulation
+(:mod:`repro.netlist.sat.cec`) are RUP by construction too: a lemma
+negating a full leaf assignment is refuted by propagating the miter
+CNF, and each inner lemma by its children's lemmas.
 Lemmas are verified against the *final* input clause set, which is sound
 — extra clauses only strengthen unit propagation, and by induction every
 accepted lemma is a logical consequence of the input formula — and is
@@ -116,12 +119,17 @@ class ProofLog:
     proof file is usable the moment the solver stops — even mid-run.
     """
 
-    __slots__ = ("steps", "stream", "bytes_written", "_flush")
+    __slots__ = ("steps", "stream", "bytes_written", "num_added",
+                 "num_deleted", "_bytes", "_flush")
 
     def __init__(self, stream: Optional[TextIO] = None, flush: bool = True):
         self.steps: List[Step] = []
         self.stream = stream
         self.bytes_written = 0
+        #: Running counts of addition and deletion steps.
+        self.num_added = 0
+        self.num_deleted = 0
+        self._bytes = 0
         self._flush = flush
 
     def add(self, lits: Iterable[int]) -> None:
@@ -134,27 +142,27 @@ class ProofLog:
 
     def _record(self, kind: str, lits: Tuple[int, ...]) -> None:
         self.steps.append((kind, lits))
+        if kind == "a":
+            self.num_added += 1
+        else:
+            self.num_deleted += 1
         if self.stream is not None:
             line = format_drat_step(kind, lits) + "\n"
             self.stream.write(line)
             self.bytes_written += len(line)
             if self._flush:
                 self.stream.flush()
-
-    @property
-    def num_added(self) -> int:
-        return sum(1 for kind, _ in self.steps if kind == "a")
-
-    @property
-    def num_deleted(self) -> int:
-        return sum(1 for kind, _ in self.steps if kind == "d")
+        else:
+            # The DRAT line is the literals joined by single spaces, then
+            # " 0\n" ("0\n" when empty), after "d " for a deletion.
+            self._bytes += (sum(map(len, map(str, lits))) + len(lits) + 2
+                            + (kind == "d") * 2)
 
     def size_bytes(self) -> int:
         """Size of the proof as DRAT text (streamed or would-be)."""
         if self.stream is not None:
             return self.bytes_written
-        return sum(len(format_drat_step(kind, lits)) + 1
-                   for kind, lits in self.steps)
+        return self._bytes
 
     def to_drat(self) -> str:
         """The whole proof as DRAT text."""
@@ -210,18 +218,17 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
         steps = parse_drat(steps)
 
     # -- clause database ---------------------------------------------------
+    # Literals are encoded as ``2 * var + sign`` (sign 1 = negative), so
+    # values, watch lists and negation (``^ 1``) are flat list indexing.
     # Clauses are mutable lists so the two watched literals can live at
-    # positions 0 and 1 (ReferenceSolver-style swap surgery, but this is
-    # an independent implementation).  ``active`` tracks liveness under
-    # the deletion steps; watch-list entries for inactive clauses are
-    # kept (skipped on visit) so backward reactivation needs no repair.
+    # positions 0 and 1.  ``active`` tracks liveness under the deletion
+    # steps.
     db: List[List[int]] = []
     active: List[bool] = []
     inert: List[bool] = []           # tautologies: never propagate
     marked: List[bool] = []          # dependency core of the final conflict
     unit_ids: List[int] = []
     empty_ids: List[int] = []
-    watches: dict = {}               # literal -> clause ids watching it
     by_key: dict = {}                # sorted literal tuple -> clause ids
     num_vars = 0
 
@@ -238,7 +245,7 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
             if -lit in seen:
                 tautology = True
             seen.add(lit)
-            clause.append(lit)
+            clause.append(2 * lit if lit > 0 else 1 - 2 * lit)
             if abs(lit) > num_vars:
                 num_vars = abs(lit)
         cid = len(db)
@@ -246,22 +253,17 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
         active.append(True)
         inert.append(tautology)
         marked.append(False)
-        by_key.setdefault(tuple(sorted(clause)), []).append(cid)
+        by_key.setdefault(tuple(sorted(seen)), []).append(cid)
         if tautology:
             pass
         elif not clause:
             empty_ids.append(cid)
         elif len(clause) == 1:
             unit_ids.append(cid)
-        else:
-            watches.setdefault(clause[0], []).append(cid)
-            watches.setdefault(clause[1], []).append(cid)
         return cid
 
-    num_formula = 0
     for lits in formula:
         add_clause(lits)
-        num_formula += 1
 
     lemma_count = 0
     matched_deletions = 0
@@ -286,101 +288,164 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
     for lit in assumptions:
         if abs(lit) > num_vars:
             num_vars = abs(lit)
+    assumed = [2 * lit if lit > 0 else 1 - 2 * lit for lit in assumptions]
 
     def fail(reason: str) -> DratCheckResult:
         return DratCheckResult(False, reason, lemmas=lemma_count,
                                checked=checked, deletions=matched_deletions)
 
+    # -- watch lists -------------------------------------------------------
+    # ``bins[lit]`` holds ``(clause id, other literal)`` for each binary
+    # clause containing ``lit``.  ``watches[lit]`` holds a flat
+    # ``clause id, blocker`` pair for each longer clause watching
+    # ``lit``: a true blocker (another literal of the clause) skips the
+    # clause without reading it.
+    #
+    # Only clauses active at the end of the proof are hooked here.  The
+    # backward pass hooks a deleted clause when it reactivates it, and
+    # propagation unhooks an inactive clause when it reads one.  A cube
+    # tree deactivates thousands of lemmas that watch the same leaf
+    # literals; left in place, they would be walked by every later
+    # propagation.  A clause is hooked at most once (at the end, or at
+    # its one deletion), so no list holds a duplicate entry.
+    bins: List[list] = [[] for _ in range(2 * num_vars + 2)]
+    watches: List[List[int]] = [[] for _ in range(2 * num_vars + 2)]
+
+    def hook(cid: int) -> None:
+        clause = db[cid]
+        if inert[cid] or len(clause) < 2:
+            return
+        if len(clause) == 2:
+            first, second = clause
+            bins[first].append((cid, second))
+            bins[second].append((cid, first))
+        else:
+            watches[clause[0]] += (cid, clause[1])
+            watches[clause[1]] += (cid, clause[0])
+
+    for cid, alive in enumerate(active):
+        if alive:
+            hook(cid)
+
     # -- unit propagation --------------------------------------------------
-    vals = [0] * (num_vars + 1)      # 0 unassigned, +1 true, -1 false
+    val = [0] * (2 * num_vars + 2)   # per literal: +1 true, -1 false, 0 free
     reason = [-1] * (num_vars + 1)   # clause id, or -1 for asserted lits
     trail: List[int] = []
+    seen = [False] * (num_vars + 1)  # mark_core's walk, cleared after
 
-    def mark_core(seed_cids: Iterable[int], seed_vars: Iterable[int]) -> None:
-        # Mark every clause reachable through the reason chains: those
-        # are the additions the final conflict actually depends on.
-        pending_vars = list(seed_vars)
-        pending_cids = list(seed_cids)
-        while pending_cids or pending_vars:
-            while pending_cids:
-                cid = pending_cids.pop()
-                if marked[cid]:
-                    continue
-                marked[cid] = True
-                pending_vars.extend(abs(lit) for lit in db[cid])
-            while pending_vars:
-                var = pending_vars.pop()
-                if vals[var] == 0:
-                    continue
+    def mark_core(seed_cids: Sequence[int], seed_vars: Sequence[int]) -> None:
+        # Mark every clause on the conflict's implication graph: those
+        # are the additions the final conflict actually depends on.  The
+        # walk goes back along the trail, so it passes through clauses an
+        # earlier conflict already marked — their antecedents this time
+        # may be lemmas no conflict has used yet.
+        for var in seed_vars:
+            seen[var] = True
+        for cid in seed_cids:
+            marked[cid] = True
+            for lit in db[cid]:
+                seen[lit >> 1] = True
+        for lit in reversed(trail):
+            var = lit >> 1
+            if seen[var]:
                 rsn = reason[var]
-                if rsn >= 0 and not marked[rsn]:
-                    pending_cids.append(rsn)
-                    break            # drain clause queue first
+                if rsn >= 0:
+                    marked[rsn] = True
+                    for other in db[rsn]:
+                        seen[other >> 1] = True
+        for lit in trail:
+            seen[lit >> 1] = False
+        for var in seed_vars:
+            seen[var] = False
 
     def propagate() -> Optional[int]:
         # Returns the id of a conflicting clause, or None.
         qhead = 0
-        while qhead < len(trail):
-            lit = trail[qhead]
+        ntrail = len(trail)
+        while qhead < ntrail:
+            false_lit = trail[qhead] ^ 1
             qhead += 1
-            false_lit = -lit
-            watchers = watches.get(false_lit)
-            if not watchers:
-                continue
+            implied = bins[false_lit]
+            stale = False
+            for cid, other in implied:
+                if not active[cid]:
+                    stale = True
+                elif val[other] == 0:
+                    val[other] = 1
+                    val[other ^ 1] = -1
+                    reason[other >> 1] = cid
+                    trail.append(other)
+                    ntrail += 1
+                elif val[other] < 0:
+                    return cid
+            if stale:
+                implied[:] = [entry for entry in implied if active[entry[0]]]
+            watchers = watches[false_lit]
             i = 0
-            while i < len(watchers):
+            n = len(watchers)
+            while i < n:
+                if val[watchers[i + 1]] > 0:     # blocker true
+                    i += 2
+                    continue
                 cid = watchers[i]
                 if not active[cid]:
-                    i += 1
+                    # Unhook: swap in the last pair, revisit slot i.
+                    n -= 2
+                    watchers[i] = watchers[n]
+                    watchers[i + 1] = watchers[n + 1]
+                    del watchers[n:]
                     continue
                 clause = db[cid]
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                fval = vals[first] if first > 0 else -vals[-first]
-                if fval > 0:         # satisfied
-                    i += 1
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                fval = val[first]
+                if fval > 0:         # satisfied: make it the blocker
+                    watchers[i + 1] = first
+                    i += 2
                     continue
-                moved = False
                 for k in range(2, len(clause)):
                     other = clause[k]
-                    oval = vals[other] if other > 0 else -vals[-other]
-                    if oval >= 0:    # not false: watch it instead
-                        clause[1], clause[k] = clause[k], clause[1]
-                        watches.setdefault(clause[1], []).append(cid)
-                        watchers[i] = watchers[-1]
-                        watchers.pop()
-                        moved = True
+                    if val[other] >= 0:  # not false: watch it instead
+                        clause[1] = other
+                        clause[k] = false_lit
+                        watches[other] += (cid, first)
+                        n -= 2
+                        watchers[i] = watchers[n]
+                        watchers[i + 1] = watchers[n + 1]
+                        del watchers[n:]
                         break
-                if moved:
-                    continue
-                if fval < 0:         # all literals false
-                    return cid
-                var = abs(first)
-                vals[var] = 1 if first > 0 else -1
-                reason[var] = cid
-                trail.append(first)
-                i += 1
+                else:
+                    if fval < 0:     # all literals false
+                        return cid
+                    val[first] = 1
+                    val[first ^ 1] = -1
+                    reason[first >> 1] = cid
+                    trail.append(first)
+                    ntrail += 1
+                    i += 2
         return None
 
     def assert_lit(lit: int, rsn: int) -> Optional[Tuple[int, int]]:
         # Returns (clause id or -1, literal) describing a conflict, or
         # None on success / no-op.
-        var = abs(lit)
-        want = 1 if lit > 0 else -1
-        have = vals[var]
-        if have == want:
+        have = val[lit]
+        if have > 0:
             return None
-        if have == -want:
+        if have < 0:
             return (rsn, lit)
-        vals[var] = want
-        reason[var] = rsn
+        val[lit] = 1
+        val[lit ^ 1] = -1
+        reason[lit >> 1] = rsn
         trail.append(lit)
         return None
 
     def undo() -> None:
         for lit in trail:
-            vals[abs(lit)] = 0
+            val[lit] = 0
+            val[lit ^ 1] = 0
         del trail[:]
 
     def rup_conflict(negated: Sequence[int], mark: bool) -> bool:
@@ -393,18 +458,18 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
                 return True
         conflict_cid = None
         seed_cids: List[int] = []
-        for lit in assumptions:
+        for lit in assumed:
             hit = assert_lit(lit, -1)
             if hit is not None:
                 conflict_cid = -1    # assumption vs assumption/lemma lit
-                seed_vars = [abs(hit[1])]
+                seed_vars = [hit[1] >> 1]
                 break
         else:
             for lit in negated:
                 hit = assert_lit(lit, -1)
                 if hit is not None:
                     conflict_cid = -1
-                    seed_vars = [abs(hit[1])]
+                    seed_vars = [hit[1] >> 1]
                     break
             else:
                 for cid in unit_ids:
@@ -416,7 +481,7 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
                         seed_cids = [cid] if cid >= 0 else []
                         if hit[0] >= 0:
                             seed_cids.append(hit[0])
-                        seed_vars = [abs(hit[1])]
+                        seed_vars = [hit[1] >> 1]
                         break
                 else:
                     cid = propagate()
@@ -425,7 +490,7 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
                         return False
                     conflict_cid = cid
                     seed_cids = [cid]
-                    seed_vars = [abs(lit) for lit in db[cid]]
+                    seed_vars = [lit >> 1 for lit in db[cid]]
         if mark:
             if conflict_cid is not None and conflict_cid >= 0:
                 seed_cids.append(conflict_cid)
@@ -450,6 +515,7 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
     for kind, cid in reversed(events):
         if kind == "d":
             active[cid] = True
+            hook(cid)
             continue
         active[cid] = False
         if not (verify_all or marked[cid]):
@@ -457,11 +523,15 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
         if inert[cid]:
             checked += 1             # a tautology is trivially redundant
             continue
-        negated = [-lit for lit in db[cid]]
-        if not rup_conflict(negated, mark=True):
-            return fail(f"lemma {' '.join(map(str, db[cid]))} 0 "
-                        "is not RUP")
+        if not rup_conflict([lit ^ 1 for lit in db[cid]], mark=True):
+            return fail(f"lemma {_dimacs(db[cid])} 0 is not RUP")
         checked += 1
 
     return DratCheckResult(True, "", lemmas=lemma_count, checked=checked,
                            deletions=matched_deletions)
+
+
+def _dimacs(clause: Sequence[int]) -> str:
+    """An encoded-literal clause as DIMACS text (no terminating 0)."""
+    return " ".join(str(-(lit >> 1) if lit & 1 else lit >> 1)
+                    for lit in clause)

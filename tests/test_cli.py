@@ -237,11 +237,12 @@ def test_emit_write_failure_is_diagnosed(alu_file, tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
-def test_check_prints_solver_stats_when_solving(mult_pair):
-    # The two multipliers do not hash-merge, and a certified check keeps
-    # the miter off exhaustive simulation, so it reaches the solver and
-    # the human-readable output must carry the search statistics line.
-    fa, fb = mult_pair
+def test_check_prints_solver_stats_when_solving(wide_mult_pair):
+    # The two multipliers do not hash-merge, and a certified check above
+    # the cube budget keeps the miter off exhaustive simulation, so it
+    # reaches the solver and the human-readable output must carry the
+    # search statistics line.
+    fa, fb = wide_mult_pair
     code, text = _run([fa, "--check-against", fb, "--certify"])
     assert code == 0
     assert "solver:" in text
@@ -280,16 +281,36 @@ def test_check_names_sweep_without_solver_line(tmp_path):
     assert "solver:" not in text
 
 
-def test_solve_log_keeps_the_solve(mult_pair, tmp_path):
-    # A streamed DRAT log needs an UNSAT proof to log, so the miter skips
+def test_solve_log_keeps_the_solve(wide_mult_pair, tmp_path):
+    # A streamed DRAT log needs an UNSAT proof to log; above the cube
+    # budget that proof comes from the solver, so the miter skips
     # exhaustive simulation and the headline credits the solver.
-    fa, fb = mult_pair
+    fa, fb = wide_mult_pair
     code, text = _run([fa, "--check-against", fb,
                        "--solve-log", str(tmp_path / "p.drat")])
     assert code == 0
     assert "6 SAT-proven (miter UNSAT" in text
     assert "proven by exhaustive simulation" not in text
     assert "solver:" in text
+
+
+def test_certify_names_the_cube_proof(mult_pair, tmp_path):
+    # Within the cube budget a certified run is decided by exhaustive
+    # simulation, and its DRAT proof is a checked cube tree: 2**8 + 2**7
+    # - 1 lemmas over the 8 inputs, streamed to the log.  No solve ran.
+    from repro.netlist.sat import parse_drat
+
+    fa, fb = mult_pair
+    log = tmp_path / "p.drat"
+    code, text = _run([fa, "--check-against", fb, "--certify",
+                       "--solve-log", str(log)])
+    assert code == 0
+    assert ("equivalence: PROVEN (8 functions: 2 hash-proven, 6 proven "
+            "by exhaustive simulation (DRAT-checked, 383 lemmas))") in text
+    assert "solver:" not in text
+    assert "independently checked" in text
+    steps = parse_drat(log.read_text())
+    assert sum(1 for kind, _ in steps if kind == "a") == 383
 
 
 def test_check_omits_solver_stats_when_hash_proven(alu_file):
@@ -303,9 +324,10 @@ def test_check_omits_solver_stats_when_hash_proven(alu_file):
     assert "solver:" not in text
 
 
-def test_check_json_carries_new_solver_counters(mult_pair):
-    # Certified, so exhaustive simulation leaves the miter to the solver.
-    fa, fb = mult_pair
+def test_check_json_carries_new_solver_counters(wide_mult_pair):
+    # Certified and above the cube budget, so exhaustive simulation
+    # leaves the miter to the solver.
+    fa, fb = wide_mult_pair
     code, text = _run([fa, "--check-against", fb, "--certify", "--json"])
     assert code == 0
     equivalence = json.loads(text)["equivalence"]
@@ -353,12 +375,31 @@ endmodule
 """
 
 
+def _with_bus(src):
+    """Add an 8-bit pass-through bus.  Its output pairs hash-merge, but
+    its 8 extra leaves take the certified miter above the cube budget,
+    so ``--certify`` and ``--solve-log`` reach the solver."""
+    return src.replace(
+        "output [2*W-1:0] p\n);",
+        "output [2*W-1:0] p,\n  input [7:0] c, output [7:0] q\n);\n"
+        "  assign q = c;")
+
+
 @pytest.fixture
 def mult_pair(tmp_path):
     fa = tmp_path / "mult_a.v"
     fb = tmp_path / "mult_b.v"
     fa.write_text(MULT_A)
     fb.write_text(MULT_B)
+    return str(fa), str(fb)
+
+
+@pytest.fixture
+def wide_mult_pair(tmp_path):
+    fa = tmp_path / "wide_mult_a.v"
+    fb = tmp_path / "wide_mult_b.v"
+    fa.write_text(_with_bus(MULT_A))
+    fb.write_text(_with_bus(MULT_B))
     return str(fa), str(fb)
 
 
@@ -443,8 +484,8 @@ def test_solve_log_write_failure_is_diagnosed(mult_pair, tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
-def test_trace_json_carries_histogram_metrics(mult_pair, tmp_path):
-    fa, fb = mult_pair
+def test_trace_json_carries_histogram_metrics(wide_mult_pair, tmp_path):
+    fa, fb = wide_mult_pair
     code, text = _run([fa, "--check-against", fb, "--certify", "--json",
                        "--trace", str(tmp_path / "t.json")])
     assert code == 0
@@ -459,10 +500,11 @@ def test_trace_json_carries_histogram_metrics(mult_pair, tmp_path):
 # Parallel verification (--jobs) and the result cache (--cache)
 # ---------------------------------------------------------------------------
 
-def test_jobs_json_parity_with_serial(mult_pair):
-    # Certified, so both runs reach the solve (uncertified, exhaustive
-    # simulation decides this miter before the pool is used).
-    fa, fb = mult_pair
+def test_jobs_json_parity_with_serial(wide_mult_pair):
+    # Certified and above the cube budget, so both runs reach the solve
+    # (uncertified, exhaustive simulation decides this miter before the
+    # pool is used).
+    fa, fb = wide_mult_pair
     code_s, text_s = _run([fa, "--check-against", fb, "--certify",
                            "--json"])
     code_p, text_p = _run([fa, "--check-against", fb, "--certify",
@@ -489,10 +531,10 @@ def test_jobs_refuted_exits_2(mult_pair, tmp_path):
     assert "equivalence: REFUTED" in text
 
 
-def test_jobs_certified_parallel(mult_pair):
+def test_jobs_certified_parallel(wide_mult_pair):
     # Every worker logs its own DRAT proof; the merged verdict is only
     # certified when all of them check out.
-    fa, fb = mult_pair
+    fa, fb = wide_mult_pair
     code, text = _run([fa, "--check-against", fb, "--certify",
                        "--jobs", "2", "--json"])
     assert code == 0

@@ -6,6 +6,7 @@ the certification story's foundation: real proofs from both engines must
 check, and corrupted/truncated/bogus proofs must be rejected.
 """
 
+import random
 from itertools import combinations
 
 import pytest
@@ -22,6 +23,8 @@ from repro.netlist.sat import (
     format_drat_step,
     parse_drat,
 )
+from repro.netlist.sat import CNF, cec
+from repro.netlist.sat.preprocess import preprocess
 
 
 def pigeonhole(holes):
@@ -97,6 +100,25 @@ def test_prooflog_streams_live(tmp_path):
         log.delete((1, 2))
     assert path.read_text() == "1 2 0\nd 1 2 0\n"
     assert log.bytes_written == log.size_bytes() == 14
+
+
+@pytest.mark.parametrize("streamed", [False, True])
+def test_prooflog_running_counters_match_recount(streamed, tmp_path):
+    steps = [("a", (1, -22, 333)), ("d", (4,)), ("a", ()),
+             ("d", (-1, 22)), ("a", (-7,)), ("a", (10, -11, 12, -13)),
+             ("d", ())]
+    handle = open(tmp_path / "p.drat", "w", encoding="utf-8") \
+        if streamed else None
+    log = ProofLog(stream=handle)
+    for count, (kind, lits) in enumerate(steps, start=1):
+        (log.add if kind == "a" else log.delete)(lits)
+        assert log.steps == steps[:count]
+        assert log.num_added == sum(k == "a" for k, _ in log.steps)
+        assert log.num_deleted == sum(k == "d" for k, _ in log.steps)
+        assert log.size_bytes() == len(log.to_drat())
+    if streamed:
+        handle.close()
+        assert (tmp_path / "p.drat").read_text() == log.to_drat()
 
 
 def test_parse_drat_ignores_comments_and_rejects_garbage():
@@ -272,6 +294,231 @@ def test_deleting_needed_clause_breaks_proof():
     assert not check_drat(clauses, steps)
 
 
+# ---------------------------------------------------------------------------
+# Differential check against a naive RUP oracle
+# ---------------------------------------------------------------------------
+
+
+def _naive_rup(db, assumptions, lemma):
+    """True iff asserting the assumptions and the lemma's negation, then
+    sweeping every clause of ``db`` until no unit is left, conflicts."""
+    value = set()
+    for lit in (*assumptions, *(-lit for lit in lemma)):
+        if -lit in value:
+            return True
+        value.add(lit)
+    changed = True
+    while changed:
+        changed = False
+        for clause in db:
+            free = None
+            count = 0
+            for lit in clause:
+                if lit in value:
+                    break
+                if -lit not in value:
+                    count += 1
+                    free = lit
+            else:
+                if count == 0:
+                    return True
+                if count == 1:
+                    value.add(free)
+                    changed = True
+    return False
+
+
+def _oracle_accepts(formula, steps, assumptions=()):
+    """Forward DRAT-RUP semantics: every lemma is RUP over the formula
+    plus the lemmas still alive before it, deletions drop one matching
+    clause (unknown ones are ignored), and the end is a conflict."""
+    db = [frozenset(clause) for clause in formula]
+    for kind, lits in steps:
+        key = frozenset(lits)
+        if kind == "a":
+            if not _naive_rup(db, assumptions, lits):
+                return False
+            db.append(key)
+        elif key in db:
+            db.remove(key)
+    return _naive_rup(db, assumptions, ())
+
+
+def _miter_cnf(width):
+    """Structural CNF of the W-bit MULT_A vs MULT_B miter, and the CNF
+    variables of its inputs."""
+    before = elaborate(MULT_A.replace("W = 4", f"W = {width}"))
+    after = elaborate(MULT_B.replace("W = 4", f"W = {width}"))
+    aig, pi_lits, latch_lits, named = cec._lower_miter(before, after)
+    pairs = [(b, a) for _, _, b, a in named if b != a]
+    cnf = CNF()
+    _, input_vars, _ = cec._encode_pairs(cnf, aig, pairs, pi_lits,
+                                         latch_lits, True)
+    return cnf, sorted(input_vars.values())
+
+
+def _miter_solver_proof(width, assume):
+    """A preprocessed, reduce-DB-heavy solver proof of the miter, so it
+    carries deletions.  With ``assume`` the disagreement clause is gated
+    by a fresh selector, and the proof holds only under it."""
+    cnf, inputs = _miter_cnf(width)
+    clauses = list(cnf.clauses)
+    assumptions = ()
+    if assume:
+        selector = cnf.new_var()
+        clauses[-1] = clauses[-1] + (-selector,)
+        assumptions = (selector,)
+    log = ProofLog()
+    pre = preprocess(cnf.num_vars, clauses,
+                     frozen={*inputs, *assumptions}, proof=log)
+    solver = Solver(cnf.num_vars, pre.clauses)
+    solver.max_learnts = 16
+    solver.set_proof(log)
+    assert not solver.solve(assumptions).satisfiable
+    assert log.num_deleted > 0
+    return clauses, list(log.steps), assumptions
+
+
+def _mutate(steps, rng):
+    """Drop one lemma, or one literal of one lemma."""
+    adds = [i for i, (kind, _) in enumerate(steps) if kind == "a"]
+    i = rng.choice(adds)
+    lits = steps[i][1]
+    out = list(steps)
+    if rng.random() < 0.5 or not lits:
+        del out[i]
+    else:
+        j = rng.randrange(len(lits))
+        out[i] = ("a", lits[:j] + lits[j + 1:])
+    return out
+
+
+def test_checker_agrees_with_naive_oracle_on_mutated_proofs():
+    verdicts = []
+    for (width, assume), count in (((3, False), 48), ((3, True), 48),
+                                   ((4, False), 4)):
+        clauses, steps, assumptions = _miter_solver_proof(width, assume)
+        assert check_drat(clauses, steps, assumptions, verify_all=True)
+        if assume:
+            assert not check_drat(clauses, steps)
+        rng = random.Random(10 * width + assume)
+        for _ in range(count):
+            mutated = _mutate(steps, rng)
+            expected = _oracle_accepts(clauses, mutated, assumptions)
+            got = check_drat(clauses, mutated, assumptions,
+                             verify_all=True).ok
+            assert got == expected, (width, assume)
+            verdicts.append(got)
+    assert len(verdicts) >= 100
+    # Both outcomes occur, so the agreement is not vacuous.
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+# ---------------------------------------------------------------------------
+# Cube-tree proofs (certified exhaustive simulation)
+# ---------------------------------------------------------------------------
+
+
+def _full_cube_tree(leaves):
+    """Every node of the binary tree over ``leaves``, both leaf cubes
+    included: parent after children, children deleted after it."""
+    steps = []
+
+    def refute(lemma):
+        if len(lemma) < len(leaves):
+            var = leaves[len(lemma)]
+            children = ((-var,) + lemma, (var,) + lemma)
+            for child in children:
+                refute(child)
+            steps.append(("a", lemma))
+            steps.extend(("d", child) for child in children)
+        else:
+            steps.append(("a", lemma))
+
+    refute(())
+    return steps
+
+
+def _without(steps, lemma):
+    return [step for step in steps if step[1] != lemma]
+
+
+def test_full_cube_tree_checks_and_tolerates_a_missing_leaf():
+    cnf, leaves = _miter_cnf(3)
+    n = len(leaves)
+    steps = _full_cube_tree(leaves)
+    assert sum(kind == "a" for kind, _ in steps) == 2 ** (n + 1) - 1
+    assert check_drat(cnf, steps, verify_all=True)
+    # One leaf of a sibling pair is redundant: the other leaf's lemma
+    # forces the last variable, and propagation refutes the parent.
+    leaf = tuple(-var for var in reversed(leaves))
+    assert check_drat(cnf, _without(steps, leaf), verify_all=True)
+    # A depth-1 lemma is not: without it the root has one unit only.
+    for lemma in ((-leaves[0],), (leaves[0],)):
+        assert not check_drat(cnf, _without(steps, lemma))
+
+
+@pytest.mark.parametrize("width", [3, 5, 6])
+def test_half_leaf_cube_tree_checks(width):
+    cnf, leaves = _miter_cnf(width)
+    n = len(leaves)
+    log = ProofLog()
+    cec._cube_tree(log, leaves)
+    assert log.num_added == 2 ** n + 2 ** (n - 1) - 1
+    assert log.steps[-3:] == [("a", ()), ("d", (-leaves[0],)),
+                              ("d", (leaves[0],))]
+    result = check_drat(cnf, log)
+    # Every full cube needs its own propagation: the lone leaf lemma
+    # and its parent are both in the core.
+    assert result.ok and result.checked >= 2 ** n
+    if width == 3:
+        assert check_drat(cnf, log, verify_all=True)
+
+
+def test_core_marking_follows_already_marked_clauses():
+    """The core of a lemma's conflict is its whole implication graph,
+    also through clauses an earlier conflict marked.  Stopping there
+    skips the lone leaf lemmas of a half-leaf tree: each is used only
+    through formula clauses every other check marks too."""
+    cnf, leaves = _miter_cnf(3)
+    log = ProofLog()
+    cec._cube_tree(log, leaves)
+    verdicts = []
+    for lemma in [lits for kind, lits in log.steps
+                  if kind == "a" and len(lits) == len(leaves)]:
+        # A shortened leaf lemma still forces the last leaf for its
+        # parent, but is itself not RUP unless its shorter cube already
+        # propagates to a conflict.
+        short = lemma[:2]
+        steps = [(kind, short if lits == lemma else lits)
+                 for kind, lits in log.steps]
+        core = check_drat(cnf, steps).ok
+        assert core == check_drat(cnf, steps, verify_all=True).ok
+        verdicts.append(core)
+    assert not all(verdicts)
+
+
+def test_cube_tree_of_a_satisfiable_miter_is_rejected():
+    """A needle bug makes the miter satisfiable, so the leaf lemma of
+    the differing cube is not RUP.  The half-leaf tree still derives
+    the empty clause through it; the checker must refuse it in its
+    default (core) mode, not only under ``verify_all``."""
+    good = "module m(input [2:0] a, input [2:0] b, output [5:0] p); " \
+           "assign p = a * b; endmodule"
+    bad = good.replace("a * b", "(a * b) ^ {5'b0, (a == 3'd1) & (b == 3'd5)}")
+    aig, pi_lits, latch_lits, named = cec._lower_miter(elaborate(good),
+                                                       elaborate(bad))
+    pairs = [(b, a) for _, _, b, a in named if b != a]
+    cnf = CNF()
+    _, input_vars, _ = cec._encode_pairs(cnf, aig, pairs, pi_lits,
+                                         latch_lits, True)
+    assert Solver(cnf.num_vars, cnf.clauses).solve().satisfiable
+    log = ProofLog()
+    cec._cube_tree(log, sorted(input_vars.values()))
+    assert not check_drat(cnf, log)
+    assert not check_drat(cnf, log, verify_all=True)
+
+
 def test_checker_accepts_plain_iterables_and_text():
     clauses, steps = _unsat_proof(3)
     text = "".join(format_drat_step(kind, lits) + "\n"
@@ -331,7 +578,10 @@ def test_check_equivalence_certify_preprocessed():
     # proof.
     before = elaborate(MULT_A)
     after = elaborate(MULT_B)
-    result = check_equivalence(before, after, certify=True, sweep=False)
+    # Without simulation the small miter skips the cube-tree proof and
+    # reaches the solve.
+    result = check_equivalence(before, after, certify=True, sweep=False,
+                               sim_patterns=0)
     assert result.equivalent and result.proof_checked is True
     assert result.preprocessor["eliminated_vars"] > 0
 

@@ -24,6 +24,7 @@ from repro.netlist.sat import (
     ProofLog,
     Solver,
     aig_lit_sat,
+    check_drat,
     check_equivalence,
     encode_aig_cone,
     replay_counterexample,
@@ -33,7 +34,7 @@ from repro.netlist.sat import cec
 from repro.obs import NullTracer, Tracer, use_tracer
 
 from test_elaborate import ALU
-from test_proof import MULT_A, MULT_B
+from test_proof import MULT_A, MULT_B, _miter_cnf
 from test_serialize import designs
 
 # ---------------------------------------------------------------------------
@@ -313,10 +314,15 @@ def test_solver_stats_surface_through_equivalence_result():
              cnf_vars=179, cnf_clauses=617, proof_clauses=2230,
              eliminated_vars=54)),
 ])
-def test_serial_solve_counters_pinned(width, counters):
+def test_serial_solve_counters_pinned(width, counters, monkeypatch):
     """The in-process stage-3/4 solve is one deterministic program: the
     CNF it encodes, what preprocessing eliminates and the CDCL search on
-    the carry-save vs shift-add multiplier miter are pinned exactly."""
+    the carry-save vs shift-add multiplier miter are pinned exactly.
+
+    Both miters fit the cube budget, so it is closed here to keep them
+    on the solve path; ``sim_patterns=0`` would do that too, but it also
+    drops the phase seeding the pinned search depends on."""
+    monkeypatch.setattr(cec, "_CUBE_BITS", 0)
     a = designs.multiplier(width)
     b = designs.shift_add_multiplier(width)
     verdict = check_equivalence(elaborate(a.src, top=a.top),
@@ -356,9 +362,10 @@ def test_check_equivalence_process_pool(case):
                                      cex.state) == cex.diff
         return
     tracer = Tracer() if case == "traced" else NullTracer()
-    # Uncertified, the small miter is decided by exhaustive simulation;
-    # without simulation the pool has to prove it.
-    options = (dict(certify=True) if case == "equivalent"
+    # With simulation on, the small miter is decided by exhaustive
+    # simulation (certified by a cube-tree proof); without it the pool
+    # has to prove it.
+    options = (dict(certify=True, sim_patterns=0) if case == "equivalent"
                else dict(sim_patterns=0))
     with use_tracer(tracer):
         verdict = check_equivalence(before, after, jobs=2, **options)
@@ -689,12 +696,19 @@ endmodule
     assert cex.packed_inputs() == {"a": 13, "b": 11}
     assert replay_counterexample(before, after, cex.inputs,
                                  cex.state) == cex.diff
-    # Certified, the 64 random patterns miss the needle and SAT finds it.
+    # Certified, the miter fits the cube budget, so exhaustive
+    # simulation still finds the needle before any proof is built.
     certified = check_equivalence(before, after, certify=True)
     assert not certified.equivalent
-    assert not certified.refuted_by_simulation
-    assert certified.solver_stats.conflicts > 0
+    assert certified.refuted_by_simulation
+    assert certified.solver_stats.conflicts == 0
     assert certified.counterexample.packed_inputs() == {"a": 13, "b": 11}
+    # Without simulation, SAT finds it.
+    solved = check_equivalence(before, after, certify=True, sim_patterns=0)
+    assert not solved.equivalent
+    assert not solved.refuted_by_simulation
+    assert solved.solver_stats.conflicts > 0
+    assert solved.counterexample.packed_inputs() == {"a": 13, "b": 11}
 
 
 def test_exhaustive_budget_boundary(monkeypatch):
@@ -748,14 +762,79 @@ endmodule
 
 
 @pytest.mark.parametrize("evidence", ["certify", "proof"])
-def test_drat_evidence_keeps_the_solve(evidence):
-    """A certified run or a caller-supplied proof log never trades the
-    DRAT-logged UNSAT proof for exhaustive simulation."""
-    before, after = _mult_pair(4)
+def test_drat_evidence_gets_a_cube_proof(evidence):
+    """A certified run or a caller-supplied proof log on a miter within
+    the cube budget is decided by exhaustive simulation and logs a
+    half-leaf cube-tree proof instead of solving; certified, the proof
+    is checked."""
+    before, after = elaborate(MULT_A), elaborate(MULT_B)
+    log = ProofLog()
     options = (dict(certify=True) if evidence == "certify"
-               else dict(proof=ProofLog()))
-    verdict = check_equivalence(before, after, **options)
+               else dict(proof=log))
+    tracer = Tracer()
+    with use_tracer(tracer):
+        verdict = check_equivalence(before, after, **options)
     assert verdict.equivalent
-    assert verdict.sim_proven == 0
-    assert verdict.solver_stats.conflicts > 0
-    assert verdict.proof_clauses > 0
+    assert verdict.sim_proven == verdict.compared - verdict.hash_proven > 0
+    assert verdict.solver_stats.conflicts == 0
+    assert verdict.solver_stats.propagations == 0
+    n = 2 * 4
+    assert verdict.proof_clauses == 2 ** n + 2 ** (n - 1) - 1
+    assert verdict.proof_bytes > 0
+    assert verdict.cnf_clauses > 0
+    names = [record.name for record in tracer.spans()]
+    assert "cec.solve" not in names
+    [cube] = [record.args for record in tracer.spans()
+              if record.name == "cec.cube"]
+    assert cube["leaves"] == n and cube["lemmas"] == verdict.proof_clauses
+    if evidence == "certify":
+        assert verdict.proof_checked is True
+        assert "cec.certify" in names
+    else:
+        # Logged, not checked: the log alone must check against the
+        # (deterministic) encoding of the same miter.
+        assert verdict.proof_checked is None
+        assert log.num_added == verdict.proof_clauses
+        cnf, _ = _miter_cnf(4)
+        assert check_drat(cnf, log)
+
+
+def test_cube_budget_boundary(monkeypatch):
+    """The certified budget is the same ``num_nodes << leaves`` measure,
+    inclusive: one bit less sends the miter to the solver."""
+    before, after = _mult_pair(4)
+    aig, pi_lits, latch_lits, _ = cec._lower_miter(before, after)
+    bits = aig.num_nodes << (len(pi_lits) + len(latch_lits))
+    assert bits <= cec._CUBE_BITS
+    for budget, cube in ((bits, True), (bits - 1, False)):
+        monkeypatch.setattr(cec, "_CUBE_BITS", budget)
+        verdict = check_equivalence(before, after, certify=True)
+        assert verdict.equivalent and verdict.proof_checked is True
+        assert (verdict.sim_proven > 0) is cube
+        assert (verdict.solver_stats.conflicts > 0) is not cube
+
+
+@pytest.mark.parametrize("width", [3, 4, 5])
+@pytest.mark.parametrize("bug", [False, True])
+def test_cube_verdicts_agree_with_sat(width, bug):
+    """Certified verdicts by cube tree equal the ``sim_patterns=0`` SAT
+    path on multiplier pairs and their buggy variants, and every
+    refutation replays."""
+    a = designs.multiplier(width)
+    b = designs.shift_add_multiplier(width, bug=bug)
+    before = elaborate(a.src, top=a.top)
+    after = elaborate(b.src, top=b.top)
+    cube = check_equivalence(before, after, certify=True)
+    sat = check_equivalence(before, after, certify=True, sim_patterns=0)
+    assert cube.equivalent is sat.equivalent is (not bug)
+    if bug:
+        assert cube.refuted_by_simulation and not sat.refuted_by_simulation
+        for verdict in (cube, sat):
+            cex = verdict.counterexample
+            assert cex.diff
+            assert replay_counterexample(before, after, cex.inputs,
+                                         cex.state) == cex.diff
+    else:
+        assert cube.sim_proven > 0 and cube.solver_stats.conflicts == 0
+        assert sat.sim_proven == 0 and sat.solver_stats.conflicts > 0
+        assert cube.proof_checked is sat.proof_checked is True

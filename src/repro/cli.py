@@ -12,16 +12,15 @@ statistics — as a table or as JSON.  Frontend and elaboration problems
 are reported as one-line diagnostics with exit code 1.
 
 The equivalence check runs the full staged CEC pipeline (simulation
-refutation, SAT sweeping, structure-aware encoding, CNF preprocessing,
-seeded CDCL — see :mod:`repro.netlist.sat.cec`); ``--no-preprocess``
-is the escape hatch that skips the CNF preprocessor.
+refutation, SAT sweeping, structure-aware encoding, bounded variable
+elimination, seeded CDCL — see :mod:`repro.netlist.sat.cec`).
 
 Certification: ``--certify`` has the solver log a DRAT proof and runs
 any UNSAT equivalence verdict through the independent RUP checker
 (exit 1 if the certificate is refused); ``--solve-log FILE`` streams the
 DRAT text to disk for offline re-checking (e.g. with drat-trim).
-Preprocessing steps land in the same proof, so certified runs keep
-preprocessing on.  A miter small enough to simulate exhaustively is
+Variable-elimination steps land in the same proof as the solver's
+learned clauses.  A miter small enough to simulate exhaustively is
 certified without the solver: its proof is a cube tree over the input
 assignments.
 
@@ -174,11 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
              "additions and deletions, or the cube tree of an "
              "exhaustively simulated miter) to FILE during --check "
              "(implies --check)")
-    parser.add_argument(
-        "--no-preprocess", action="store_true",
-        help="skip SatELite-style CNF preprocessing (subsumption, "
-             "self-subsuming resolution, bounded variable elimination) "
-             "of the miter before solving during --check")
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="solve the miter's root pairs in up to N (>= 1) worker "
@@ -381,8 +375,7 @@ def _execute(args, out, tracer) -> int:
         eq_report = None
         if args.cache and not args.solve_log:
             from .server.cache import CacheError, ResultCache, content_key
-            options = {"certify": args.certify,
-                       "preprocess": not args.no_preprocess}
+            options = {"certify": args.certify}
             try:
                 cache = ResultCache(args.cache)
             except CacheError as exc:
@@ -395,7 +388,7 @@ def _execute(args, out, tracer) -> int:
             try:
                 verdict = check_equivalence(
                     lhs, rhs, certify=args.certify, proof=proof,
-                    preprocess=not args.no_preprocess, jobs=args.jobs)
+                    jobs=args.jobs)
             except CECError as exc:
                 raise CLIError(str(exc)) from exc
             finally:
@@ -512,9 +505,9 @@ def _execute(args, out, tracer) -> int:
             if eq.get("preprocessor"):
                 pp = eq["preprocessor"]
                 lines.append(
-                    f"  preprocessor: {pp['subsumed']} subsumed, "
-                    f"{pp['eliminated_vars']} eliminated, "
-                    f"{solver['vivified']} vivified")
+                    f"  preprocessor: {pp['eliminated_vars']} variables "
+                    f"eliminated, {pp['eliminated_clauses']} clauses "
+                    f"replaced by {pp['resolvents']} resolvents")
             if "proof" in eq:
                 proof_rep = eq["proof"]
                 if proof_rep["checked"] is True:

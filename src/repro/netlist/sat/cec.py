@@ -27,8 +27,8 @@ progressively heavier artillery, in order:
    proves every root pair (``sim_proven``) and the later stages never
    run.  When DRAT evidence is requested the budget is the smaller
    :data:`_CUBE_BITS`, and the verdict comes with a *cube-tree* proof:
-   the differing cones are encoded without preprocessing, and one RUP
-   lemma per node of the binary tree over the leaf variables refutes
+   the differing cones are encoded without variable elimination, and one
+   RUP lemma per node of the binary tree over the leaf variables refutes
    every assignment (:func:`_cube_tree`).  Otherwise the patterns are
    seeded random and the stage can only refute.
 2. **SAT sweeping of the miter** (FRAIG-style, shared with the optimizer
@@ -40,8 +40,8 @@ progressively heavier artillery, in order:
    sweep candidates are re-checked against the surviving root pairs.
 3. **structure-aware encoding** — the surviving cones are encoded with
    XOR/MUX/majority pattern matching
-   (:func:`~repro.netlist.sat.cnf.encode_aig_cone` ``structural=True``),
-   then simplified by the SatELite-style CNF preprocessor
+   (:func:`~repro.netlist.sat.cnf.encode_aig_cone`), then simplified by
+   bounded variable elimination
    (:func:`~repro.netlist.sat.preprocess.preprocess`) with the shared
    input/state variables frozen, so counterexample models reconstruct.
 4. **guided CDCL** — the solver's saved phases are seeded from the
@@ -61,10 +61,11 @@ A SAT verdict is never returned raw: the model is replayed through the
 compiled simulation engine on both netlists (:func:`replay_counterexample`)
 to confirm the disagreement and name the differing signals, guarding
 against encoder bugs.  Certification survives every stage: an exhaustive
-simulation verdict is certified by its cube-tree proof, preprocessing
-emits RUP-checkable DRAT steps into the same proof log the solver extends,
-sweep merges are certified per-merge inside the sweep, and an UNSAT
-verdict is checked against the *original* (pre-preprocessing) CNF.
+simulation verdict is certified by its cube-tree proof, variable
+elimination emits RUP-checkable DRAT steps into the same proof log the
+solver extends, sweep merges are certified per-merge inside the sweep,
+and an UNSAT verdict is checked against the *original* (pre-elimination)
+CNF.
 """
 
 from __future__ import annotations
@@ -160,14 +161,14 @@ class EquivalenceResult:
     #: Number of (output + next-state) functions compared by the miter.
     compared: int = 0
     #: Wall time spent building the miter (lowering, simulation checks,
-    #: Tseitin encoding, cube-tree proof) vs solving it.  CNF
-    #: preprocessing counts in neither: its time is
+    #: Tseitin encoding, cube-tree proof) vs solving it.  Variable
+    #: elimination counts in neither: its time is
     #: ``preprocessor["seconds"]``.  With a process pool the encode and
     #: solve times are the slowest shard's.
     encode_seconds: float = 0.0
     solve_seconds: float = 0.0
-    #: Size of the CNF handed to the solver (before preprocessing), or
-    #: of the CNF a cube-tree proof refutes.
+    #: Size of the CNF handed to the solver (before variable
+    #: elimination), or of the CNF a cube-tree proof refutes.
     cnf_vars: int = 0
     cnf_clauses: int = 0
     #: Root pairs proven equal structurally (identical AIG literals in the
@@ -197,7 +198,7 @@ class EquivalenceResult:
     #: — the solver never ran (``solver_stats`` is all zeros).
     refuted_by_simulation: bool = False
     #: :class:`~repro.netlist.sat.preprocess.PreprocessStats` counters as
-    #: a dict when CNF preprocessing ran, else None.
+    #: a dict when the miter reached the solve, else None.
     preprocessor: Optional[dict] = None
     #: Worker-process count requested (``jobs=``) and the number of
     #: miter partitions the process pool solved.  Both stay at 1 / 0
@@ -344,8 +345,7 @@ def _lower_miter(before: Netlist, after: Netlist
 
 
 def _encode_pairs(cnf: CNF, aig: AIG, pairs: list[tuple[int, int]],
-                  pi_lits: dict[str, int], latch_lits: dict[str, int],
-                  structural: bool
+                  pi_lits: dict[str, int], latch_lits: dict[str, int]
                   ) -> tuple[dict[int, int], dict[str, int], dict[str, int]]:
     """Encode the cones of the differing pairs and assert the miter output.
 
@@ -354,7 +354,7 @@ def _encode_pairs(cnf: CNF, aig: AIG, pairs: list[tuple[int, int]],
     and default to 0 in counterexamples.
     """
     roots = [lit for pair in pairs for lit in pair]
-    var_map = encode_aig_cone(cnf, aig, roots, structural=structural)
+    var_map = encode_aig_cone(cnf, aig, roots)
     _assert_disagreement(cnf, [
         (aig_lit_sat(var_map, b), aig_lit_sat(var_map, a))
         for b, a in pairs
@@ -552,10 +552,10 @@ def _cube_tree(proof: ProofLog, leaves: list[int]) -> None:
 def _certify_exhaustive(result: EquivalenceResult, aig: AIG,
                         pairs: list[tuple[int, int]],
                         pi_lits: dict[str, int], latch_lits: dict[str, int],
-                        *, certify: bool, structural: bool,
+                        *, certify: bool,
                         proof: Optional[ProofLog]) -> None:
     """DRAT evidence for pairs exhaustive simulation proved: encode their
-    cones (no preprocessing), write a :func:`_cube_tree` proof into
+    cones (no variable elimination), write a :func:`_cube_tree` proof into
     ``proof`` (a fresh log when None) and, under ``certify``, check it
     against that CNF."""
     tracer = get_tracer()
@@ -563,7 +563,7 @@ def _certify_exhaustive(result: EquivalenceResult, aig: AIG,
     cnf = CNF()
     with tracer.span("cec.encode", pairs=len(pairs)) as span:
         _, input_vars, state_vars = _encode_pairs(
-            cnf, aig, pairs, pi_lits, latch_lits, structural)
+            cnf, aig, pairs, pi_lits, latch_lits)
         span.set(cnf_vars=cnf.num_vars, cnf_clauses=len(cnf.clauses))
     result.cnf_vars = cnf.num_vars
     result.cnf_clauses = len(cnf.clauses)
@@ -611,10 +611,10 @@ class ShardVerdict:
 def _solve_shard(aig: AIG, pairs: list[tuple[int, int]],
                  in_lits: dict[str, int], st_lits: dict[str, int],
                  sigs, mask: int, num_patterns: int, *,
-                 certify: bool, preprocess: bool, structural: bool,
+                 certify: bool,
                  proof: Optional[ProofLog] = None) -> ShardVerdict:
-    """Stages 3–4 for the root ``pairs`` of ``aig``: encode, preprocess,
-    seeded solve, model reconstruction and DRAT check.
+    """Stages 3–4 for the root ``pairs`` of ``aig``: encode, eliminate
+    variables, seeded solve, model reconstruction and DRAT check.
 
     The one place the top-level miter is solved: :func:`check_equivalence`
     calls it in-process on the whole miter, and every pool worker of
@@ -623,14 +623,14 @@ def _solve_shard(aig: AIG, pairs: list[tuple[int, int]],
     signatures of ``aig`` under ``num_patterns`` stimulus patterns (None
     disables phase/activity seeding).  ``proof`` is the log to write into;
     under ``certify`` one is created when None, and an UNSAT verdict is
-    checked against the shard's original (pre-preprocessing) CNF.
+    checked against the shard's original (pre-elimination) CNF.
     """
     tracer = get_tracer()
     start = time.perf_counter()
     cnf = CNF()
     with tracer.span("cec.encode", pairs=len(pairs)) as span:
         var_map, input_vars, state_vars = _encode_pairs(
-            cnf, aig, pairs, in_lits, st_lits, structural)
+            cnf, aig, pairs, in_lits, st_lits)
         span.set(cnf_vars=cnf.num_vars, cnf_clauses=len(cnf.clauses))
     shard = ShardVerdict(False, cnf_vars=cnf.num_vars,
                          cnf_clauses=len(cnf.clauses),
@@ -638,30 +638,26 @@ def _solve_shard(aig: AIG, pairs: list[tuple[int, int]],
 
     if certify and proof is None:
         proof = ProofLog()
-    # CNF preprocessing: the proof steps it emits precede the solver's,
-    # so one log certifies the whole pipeline against the original CNF.
-    # Input/state variables are frozen — they must survive for model
-    # readback and counterexample reconstruction.
-    pre = None
-    solve_clauses = cnf.clauses
-    if preprocess and cnf.clauses:
-        frozen = set(input_vars.values()) | set(state_vars.values())
-        with tracer.span("cec.preprocess",
-                         cnf_clauses=len(cnf.clauses)) as pp_span:
-            pre = simplify_cnf(cnf.num_vars, cnf.clauses,
-                               frozen=frozen, proof=proof)
-            pp_span.set(clauses_out=len(pre.clauses), unsat=pre.unsat)
-        solve_clauses = pre.clauses
-        shard.preprocessor = pre.stats.to_dict()
+    # Variable elimination: the proof steps it emits precede the
+    # solver's, so one log certifies the whole pipeline against the
+    # original CNF.  Input/state variables are frozen — they must survive
+    # for model readback and counterexample reconstruction.
+    frozen = set(input_vars.values()) | set(state_vars.values())
+    with tracer.span("cec.preprocess",
+                     cnf_clauses=len(cnf.clauses)) as pp_span:
+        pre = simplify_cnf(cnf.num_vars, cnf.clauses,
+                           frozen=frozen, proof=proof)
+        pp_span.set(clauses_out=len(pre.clauses), unsat=pre.unsat)
+    shard.preprocessor = pre.stats.to_dict()
 
-    # When preprocessing alone derived the empty clause the proof already
+    # When elimination alone derived the empty clause the proof already
     # ends in it: no search, and certification proceeds as for any other
     # UNSAT verdict.
-    if pre is None or not pre.unsat:
+    if not pre.unsat:
         start = time.perf_counter()
         with tracer.span("cec.solve", cnf_vars=cnf.num_vars,
-                         cnf_clauses=len(solve_clauses)) as solve_span:
-            solver = Solver(cnf.num_vars, solve_clauses)
+                         cnf_clauses=len(pre.clauses)) as solve_span:
+            solver = Solver(cnf.num_vars, pre.clauses)
             if proof is not None:
                 solver.set_proof(proof)
             if sigs is not None:
@@ -677,9 +673,8 @@ def _solve_shard(aig: AIG, pairs: list[tuple[int, int]],
         shard.satisfiable = result.satisfiable
         if result.satisfiable:
             # Eliminated variables are re-valued by replaying the
-            # preprocessor's reconstruction stack.
-            model = pre.reconstruct(result.model) if pre is not None \
-                else result.model
+            # elimination stack.
+            model = pre.reconstruct(result.model)
             shard.inputs = {name: int(model.get(var, False))
                             for name, var in input_vars.items()}
             shard.state = {name: int(model.get(var, False))
@@ -700,9 +695,7 @@ def check_equivalence(before: Netlist, after: Netlist,
                       certify: bool = False,
                       proof: Optional[ProofLog] = None,
                       *,
-                      preprocess: bool = True,
                       sweep: Union[bool, str] = "auto",
-                      structural: bool = True,
                       sim_patterns: int = 64,
                       seed: int = 2022,
                       jobs: int = 1) -> EquivalenceResult:
@@ -717,23 +710,19 @@ def check_equivalence(before: Netlist, after: Netlist,
     Both designs are lowered into one shared hash-consed AIG and the root
     pairs hashing cannot settle run through the staged pipeline from the
     module docstring — simulation (exhaustive on small miters), SAT
-    sweeping, structure-aware encoding, CNF preprocessing,
-    phase/activity-seeded CDCL.
+    sweeping, structure-aware encoding, bounded variable elimination,
+    phase/activity-seeded CDCL.  The solve always eliminates variables
+    (shared input/state variables frozen, so counterexamples
+    reconstruct); the result's ``preprocessor`` dict carries the
+    elimination counters.
 
     Pipeline knobs (keyword-only):
 
-    * ``preprocess`` — run the SatELite-style CNF preprocessor
-      (subsumption, self-subsuming resolution, bounded variable
-      elimination) on the miter CNF before solving; shared input/state
-      variables are frozen so counterexamples reconstruct.  The result's
-      ``preprocessor`` dict carries its counters.
     * ``sweep`` — SAT-sweep the shared miter AIG before encoding: True,
       False, or ``"auto"`` (default: sweep only differing cones that are
       both large and dense with simulation-candidate merges, see
       :func:`_sweep_worthwhile`).  Sweep-proven root pairs are counted
       in ``sweep_proven`` and skip the top-level solve.
-    * ``structural`` — XOR/MUX/majority pattern matching in the cone
-      encoding (see :func:`~repro.netlist.sat.cnf.encode_aig_cone`).
     * ``sim_patterns`` / ``seed`` — width and RNG seed of the packed
       random stimulus used by the simulation checks, the sweep, and
       phase seeding.  When the miter's signatures over every leaf
@@ -759,7 +748,7 @@ def check_equivalence(before: Netlist, after: Netlist,
     ``certify=True`` turns on DRAT proof logging and, on an UNSAT
     verdict, replays the proof through the independent RUP checker
     (:func:`~repro.netlist.sat.proof.check_drat`) **against the original
-    pre-preprocessing CNF** — preprocessing steps are part of the same
+    pre-elimination CNF** — elimination steps are part of the same
     proof and stay inside the RUP fragment by construction.  Sweep
     merges are certified per-merge inside the sweep; a rejected sweep
     proof makes ``proof_checked`` False even when the top-level proof
@@ -772,7 +761,7 @@ def check_equivalence(before: Netlist, after: Netlist,
     proves within :data:`_CUBE_BITS` needs no solve: its proof is a
     cube tree over the leaf variables of the encoded cones, with
     ``2**n + 2**(n-1) - 1`` lemmas, checked against that
-    (unpreprocessed) CNF; ``solver_stats`` stay zero.
+    (uneliminated) CNF; ``solver_stats`` stay zero.
     """
     tracer = get_tracer()
     with tracer.span("cec", before=before.name,
@@ -848,7 +837,7 @@ def check_equivalence(before: Netlist, after: Netlist,
                 if evidence:
                     _certify_exhaustive(result, aig, pairs, pi_lits,
                                         latch_lits, certify=certify,
-                                        structural=structural, proof=proof)
+                                        proof=proof)
                 cec_span.set(sim_proven=result.sim_proven, equivalent=True)
                 return result
 
@@ -928,8 +917,6 @@ def check_equivalence(before: Netlist, after: Netlist,
         # processes.  A caller-supplied proof log (a shared on-disk DRAT
         # stream) cannot cross the process boundary, so it keeps the
         # solve in this process.
-        options = dict(certify=certify, preprocess=preprocess,
-                       structural=structural)
         if jobs > 1 and len(pairs) > 1 and proof is None:
             # Imported lazily: partition imports this module.
             from .partition import solve_pairs_parallel
@@ -944,13 +931,13 @@ def check_equivalence(before: Netlist, after: Netlist,
                              pairs=len(pairs)) as par_span:
                 shards, result.partitions = solve_pairs_parallel(
                     work_aig, pairs, in_lits, st_lits, jobs,
-                    words_by_name, num_patterns, **options)
+                    words_by_name, num_patterns, certify=certify)
                 par_span.set(partitions=result.partitions)
             result.jobs = jobs
         else:
             shards = [_solve_shard(work_aig, pairs, in_lits, st_lits, sigs,
-                                   mask, num_patterns, proof=proof,
-                                   **options)]
+                                   mask, num_patterns, certify=certify,
+                                   proof=proof)]
 
         # One tail for every shard layout: the slowest shard's times,
         # summed sizes and counters.
@@ -964,15 +951,12 @@ def check_equivalence(before: Netlist, after: Netlist,
         result.encode_seconds += max(shard.encode_seconds
                                      for shard in shards)
         result.solve_seconds = max(shard.solve_seconds for shard in shards)
-        pre_stats = [shard.preprocessor for shard in shards
-                     if shard.preprocessor is not None]
-        if pre_stats:
-            result.preprocessor = {key: sum(stats[key] for stats in pre_stats)
-                                   for key in pre_stats[0]}
+        result.preprocessor = {
+            key: sum(shard.preprocessor[key] for shard in shards)
+            for key in shards[0].preprocessor}
         cec_span.set(cnf_clauses=result.cnf_clauses)
         if tracer.enabled:
-            if result.preprocessor is not None:
-                tracer.metrics.absorb("cec.preprocess", result.preprocessor)
+            tracer.metrics.absorb("cec.preprocess", result.preprocessor)
             tracer.metrics.absorb("cec.solver",
                                   result.solver_stats.to_dict())
             tracer.metrics.histogram("cec.solve_seconds").observe(

@@ -15,8 +15,8 @@ that survive its stages 1–2 to this module, which solves them on a
   (:func:`extract_cone`), re-simulates that shard under the stimulus
   words the parent sent by leaf name, and runs the same stage-3/4 shard
   solve the serial path runs in-process
-  (:func:`~repro.netlist.sat.cec._solve_shard`: encode, preprocess,
-  seeded solve, model reconstruction and, when asked, the DRAT check
+  (:func:`~repro.netlist.sat.cec._solve_shard`: encode, eliminate
+  variables, seeded solve, model reconstruction and, when asked, the DRAT check
   against the shard's own CNF);
 * :func:`solve_pairs_parallel` drives the pool: payloads are dispatched
   with ``imap_unordered`` and **the first refuting worker cancels its
@@ -102,7 +102,7 @@ def solve_partition(payload: tuple) -> tuple[ShardVerdict, list]:
     when the parent is tracing, the spans this worker recorded.
     """
     (aig, pairs, pi_lits, latch_lits, words_by_name, num_patterns,
-     trace, options) = payload
+     trace, certify) = payload
     tracer = Tracer() if trace else get_tracer()
     with use_tracer(tracer), tracer.span("cec.partition",
                                          pairs=len(pairs)) as span:
@@ -131,7 +131,7 @@ def solve_partition(payload: tuple) -> tuple[ShardVerdict, list]:
         shard = _solve_shard(
             sub, [(sub_lit(b), sub_lit(a)) for b, a in pairs],
             leaves(pi_lits), leaves(latch_lits), sigs, mask, num_patterns,
-            **options)
+            certify=certify)
         span.set(ands=sub.num_ands, satisfiable=shard.satisfiable,
                  conflicts=shard.stats.conflicts)
     return shard, tracer.records if trace else []
@@ -143,12 +143,13 @@ def solve_pairs_parallel(aig: AIG, pairs: Sequence[tuple[int, int]],
                          jobs: int,
                          words_by_name: Optional[dict[str, int]] = None,
                          num_patterns: int = 0,
-                         **options) -> tuple[list[ShardVerdict], int]:
+                         *, certify: bool = False
+                         ) -> tuple[list[ShardVerdict], int]:
     """Partition ``pairs``, solve the groups on a process pool.
 
-    ``options`` (``certify``, ``preprocess``, ``structural``) go to every
-    shard solve unchanged.  The pool is sized to the number of groups;
-    results stream back through ``imap_unordered`` and the first
+    ``certify`` goes to every shard solve unchanged.  The pool is sized
+    to the number of groups; results stream back through
+    ``imap_unordered`` and the first
     satisfiable shard terminates the pool (its siblings' UNSAT answers
     cannot change the verdict).  Returns the completed shards' verdicts
     and the number of groups.  Recorded worker spans are stitched into
@@ -159,7 +160,7 @@ def solve_pairs_parallel(aig: AIG, pairs: Sequence[tuple[int, int]],
     tracer = get_tracer()
     groups = partition_pairs(aig, pairs, jobs)
     payloads = [(aig, group, pi_lits, latch_lits, words_by_name,
-                 num_patterns, tracer.enabled, options)
+                 num_patterns, tracer.enabled, certify)
                 for group in groups]
     shards: list[ShardVerdict] = []
     with multiprocessing.Pool(processes=len(payloads)) as pool:

@@ -1,58 +1,41 @@
-"""Clause-level CNF preprocessing: subsumption, self-subsuming
-resolution, and bounded variable elimination.
+"""Clause-level CNF preprocessing: bounded variable elimination.
 
-CDCL search time is dominated by the shape of the formula it is handed,
-and Tseitin encodings of miters are full of redundancy the solver pays
-for on every propagation: duplicate and subsumed clauses, literals that
-self-subsuming resolution can strip, and thousands of single-use
-auxiliary variables whose definitions can be resolved away outright.
-:func:`preprocess` runs the classic SatELite-style pipeline over
-occurrence lists before the solver ever starts:
+Tseitin encodings of miters are full of single-use auxiliary variables
+whose definitions can be resolved away outright, and CDCL search pays
+for every one of them on every propagation.  :func:`preprocess` runs
+NiVER-style **bounded variable elimination** (the elimination half of
+SatELite) over occurrence lists before the solver ever starts: a
+variable whose pos-occurrence × neg-occurrence resolvent set is no
+larger than the clauses it replaces (and no resolvent exceeds a size
+cap) is resolved out of the formula.  The replaced clauses are pushed on
+a reconstruction stack so satisfying assignments of the simplified
+formula extend to the original — which is what lets the CEC path replay
+counterexamples through the simulator unchanged.  Unit clauses need no
+separate propagation: eliminating a unit's variable strips its negation
+from every clause, and resolving two opposite units yields the empty
+clause.
 
-* **unit propagation at the root** — top-level units are applied
-  exhaustively: satisfied clauses are deleted, falsified literals are
-  stripped (each strip is itself a proof-logged strengthening).
-* **forward/backward subsumption** — every clause takes a turn as the
-  *subsumer* through a work queue; anything it subsumes is deleted, and
-  strengthened or freshly derived clauses re-enter the queue, so the
-  sweep is both forward (new vs old) and backward (old vs new) until a
-  fixpoint.  A 64-bit variable signature prunes candidate pairs before
-  any set containment test runs.
-* **self-subsuming resolution** — when ``C \\ {l}`` subsumes
-  ``D \\ {-l}``, resolving ``C`` against ``D`` on ``l`` yields a clause
-  that strictly subsumes ``D``: the literal ``-l`` is deleted from ``D``
-  in place.
-* **bounded variable elimination (NiVER)** — a variable whose
-  pos-occurrence × neg-occurrence resolvent set is no larger than the
-  clauses it replaces (and no resolvent exceeds a size cap) is resolved
-  out of the formula.  The replaced clauses are pushed on a
-  reconstruction stack so satisfying assignments of the simplified
-  formula extend to the original — which is what lets the CEC path
-  replay counterexamples through the simulator unchanged.
+Subsumption, self-subsuming resolution and root-unit propagation are
+deliberately absent: on the repository's miters they fire only on the
+W>=6 multipliers, and there the median solve time stays within its
+spread across stimulus seeds.
 
-**Certification.**  Every transformation is DRAT-logged against the
-original formula, and — deliberately — stays inside the RUP fragment
-that :func:`repro.netlist.sat.proof.check_drat` verifies:
-
-* a clause strengthened by unit propagation or self-subsumption is RUP
-  (negating it unit-propagates the deleted literal's clause into
-  conflict), and the *addition is emitted before the original's
-  deletion* so the backward checker sees the parent alive;
-* a BVE resolvent is RUP: negating it makes both parents unit on the
-  eliminated variable in opposite polarity;
-* deletions are always sound for an UNSAT proof.
-
-So elimination needs no RAT checking and is **not** disabled under
-``certify=True`` — a proof that interleaves preprocessing steps with the
-solver's learned clauses checks with the existing RUP checker as-is.
+**Certification.**  Every elimination is DRAT-logged against the
+original formula and stays inside the RUP fragment that
+:func:`repro.netlist.sat.proof.check_drat` verifies: a resolvent is RUP
+(negating it makes both parents unit on the eliminated variable in
+opposite polarity), and the parents' deletions are always sound for an
+UNSAT proof.  So elimination needs no RAT checking and is **not**
+disabled under ``certify=True`` — a proof that interleaves
+preprocessing steps with the solver's learned clauses checks with the
+existing RUP checker as-is.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from ...obs import get_tracer
 
@@ -63,39 +46,28 @@ _BVE_OCC_LIMIT = 16
 #: NiVER-style size cap: a candidate elimination is abandoned as soon as
 #: any single resolvent would exceed this many literals.
 _BVE_RESOLVENT_CAP = 12
-#: Clauses longer than this never act as subsumers (their subset tests
-#: are expensive and almost never hit).
-_SUBSUMER_LEN_LIMIT = 24
+#: Elimination sweeps over all variables, stopping early at the first
+#: sweep that eliminates nothing.
+_BVE_MAX_PASSES = 3
 
 
 @dataclass
 class PreprocessStats:
     """Counters from one :func:`preprocess` run."""
 
-    #: Clauses deleted because another clause subsumes them.
-    subsumed: int = 0
-    #: Literals removed by self-subsuming resolution / root-unit strips.
-    strengthened: int = 0
     #: Variables resolved out by bounded variable elimination.
     eliminated_vars: int = 0
     #: Clauses replaced by those eliminations.
     eliminated_clauses: int = 0
     #: Resolvents added by those eliminations.
     resolvents: int = 0
-    #: Top-level unit assignments applied.
-    units: int = 0
-    passes: int = 0
     seconds: float = 0.0
 
     def to_dict(self) -> dict:
         return {
-            "subsumed": self.subsumed,
-            "strengthened": self.strengthened,
             "eliminated_vars": self.eliminated_vars,
             "eliminated_clauses": self.eliminated_clauses,
             "resolvents": self.resolvents,
-            "units": self.units,
-            "passes": self.passes,
             "seconds": round(self.seconds, 6),
         }
 
@@ -104,28 +76,25 @@ class PreprocessResult:
     """Simplified formula plus everything needed to undo it on a model.
 
     ``clauses`` is the surviving clause set over the *original* variable
-    numbering (eliminated variables simply no longer occur; root units
-    survive as unit clauses).  ``unsat`` is True when preprocessing alone
-    derived the empty clause — ``clauses`` then contains it, so feeding
-    them to any solver still yields the right verdict.
+    numbering (eliminated variables simply no longer occur).  ``unsat``
+    is True when preprocessing alone derived the empty clause —
+    ``clauses`` then contains it, so feeding them to any solver still
+    yields the right verdict.
 
     :meth:`reconstruct` maps a satisfying assignment of ``clauses`` back
     to one of the original formula by replaying the variable-elimination
     stack in reverse — the standard SatELite model extension.
     """
 
-    __slots__ = ("clauses", "num_vars", "unsat", "stats",
-                 "assigned", "_elim_stack")
+    __slots__ = ("clauses", "num_vars", "unsat", "stats", "_elim_stack")
 
     def __init__(self, clauses: list[tuple[int, ...]], num_vars: int,
                  unsat: bool, stats: PreprocessStats,
-                 assigned: dict[int, bool],
                  elim_stack: list[tuple[int, list[list[int]]]]):
         self.clauses = clauses
         self.num_vars = num_vars
         self.unsat = unsat
         self.stats = stats
-        self.assigned = assigned
         self._elim_stack = elim_stack
 
     def reconstruct(self, model) -> dict[int, bool]:
@@ -140,8 +109,6 @@ class PreprocessResult:
         """
         out = {v: bool(model.get(v, False))
                for v in range(1, self.num_vars + 1)}
-        for var, value in self.assigned.items():
-            out[var] = value
         for var, saved in reversed(self._elim_stack):
             out[var] = False
             for clause in saved:
@@ -155,194 +122,44 @@ class PreprocessResult:
                 f"vars={self.num_vars}, unsat={self.unsat})")
 
 
-def _clause_sig(lits: Iterable[int]) -> int:
-    sig = 0
-    for lit in lits:
-        sig |= 1 << ((lit if lit > 0 else -lit) & 63)
-    return sig
-
-
 def preprocess(num_vars: int, clauses: Iterable[Iterable[int]],
                frozen: Iterable[int] = (),
                proof=None,
-               max_passes: int = 3,
                stats: Optional[PreprocessStats] = None) -> PreprocessResult:
-    """Simplify a CNF formula; see the module docstring for the pipeline.
+    """Simplify a CNF formula by bounded variable elimination; see the
+    module docstring.
 
     ``frozen`` variables are never eliminated (callers freeze the
     variables they must read back or assume on — CEC freezes the shared
     input/state variables).  ``proof`` is an optional DRAT sink with
     ``add``/``delete`` (:class:`repro.netlist.sat.proof.ProofLog`); every
     emitted step is RUP-checkable against the original formula.
-    ``max_passes`` bounds the propagate/subsume/eliminate iteration.
     """
     if stats is None:
         stats = PreprocessStats()
     start = time.perf_counter()
     frozen_set = set(frozen)
     db: list[Optional[list[int]]] = []
-    sigs: list[int] = []
     occs: dict[int, set[int]] = {}
-    assigned: dict[int, bool] = {}
-    eliminated: set[int] = set()
     elim_stack: list[tuple[int, list[list[int]]]] = []
-    unit_queue: list[int] = []
-    sub_queue: deque[int] = deque()
     unsat = False
 
-    def attach(lits: list[int]) -> int:
+    def attach(lits: list[int]) -> None:
         cid = len(db)
         db.append(lits)
-        sigs.append(_clause_sig(lits))
         for lit in lits:
             occs.setdefault(lit, set()).add(cid)
-        return cid
 
-    def detach(cid: int) -> None:
-        for lit in db[cid]:
-            occs[lit].discard(cid)
-        db[cid] = None
-
-    def remove_clause(cid: int) -> None:
-        if proof is not None:
-            proof.delete(db[cid])
-        detach(cid)
-
-    def add_derived(lits: list[int]) -> None:
-        nonlocal unsat
-        if proof is not None:
-            proof.add(lits)
-        if not lits:
-            unsat = True
-            return
-        cid = attach(lits)
-        sub_queue.append(cid)
-        if len(lits) == 1:
-            unit_queue.append(lits[0])
-
-    def strengthen(cid: int, lit: int) -> None:
-        """Remove ``lit`` from clause ``cid`` in place (RUP: add the
-        shortened clause, then delete the original)."""
-        nonlocal unsat
-        old = db[cid]
-        new = [x for x in old if x != lit]
-        if proof is not None:
-            proof.add(new)
-            proof.delete(old)
-        occs[lit].discard(cid)
-        db[cid] = new
-        sigs[cid] = _clause_sig(new)
-        stats.strengthened += 1
-        if not new:
-            unsat = True
-            return
-        if len(new) == 1:
-            unit_queue.append(new[0])
-        sub_queue.append(cid)
-
-    # -- load ---------------------------------------------------------------
+    # -- load: drop duplicate literals and tautologies ----------------------
     for raw in clauses:
-        seen: set[int] = set()
-        out: list[int] = []
-        tautology = False
-        for lit in raw:
-            if lit in seen:
-                continue
-            if -lit in seen:
-                tautology = True
-                break
-            seen.add(lit)
-            out.append(lit)
-        if tautology:
+        seen = dict.fromkeys(raw)
+        if any(-lit in seen for lit in seen):
             continue
-        if not out:
+        if not seen:
             unsat = True
             break
-        cid = attach(out)
-        sub_queue.append(cid)
-        if len(out) == 1:
-            unit_queue.append(out[0])
+        attach(list(seen))
 
-    # -- root-level unit propagation ----------------------------------------
-    def propagate_units() -> None:
-        nonlocal unsat
-        while unit_queue and not unsat:
-            lit = unit_queue.pop()
-            var = abs(lit)
-            value = lit > 0
-            prior = assigned.get(var)
-            if prior is not None:
-                if prior != value:
-                    unsat = True
-                    if proof is not None:
-                        proof.add(())
-                    return
-                continue
-            assigned[var] = value
-            stats.units += 1
-            # Keep exactly one active unit clause forcing the literal so
-            # the output formula (and any DRAT deletion replay) still
-            # carries the fact; delete every other satisfied clause.
-            keep_unit = None
-            for cid in sorted(occs.get(lit, ())):
-                cl = db[cid]
-                if cl is None:
-                    continue
-                if len(cl) == 1 and keep_unit is None:
-                    keep_unit = cid
-                    continue
-                remove_clause(cid)
-                stats.subsumed += 1
-            if keep_unit is None:
-                # The forcing clause was itself removed meanwhile; the
-                # literal is still implied, so re-add it explicitly.
-                add_derived([lit])
-            for cid in sorted(occs.get(-lit, ())):
-                if db[cid] is None:
-                    continue
-                strengthen(cid, -lit)
-                if unsat:
-                    return
-
-    # -- subsumption + self-subsuming resolution ----------------------------
-    def subsumption_pass() -> None:
-        nonlocal unsat
-        while sub_queue and not unsat:
-            if unit_queue:
-                propagate_units()
-                continue
-            cid = sub_queue.popleft()
-            cl = db[cid]
-            if cl is None or len(cl) > _SUBSUMER_LEN_LIMIT:
-                continue
-            csig = sigs[cid]
-            cset = set(cl)
-            pivot = min(cl, key=lambda lit: len(occs.get(lit, ())))
-            for did in sorted(occs.get(pivot, ())):
-                if did == cid:
-                    continue
-                dl = db[did]
-                if dl is None or len(dl) < len(cl):
-                    continue
-                if csig & ~sigs[did]:
-                    continue
-                if cset.issubset(dl):
-                    remove_clause(did)
-                    stats.subsumed += 1
-            for lit in cl:
-                rest = cset - {lit}
-                for did in sorted(occs.get(-lit, ())):
-                    dl = db[did]
-                    if dl is None or len(dl) < len(cl):
-                        continue
-                    if csig & ~sigs[did]:
-                        continue
-                    if rest.issubset(dl):
-                        strengthen(did, -lit)
-                        if unsat:
-                            return
-
-    # -- bounded variable elimination ---------------------------------------
     def resolve(pset: set[int], nlits: list[int],
                 var: int) -> Optional[list[int]]:
         out = set(pset)
@@ -355,80 +172,69 @@ def preprocess(num_vars: int, clauses: Iterable[Iterable[int]],
             out.add(lit)
         return sorted(out, key=abs)
 
-    def eliminate_pass() -> int:
+    def eliminate(var: int) -> bool:
+        """Resolve ``var`` out if that does not grow the formula."""
         nonlocal unsat
-        count = 0
-        order = sorted(
-            (v for v in range(1, num_vars + 1)
-             if v not in frozen_set and v not in assigned
-             and v not in eliminated),
-            key=lambda v: (len(occs.get(v, ())) * len(occs.get(-v, ())),
-                           len(occs.get(v, ())) + len(occs.get(-v, ()))))
-        for var in order:
-            if unsat:
-                break
-            if unit_queue:
-                propagate_units()
-            if var in assigned or unsat:
-                continue
-            pos = [cid for cid in sorted(occs.get(var, ()))
-                   if db[cid] is not None]
-            neg = [cid for cid in sorted(occs.get(-var, ()))
-                   if db[cid] is not None]
-            before = len(pos) + len(neg)
-            if before == 0 or before > _BVE_OCC_LIMIT:
-                continue
-            resolvents: list[list[int]] = []
-            feasible = True
-            for p in pos:
-                pset = set(db[p])
-                for n in neg:
-                    r = resolve(pset, db[n], var)
-                    if r is None:
-                        continue
-                    if len(r) > _BVE_RESOLVENT_CAP or \
-                            len(resolvents) >= before:
-                        feasible = False
-                        break
-                    resolvents.append(r)
-                if not feasible:
-                    break
-            if not feasible:
-                continue
-            saved = [list(db[cid]) for cid in pos + neg]
-            for r in resolvents:
-                add_derived(r)
-            for cid in pos + neg:
-                remove_clause(cid)
-            elim_stack.append((var, saved))
-            eliminated.add(var)
-            stats.eliminated_vars += 1
-            stats.eliminated_clauses += before
-            stats.resolvents += len(resolvents)
-            count += 1
-        return count
+        pos = sorted(occs.get(var, ()))
+        neg = sorted(occs.get(-var, ()))
+        before = len(pos) + len(neg)
+        if before == 0 or before > _BVE_OCC_LIMIT:
+            return False
+        resolvents: list[list[int]] = []
+        for p in pos:
+            pset = set(db[p])
+            for n in neg:
+                r = resolve(pset, db[n], var)
+                if r is None:
+                    continue
+                if len(r) > _BVE_RESOLVENT_CAP or \
+                        len(resolvents) >= before:
+                    return False
+                resolvents.append(r)
+        for r in resolvents:
+            if proof is not None:
+                proof.add(r)
+            if not r:
+                unsat = True
+                return True
+            attach(r)
+        saved = []
+        for cid in pos + neg:
+            lits = db[cid]
+            if proof is not None:
+                proof.delete(lits)
+            for lit in lits:
+                occs[lit].discard(cid)
+            db[cid] = None
+            saved.append(lits)
+        elim_stack.append((var, saved))
+        stats.eliminated_vars += 1
+        stats.eliminated_clauses += before
+        stats.resolvents += len(resolvents)
+        return True
 
-    # -- driver -------------------------------------------------------------
     tracer = get_tracer()
     with tracer.span("preprocess", vars=num_vars, clauses=len(db)) as span:
-        for _ in range(max_passes):
+        for _ in range(_BVE_MAX_PASSES):
             if unsat:
                 break
-            stats.passes += 1
-            propagate_units()
-            if unsat:
-                break
-            subsumption_pass()
-            if unsat:
-                break
-            changed = eliminate_pass()
-            propagate_units()
-            if not changed and not sub_queue and not unit_queue:
+            # Cheapest eliminations first: fewest resolution pairs, then
+            # fewest occurrences.  Eliminated variables no longer occur,
+            # so they are skipped like any other unused variable.
+            order = sorted(
+                (v for v in range(1, num_vars + 1) if v not in frozen_set),
+                key=lambda v: (len(occs.get(v, ())) * len(occs.get(-v, ())),
+                               len(occs.get(v, ())) + len(occs.get(-v, ()))))
+            changed = False
+            for var in order:
+                if eliminate(var):
+                    changed = True
+                    if unsat:
+                        break
+            if not changed:
                 break
         stats.seconds = time.perf_counter() - start
-        span.set(subsumed=stats.subsumed, strengthened=stats.strengthened,
-                 eliminated_vars=stats.eliminated_vars, units=stats.units,
-                 unsat=unsat)
+        span.set(eliminated_vars=stats.eliminated_vars, unsat=unsat)
     if tracer.enabled:
         tracer.metrics.absorb("preprocess", stats.to_dict())
 
@@ -436,5 +242,4 @@ def preprocess(num_vars: int, clauses: Iterable[Iterable[int]],
         out_clauses: list[tuple[int, ...]] = [()]
     else:
         out_clauses = [tuple(cl) for cl in db if cl is not None]
-    return PreprocessResult(out_clauses, num_vars, unsat, stats,
-                            assigned, elim_stack)
+    return PreprocessResult(out_clauses, num_vars, unsat, stats, elim_stack)

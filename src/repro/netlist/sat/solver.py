@@ -71,12 +71,6 @@ _RESTART_BASE = 100
 _VAR_DECAY = 0.95
 #: Learned clauses with LBD at or below this are "glue" and never reduced.
 _GLUE_LBD = 2
-#: Vivify the surviving learned clauses every this many DB reductions.
-_VIVIFY_PERIOD = 2
-#: At most this many learned clauses are probed per vivification round.
-_VIVIFY_MAX_CLAUSES = 128
-#: Propagation budget per vivification round (stops runaway probing).
-_VIVIFY_PROP_BUDGET = 200_000
 
 
 def luby(i: int) -> int:
@@ -110,9 +104,6 @@ class SolverStats:
     reduced_clauses: int = 0
     #: Arena garbage-collection compactions.
     gc_runs: int = 0
-    #: Learned clauses strengthened (or deleted) by inprocessing
-    #: vivification — see ``Solver._vivify``.
-    vivified: int = 0
 
     @property
     def mean_lbd(self) -> float:
@@ -133,7 +124,6 @@ class SolverStats:
         self.lbd_sum += other.lbd_sum
         self.reduced_clauses += other.reduced_clauses
         self.gc_runs += other.gc_runs
-        self.vivified += other.vivified
 
     def to_dict(self) -> dict:
         return {
@@ -147,7 +137,6 @@ class SolverStats:
             "mean_lbd": self.mean_lbd,
             "reduced_clauses": self.reduced_clauses,
             "gc_runs": self.gc_runs,
-            "vivified": self.vivified,
         }
 
 
@@ -283,7 +272,6 @@ class Solver:
         # DRAT proof sink (see set_proof).  None means disabled — the only
         # cost then is one attribute check per conflict.
         self._proof = None
-        self._reduce_count = 0
         for clause in clauses:
             self._add_problem(clause)
 
@@ -760,8 +748,6 @@ class Solver:
         keep: list[int] = []
         cand: list[int] = []
         for cref in self.learnts:
-            if c_len[cref] == 0:
-                continue
             if c_lbd[cref] <= _GLUE_LBD or self._locked(cref):
                 keep.append(cref)
             else:
@@ -783,158 +769,6 @@ class Solver:
         self.max_learnts = int(self.max_learnts * 1.2) + 64
         if self.wasted * 2 > len(self.lits):
             self._gc_arena()
-        self._reduce_count += 1
-        if self._reduce_count % _VIVIFY_PERIOD == 0:
-            self._vivify()
-
-    # -- inprocessing: learned-clause vivification --------------------------
-
-    def _detach_watch(self, enc: int, cref: int) -> None:
-        """Remove ``cref``'s watcher pair from ``watches[enc]``."""
-        wl = self.watches[enc]
-        n = len(wl)
-        for i in range(0, n, 2):
-            if wl[i] == cref:
-                wl[i] = wl[n - 2]
-                wl[i + 1] = wl[n - 1]
-                del wl[n - 2:]
-                return
-
-    def _vivify(self) -> None:
-        """Shorten surviving learned clauses by probing (inprocessing).
-
-        Runs at decision level 0 from the reduce-DB hook.  For each
-        candidate clause the negations of its literals are asserted one
-        at a time, each at a fresh decision level, with full unit
-        propagation in between:
-
-        * a literal already **false** is redundant — drop it;
-        * a literal already **true** closes the clause — the literals
-          decided so far plus this one imply it (at level 0 the whole
-          clause is satisfied forever and is deleted instead);
-        * a **conflict** after asserting the negation likewise closes
-          the clause at the literals probed so far.
-
-        Any shortened clause strictly subsumes the original, so the
-        original is replaced in the arena (DRAT: add the short clause,
-        then delete the long one — RUP order).  The clause under probe
-        is deliberately left attached: it can only self-propagate once
-        all its other literals are false, which reproduces a shortening
-        the probe would find anyway, and skipping detachment keeps the
-        watcher lists untouched for the (common) unshortened case.
-        """
-        if self.trail_lim:
-            self._cancel_until(0)
-        proof = self._proof
-        if self._propagate() is not None:
-            self._unsat = True
-            if proof is not None:
-                proof.add(())
-            return
-        c_len = self.c_len
-        c_lbd = self.c_lbd
-        c_off = self.c_off
-        arena = self.lits
-        val = self.val
-        level = self.level
-        stats = self.stats
-        cands = [cref for cref in self.learnts
-                 if c_len[cref] >= 3 and not self._locked(cref)]
-        cands.sort(key=lambda c: (c_lbd[c], c_len[c]))
-        props_start = stats.propagations
-        for cref in cands[:_VIVIFY_MAX_CLAUSES]:
-            if stats.propagations - props_start > _VIVIFY_PROP_BUDGET:
-                break
-            n = c_len[cref]
-            off = c_off[cref]
-            clause = list(arena[off:off + n])
-            kept: list[int] = []
-            closing = -1          # literal that closed the clause, if any
-            root_satisfied = False
-            for q in clause:
-                v = val[q]
-                if v > 0:
-                    if level[q >> 1] == 0:
-                        root_satisfied = True
-                    else:
-                        closing = q
-                    break
-                if v < 0:
-                    continue      # false here: redundant in this clause
-                self.trail_lim.append(len(self.trail))
-                self._assign(q ^ 1, -1)
-                if self._propagate() is not None:
-                    closing = q
-                    break
-                kept.append(q)
-            if self.trail_lim:
-                self._cancel_until(0)
-            if root_satisfied:
-                if proof is not None:
-                    proof.delete([-(q >> 1) if q & 1 else q >> 1
-                                  for q in clause])
-                self.wasted += n
-                c_len[cref] = 0
-                stats.vivified += 1
-                continue
-            new = kept + [closing] if closing >= 0 else kept
-            m = len(new)
-            if m == 0:
-                # Every literal was already false at the root.
-                self._unsat = True
-                if proof is not None:
-                    proof.add(())
-                return
-            if m >= n:
-                continue          # nothing gained
-            if proof is not None:
-                proof.add([-(q >> 1) if q & 1 else q >> 1 for q in new])
-                proof.delete([-(q >> 1) if q & 1 else q >> 1
-                              for q in clause])
-            stats.vivified += 1
-            if m >= 3:
-                # Rewrite in place; every surviving literal is unassigned
-                # at the root, so watching the first two is valid.
-                self._detach_watch(arena[off], cref)
-                self._detach_watch(arena[off + 1], cref)
-                for i, q in enumerate(new):
-                    arena[off + i] = q
-                self.wasted += n - m
-                c_len[cref] = m
-                if c_lbd[cref] > m:
-                    c_lbd[cref] = m
-                w0 = self.watches[new[0]]
-                w0.append(cref)
-                w0.append(new[1])
-                w1 = self.watches[new[1]]
-                w1.append(cref)
-                w1.append(new[0])
-                continue
-            # The clause leaves the arena (binary or unit form).
-            self._detach_watch(arena[off], cref)
-            self._detach_watch(arena[off + 1], cref)
-            self.wasted += n
-            c_len[cref] = 0
-            if m == 2:
-                a, b = new
-                self.bins[a].append(b)
-                self.bins[b].append(a)
-                continue
-            enc = new[0]
-            v = val[enc]
-            if v < 0:
-                self._unsat = True
-                if proof is not None:
-                    proof.add(())
-                return
-            if v == 0:
-                self._assign(enc, -1)
-                if self._propagate() is not None:
-                    self._unsat = True
-                    if proof is not None:
-                        proof.add(())
-                    return
-        self.learnts = [c for c in self.learnts if c_len[c] > 0]
 
     def _gc_arena(self) -> None:
         """Compact the literal arena, squeezing out dead clauses.
@@ -1060,11 +894,6 @@ class Solver:
                 self.var_inc /= _VAR_DECAY
                 if len(self.learnts) > self.max_learnts:
                     self._reduce_db()
-                    if self._unsat:
-                        # Vivification propagated the root level into a
-                        # conflict (the empty-clause proof step is
-                        # already logged).
-                        return SolverResult(False, stats=stats)
                 if progress_cb is not None and \
                         stats.conflicts % progress_interval == 0:
                     progress_cb(self._progress_report(solve_start,

@@ -32,7 +32,6 @@ from typing import Optional
 #: two different requests onto one entry.
 OPTION_DEFAULTS = {
     "certify": False,
-    "preprocess": True,
 }
 
 
@@ -50,7 +49,6 @@ def canonical_options(options: Optional[dict]) -> dict:
     canonical = dict(OPTION_DEFAULTS)
     canonical.update(options)
     canonical["certify"] = bool(canonical["certify"])
-    canonical["preprocess"] = bool(canonical["preprocess"])
     return canonical
 
 

@@ -40,6 +40,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Optional
 
 from ..obs import Tracer
@@ -124,15 +125,35 @@ class VerifyDaemon:
     def _public_job(self, job: dict) -> dict:
         return {k: v for k, v in job.items() if not k.startswith("_")}
 
+    def _renew_pool(self, broken: ProcessPoolExecutor
+                    ) -> Optional[ProcessPoolExecutor]:
+        """Replace ``broken`` with a fresh pool, unless another job already
+        did.  A worker that dies (killed, out of memory) breaks its whole
+        executor for good, so without this every later job would fail."""
+        if self._pool is broken:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            broken.shutdown(wait=False)
+        return self._pool
+
     async def _run_job(self, job: dict, payload: dict,
                        alias: str) -> None:
         job["status"] = "running"
         job["started"] = time.time()
         loop = asyncio.get_running_loop()
+        pool = self._pool
         try:
-            reply = await loop.run_in_executor(
-                self._pool, run_verify_job, payload)
+            try:
+                future = loop.run_in_executor(pool, run_verify_job, payload)
+            except BrokenProcessPool:
+                # A worker died while the pool was idle: this job never
+                # ran, so it goes to a fresh pool.
+                pool = self._renew_pool(pool)
+                future = loop.run_in_executor(pool, run_verify_job, payload)
+            reply = await future
         except Exception as exc:  # noqa: BLE001 — pool died / cancelled
+            if isinstance(exc, BrokenProcessPool):
+                # A worker died under this job; later jobs get a new pool.
+                self._renew_pool(pool)
             job["status"] = "error"
             job["error"] = str(exc)
             job["finished"] = time.time()

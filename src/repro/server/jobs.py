@@ -59,9 +59,7 @@ def run_verify_job(payload: dict) -> dict:
                     reply["cache_hit"] = True
                 else:
                     verdict = check_equivalence(
-                        before, after,
-                        certify=options["certify"],
-                        preprocess=options["preprocess"])
+                        before, after, certify=options["certify"])
                     report = verdict.to_report(
                         certify=options["certify"])
                     cache.put(key, report)

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +197,22 @@ def test_bad_jobs_diagnostic(alu_file, jobs, capsys):
         "error: --jobs expects a positive integer\n"
 
 
+def test_retired_no_preprocess_flag_is_a_usage_error(alu_file):
+    # Variable elimination has no off switch: argparse rejects the flag
+    # with its usage message and exit code 2, not a traceback.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", alu_file, "--check",
+         "--no-preprocess"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage:")
+    assert "unrecognized arguments: --no-preprocess" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_ir_aig_stats(alu_file):
     code, text = _run([alu_file, "--ir", "aig"])
     assert code == 0
@@ -248,6 +268,8 @@ def test_check_prints_solver_stats_when_solving(wide_mult_pair):
     assert "solver:" in text
     assert "conflicts" in text and "restarts" in text
     assert "reduced clauses" in text
+    assert "variables eliminated" in text and "resolvents" in text
+    assert "subsumed" not in text and "vivified" not in text
 
 
 def test_check_names_exhaustive_simulation_without_solver_line(mult_pair):

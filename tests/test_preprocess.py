@@ -1,7 +1,7 @@
-"""Tests for the CNF preprocessor (repro.netlist.sat.preprocess):
-equisatisfiability against a brute-force oracle, model reconstruction
-through variable elimination, frozen-variable protection, and DRAT
-certification of preprocessed (and vivified) UNSAT proofs."""
+"""Tests for the CNF preprocessor (repro.netlist.sat.preprocess, bounded
+variable elimination): equisatisfiability against a brute-force oracle,
+model reconstruction through variable elimination, frozen-variable
+protection, and DRAT certification of preprocessed UNSAT proofs."""
 
 import itertools
 import random
@@ -97,17 +97,27 @@ def test_preprocess_respects_frozen_variables():
 
 
 def test_preprocess_derives_unsat_alone():
-    # Unit propagation closes this without any search.
-    pre = preprocess(2, [(1,), (-1, 2), (-2,)])
+    # Eliminating variable 1 resolves (1) with (-1, 2) into (2), and
+    # eliminating variable 2 then resolves (2) with (-2) into the empty
+    # clause: no search.
+    clauses = [(1,), (-1, 2), (-2,)]
+    proof = ProofLog()
+    pre = preprocess(2, clauses, proof=proof)
     assert pre.unsat
     assert () in pre.clauses
+    cnf = CNF()
+    cnf.new_var()
+    cnf.new_var()
+    for clause in clauses:
+        cnf.add_clause(*clause)
+    assert check_drat(cnf, proof).ok
 
 
 def test_preprocessed_pigeonhole_proof_certifies():
     """The classic satellite: preprocess a pigeonhole formula, solve the
     residue, and RUP-check the combined DRAT log against the *original*
-    formula — subsumption deletions, strengthenings, and BVE resolvents
-    must all check without RAT support."""
+    formula — BVE resolvents and the deletions of their parents must
+    check without RAT support."""
     for holes in (3, 4):
         num_vars, clauses = _pigeonhole(holes + 1, holes)
         proof = ProofLog()
@@ -124,28 +134,6 @@ def test_preprocessed_pigeonhole_proof_certifies():
             cnf.add_clause(*clause)
         verdict = check_drat(cnf, proof)
         assert verdict.ok, f"php({holes + 1},{holes}): {verdict}"
-
-
-def test_vivification_steps_stay_rup_checkable():
-    """Force heavy clause-database reduction so the in-search vivifier
-    runs, then verify every emitted DRAT step (verify_all) so the
-    vivification adds/deletes themselves are checked, not just the
-    final conflict."""
-    num_vars, clauses = _pigeonhole(6, 5)
-    proof = ProofLog()
-    solver = Solver(num_vars, clauses)
-    solver.set_proof(proof)
-    solver.max_learnts = 12  # force frequent reductions -> vivification
-    result = solver.solve()
-    assert not result.satisfiable
-    assert solver.stats.vivified > 0, "vivifier never fired"
-    cnf = CNF()
-    for _ in range(num_vars):
-        cnf.new_var()
-    for clause in clauses:
-        cnf.add_clause(*clause)
-    verdict = check_drat(cnf, proof, verify_all=True)
-    assert verdict.ok, str(verdict)
 
 
 _NEEDLE_MULT = """
@@ -175,12 +163,3 @@ def test_counterexample_reconstructs_through_preprocessing():
     assert cex is not None and cex.diff
     assert cex.packed_inputs() == {"a": 5, "b": 7}
 
-
-def test_no_preprocess_escape_hatch():
-    before = elaborate(_PLAIN_MULT, top="mult")
-    after = elaborate(_NEEDLE_MULT, top="mult")
-    verdict = check_equivalence(before, after, sim_patterns=0,
-                                preprocess=False)
-    assert not verdict.equivalent
-    assert verdict.preprocessor is None
-    assert verdict.counterexample.packed_inputs() == {"a": 5, "b": 7}

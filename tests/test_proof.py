@@ -353,7 +353,7 @@ def _miter_cnf(width):
     pairs = [(b, a) for _, _, b, a in named if b != a]
     cnf = CNF()
     _, input_vars, _ = cec._encode_pairs(cnf, aig, pairs, pi_lits,
-                                         latch_lits, True)
+                                         latch_lits)
     return cnf, sorted(input_vars.values())
 
 
@@ -511,7 +511,7 @@ def test_cube_tree_of_a_satisfiable_miter_is_rejected():
     pairs = [(b, a) for _, _, b, a in named if b != a]
     cnf = CNF()
     _, input_vars, _ = cec._encode_pairs(cnf, aig, pairs, pi_lits,
-                                         latch_lits, True)
+                                         latch_lits)
     assert Solver(cnf.num_vars, cnf.clauses).solve().satisfiable
     log = ProofLog()
     cec._cube_tree(log, sorted(input_vars.values()))

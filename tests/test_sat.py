@@ -564,14 +564,27 @@ def test_structural_aig_encoding_matches_truth_table(name, build, arity,
 
 
 def test_structural_encoding_verdict_parity_on_alu():
-    """The compact encodings must not change any verdict: the ALU against
-    its optimized self, with and without structural matching."""
+    """The compact encodings must not change any verdict: the miter of
+    the ALU against its optimized self is UNSAT under plain Tseitin and
+    under structural matching alike."""
     netlist = elaborate(ALU, top="alu")
     optimized = optimize(netlist).netlist
+    aig, _, _, named = cec._lower_miter(netlist, optimized)
+    pairs = [(b, a) for _, _, b, a in named if b != a]
+    assert pairs
+    sizes = {}
     for structural in (False, True):
-        verdict = check_equivalence(netlist, optimized,
-                                    structural=structural)
-        assert verdict.equivalent, f"structural={structural}"
+        cnf = CNF()
+        var_map = encode_aig_cone(cnf, aig, [lit for pair in pairs
+                                             for lit in pair],
+                                  structural=structural)
+        cec._assert_disagreement(cnf, [
+            (aig_lit_sat(var_map, b), aig_lit_sat(var_map, a))
+            for b, a in pairs])
+        sizes[structural] = len(cnf.clauses)
+        result = Solver(cnf.num_vars, cnf.clauses).solve()
+        assert not result.satisfiable, f"structural={structural}"
+    assert sizes[True] < sizes[False]
 
 
 # ---------------------------------------------------------------------------

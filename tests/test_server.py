@@ -1,7 +1,11 @@
 """Tests for ``repro.server``: cache keys, worker jobs, daemon, client."""
 
 import asyncio
+import contextlib
+import os
+import signal
 import threading
+import time
 
 import pytest
 
@@ -18,6 +22,8 @@ from repro.server import (
     run_verify_job,
     source_key,
 )
+
+from test_serialize import designs
 
 ADDER = """
 module adder #(parameter W = 4) (
@@ -67,18 +73,21 @@ def test_canonical_options_drops_jobs():
 
 
 def test_canonical_options_rejects_unknown_keys():
-    # "encoding" is a retired option: the miter is always the shared AIG.
-    for options in ({"certfy": True}, {"encoding": "aig"}):
+    # "encoding" and "preprocess" are retired options: the miter is
+    # always the shared AIG, and variable elimination always runs.
+    for options in ({"certfy": True}, {"encoding": "aig"},
+                    {"preprocess": False}):
         with pytest.raises(ValueError,
                            match="unknown verification options"):
             canonical_options(options)
 
 
 def test_canonical_options_coerces_and_orders():
-    a = canonical_options({"certify": 1, "preprocess": 0})
-    b = canonical_options({"preprocess": False, "certify": True})
-    assert a == b
+    a = canonical_options({"certify": 1})
+    b = canonical_options({"certify": True, "jobs": 4})
+    assert a == b == {"certify": True}
     assert a["certify"] is True
+    assert canonical_options({"certify": 0})["certify"] is False
 
 
 def test_content_key_tracks_hashes_and_options():
@@ -231,9 +240,10 @@ def test_run_verify_job_reports_errors():
 # Daemon end-to-end over HTTP
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def client(tmp_path_factory):
-    cache_dir = str(tmp_path_factory.mktemp("cec-cache"))
+@contextlib.contextmanager
+def _serving(cache_dir):
+    """A one-worker daemon on an ephemeral port, served from a thread;
+    yields ``(daemon, client)`` and shuts the daemon down on exit."""
     box = {}
     started = threading.Event()
 
@@ -250,9 +260,17 @@ def client(tmp_path_factory):
     assert started.wait(timeout=30), "daemon failed to start"
     client = ServerClient(port=box["daemon"].port)
     client.ping()
-    yield client
-    client.shutdown()
-    thread.join(timeout=60)
+    try:
+        yield box["daemon"], client
+    finally:
+        client.shutdown()
+        thread.join(timeout=60)
+
+
+@pytest.fixture(scope="module")
+def client(tmp_path_factory):
+    with _serving(str(tmp_path_factory.mktemp("cec-cache"))) as (_, client):
+        yield client
 
 
 def test_daemon_proves_equivalence(client):
@@ -318,6 +336,11 @@ def test_daemon_rejects_bad_submissions(client):
     with pytest.raises(ServerError) as exc:
         client.submit(ADDER, ADDER_B, {"no_such_option": 1})
     assert exc.value.status == 400
+    # Variable elimination has no off switch any more.
+    with pytest.raises(ServerError) as exc:
+        client.submit(ADDER, ADDER_B, {"preprocess": False})
+    assert exc.value.status == 400
+    assert "unknown verification options" in exc.value.body["error"]
 
 
 def test_daemon_unknown_job_and_route(client):
@@ -336,3 +359,42 @@ def test_daemon_status_counters(client):
     assert status["jobs"].get("done", 0) > 0
     assert status["alias_hits"] >= 1
     assert status["uptime_seconds"] > 0.0
+
+
+def _kill_worker(pool):
+    """SIGKILL the pool's only worker process."""
+    (worker,) = pool._processes.values()
+    os.kill(worker.pid, signal.SIGKILL)
+
+
+def test_daemon_replaces_a_pool_broken_by_a_killed_worker(tmp_path):
+    """A dead worker breaks its whole process pool; the daemon must swap
+    in a fresh pool instead of failing every later job."""
+    slow_a = designs.multiplier(7)
+    slow_b = designs.shift_add_multiplier(7)
+    with _serving(str(tmp_path)) as (daemon, client):
+        assert client.verify(ADDER, ADDER_B)["status"] == "done"
+
+        # Killed while idle: the next submission never reached the dead
+        # pool, so it runs on the replacement and completes.
+        idle_pool = daemon._pool
+        _kill_worker(idle_pool)
+        deadline = time.monotonic() + 30
+        while not idle_pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert idle_pool._broken, "the pool never noticed the dead worker"
+        record = client.verify(ADDER, ADDER_BAD)
+        assert record["status"] == "done"
+        assert record["equivalence"]["equivalent"] is False
+        assert daemon._pool is not idle_pool
+
+        # Killed under a job (a certified W=7 multiplier proof takes
+        # seconds): that job fails, and the next one completes.
+        busy_pool = daemon._pool
+        job = client.submit(slow_a.src, slow_b.src, {"certify": True})
+        _kill_worker(busy_pool)
+        assert client.wait(job["id"])["status"] == "error"
+        record = client.verify(ADDER_B, ADDER)
+        assert record["status"] == "done"
+        assert record["equivalence"]["equivalent"] is True
+        assert daemon._pool is not busy_pool

@@ -381,7 +381,7 @@ def test_reference_solver_package_surface():
 
 
 # ---------------------------------------------------------------------------
-# Search seeding (phase + activity) and in-search vivification
+# Search seeding (phase + activity)
 # ---------------------------------------------------------------------------
 
 
@@ -420,16 +420,3 @@ def test_seeding_ignores_unknown_and_nonpositive_entries():
     solver.seed_phases({0: True, 99: False})
     solver.seed_activity({0: 1.0, 99: 1.0, 1: -3.0, 2: 0.0})
     assert solver.solve().satisfiable
-
-
-def test_vivification_fires_under_reduction_pressure():
-    # A tiny learned-clause budget forces frequent reduce-DB runs; the
-    # vivifier piggybacks on every second one.  The verdict must stay
-    # correct and the counter must move.
-    num_vars, clauses = pigeonhole(6, 5)
-    solver = Solver(num_vars, clauses)
-    solver.max_learnts = 12  # force frequent reductions
-    result = solver.solve()
-    assert not result.satisfiable
-    assert solver.stats.vivified > 0
-    assert solver.stats.to_dict()["vivified"] == solver.stats.vivified

@@ -9,12 +9,21 @@ smoke scripts, and the ``server_mix`` benchmark workload.  ``submit`` +
     job = client.submit(before_src, after_src, {"certify": True})
     record = client.wait(job["id"])
     assert record["equivalence"]["equivalent"]
+
+Each thread that uses a client gets its own persistent HTTP/1.1
+connection, so one client can be shared across threads.  A request is
+retried once, on a fresh connection, only when the daemon closed a
+reused connection before replying (an idle keep-alive connection it
+dropped).  ``wait`` long-polls ``GET /jobs/<id>?wait=S``: the daemon
+replies as soon as the job finishes, so no polling interval adds to the
+latency.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 from typing import Optional
 
@@ -36,23 +45,53 @@ class ServerClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._local = threading.local()
 
     def _request(self, method: str, path: str,
                  body: Optional[dict] = None) -> dict:
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
+        payload = json.dumps(body).encode("utf-8") \
+            if body is not None else None
+        headers = {"Content-Type": "application/json"} if payload else {}
+        conn = getattr(self._local, "conn", None)
+        reused = conn is not None
         try:
-            payload = json.dumps(body).encode("utf-8") \
-                if body is not None else None
-            headers = {"Content-Type": "application/json"} \
-                if payload else {}
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            data = json.loads(response.read().decode("utf-8"))
-            if response.status >= 400:
-                raise ServerError(response.status, data)
-            return data
-        finally:
+            if not reused:
+                conn = self._connect()
+            try:
+                conn.request(method, path, body=payload, headers=headers)
+                response = conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                if not reused:
+                    raise
+                # The daemon closed this idle connection before the
+                # request reached it (RemoteDisconnected is a
+                # ConnectionResetError), so sending it again is safe.
+                conn.close()
+                conn = self._connect()
+                conn.request(method, path, body=payload, headers=headers)
+                response = conn.getresponse()
+            raw = response.read()
+        except BaseException:
+            self.close()
+            raise
+        if response.will_close:
+            self.close()
+        data = json.loads(raw.decode("utf-8"))
+        if response.status >= 400:
+            raise ServerError(response.status, data)
+        return data
+
+    def _connect(self) -> http.client.HTTPConnection:
+        self._local.conn = http.client.HTTPConnection(
+            self.host, self.port, timeout=self.timeout)
+        return self._local.conn
+
+    def close(self) -> None:
+        """Close the calling thread's connection (a later request opens
+        a new one)."""
+        conn = getattr(self._local, "conn", None)
+        self._local.conn = None
+        if conn is not None:
             conn.close()
 
     def submit(self, before: str, after: str,
@@ -70,17 +109,22 @@ class ServerClient:
 
     def wait(self, job_id: str, timeout: float = 300.0,
              poll: float = 0.02) -> dict:
-        """Poll until the job reaches ``done`` or ``error``."""
+        """Long-poll until the job reaches ``done`` or ``error``.
+
+        Each request is held by the daemon for at most half the socket
+        timeout.  ``poll`` is accepted for compatibility and unused: the
+        daemon answers the moment the job finishes."""
         deadline = time.monotonic() + timeout
         while True:
-            record = self.job(job_id)
+            hold = max(0.0, min(deadline - time.monotonic(),
+                                self.timeout / 2))
+            record = self._request("GET", f"/jobs/{job_id}?wait={hold:.3f}")
             if record["status"] in ("done", "error"):
                 return record
             if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {record['status']} after "
                     f"{timeout:.0f}s")
-            time.sleep(poll)
 
     def verify(self, before: str, after: str,
                options: Optional[dict] = None,

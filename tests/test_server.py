@@ -2,14 +2,19 @@
 
 import asyncio
 import contextlib
+import http.client
 import os
 import signal
+import socket
 import threading
 import time
+
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.netlist import elaborate
+from repro.server import daemon as daemon_module
 from repro.server import (
     OPTION_DEFAULTS,
     CacheError,
@@ -268,9 +273,14 @@ def _serving(cache_dir):
 
 
 @pytest.fixture(scope="module")
-def client(tmp_path_factory):
-    with _serving(str(tmp_path_factory.mktemp("cec-cache"))) as (_, client):
-        yield client
+def served(tmp_path_factory):
+    with _serving(str(tmp_path_factory.mktemp("cec-cache"))) as pair:
+        yield pair
+
+
+@pytest.fixture
+def client(served):
+    return served[1]
 
 
 def test_daemon_proves_equivalence(client):
@@ -398,3 +408,226 @@ def test_daemon_replaces_a_pool_broken_by_a_killed_worker(tmp_path):
         assert record["status"] == "done"
         assert record["equivalence"]["equivalent"] is True
         assert daemon._pool is not busy_pool
+
+
+# ---------------------------------------------------------------------------
+# Long-poll, persistent connections and the bounded job table
+# ---------------------------------------------------------------------------
+
+def _slow_job(client, tag):
+    """Submit a certified W=5 multiplier proof (about 0.3 s of work) that
+    is new to both cache tiers."""
+    a = designs.renamed(designs.multiplier(5), tag)
+    b = designs.renamed(designs.shift_add_multiplier(5), tag)
+    return client.submit(a.src, b.src, {"certify": True})
+
+
+def _long_poll(client, job_id, wait, close=False):
+    """One ``GET /jobs/<id>?wait=`` request; returns ``(record, the
+    reply's arrival time)``.  ``close`` closes the calling thread's
+    connection afterwards."""
+    record = client._request("GET", f"/jobs/{job_id}?wait={wait}")
+    arrived = time.time()
+    if close:
+        client.close()
+    return record, arrived
+
+
+def test_long_poll_returns_as_the_job_finishes(client):
+    job = _slow_job(client, "lp1")
+    sent = time.time()
+    record, arrived = _long_poll(client, job["id"], 30)
+    assert record["status"] == "done"
+    assert record["equivalence"]["equivalent"] is True
+    assert sent < record["finished"], "the job finished before the poll"
+    assert arrived - record["finished"] < 0.05
+
+
+def test_long_poll_past_its_window_returns_the_pending_record(client):
+    job = _slow_job(client, "lp2")
+    start = time.monotonic()
+    record, _ = _long_poll(client, job["id"], 0.05)
+    held = time.monotonic() - start
+    assert record["status"] in ("queued", "running")
+    assert record["finished"] is None
+    assert 0.05 <= held < 5.0
+    assert client.wait(job["id"])["status"] == "done"
+
+
+def test_two_waiters_on_a_deduplicated_job_are_both_released(client):
+    first = _slow_job(client, "lp3")
+    second = _slow_job(client, "lp3")
+    assert second.get("deduplicated") is True
+    assert second["id"] == first["id"]
+    with ThreadPoolExecutor(2) as pool:
+        replies = list(pool.map(
+            lambda _: _long_poll(client, first["id"], 30, close=True),
+            range(2)))
+    for record, arrived in replies:
+        assert record["status"] == "done"
+        assert arrived - record["finished"] < 0.05
+
+
+def test_long_poll_rejects_bad_wait_values(client):
+    job = client.submit(ADDER, ADDER_B)
+    for query in ("wait=abc", "wait=-1", "wait=nan", "wait=inf", "wait=",
+                  "wait", "timeout=1", "wait=1&x=2", "wait=1&wait=2"):
+        with pytest.raises(ServerError) as exc:
+            client._request("GET", f"/jobs/{job['id']}?{query}")
+        assert exc.value.status == 400, query
+        error = exc.value.body["error"]
+        assert error and "Traceback" not in error, query
+    with pytest.raises(ServerError) as exc:
+        client._request("GET", "/status?verbose=1")
+    assert exc.value.status == 400
+    # A 400 for a bad query keeps the connection: the request was framed.
+    assert client.wait(job["id"])["status"] == "done"
+
+
+def test_long_poll_on_an_unknown_job_is_404_at_once(client):
+    start = time.monotonic()
+    with pytest.raises(ServerError) as exc:
+        client._request("GET", "/jobs/job-999999?wait=30")
+    assert exc.value.status == 404
+    assert time.monotonic() - start < 1.0
+
+
+def test_one_client_reuses_one_connection(client):
+    fresh = ServerClient(port=client.port)
+    first = fresh.status()
+    for k in range(5):
+        record = fresh.verify(f"// reuse {k}\n" + ADDER, ADDER_B)
+        assert record["status"] == "done"
+    last = fresh.status()
+    assert last["connections"] == first["connections"]
+    # Each verify is one submit plus at least one long-poll.
+    assert last["requests"] >= first["requests"] + 11
+    fresh.close()
+
+
+def test_threads_share_one_client(client):
+    shared = ServerClient(port=client.port)
+    before = client.status()
+
+    def run(thread):
+        verdicts = []
+        for k in range(20):
+            bad = k % 3 == 0
+            record = shared.verify(f"// thread {thread} job {k}\n" + ADDER,
+                                   ADDER_BAD if bad else ADDER_B)
+            verdicts.append(record["status"] == "done"
+                            and record["equivalence"]["equivalent"] is not bad)
+        shared.close()
+        return verdicts
+
+    with ThreadPoolExecutor(2) as pool:
+        results = list(pool.map(run, range(2)))
+    assert all(all(verdicts) for verdicts in results)
+    # One connection per thread; ``client`` reuses its own.
+    assert client.status()["connections"] == before["connections"] + 2
+
+
+def test_request_after_the_daemon_dropped_an_idle_connection(
+        tmp_path, monkeypatch):
+    with _serving(str(tmp_path)) as (daemon, _):
+        fresh = ServerClient(port=daemon.port, timeout=10)
+        # The pool worker is forked while this connection is open, so it
+        # holds a copy of the daemon's end of it.
+        assert fresh.verify(ADDER, ADDER_B)["status"] == "done"
+        monkeypatch.setattr(daemon_module, "_IDLE_S", 0.1)
+        first = fresh.status()
+        time.sleep(0.5)
+        # The daemon has closed the connection; the client sees that and
+        # retries on a new one.
+        second = fresh.status()
+        assert second["connections"] == first["connections"] + 1
+        fresh.close()
+
+
+def test_connection_close_and_protocol_errors_end_the_connection(client):
+    conn = http.client.HTTPConnection("127.0.0.1", client.port, timeout=10)
+    conn.request("GET", "/status", headers={"Connection": "close"})
+    response = conn.getresponse()
+    assert response.status == 200 and response.will_close
+    response.read()
+    conn.close()
+
+    with socket.create_connection(("127.0.0.1", client.port),
+                                  timeout=10) as sock:
+        # The daemon reads exactly this line, so it closes with nothing
+        # unread (which would make the close a reset).
+        sock.sendall(b"GARBAGE\r\n")
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"Connection: close" in head
+    assert b"malformed request line" in body
+
+
+def test_status_reports_transport_counters(client):
+    status = client.status()
+    assert status["connections"] >= 1
+    assert status["requests"] > status["connections"]
+    assert status["waiting"] == 0
+
+
+def test_shutdown_answers_long_polls_and_closes_idle_connections(tmp_path):
+    with _serving(str(tmp_path)) as (daemon, client):
+        idle = http.client.HTTPConnection("127.0.0.1", daemon.port,
+                                          timeout=10)
+        idle.request("GET", "/status")
+        assert idle.getresponse().read()
+        # Three queued proofs on one worker: about a second of work.
+        jobs = [_slow_job(client, f"sd{k}") for k in range(3)]
+        box = {}
+        poller = threading.Thread(target=lambda: box.update(
+            reply=_long_poll(ServerClient(port=daemon.port),
+                             jobs[-1]["id"], 30, close=True)))
+        poller.start()
+        deadline = time.monotonic() + 10
+        while client.status()["waiting"] < 1:
+            assert time.monotonic() < deadline, "the long-poll never held"
+            time.sleep(0.01)
+        start = time.monotonic()
+    # ``_serving`` posted /shutdown and joined the daemon thread.
+    assert time.monotonic() - start < 5.0
+    poller.join(timeout=5)
+    assert not poller.is_alive()
+    record, _ = box["reply"]
+    assert record["status"] in ("queued", "running")
+    idle.sock.settimeout(5)
+    assert idle.sock.recv(1) == b""
+    idle.close()
+
+
+def test_finished_job_table_is_bounded(tmp_path, monkeypatch):
+    monkeypatch.setattr(daemon_module, "_MAX_FINISHED", 3)
+    with _serving(str(tmp_path)) as (daemon, client):
+        original = client.verify(ADDER, ADDER_B)
+        variant = 0
+
+        def other_job():
+            nonlocal variant
+            variant += 1
+            record = client.verify(f"// other {variant}\n" + ADDER, ADDER_B)
+            assert record["status"] == "done"
+            # Nothing is in flight between sequential verifies.
+            assert client.status()["total_jobs"] <= 3
+            assert len(daemon.alias) <= len(daemon.jobs)
+
+        other_job()
+        repeat = client.submit(ADDER, ADDER_B)
+        assert repeat["cache_hit"] is True
+        for _ in range(4):
+            other_job()
+            other_job()
+            # The original was evicted long ago, but the alias follows
+            # the newest repeat, which is still in the table.
+            repeat = client.submit(ADDER, ADDER_B)
+            assert repeat["cache_hit"] is True
+            assert client.wait(repeat["id"])["seconds"] == 0.0
+        with pytest.raises(ServerError) as exc:
+            client.job(original["id"])
+        assert exc.value.status == 404

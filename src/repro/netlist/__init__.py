@@ -7,10 +7,11 @@ by :func:`simulate` (bit-level) or :func:`simulate_vectors` /
 bit-parallel engine in :mod:`repro.netlist.sim` by default).
 :func:`compile_netlist` levelizes a netlist into a straight-line Python
 function and :class:`CompiledSim` drives it statefully, packing up to W
-stimulus patterns per net.  :mod:`repro.netlist.opt` shrinks a netlist
-by rewriting it on the AIG (``elaborate(..., optimize=True)`` runs it
-inline); :mod:`repro.netlist.sat` proves an optimized netlist equivalent to
-its source via a Tseitin-encoded miter.  :class:`Interpreter` executes the
+stimulus patterns per net; an :class:`AIG` is simulated by
+:func:`repro.netlist.sim.aig_signatures`.  :func:`optimize` shrinks a
+netlist by rewriting it on the AIG and returns the new netlist with one
+statistics row per pass; :mod:`repro.netlist.sat` proves an optimized
+netlist equivalent to its source via a Tseitin-encoded miter.  :class:`Interpreter` executes the
 same designs directly at vector level and serves as the elaborator's
 round-trip oracle.
 """

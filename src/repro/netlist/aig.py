@@ -86,10 +86,8 @@ class AIG:
         self._input_index: dict[str, int] = {}
         self._output_index: dict[str, int] = {}
         self._latch_index: dict[str, int] = {}
-        #: Monotonic structural revision (compiled-simulator cache key).
+        #: Monotonic structural revision (content-hash cache key).
         self.version = 0
-        self._compiled_cache = None
-        self._signature_cache = None
 
     # -- construction -------------------------------------------------------
 
@@ -281,15 +279,6 @@ class AIG:
 
     def node_name(self, nid: int) -> Optional[str]:
         return self._name[nid]
-
-    def input_names(self) -> list[str]:
-        return [self._name[nid] or f"pi_{nid}" for nid in self.inputs]
-
-    def output_names(self) -> list[str]:
-        return [name for name, _ in self.outputs]
-
-    def latch_names(self) -> list[str]:
-        return [self._name[nid] or f"latch_{nid}" for nid in self.latches]
 
     def output_lit(self, name: str) -> int:
         try:

@@ -757,20 +757,14 @@ def select_top(source: ast.Source, top: Optional[str],
 
 
 def elaborate(source: Union[str, ast.Source], top: Optional[str] = None,
-              params: Optional[Mapping[str, int]] = None,
-              optimize: Union[bool, list, tuple] = False) -> Netlist:
+              params: Optional[Mapping[str, int]] = None) -> Netlist:
     """Synthesize a parsed (or raw-text) Verilog design into a :class:`Netlist`.
 
     ``top`` may be omitted when the source contains exactly one module.
     ``params`` overrides parameters of the top module.  Vector ports become
     one primary input/output per bit named ``port[i]`` (plain ``port`` for
-    scalars); use :func:`simulate_vectors` to drive the result word-wise.
-
-    ``optimize`` runs :func:`repro.netlist.opt.optimize` on the lowered
-    netlist: ``True`` with its default AIG passes, a list/tuple of AIG
-    pass names (``"rewrite"``, ``"fraig"``) with those.  The per-step
-    statistics are attached to the returned netlist as
-    ``netlist.opt_stats``.
+    scalars); use :func:`simulate_vectors` to drive the result word-wise,
+    and :func:`repro.netlist.opt.optimize` to optimize it.
     """
     tracer = get_tracer()
     with tracer.span("elaborate") as span:
@@ -783,11 +777,6 @@ def elaborate(source: Union[str, ast.Source], top: Optional[str] = None,
             netlist = Elaborator(source, top, params).run()
             lower_span.set(gates=netlist.num_gates)
         span.set(gates=netlist.num_gates)
-        if optimize:
-            from .opt import optimize as run_pipeline
-            result = (run_pipeline(netlist) if optimize is True
-                      else run_pipeline(netlist, passes=optimize))
-            netlist = result.netlist
     return netlist
 
 

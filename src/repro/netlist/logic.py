@@ -108,9 +108,6 @@ class Netlist:
         #: :class:`~repro.netlist.sim.CompiledNetlist` tagged with the
         #: ``version`` it was built from; stale entries are recompiled).
         self._compiled_cache = None
-        #: Per-pass statistics attached by :func:`repro.netlist.opt.optimize`
-        #: (``None`` until the netlist has been produced by the optimizer).
-        self.opt_stats: Optional[list] = None
 
     # -- construction -----------------------------------------------------------
 

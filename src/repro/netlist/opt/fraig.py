@@ -53,6 +53,11 @@ from ..sat.proof import ProofLog, check_drat
 from ..sat.solver import Solver, SolverStats
 from ..sim import aig_signatures, packed_eval
 
+#: Bound on simulate/rebuild rounds per sweep.  Every returned AIG is
+#: correct regardless — merges happen only on UNSAT proofs — later
+#: rounds only discover *more* merges.
+_MAX_ROUNDS = 16
+
 
 class FraigStats:
     """Counters from one :func:`fraig_sweep` run."""
@@ -130,20 +135,15 @@ class SweepResult:
         return self.lit_map[lit >> 1] ^ (lit & 1)
 
 
-def fraig_sweep(aig: AIG, patterns: int = 64, max_rounds: int = 16,
-                seed: int = 2022,
+def fraig_sweep(aig: AIG, patterns: int = 64, seed: int = 2022,
                 stats: Optional[FraigStats] = None,
-                certify: bool = False,
-                words: Optional[dict[int, int]] = None,
-                signatures=None) -> AIG:
+                certify: bool = False) -> AIG:
     """Rebuild ``aig`` with all SAT-provably-equivalent nodes merged.
 
     ``patterns`` is the number of random stimulus patterns packed into the
     initial signatures (counterexamples from refuted candidates are
-    appended as extra patterns).  ``max_rounds`` bounds the
-    simulate/rebuild iteration; every returned AIG is correct regardless —
-    merges happen only on UNSAT proofs — later rounds only discover
-    *more* merges.
+    appended as extra patterns); ``seed`` seeds them.  At most
+    :data:`_MAX_ROUNDS` simulate/rebuild rounds run.
 
     ``certify=True`` logs a DRAT proof per round and runs every UNSAT
     (merge-proving) verdict through the independent RUP checker, with
@@ -153,20 +153,12 @@ def fraig_sweep(aig: AIG, patterns: int = 64, max_rounds: int = 16,
     proof clauses/bytes and check time.  Merges are only certified, never
     changed — a rejected proof counts in ``proofs_failed`` and the
     caller decides how loudly to fail.
-
-    ``words`` / ``signatures`` let a caller that has *already* simulated
-    the graph (the CEC path, a rewrite pipeline that computed packed
-    signatures) hand its stimulus and round-1 node signatures in, so the
-    sweep's first round skips the resimulation — see
-    :func:`fraig_sweep_map`.
     """
-    return fraig_sweep_map(aig, patterns=patterns, max_rounds=max_rounds,
-                           seed=seed, stats=stats, certify=certify,
-                           words=words, signatures=signatures).aig
+    return fraig_sweep_map(aig, patterns=patterns, seed=seed, stats=stats,
+                           certify=certify).aig
 
 
-def fraig_sweep_map(aig: AIG, patterns: int = 64, max_rounds: int = 16,
-                    seed: int = 2022,
+def fraig_sweep_map(aig: AIG, patterns: int = 64, seed: int = 2022,
                     stats: Optional[FraigStats] = None,
                     certify: bool = False,
                     words: Optional[dict[int, int]] = None,
@@ -218,7 +210,7 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, max_rounds: int = 16,
         lit_map: dict[int, int] = {
             nid: nid << 1 for nid in range(aig.num_nodes)}
         kinds = aig._kind
-        for round_no in range(1, max_rounds + 1):
+        for round_no in range(1, _MAX_ROUNDS + 1):
             stats.rounds += 1
             checks_at = stats.sat_checks
             proven_at = stats.proven

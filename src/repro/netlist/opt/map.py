@@ -160,7 +160,7 @@ def _cover_of(aig: AIG, best_cut: dict[int, tuple[int, ...]],
     return sorted(needed)
 
 
-def map_aig(aig: AIG, k: int = 4, cut_limit: int = 8,
+def map_aig(aig: AIG, k: int = 4,
             stats: Optional[MapStats] = None) -> MapResult:
     """Map the live cone of ``aig`` into k-input LUTs (2 <= k <= 6)."""
     if not 2 <= k <= 6:
@@ -176,7 +176,7 @@ def map_aig(aig: AIG, k: int = 4, cut_limit: int = 8,
     roots = _root_nodes(aig)
 
     with tracer.span("map", k=k, ands=len(ands)):
-        cuts = enumerate_cuts(aig, k, cut_limit, live)
+        cuts = enumerate_cuts(aig, k, nodes=live)
         # Structural fanout counts discount shared logic in area flow.
         refs: dict[int, int] = {nid: 0 for nid in live}
         refs[0] = 0

@@ -140,8 +140,7 @@ def optimize(netlist: Netlist,
     chains.
 
     The input netlist is left untouched; the result is always a fresh
-    netlist carrying the per-step statistics both in
-    :attr:`OptResult.stats` and on its ``opt_stats`` attribute.
+    netlist, and :attr:`OptResult.stats` records each step.
     """
     for name in passes:
         if name not in _AIG_PASSES:
@@ -185,6 +184,5 @@ def optimize(netlist: Netlist,
         tracer.metrics.counter("opt.passes_run").inc(len(stats))
         tracer.metrics.counter("opt.gates_removed").inc(
             gates_before - optimized.num_gates)
-    optimized.opt_stats = stats
     return OptResult(netlist=optimized, stats=stats,
                      gates_before=gates_before, levels_before=levels_before)

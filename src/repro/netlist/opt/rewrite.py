@@ -259,13 +259,13 @@ def _plan(tt4: int) -> tuple:
     return plan
 
 
-def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats) -> AIG:
+def _sweep(aig: AIG, stats: RewriteStats) -> AIG:
     """One topological rewrite-and-rebuild sweep; returns the new AIG
     (its table may hold garbage — callers compact via :func:`_copy_live`)."""
     tracer = get_tracer()
     live = sorted(aig.cone(aig.and_roots()))
     with tracer.span("rewrite.cuts"):
-        cuts, tables = enumerate_cut_truths(aig, 4, cut_limit, live)
+        cuts, tables = enumerate_cut_truths(aig, 4, nodes=live)
     with tracer.span("rewrite.eval") as span:
         new = _evaluate(aig, live, cuts, tables, stats)
         span.set(replacements=stats.replacements, probes=stats.probes)
@@ -443,8 +443,7 @@ def _copy_live(aig: AIG) -> AIG:
     return out
 
 
-def rewrite_aig(aig: AIG, cut_limit: int = 8,
-                stats: Optional[RewriteStats] = None) -> AIG:
+def rewrite_aig(aig: AIG, stats: Optional[RewriteStats] = None) -> AIG:
     """Run one rewrite sweep and return the compacted result.
 
     The sweep rebuilds the live cone once (see :func:`_sweep`) and
@@ -458,7 +457,7 @@ def rewrite_aig(aig: AIG, cut_limit: int = 8,
         stats = RewriteStats()
     before = stats.ands_before = len(_live_ands(aig))
     with tracer.span("rewrite", ands_before=before) as span:
-        swept = _sweep(aig, cut_limit, stats)
+        swept = _sweep(aig, stats)
         with tracer.span("rewrite.compact"):
             swept = _copy_live(swept)
         if swept.num_ands > before:

@@ -38,6 +38,8 @@ progressively heavier artillery, in order:
    whose cones collapse onto the same literal are *sweep-proven* and
    skip the top-level solve.  Distinguishing patterns found by refuted
    sweep candidates are re-checked against the surviving root pairs.
+   The sweep runs only on large miters dense with simulation candidate
+   merges (:func:`_sweep_worthwhile`).
 3. **structure-aware encoding** — the surviving cones are encoded with
    XOR/MUX/majority pattern matching
    (:func:`~repro.netlist.sat.cnf.encode_aig_cone`), then simplified by
@@ -73,7 +75,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from ...obs import attach_solver_progress, get_tracer
 from ..aig import AIG, insert_netlist
@@ -85,9 +87,8 @@ from .preprocess import preprocess as simplify_cnf
 from .proof import ProofLog, check_drat
 from .solver import Solver, SolverStats
 
-#: ``sweep="auto"`` runs the miter sweep only on differing cones at least
-#: this many AND nodes large — smaller miters solve faster than they
-#: sweep.
+#: The miter sweep runs only on differing cones at least this many AND
+#: nodes large — smaller miters solve faster than they sweep.
 _SWEEP_MIN_ANDS = 256
 #: ...and only when at least this fraction of those AND nodes lands in a
 #: multi-member candidate class under the stage-1 simulation signatures.
@@ -109,6 +110,9 @@ _EXHAUSTIVE_BITS = 1 << 25
 #: vs its optimized netlist (583,680 bits), which the solver proves
 #: with no search 30x faster than the cube.
 _CUBE_BITS = 1 << 19
+#: RNG seed of stage 1's random stimulus (when it cannot be exhaustive),
+#: which the miter sweep reuses: verdicts are deterministic.
+_SIM_SEED = 2022
 
 
 class CECError(Exception):
@@ -388,47 +392,43 @@ def _first_diff_bit(sigs, mask: int,
     return None
 
 
-def _refute_by_pattern(result: EquivalenceResult, before: Netlist,
-                       after: Netlist, words: dict[int, int],
-                       pi_lits: dict[str, int], latch_lits: dict[str, int],
-                       bit: int) -> EquivalenceResult:
-    """Replay a simulation-found distinguishing pattern into ``result`` as
-    a confirmed :class:`Counterexample` (same guard as the solver path)."""
-    inputs = {name: (words[lit >> 1] >> bit) & 1
-              for name, lit in pi_lits.items()}
-    state = {name: (words[lit >> 1] >> bit) & 1
-             for name, lit in latch_lits.items()}
+def _pattern(words: dict[int, int], lits: dict[str, int],
+             bit: int) -> dict[str, int]:
+    """Per-name values of stimulus pattern ``bit`` at leaf literals."""
+    return {name: (words[lit >> 1] >> bit) & 1 for name, lit in lits.items()}
+
+
+def _refute(result: EquivalenceResult, before: Netlist, after: Netlist,
+            inputs: dict[str, int], state: dict[str, int],
+            by_simulation: bool) -> EquivalenceResult:
+    """Replay a distinguishing assignment — a simulation pattern or a
+    solver model — into ``result`` as a confirmed :class:`Counterexample`.
+
+    Raises :class:`CECError` when both netlists agree under it: the miter
+    disagreed where the designs do not, an AIG lowering bug (simulation)
+    or a CNF encoding bug (solver).
+    """
     with get_tracer().span("cec.replay"):
         diffs = replay_counterexample(before, after, inputs, state)
     if not diffs:
         raise CECError(
             "miter simulation disagrees but netlist replay does not "
-            "(AIG lowering bug)"
+            "(AIG lowering bug)" if by_simulation else
+            "solver returned a model but simulation shows no "
+            "disagreement (CNF encoding bug)"
         )
     result.equivalent = False
-    result.refuted_by_simulation = True
+    result.refuted_by_simulation = by_simulation
     result.counterexample = Counterexample(inputs=inputs, state=state,
                                            diff=diffs)
     return result
 
 
-def _confirm_model(before: Netlist, after: Netlist,
-                   inputs: dict[str, int],
-                   state: dict[str, int]) -> Counterexample:
-    """Replay a solver model into a confirmed :class:`Counterexample`."""
-    diffs = replay_counterexample(before, after, inputs, state)
-    if not diffs:
-        raise CECError(
-            "solver returned a model but simulation shows no "
-            "disagreement (CNF encoding bug)"
-        )
-    return Counterexample(inputs=inputs, state=state, diff=diffs)
-
-
 def _sweep_worthwhile(aig: AIG, sigs, mask: int,
                       pairs: list[tuple[int, int]]) -> bool:
-    """``sweep="auto"`` policy: candidate-merge density of the differing
-    cone, measured on the signatures stage 1 already computed."""
+    """Whether to sweep the miter: the size and candidate-merge density
+    of the differing cone, measured on the signatures stage 1 already
+    computed."""
     roots = [lit for pair in pairs for lit in pair]
     cone_ands = [nid for nid in aig.cone(roots) if aig.is_and(nid)]
     if len(cone_ands) < _SWEEP_MIN_ANDS:
@@ -695,9 +695,7 @@ def check_equivalence(before: Netlist, after: Netlist,
                       certify: bool = False,
                       proof: Optional[ProofLog] = None,
                       *,
-                      sweep: Union[bool, str] = "auto",
                       sim_patterns: int = 64,
-                      seed: int = 2022,
                       jobs: int = 1) -> EquivalenceResult:
     """Prove or refute the equivalence of two netlists.
 
@@ -718,22 +716,20 @@ def check_equivalence(before: Netlist, after: Netlist,
 
     Pipeline knobs (keyword-only):
 
-    * ``sweep`` — SAT-sweep the shared miter AIG before encoding: True,
-      False, or ``"auto"`` (default: sweep only differing cones that are
-      both large and dense with simulation-candidate merges, see
-      :func:`_sweep_worthwhile`).  Sweep-proven root pairs are counted
-      in ``sweep_proven`` and skip the top-level solve.
-    * ``sim_patterns`` / ``seed`` — width and RNG seed of the packed
-      random stimulus used by the simulation checks, the sweep, and
-      phase seeding.  When the miter's signatures over every leaf
+    * ``sim_patterns`` — width of the packed random stimulus (seeded
+      with :data:`_SIM_SEED`) used by the simulation checks, the sweep,
+      and phase seeding.  When the miter's signatures over every leaf
       assignment fit :data:`_EXHAUSTIVE_BITS` (:data:`_CUBE_BITS` when
       DRAT evidence is requested) stage 1 simulates all ``2**n``
       assignments instead: it refutes or proves every differing pair
-      (``sim_proven``), and nothing after it runs.  ``sim_patterns=0``
-      disables the
-      simulation stage, exhaustive or not, and everything fed by its
-      signatures (auto-sweeping, phase and activity seeding), so every
-      differing pair goes to the solver.
+      (``sim_proven``), and nothing after it runs.  Otherwise the
+      shared miter AIG is SAT-swept before encoding when its differing
+      cones are large and dense with simulation-candidate merges
+      (:func:`_sweep_worthwhile`); sweep-proven root pairs are counted
+      in ``sweep_proven`` and skip the top-level solve.
+      ``sim_patterns=0`` disables the simulation stage, exhaustive or
+      not, and everything fed by its signatures (the sweep, phase and
+      activity seeding), so every differing pair goes to the solver.
     * ``jobs`` — with ``jobs > 1`` (and no caller-supplied ``proof``)
       the root pairs surviving stages 1–2 are split into
       fanin-cone-balanced groups, and each group runs the same stage-3/4
@@ -791,7 +787,7 @@ def check_equivalence(before: Netlist, after: Netlist,
         # which also proves the pairs it cannot refute; when DRAT
         # evidence is requested the budget is smaller and the proof is a
         # cube tree.  ``sim_patterns=0`` disables the stage (and the
-        # signatures that auto-sweep and phase seeding feed on).
+        # signatures that the sweep and phase seeding feed on).
         pairs = differing
         work_aig = aig
         in_lits, st_lits = pi_lits, latch_lits
@@ -809,7 +805,7 @@ def check_equivalence(before: Netlist, after: Netlist,
                 words = dict(zip(leaves, elementary_words(len(leaves))))
                 num_patterns = 1 << len(leaves)
             else:
-                rng = random.Random(seed)
+                rng = random.Random(_SIM_SEED)
                 words = {nid: rng.getrandbits(sim_patterns)
                          for nid in leaves}
                 num_patterns = sim_patterns
@@ -829,8 +825,10 @@ def check_equivalence(before: Netlist, after: Netlist,
             result.encode_seconds += time.perf_counter() - start
             if bit is not None:
                 cec_span.set(equivalent=False, refuted_by="simulation")
-                return _refute_by_pattern(result, before, after, words,
-                                          pi_lits, latch_lits, bit)
+                return _refute(result, before, after,
+                               _pattern(words, pi_lits, bit),
+                               _pattern(words, latch_lits, bit),
+                               by_simulation=True)
             if exhaustive:
                 # All 2**n assignments agree: every pair is proven.
                 result.sim_proven = len(pairs)
@@ -844,9 +842,7 @@ def check_equivalence(before: Netlist, after: Netlist,
         # Stage 2: SAT-sweep the miter AIG — internal equivalences the
         # unique table missed collapse under incremental SAT, and root
         # pairs whose cones merge are proven without the top-level solve.
-        do_sweep = sweep if isinstance(sweep, bool) else (
-            sigs is not None and _sweep_worthwhile(aig, sigs, mask, pairs))
-        if do_sweep:
+        if sigs is not None and _sweep_worthwhile(aig, sigs, mask, pairs):
             # Imported lazily: opt.fraig imports sat.cnf/proof/solver, so
             # a module-level import here would be circular.
             from ..opt.fraig import FraigStats, fraig_sweep_map
@@ -857,8 +853,8 @@ def check_equivalence(before: Netlist, after: Netlist,
                 # Stage 1's stimulus and signatures are handed to the
                 # sweep so its first round does not resimulate.
                 swept = fraig_sweep_map(
-                    aig, patterns=sim_patterns if sim_patterns > 0 else 64,
-                    seed=seed, stats=sweep_stats, certify=certify,
+                    aig, patterns=sim_patterns, seed=_SIM_SEED,
+                    stats=sweep_stats, certify=certify,
                     words=words, signatures=sigs)
                 mapped = [(swept.map_lit(b), swept.map_lit(a))
                           for b, a in pairs]
@@ -909,8 +905,10 @@ def check_equivalence(before: Netlist, after: Netlist,
             result.encode_seconds += time.perf_counter() - start
             if bit is not None:
                 cec_span.set(equivalent=False, refuted_by="simulation")
-                return _refute_by_pattern(result, before, after, words,
-                                          pi_lits, latch_lits, bit)
+                return _refute(result, before, after,
+                               _pattern(words, pi_lits, bit),
+                               _pattern(words, latch_lits, bit),
+                               by_simulation=True)
 
         # Stages 3–4, once per shard: in-process on the whole miter, or
         # with ``jobs > 1`` on fanin-cone-balanced groups in worker
@@ -975,9 +973,7 @@ def check_equivalence(before: Netlist, after: Netlist,
         # the replay defaults them to 0.
         inputs = {name: 0 for name in before.input_names()}
         inputs.update(refuting.inputs)
-        with tracer.span("cec.replay"):
-            result.counterexample = _confirm_model(before, after, inputs,
-                                                   refuting.state)
-        result.equivalent = False
+        _refute(result, before, after, inputs, refuting.state,
+                by_simulation=False)
         cec_span.set(equivalent=False)
         return result

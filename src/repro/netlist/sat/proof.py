@@ -115,14 +115,14 @@ class ProofLog:
     The solver-facing surface is just ``add(lits)`` and ``delete(lits)``
     with DIMACS literals; anything implementing those two methods can be
     handed to ``Solver.set_proof``.  When ``stream`` is given, each step
-    is also written as one DRAT line and (by default) flushed, so the
-    proof file is usable the moment the solver stops — even mid-run.
+    is also written as one DRAT line and flushed, so the proof file is
+    usable the moment the solver stops — even mid-run.
     """
 
     __slots__ = ("steps", "stream", "bytes_written", "num_added",
-                 "num_deleted", "_bytes", "_flush")
+                 "num_deleted", "_bytes")
 
-    def __init__(self, stream: Optional[TextIO] = None, flush: bool = True):
+    def __init__(self, stream: Optional[TextIO] = None):
         self.steps: List[Step] = []
         self.stream = stream
         self.bytes_written = 0
@@ -130,7 +130,6 @@ class ProofLog:
         self.num_added = 0
         self.num_deleted = 0
         self._bytes = 0
-        self._flush = flush
 
     def add(self, lits: Iterable[int]) -> None:
         """Record a learned-clause addition."""
@@ -150,8 +149,7 @@ class ProofLog:
             line = format_drat_step(kind, lits) + "\n"
             self.stream.write(line)
             self.bytes_written += len(line)
-            if self._flush:
-                self.stream.flush()
+            self.stream.flush()
         else:
             # The DRAT line is the literals joined by single spaces, then
             # " 0\n" ("0\n" when empty), after "d " for a deletion.

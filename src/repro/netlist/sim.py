@@ -26,10 +26,10 @@ counterexample replay — compile at most once per netlist revision.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from ..obs import get_tracer
-from .aig import _AND, AIG, lit_compl, lit_node
+from .aig import _AND, AIG
 from .logic import GateType, Netlist, NetlistError
 
 _BIT_SUFFIX = re.compile(r"^(.+)\[(\d+)\]$")
@@ -43,7 +43,7 @@ def _split_bit_name(name: str) -> tuple[str, int]:
     return match.group(1), int(match.group(2))
 
 
-def input_word_widths(netlist: "Netlist | AIG") -> dict[str, int]:
+def input_word_widths(netlist: Netlist) -> dict[str, int]:
     """Word width of each input port, derived from its bit-blasted names."""
     widths: dict[str, int] = {}
     for name in netlist.input_names():
@@ -58,85 +58,32 @@ def _tuple_expr(items: Sequence[str]) -> str:
     return "(" + ", ".join(items) + ",)"
 
 
-def _aig_codegen(aig: AIG, fn_name: str, node_ids: Iterable[int]
-                 ) -> tuple[list[str], dict[int, str]]:
-    """Shared straight-line codegen core for AIG evaluators.
-
-    Emits the ``def``/unpack prologue plus one ``nX = a & b`` line per AND
-    node in ``node_ids`` (which must be ascending, i.e. topological).
-    Returns the source lines and a map from node id to its value *atom*
-    (``"0"``, an input/state local, or the node's own local); use
-    :func:`_aig_lit_expr` to read a literal with its complement applied.
-    """
-    input_pos = {nid: k for k, nid in enumerate(aig.inputs)}
-    reg_pos = {nid: k for k, nid in enumerate(aig.latches)}
-    lines = [f"def {fn_name}(I, S, M):"]
-    if aig.inputs:
-        unpack = _tuple_expr([f"i{k}" for k in range(len(aig.inputs))])
-        lines.append(f"    {unpack} = I")
-    if aig.latches:
-        unpack = _tuple_expr([f"s{k}" for k in range(len(aig.latches))])
-        lines.append(f"    {unpack} = S")
-    exprs: dict[int, str] = {}
-    for nid in node_ids:
-        if nid == 0:
-            exprs[nid] = "0"
-        elif nid in input_pos:
-            exprs[nid] = f"i{input_pos[nid]}"
-        elif nid in reg_pos:
-            exprs[nid] = f"s{reg_pos[nid]}"
-        else:
-            f0, f1 = aig.fanins(nid)
-            lines.append(f"    n{nid} = {_aig_lit_expr(exprs, f0)} & "
-                         f"{_aig_lit_expr(exprs, f1)}")
-            exprs[nid] = f"n{nid}"
-    return lines, exprs
-
-
-def _aig_lit_expr(exprs: dict[int, str], lit: int) -> str:
-    """Source expression for an AIG literal over the node atom map."""
-    expr = exprs[lit_node(lit)]
-    if not lit_compl(lit):
-        return expr
-    if expr == "0":
-        return "M"
-    return f"({expr} ^ M)"
-
-
 class CompiledNetlist:
-    """A netlist (or AIG) lowered to one straight-line Python function.
+    """A netlist lowered to one straight-line Python function.
 
     The generated function has the signature ``_cycle(I, S, M)`` where ``I``
     is a tuple of packed primary-input values (``netlist.inputs`` order),
-    ``S`` a tuple of packed flip-flop Q values (``netlist.registers`` /
-    ``aig.latches`` order) and ``M`` the pattern mask (``(1 << W) - 1`` for
-    W packed patterns).  It returns ``(outputs, next_state)`` tuples in
-    ``netlist.outputs`` / register order.
-
-    An :class:`~repro.netlist.aig.AIG` compiles directly — every node is
-    already a two-input AND with complement edges, so codegen is one
-    bitwise op per node with no BUF-collapse or constant-folding pre-pass
-    (hash-consing did that at construction time).
+    ``S`` a tuple of packed flip-flop Q values (``netlist.registers``
+    order) and ``M`` the pattern mask (``(1 << W) - 1`` for W packed
+    patterns).  It returns ``(outputs, next_state)`` tuples in
+    ``netlist.outputs`` / register order.  AIGs are not compiled: they
+    are simulated by :func:`aig_signatures` / :func:`packed_eval`.
 
     The generated source is kept on :attr:`source` for inspection.
     """
 
-    def __init__(self, netlist: "Netlist | AIG"):
+    def __init__(self, netlist: Netlist):
         self.netlist = netlist
         self.name = netlist.name
         self.version = netlist.version
         self.input_gids = list(netlist.inputs)
         self.input_names = netlist.input_names()
         self.output_names = netlist.output_names()
-        if isinstance(netlist, AIG):
-            self.registers = list(netlist.latches)
-            self.register_names = netlist.latch_names()
-        else:
-            self.registers = netlist.registers
-            gates = netlist.gates
-            self.register_names = [
-                gates[gid].name or f"dff_{gid}" for gid in self.registers
-            ]
+        self.registers = netlist.registers
+        gates = netlist.gates
+        self.register_names = [
+            gates[gid].name or f"dff_{gid}" for gid in self.registers
+        ]
         #: (port base, bit index) per primary input / output, word packing.
         self._in_bits = [_split_bit_name(n) for n in self.input_names]
         self._out_bits = [_split_bit_name(n) for n in self.output_names]
@@ -146,34 +93,13 @@ class CompiledNetlist:
         for pos, rname in enumerate(self.register_names):
             base, index = _split_bit_name(rname)
             self._reg_words.setdefault(base, []).append((index, pos))
-        self.source = (self._generate_aig() if isinstance(netlist, AIG)
-                       else self._generate())
+        self.source = self._generate()
         namespace: dict = {"__builtins__": {}}
         exec(compile(self.source, f"<compiled:{self.name}>", "exec"),
              namespace)
         self._fn = namespace["_cycle"]
 
     # -- code generation -----------------------------------------------------
-
-    def _generate_aig(self) -> str:
-        """Straight-line codegen from an AIG: one bitwise op per AND node."""
-        aig = self.netlist
-        missing = [aig.node_name(nid) or f"latch_{nid}"
-                   for nid in self.registers if nid not in aig._next]
-        if missing:
-            raise NetlistError(
-                f"cannot compile AIG: latches without a next-state "
-                f"function: {', '.join(missing)}"
-            )
-        roots = aig.and_roots()
-        cone = aig.cone(roots) if roots else set()
-        lines, exprs = _aig_codegen(aig, "_cycle", sorted(cone))
-        out_exprs = [_aig_lit_expr(exprs, lit) for _, lit in aig.outputs]
-        ns_exprs = [_aig_lit_expr(exprs, aig._next[nid])
-                    for nid in self.registers]
-        lines.append(f"    return {_tuple_expr(out_exprs)}, "
-                     f"{_tuple_expr(ns_exprs)}")
-        return "\n".join(lines) + "\n"
 
     def _generate(self) -> str:
         netlist = self.netlist
@@ -374,10 +300,10 @@ class CompiledNetlist:
         return tuple(int(bool(state.get(gid, 0))) for gid in self.registers)
 
 
-def compile_netlist(netlist: Union[Netlist, AIG]) -> CompiledNetlist:
-    """Compile (or fetch the cached compilation of) a netlist or AIG.
+def compile_netlist(netlist: Netlist) -> CompiledNetlist:
+    """Compile (or fetch the cached compilation of) a netlist.
 
-    The result is cached on the netlist/AIG and keyed by its structural
+    The result is cached on the netlist and keyed by its structural
     ``version``, so callers may invoke this per cycle without paying
     recompilation; any mutation triggers a fresh compile on the next call.
     """

@@ -4,7 +4,8 @@ ROADMAP item 3: a long-running, stdlib-only daemon that turns the
 one-shot CEC pipeline into a production-shaped service — a job queue
 over an :mod:`asyncio` HTTP/JSON front, a :mod:`multiprocessing` worker
 pool executing :func:`~repro.server.jobs.run_verify_job` per submission,
-and a two-tier result cache keyed on structural content hashes
+an in-memory alias map of answered submissions, and an on-disk result
+cache keyed on structural content hashes
 (:meth:`Netlist.content_hash <repro.netlist.logic.Netlist.content_hash>`
 + canonical options, see :mod:`repro.server.cache`) so repeat
 submissions — the common production case — never reach the solver.

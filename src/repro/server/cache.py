@@ -4,18 +4,14 @@ Results are keyed on *what was verified*, not *what text was submitted*:
 ``content_key`` hashes the two designs' structural
 :meth:`~repro.netlist.logic.Netlist.content_hash` digests together with
 the canonicalized option set, so formatting changes, comment edits, or
-resubmissions of byte-identical sources all land on the same entry.  The
-``jobs`` knob is deliberately excluded from the key — worker count must
-never change a verdict, so a result computed at any parallelism serves
-every other.
+resubmissions of byte-identical sources all land on the same entry.
 
-:class:`ResultCache` is two-tier: a per-process in-memory dict in front
-of an optional shared on-disk directory of ``<key>.json`` files.  Disk
-writes are atomic (tempfile + :func:`os.replace`), so daemon workers in
-separate processes can share one directory without locking — the worst
-race is two workers computing the same result and one overwrite winning,
-which is harmless because entries are deterministic functions of their
-key.
+:class:`ResultCache` is a directory of ``<key>.json`` files shared by
+the CLI and the daemon's workers.  Writes are atomic (tempfile +
+:func:`os.replace`), so workers in separate processes can share one
+directory without locking — the worst race is two workers computing the
+same result and one overwrite winning, which is harmless because entries
+are deterministic functions of their key.
 """
 
 from __future__ import annotations
@@ -38,11 +34,9 @@ OPTION_DEFAULTS = {
 def canonical_options(options: Optional[dict]) -> dict:
     """Normalize a submission's option dict to the cache-key option set.
 
-    Fills defaults, drops execution knobs that cannot affect the result
-    (``jobs``), and raises ``ValueError`` on unknown keys.
+    Fills defaults and raises ``ValueError`` on unknown keys.
     """
     options = dict(options or {})
-    options.pop("jobs", None)
     unknown = sorted(set(options) - set(OPTION_DEFAULTS))
     if unknown:
         raise ValueError(f"unknown verification options: {unknown}")
@@ -79,60 +73,37 @@ class CacheError(Exception):
 
 
 class ResultCache:
-    """In-memory + on-disk store of verification reports by content key.
+    """On-disk store of verification reports by content key.
 
     Raises :class:`CacheError` when ``cache_dir`` cannot be created.
-    Once constructed, a failed disk read is a miss and a failed disk
-    write is dropped, so the cache never fails a verdict.
+    Once constructed, a failed read is a miss and a failed write is
+    dropped, so the cache never fails a verdict.
     """
 
-    def __init__(self, cache_dir: Optional[str] = None) -> None:
+    def __init__(self, cache_dir: str) -> None:
         self.cache_dir = cache_dir
-        self.memory: dict[str, dict] = {}
-        self.memory_hits = 0
-        self.disk_hits = 0
-        self.misses = 0
-        self.writes = 0
-        if cache_dir:
-            try:
-                os.makedirs(cache_dir, exist_ok=True)
-            except OSError as exc:
-                reason = ("not a directory"
-                          if isinstance(exc, FileExistsError)
-                          else exc.strerror or str(exc))
-                raise CacheError(f"cannot use cache directory "
-                                 f"'{cache_dir}': {reason}") from exc
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+        except OSError as exc:
+            reason = ("not a directory"
+                      if isinstance(exc, FileExistsError)
+                      else exc.strerror or str(exc))
+            raise CacheError(f"cannot use cache directory "
+                             f"'{cache_dir}': {reason}") from exc
 
     def _path(self, key: str) -> str:
-        assert self.cache_dir is not None
         return os.path.join(self.cache_dir, f"{key}.json")
 
     def get(self, key: str) -> Optional[dict]:
-        """The cached report for ``key``, or None (counts the miss)."""
-        report = self.memory.get(key)
-        if report is not None:
-            self.memory_hits += 1
-            return report
-        if self.cache_dir:
-            try:
-                with open(self._path(key), "r", encoding="utf-8") as fh:
-                    report = json.load(fh)
-            except (OSError, ValueError):
-                report = None
-            if report is not None:
-                self.memory[key] = report
-                self.disk_hits += 1
-                return report
-        self.misses += 1
-        return None
+        """The cached report for ``key``, or None."""
+        try:
+            with open(self._path(key), "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        except (OSError, ValueError):
+            return None
 
     def put(self, key: str, report: dict) -> None:
-        """Store ``report`` under ``key`` in memory and (atomically) on
-        disk."""
-        self.memory[key] = report
-        self.writes += 1
-        if not self.cache_dir:
-            return
+        """Store ``report`` under ``key`` (atomically)."""
         tmp = None
         try:
             fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
@@ -145,12 +116,3 @@ class ResultCache:
                     os.unlink(tmp)
                 except OSError:
                     pass
-
-    def stats(self) -> dict:
-        return {
-            "memory_entries": len(self.memory),
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "writes": self.writes,
-        }

@@ -26,9 +26,10 @@ Endpoints:
     finished job at once instead of polling for it.  Only the newest
     ``_MAX_FINISHED`` finished records are kept; an evicted id is 404.
 ``GET /status``
-    Daemon health: worker count, job counters by status, cache stats,
-    uptime, and the transport counters ``connections`` (accepted),
-    ``requests`` (served) and ``waiting`` (held long-polls).
+    Daemon health: worker count, job counters by status, alias and
+    dedup hit counts, the cache directory, uptime, and the transport
+    counters ``connections`` (accepted), ``requests`` (served) and
+    ``waiting`` (held long-polls).
 ``POST /shutdown``
     Graceful shutdown — held long-polls are answered, idle connections
     closed, in-flight jobs finish, the listener closes, and

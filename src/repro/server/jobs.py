@@ -4,11 +4,11 @@
 daemon's :class:`~concurrent.futures.ProcessPoolExecutor` runs.  One job
 is one equivalence check: elaborate both submitted sources, compute their
 structural content hashes, consult the shared on-disk
-:class:`~repro.server.cache.ResultCache`, and only on a miss run the full
-staged CEC pipeline (:func:`~repro.netlist.sat.check_equivalence`).  The
-reply is a plain dict — JSON-ready report, cache metadata, and the
-worker's recorded :mod:`repro.obs` spans for the parent to stitch into
-its timeline.
+:class:`~repro.server.cache.ResultCache` (when the daemon has a cache
+directory), and only on a miss run the full staged CEC pipeline
+(:func:`~repro.netlist.sat.check_equivalence`).  The reply is a plain
+dict — JSON-ready report, cache metadata, and the worker's recorded
+:mod:`repro.obs` spans for the parent to stitch into its timeline.
 
 Jobs never raise across the process boundary: every failure mode
 (frontend errors, interface mismatches, bad options) comes back as
@@ -53,8 +53,9 @@ def run_verify_job(payload: dict) -> dict:
                 reply["key"] = key
                 reply["hashes"] = [before.content_hash(),
                                    after.content_hash()]
-                cache = ResultCache(payload.get("cache_dir"))
-                report = cache.get(key)
+                cache_dir = payload.get("cache_dir")
+                cache = ResultCache(cache_dir) if cache_dir else None
+                report = cache.get(key) if cache is not None else None
                 if report is not None:
                     reply["cache_hit"] = True
                 else:
@@ -62,7 +63,8 @@ def run_verify_job(payload: dict) -> dict:
                         before, after, certify=options["certify"])
                     report = verdict.to_report(
                         certify=options["certify"])
-                    cache.put(key, report)
+                    if cache is not None:
+                        cache.put(key, report)
                 reply["report"] = report
                 job_span.set(cache_hit=reply["cache_hit"],
                              equivalent=report["equivalent"])

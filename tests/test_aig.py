@@ -4,7 +4,8 @@ Unit tests pin the folding/hash-consing contract of ``aig_and``; property
 tests check, on every elaborator test design, that the
 ``to_netlist(from_netlist(n))`` round trip is SAT-proven equivalent and
 co-simulates bit-exact against the compiled engine — both via the raised
-netlist and by compiling the AIG directly — at pack widths 1, 64 and 256.
+netlist and by stepping the AIG itself through ``aig_signatures`` — at
+pack widths 1, 64 and 256.
 """
 
 import random
@@ -22,7 +23,7 @@ from repro.netlist import (
 )
 from repro.netlist.aig import FALSE, TRUE, aig_not, lit_compl, lit_node
 from repro.netlist.sat import check_equivalence
-from repro.netlist.sim import CompiledSim, aig_signatures, compile_netlist
+from repro.netlist.sim import CompiledSim, _split_bit_name, aig_signatures
 
 from test_opt import DESIGN_IDS, DESIGNS, _random_vectors
 
@@ -32,6 +33,36 @@ from test_opt import DESIGN_IDS, DESIGNS, _random_vectors
 BENCH_LIKE = [row for row in DESIGNS
               if row[0] in ("rca", "muxtree", "counter", "alu")]
 BENCH_IDS = [row[0] for row in BENCH_LIKE]
+
+
+def _run_aig(aig, sequences):
+    """Step ``aig`` through equal-length word-level input ``sequences``,
+    one per bit lane, with :func:`aig_signatures`; latches power up at 0.
+    Returns each lane's per-cycle output words, the shape of
+    :meth:`CompiledSim.run_parallel`."""
+    lanes = len(sequences)
+    mask = (1 << lanes) - 1
+    in_bits = [_split_bit_name(aig.node_name(nid)) for nid in aig.inputs]
+    state = [0] * aig.num_latches
+    results = [[] for _ in range(lanes)]
+    for t in range(len(sequences[0])):
+        inputs = [sum(((seq[t][base] >> index) & 1) << lane
+                      for lane, seq in enumerate(sequences))
+                  for base, index in in_bits]
+        sigs = aig_signatures(aig, inputs, state, mask)
+
+        def value(lit):
+            return sigs[lit_node(lit)] ^ (mask if lit_compl(lit) else 0)
+
+        for lane, outputs in enumerate(results):
+            words = {}
+            for name, lit in aig.outputs:
+                base, index = _split_bit_name(name)
+                bit = (value(lit) >> lane) & 1
+                words[base] = words.get(base, 0) | (bit << index)
+            outputs.append(words)
+        state = [value(aig.next_state(nid << 1)) for nid in aig.latches]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -191,20 +222,20 @@ def test_round_trip_cosimulates_packed(name, source, top, params, lanes):
         for lane in range(lanes)
     ]
     reference = CompiledSim(netlist).run_parallel(sequences)
-    # Both the raised netlist and the directly-compiled AIG must match the
-    # compiled engine bit for bit, lane for lane.
+    # Both the raised netlist and the AIG itself must match the compiled
+    # engine bit for bit, lane for lane.
     assert CompiledSim(rt).run_parallel(sequences) == reference
-    assert CompiledSim(compile_netlist(aig)).run_parallel(sequences) == \
-        reference
+    assert _run_aig(aig, sequences) == reference
 
 
 @pytest.mark.parametrize("name,source,top,params", DESIGNS, ids=DESIGN_IDS)
 def test_aig_compiles_directly(name, source, top, params):
+    """The lowered AIG, evaluated directly (no raising), runs every design
+    cycle for cycle like the compiled netlist."""
     netlist = elaborate(source, top=top, params=params)
     aig = from_netlist(netlist)
     vectors = _random_vectors(netlist, 20, seed=99)
-    assert CompiledSim(aig).run_batch(vectors) == \
-        CompiledSim(netlist).run_batch(vectors)
+    assert _run_aig(aig, [vectors]) == [CompiledSim(netlist).run_batch(vectors)]
 
 
 def test_aig_signatures_match_compiled_outputs():
@@ -219,10 +250,12 @@ endmodule
     words = [rng.getrandbits(32) for _ in aig.inputs]
     sigs = aig_signatures(aig, words, [], mask)
     assert len(sigs) == aig.num_nodes
-    # Signatures of the output literals must agree with the compiled
-    # engine run lane by lane.
-    compiled = compile_netlist(aig)
+    # Signatures of the output literals must agree with the netlist's
+    # compiled engine run lane by lane.
+    compiled = CompiledSim(netlist).compiled
+    assert compiled.input_names == [aig.node_name(nid) for nid in aig.inputs]
     outs, _ = compiled.run(words, [], mask)
+    assert compiled.output_names == [name for name, _ in aig.outputs]
     for (name, lit), packed in zip(aig.outputs, outs):
         expected = sigs[lit_node(lit)] ^ (mask if lit_compl(lit) else 0)
         assert packed == expected, name

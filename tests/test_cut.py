@@ -318,7 +318,7 @@ def test_compacted_sweep_has_only_live_ands(name, source, top, params):
     """``rewrite_aig`` counts a compacted sweep by ``num_ands``: after
     ``_copy_live`` every AND in the unique table is live."""
     aig = from_netlist(elaborate(source, top=top, params=params))
-    swept = _sweep(aig, 8, RewriteStats())
+    swept = _sweep(aig, RewriteStats())
     compact = _copy_live(swept)
     assert compact.num_ands == len(_live_ands(compact)) \
         == len(_live_ands(swept))
@@ -461,7 +461,7 @@ def test_rewrite_counters_are_zero_when_the_sweep_grows():
     saving) must not claim replacements the result does not contain."""
     aig = from_netlist(elaborate(MULTIPLIER, top="multiplier"))
     sweep_stats = RewriteStats()
-    grown = _copy_live(_sweep(aig, 8, sweep_stats))
+    grown = _copy_live(_sweep(aig, sweep_stats))
     assert grown.num_ands > len(_live_ands(aig))
     assert sweep_stats.replacements > 0 and sweep_stats.nodes_saved > 0
 

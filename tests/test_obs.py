@@ -605,10 +605,10 @@ def test_pipeline_spans_cover_elaborate_opt_cec():
         verdict = check_equivalence(netlist, result.netlist)
         # The AIG miter hash-proves this workload without ever invoking
         # the solver; the two multipliers do not hash-merge, so with
-        # simulation and the sweep off they also exercise the
+        # simulation (and with it the sweep) off they also exercise the
         # encode/solve spans and the solver-stats absorb path.
         solved = check_equivalence(elaborate(MULT_A), elaborate(MULT_B),
-                                   sweep=False, sim_patterns=0)
+                                   sim_patterns=0)
     assert verdict.equivalent and solved.equivalent
     names = {r.name for r in tracer.spans()}
     assert {"elaborate", "elaborate.parse", "elaborate.lower",

@@ -110,7 +110,7 @@ def test_pipeline_randomized_cosim(name, source, top, params):
 @pytest.mark.parametrize("name,source,top,params", DESIGNS, ids=DESIGN_IDS)
 def test_pipeline_against_interpreter_oracle(name, source, top, params):
     """The optimized netlist must still match the independent interpreter."""
-    optimized = elaborate(source, top=top, params=params, optimize=True)
+    optimized = optimize(elaborate(source, top=top, params=params)).netlist
     interp = Interpreter(source, top=top, params=params)
     vectors = _random_vectors(optimized, 32, seed=len(name))
     assert simulate_sequence(optimized, vectors) == interp.run(vectors)
@@ -146,7 +146,6 @@ def test_optimize_never_mutates_or_returns_its_input(name, source, top,
     digest = netlist.content_hash()
     result = optimize(netlist)
     assert result.netlist is not netlist
-    assert netlist.opt_stats is None
     assert netlist.content_hash() == digest
     assert result.gates_after <= netlist.num_gates
     assert result.levels_after <= netlist.logic_levels()
@@ -362,7 +361,6 @@ def test_optimize_records_a_row_per_pass():
     assert (last.gates_after, last.levels_after) == \
         (result.gates_after, result.levels_after)
     assert all(row.seconds >= 0 for row in result.stats)
-    assert result.netlist.opt_stats is result.stats
 
 
 def test_optimize_is_deterministic():
@@ -395,18 +393,6 @@ def test_unknown_pass_name_rejected():
                            match=f"unknown pass '{name}' "
                                  r"\(known passes: fraig, rewrite\)"):
             optimize(netlist, passes=["rewrite", name])
-
-
-def test_elaborate_optimize_hook_attaches_stats():
-    plain = elaborate(ALU, top="alu")
-    assert plain.opt_stats is None
-    optimized = elaborate(ALU, top="alu", optimize=True)
-    assert [row.name for row in optimized.opt_stats] == \
-        ["rewrite", "balance"]
-    assert optimized.num_gates <= plain.num_gates
-    custom = elaborate(ALU, top="alu", optimize=["fraig"])
-    assert [row.name for row in custom.opt_stats] == ["fraig", "balance"]
-    _assert_equivalent(plain, custom)
 
 
 def test_alu_reaches_thirty_percent_reduction_without_depth_increase():

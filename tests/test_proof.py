@@ -573,15 +573,13 @@ def test_check_equivalence_proof_stream(tmp_path):
 
 
 def test_check_equivalence_certify_preprocessed():
-    # With the sweep off the whole differing cone reaches the CNF
-    # preprocessor, whose eliminations must stay inside the certified
-    # proof.
+    # Without simulation (and so without the sweep) the whole differing
+    # cone reaches the CNF preprocessor, whose eliminations must stay
+    # inside the certified proof; the small miter skips the cube-tree
+    # proof and reaches the solve.
     before = elaborate(MULT_A)
     after = elaborate(MULT_B)
-    # Without simulation the small miter skips the cube-tree proof and
-    # reaches the solve.
-    result = check_equivalence(before, after, certify=True, sweep=False,
-                               sim_patterns=0)
+    result = check_equivalence(before, after, certify=True, sim_patterns=0)
     assert result.equivalent and result.proof_checked is True
     assert result.preprocessor["eliminated_vars"] > 0
 

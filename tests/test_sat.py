@@ -292,11 +292,11 @@ def test_interpreter_state_injection_validates():
 
 
 def test_solver_stats_surface_through_equivalence_result():
-    # The two multipliers do not hash-merge, and with simulation and the
-    # sweep off the differing root pairs go straight to the solver.
+    # The two multipliers do not hash-merge, and with simulation (and so
+    # the sweep) off the differing root pairs go straight to the solver.
     before = elaborate(MULT_A)
     after = elaborate(MULT_B)
-    verdict = check_equivalence(before, after, sweep=False, sim_patterns=0)
+    verdict = check_equivalence(before, after, sim_patterns=0)
     assert verdict.equivalent
     assert verdict.hash_proven < verdict.compared
     stats = verdict.solver_stats.to_dict()
@@ -614,43 +614,32 @@ endmodule
     assert verdict.counterexample.diff  # replay confirmed it
 
 
-def test_forced_sweep_is_certified():
-    """sweep=True routes root pairs through the in-miter FRAIG sweep; with
-    certify=True every merge proof is RUP-checked, and the verdict must
-    still be clean."""
-    netlist = elaborate(ALU, top="alu")
-    optimized = optimize(netlist).netlist
-    verdict = check_equivalence(netlist, optimized, sweep=True,
-                                certify=True)
+def test_sweep_auto_skips_sparse_miters(monkeypatch):
+    """The sweep policy (:func:`cec._sweep_worthwhile`) must leave small
+    cross-implementation miters alone.  With exhaustive simulation off,
+    stage 1 only refutes, so the miter reaches the sweep decision."""
+    monkeypatch.setattr(cec, "_EXHAUSTIVE_BITS", 0)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        verdict = check_equivalence(elaborate(MULT_A), elaborate(MULT_B))
+    assert verdict.hash_proven < verdict.compared
     assert verdict.equivalent
-    # Everything either hash-proved, sweep-proved, or solver-proved; any
-    # UNSAT evidence that existed was checked.
-    if verdict.proof_checked is not None:
-        assert verdict.proof_checked is True
-    assert verdict.hash_proven + verdict.sweep_proven + verdict.compared > 0
+    assert verdict.sim_proven == 0 and verdict.sweep_proven == 0
+    names = {record.name for record in tracer.spans()}
+    assert "cec.simcheck" in names and "cec.sweep" not in names
 
 
-def test_sweep_auto_skips_sparse_miters():
-    """The density heuristic must leave small cross-implementation miters
-    alone (sweep='auto' is the default): verdicts agree with sweep=True
-    and sweep=False on a genuinely differing multiplier pair."""
-    array = """
-module mult(input [2:0] a, input [2:0] b, output [5:0] p);
-  assign p = a * b;
-endmodule
-"""
-    shift = """
-module mult(input [2:0] a, input [2:0] b, output [5:0] p);
-  assign p = (b[0] ? {3'b000, a} : 6'b000000)
-           + (b[1] ? {2'b00, a, 1'b0} : 6'b000000)
-           + (b[2] ? {1'b0, a, 2'b00} : 6'b000000);
-endmodule
-"""
-    before = elaborate(array, top="mult")
-    after = elaborate(shift, top="mult")
-    for sweep in ("auto", True, False):
-        verdict = check_equivalence(before, after, sweep=sweep)
-        assert verdict.equivalent, f"sweep={sweep}"
+@pytest.mark.parametrize("sim_patterns,bug", [(64, "AIG lowering bug"),
+                                              (0, "CNF encoding bug")])
+def test_a_counterexample_that_does_not_replay_is_an_error(
+        monkeypatch, sim_patterns, bug):
+    """A distinguishing assignment the netlists do not disagree on — from
+    simulation or from a solver model — raises instead of refuting."""
+    monkeypatch.setattr(cec, "replay_counterexample", lambda *args: [])
+    before = elaborate(MULT_A)
+    after = elaborate(MULT_A.replace("a * b", "a * b + 1"))
+    with pytest.raises(CECError, match=bug):
+        check_equivalence(before, after, sim_patterns=sim_patterns)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from repro.netlist import (
     simulate_sequence,
     simulate_vectors,
 )
+from repro.netlist.opt import optimize
 
 from test_opt import DESIGN_IDS, DESIGNS, _random_vectors
 
@@ -50,7 +51,7 @@ def test_compiled_matches_both_oracles(name, source, top, params):
 @pytest.mark.parametrize("name,source,top,params", DESIGNS, ids=DESIGN_IDS)
 def test_compiled_matches_oracles_on_optimized_netlist(name, source, top,
                                                        params):
-    optimized = elaborate(source, top=top, params=params, optimize=True)
+    optimized = optimize(elaborate(source, top=top, params=params)).netlist
     vectors = _random_vectors(optimized, 32, seed=len(name))
     compiled_out = CompiledSim(optimized).run_batch(vectors)
     assert compiled_out == simulate_sequence(optimized, vectors,

@@ -73,13 +73,21 @@ def test_canonical_options_defaults():
 
 def test_canonical_options_rejects_unknown_keys():
     # "encoding" and "preprocess" are retired options: the miter is
-    # always the shared AIG, and variable elimination always runs.  A
-    # job runs on one worker, so "jobs" is not an option either.
+    # always the shared AIG, and variable elimination always runs.
     for options in ({"certfy": True}, {"encoding": "aig"},
-                    {"preprocess": False}, {"jobs": 8}):
+                    {"preprocess": False}):
         with pytest.raises(ValueError,
                            match="unknown verification options"):
             canonical_options(options)
+
+
+def test_canonical_options_rejects_jobs():
+    # A job runs on one worker, so "jobs" is not an option: it is
+    # rejected rather than ignored, and never reaches a cache key.
+    with pytest.raises(ValueError, match="unknown verification options"):
+        canonical_options({"jobs": 8})
+    with pytest.raises(ValueError, match="unknown verification options"):
+        content_key("a" * 64, "b" * 64, {"certify": True, "jobs": 4})
 
 
 def test_canonical_options_coerces_and_orders():

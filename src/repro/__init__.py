@@ -22,9 +22,9 @@ Subpackages:
   CDCL solver and miter-based combinational equivalence checking, used to
   formally verify every optimization;
 * :mod:`repro.obs` — the unified tracing & metrics layer: hierarchical
-  span tracing across every engine above, a counters/gauges/histograms
-  registry, solver progress events, and Chrome-trace / ndjson / profile
-  exporters (CLI ``--trace`` / ``--profile`` / ``-v``).
+  span tracing across every engine above, a histogram registry for
+  per-solve distributions, solver progress events, and Chrome-trace /
+  ndjson / profile exporters (CLI ``--trace`` / ``--profile`` / ``-v``).
 
 ``python -m repro design.v`` runs the full parse → elaborate → optimize →
 verify flow from the command line (see :mod:`repro.cli`).

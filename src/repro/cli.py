@@ -438,11 +438,7 @@ def _execute(args, out, tracer) -> int:
             trace_report["file"] = args.trace
         # Distribution metrics (per-CEC-pair solve times, per-fraig-proof
         # conflicts): count/mean and exact p50/p95.
-        histograms = {
-            name: record
-            for name, record in tracer.metrics.to_dict().items()
-            if record.get("type") == "histogram"
-        }
+        histograms = tracer.metrics.to_dict()
         if histograms:
             trace_report["metrics"] = histograms
         report["trace"] = trace_report

@@ -6,14 +6,13 @@ by :func:`simulate` (bit-level) or :func:`simulate_vectors` /
 :func:`simulate_sequence` (word-level; both route through the compiled
 bit-parallel engine in :mod:`repro.netlist.sim` by default).
 :func:`compile_netlist` levelizes a netlist into a straight-line Python
-function and :class:`CompiledSim` drives it statefully, packing up to W
-stimulus patterns per net; an :class:`AIG` is simulated by
-:func:`repro.netlist.sim.aig_signatures`.  :func:`optimize` shrinks a
-netlist by rewriting it on the AIG and returns the new netlist with one
-statistics row per pass; :mod:`repro.netlist.sat` proves an optimized
-netlist equivalent to its source via a Tseitin-encoded miter.  :class:`Interpreter` executes the
-same designs directly at vector level and serves as the elaborator's
-round-trip oracle.
+function that evaluates up to W packed stimulus patterns per net; an
+:class:`AIG` is simulated by :func:`repro.netlist.sim.aig_signatures`.
+:func:`optimize` shrinks a netlist by rewriting it on the AIG and returns
+the new netlist with one statistics row per pass; :mod:`repro.netlist.sat`
+proves an optimized netlist equivalent to its source via a Tseitin-encoded
+miter.  :class:`Interpreter` executes the same designs directly at vector
+level and serves as the elaborator's round-trip oracle.
 """
 
 from . import aig, opt, sat, sim
@@ -30,7 +29,7 @@ from .interp import Interpreter, InterpreterError
 from .logic import Gate, GateType, Netlist, NetlistError, simulate
 from .opt import OptResult, PassStats, optimize
 from .sat import EquivalenceResult, check_equivalence
-from .sim import CompiledNetlist, CompiledSim, compile_netlist, simulate_compiled
+from .sim import CompiledNetlist, compile_netlist, simulate_compiled
 
 __all__ = [
     "AIG",
@@ -57,7 +56,6 @@ __all__ = [
     "sat",
     "sim",
     "CompiledNetlist",
-    "CompiledSim",
     "compile_netlist",
     "simulate_compiled",
     "OptResult",

@@ -286,12 +286,6 @@ class AIG:
         except KeyError:
             raise KeyError(f"output '{name}' not found") from None
 
-    def input_lit(self, name: str) -> int:
-        try:
-            return self._input_index[name] << 1
-        except KeyError:
-            raise KeyError(f"input '{name}' not found") from None
-
     def and_roots(self) -> list[int]:
         """Every literal the outside world observes: POs + latch nexts."""
         roots = [lit for _, lit in self.outputs]

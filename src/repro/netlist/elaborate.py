@@ -49,7 +49,6 @@ from repro.verilog.parser import parse
 from ..obs import get_tracer
 from . import bitblast as bb
 from .environment import (
-    UNROLL_LIMIT,
     Driver,
     ElaborationError,
     Scope,

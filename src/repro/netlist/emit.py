@@ -20,8 +20,8 @@ state.
 
 Flip-flops in this IR are implicitly clocked; the emitted ``always``
 block needs an explicit clock net, so the emitter reuses a scalar
-primary input named ``clock`` (default ``"clk"``) when the design has
-one and otherwise adds a fresh clock input (changing the interface —
+primary input named :data:`CLOCK` (``"clk"``) when the design has one
+and otherwise adds a fresh clock input (changing the interface —
 flagged in the emitted header comment).
 """
 
@@ -33,6 +33,9 @@ from .logic import GateType, Netlist, NetlistError
 from .sim import _split_bit_name
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_$]*$")
+
+#: Name of the scalar input the emitted ``always`` block is clocked by.
+CLOCK = "clk"
 
 
 class EmitError(NetlistError):
@@ -96,7 +99,7 @@ def _port_decl(direction: str, base: str, bits: dict[int, int],
     return f"{kind} [{len(bits) - 1}:0] {base}"
 
 
-def netlist_to_verilog(netlist: Netlist, clock: str = "clk") -> str:
+def netlist_to_verilog(netlist: Netlist) -> str:
     """Print a netlist as a structural Verilog module."""
     gates = netlist.gates
     input_names = netlist.input_names()
@@ -163,10 +166,10 @@ def netlist_to_verilog(netlist: Netlist, clock: str = "clk") -> str:
             name for name in input_names
             if _split_bit_name(name)[0] == name
         }
-        if clock in scalar_inputs:
-            clock_name = clock
+        if CLOCK in scalar_inputs:
+            clock_name = CLOCK
         else:
-            clock_name = _sanitize(clock, used)
+            clock_name = _sanitize(CLOCK, used)
             used.add(clock_name)
             added_clock = True
 
@@ -246,7 +249,7 @@ def netlist_to_verilog(netlist: Netlist, clock: str = "clk") -> str:
              f"'{netlist.name}'"]
     if added_clock:
         lines.append(f"// note: clock input '{clock_name}' was added "
-                     f"(no scalar input named '{clock}' existed)")
+                     f"(no scalar input named '{CLOCK}' existed)")
     lines.append(f"module {netlist.name} (")
     lines.extend(f"  {port}," for port in ports[:-1])
     if ports:

@@ -16,7 +16,7 @@ diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from repro.verilog import ast

@@ -13,9 +13,9 @@ cut enumeration, CNF encoding) simple.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 
 class GateType(str, Enum):
@@ -322,14 +322,6 @@ class Netlist:
 
     def output_names(self) -> list[str]:
         return [name for name, _ in self.outputs]
-
-    def fanout_map(self) -> dict[int, list[int]]:
-        """Map each net id to the list of gate ids that consume it."""
-        fanout: dict[int, list[int]] = {gid: [] for gid in self.gates}
-        for gate in self.gates.values():
-            for fid in gate.fanins:
-                fanout[fid].append(gate.gid)
-        return fanout
 
     def topological_order(self) -> list[int]:
         """Return gate ids in topological order.

@@ -47,7 +47,6 @@ __all__ = [
     "npn_canon",
     "npn_canonical",
     "build_truth",
-    "truth_to_verilog_bits",
 ]
 
 _ONES4 = 0xFFFF
@@ -233,14 +232,13 @@ def cut_cone(aig: AIG, root: int, leaves: Iterable[int]) -> list[int]:
     return sorted(cone)
 
 
-def cut_truth(aig: AIG, root: int, leaves: Sequence[int],
-              cone: Optional[Sequence[int]] = None) -> int:
+def cut_truth(aig: AIG, root: int, leaves: Sequence[int]) -> int:
     """Truth table of ``root`` (positive literal) over the cut ``leaves``.
 
     Seeds the leaves with elementary words and runs the packed evaluator
     over the cut cone; the root's word is its truth table, one bit per
     assignment of the ``len(leaves)`` variables (leaf ``i`` = variable
-    ``i``).  ``cone`` may pass a precomputed :func:`cut_cone` result.
+    ``i``).
     """
     num_vars = len(leaves)
     mask = (1 << (1 << num_vars)) - 1
@@ -249,9 +247,7 @@ def cut_truth(aig: AIG, root: int, leaves: Sequence[int],
     if root in words:
         return words[root]
     words[0] = 0
-    if cone is None:
-        cone = cut_cone(aig, root, leaves)
-    packed_eval(aig, words, mask, cone)
+    packed_eval(aig, words, mask, cut_cone(aig, root, leaves))
     return words[root]
 
 
@@ -434,10 +430,3 @@ def build_truth(aig: AIG, tt: int, num_vars: int,
     f0 = build_truth(aig, lo, num_vars - 1, input_lits)
     f1 = build_truth(aig, hi, num_vars - 1, input_lits)
     return aig.aig_mux(input_lits[num_vars - 1], f0, f1)
-
-
-def truth_to_verilog_bits(tt: int, num_vars: int) -> str:
-    """Render a truth table as a Verilog sized binary literal (MSB first)."""
-    span = 1 << num_vars
-    bits = format(tt & ((1 << span) - 1), f"0{span}b")
-    return f"{span}'b{bits}"

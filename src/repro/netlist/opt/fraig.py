@@ -401,12 +401,5 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, seed: int = 2022,
                        proven=stats.proven, refuted=stats.refuted,
                        sim_refuted=stats.sim_refuted,
                        ands_after=stats.ands_after)
-        if tracer.enabled:
-            tracer.metrics.absorb("fraig", {
-                "rounds": stats.rounds, "sat_checks": stats.sat_checks,
-                "proven": stats.proven, "refuted": stats.refuted,
-                "sim_refuted": stats.sim_refuted,
-            })
-            tracer.metrics.absorb("fraig.solver", stats.solver.to_dict())
     return SweepResult(new, lit_map, words, num_patterns, stats)
 

@@ -61,10 +61,6 @@ class PassStats:
     #: statistics here).  ``None`` rows serialize without the key.
     details: Optional[dict] = field(default=None, compare=False)
 
-    @property
-    def gates_removed(self) -> int:
-        return self.gates_before - self.gates_after
-
     def to_dict(self) -> dict:
         record = asdict(self)
         if record["details"] is None:
@@ -180,9 +176,5 @@ def optimize(netlist: Netlist,
             raised.logic_levels(), optimized.logic_levels(),
             raised.num_registers, optimized.num_registers, elapsed))
         span.set(gates_after=optimized.num_gates, passes=len(stats))
-    if tracer.enabled:
-        tracer.metrics.counter("opt.passes_run").inc(len(stats))
-        tracer.metrics.counter("opt.gates_removed").inc(
-            gates_before - optimized.num_gates)
     return OptResult(netlist=optimized, stats=stats,
                      gates_before=gates_before, levels_before=levels_before)

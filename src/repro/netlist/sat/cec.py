@@ -876,12 +876,6 @@ def check_equivalence(before: Netlist, after: Netlist,
             num_patterns = swept.num_patterns
             mask = (1 << num_patterns) - 1
             cec_span.set(sweep_proven=result.sweep_proven)
-            if tracer.enabled:
-                tracer.metrics.absorb("cec.sweep", {
-                    "proven": sweep_stats.proven,
-                    "refuted": sweep_stats.refuted,
-                    "pairs_proven": result.sweep_proven,
-                })
             if not pairs:
                 # Hashing + sweeping proved every root pair.
                 if certify:
@@ -954,9 +948,6 @@ def check_equivalence(before: Netlist, after: Netlist,
             for key in shards[0].preprocessor}
         cec_span.set(cnf_clauses=result.cnf_clauses)
         if tracer.enabled:
-            tracer.metrics.absorb("cec.preprocess", result.preprocessor)
-            tracer.metrics.absorb("cec.solver",
-                                  result.solver_stats.to_dict())
             tracer.metrics.histogram("cec.solve_seconds").observe(
                 result.solve_seconds)
         refuting = next((shard for shard in shards if shard.satisfiable),

@@ -23,7 +23,7 @@ direct 4-clause form propagates as soon as any two pins are known.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from ..aig import AIG, _match_mux, lit_compl, lit_node
 
@@ -106,7 +106,6 @@ _LEAF = ("leaf",)
 
 
 def encode_aig_cone(cnf: CNF, aig: AIG, roots: Iterable[int],
-                    leaf_var: Optional[Callable[[int], int]] = None,
                     var_map: Optional[dict[int, int]] = None,
                     structural: bool = True
                     ) -> dict[int, int]:
@@ -115,8 +114,8 @@ def encode_aig_cone(cnf: CNF, aig: AIG, roots: Iterable[int],
     Returns a map from node id to CNF variable; use :func:`aig_lit_sat` to
     turn an edge into a signed DIMACS literal.  A plain AND node costs
     three clauses (``y -> a``, ``y -> b``, ``a & b -> y``); primary inputs
-    and latches are free leaf variables (``leaf_var`` receives the node
-    id); the constant node is pinned false by a unit clause.  ``var_map``
+    and latches are free leaf variables; the constant node is pinned false
+    by a unit clause.  ``var_map``
     may carry the result of a previous call over the same AIG so shared
     cones encode once — the incremental-solving workhorse of FRAIG.
 
@@ -127,8 +126,6 @@ def encode_aig_cone(cnf: CNF, aig: AIG, roots: Iterable[int],
     no CNF variable unless some other root path references them (in
     which case they are simply encoded on that path as usual).
     """
-    if leaf_var is None:
-        leaf_var = lambda nid: cnf.new_var()  # noqa: E731
     if var_map is None:
         var_map = {}
     clauses = cnf.clauses
@@ -184,7 +181,7 @@ def encode_aig_cone(cnf: CNF, aig: AIG, roots: Iterable[int],
                 clauses.append((-var,))
                 var_map[nid] = var
             else:
-                var_map[nid] = leaf_var(nid)
+                var_map[nid] = cnf.new_var()
             continue
         if kind == "and":
             a = aig_lit_sat(var_map, entry[1])

@@ -124,8 +124,7 @@ class PreprocessResult:
 
 def preprocess(num_vars: int, clauses: Iterable[Iterable[int]],
                frozen: Iterable[int] = (),
-               proof=None,
-               stats: Optional[PreprocessStats] = None) -> PreprocessResult:
+               proof=None) -> PreprocessResult:
     """Simplify a CNF formula by bounded variable elimination; see the
     module docstring.
 
@@ -135,8 +134,7 @@ def preprocess(num_vars: int, clauses: Iterable[Iterable[int]],
     ``add``/``delete`` (:class:`repro.netlist.sat.proof.ProofLog`); every
     emitted step is RUP-checkable against the original formula.
     """
-    if stats is None:
-        stats = PreprocessStats()
+    stats = PreprocessStats()
     start = time.perf_counter()
     frozen_set = set(frozen)
     db: list[Optional[list[int]]] = []
@@ -213,8 +211,8 @@ def preprocess(num_vars: int, clauses: Iterable[Iterable[int]],
         stats.resolvents += len(resolvents)
         return True
 
-    tracer = get_tracer()
-    with tracer.span("preprocess", vars=num_vars, clauses=len(db)) as span:
+    with get_tracer().span("preprocess", vars=num_vars,
+                           clauses=len(db)) as span:
         for _ in range(_BVE_MAX_PASSES):
             if unsat:
                 break
@@ -235,8 +233,6 @@ def preprocess(num_vars: int, clauses: Iterable[Iterable[int]],
                 break
         stats.seconds = time.perf_counter() - start
         span.set(eliminated_vars=stats.eliminated_vars, unsat=unsat)
-    if tracer.enabled:
-        tracer.metrics.absorb("preprocess", stats.to_dict())
 
     if unsat:
         out_clauses: list[tuple[int, ...]] = [()]

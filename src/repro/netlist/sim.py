@@ -13,10 +13,11 @@ This module trades a one-off compile step for a much faster steady state:
   patterns, one per bit, so ``a & b`` evaluates an AND gate across all W
   patterns in one interpreter step.  ``NOT x`` is ``x ^ M`` where ``M`` is
   the W-bit all-ones mask.
-* :class:`CompiledSim` wraps the compiled function in a stateful API
-  (``reset`` / ``load_state`` / ``step`` / ``run_batch`` / ``run_parallel``)
-  mirroring :class:`repro.netlist.interp.Interpreter`, so the same
-  word-level test harnesses drive either engine.
+* :meth:`CompiledNetlist.run_words` steps one word-level cycle; it is
+  what :func:`~repro.netlist.elaborate.simulate_vectors` /
+  ``simulate_sequence`` call by default, so the same word-level
+  harnesses drive the compiled engine, the per-gate ``engine="interp"``
+  path and :class:`repro.netlist.interp.Interpreter`.
 
 Compilation results are cached on the netlist (keyed by its structural
 ``version``), so repeated :func:`simulate_compiled` calls — e.g. SAT
@@ -80,19 +81,9 @@ class CompiledNetlist:
         self.input_names = netlist.input_names()
         self.output_names = netlist.output_names()
         self.registers = netlist.registers
-        gates = netlist.gates
-        self.register_names = [
-            gates[gid].name or f"dff_{gid}" for gid in self.registers
-        ]
         #: (port base, bit index) per primary input / output, word packing.
         self._in_bits = [_split_bit_name(n) for n in self.input_names]
         self._out_bits = [_split_bit_name(n) for n in self.output_names]
-        #: register word name -> [(bit index, state position)], for
-        #: :meth:`CompiledSim.load_state` / ``flat_state``.
-        self._reg_words: dict[str, list[tuple[int, int]]] = {}
-        for pos, rname in enumerate(self.register_names):
-            base, index = _split_bit_name(rname)
-            self._reg_words.setdefault(base, []).append((index, pos))
         self.source = self._generate()
         namespace: dict = {"__builtins__": {}}
         exec(compile(self.source, f"<compiled:{self.name}>", "exec"),
@@ -421,130 +412,3 @@ def aig_signatures(aig: AIG, inputs: Sequence[int], state: Sequence[int],
     packed_eval(aig, words, mask,
                 (nid for nid in range(aig.num_nodes) if kinds[nid] == _AND))
     return tuple(words[nid] for nid in range(aig.num_nodes))
-
-
-class CompiledSim:
-    """Stateful driver around a :class:`CompiledNetlist`.
-
-    Mirrors the :class:`repro.netlist.interp.Interpreter` surface —
-    :meth:`reset`, :meth:`load_state`, :meth:`flat_state`, :meth:`step`,
-    :meth:`run_batch` — plus :meth:`run_parallel`, which packs up to W
-    independent stimulus sequences into the bit lanes of each net so every
-    bitwise op advances all W sequences at once.
-    """
-
-    def __init__(self, netlist: "Netlist | CompiledNetlist"):
-        self.compiled = (
-            netlist if isinstance(netlist, CompiledNetlist)
-            else compile_netlist(netlist)
-        )
-        self._state: list[int] = [0] * len(self.compiled.registers)
-
-    def reset(self) -> None:
-        """Clear all register state back to zero."""
-        self._state = [0] * len(self.compiled.registers)
-
-    def load_state(self, flat: Mapping[str, int]) -> None:
-        """Seed register state from word-level register names.
-
-        Keys are the flip-flop names used by the elaborator (dotted
-        hierarchical paths, e.g. ``"counter.q"``) with word values —
-        the shape produced by
-        :meth:`repro.netlist.sat.Counterexample.packed_state` and
-        consumed by :meth:`Interpreter.load_state`.  Unknown names and
-        out-of-range values are rejected; unmentioned registers reset to 0.
-        """
-        reg_words = self.compiled._reg_words
-        state = [0] * len(self.compiled.registers)
-        for name, value in flat.items():
-            bits = reg_words.get(name)
-            if bits is None:
-                raise NetlistError(
-                    f"'{name}' does not name a register of the design"
-                )
-            width = max(index for index, _ in bits) + 1
-            if not 0 <= int(value) < (1 << width):
-                raise NetlistError(
-                    f"value {value} does not fit register '{name}' "
-                    f"([{width - 1}:0])"
-                )
-            for index, pos in bits:
-                state[pos] = (int(value) >> index) & 1
-        self._state = state
-
-    def flat_state(self) -> dict[str, int]:
-        """Current register state as word-level register names."""
-        flat: dict[str, int] = {}
-        for name, bits in sorted(self.compiled._reg_words.items()):
-            word = 0
-            for index, pos in bits:
-                word |= self._state[pos] << index
-            flat[name] = word
-        return flat
-
-    def step(self, inputs: Mapping[str, int]) -> dict[str, int]:
-        """Execute one clock cycle: returns outputs, then advances state."""
-        outputs, next_state = self.compiled.run_words(inputs, self._state)
-        self._state = list(next_state)
-        return outputs
-
-    def run_batch(self, vectors: Iterable[Mapping[str, int]]
-                  ) -> list[dict[str, int]]:
-        """Execute a sequence of word-level input vectors, one per cycle."""
-        compiled = self.compiled
-        run_words = compiled.run_words
-        state: Sequence[int] = self._state
-        results: list[dict[str, int]] = []
-        for vector in vectors:
-            outputs, state = run_words(vector, state)
-            results.append(outputs)
-        self._state = list(state)
-        return results
-
-    def run_parallel(self, sequences: Sequence[Sequence[Mapping[str, int]]]
-                     ) -> list[list[dict[str, int]]]:
-        """Run W independent stimulus sequences in packed bit lanes.
-
-        Each sequence starts from a private copy of the current register
-        state; lane ``j`` of every net holds sequence ``j``'s value, so the
-        result is bit-for-bit what :meth:`run_batch` would produce for each
-        sequence individually — at roughly ``1/W`` of the per-gate work.
-        Sequences may have different lengths (shorter lanes simply stop
-        producing outputs).  The simulator's own state is left untouched.
-        """
-        lanes = len(sequences)
-        if lanes == 0:
-            return []
-        compiled = self.compiled
-        fn = compiled._fn
-        in_bits = compiled._in_bits
-        out_bits = compiled._out_bits
-        mask = (1 << lanes) - 1
-        # Replicate each current state bit across all lanes.
-        state = tuple(mask if bit else 0 for bit in self._state)
-        lengths = [len(seq) for seq in sequences]
-        results: list[list[dict[str, int]]] = [[] for _ in range(lanes)]
-        for t in range(max(lengths)):
-            packed: list[int] = []
-            for base, index in in_bits:
-                acc = 0
-                for j, seq in enumerate(sequences):
-                    if t < lengths[j]:
-                        try:
-                            word = seq[t][base]
-                        except KeyError:
-                            raise KeyError(
-                                f"missing value for input port '{base}'"
-                            ) from None
-                        acc |= ((int(word) >> index) & 1) << j
-                packed.append(acc)
-            outs, state = fn(tuple(packed), state, mask)
-            for j in range(lanes):
-                if t >= lengths[j]:
-                    continue
-                outputs: dict[str, int] = {}
-                for (base, index), value in zip(out_bits, outs):
-                    bit = (value >> j) & 1
-                    outputs[base] = outputs.get(base, 0) | (bit << index)
-                results[j].append(outputs)
-        return results

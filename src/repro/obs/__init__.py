@@ -8,9 +8,11 @@ against this zero-dependency subsystem:
   events; :func:`use_tracer` installs one process-wide and the engines
   pick it up via :func:`get_tracer`.  The default :data:`NULL_TRACER`
   makes disabled tracing near-free.
-* :class:`MetricsRegistry` (on ``tracer.metrics``) composes the engines'
-  stats objects — ``SolverStats``, ``PassStats``, ``FraigStats`` — into
-  one counters/gauges/histograms namespace.
+* :class:`MetricsRegistry` (on ``tracer.metrics``) keeps the
+  distributions a run's totals cannot show — per-CEC solve times and
+  per-FRAIG-proof conflicts — as :class:`Histogram` records.  Totals stay
+  in the engines' own stats records (``SolverStats``, ``PassStats``,
+  ``FraigStats``, ``EquivalenceResult``).
 * :class:`TimeSeries` channels (``tracer.counter(name, value)``) capture
   time-resolved samples — the solver's live search telemetry — exported
   as Chrome trace-event counter tracks that Perfetto graphs.
@@ -27,7 +29,7 @@ events every N conflicts through a pluggable callback —
 :func:`attach_solver_progress` routes them into the current tracer.
 """
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Histogram, MetricsRegistry
 from .timeseries import TimeSeries
 from .tracer import (
     NULL_TRACER,
@@ -47,8 +49,6 @@ from .export import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_TRACER",

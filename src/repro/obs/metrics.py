@@ -1,56 +1,21 @@
-"""A small counters/gauges/histograms registry.
+"""A registry of named histograms.
 
-The engines' existing statistics objects (``SolverStats``, ``PassStats``,
-``FraigStats``) stay the source of truth for their own runs; the registry
-is the *composition* layer — one namespace absorbing numbers from every
-engine so a whole CEC or fraig run reads as a single machine-readable
-profile (``MetricsRegistry.to_dict``), and so long-running callers (the
-future server) can watch counters move across many runs.
-
-Metric names are dotted (``solver.conflicts``, ``opt.gates_removed``);
-:meth:`MetricsRegistry.absorb` bulk-imports a plain number dict (the
-``to_dict()`` shape every stats object already has) under such a prefix.
+The engines' statistics objects (``SolverStats``, ``PassStats``,
+``FraigStats``, ``EquivalenceResult``) are the one record of each run's
+totals.  The registry holds what those records cannot: *distributions*
+across the many steps of one run — per-CEC solve times and per-FRAIG-proof
+conflict counts — summarized with exact percentiles
+(``MetricsRegistry.to_dict``).  Metric names are dotted
+(``cec.solve_seconds``, ``fraig.proof_conflicts``).
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 Number = Union[int, float]
-
-
-class Counter:
-    """A monotonically increasing total."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: Number = 0
-
-    def inc(self, amount: Number = 1) -> None:
-        self.value += amount
-
-    def to_dict(self) -> dict:
-        return {"type": "counter", "value": self.value}
-
-
-class Gauge:
-    """A value that goes up and down (trail depth, class count)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: Number = 0
-
-    def set(self, value: Number) -> None:
-        self.value = value
-
-    def to_dict(self) -> dict:
-        return {"type": "gauge", "value": self.value}
 
 
 class Histogram:
@@ -109,54 +74,21 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Get-or-create registry of named metrics.
+    """Get-or-create registry of named histograms.
 
-    Asking for an existing name with a different metric kind is an error —
-    it would silently fork the data.  All mutations are lock-protected so
-    threads can share one registry.
+    Mutations are lock-protected so threads can share one registry.
     """
 
     def __init__(self) -> None:
-        self._metrics: dict[str, "Counter | Gauge | Histogram"] = {}
+        self._metrics: dict[str, Histogram] = {}
         self._lock = threading.Lock()
 
-    def _get(self, name: str, cls):
+    def histogram(self, name: str) -> Histogram:
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
-                metric = self._metrics[name] = cls(name)
-            elif type(metric) is not cls:
-                raise TypeError(
-                    f"metric '{name}' already registered as "
-                    f"{type(metric).__name__}, not {cls.__name__}"
-                )
+                metric = self._metrics[name] = Histogram(name)
             return metric
-
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram)
-
-    def absorb(self, prefix: str, values: Mapping[str, Number]) -> None:
-        """Add a stats dict's numeric entries as ``prefix.key`` counters.
-
-        This is how the engines' ``SolverStats.to_dict()`` /
-        ``PassStats.to_dict()`` numbers flow into the unified profile;
-        non-numeric and derived-float entries become gauges (they are
-        snapshots, not totals).
-        """
-        for key, value in values.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            name = f"{prefix}.{key}"
-            if isinstance(value, float):
-                self.gauge(name).set(value)
-            else:
-                self.counter(name).inc(value)
 
     def to_dict(self) -> dict:
         """All metrics, sorted by name, each as its ``to_dict()`` record."""
@@ -165,9 +97,3 @@ class MetricsRegistry:
                 name: metric.to_dict()
                 for name, metric in sorted(self._metrics.items())
             }
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics

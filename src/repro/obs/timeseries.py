@@ -1,7 +1,7 @@
 """Time-resolved counter series — the tracer's fourth data shape.
 
-Spans answer *where time went*, instants answer *what happened*, metrics
-answer *how much in total*.  None of them answer *how did it evolve*:
+Spans answer *where time went*, instants answer *what happened*,
+histograms answer *how it was distributed*.  None of them answer *how did it evolve*:
 whether the solver's conflict rate collapsed halfway through a hard
 miter, whether mean LBD drifted up as the learned DB aged.  A
 :class:`TimeSeries` is the minimal structure for that — one named

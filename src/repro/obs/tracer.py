@@ -97,7 +97,7 @@ class NullTracer:
 
     @property
     def metrics(self) -> MetricsRegistry:
-        # A fresh throwaway registry: writes vanish, reads see zeros.
+        # A fresh throwaway registry: writes vanish, reads see nothing.
         return MetricsRegistry()
 
 
@@ -156,7 +156,7 @@ class _LiveSpan:
 
 
 class Tracer:
-    """A live span/event recorder with an attached metrics registry.
+    """A live span/event recorder with an attached histogram registry.
 
     ``sink`` (optional) is called with every finished :class:`SpanRecord`
     as it lands — the ndjson structured log streams through it — while the
@@ -211,7 +211,8 @@ class Tracer:
         """Append one sample to the named :class:`TimeSeries`.
 
         Counter channels are time-resolved (``(t, value)`` at the
-        tracer's clock), unlike the metrics registry's scalar counters.
+        tracer's clock), unlike the metrics registry's histograms, which
+        keep values without their times.
         They export as Chrome trace-event counter tracks — Perfetto
         graphs them under the flame graph — which is how the solver's
         progress snapshots (conflict rate, mean LBD, trail depth, ...)

@@ -14,7 +14,7 @@ the parser.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 
 class Node:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
 from . import ast
-from .consteval import ConstEvalError, evaluate, module_parameters, range_width
+from .consteval import ConstEvalError, module_parameters, range_width
 
 
 class HierarchyError(Exception):

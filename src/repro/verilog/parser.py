@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import ast
-from .lexer import Token, VerilogLexError, parse_sized_number, tokenize
+from .lexer import Token, parse_sized_number, tokenize
 
 
 class VerilogSyntaxError(Exception):

@@ -3,9 +3,10 @@
 Unit tests pin the folding/hash-consing contract of ``aig_and``; property
 tests check, on every elaborator test design, that the
 ``to_netlist(from_netlist(n))`` round trip is SAT-proven equivalent and
-co-simulates bit-exact against the compiled engine — both via the raised
-netlist and by stepping the AIG itself through ``aig_signatures`` — at
-pack widths 1, 64 and 256.
+co-simulates bit-exact against the compiled engine, sequence by
+sequence — both via the raised netlist and by stepping the AIG itself
+through ``aig_signatures`` with 1, 64 or 256 sequences packed in its bit
+lanes.
 """
 
 import random
@@ -19,13 +20,14 @@ from repro.netlist import (
     Netlist,
     elaborate,
     from_netlist,
+    simulate_sequence,
     to_netlist,
 )
 from repro.netlist.aig import FALSE, TRUE, aig_not, lit_compl, lit_node
 from repro.netlist.sat import check_equivalence
-from repro.netlist.sim import CompiledSim, _split_bit_name, aig_signatures
+from repro.netlist.sim import aig_signatures, compile_netlist
 
-from test_opt import DESIGN_IDS, DESIGNS, _random_vectors
+from test_opt import DESIGN_IDS, DESIGNS, _random_vectors, _run_lanes
 
 #: The four designs named by the benchmark suite (adder / muxtree /
 #: counter / alu analogues from the elaborator fixtures): one pure
@@ -38,31 +40,20 @@ BENCH_IDS = [row[0] for row in BENCH_LIKE]
 def _run_aig(aig, sequences):
     """Step ``aig`` through equal-length word-level input ``sequences``,
     one per bit lane, with :func:`aig_signatures`; latches power up at 0.
-    Returns each lane's per-cycle output words, the shape of
-    :meth:`CompiledSim.run_parallel`."""
-    lanes = len(sequences)
-    mask = (1 << lanes) - 1
-    in_bits = [_split_bit_name(aig.node_name(nid)) for nid in aig.inputs]
-    state = [0] * aig.num_latches
-    results = [[] for _ in range(lanes)]
-    for t in range(len(sequences[0])):
-        inputs = [sum(((seq[t][base] >> index) & 1) << lane
-                      for lane, seq in enumerate(sequences))
-                  for base, index in in_bits]
+    Returns each lane's per-cycle output words."""
+
+    def cycle(inputs, state, mask):
         sigs = aig_signatures(aig, inputs, state, mask)
 
         def value(lit):
             return sigs[lit_node(lit)] ^ (mask if lit_compl(lit) else 0)
 
-        for lane, outputs in enumerate(results):
-            words = {}
-            for name, lit in aig.outputs:
-                base, index = _split_bit_name(name)
-                bit = (value(lit) >> lane) & 1
-                words[base] = words.get(base, 0) | (bit << index)
-            outputs.append(words)
-        state = [value(aig.next_state(nid << 1)) for nid in aig.latches]
-    return results
+        return ([value(lit) for _, lit in aig.outputs],
+                [value(aig.next_state(nid << 1)) for nid in aig.latches])
+
+    return _run_lanes(cycle, [aig.node_name(nid) for nid in aig.inputs],
+                      [name for name, _ in aig.outputs], aig.num_latches,
+                      sequences)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +212,10 @@ def test_round_trip_cosimulates_packed(name, source, top, params, lanes):
         _random_vectors(netlist, cycles, seed=1000 * lanes + lane)
         for lane in range(lanes)
     ]
-    reference = CompiledSim(netlist).run_parallel(sequences)
+    reference = [simulate_sequence(netlist, seq) for seq in sequences]
     # Both the raised netlist and the AIG itself must match the compiled
     # engine bit for bit, lane for lane.
-    assert CompiledSim(rt).run_parallel(sequences) == reference
+    assert [simulate_sequence(rt, seq) for seq in sequences] == reference
     assert _run_aig(aig, sequences) == reference
 
 
@@ -235,7 +226,7 @@ def test_aig_compiles_directly(name, source, top, params):
     netlist = elaborate(source, top=top, params=params)
     aig = from_netlist(netlist)
     vectors = _random_vectors(netlist, 20, seed=99)
-    assert _run_aig(aig, [vectors]) == [CompiledSim(netlist).run_batch(vectors)]
+    assert _run_aig(aig, [vectors]) == [simulate_sequence(netlist, vectors)]
 
 
 def test_aig_signatures_match_compiled_outputs():
@@ -252,7 +243,7 @@ endmodule
     assert len(sigs) == aig.num_nodes
     # Signatures of the output literals must agree with the netlist's
     # compiled engine run lane by lane.
-    compiled = CompiledSim(netlist).compiled
+    compiled = compile_netlist(netlist)
     assert compiled.input_names == [aig.node_name(nid) for nid in aig.inputs]
     outs, _ = compiled.run(words, [], mask)
     assert compiled.output_names == [name for name, _ in aig.outputs]

@@ -630,8 +630,6 @@ def test_cec_sweep_skips_pairs_a_counterexample_separates(certify):
     assert sweep["sim_refuted"] > 0
     assert sweep["sat_checks"] == sweep["proven"] + sweep["refuted"]
     assert (sweep["proven"], sweep["rounds"]) == (19, 6)
-    metrics = tracer.metrics.to_dict()
-    assert metrics["fraig.sim_refuted"]["value"] == sweep["sim_refuted"]
     rounds = [r.args for r in tracer.records if r.name == "fraig.round"]
     assert sum(r["sim_refuted"] for r in rounds) == sweep["sim_refuted"]
     if certify:

@@ -156,7 +156,7 @@ def test_null_tracer_is_inert():
         inner.set(more=1)
     NULL_TRACER.instant("event", name="n")
     # Metric writes vanish.
-    NULL_TRACER.metrics.counter("c").inc(5)
+    NULL_TRACER.metrics.histogram("h").observe(5)
     assert NULL_TRACER.metrics.to_dict() == {}
 
 
@@ -215,49 +215,18 @@ def test_set_tracer_returns_previous():
 # ---------------------------------------------------------------------------
 
 
-def test_metrics_counter_gauge_histogram():
+def test_metrics_registry_histograms():
     registry = MetricsRegistry()
-    registry.counter("conflicts").inc()
-    registry.counter("conflicts").inc(9)
-    registry.gauge("trail").set(17.5)
     for value in (1.0, 2.0, 3.0):
         registry.histogram("lbd").observe(value)
+    registry.histogram("empty")
+    assert registry.histogram("lbd") is registry.histogram("lbd")
     snap = registry.to_dict()
-    assert snap["conflicts"] == {"type": "counter", "value": 10}
-    assert snap["trail"] == {"type": "gauge", "value": 17.5}
+    assert list(snap) == ["empty", "lbd"]
+    assert snap["lbd"]["type"] == "histogram"
     assert snap["lbd"]["count"] == 3
     assert snap["lbd"]["mean"] == 2.0
     assert snap["lbd"]["min"] == 1.0 and snap["lbd"]["max"] == 3.0
-    assert len(registry) == 3 and "conflicts" in registry
-
-
-def test_metrics_kind_mismatch_raises():
-    registry = MetricsRegistry()
-    registry.counter("x")
-    with pytest.raises(TypeError):
-        registry.gauge("x")
-
-
-def test_metrics_absorb():
-    registry = MetricsRegistry()
-    registry.absorb("cec.solver", {
-        "conflicts": 3,
-        "mean_lbd": 2.5,
-        "equivalent": True,   # bools are not metrics
-        "note": "skipped",    # nor strings
-    })
-    snap = registry.to_dict()
-    # Ints land as counters, derived floats as gauges; bools and strings
-    # are not metrics and are skipped.
-    assert snap == {
-        "cec.solver.conflicts": {"type": "counter", "value": 3},
-        "cec.solver.mean_lbd": {"type": "gauge", "value": 2.5},
-    }
-    # Absorbing again accumulates counters and overwrites gauges.
-    registry.absorb("cec.solver", {"conflicts": 2, "mean_lbd": 3.0})
-    snap = registry.to_dict()
-    assert snap["cec.solver.conflicts"]["value"] == 5
-    assert snap["cec.solver.mean_lbd"]["value"] == 3.0
 
 
 def test_histogram_percentiles():
@@ -606,7 +575,7 @@ def test_pipeline_spans_cover_elaborate_opt_cec():
         # The AIG miter hash-proves this workload without ever invoking
         # the solver; the two multipliers do not hash-merge, so with
         # simulation (and with it the sweep) off they also exercise the
-        # encode/solve spans and the solver-stats absorb path.
+        # encode/solve spans.
         solved = check_equivalence(elaborate(MULT_A), elaborate(MULT_B),
                                    sim_patterns=0)
     assert verdict.equivalent and solved.equivalent
@@ -621,8 +590,6 @@ def test_pipeline_spans_cover_elaborate_opt_cec():
     # Hash-proven pairs surfaced as instants.
     pairs = [r for r in tracer.records if r.name == "cec.pair"]
     assert pairs and all("name" in r.args for r in pairs)
-    # Solver stats absorbed into the metrics registry.
-    assert "cec.solver.propagations" in tracer.metrics.to_dict()
 
 
 # ---------------------------------------------------------------------------

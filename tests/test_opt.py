@@ -30,6 +30,7 @@ from repro.netlist.opt import (
     rewrite_aig,
 )
 from repro.netlist.sat import check_equivalence
+from repro.netlist.sim import _split_bit_name
 from repro.obs import Tracer, use_tracer
 
 from test_elaborate import (
@@ -73,6 +74,35 @@ def _random_vectors(netlist, cycles, seed):
         {name: rng.getrandbits(width) for name, width in widths.items()}
         for _ in range(cycles)
     ]
+
+
+def _run_lanes(cycle, input_names, output_names, num_state, sequences):
+    """Run equal-length word-level input ``sequences`` in packed bit lanes.
+
+    ``cycle(inputs, state, mask) -> (outputs, next_state)`` evaluates one
+    packed cycle over per-bit values in ``input_names`` / ``output_names``
+    order (lane ``j`` of every value is sequence ``j``); state powers up
+    at 0.  Returns each lane's per-cycle output words, the shape of
+    ``simulate_sequence`` per sequence.
+    """
+    lanes = len(sequences)
+    mask = (1 << lanes) - 1
+    in_bits = [_split_bit_name(name) for name in input_names]
+    out_bits = [_split_bit_name(name) for name in output_names]
+    state = (0,) * num_state
+    results = [[] for _ in range(lanes)]
+    for t in range(len(sequences[0])):
+        inputs = [sum(((seq[t][base] >> index) & 1) << lane
+                      for lane, seq in enumerate(sequences))
+                  for base, index in in_bits]
+        outs, state = cycle(inputs, state, mask)
+        for lane, outputs in enumerate(results):
+            words = {}
+            for (base, index), value in zip(out_bits, outs):
+                bit = (value >> lane) & 1
+                words[base] = words.get(base, 0) | (bit << index)
+            outputs.append(words)
+    return results
 
 
 def _assert_equivalent(before, after):

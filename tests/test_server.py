@@ -3,6 +3,8 @@
 import asyncio
 import contextlib
 import http.client
+import io
+import json
 import os
 import signal
 import socket
@@ -13,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.cli import run as run_cli
 from repro.netlist import elaborate
 from repro.server import daemon as daemon_module
 from repro.server import (
@@ -230,6 +233,39 @@ def test_run_verify_job_disk_cache_round_trip(tmp_path):
     assert warm["cache_hit"] is True
     assert warm["key"] == cold["key"]
     assert warm["report"] == cold["report"]
+
+
+def _cli_check(tmp_path, cache_dir):
+    """``python -m repro A --check-against B --cache DIR --json`` on the
+    adder pair; returns the exit code and the equivalence report."""
+    (tmp_path / "a.v").write_text(ADDER)
+    (tmp_path / "b.v").write_text(ADDER_B)
+    out = io.StringIO()
+    code = run_cli([str(tmp_path / "a.v"), "--check-against",
+                    str(tmp_path / "b.v"), "--cache", cache_dir, "--json"],
+                   out=out)
+    return code, json.loads(out.getvalue())["equivalence"]
+
+
+def test_cli_and_verify_job_share_one_cache(tmp_path):
+    """An entry the CLI writes is a hit for a daemon job on the same
+    pair, and the other way round: both key on the same content hashes
+    and options, and store the same report."""
+    cli_dir = tmp_path / "cli_first"
+    code, cold = _cli_check(tmp_path, str(cli_dir))
+    assert code == 0 and cold["cache_hit"] is False
+    warm = run_verify_job(_payload(cache_dir=str(cli_dir)))
+    assert warm["ok"] is True and warm["cache_hit"] is True
+    assert os.listdir(cli_dir) == [warm["key"] + ".json"]
+
+    job_dir = tmp_path / "job_first"
+    job = run_verify_job(_payload(cache_dir=str(job_dir)))
+    assert job["cache_hit"] is False
+    code, served = _cli_check(tmp_path, str(job_dir))
+    assert code == 0 and served.pop("cache_hit") is True
+    served.pop("against")  # the CLI names the reference file
+    assert served == job["report"]
+    assert os.listdir(job_dir) == [job["key"] + ".json"]
 
 
 def test_run_verify_job_reports_errors():

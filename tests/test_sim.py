@@ -1,10 +1,12 @@
 """Tests for the compiled bit-parallel simulation engine (repro.netlist.sim).
 
-The compiled engine is property-tested against two independent oracles on
-every design the elaborator suite exercises: the per-gate interpreter
+The compiled engine (``simulate_sequence`` / ``simulate_vectors`` by
+default) is property-tested against two independent oracles on every
+design the elaborator suite exercises: the per-gate interpreter
 (``logic.simulate`` via ``engine="interp"``) and the AST-level vector
-``Interpreter``.  Packed (multi-lane) runs are additionally checked
-lane-by-lane against sequential runs for the pack widths 1, 7, 64 and 256.
+``Interpreter``.  Packed (multi-lane) runs of the compiled function are
+additionally checked lane-by-lane against sequential runs for the pack
+widths 1, 7, 64 and 256.
 """
 
 import random
@@ -12,7 +14,6 @@ import random
 import pytest
 
 from repro.netlist import (
-    CompiledSim,
     GateType,
     Interpreter,
     Netlist,
@@ -26,7 +27,7 @@ from repro.netlist import (
 )
 from repro.netlist.opt import optimize
 
-from test_opt import DESIGN_IDS, DESIGNS, _random_vectors
+from test_opt import DESIGN_IDS, DESIGNS, _random_vectors, _run_lanes
 
 PACK_WIDTHS = [1, 7, 64, 256]
 
@@ -38,10 +39,10 @@ PACK_WIDTHS = [1, 7, 64, 256]
 
 @pytest.mark.parametrize("name,source,top,params", DESIGNS, ids=DESIGN_IDS)
 def test_compiled_matches_both_oracles(name, source, top, params):
-    """run_batch == per-gate interpreter == AST interpreter, cycle by cycle."""
+    """Compiled == per-gate interpreter == AST interpreter, cycle by cycle."""
     netlist = elaborate(source, top=top, params=params)
     vectors = _random_vectors(netlist, 48, seed=hash(name) & 0xFFFF)
-    compiled_out = CompiledSim(netlist).run_batch(vectors)
+    compiled_out = simulate_sequence(netlist, vectors)
     assert compiled_out == simulate_sequence(netlist, vectors,
                                              engine="interp")
     assert compiled_out == Interpreter(source, top=top, params=params) \
@@ -53,7 +54,7 @@ def test_compiled_matches_oracles_on_optimized_netlist(name, source, top,
                                                        params):
     optimized = optimize(elaborate(source, top=top, params=params)).netlist
     vectors = _random_vectors(optimized, 32, seed=len(name))
-    compiled_out = CompiledSim(optimized).run_batch(vectors)
+    compiled_out = simulate_sequence(optimized, vectors)
     assert compiled_out == simulate_sequence(optimized, vectors,
                                              engine="interp")
     assert compiled_out == Interpreter(source, top=top, params=params) \
@@ -64,17 +65,20 @@ def test_compiled_matches_oracles_on_optimized_netlist(name, source, top,
 @pytest.mark.parametrize("name,source,top,params", DESIGNS, ids=DESIGN_IDS)
 def test_packed_lanes_match_sequential_runs(name, source, top, params,
                                             lanes):
-    """Every packed lane reproduces a solo sequential run of its stimulus."""
+    """Every lane of a packed ``CompiledNetlist.run`` reproduces a solo
+    sequential run of its stimulus."""
     netlist = elaborate(source, top=top, params=params)
     sequences = [
         _random_vectors(netlist, 6, seed=(hash(name) ^ lanes ^ j) & 0xFFFF)
         for j in range(lanes)
     ]
-    packed = CompiledSim(netlist).run_parallel(sequences)
+    compiled = compile_netlist(netlist)
+    packed = _run_lanes(compiled.run, compiled.input_names,
+                        compiled.output_names, len(compiled.registers),
+                        sequences)
     assert len(packed) == lanes
     for seq, lane_out in zip(sequences, packed):
-        solo = CompiledSim(netlist)
-        assert lane_out == solo.run_batch(seq)
+        assert lane_out == simulate_sequence(netlist, seq)
     # Spot-check the first and last lane against the independent AST oracle.
     oracle = Interpreter(source, top=top, params=params)
     assert packed[0] == oracle.run(sequences[0])
@@ -144,69 +148,29 @@ endmodule
 
 def test_step_and_state_lockstep_with_interpreter():
     netlist = elaborate(COUNTER, top="counter")
-    sim = CompiledSim(netlist)
+    names = {netlist.gate(gid).name: gid for gid in netlist.registers}
+    q_gids = [names[f"counter.q[{i}]"] for i in range(4)]
     interp = Interpreter(COUNTER, top="counter")
     rng = random.Random(11)
+    state: dict = {}
     for cycle in range(40):
         if cycle == 20:  # mid-run state injection, both engines
-            sim.load_state({"counter.q": 13})
+            state = {gid: (13 >> i) & 1 for i, gid in enumerate(q_gids)}
             interp.load_state({"counter.q": 13})
         vector = {"clk": 0, "rst": int(rng.random() < 0.1),
                   "en": int(rng.random() < 0.7)}
-        assert sim.step(vector) == interp.step(vector)
-        assert sim.flat_state() == interp.flat_state()
-
-
-def test_reset_clears_state():
-    sim = CompiledSim(elaborate(COUNTER, top="counter"))
-    sim.step({"clk": 0, "rst": 0, "en": 1})
-    assert sim.flat_state() == {"counter.q": 1}
-    sim.reset()
-    assert sim.flat_state() == {"counter.q": 0}
-
-
-def test_load_state_validates():
-    sim = CompiledSim(elaborate(COUNTER, top="counter"))
-    with pytest.raises(NetlistError, match="does not name a register"):
-        sim.load_state({"counter.bogus": 1})
-    with pytest.raises(NetlistError, match="does not fit"):
-        sim.load_state({"counter.q": 16})
-    sim.load_state({"counter.q": 9})
-    assert sim.flat_state() == {"counter.q": 9}
-    assert sim.step({"clk": 0, "rst": 0, "en": 1}) == {"q": 9, "wrap": 0}
-    assert sim.flat_state() == {"counter.q": 10}
+        outputs, state = simulate_vectors(netlist, vector, state)
+        assert outputs == interp.step(vector)
+        q = sum(state[gid] << i for i, gid in enumerate(q_gids))
+        assert interp.flat_state() == {"counter.q": q}
 
 
 def test_missing_input_port_raises():
-    sim = CompiledSim(elaborate(COUNTER, top="counter"))
-    with pytest.raises(KeyError, match="missing value for input port 'en'"):
-        sim.step({"clk": 0, "rst": 0})
-    with pytest.raises(NetlistError, match="missing value for input"):
-        simulate_compiled(elaborate(COUNTER, top="counter"), {})
-
-
-def test_run_parallel_ragged_and_empty():
     netlist = elaborate(COUNTER, top="counter")
-    sim = CompiledSim(netlist)
-    assert sim.run_parallel([]) == []
-    seqs = [
-        [{"clk": 0, "rst": 0, "en": 1}] * length for length in (5, 2, 0)
-    ]
-    results = sim.run_parallel(seqs)
-    assert [len(r) for r in results] == [5, 2, 0]
-    assert [out["q"] for out in results[0]] == [0, 1, 2, 3, 4]
-    # run_parallel leaves the simulator's own state untouched.
-    assert sim.flat_state() == {"counter.q": 0}
-
-
-def test_run_parallel_lanes_start_from_current_state():
-    sim = CompiledSim(elaborate(COUNTER, top="counter"))
-    sim.load_state({"counter.q": 5})
-    step = {"clk": 0, "rst": 0, "en": 1}
-    results = sim.run_parallel([[step, step], [step]])
-    assert [out["q"] for out in results[0]] == [5, 6]
-    assert [out["q"] for out in results[1]] == [5]
-    assert sim.flat_state() == {"counter.q": 5}
+    with pytest.raises(KeyError, match="missing value for input port 'en'"):
+        simulate_vectors(netlist, {"clk": 0, "rst": 0})
+    with pytest.raises(NetlistError, match="missing value for input"):
+        simulate_compiled(netlist, {})
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,7 @@
 Subpackages:
 
 * :mod:`repro.verilog` — self-contained synthesizable-subset Verilog
-  frontend (lexer, parser, AST, code generator, hierarchy and dataflow
-  analyses);
+  frontend (lexer, parser, AST, constant evaluator, code generator);
 * :mod:`repro.netlist` — gate-level netlist IR, the RTL elaborator that
   lowers parsed designs into it, a bit-level simulator and a vector-level
   reference interpreter;
@@ -12,12 +11,12 @@ Subpackages:
   (netlists levelized and code-generated into straight-line Python, up to
   W stimulus patterns packed per net), the default behind
   ``simulate_vectors`` / ``simulate_sequence``;
-* :mod:`repro.netlist.opt` — the optimization pass pipeline (constant
-  propagation, structural hashing, identity simplification, chain
-  balancing, cut-based DAG-aware rewriting over the NPN structure
-  library, dead-gate sweep) with per-pass statistics, plus the
-  priority-cut k-LUT technology mapper (``opt.map``) on the shared
-  cut/truth-table kernel (``opt.cut``);
+* :mod:`repro.netlist.opt` — AIG optimization: ``optimize()`` lowers the
+  netlist to the AIG once, runs cut-based DAG-aware rewriting over the
+  NPN structure library or FRAIG sweeping, raises once and balances,
+  with per-pass statistics; plus the priority-cut k-LUT technology
+  mapper (``opt.map``) on the shared cut/truth-table kernel
+  (``opt.cut``);
 * :mod:`repro.netlist.sat` — Tseitin CNF encoding of AIG cones, a small
   CDCL solver and miter-based combinational equivalence checking, used to
   formally verify every optimization;

@@ -280,12 +280,6 @@ class AIG:
     def node_name(self, nid: int) -> Optional[str]:
         return self._name[nid]
 
-    def output_lit(self, name: str) -> int:
-        try:
-            return self._output_index[name]
-        except KeyError:
-            raise KeyError(f"output '{name}' not found") from None
-
     def and_roots(self) -> list[int]:
         """Every literal the outside world observes: POs + latch nexts."""
         roots = [lit for _, lit in self.outputs]

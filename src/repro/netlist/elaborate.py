@@ -43,7 +43,6 @@ from repro.verilog.consteval import (
     evaluate,
     module_parameters,
 )
-from repro.verilog.hierarchy import DesignHierarchy, HierarchyError
 from repro.verilog.parser import parse
 
 from ..obs import get_tracer
@@ -207,10 +206,7 @@ class Elaborator:
     # -- top level ----------------------------------------------------------
 
     def run(self) -> Netlist:
-        try:
-            DesignHierarchy(self.source, self.top)
-        except HierarchyError as exc:
-            raise ElaborationError(str(exc)) from exc
+        check_acyclic(self.source, self.top, ElaborationError)
         module = self.source.module(self.top)
 
         def bind_inputs(scope: Scope) -> None:
@@ -753,6 +749,26 @@ def select_top(source: ast.Source, top: Optional[str],
         raise error(f"a top module name is required when the source "
                     f"defines multiple modules (found: {', '.join(names)})")
     return names[0]
+
+
+def check_acyclic(source: ast.Source, top: str,
+                  error: type[Exception]) -> None:
+    """Raise ``error`` if a module below ``top`` instantiates one of its own
+    ancestors.  Modules the source does not define are leaves here; the
+    lowering reports them (shared by :func:`elaborate` and the
+    :class:`Interpreter`)."""
+    done: set[str] = set()
+
+    def visit(name: str, ancestors: tuple[str, ...]) -> None:
+        for inst in source.module(name).instances:
+            child = inst.module_name
+            if child in ancestors:
+                raise error(f"recursive instantiation of module '{child}'")
+            if child not in done and source.has_module(child):
+                visit(child, ancestors + (child,))
+        done.add(name)
+
+    visit(top, (top,))
 
 
 def elaborate(source: Union[str, ast.Source], top: Optional[str] = None,

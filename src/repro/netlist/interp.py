@@ -23,11 +23,10 @@ from repro.verilog.consteval import (
     evaluate,
     module_parameters,
 )
-from repro.verilog.hierarchy import DesignHierarchy, HierarchyError
 from repro.verilog.parser import parse
 
 from .bitblast import binary_width, natural_width
-from .elaborate import _collect_writes, select_top
+from .elaborate import _collect_writes, check_acyclic, select_top
 from .environment import (
     ElaborationError,
     Scope,
@@ -105,10 +104,7 @@ class Interpreter:
         if isinstance(source, str):
             source = parse(source)
         top = select_top(source, top, InterpreterError)
-        try:
-            DesignHierarchy(source, top)
-        except HierarchyError as exc:
-            raise InterpreterError(str(exc)) from exc
+        check_acyclic(source, top, InterpreterError)
         self.source = source
         self.top = top
         self.scopes: list[_IScope] = []

@@ -39,7 +39,6 @@ from .proof import (
     format_drat_step,
     parse_drat,
 )
-from .reference import ReferenceSolver, reference_solve
 from .solver import Solver, SolverResult, SolverStats, luby, solve
 
 __all__ = [
@@ -63,11 +62,9 @@ __all__ = [
     "check_drat",
     "format_drat_step",
     "parse_drat",
-    "ReferenceSolver",
     "Solver",
     "SolverResult",
     "SolverStats",
     "luby",
-    "reference_solve",
     "solve",
 ]

@@ -52,9 +52,9 @@ arena: any iterable of literal iterables works and nothing is
 materialized per clause, so one-shot callers (the CEC path) pay no
 intermediate copy.
 
-The original compact solver survives as
-:class:`repro.netlist.sat.reference.ReferenceSolver`, retained as the
-test oracle: the randomized tests cross-check this engine against it.
+The original compact solver survives as ``ReferenceSolver`` in
+``tests/reference_solver.py``, retained as the test oracle: the
+randomized tests cross-check this engine against it.
 """
 
 from __future__ import annotations

@@ -7,22 +7,17 @@ assignments, procedural blocks and instances.  Expressions form a small
 algebraic hierarchy rooted at :class:`Expression`.
 
 All nodes are plain dataclasses so they can be constructed programmatically
-(e.g. by the redaction engine when it rewrites the top module) as easily as by
-the parser.
+as easily as by the parser.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 
 class Node:
     """Base class for every AST node."""
-
-    def children(self) -> Iterator["Node"]:
-        """Yield direct child nodes (used for generic traversals)."""
-        return iter(())
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +72,6 @@ class UnaryOp(Expression):
     op: str
     operand: Expression
 
-    def children(self) -> Iterator[Node]:
-        yield self.operand
-
 
 @dataclass
 class BinaryOp(Expression):
@@ -88,10 +80,6 @@ class BinaryOp(Expression):
     op: str
     left: Expression
     right: Expression
-
-    def children(self) -> Iterator[Node]:
-        yield self.left
-        yield self.right
 
 
 @dataclass
@@ -102,20 +90,12 @@ class Ternary(Expression):
     true_value: Expression
     false_value: Expression
 
-    def children(self) -> Iterator[Node]:
-        yield self.cond
-        yield self.true_value
-        yield self.false_value
-
 
 @dataclass
 class Concat(Expression):
     """A concatenation ``{a, b, c}``."""
 
     parts: list[Expression]
-
-    def children(self) -> Iterator[Node]:
-        yield from self.parts
 
 
 @dataclass
@@ -125,10 +105,6 @@ class Repeat(Expression):
     count: Expression
     value: Expression
 
-    def children(self) -> Iterator[Node]:
-        yield self.count
-        yield self.value
-
 
 @dataclass
 class BitSelect(Expression):
@@ -136,10 +112,6 @@ class BitSelect(Expression):
 
     target: Expression
     index: Expression
-
-    def children(self) -> Iterator[Node]:
-        yield self.target
-        yield self.index
 
 
 @dataclass
@@ -149,11 +121,6 @@ class PartSelect(Expression):
     target: Expression
     msb: Expression
     lsb: Expression
-
-    def children(self) -> Iterator[Node]:
-        yield self.target
-        yield self.msb
-        yield self.lsb
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +134,6 @@ class Range(Node):
 
     msb: Expression
     lsb: Expression
-
-    def children(self) -> Iterator[Node]:
-        yield self.msb
-        yield self.lsb
 
 
 @dataclass
@@ -188,10 +151,6 @@ class Port(Node):
     is_reg: bool = False
     signed: bool = False
 
-    def children(self) -> Iterator[Node]:
-        if self.width is not None:
-            yield self.width
-
 
 @dataclass
 class NetDecl(Node):
@@ -203,12 +162,6 @@ class NetDecl(Node):
     signed: bool = False
     init: Optional[Expression] = None
 
-    def children(self) -> Iterator[Node]:
-        if self.width is not None:
-            yield self.width
-        if self.init is not None:
-            yield self.init
-
 
 @dataclass
 class ParamDecl(Node):
@@ -218,9 +171,6 @@ class ParamDecl(Node):
     value: Expression
     local: bool = False
     width: Optional[Range] = None
-
-    def children(self) -> Iterator[Node]:
-        yield self.value
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +189,6 @@ class Assign(Node):
     lhs: Expression
     rhs: Expression
 
-    def children(self) -> Iterator[Node]:
-        yield self.lhs
-        yield self.rhs
-
 
 @dataclass
 class BlockingAssign(Statement):
@@ -251,10 +197,6 @@ class BlockingAssign(Statement):
     lhs: Expression
     rhs: Expression
 
-    def children(self) -> Iterator[Node]:
-        yield self.lhs
-        yield self.rhs
-
 
 @dataclass
 class NonBlockingAssign(Statement):
@@ -262,10 +204,6 @@ class NonBlockingAssign(Statement):
 
     lhs: Expression
     rhs: Expression
-
-    def children(self) -> Iterator[Node]:
-        yield self.lhs
-        yield self.rhs
 
 
 @dataclass
@@ -276,13 +214,6 @@ class If(Statement):
     then_stmt: Optional[Statement]
     else_stmt: Optional[Statement] = None
 
-    def children(self) -> Iterator[Node]:
-        yield self.cond
-        if self.then_stmt is not None:
-            yield self.then_stmt
-        if self.else_stmt is not None:
-            yield self.else_stmt
-
 
 @dataclass
 class CaseItem(Node):
@@ -290,12 +221,6 @@ class CaseItem(Node):
 
     conditions: Optional[list[Expression]]
     statement: Optional[Statement]
-
-    def children(self) -> Iterator[Node]:
-        if self.conditions:
-            yield from self.conditions
-        if self.statement is not None:
-            yield self.statement
 
 
 @dataclass
@@ -305,10 +230,6 @@ class Case(Statement):
     expr: Expression
     items: list[CaseItem]
     kind: str = "case"
-
-    def children(self) -> Iterator[Node]:
-        yield self.expr
-        yield from self.items
 
 
 @dataclass
@@ -324,13 +245,6 @@ class For(Statement):
     step: Statement
     body: Optional[Statement]
 
-    def children(self) -> Iterator[Node]:
-        yield self.init
-        yield self.cond
-        yield self.step
-        if self.body is not None:
-            yield self.body
-
 
 @dataclass
 class Block(Statement):
@@ -338,9 +252,6 @@ class Block(Statement):
 
     statements: list[Statement]
     name: Optional[str] = None
-
-    def children(self) -> Iterator[Node]:
-        yield from self.statements
 
 
 @dataclass
@@ -351,10 +262,6 @@ class SensItem(Node):
     edge: Optional[str] = None  # "posedge", "negedge" or None
     star: bool = False
 
-    def children(self) -> Iterator[Node]:
-        if self.signal is not None:
-            yield self.signal
-
 
 @dataclass
 class Always(Node):
@@ -362,10 +269,6 @@ class Always(Node):
 
     sensitivity: list[SensItem]
     statement: Statement
-
-    def children(self) -> Iterator[Node]:
-        yield from self.sensitivity
-        yield self.statement
 
     @property
     def is_sequential(self) -> bool:
@@ -378,9 +281,6 @@ class Initial(Node):
     """An ``initial`` block (kept for completeness; ignored by synthesis)."""
 
     statement: Statement
-
-    def children(self) -> Iterator[Node]:
-        yield self.statement
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +299,6 @@ class PortConnection(Node):
     port: Optional[str]
     expr: Optional[Expression]
 
-    def children(self) -> Iterator[Node]:
-        if self.expr is not None:
-            yield self.expr
-
 
 @dataclass
 class ParamOverride(Node):
@@ -410,9 +306,6 @@ class ParamOverride(Node):
 
     param: Optional[str]
     expr: Expression
-
-    def children(self) -> Iterator[Node]:
-        yield self.expr
 
 
 @dataclass
@@ -423,17 +316,6 @@ class Instance(Node):
     instance_name: str
     connections: list[PortConnection] = field(default_factory=list)
     parameters: list[ParamOverride] = field(default_factory=list)
-
-    def children(self) -> Iterator[Node]:
-        yield from self.parameters
-        yield from self.connections
-
-    def connection_for(self, port: str) -> Optional[Expression]:
-        """Return the expression connected to ``port``, if any (named only)."""
-        for conn in self.connections:
-            if conn.port == port:
-                return conn.expr
-        return None
 
 
 ModuleItem = Union[NetDecl, ParamDecl, Assign, Always, Initial, Instance]
@@ -447,10 +329,6 @@ class Module(Node):
     ports: list[Port] = field(default_factory=list)
     items: list[ModuleItem] = field(default_factory=list)
 
-    def children(self) -> Iterator[Node]:
-        yield from self.ports
-        yield from self.items
-
     # -- convenience accessors ------------------------------------------------
 
     @property
@@ -460,10 +338,6 @@ class Module(Node):
     @property
     def outputs(self) -> list[Port]:
         return [p for p in self.ports if p.direction == "output"]
-
-    @property
-    def inouts(self) -> list[Port]:
-        return [p for p in self.ports if p.direction == "inout"]
 
     def port(self, name: str) -> Optional[Port]:
         for p in self.ports:
@@ -498,9 +372,6 @@ class Source(Node):
 
     modules: list[Module] = field(default_factory=list)
 
-    def children(self) -> Iterator[Node]:
-        yield from self.modules
-
     def module(self, name: str) -> Module:
         """Return the module named ``name`` (raises ``KeyError`` if missing)."""
         for mod in self.modules:
@@ -523,27 +394,8 @@ class Source(Node):
 
 
 # ---------------------------------------------------------------------------
-# Traversal helpers
+# Lvalue helper
 # ---------------------------------------------------------------------------
-
-
-def walk(node: Node) -> Iterator[Node]:
-    """Depth-first pre-order traversal of the AST rooted at ``node``."""
-    yield node
-    for child in node.children():
-        yield from walk(child)
-
-
-def iter_identifiers(node: Node) -> Iterator[Identifier]:
-    """Yield every :class:`Identifier` in the subtree rooted at ``node``."""
-    for sub in walk(node):
-        if isinstance(sub, Identifier):
-            yield sub
-
-
-def expression_signals(expr: Expression) -> set[str]:
-    """Return the set of signal names referenced by an expression."""
-    return {ident.name for ident in iter_identifiers(expr)}
 
 
 def lvalue_signals(expr: Expression) -> set[str]:

@@ -1,9 +1,9 @@
 """Verilog code generation from the AST.
 
 The generator is the inverse of the parser: it renders a :class:`Source`,
-:class:`Module` or expression back into synthesizable Verilog text.  ALICE uses
-it to emit the redacted top module, the per-cluster eFPGA wrapper modules, and
-the fabric netlists.
+:class:`Module` or expression back into synthesizable Verilog text.  The ALICE
+flow uses it to emit the redacted top module and the eFPGA wrapper modules;
+here the parser's round-trip tests use it.
 """
 
 from __future__ import annotations

@@ -458,8 +458,8 @@ class Parser:
     def _parse_for(self) -> ast.For:
         """Parse a ``for`` loop into an :class:`ast.For` node.
 
-        The elaborator unrolls the loop (init/cond/step must be compile-time
-        evaluable); dataflow analysis treats it as an opaque read/write region.
+        The elaborator and the interpreter unroll the loop, so init/cond/step
+        must be compile-time evaluable.
         """
         self._expect("KEYWORD", "for")
         self._expect("PUNCT", "(")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .solver import SolverResult, SolverStats
+from repro.netlist.sat.solver import SolverResult, SolverStats
 
 _UNASSIGNED = 0
 _TRUE = 1

@@ -11,6 +11,7 @@ import pytest
 
 from repro.cli import run
 
+from test_elaborate import RECURSIVE
 from test_serialize import designs
 
 ALU = """
@@ -135,6 +136,15 @@ def test_elaboration_error_diagnostic(tmp_path, capsys):
     path.write_text("module m(input a, output y); assign y = ghost; endmodule")
     assert run([str(path)]) == 1
     assert "elaboration error" in capsys.readouterr().err
+
+
+def test_recursive_instantiation_diagnostic(tmp_path, capsys):
+    path = tmp_path / "rec.v"
+    source, top, module = RECURSIVE[0]
+    path.write_text(source)
+    assert run([str(path), "--top", top]) == 1
+    assert capsys.readouterr().err == ("error: elaboration error: recursive "
+                                       f"instantiation of module '{module}'\n")
 
 
 def test_bad_param_diagnostic(alu_file, capsys):

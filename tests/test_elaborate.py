@@ -430,6 +430,30 @@ def test_unknown_module_diagnostic():
         """, top="m")
 
 
+#: (source, top, the module named in the diagnostic) for designs that
+#: instantiate one of their own ancestors; the interpreter tests reuse it.
+RECURSIVE = [
+    ("""
+    module a(input x, output y); b u (.x(x), .y(y)); endmodule
+    module b(input x, output y); a u (.x(x), .y(y)); endmodule
+    """, "a", "a"),
+    ("module a(input x, output y); a u (.x(x), .y(y)); endmodule", "a", "a"),
+    ("""
+    module top(input x, output y); mid u (.x(x), .y(y)); endmodule
+    module mid(input x, output y); leaf u (.x(x), .y(y)); endmodule
+    module leaf(input x, output y); mid u (.x(x), .y(y)); endmodule
+    """, "top", "mid"),
+]
+
+
+@pytest.mark.parametrize("source,top,module", RECURSIVE,
+                         ids=["mutual", "self", "below_top"])
+def test_recursive_instantiation_diagnostic(source, top, module):
+    with pytest.raises(ElaborationError) as info:
+        elaborate(source, top=top)
+    assert str(info.value) == f"recursive instantiation of module '{module}'"
+
+
 def test_inout_port_diagnostic():
     with pytest.raises(ElaborationError, match="inout"):
         elaborate("module m(inout a); endmodule")

@@ -4,6 +4,8 @@ import pytest
 
 from repro.netlist import Interpreter, InterpreterError
 
+from test_elaborate import RECURSIVE
+
 
 def test_combinational_outputs_word_level():
     interp = Interpreter("""
@@ -52,6 +54,14 @@ def test_top_selection_diagnostics(source, message):
     with pytest.raises(InterpreterError) as info:
         Interpreter(source)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("source,top,module", RECURSIVE,
+                         ids=["mutual", "self", "below_top"])
+def test_recursive_instantiation_diagnostic(source, top, module):
+    with pytest.raises(InterpreterError) as info:
+        Interpreter(source, top=top)
+    assert str(info.value) == f"recursive instantiation of module '{module}'"
 
 
 def test_missing_input_diagnostic():

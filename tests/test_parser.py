@@ -114,7 +114,8 @@ def test_instances_and_parameter_overrides():
     inst = module.instances[0]
     assert inst.module_name == "sub"
     assert inst.parameters[0].param == "W"
-    assert inst.connection_for("x") is not None
+    assert [(c.port, c.expr) for c in inst.connections] == [
+        ("x", ast.Identifier("a")), ("y", ast.Identifier("y"))]
 
 
 def test_expression_precedence():

@@ -16,7 +16,6 @@ from repro.netlist.opt import FraigStats, fraig_sweep
 from repro.netlist.sat import (
     DratCheckResult,
     ProofLog,
-    ReferenceSolver,
     Solver,
     check_drat,
     check_equivalence,
@@ -25,6 +24,8 @@ from repro.netlist.sat import (
 )
 from repro.netlist.sat import CNF, cec
 from repro.netlist.sat.preprocess import preprocess
+
+from reference_solver import ReferenceSolver
 
 
 def pigeonhole(holes):

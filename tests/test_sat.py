@@ -64,7 +64,7 @@ def test_gate_encoding_matches_simulator(gtype, arity):
     out = netlist.add_gate(gtype, inputs)
     netlist.add_output("y", out)
     aig = from_netlist(netlist)
-    root = aig.output_lit("y")
+    root = dict(aig.outputs)["y"]
     leaf = {aig.node_name(nid): nid for nid in aig.inputs}
 
     for assignment in itertools.product((0, 1), repeat=arity):

@@ -2,7 +2,7 @@
 
 The production solver is cross-checked three ways: against a brute-force
 enumerator on randomized 3-SAT instances, against the retained reference
-implementation (`repro.netlist.sat.reference`) on instances too large to
+implementation (`tests/reference_solver.py`) on instances too large to
 enumerate, and against fresh-solver oracles for incremental
 assumption-and-add sequences.  The engine's internals get direct
 coverage too: the Luby sequence, the lazy VSIDS heap's invariants, and
@@ -16,8 +16,9 @@ import random
 
 import pytest
 
-from repro.netlist.sat.reference import ReferenceSolver, reference_solve
 from repro.netlist.sat.solver import Model, Solver, luby, solve
+
+from reference_solver import ReferenceSolver, reference_solve
 
 
 # ---------------------------------------------------------------------------

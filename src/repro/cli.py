@@ -6,8 +6,8 @@ by default, ``--passes rewrite,fraig`` to choose — raise once and
 balance), optionally proves the optimized netlist equivalent to the
 unoptimized one with the SAT checker (``--check``) or to a second
 design (``--check-against FILE``), optionally measures
-simulation throughput over random stimulus (``--cycles``, with ``--sim
-compiled|interp`` selecting the engine), and prints gate/depth/flip-flop
+simulation throughput over random stimulus (``--cycles``, on the
+compiled bit-parallel engine), and prints gate/depth/flip-flop
 statistics — as a table or as JSON.  Frontend and elaboration problems
 are reported as one-line diagnostics with exit code 1.
 
@@ -69,13 +69,16 @@ class CLIError(Exception):
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise CLIError(f"cannot read '{path}': {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise CLIError(f"cannot read '{path}': not UTF-8 text "
+                       f"(byte {exc.start}: {exc.reason})") from exc
 
 
 def _parse_params(items: Sequence[str]) -> dict[str, int]:
@@ -202,10 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the final (optimized, if requested; mapped, if "
              "--map) netlist back out as structural Verilog")
     parser.add_argument(
-        "--sim", choices=("compiled", "interp"), default="compiled",
-        help="simulation engine for --cycles: the compiled bit-parallel "
-             "engine (default) or the per-gate interpreter")
-    parser.add_argument(
         "--cycles", type=int, metavar="N",
         help="simulate N cycles of random stimulus on the final netlist "
              "and report throughput (cycles/second)")
@@ -246,7 +245,7 @@ def _log_depth(args) -> Optional[int]:
     return None
 
 
-def _throughput(netlist, cycles: int, engine: str, seed: int) -> dict:
+def _throughput(netlist, cycles: int, seed: int) -> dict:
     """Simulate ``cycles`` random vectors and return a throughput record."""
     rng = random.Random(seed)
     widths = input_word_widths(netlist)
@@ -255,10 +254,9 @@ def _throughput(netlist, cycles: int, engine: str, seed: int) -> dict:
         for _ in range(cycles)
     ]
     start = time.perf_counter()
-    simulate_sequence(netlist, vectors, engine=engine)
+    simulate_sequence(netlist, vectors)
     seconds = time.perf_counter() - start
     return {
-        "engine": engine,
         "cycles": cycles,
         "seconds": seconds,
         "cycles_per_second": cycles / seconds if seconds > 0 else float("inf"),
@@ -412,8 +410,7 @@ def _execute(args, out, tracer) -> int:
             report["optimized_aig_stats"] = \
                 from_netlist(result.netlist).stats()
     if args.cycles is not None:
-        report["simulation"] = _throughput(final, args.cycles,
-                                           args.sim, args.seed)
+        report["simulation"] = _throughput(final, args.cycles, args.seed)
     emit_netlist = final
     if args.map_k is not None:
         if not 2 <= args.map_k <= 6:
@@ -527,8 +524,7 @@ def _execute(args, out, tracer) -> int:
             lines.append(
                 f"simulation: {sim['cycles']} cycles in "
                 f"{sim['seconds'] * 1e3:.1f} ms — "
-                f"{sim['cycles_per_second']:.0f} cyc/s "
-                f"({sim['engine']} engine)")
+                f"{sim['cycles_per_second']:.0f} cyc/s")
         if "mapping" in report:
             mp = report["mapping"]
             lines.append("")

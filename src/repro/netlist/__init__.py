@@ -2,9 +2,9 @@
 interpreter and SAT-based equivalence checker.
 
 The canonical pipeline is ``elaborate(source, top=...) -> Netlist`` followed
-by :func:`simulate` (bit-level) or :func:`simulate_vectors` /
-:func:`simulate_sequence` (word-level; both route through the compiled
-bit-parallel engine in :mod:`repro.netlist.sim` by default).
+by :func:`simulate_vectors` / :func:`simulate_sequence` (word-level, on
+the compiled bit-parallel engine in :mod:`repro.netlist.sim`); the
+per-gate :func:`simulate` is the bit-level reference oracle.
 :func:`compile_netlist` levelizes a netlist into a straight-line Python
 function that evaluates up to W packed stimulus patterns per net; an
 :class:`AIG` is simulated by :func:`repro.netlist.sim.aig_signatures`.

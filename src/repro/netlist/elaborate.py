@@ -27,10 +27,10 @@ placeholder nets and patched with
 The module also provides the word-level simulation conveniences
 :func:`simulate_vectors` / :func:`simulate_sequence`, which pack and unpack
 the per-bit port naming convention used by the elaborator (``name`` for
-scalars, ``name[i]`` for vector bits).  Both default to the compiled
-bit-parallel engine (:mod:`repro.netlist.sim`); pass ``engine="interp"``
-to force the original per-gate interpreter, which is kept as the
-cross-check oracle.
+scalars, ``name[i]`` for vector bits).  Both run the compiled
+bit-parallel engine (:mod:`repro.netlist.sim`); the per-gate
+:func:`~repro.netlist.logic.simulate` stays as the bit-level reference
+oracle the tests check it against.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ from .environment import (
     lvalue_targets,
     unroll_for,
 )
-from .logic import GateType, Netlist, simulate
-from .sim import _split_bit_name, compile_netlist
+from .logic import GateType, Netlist
+from .sim import compile_netlist
 
 
 def _collect_writes(stmt: Optional[ast.Statement]) -> set[str]:
@@ -208,6 +208,7 @@ class Elaborator:
     def run(self) -> Netlist:
         check_acyclic(self.source, self.top, ElaborationError)
         module = self.source.module(self.top)
+        check_params(module, self.params, ElaborationError)
 
         def bind_inputs(scope: Scope) -> None:
             for port in module.ports:
@@ -771,6 +772,19 @@ def check_acyclic(source: ast.Source, top: str,
     visit(top, (top,))
 
 
+def check_params(module: ast.Module, params: Optional[Mapping[str, int]],
+                 error: type[Exception]) -> None:
+    """Raise ``error`` if ``params`` overrides a parameter the top module
+    does not declare, or a ``localparam`` (shared by :func:`elaborate`
+    and the :class:`Interpreter`)."""
+    declared = {decl.name: decl.local for decl in module.param_decls}
+    for name in params or ():
+        if declared.get(name) is not False:
+            kind = "local" if name in declared else "unknown"
+            raise error(f"cannot override {kind} parameter '{name}' of "
+                        f"top module '{module.name}'")
+
+
 def elaborate(source: Union[str, ast.Source], top: Optional[str] = None,
               params: Optional[Mapping[str, int]] = None) -> Netlist:
     """Synthesize a parsed (or raw-text) Verilog design into a :class:`Netlist`.
@@ -800,80 +814,35 @@ def elaborate(source: Union[str, ast.Source], top: Optional[str] = None,
 # ---------------------------------------------------------------------------
 
 
-#: Engines accepted by :func:`simulate_vectors` / :func:`simulate_sequence`.
-SIMULATION_ENGINES = ("compiled", "interp")
-
-
-def _check_engine(engine: str) -> None:
-    """Reject unknown engine names up front, naming the valid choices."""
-    if engine not in SIMULATION_ENGINES:
-        valid = ", ".join(repr(name) for name in SIMULATION_ENGINES)
-        raise ValueError(
-            f"unknown simulation engine {engine!r} "
-            f"(valid engines: {valid})"
-        )
-
-
 def simulate_vectors(netlist: Netlist, inputs: Mapping[str, int],
-                     state: Optional[dict[int, int]] = None,
-                     order: Optional[list[int]] = None,
-                     engine: str = "compiled"
+                     state: Optional[dict[int, int]] = None
                      ) -> tuple[dict[str, int], dict[int, int]]:
     """Run one word-level cycle of a netlist.
 
     ``inputs`` maps *port* names (the elaborator's pre-bit-blasting names) to
-    unsigned integers; outputs are packed back the same way.  ``engine``
-    selects the compiled bit-parallel engine (default) or the per-gate
-    interpreter (``"interp"``, the cross-check oracle); ``order`` is only
-    consulted by the interpreter — the compiled engine levelizes once at
-    compile time and caches the result on the netlist.
+    unsigned integers; outputs are packed back the same way.  ``state`` maps
+    flip-flop gate ids to their current value (all zero by default); the
+    next state comes back in the same form.
     """
-    _check_engine(engine)
-    if engine == "compiled":
-        compiled = compile_netlist(netlist)
-        outputs, next_bits = compiled.run_words(
-            inputs, compiled.pack_state(state))
-        return outputs, dict(zip(compiled.registers, next_bits))
-    bit_inputs: dict[str, int] = {}
-    for name in netlist.input_names():
-        base, index = _split_bit_name(name)
-        if base not in inputs:
-            raise KeyError(f"missing value for input port '{base}'")
-        bit_inputs[name] = (int(inputs[base]) >> index) & 1
-    bit_outputs, next_state = simulate(netlist, bit_inputs, state, order)
-    outputs: dict[str, int] = {}
-    for name, bit in bit_outputs.items():
-        base, index = _split_bit_name(name)
-        outputs[base] = outputs.get(base, 0) | (bit << index)
-    return outputs, next_state
+    compiled = compile_netlist(netlist)
+    outputs, next_bits = compiled.run_words(inputs, compiled.pack_state(state))
+    return outputs, dict(zip(compiled.registers, next_bits))
 
 
 def simulate_sequence(netlist: Netlist,
                       vectors: Iterable[Mapping[str, int]],
-                      state: Optional[dict[int, int]] = None,
-                      engine: str = "compiled") -> list[dict[str, int]]:
+                      state: Optional[dict[int, int]] = None
+                      ) -> list[dict[str, int]]:
     """Simulate a sequence of word-level input vectors (one per clock cycle).
 
-    With the default compiled engine the netlist is levelized and code-
-    generated once (cached across calls); with ``engine="interp"`` the
-    topological order is computed once up front, so long runs pay for a
-    single DFS regardless of cycle count.
+    The netlist is levelized and code-generated once (cached on the
+    netlist across calls).
     """
-    _check_engine(engine)
-    if engine == "compiled":
-        compiled = compile_netlist(netlist)
-        run_words = compiled.run_words
-        packed_state: tuple[int, ...] = compiled.pack_state(state)
-        results: list[dict[str, int]] = []
-        for vector in vectors:
-            outputs, packed_state = run_words(vector, packed_state)
-            results.append(outputs)
-        return results
-    order = netlist.topological_order()
-    state = dict(state or {})
-    results = []
+    compiled = compile_netlist(netlist)
+    run_words = compiled.run_words
+    packed_state: tuple[int, ...] = compiled.pack_state(state)
+    results: list[dict[str, int]] = []
     for vector in vectors:
-        outputs, state = simulate_vectors(netlist, vector, state, order,
-                                          engine="interp")
+        outputs, packed_state = run_words(vector, packed_state)
         results.append(outputs)
     return results

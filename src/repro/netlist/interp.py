@@ -26,7 +26,8 @@ from repro.verilog.consteval import (
 from repro.verilog.parser import parse
 
 from .bitblast import binary_width, natural_width
-from .elaborate import _collect_writes, check_acyclic, select_top
+from .elaborate import (_collect_writes, check_acyclic, check_params,
+                        select_top)
 from .environment import (
     ElaborationError,
     Scope,
@@ -105,6 +106,7 @@ class Interpreter:
             source = parse(source)
         top = select_top(source, top, InterpreterError)
         check_acyclic(source, top, InterpreterError)
+        check_params(source.module(top), params, InterpreterError)
         self.source = source
         self.top = top
         self.scopes: list[_IScope] = []

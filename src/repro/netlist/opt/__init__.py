@@ -12,7 +12,10 @@ Typical use::
 
 :func:`optimize` preserves the primary input/output interface and
 flip-flop names, so any optimized netlist can be formally checked against
-its source with :func:`repro.netlist.sat.check_equivalence`.
+its source with :func:`repro.netlist.sat.check_equivalence`.  Its last
+step, :func:`balance`, is the one netlist-to-netlist pass: it copies the
+live cone into a fresh netlist, rebuilding AND/OR/XOR chains as
+depth-minimal trees.
 """
 
 from .cut import (build_truth, cut_truth, enumerate_cut_truths,
@@ -20,8 +23,8 @@ from .cut import (build_truth, cut_truth, enumerate_cut_truths,
 from .fraig import FraigStats, SweepResult, fraig_sweep, fraig_sweep_map
 from .map import LUT, MapResult, MapStats, map_aig
 from .rewrite import RewriteStats, rewrite_aig
-from .pipeline import OptimizationError, OptResult, PassStats, optimize
-from .rebuild import Rebuilder, balance, live_set
+from .pipeline import (OptimizationError, OptResult, PassStats, balance,
+                       optimize)
 
 __all__ = [
     "FraigStats",
@@ -45,6 +48,4 @@ __all__ = [
     "PassStats",
     "optimize",
     "balance",
-    "Rebuilder",
-    "live_set",
 ]

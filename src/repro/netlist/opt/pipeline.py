@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 from ...obs import get_tracer
 from ..aig import AIG, from_netlist, to_netlist
-from ..logic import Netlist
+from ..logic import Gate, GateType, Netlist
 from .fraig import FraigStats, fraig_sweep
-from .rebuild import balance
 from .rewrite import RewriteStats, rewrite_aig
 
 
@@ -39,6 +39,100 @@ _AIG_PASSES: dict[str, Callable[[AIG], tuple[AIG, dict]]] = {
     "rewrite": _rewrite,
     "fraig": _fraig,
 }
+
+
+#: Associative gate types whose two-input chains :func:`balance` rebuilds.
+_CHAIN_TYPES = (GateType.AND, GateType.OR, GateType.XOR)
+
+
+def _is_chain(gate: Gate) -> bool:
+    return gate.gtype in _CHAIN_TYPES and len(gate.fanins) == 2
+
+
+def balance(netlist: Netlist) -> Netlist:
+    """Rebuild two-input AND/OR/XOR chains as depth-minimal trees.
+
+    A chain gate is *absorbed* into its consumer when it has exactly one
+    use, the same gate type as the consumer, and two fanins, so no logic
+    is ever duplicated.  The operands of a chain are combined
+    lowest-level-first (Huffman style), which minimizes the depth of the
+    rebuilt tree.
+
+    The result is a fresh netlist holding only the live cone: everything
+    reachable backwards from the primary outputs, through flip-flop data
+    pins.  Every primary input is kept, in order, so input vectors stay
+    valid; unnamed flip-flops are named ``dff_<gid>``, because register
+    names are the correspondence key of the equivalence checker.
+    """
+    gates = netlist.gates
+    live = netlist.transitive_fanin(
+        (net for _, net in netlist.outputs), through_registers=True)
+    uses: dict[int, int] = {}
+    consumer: dict[int, int] = {}
+    for gid in live:
+        for fid in gates[gid].fanins:
+            uses[fid] = uses.get(fid, 0) + 1
+            consumer[fid] = gid
+    for _, net in netlist.outputs:
+        uses[net] = uses.get(net, 0) + 1
+        consumer.pop(net, None)
+    absorbed = {
+        gid for gid in live
+        if uses.get(gid) == 1 and gid in consumer and _is_chain(gates[gid])
+        and _is_chain(gates[consumer[gid]])
+        and gates[consumer[gid]].gtype == gates[gid].gtype
+    }
+
+    result = Netlist(name=netlist.name)
+    new: dict[int, int] = {}    # source net -> result net
+    level: dict[int, int] = {}  # result gate -> logic level (sources: 0)
+
+    def emit(gtype: GateType, fanins: tuple[int, ...],
+             name: Optional[str]) -> int:
+        gid = result.add_gate(gtype, fanins, name=name)
+        level[gid] = 1 + max(level.get(f, 0) for f in fanins)
+        return gid
+
+    for gid in netlist.inputs:
+        new[gid] = result.add_input(gates[gid].name)
+    # Flip-flops come first, on a placeholder data pin: their Q net may
+    # feed their own data cone.  Constant zero is created on first use.
+    registers = [gid for gid in netlist.registers if gid in live]
+    for gid in registers:
+        new[gid] = result.add_dff(result.const0(),
+                                  name=gates[gid].name or f"dff_{gid}")
+    for gid in netlist.topological_order():
+        if gid not in live or gid in new or gid in absorbed:
+            continue
+        gate = gates[gid]
+        if gate.gtype == GateType.CONST0:
+            new[gid] = result.const0()
+        elif gate.gtype == GateType.CONST1:
+            new[gid] = result.const1()
+        elif not _is_chain(gate):
+            new[gid] = emit(gate.gtype, tuple(new[f] for f in gate.fanins),
+                            gate.name)
+        else:
+            heap = []
+            stack = list(reversed(gate.fanins))
+            while stack:
+                fid = stack.pop()
+                if fid in absorbed:
+                    stack.extend(reversed(gates[fid].fanins))
+                else:
+                    heap.append((level.get(new[fid], 0), new[fid]))
+            heapq.heapify(heap)
+            while len(heap) > 1:
+                _, a = heapq.heappop(heap)
+                _, b = heapq.heappop(heap)
+                node = emit(gate.gtype, (a, b), None if heap else gate.name)
+                heapq.heappush(heap, (level[node], node))
+            new[gid] = heap[0][1]
+    for gid in registers:
+        result.set_fanins(new[gid], (new[gates[gid].fanins[0]],))
+    for name, net in netlist.outputs:
+        result.add_output(name, new[net])
+    return result
 
 
 @dataclass
@@ -132,8 +226,7 @@ def optimize(netlist: Netlist,
     ``"fraig"``: :func:`fraig_sweep`), and the result is raised back
     once.  Raising is canonical, not minimal, so the input is kept when
     the raised netlist has more gates or more levels.  A final
-    :func:`~repro.netlist.opt.rebuild.balance` shortens AND/OR/XOR
-    chains.
+    :func:`balance` shortens AND/OR/XOR chains.
 
     The input netlist is left untouched; the result is always a fresh
     netlist, and :attr:`OptResult.stats` records each step.

@@ -79,9 +79,9 @@ from typing import Optional
 
 from ...obs import attach_solver_progress, get_tracer
 from ..aig import AIG, insert_netlist
-from ..elaborate import _split_bit_name
 from ..logic import Netlist
-from ..sim import aig_signatures, elementary_words, simulate_compiled
+from ..sim import (_split_bit_name, aig_signatures, elementary_words,
+                   simulate_compiled)
 from .cnf import CNF, aig_lit_sat, encode_aig_cone
 from .preprocess import preprocess as simplify_cnf
 from .proof import ProofLog, check_drat

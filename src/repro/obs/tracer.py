@@ -131,11 +131,11 @@ class _LiveSpan:
         stack = self._tracer._stack()
         self._path = tuple(frame.name for frame in stack)
         stack.append(self)
-        self._start = self._tracer.clock() - self._tracer.epoch
+        self._start = time.perf_counter() - self._tracer.epoch
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        end = self._tracer.clock() - self._tracer.epoch
+        end = time.perf_counter() - self._tracer.epoch
         stack = self._tracer._stack()
         # Pop self even if interleaved misuse left later frames open.
         while stack and stack[-1] is not self:
@@ -165,10 +165,11 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, sink: Optional[Callable[[SpanRecord], None]] = None,
-                 clock: Callable[[], float] = time.perf_counter) -> None:
-        self.clock = clock
-        self.epoch = clock()
+    def __init__(self, sink: Optional[Callable[[SpanRecord], None]] = None
+                 ) -> None:
+        #: ``time.perf_counter()`` at construction; record times are
+        #: seconds since it.
+        self.epoch = time.perf_counter()
         self.records: list[SpanRecord] = []
         self.metrics = MetricsRegistry()
         self.timeseries: dict[str, TimeSeries] = {}
@@ -200,7 +201,7 @@ class Tracer:
         """Record a zero-duration event at the current nesting depth."""
         self._record(SpanRecord(
             name=name,
-            start=self.clock() - self.epoch,
+            start=time.perf_counter() - self.epoch,
             duration=None,
             path=tuple(frame.name for frame in self._stack()),
             tid=threading.get_ident(),
@@ -218,7 +219,7 @@ class Tracer:
         progress snapshots (conflict rate, mean LBD, trail depth, ...)
         become live search-behavior plots.
         """
-        t = self.clock() - self.epoch
+        t = time.perf_counter() - self.epoch
         series = self.timeseries.get(name)
         if series is None:
             with self._lock:
@@ -243,7 +244,7 @@ class Tracer:
             return
         if offset is None:
             end = max(r.start + (r.duration or 0.0) for r in records)
-            offset = (self.clock() - self.epoch) - end
+            offset = (time.perf_counter() - self.epoch) - end
         adopted = [
             SpanRecord(name=r.name, start=r.start + offset,
                        duration=r.duration, path=r.path,

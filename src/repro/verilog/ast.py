@@ -331,14 +331,6 @@ class Module(Node):
 
     # -- convenience accessors ------------------------------------------------
 
-    @property
-    def inputs(self) -> list[Port]:
-        return [p for p in self.ports if p.direction == "input"]
-
-    @property
-    def outputs(self) -> list[Port]:
-        return [p for p in self.ports if p.direction == "output"]
-
     def port(self, name: str) -> Optional[Port]:
         for p in self.ports:
             if p.name == name:
@@ -384,13 +376,6 @@ class Source(Node):
 
     def module_names(self) -> list[str]:
         return [mod.name for mod in self.modules]
-
-    def merge(self, other: "Source") -> "Source":
-        """Return a new Source with modules from both (other wins on clash)."""
-        by_name = {mod.name: mod for mod in self.modules}
-        for mod in other.modules:
-            by_name[mod.name] = mod
-        return Source(modules=list(by_name.values()))
 
 
 # ---------------------------------------------------------------------------

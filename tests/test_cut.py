@@ -278,28 +278,40 @@ def test_rewrite_cec_round_trip(name, source, top, params):
 
 
 #: Per design: the ``content_hash()`` of ``rewrite_aig`` on the elaborated
-#: AIG, then ``optimize()`` gates and levels.  The digests are pinned from
-#: the sorted-merge / cone-simulating rewriter; the bitmask kernel,
-#: carried truth tables and bounded probing must not move them.
+#: AIG, then ``optimize()`` gates and levels, then the ``content_hash()``
+#: of the optimized netlist.  The rewrite digests are pinned from the
+#: sorted-merge / cone-simulating rewriter; the bitmask kernel, carried
+#: truth tables and bounded probing must not move them.  The netlist
+#: digests pin the optimized netlists gate for gate, ids and names
+#: included, so a restructured ``balance`` must not move them either.
 PINNED = {
     "rca": ("2854d79834f8674e82b2829933105640150f5f7ef2f354bdffe951cdf03bf182",
-            20, 9),
+            20, 9,
+            "fabe8af80bbfcb09744eb66d4f5243cc154d0d141e67a6e4220fa9b32ae28dfa"),
     "alu": ("35ed6f1fe3009d65af27c71a3389dd426b2fe29ed59bdb404c27b9d174dd9063",
-            95, 18),
+            95, 18,
+            "a05c7bf99b59eeeda43c0949c19c88f855caa0c08e9461ab4a9a256ca75f9e93"),
     "alu_w8": ("2cc5a9978a6130f448d86c2fc0fba42a2608c7117fc479b61e5690df56cdd48e",
-               183, 27),
+               183, 27,
+               "d158e1a54eae67850368c84a89f2fe3046db230978689e771b3b104aa314b777"),
     "counter": ("1aa45d3c70386adfd5123dda22f30522b39b77f6735bc9df95746feefaccfa5a",
-                15, 5),
+                15, 5,
+                "2952665f6e1f9c579e02dc69131b8570010508b1c421e739a1c97958dbdd5d30"),
     "fsm": ("7ec2d3f89af0bf0874522a96bfecd88ba0cc3933f6deddbd26dd59fca113dfcd",
-            8, 4),
+            8, 4,
+            "5896a4d503d6af7fc43349c0488852fb237583fe9839bce66b318537ce6fc45e"),
     "muxtree": ("96ff6a2f62b6ee8dfd9e78efdda2bfcd4749871d34bb16b509cc7d0586733169",
-                7, 3),
+                7, 3,
+                "f6cb2c31824dfde86306a07d312f329034d54a20f8284564016791fe3a7526e1"),
     "shifter": ("1f845300ea5ba90ff5fd08894f71e261b0e7ef5df834f7163b2d101c7a633242",
-                143, 20),
+                143, 20,
+                "13fa58b564dc0d6f80f186e7d1396859c1a7e5fbbd3b92f83d79fcca94637828"),
     "forloop": ("7a88cd6f916b291965285375208e013d83fb552f31e9339f7b56440897ee6368",
-                0, 0),
+                0, 0,
+                "16e9339c7d7a26e16b2db9dd9bc35c8935216e91b74fc75a1df0e461c67431fc"),
     "shiftreg": ("56876afe53c0a6d0d0362ab997123c64bf78db7698c2351e4a9dcace51cd7968",
-                 0, 0),
+                 0, 0,
+                 "e5721d0ef3d0757861a82aa6dfe0d2b593086495a8da33109e4acfcf5c1e7061"),
 }
 
 
@@ -307,10 +319,11 @@ PINNED = {
 def test_rewrite_and_optimize_match_pinned_results(name, source, top,
                                                    params):
     netlist = elaborate(source, top=top, params=params)
-    digest, gates, levels = PINNED[name]
+    digest, gates, levels, optimized = PINNED[name]
     assert rewrite_aig(from_netlist(netlist)).content_hash() == digest
     result = optimize(netlist)
     assert (result.gates_after, result.levels_after) == (gates, levels)
+    assert result.netlist.content_hash() == optimized
 
 
 @pytest.mark.parametrize("name,source,top,params", DESIGNS, ids=DESIGN_IDS)

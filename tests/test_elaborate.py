@@ -454,6 +454,31 @@ def test_recursive_instantiation_diagnostic(source, top, module):
     assert str(info.value) == f"recursive instantiation of module '{module}'"
 
 
+#: (top parameter overrides, diagnostic) for overrides the top module
+#: cannot take; the interpreter and CLI tests reuse it.
+BAD_TOP_PARAMS = [
+    ({"Q": 2}, "cannot override unknown parameter 'Q' of top module 'p'"),
+    ({"L": 2}, "cannot override local parameter 'L' of top module 'p'"),
+]
+
+PARAMETERIZED = """
+module p #(parameter W = 2) (input [W-1:0] a, output [W-1:0] y);
+  localparam L = W + 1;
+  assign y = a;
+endmodule
+"""
+
+
+@pytest.mark.parametrize("params,message", BAD_TOP_PARAMS,
+                         ids=["unknown", "local"])
+def test_bad_top_parameter_diagnostic(params, message):
+    with pytest.raises(ElaborationError) as info:
+        elaborate(PARAMETERIZED, params=params)
+    assert str(info.value) == message
+    # A declared, overridable parameter is accepted.
+    assert elaborate(PARAMETERIZED, params={"W": 3}).num_inputs == 3
+
+
 def test_inout_port_diagnostic():
     with pytest.raises(ElaborationError, match="inout"):
         elaborate("module m(inout a); endmodule")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.netlist import Interpreter, InterpreterError
 
-from test_elaborate import RECURSIVE
+from test_elaborate import BAD_TOP_PARAMS, PARAMETERIZED, RECURSIVE
 
 
 def test_combinational_outputs_word_level():
@@ -62,6 +62,14 @@ def test_recursive_instantiation_diagnostic(source, top, module):
     with pytest.raises(InterpreterError) as info:
         Interpreter(source, top=top)
     assert str(info.value) == f"recursive instantiation of module '{module}'"
+
+
+@pytest.mark.parametrize("params,message", BAD_TOP_PARAMS,
+                         ids=["unknown", "local"])
+def test_bad_top_parameter_diagnostic(params, message):
+    with pytest.raises(InterpreterError) as info:
+        Interpreter(PARAMETERIZED, params=params)
+    assert str(info.value) == message
 
 
 def test_missing_input_diagnostic():

@@ -688,7 +688,7 @@ def test_adopt_stitches_foreign_spans():
     assert parent.records[0].path == ("solve",)
     # Default alignment: the foreign trace ends "now" on the parent's
     # clock, so no adopted span finishes in the parent's future.
-    now = parent.clock() - parent.epoch
+    now = time.perf_counter() - parent.epoch
     for record in parent.records:
         assert record.start + (record.duration or 0.0) <= now + 1e-6
 

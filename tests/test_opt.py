@@ -18,6 +18,7 @@ from repro.netlist import (
     GateType,
     elaborate,
     from_netlist,
+    simulate,
     simulate_sequence,
     to_netlist,
 )
@@ -25,7 +26,6 @@ from repro.netlist.opt import (
     OptimizationError,
     balance,
     fraig_sweep,
-    live_set,
     optimize,
     rewrite_aig,
 )
@@ -105,6 +105,30 @@ def _run_lanes(cycle, input_names, output_names, num_state, sequences):
     return results
 
 
+def _reference_step(netlist, vector, state):
+    """One word-level cycle through the per-gate reference simulator
+    :func:`repro.netlist.simulate`; returns ``(outputs, next_state)``."""
+    bits = {}
+    for name in netlist.input_names():
+        base, index = _split_bit_name(name)
+        bits[name] = (vector[base] >> index) & 1
+    outs, state = simulate(netlist, bits, state)
+    words = {}
+    for name, bit in outs.items():
+        base, index = _split_bit_name(name)
+        words[base] = words.get(base, 0) | (bit << index)
+    return words, state
+
+
+def _reference_sequence(netlist, vectors):
+    """``simulate_sequence`` on the per-gate reference simulator."""
+    state, results = {}, []
+    for vector in vectors:
+        outputs, state = _reference_step(netlist, vector, state)
+        results.append(outputs)
+    return results
+
+
 def _assert_equivalent(before, after):
     verdict = check_equivalence(before, after)
     assert verdict.equivalent, (
@@ -129,12 +153,12 @@ def test_pipeline_sat_equivalence(name, source, top, params):
 @pytest.mark.parametrize("name,source,top,params", DESIGNS, ids=DESIGN_IDS)
 def test_pipeline_randomized_cosim(name, source, top, params):
     """Optimized netlist (compiled engine) vs the original netlist run by
-    the per-gate interpreter, which stays on as the cross-check oracle."""
+    the per-gate reference simulator."""
     netlist = elaborate(source, top=top, params=params)
     optimized = optimize(netlist).netlist
     vectors = _random_vectors(netlist, 64, seed=hash(name) & 0xFFFF)
     assert simulate_sequence(optimized, vectors) == \
-        simulate_sequence(netlist, vectors, engine="interp")
+        _reference_sequence(netlist, vectors)
 
 
 @pytest.mark.parametrize("name,source,top,params", DESIGNS, ids=DESIGN_IDS)
@@ -355,15 +379,21 @@ def test_balance_handles_very_long_chains_iteratively():
     assert out.num_gates == netlist.num_gates
 
 
-def test_live_set_traverses_register_data_cones():
+def test_balance_keeps_register_data_cones():
+    """The live cone runs through flip-flop data pins: a register read
+    only by its own next-state logic survives with its data gate."""
     netlist = Netlist("t")
     d = netlist.add_input("d")
     ff = netlist.add_dff(netlist.const0(), name="ff")
     netlist.set_fanins(ff, (netlist.make_xor(ff, d),))
     netlist.add_output("q", ff)
-    live = live_set(netlist)
-    assert ff in live
-    assert netlist.gate(ff).fanins[0] in live
+    out = balance(netlist)
+    (reg,) = out.registers
+    assert out.gate(reg).name == "ff"
+    data = out.gate(out.gate(reg).fanins[0])
+    assert data.gtype == GateType.XOR and set(data.fanins) == \
+        {reg, out.input_net("d")}
+    _assert_equivalent(netlist, out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Tests for the compiled bit-parallel simulation engine (repro.netlist.sim).
 
-The compiled engine (``simulate_sequence`` / ``simulate_vectors`` by
-default) is property-tested against two independent oracles on every
-design the elaborator suite exercises: the per-gate interpreter
-(``logic.simulate`` via ``engine="interp"``) and the AST-level vector
-``Interpreter``.  Packed (multi-lane) runs of the compiled function are
-additionally checked lane-by-lane against sequential runs for the pack
-widths 1, 7, 64 and 256.
+The compiled engine (behind ``simulate_sequence`` / ``simulate_vectors``)
+is property-tested against two independent oracles on every design the
+elaborator suite exercises: the per-gate reference simulator
+(``logic.simulate``, driven word-wise by ``test_opt._reference_sequence``)
+and the AST-level vector ``Interpreter``.  Packed (multi-lane) runs of the
+compiled function are additionally checked lane-by-lane against sequential
+runs for the pack widths 1, 7, 64 and 256.
 """
 
 import random
@@ -27,7 +27,14 @@ from repro.netlist import (
 )
 from repro.netlist.opt import optimize
 
-from test_opt import DESIGN_IDS, DESIGNS, _random_vectors, _run_lanes
+from test_opt import (
+    DESIGN_IDS,
+    DESIGNS,
+    _random_vectors,
+    _reference_sequence,
+    _reference_step,
+    _run_lanes,
+)
 
 PACK_WIDTHS = [1, 7, 64, 256]
 
@@ -39,12 +46,11 @@ PACK_WIDTHS = [1, 7, 64, 256]
 
 @pytest.mark.parametrize("name,source,top,params", DESIGNS, ids=DESIGN_IDS)
 def test_compiled_matches_both_oracles(name, source, top, params):
-    """Compiled == per-gate interpreter == AST interpreter, cycle by cycle."""
+    """Compiled == per-gate simulator == AST interpreter, cycle by cycle."""
     netlist = elaborate(source, top=top, params=params)
     vectors = _random_vectors(netlist, 48, seed=hash(name) & 0xFFFF)
     compiled_out = simulate_sequence(netlist, vectors)
-    assert compiled_out == simulate_sequence(netlist, vectors,
-                                             engine="interp")
+    assert compiled_out == _reference_sequence(netlist, vectors)
     assert compiled_out == Interpreter(source, top=top, params=params) \
         .run(vectors)
 
@@ -55,8 +61,7 @@ def test_compiled_matches_oracles_on_optimized_netlist(name, source, top,
     optimized = optimize(elaborate(source, top=top, params=params)).netlist
     vectors = _random_vectors(optimized, 32, seed=len(name))
     compiled_out = simulate_sequence(optimized, vectors)
-    assert compiled_out == simulate_sequence(optimized, vectors,
-                                             engine="interp")
+    assert compiled_out == _reference_sequence(optimized, vectors)
     assert compiled_out == Interpreter(source, top=top, params=params) \
         .run(vectors)
 
@@ -108,24 +113,9 @@ def test_simulate_vectors_engines_agree():
     state_i: dict = {}
     for vector in vectors:
         out_c, state_c = simulate_vectors(netlist, vector, state_c)
-        out_i, state_i = simulate_vectors(netlist, vector, state_i,
-                                          engine="interp")
+        out_i, state_i = _reference_step(netlist, vector, state_i)
         assert out_c == out_i
         assert state_c == state_i
-
-
-def test_unknown_engine_rejected():
-    netlist = elaborate("module m(input a, output y); assign y = a; endmodule")
-    # The diagnostic must name the valid engines, and fire before any
-    # work happens (even an empty sequence validates its engine).
-    with pytest.raises(ValueError,
-                       match=r"unknown simulation engine 'verilator' "
-                             r"\(valid engines: 'compiled', 'interp'\)"):
-        simulate_vectors(netlist, {"a": 1}, engine="verilator")
-    with pytest.raises(ValueError, match="'compiled', 'interp'"):
-        simulate_sequence(netlist, [{"a": 1}], engine="verilator")
-    with pytest.raises(ValueError, match="valid engines"):
-        simulate_sequence(netlist, [], engine="")
 
 
 # ---------------------------------------------------------------------------

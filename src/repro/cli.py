@@ -177,14 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
              "exhaustively simulated miter) to FILE during --check "
              "(implies --check)")
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="solve the miter's root pairs in up to N (>= 1) worker "
-             "processes during --check (fanin-cone-balanced partitions; "
-             "the first refuting worker cancels its siblings, and "
-             "--certify still RUP-checks every worker's proof); "
-             "--solve-log keeps the solve in one process, because its "
-             "DRAT stream cannot cross processes")
-    parser.add_argument(
         "--cache", metavar="DIR",
         help="consult (and fill) the content-hash result cache in DIR "
              "before solving during --check — the same cache the "
@@ -303,8 +295,8 @@ def _execute(args, out, tracer) -> int:
     """The traced body of :func:`run`; returns the exit code."""
     if args.cycles is not None and args.cycles < 1:
         raise CLIError("--cycles expects a positive integer")
-    if args.jobs < 1:
-        raise CLIError("--jobs expects a positive integer")
+    if args.map_k is not None and not 2 <= args.map_k <= 6:
+        raise CLIError("--map expects a LUT size K between 2 and 6")
     source = _read_source(args.source)
     params = _parse_params(args.param)
     do_check = (args.check or args.certify or bool(args.solve_log)
@@ -361,8 +353,6 @@ def _execute(args, out, tracer) -> int:
                 raise CLIError(
                     f"cannot write '{args.solve_log}': "
                     f"{exc.strerror}") from exc
-            # The streamed log keeps the solve in this process;
-            # --certify alone lets every --jobs worker certify its shard.
             proof = ProofLog(stream=log_handle)
         # The on-disk content-hash cache (shared with repro.server):
         # when the exact pair + options was verified before, serve the
@@ -385,8 +375,7 @@ def _execute(args, out, tracer) -> int:
         if eq_report is None:
             try:
                 verdict = check_equivalence(
-                    lhs, rhs, certify=args.certify, proof=proof,
-                    jobs=args.jobs)
+                    lhs, rhs, certify=args.certify, proof=proof)
             except CECError as exc:
                 raise CLIError(str(exc)) from exc
             finally:
@@ -413,8 +402,6 @@ def _execute(args, out, tracer) -> int:
         report["simulation"] = _throughput(final, args.cycles, args.seed)
     emit_netlist = final
     if args.map_k is not None:
-        if not 2 <= args.map_k <= 6:
-            raise CLIError("--map expects a LUT size K between 2 and 6")
         mapped = map_aig(from_netlist(final), k=args.map_k)
         report["mapping"] = mapped.to_report()
         if args.emit:

@@ -337,31 +337,20 @@ class AIG:
     # -- serialization ------------------------------------------------------
 
     def _codec_state(self) -> tuple:
-        """Compact tuple codec: the parallel node arrays plus interface
-        lists, nothing derived.  The unique table, name indexes and the
-        compiled-simulator/signature caches are rebuilt on restore — the
-        caches hold ``exec``-generated closures that cannot (and need
-        not) cross a process boundary.
+        """Compact tuple behind :meth:`to_bytes`: the parallel node arrays
+        plus interface lists, nothing derived (the unique table, name
+        indexes and the compiled-simulator/signature caches are left
+        out).
         """
         return (self.name, tuple(self._kind), tuple(self._fanin0),
                 tuple(self._fanin1), tuple(self._name),
                 tuple(self.inputs), tuple(self.latches),
                 tuple(self.outputs), tuple(sorted(self._next.items())))
 
-    def __reduce__(self):
-        return _aig_from_state, (self._codec_state(),)
-
     def to_bytes(self) -> bytes:
-        """Canonical byte serialization (the :meth:`content_hash` preimage
-        and on-disk design-library format)."""
+        """Canonical byte serialization (the :meth:`content_hash`
+        preimage)."""
         return repr(self._codec_state()).encode("utf-8")
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "AIG":
-        """Inverse of :meth:`to_bytes` (``ast.literal_eval`` — the payload
-        is parsed as literals, never executed)."""
-        import ast
-        return _aig_from_state(ast.literal_eval(data.decode("utf-8")))
 
     def content_hash(self) -> str:
         """Stable structural content hash (hex SHA-256 of :meth:`to_bytes`),
@@ -377,35 +366,6 @@ class AIG:
         return (f"AIG({self.name!r}, inputs={self.num_inputs}, "
                 f"outputs={self.num_outputs}, ands={self.num_ands}, "
                 f"latches={self.num_latches})")
-
-
-def _aig_from_state(state: tuple) -> AIG:
-    """Rebuild an :class:`AIG` from :meth:`AIG._codec_state`, regenerating
-    the unique table and name indexes (module-level so pickles are data,
-    not class-dict snapshots)."""
-    (name, kind, fanin0, fanin1, names, inputs, latches, outputs,
-     next_items) = state
-    aig = AIG(name=name)
-    aig._kind = list(kind)
-    aig._fanin0 = list(fanin0)
-    aig._fanin1 = list(fanin1)
-    aig._name = list(names)
-    aig.inputs = list(inputs)
-    aig.latches = list(latches)
-    aig.outputs = [(oname, lit) for oname, lit in outputs]
-    aig._next = dict(next_items)
-    aig._table = {
-        (fanin0[nid], fanin1[nid]): nid << 1
-        for nid in range(len(kind)) if kind[nid] == _AND
-    }
-    aig._input_index = {
-        names[nid] or f"pi_{nid}": nid for nid in aig.inputs
-    }
-    aig._output_index = {oname: lit for oname, lit in aig.outputs}
-    aig._latch_index = {
-        names[nid] or f"latch_{nid}": nid for nid in aig.latches
-    }
-    return aig
 
 
 # ---------------------------------------------------------------------------

@@ -404,14 +404,13 @@ class Netlist:
     # -- serialization ------------------------------------------------------------
 
     def _codec_state(self) -> tuple:
-        """The compact tuple codec behind pickling and content hashing.
+        """The compact tuple behind :meth:`to_bytes` and content hashing.
 
         Carries only the structural identity of the netlist — gates (in id
         order), primary inputs/outputs, the id counter and the interned
         constant nets.  Derived artifacts (topological order, register
         cache, the compiled-simulator closure, optimizer statistics) are
-        deliberately dropped: they are cheap to rebuild and some (the
-        compiled ``exec`` closure) cannot cross a process boundary at all.
+        left out: they do not change what the netlist computes.
         """
         gates = tuple(
             (gate.gid, gate.gtype.value, gate.fanins, gate.name)
@@ -420,29 +419,15 @@ class Netlist:
         return (self.name, gates, tuple(self.inputs), tuple(self.outputs),
                 self._next_id, self._const0, self._const1)
 
-    def __reduce__(self):
-        return _netlist_from_state, (self._codec_state(),)
-
     def to_bytes(self) -> bytes:
         """Canonical byte serialization of the structural identity.
 
         Deterministic for a given structure (gate ids are assigned in
         elaboration order, which is itself deterministic), so two
         elaborations of the same source produce identical bytes.  This is
-        the on-disk design-library format and the preimage of
-        :meth:`content_hash`.
+        the preimage of :meth:`content_hash`.
         """
         return repr(self._codec_state()).encode("utf-8")
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Netlist":
-        """Inverse of :meth:`to_bytes`.
-
-        The payload is a ``repr``-encoded codec tuple of ints, strings and
-        ``None`` — parsed with :func:`ast.literal_eval`, never executed.
-        """
-        import ast
-        return _netlist_from_state(ast.literal_eval(data.decode("utf-8")))
 
     def content_hash(self) -> str:
         """Stable structural content hash (hex SHA-256 of :meth:`to_bytes`).
@@ -465,40 +450,14 @@ class Netlist:
                 f"registers={self.num_registers})")
 
 
-def _netlist_from_state(state: tuple) -> Netlist:
-    """Rebuild a :class:`Netlist` from its :meth:`Netlist._codec_state`.
-
-    Module-level so pickles stay small and version-tolerant (the codec
-    tuple is data, not a class dict snapshot); indexes and caches are
-    reconstructed rather than shipped.
-    """
-    name, gates, inputs, outputs, next_id, const0, const1 = state
-    netlist = Netlist(name=name)
-    for gid, gtype, fanins, gname in gates:
-        netlist.gates[gid] = Gate(gid=gid, gtype=GateType(gtype),
-                                  fanins=tuple(fanins), name=gname)
-    netlist.inputs = list(inputs)
-    netlist.outputs = [(oname, net) for oname, net in outputs]
-    netlist._next_id = next_id
-    netlist._const0 = const0
-    netlist._const1 = const1
-    netlist._input_index = {
-        netlist.gates[gid].name or f"pi_{gid}": gid for gid in netlist.inputs
-    }
-    netlist._output_index = {oname: net for oname, net in netlist.outputs}
-    return netlist
-
-
 def simulate(netlist: Netlist, input_values: dict[str, int],
-             state: Optional[dict[int, int]] = None,
-             order: Optional[list[int]] = None) -> tuple[dict[str, int], dict[int, int]]:
+             state: Optional[dict[int, int]] = None
+             ) -> tuple[dict[str, int], dict[int, int]]:
     """Evaluate one combinational cycle of a netlist.
 
     ``input_values`` maps primary-input names to 0/1.  ``state`` maps register
-    gate ids to their current Q value (defaults to all zero).  ``order`` may
-    supply a precomputed topological order (from
-    :meth:`Netlist.topological_order`) so multi-cycle drivers skip even the
-    cache lookup.  Returns the output values and the next register state.
+    gate ids to their current Q value (defaults to all zero).  Returns the
+    output values and the next register state.
     """
     values: dict[int, int] = {}
     # ``state`` is only read, never written, so no defensive copy is needed.
@@ -510,9 +469,7 @@ def simulate(netlist: Netlist, input_values: dict[str, int],
             raise NetlistError(f"missing value for input '{name}'")
         values[gid] = int(bool(input_values[name]))
 
-    if order is None:
-        order = netlist.topological_order()
-    for gid in order:
+    for gid in netlist.topological_order():
         gate = netlist.gates[gid]
         if gate.gtype == GateType.INPUT:
             continue

@@ -1,5 +1,8 @@
 """SAT machinery for the netlist IR: Tseitin CNF encoding of AIG cones, a
 small CDCL solver, and miter-based combinational equivalence checking.
+Every miter is decided in the calling process: the root pairs that
+hashing, simulation and sweeping leave open go to one solver over one
+CNF.
 
 Typical use::
 
@@ -25,12 +28,10 @@ from .cec import (
     CECError,
     Counterexample,
     EquivalenceResult,
-    ShardVerdict,
     check_equivalence,
     replay_counterexample,
 )
 from .cnf import CNF, aig_lit_sat, encode_aig_cone
-from .partition import extract_cone, partition_pairs, solve_pairs_parallel
 from .preprocess import PreprocessResult, PreprocessStats, preprocess
 from .proof import (
     DratCheckResult,
@@ -45,15 +46,11 @@ __all__ = [
     "CECError",
     "Counterexample",
     "EquivalenceResult",
-    "ShardVerdict",
     "check_equivalence",
     "replay_counterexample",
     "CNF",
     "aig_lit_sat",
     "encode_aig_cone",
-    "extract_cone",
-    "partition_pairs",
-    "solve_pairs_parallel",
     "PreprocessResult",
     "PreprocessStats",
     "preprocess",

@@ -167,8 +167,7 @@ class EquivalenceResult:
     #: Wall time spent building the miter (lowering, simulation checks,
     #: Tseitin encoding, cube-tree proof) vs solving it.  Variable
     #: elimination counts in neither: its time is
-    #: ``preprocessor["seconds"]``.  With a process pool the encode and
-    #: solve times are the slowest shard's.
+    #: ``preprocessor["seconds"]``.
     encode_seconds: float = 0.0
     solve_seconds: float = 0.0
     #: Size of the CNF handed to the solver (before variable
@@ -204,13 +203,6 @@ class EquivalenceResult:
     #: :class:`~repro.netlist.sat.preprocess.PreprocessStats` counters as
     #: a dict when the miter reached the solve, else None.
     preprocessor: Optional[dict] = None
-    #: Worker-process count requested (``jobs=``) and the number of
-    #: miter partitions the process pool solved.  Both stay at 1 / 0
-    #: when the staged pipeline settled the verdict before the solve
-    #: (hash/sim/sweep-proven, simulation-refuted) or the solve ran in
-    #: process.
-    jobs: int = 1
-    partitions: int = 0
 
     def __bool__(self) -> bool:
         return self.equivalent
@@ -220,10 +212,10 @@ class EquivalenceResult:
         """The verdict as the JSON-ready ``equivalence`` report dict.
 
         One shape shared by every frontend (CLI ``--json`` and the
-        ``repro.server`` daemon), so parallel and serial
-        runs — and daemon and one-shot runs — are field-for-field
-        comparable.  ``include_proof`` defaults to ``certify``; pass True
-        to include the proof block for an uncertified-but-logged run.
+        ``repro.server`` daemon), so daemon and one-shot runs are
+        field-for-field comparable.  ``include_proof`` defaults to
+        ``certify``; pass True to include the proof block for an
+        uncertified-but-logged run.
         """
         report = {
             "equivalent": self.equivalent,
@@ -239,8 +231,6 @@ class EquivalenceResult:
             "sim_proven": self.sim_proven,
             "refuted_by_simulation": self.refuted_by_simulation,
             "preprocessor": self.preprocessor,
-            "jobs": self.jobs,
-            "partitions": self.partitions,
         }
         if include_proof is None:
             include_proof = certify
@@ -584,46 +574,22 @@ def _certify_exhaustive(result: EquivalenceResult, aig: AIG,
         result.proof_check_seconds = time.perf_counter() - start
 
 
-@dataclass
-class ShardVerdict:
-    """Stage-3/4 outcome for one group of root pairs (:func:`_solve_shard`).
-
-    Plain picklable data, so it crosses the process boundary unchanged
-    when the shard was solved by a pool worker.
-    """
-
-    satisfiable: bool
-    #: Named input / state assignment of the model (SAT only).
-    inputs: Optional[dict[str, int]] = None
-    state: Optional[dict[str, int]] = None
-    stats: SolverStats = field(default_factory=SolverStats)
-    cnf_vars: int = 0
-    cnf_clauses: int = 0
-    encode_seconds: float = 0.0
-    solve_seconds: float = 0.0
-    preprocessor: Optional[dict] = None
-    proof_checked: Optional[bool] = None
-    proof_clauses: int = 0
-    proof_bytes: int = 0
-    proof_check_seconds: float = 0.0
-
-
-def _solve_shard(aig: AIG, pairs: list[tuple[int, int]],
-                 in_lits: dict[str, int], st_lits: dict[str, int],
-                 sigs, mask: int, num_patterns: int, *,
-                 certify: bool,
-                 proof: Optional[ProofLog] = None) -> ShardVerdict:
+def _solve(result: EquivalenceResult, aig: AIG,
+           pairs: list[tuple[int, int]],
+           in_lits: dict[str, int], st_lits: dict[str, int],
+           sigs, mask: int, num_patterns: int, *,
+           certify: bool, proof: Optional[ProofLog]
+           ) -> Optional[tuple[dict[str, int], dict[str, int]]]:
     """Stages 3–4 for the root ``pairs`` of ``aig``: encode, eliminate
     variables, seeded solve, model reconstruction and DRAT check.
 
-    The one place the top-level miter is solved: :func:`check_equivalence`
-    calls it in-process on the whole miter, and every pool worker of
-    :func:`~repro.netlist.sat.partition.solve_pairs_parallel` calls it on
-    its copy of one group's cone.  ``sigs`` are the packed node
-    signatures of ``aig`` under ``num_patterns`` stimulus patterns (None
-    disables phase/activity seeding).  ``proof`` is the log to write into;
-    under ``certify`` one is created when None, and an UNSAT verdict is
-    checked against the shard's original (pre-elimination) CNF.
+    The counters go straight into ``result``.  Returns the named
+    ``(inputs, state)`` assignment of a SAT model, or None on UNSAT.
+    ``sigs`` are the packed node signatures of ``aig`` under
+    ``num_patterns`` stimulus patterns (None disables phase/activity
+    seeding).  ``proof`` is the log to write into; under ``certify`` one
+    is created when None, and an UNSAT verdict is checked against the
+    original (pre-elimination) CNF.
     """
     tracer = get_tracer()
     start = time.perf_counter()
@@ -632,9 +598,9 @@ def _solve_shard(aig: AIG, pairs: list[tuple[int, int]],
         var_map, input_vars, state_vars = _encode_pairs(
             cnf, aig, pairs, in_lits, st_lits)
         span.set(cnf_vars=cnf.num_vars, cnf_clauses=len(cnf.clauses))
-    shard = ShardVerdict(False, cnf_vars=cnf.num_vars,
-                         cnf_clauses=len(cnf.clauses),
-                         encode_seconds=time.perf_counter() - start)
+    result.cnf_vars = cnf.num_vars
+    result.cnf_clauses = len(cnf.clauses)
+    result.encode_seconds += time.perf_counter() - start
 
     if certify and proof is None:
         proof = ProofLog()
@@ -648,11 +614,12 @@ def _solve_shard(aig: AIG, pairs: list[tuple[int, int]],
         pre = simplify_cnf(cnf.num_vars, cnf.clauses,
                            frozen=frozen, proof=proof)
         pp_span.set(clauses_out=len(pre.clauses), unsat=pre.unsat)
-    shard.preprocessor = pre.stats.to_dict()
+    result.preprocessor = pre.stats.to_dict()
 
     # When elimination alone derived the empty clause the proof already
     # ends in it: no search, and certification proceeds as for any other
     # UNSAT verdict.
+    model = None
     if not pre.unsat:
         start = time.perf_counter()
         with tracer.span("cec.solve", cnf_vars=cnf.num_vars,
@@ -665,38 +632,37 @@ def _solve_shard(aig: AIG, pairs: list[tuple[int, int]],
                 # structure say the action is.
                 _seed_solver(solver, var_map, aig, sigs, mask, num_patterns)
             attach_solver_progress(solver, tracer)
-            result = solver.solve()
-            solve_span.set(satisfiable=result.satisfiable,
-                           conflicts=result.stats.conflicts)
-        shard.solve_seconds = time.perf_counter() - start
-        shard.stats = result.stats
-        shard.satisfiable = result.satisfiable
-        if result.satisfiable:
+            outcome = solver.solve()
+            solve_span.set(satisfiable=outcome.satisfiable,
+                           conflicts=outcome.stats.conflicts)
+        result.solve_seconds = time.perf_counter() - start
+        result.solver_stats = outcome.stats
+        if outcome.satisfiable:
             # Eliminated variables are re-valued by replaying the
             # elimination stack.
-            model = pre.reconstruct(result.model)
-            shard.inputs = {name: int(model.get(var, False))
-                            for name, var in input_vars.items()}
-            shard.state = {name: int(model.get(var, False))
-                           for name, var in state_vars.items()}
+            full = pre.reconstruct(outcome.model)
+            model = ({name: int(full.get(var, False))
+                      for name, var in input_vars.items()},
+                     {name: int(full.get(var, False))
+                      for name, var in state_vars.items()})
 
     if proof is not None:
-        shard.proof_clauses = proof.num_added
-        shard.proof_bytes = proof.size_bytes()
-    if certify and not shard.satisfiable:
+        # Added to the sweep's merge-proof totals, if any.
+        result.proof_clauses += proof.num_added
+        result.proof_bytes += proof.size_bytes()
+    if certify and model is None:
         start = time.perf_counter()
         with tracer.span("cec.certify", lemmas=proof.num_added):
-            shard.proof_checked = check_drat(cnf, proof).ok
-        shard.proof_check_seconds = time.perf_counter() - start
-    return shard
+            result.proof_checked = check_drat(cnf, proof).ok
+        result.proof_check_seconds += time.perf_counter() - start
+    return model
 
 
 def check_equivalence(before: Netlist, after: Netlist,
                       certify: bool = False,
                       proof: Optional[ProofLog] = None,
                       *,
-                      sim_patterns: int = 64,
-                      jobs: int = 1) -> EquivalenceResult:
+                      sim_patterns: int = 64) -> EquivalenceResult:
     """Prove or refute the equivalence of two netlists.
 
     Equivalence means: identical values on every primary output and on the
@@ -714,32 +680,21 @@ def check_equivalence(before: Netlist, after: Netlist,
     reconstruct); the result's ``preprocessor`` dict carries the
     elimination counters.
 
-    Pipeline knobs (keyword-only):
-
-    * ``sim_patterns`` — width of the packed random stimulus (seeded
-      with :data:`_SIM_SEED`) used by the simulation checks, the sweep,
-      and phase seeding.  When the miter's signatures over every leaf
-      assignment fit :data:`_EXHAUSTIVE_BITS` (:data:`_CUBE_BITS` when
-      DRAT evidence is requested) stage 1 simulates all ``2**n``
-      assignments instead: it refutes or proves every differing pair
-      (``sim_proven``), and nothing after it runs.  Otherwise the
-      shared miter AIG is SAT-swept before encoding when its differing
-      cones are large and dense with simulation-candidate merges
-      (:func:`_sweep_worthwhile`); sweep-proven root pairs are counted
-      in ``sweep_proven`` and skip the top-level solve.
-      ``sim_patterns=0`` disables the simulation stage, exhaustive or
-      not, and everything fed by its signatures (the sweep, phase and
-      activity seeding), so every differing pair goes to the solver.
-    * ``jobs`` — with ``jobs > 1`` (and no caller-supplied ``proof``)
-      the root pairs surviving stages 1–2 are split into
-      fanin-cone-balanced groups, and each group runs the same stage-3/4
-      shard solve in one of up to ``jobs`` worker processes
-      (:mod:`~repro.netlist.sat.partition`).  The verdict is identical
-      to the in-process solve: the first refuting worker cancels its
-      siblings, and under ``certify=True`` every worker RUP-checks its
-      own shard's proof (``proof_checked`` is True only if all of them
-      pass).  The result's ``jobs``/``partitions`` fields report the
-      fan-out.
+    ``sim_patterns`` (keyword-only) is the width of the packed random
+    stimulus (seeded with :data:`_SIM_SEED`) used by the simulation
+    checks, the sweep, and phase seeding.  When the miter's signatures
+    over every leaf assignment fit :data:`_EXHAUSTIVE_BITS`
+    (:data:`_CUBE_BITS` when DRAT evidence is requested) stage 1
+    simulates all ``2**n`` assignments instead: it refutes or proves
+    every differing pair (``sim_proven``), and nothing after it runs.
+    Otherwise the shared miter AIG is SAT-swept before encoding when its
+    differing cones are large and dense with simulation-candidate merges
+    (:func:`_sweep_worthwhile`); sweep-proven root pairs are counted in
+    ``sweep_proven`` and skip the top-level solve.  ``sim_patterns=0``
+    disables the simulation stage, exhaustive or not, and everything fed
+    by its signatures (the sweep, phase and activity seeding), so every
+    differing pair goes to the solver.  The pairs left after stages 1–2
+    are solved together, in this process, by one solver over one CNF.
 
     ``certify=True`` turns on DRAT proof logging and, on an UNSAT
     verdict, replays the proof through the independent RUP checker
@@ -904,67 +859,25 @@ def check_equivalence(before: Netlist, after: Netlist,
                                _pattern(words, latch_lits, bit),
                                by_simulation=True)
 
-        # Stages 3–4, once per shard: in-process on the whole miter, or
-        # with ``jobs > 1`` on fanin-cone-balanced groups in worker
-        # processes.  A caller-supplied proof log (a shared on-disk DRAT
-        # stream) cannot cross the process boundary, so it keeps the
-        # solve in this process.
-        if jobs > 1 and len(pairs) > 1 and proof is None:
-            # Imported lazily: partition imports this module.
-            from .partition import solve_pairs_parallel
-            words_by_name = None
-            if num_patterns > 0:
-                words_by_name = {
-                    name: words[lit >> 1]
-                    for name, lit in (*pi_lits.items(),
-                                      *latch_lits.items())
-                }
-            with tracer.span("cec.parallel", jobs=jobs,
-                             pairs=len(pairs)) as par_span:
-                shards, result.partitions = solve_pairs_parallel(
-                    work_aig, pairs, in_lits, st_lits, jobs,
-                    words_by_name, num_patterns, certify=certify)
-                par_span.set(partitions=result.partitions)
-            result.jobs = jobs
-        else:
-            shards = [_solve_shard(work_aig, pairs, in_lits, st_lits, sigs,
-                                   mask, num_patterns, certify=certify,
-                                   proof=proof)]
-
-        # One tail for every shard layout: the slowest shard's times,
-        # summed sizes and counters.
-        for shard in shards:
-            result.solver_stats.accumulate(shard.stats)
-            result.cnf_vars += shard.cnf_vars
-            result.cnf_clauses += shard.cnf_clauses
-            result.proof_clauses += shard.proof_clauses
-            result.proof_bytes += shard.proof_bytes
-            result.proof_check_seconds += shard.proof_check_seconds
-        result.encode_seconds += max(shard.encode_seconds
-                                     for shard in shards)
-        result.solve_seconds = max(shard.solve_seconds for shard in shards)
-        result.preprocessor = {
-            key: sum(shard.preprocessor[key] for shard in shards)
-            for key in shards[0].preprocessor}
+        # Stages 3–4: one solve over every surviving pair.
+        model = _solve(result, work_aig, pairs, in_lits, st_lits, sigs,
+                       mask, num_patterns, certify=certify, proof=proof)
         cec_span.set(cnf_clauses=result.cnf_clauses)
         if tracer.enabled:
             tracer.metrics.histogram("cec.solve_seconds").observe(
                 result.solve_seconds)
-        refuting = next((shard for shard in shards if shard.satisfiable),
-                        None)
-        if refuting is None:
-            if certify:
-                result.proof_checked = (
-                    all(shard.proof_checked for shard in shards)
-                    and (sweep_stats is None
-                         or sweep_stats.proofs_failed == 0))
+        if model is None:
+            if (certify and sweep_stats is not None
+                    and sweep_stats.proofs_failed):
+                result.proof_checked = False
             cec_span.set(equivalent=True)
             return result
         # Inputs outside every encoded cone carry no CNF variable, so
         # the replay defaults them to 0.
+        model_inputs, model_state = model
         inputs = {name: 0 for name in before.input_names()}
-        inputs.update(refuting.inputs)
-        _refute(result, before, after, inputs, refuting.state,
+        inputs.update(model_inputs)
+        _refute(result, before, after, inputs, model_state,
                 by_simulation=False)
         cec_span.set(equivalent=False)
         return result

@@ -401,7 +401,7 @@ def aig_signatures(aig: AIG, inputs: Sequence[int], state: Sequence[int],
     ``inputs`` / ``state`` follow ``aig.inputs`` / ``aig.latches`` order;
     each int packs one stimulus pattern per bit under ``mask``.  The result
     is indexed by node id and holds each node's (positive-literal) value —
-    the simulation *signature* FRAIG partitions candidate-equivalence
+    the simulation *signature* FRAIG groups candidate-equivalence
     classes by.  One :func:`packed_eval` sweep over the node array: the
     same word-packing core computes cut truth tables when fed
     :func:`elementary_words` instead of random stimulus.

@@ -226,25 +226,23 @@ class Tracer:
                 series = self.timeseries.setdefault(name, TimeSeries(name))
         series.append(t, value)
 
-    def adopt(self, records: list[SpanRecord], tid: Optional[int] = None,
-              offset: Optional[float] = None) -> None:
+    def adopt(self, records: list[SpanRecord],
+              tid: Optional[int] = None) -> None:
         """Stitch spans recorded by *another* tracer into this timeline.
 
-        The multiprocessing paths (partitioned CEC, the server's job
-        pool) run each worker under its own :class:`Tracer` and ship the
-        picklable :class:`SpanRecord` rows back to the parent, which
-        adopts them so one export shows the whole fan-out.  ``offset``
-        shifts the foreign epoch-relative starts onto this tracer's
-        clock; by default the foreign trace is aligned to end *now* (the
-        parent adopts right after collecting the worker's result).
-        ``tid`` relabels the records' thread id so exporters draw each
-        worker on its own track instead of colliding with parent threads.
+        The server's job pool runs each worker under its own
+        :class:`Tracer` and ships the picklable :class:`SpanRecord` rows
+        back to the parent, which adopts them so one export shows the
+        whole fan-out.  The foreign trace is shifted onto this tracer's
+        clock so that it ends *now* (the parent adopts right after
+        collecting the worker's result).  ``tid`` relabels the records'
+        thread id so exporters draw each worker on its own track instead
+        of colliding with parent threads.
         """
         if not records:
             return
-        if offset is None:
-            end = max(r.start + (r.duration or 0.0) for r in records)
-            offset = (time.perf_counter() - self.epoch) - end
+        end = max(r.start + (r.duration or 0.0) for r in records)
+        offset = (time.perf_counter() - self.epoch) - end
         adopted = [
             SpanRecord(name=r.name, start=r.start + offset,
                        duration=r.duration, path=r.path,

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import run
 
 from test_elaborate import BAD_TOP_PARAMS, PARAMETERIZED, RECURSIVE
@@ -246,11 +247,16 @@ def test_bad_cycles_diagnostic(alu_file, capsys):
     assert "positive integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_bad_jobs_diagnostic(alu_file, jobs, capsys):
-    assert run([alu_file, "--check", "--jobs", jobs]) == 1
+def test_bad_map_rejected_before_any_work(alu_file, capsys, monkeypatch):
+    # The LUT size is checked up front, like --cycles: no elaboration,
+    # optimization or CEC runs for a run that cannot finish.
+    def no_check(*args, **kwargs):
+        raise AssertionError("check_equivalence called")
+
+    monkeypatch.setattr(cli, "check_equivalence", no_check)
+    assert run([alu_file, "--check", "--map", "9"]) == 1
     assert capsys.readouterr().err == \
-        "error: --jobs expects a positive integer\n"
+        "error: --map expects a LUT size K between 2 and 6\n"
 
 
 def _assert_usage_error(args, flag):
@@ -278,6 +284,11 @@ def test_retired_sim_flag_is_a_usage_error(alu_file):
     # Word-level simulation has one engine, the compiled one.
     _assert_usage_error([alu_file, "--cycles", "5", "--sim", "interp"],
                         "--sim interp")
+
+
+def test_retired_jobs_flag_is_a_usage_error(alu_file):
+    # CEC solves every miter in one process.
+    _assert_usage_error([alu_file, "--check", "--jobs", "2"], "--jobs 2")
 
 
 def test_ir_aig_stats(alu_file):
@@ -586,54 +597,8 @@ def test_trace_json_carries_histogram_metrics(wide_mult_pair, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Parallel verification (--jobs) and the result cache (--cache)
+# The result cache (--cache)
 # ---------------------------------------------------------------------------
-
-def test_jobs_json_parity_with_serial(wide_mult_pair):
-    # Certified and above the cube budget, so both runs reach the solve
-    # (uncertified, exhaustive simulation decides this miter before the
-    # pool is used).
-    fa, fb = wide_mult_pair
-    code_s, text_s = _run([fa, "--check-against", fb, "--certify",
-                           "--json"])
-    code_p, text_p = _run([fa, "--check-against", fb, "--certify",
-                           "--jobs", "4", "--json"])
-    assert code_s == 0 and code_p == 0
-    serial = json.loads(text_s)["equivalence"]
-    parallel = json.loads(text_p)["equivalence"]
-    # Same verdict, same report shape — only the partitioning metadata
-    # may differ between the two paths.
-    assert set(serial) == set(parallel)
-    assert serial["equivalent"] is True
-    assert parallel["equivalent"] is True
-    assert serial["jobs"] == 1 and serial["partitions"] == 0
-    assert parallel["jobs"] == 4
-    assert parallel["partitions"] >= 2
-
-
-def test_jobs_refuted_exits_2(mult_pair, tmp_path):
-    fa, _ = mult_pair
-    bad = tmp_path / "mult_bad.v"
-    bad.write_text(MULT_BAD)
-    code, text = _run([fa, "--check-against", str(bad), "--jobs", "4"])
-    assert code == 2
-    assert "equivalence: REFUTED" in text
-
-
-def test_jobs_certified_parallel(wide_mult_pair):
-    # Every worker logs its own DRAT proof; the merged verdict is only
-    # certified when all of them check out.
-    fa, fb = wide_mult_pair
-    code, text = _run([fa, "--check-against", fb, "--certify",
-                       "--jobs", "2", "--json"])
-    assert code == 0
-    eq = json.loads(text)["equivalence"]
-    assert eq["equivalent"] is True
-    assert eq["jobs"] == 2
-    assert eq["partitions"] >= 2
-    assert eq["proof"]["certified"] is True
-    assert eq["proof"]["checked"] is True
-
 
 def test_cache_cold_then_warm(mult_pair, tmp_path):
     fa, fb = mult_pair

@@ -150,13 +150,6 @@ def test_simulate_all_gate_types():
                 assert out["mux"] == (b_val if s_val else a_val)
 
 
-def test_simulate_with_precomputed_order():
-    netlist = build_xor_netlist()
-    order = netlist.topological_order()
-    out, _ = simulate(netlist, {"a": 1, "b": 0}, order=order)
-    assert out["y"] == 1
-
-
 def test_simulate_missing_input_raises():
     netlist = build_xor_netlist()
     with pytest.raises(NetlistError, match="missing value"):

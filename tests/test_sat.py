@@ -31,7 +31,7 @@ from repro.netlist.sat import (
     solve,
 )
 from repro.netlist.sat import cec
-from repro.obs import NullTracer, Tracer, use_tracer
+from repro.obs import Tracer, use_tracer
 
 from test_elaborate import ALU
 from test_proof import MULT_A, MULT_B, _miter_cnf
@@ -329,7 +329,6 @@ def test_serial_solve_counters_pinned(width, counters, monkeypatch):
                                 elaborate(b.src, top=b.top), certify=True)
     assert verdict.equivalent and verdict.proof_checked is True
     assert verdict.sweep_proven == 0
-    assert verdict.partitions == 0
     stats = verdict.solver_stats
     assert dict(
         conflicts=stats.conflicts, propagations=stats.propagations,
@@ -338,45 +337,6 @@ def test_serial_solve_counters_pinned(width, counters, monkeypatch):
         proof_clauses=verdict.proof_clauses,
         eliminated_vars=verdict.preprocessor["eliminated_vars"],
     ) == counters
-
-
-@pytest.mark.parametrize("case", ["equivalent", "refuted", "traced"])
-def test_check_equivalence_process_pool(case):
-    """``jobs=2`` solves the multiplier miter's root pairs on a process
-    pool: the proof is certified per worker, a refutation comes back
-    replay-confirmed, and worker spans land on their own trace tracks."""
-    a = designs.multiplier(4)
-    b = designs.shift_add_multiplier(4, bug=case == "refuted")
-    before = elaborate(a.src, top=a.top)
-    after = elaborate(b.src, top=b.top)
-    if case == "refuted":
-        # Random simulation refutes the off-by-one before any solve;
-        # without it the pool has to find the counterexample.
-        verdict = check_equivalence(before, after, jobs=2, sim_patterns=0)
-        assert not verdict.equivalent
-        assert not verdict.refuted_by_simulation
-        assert verdict.partitions == 2
-        cex = verdict.counterexample
-        assert cex.diff
-        assert replay_counterexample(before, after, cex.inputs,
-                                     cex.state) == cex.diff
-        return
-    tracer = Tracer() if case == "traced" else NullTracer()
-    # With simulation on, the small miter is decided by exhaustive
-    # simulation (certified by a cube-tree proof); without it the pool
-    # has to prove it.
-    options = (dict(certify=True, sim_patterns=0) if case == "equivalent"
-               else dict(sim_patterns=0))
-    with use_tracer(tracer):
-        verdict = check_equivalence(before, after, jobs=2, **options)
-    assert verdict.equivalent
-    assert verdict.jobs == 2 and verdict.partitions == 2
-    if case == "equivalent":
-        assert verdict.proof_checked is True
-    else:
-        tids = sorted(record.tid for record in tracer.records
-                      if record.name == "cec.partition")
-        assert len(tids) == 2 and tids[0] >= 10_000_000
 
 
 def test_miter_of_gate_free_design():

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -49,7 +50,8 @@ from .netlist import (
 )
 from .netlist.emit import netlist_to_verilog
 from .netlist.sim import input_word_widths
-from .netlist.opt import OptimizationError, map_aig, optimize
+from .netlist.opt import (OptimizationError, check_passes, map_aig,
+                          optimize)
 from .netlist.sat import CECError, ProofLog, check_equivalence
 from .obs import (
     NULL_TRACER,
@@ -297,7 +299,20 @@ def _execute(args, out, tracer) -> int:
         raise CLIError("--cycles expects a positive integer")
     if args.map_k is not None and not 2 <= args.map_k <= 6:
         raise CLIError("--map expects a LUT size K between 2 and 6")
+    # Arguments that would only fail after elaboration, optimization and
+    # CEC are checked before any of them runs.
+    passes = _parse_passes(args.passes) if args.passes else None
+    if passes is not None:
+        try:
+            check_passes(passes)
+        except OptimizationError as exc:
+            raise CLIError(str(exc)) from exc
+    if args.emit and not os.path.isdir(os.path.dirname(args.emit) or "."):
+        raise CLIError(
+            f"cannot write '{args.emit}': No such file or directory")
     source = _read_source(args.source)
+    ref_source = (_read_source(args.check_against) if args.check_against
+                  else None)
     params = _parse_params(args.param)
     do_check = (args.check or args.certify or bool(args.solve_log)
                 or bool(args.check_against))
@@ -321,8 +336,8 @@ def _execute(args, out, tracer) -> int:
     result = None
     if do_optimize:
         try:
-            result = (optimize(netlist, passes=_parse_passes(args.passes))
-                      if args.passes else optimize(netlist))
+            result = (optimize(netlist, passes=passes)
+                      if passes is not None else optimize(netlist))
         except OptimizationError as exc:
             raise CLIError(str(exc)) from exc
         report["optimized_stats"] = result.netlist.stats()
@@ -330,7 +345,6 @@ def _execute(args, out, tracer) -> int:
     final = result.netlist if result is not None else netlist
     if do_check:
         if args.check_against:
-            ref_source = _read_source(args.check_against)
             try:
                 reference = elaborate(ref_source, params=params or None)
             except (VerilogLexError, VerilogSyntaxError) as exc:

@@ -24,7 +24,7 @@ from .fraig import FraigStats, SweepResult, fraig_sweep, fraig_sweep_map
 from .map import LUT, MapResult, MapStats, map_aig
 from .rewrite import RewriteStats, rewrite_aig
 from .pipeline import (OptimizationError, OptResult, PassStats, balance,
-                       optimize)
+                       check_passes, optimize)
 
 __all__ = [
     "FraigStats",
@@ -47,5 +47,6 @@ __all__ = [
     "OptResult",
     "PassStats",
     "optimize",
+    "check_passes",
     "balance",
 ]

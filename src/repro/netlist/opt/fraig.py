@@ -32,9 +32,12 @@ only merged on proof — signatures guide, SAT decides.
 Observability: each sweep opens a ``fraig`` span on the current
 :mod:`repro.obs` tracer, with one ``fraig.round`` span per
 simulate/rebuild iteration (annotated with its candidate-class count and
-its ``sat_checks`` / ``proven`` / ``refuted`` / ``sim_refuted`` counts)
-and a ``fraig.signatures`` span around each packed re-simulation; the
-per-round solver's search statistics are accumulated into
+its ``sat_checks`` / ``proven`` / ``refuted`` / ``sim_refuted`` counts),
+a ``fraig.signatures`` span around each packed re-simulation and, when
+certifying, a ``fraig.certify`` span around each merge-proof check
+(annotated with how many lemmas the checker's lane pass and its
+sequential check verified); the per-round solver's search statistics
+are accumulated into
 :attr:`FraigStats.solver` rather than discarded, so callers (CLI
 ``--json``, the CEC report) see the sweep's total SAT effort.
 """
@@ -352,8 +355,13 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, seed: int = 2022,
                             # this round (earlier lemmas stay valid: they
                             # are implied by the clauses alone).
                             check_start = time.perf_counter()
-                            verdict = check_drat(cnf, proof,
-                                                 assumptions=(gate_var,))
+                            with tracer.span("fraig.certify",
+                                             lemmas=proof.num_added) as span:
+                                verdict = check_drat(
+                                    cnf, proof, assumptions=(gate_var,))
+                                span.set(lane_checked=verdict.lane_checked,
+                                         sequential_checked=(
+                                             verdict.sequential_checked))
                             stats.proof_check_seconds += \
                                 time.perf_counter() - check_start
                             if verdict.ok:

@@ -215,6 +215,16 @@ class OptResult:
         }
 
 
+def check_passes(passes: Sequence[str]) -> None:
+    """Raise :class:`OptimizationError` on the first name in ``passes``
+    that :func:`optimize` does not know."""
+    for name in passes:
+        if name not in _AIG_PASSES:
+            known = ", ".join(sorted(_AIG_PASSES))
+            raise OptimizationError(
+                f"unknown pass '{name}' (known passes: {known})")
+
+
 def optimize(netlist: Netlist,
              passes: Sequence[str] = ("rewrite",)) -> OptResult:
     """Optimize a netlist on the AIG.
@@ -231,11 +241,7 @@ def optimize(netlist: Netlist,
     The input netlist is left untouched; the result is always a fresh
     netlist, and :attr:`OptResult.stats` records each step.
     """
-    for name in passes:
-        if name not in _AIG_PASSES:
-            known = ", ".join(sorted(_AIG_PASSES))
-            raise OptimizationError(
-                f"unknown pass '{name}' (known passes: {known})")
+    check_passes(passes)
     gates_before = netlist.num_gates
     levels_before = netlist.logic_levels()
     stats: list[PassStats] = []

@@ -1,4 +1,4 @@
-"""DRAT proof logging and an independent backward RUP proof checker.
+"""DRAT proof logging and an independent RUP proof checker.
 
 An UNSAT verdict from a CDCL solver is only as trustworthy as the solver
 itself.  The standard remedy (MiniSat / drat-trim lineage) is *proof
@@ -17,16 +17,22 @@ This module provides both halves:
     deletions) to a file-like object.
 
 ``check_drat(cnf, proof)``
-    A pure-Python *backward* RUP checker.  It shares **no** code with
-    either solver engine: it has its own clause database, its own
-    two-watched-literal unit propagation over flat per-literal arrays,
-    and its own trail.  A proof is accepted iff the empty clause is RUP
-    (reverse unit propagation) with respect to the formula plus the
-    proof's surviving additions, and — walking the proof backwards —
-    every addition *used* by that derivation is itself RUP at the point
-    it was introduced.  "Used" is the whole implication graph of each
-    checked conflict (the core); backward checking skips lemmas outside
-    it, and ``verify_all=True`` checks every lemma regardless.
+    A pure-Python RUP checker.  It shares **no** code with either solver
+    engine.  A proof is accepted iff every addition is RUP (reverse unit
+    propagation) with respect to the formula plus the additions still
+    alive when it was made, and the empty clause is RUP at the end of
+    the proof.  Every addition is checked, in two stages:
+
+    1. A *lane pass* gives each addition one bit (lane) of a Python int,
+       and one more lane to the end of the proof.  Each lane asserts its
+       lemma's negation, and a clause takes part in exactly the lanes in
+       which it is alive, so a few passes of bit-parallel unit
+       propagation over the whole clause list check every lemma at once.
+       A cube tree is settled in a single pass.
+    2. The lemmas the lane pass left unverified are checked one by one,
+       walking the proof backwards: a clause database with
+       two-watched-literal unit propagation over flat per-literal arrays
+       and its own trail, with deletions reactivating clauses.
 
 Checking is deliberately restricted to the RUP fragment of DRAT: both
 in-tree solvers only ever learn clauses by resolution (1-UIP), and every
@@ -55,6 +61,8 @@ of the formula, and the certificate shows formula ∧ assumptions ⊢ ⊥.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
 
 __all__ = [
@@ -180,23 +188,46 @@ class DratCheckResult:
     """Outcome of ``check_drat``.  Truthy iff the proof was accepted.
 
     ``lemmas`` counts additions in the proof, ``checked`` how many were
-    actually RUP-verified (the dependency core under backward checking,
-    or all of them under ``verify_all``), ``deletions`` how many
-    deletion steps matched an active clause.
+    verified (all of them when the proof is accepted), ``lane_checked``
+    how many of those the lane pass settled (the rest went through the
+    sequential check), ``deletions`` how many deletion steps matched an
+    active clause.
     """
 
     ok: bool
     reason: str = ""
     lemmas: int = 0
     checked: int = 0
+    lane_checked: int = 0
     deletions: int = 0
+
+    @property
+    def sequential_checked(self) -> int:
+        """Lemmas verified by the sequential RUP check."""
+        return self.checked - self.lane_checked
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def check_drat(cnf, proof, assumptions: Sequence[int] = (),
-               verify_all: bool = False) -> DratCheckResult:
+#: Bit-parallel propagation passes of the lane pass.  One settles every
+#: lemma of a cube tree; a solver proof's lemmas need up to about twenty,
+#: and those still unverified after two are cheaper to check
+#: sequentially.
+_LANE_PASSES = 2
+#: Most lanes one lane block holds, so a long proof never builds huge
+#: masks.
+_LANE_BLOCK = 4096
+#: The lane pass runs only on proofs with at least one addition per this
+#: many formula clauses.  A pass sweeps every live clause however few
+#: the lanes: on the FRAIG sweep's merge proofs (about one addition per
+#: five clauses) the lane pass cost more than checking the same lemmas
+#: sequentially.
+_LANE_MIN_SHARE = 4
+
+
+def check_drat(cnf, proof, assumptions: Sequence[int] = ()
+               ) -> DratCheckResult:
     """Independently verify a DRAT(-RUP) proof of unsatisfiability.
 
     ``cnf`` is the input formula: anything with a ``.clauses`` attribute
@@ -204,8 +235,7 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
     each clause an iterable of signed DIMACS literals.  ``proof`` is a
     ``ProofLog``, a list of ``(kind, lits)`` steps, or DRAT text.
     ``assumptions`` are literals asserted as extra units (certifying
-    UNSAT-under-assumptions verdicts).  ``verify_all=True`` checks every
-    addition instead of only the dependency core of the final conflict.
+    UNSAT-under-assumptions verdicts).  Every addition is checked.
 
     Returns a ``DratCheckResult``; never raises on a bad proof, only on
     malformed input.
@@ -220,57 +250,50 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
     # values, watch lists and negation (``^ 1``) are flat list indexing.
     # Clauses are mutable lists so the two watched literals can live at
     # positions 0 and 1.  ``active`` tracks liveness under the deletion
-    # steps.
+    # steps.  Lane ``i`` checks addition ``i`` and the last lane the end
+    # of the proof; a clause is alive in lanes ``born[cid]`` up to
+    # ``dies[cid]`` (exclusive, -1 for never deleted).
     db: List[List[int]] = []
     active: List[bool] = []
     inert: List[bool] = []           # tautologies: never propagate
-    marked: List[bool] = []          # dependency core of the final conflict
+    born: List[int] = []
+    dies: List[int] = []
     unit_ids: List[int] = []
     empty_ids: List[int] = []
     by_key: dict = {}                # sorted literal tuple -> clause ids
     num_vars = 0
+    lemma_count = 0
 
     def add_clause(lits: Iterable[int]) -> int:
         nonlocal num_vars
-        seen = set()
-        clause: List[int] = []
-        tautology = False
-        for lit in lits:
-            if lit == 0:
-                raise ValueError("literal 0 in clause")
-            if lit in seen:
-                continue
-            if -lit in seen:
-                tautology = True
-            seen.add(lit)
-            clause.append(2 * lit if lit > 0 else 1 - 2 * lit)
-            if abs(lit) > num_vars:
-                num_vars = abs(lit)
+        uniq = dict.fromkeys(lits)   # duplicates dropped, order kept
+        if 0 in uniq:
+            raise ValueError("literal 0 in clause")
+        clause = [2 * lit if lit > 0 else 1 - 2 * lit for lit in uniq]
+        tautology = len({lit >> 1 for lit in clause}) < len(clause)
+        if clause and max(clause) >> 1 > num_vars:
+            num_vars = max(clause) >> 1
         cid = len(db)
         db.append(clause)
         active.append(True)
         inert.append(tautology)
-        marked.append(False)
-        by_key.setdefault(tuple(sorted(seen)), []).append(cid)
-        if tautology:
-            pass
-        elif not clause:
-            empty_ids.append(cid)
-        elif len(clause) == 1:
-            unit_ids.append(cid)
+        born.append(lemma_count)
+        dies.append(-1)
+        by_key.setdefault(tuple(sorted(uniq)), []).append(cid)
+        if not tautology and len(clause) < 2:
+            (unit_ids if clause else empty_ids).append(cid)
         return cid
 
     for lits in formula:
         add_clause(lits)
+    base = len(db)                   # lemma i is clause base + i
 
-    lemma_count = 0
     matched_deletions = 0
     events: List[Tuple[str, int]] = []   # proof order, resolved clause ids
     for kind, lits in steps:
         if kind == "a":
-            cid = add_clause(lits)
-            events.append(("a", cid))
-            lemma_count += 1
+            lemma_count += 1         # alive from the next lane on
+            events.append(("a", add_clause(lits)))
         elif kind == "d":
             key = tuple(sorted(set(lits)))
             cid = next((c for c in by_key.get(key, ())
@@ -278,6 +301,7 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
             if cid is None:
                 continue             # deleting an unknown clause: ignore
             active[cid] = False
+            dies[cid] = lemma_count
             events.append(("d", cid))
             matched_deletions += 1
         else:
@@ -288,9 +312,24 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
             num_vars = abs(lit)
     assumed = [2 * lit if lit > 0 else 1 - 2 * lit for lit in assumptions]
 
+    # -- lane pass ---------------------------------------------------------
+    # ``verified[lane]`` is "1" for each lane unit propagation settled.
+    if _LANE_PASSES and lemma_count * _LANE_MIN_SHARE >= base:
+        verified = _lane_pass(db, inert, born, dies, base, assumed,
+                              2 * num_vars + 2)
+    else:
+        verified = "0" * (lemma_count + 1)
+    lane_checked = verified.count("1", 0, lemma_count)
+    checked = lane_checked
+    if verified[lemma_count] == "1" and lane_checked == lemma_count:
+        return DratCheckResult(True, "", lemmas=lemma_count, checked=checked,
+                               lane_checked=lane_checked,
+                               deletions=matched_deletions)
+
     def fail(reason: str) -> DratCheckResult:
         return DratCheckResult(False, reason, lemmas=lemma_count,
-                               checked=checked, deletions=matched_deletions)
+                               checked=checked, lane_checked=lane_checked,
+                               deletions=matched_deletions)
 
     # -- watch lists -------------------------------------------------------
     # ``bins[lit]`` holds ``(clause id, other literal)`` for each binary
@@ -327,37 +366,10 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
 
     # -- unit propagation --------------------------------------------------
     val = [0] * (2 * num_vars + 2)   # per literal: +1 true, -1 false, 0 free
-    reason = [-1] * (num_vars + 1)   # clause id, or -1 for asserted lits
     trail: List[int] = []
-    seen = [False] * (num_vars + 1)  # mark_core's walk, cleared after
 
-    def mark_core(seed_cids: Sequence[int], seed_vars: Sequence[int]) -> None:
-        # Mark every clause on the conflict's implication graph: those
-        # are the additions the final conflict actually depends on.  The
-        # walk goes back along the trail, so it passes through clauses an
-        # earlier conflict already marked — their antecedents this time
-        # may be lemmas no conflict has used yet.
-        for var in seed_vars:
-            seen[var] = True
-        for cid in seed_cids:
-            marked[cid] = True
-            for lit in db[cid]:
-                seen[lit >> 1] = True
-        for lit in reversed(trail):
-            var = lit >> 1
-            if seen[var]:
-                rsn = reason[var]
-                if rsn >= 0:
-                    marked[rsn] = True
-                    for other in db[rsn]:
-                        seen[other >> 1] = True
-        for lit in trail:
-            seen[lit >> 1] = False
-        for var in seed_vars:
-            seen[var] = False
-
-    def propagate() -> Optional[int]:
-        # Returns the id of a conflicting clause, or None.
+    def propagate() -> bool:
+        # True iff some active clause becomes all-false.
         qhead = 0
         ntrail = len(trail)
         while qhead < ntrail:
@@ -371,11 +383,10 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
                 elif val[other] == 0:
                     val[other] = 1
                     val[other ^ 1] = -1
-                    reason[other >> 1] = cid
                     trail.append(other)
                     ntrail += 1
                 elif val[other] < 0:
-                    return cid
+                    return True
             if stale:
                 implied[:] = [entry for entry in implied if active[entry[0]]]
             watchers = watches[false_lit]
@@ -417,116 +428,139 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
                         break
                 else:
                     if fval < 0:     # all literals false
-                        return cid
+                        return True
                     val[first] = 1
                     val[first ^ 1] = -1
-                    reason[first >> 1] = cid
                     trail.append(first)
                     ntrail += 1
                     i += 2
-        return None
+        return False
 
-    def assert_lit(lit: int, rsn: int) -> Optional[Tuple[int, int]]:
-        # Returns (clause id or -1, literal) describing a conflict, or
-        # None on success / no-op.
+    def assert_lit(lit: int) -> bool:
+        # True iff ``lit`` is already false (a conflict).
         have = val[lit]
-        if have > 0:
-            return None
-        if have < 0:
-            return (rsn, lit)
-        val[lit] = 1
-        val[lit ^ 1] = -1
-        reason[lit >> 1] = rsn
-        trail.append(lit)
-        return None
+        if have == 0:
+            val[lit] = 1
+            val[lit ^ 1] = -1
+            trail.append(lit)
+        return have < 0
 
-    def undo() -> None:
+    def rup_conflict(negated: Sequence[int]) -> bool:
+        """True iff asserting ``negated`` ∪ assumptions ∪ units yields a
+        UP conflict."""
+        if any(active[cid] for cid in empty_ids):
+            return True
+        conflict = (any(assert_lit(lit) for lit in assumed)
+                    or any(assert_lit(lit) for lit in negated)
+                    or any(assert_lit(db[cid][0]) for cid in unit_ids
+                           if active[cid])
+                    or propagate())
         for lit in trail:
             val[lit] = 0
             val[lit ^ 1] = 0
         del trail[:]
+        return conflict
 
-    def rup_conflict(negated: Sequence[int], mark: bool) -> bool:
-        """True iff asserting ``negated`` ∪ assumptions ∪ units yields a
-        UP conflict; marks its dependency core when ``mark``."""
-        for cid in empty_ids:
-            if active[cid]:
-                if mark:
-                    marked[cid] = True
-                return True
-        conflict_cid = None
-        seed_cids: List[int] = []
-        for lit in assumed:
-            hit = assert_lit(lit, -1)
-            if hit is not None:
-                conflict_cid = -1    # assumption vs assumption/lemma lit
-                seed_vars = [hit[1] >> 1]
-                break
-        else:
-            for lit in negated:
-                hit = assert_lit(lit, -1)
-                if hit is not None:
-                    conflict_cid = -1
-                    seed_vars = [hit[1] >> 1]
-                    break
-            else:
-                for cid in unit_ids:
-                    if not active[cid]:
-                        continue
-                    hit = assert_lit(db[cid][0], cid)
-                    if hit is not None:
-                        conflict_cid = hit[0]
-                        seed_cids = [cid] if cid >= 0 else []
-                        if hit[0] >= 0:
-                            seed_cids.append(hit[0])
-                        seed_vars = [hit[1] >> 1]
-                        break
-                else:
-                    cid = propagate()
-                    if cid is None:
-                        undo()
-                        return False
-                    conflict_cid = cid
-                    seed_cids = [cid]
-                    seed_vars = [lit >> 1 for lit in db[cid]]
-        if mark:
-            if conflict_cid is not None and conflict_cid >= 0:
-                seed_cids.append(conflict_cid)
-            mark_core(seed_cids, seed_vars)
-        undo()
-        return True
-
-    # -- the check ---------------------------------------------------------
-    checked = 0
-
+    # -- sequential check of what the lane pass left -----------------------
     # 1. The empty clause must be RUP at the end of the proof: the
     #    formula plus surviving lemmas (plus assumptions) propagate to a
     #    conflict.  This *is* the proof's implicit final step, so no
     #    explicit "0" line is required.
-    if not rup_conflict((), mark=True):
+    if verified[lemma_count] != "1" and not rup_conflict(()):
         return fail("no unit-propagation conflict at end of proof "
                     "(empty clause is not RUP)")
 
     # 2. Walk the proof backwards.  Deletions reactivate; additions are
-    #    removed from the database and, if they feed the final conflict
-    #    (or verify_all), must be RUP with respect to what remains.
+    #    removed from the database and, unless their lane is verified,
+    #    must be RUP with respect to what remains.
     for kind, cid in reversed(events):
         if kind == "d":
             active[cid] = True
             hook(cid)
             continue
         active[cid] = False
-        if not (verify_all or marked[cid]):
+        if verified[cid - base] == "1":
             continue
-        if inert[cid]:
-            checked += 1             # a tautology is trivially redundant
-            continue
-        if not rup_conflict([lit ^ 1 for lit in db[cid]], mark=True):
+        if not inert[cid] and not rup_conflict([lit ^ 1 for lit in db[cid]]):
             return fail(f"lemma {_dimacs(db[cid])} 0 is not RUP")
-        checked += 1
+        checked += 1                 # a tautology is trivially redundant
 
     return DratCheckResult(True, "", lemmas=lemma_count, checked=checked,
+                           lane_checked=lane_checked,
                            deletions=matched_deletions)
+
+
+def _lane_pass(db: List[List[int]], inert: List[bool], born: List[int],
+               dies: List[int], base: int, assumed: Sequence[int],
+               num_lits: int) -> str:
+    """Bit-parallel unit propagation with one lane per proof addition.
+
+    Lane ``i`` asserts the negation of lemma ``i`` (clause ``base + i``)
+    and the last lane nothing, the end of the proof; every lane also
+    asserts ``assumed``.  A clause takes part in lanes ``born[cid]`` up
+    to ``dies[cid]``, exactly the lanes in which it is alive, so each
+    lane is plain unit propagation over the clauses its check may use.
+    Returns one character per lane, ``"1"`` where propagation reached a
+    conflict (a clause all false, so a literal both true and false)
+    within :data:`_LANE_PASSES` passes.
+    """
+    lemma_count = len(db) - base
+    total = lemma_count + 1
+    # Lemmas before the formula: a lemma's units reach the formula
+    # clauses in the same pass, so one pass settles a cube tree.
+    order = [*range(base, len(db)), *range(base)]
+    flags = []
+    for start in range(0, total, _LANE_BLOCK):
+        stop = min(start + _LANE_BLOCK, total)
+        full = (1 << (stop - start)) - 1
+        # value[lit]: the lanes in which ``lit`` is true.
+        value = [0] * num_lits
+        for lit in assumed:
+            value[lit] = full
+        for lane in range(start, min(stop, lemma_count)):
+            bit = 1 << (lane - start)
+            for lit in db[base + lane]:
+                value[lit ^ 1] |= bit
+        clauses = []                 # (clause, its negations, lane mask)
+        conflict = 0
+        for cid in order:
+            first = max(born[cid], start)
+            last = stop if dies[cid] < 0 else min(dies[cid], stop)
+            if first >= last or inert[cid]:
+                continue
+            mask = ((1 << (last - first)) - 1) << (first - start)
+            clause = db[cid]
+            if clause:
+                clauses.append((clause, [lit ^ 1 for lit in clause], mask))
+            else:
+                conflict |= mask
+        get = value.__getitem__
+        for _ in range(_LANE_PASSES):
+            for clause, negations, mask in clauses:
+                falses = list(map(get, negations))
+                if falses.count(0) > 1:
+                    continue         # two literals false in no lane
+                # A literal is implied in the lanes where every other
+                # literal is false: the AND of the prefix before it and
+                # the suffix after it.
+                suffix = []
+                acc = mask
+                for false in reversed(falses):
+                    suffix.append(acc)
+                    acc &= false
+                prefix = mask
+                for lit, false in zip(clause, falses):
+                    unit = prefix & suffix.pop()
+                    if unit:
+                        value[lit] |= unit
+                    prefix &= false
+                    if not prefix:
+                        break
+            conflict |= reduce(or_, map(and_, value[0::2], value[1::2]), 0)
+            if conflict == full:
+                break
+        flags.append(f"{conflict:0{stop - start}b}"[::-1])
+    return "".join(flags)
 
 
 def _dimacs(clause: Sequence[int]) -> str:

@@ -259,6 +259,31 @@ def test_bad_map_rejected_before_any_work(alu_file, capsys, monkeypatch):
         "error: --map expects a LUT size K between 2 and 6\n"
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--check", "--passes", "rewrite,nosuch"],
+     "unknown pass 'nosuch' (known passes: fraig, rewrite)"),
+    (["--check", "--emit", "{tmp}/no/such/dir/o.v"],
+     "cannot write '{tmp}/no/such/dir/o.v': No such file or directory"),
+    (["--check-against", "{tmp}/missing.v"],
+     "cannot read '{tmp}/missing.v': No such file or directory"),
+])
+def test_bad_arguments_rejected_before_any_work(alu_file, tmp_path, capsys,
+                                                extra, message):
+    # Like --map: a bad pass name, an --emit directory that does not
+    # exist or an unreadable --check-against source fails the run before
+    # elaboration, so the --profile tree holds no work.
+    args = [arg.replace("{tmp}", str(tmp_path)) for arg in extra]
+    assert run([alu_file, *args, "--profile"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == \
+        f"error: {message.replace('{tmp}', str(tmp_path))}\n"
+    rows = captured.out.splitlines()
+    assert rows[0].split()[0] == "span"
+    spans = {row.split()[0] for row in rows[1:]}
+    assert spans == {"run"}
+    assert not spans & {"elaborate", "optimize", "cec"}
+
+
 def _assert_usage_error(args, flag):
     """``python -m repro ARGS`` exits 2 with argparse's usage message for
     the unknown ``flag``, not a traceback."""

@@ -1,9 +1,12 @@
 """Tests for DRAT proof logging (`Solver.set_proof`) and the independent
-backward RUP checker (`repro.netlist.sat.proof.check_drat`).
+RUP checker (`repro.netlist.sat.proof.check_drat`).
 
 The checker shares no code with either solver engine, so these tests are
 the certification story's foundation: real proofs from both engines must
-check, and corrupted/truncated/bogus proofs must be rejected.
+check, and corrupted/truncated/bogus proofs must be rejected.  Most checks
+go through `_check`, which also runs the checker with its lane pass
+switched off and requires the same verdict from the sequential check
+alone.
 """
 
 import random
@@ -22,10 +25,26 @@ from repro.netlist.sat import (
     format_drat_step,
     parse_drat,
 )
-from repro.netlist.sat import CNF, cec
+from repro.netlist.sat import CNF, cec, proof
 from repro.netlist.sat.preprocess import preprocess
 
+from repro.obs import Tracer, use_tracer
+
 from reference_solver import ReferenceSolver
+from test_elaborate import ALU
+
+
+def _check(cnf, steps, assumptions=()):
+    """``check_drat`` with the lane pass on, after requiring the same
+    verdict with it off."""
+    result = check_drat(cnf, steps, assumptions)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(proof, "_LANE_PASSES", 0)
+        alone = check_drat(cnf, steps, assumptions)
+    assert alone.ok == result.ok and alone.lane_checked == 0
+    if result.ok:
+        assert result.checked == alone.checked == result.lemmas
+    return result
 
 
 def pigeonhole(holes):
@@ -153,13 +172,12 @@ def test_pigeonhole_proofs_check(engine, holes):
     solver.set_proof(log)
     assert not solver.solve().satisfiable
     assert log.num_added > 0
-    result = check_drat(clauses, log)
+    result = _check(clauses, log)
     assert result.ok and isinstance(result, DratCheckResult)
     assert result.lemmas == log.num_added
-    # Backward core marking checks a subset; verify_all checks everything.
-    full = check_drat(clauses, log, verify_all=True)
-    assert full.ok and full.checked == full.lemmas
-    assert result.checked <= full.checked
+    # Every lemma is verified, by the lane pass or sequentially.
+    assert result.checked == result.lemmas
+    assert result.lane_checked + result.sequential_checked == result.checked
 
 
 def test_proof_survives_text_round_trip():
@@ -168,7 +186,7 @@ def test_proof_survives_text_round_trip():
     log = ProofLog()
     solver.set_proof(log)
     assert not solver.solve().satisfiable
-    assert check_drat(clauses, parse_drat(log.to_drat())).ok
+    assert _check(clauses, parse_drat(log.to_drat())).ok
 
 
 def test_trivial_root_conflict_emits_empty_clause():
@@ -177,7 +195,7 @@ def test_trivial_root_conflict_emits_empty_clause():
     solver.set_proof(log)
     assert not solver.solve().satisfiable
     assert ("a", ()) in log.steps
-    assert check_drat([(1,), (-1,)], log).ok
+    assert _check([(1,), (-1,)], log).ok
 
 
 def test_incremental_solving_proof_checks_against_final_formula():
@@ -192,7 +210,7 @@ def test_incremental_solving_proof_checks_against_final_formula():
     solver.solve()                    # SAT or UNSAT, lemmas accumulate
     solver.add_clauses(clauses[-2:])
     assert not solver.solve().satisfiable
-    assert check_drat(clauses, log).ok
+    assert _check(clauses, log).ok
 
 
 def test_assumption_unsat_certified_with_assumption_units():
@@ -201,10 +219,10 @@ def test_assumption_unsat_certified_with_assumption_units():
     log = ProofLog()
     solver.set_proof(log)
     assert not solver.solve(assumptions=(1, -3)).satisfiable
-    assert check_drat(clauses, log, assumptions=(1, -3)).ok
+    assert _check(clauses, log, assumptions=(1, -3)).ok
     # The formula alone is satisfiable: without the assumptions the same
     # proof must be rejected.
-    assert not check_drat(clauses, log)
+    assert not _check(clauses, log)
 
 
 def test_reference_solver_never_deletes():
@@ -226,7 +244,7 @@ def test_reduce_db_deletions_check():
     solver.set_proof(log)
     assert not solver.solve().satisfiable
     assert log.num_deleted > 0, "reduce-DB never fired; weaken the budget"
-    result = check_drat(clauses, log)
+    result = _check(clauses, log)
     assert result.ok
     assert result.deletions > 0
 
@@ -249,8 +267,8 @@ def test_bogus_lemma_rejected():
     clauses, steps = _unsat_proof()
     # (x1 ∨ x2) is not implied by the pigeonhole formula.
     steps.insert(len(steps) // 2, ("a", (1, 2)))
-    assert not check_drat(clauses, steps, verify_all=True)
-    result = check_drat(clauses, steps, verify_all=True)
+    result = _check(clauses, steps)
+    assert not result
     assert "not RUP" in result.reason
 
 
@@ -264,12 +282,12 @@ def test_corrupted_lemma_literal_rejected():
             corrupted.append((kind, (-lits[0],) + lits[1:]))
         else:
             corrupted.append((kind, lits))
-    assert not check_drat(clauses, corrupted, verify_all=True)
+    assert not _check(clauses, corrupted)
 
 
 def test_truncated_proof_rejected():
     clauses, steps = _unsat_proof()
-    result = check_drat(clauses, steps[: len(steps) // 4])
+    result = _check(clauses, steps[: len(steps) // 4])
     assert not result
     assert "empty clause" in result.reason
 
@@ -280,7 +298,7 @@ def test_sat_formula_has_no_unsat_proof():
     log = ProofLog()
     solver.set_proof(log)
     assert solver.solve().satisfiable
-    assert not check_drat(clauses, log)
+    assert not _check(clauses, log)
 
 
 def test_deleting_needed_clause_breaks_proof():
@@ -292,7 +310,27 @@ def test_deleting_needed_clause_breaks_proof():
     # deletion of everything.
     steps = ([step for step in steps if step[0] != "a" or len(step[1]) > 1]
              + [("d", tuple(c)) for c in clauses])
-    assert not check_drat(clauses, steps)
+    assert not _check(clauses, steps)
+
+
+def test_deleted_formula_clause_is_dead_in_every_later_lane():
+    """A formula clause deleted mid-proof takes part in no later check: a
+    lemma after the deletion that needs it is rejected, by the lane pass
+    and by the sequential check, and the proof without the deletion is
+    accepted."""
+    clauses = [(1, 2), (-1, 2), (1, -2), (-1, -2)]
+    # (2 1) repeats a formula clause; (2) needs (-1 2) to be RUP.
+    kept = [("a", (2, 1)), ("a", (2,)), ("a", ())]
+    result = _check(clauses, kept)
+    assert result.ok and result.lane_checked == result.lemmas == 3
+    deleted = kept[:1] + [("d", (-1, 2))] + kept[1:]
+    result = _check(clauses, deleted)
+    assert not result and result.deletions == 1
+    assert result.reason == "lemma 2 0 is not RUP"
+    # The lane pass settles the lemma before the deletion and the empty
+    # clause (given (2)); it leaves (2) to the sequential check, which
+    # rejects it.
+    assert result.lane_checked == 2
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +437,14 @@ def test_checker_agrees_with_naive_oracle_on_mutated_proofs():
     for (width, assume), count in (((3, False), 48), ((3, True), 48),
                                    ((4, False), 4)):
         clauses, steps, assumptions = _miter_solver_proof(width, assume)
-        assert check_drat(clauses, steps, assumptions, verify_all=True)
+        assert _check(clauses, steps, assumptions)
         if assume:
-            assert not check_drat(clauses, steps)
+            assert not _check(clauses, steps)
         rng = random.Random(10 * width + assume)
         for _ in range(count):
             mutated = _mutate(steps, rng)
             expected = _oracle_accepts(clauses, mutated, assumptions)
-            got = check_drat(clauses, mutated, assumptions,
-                             verify_all=True).ok
+            got = _check(clauses, mutated, assumptions).ok
             assert got == expected, (width, assume)
             verdicts.append(got)
     assert len(verdicts) >= 100
@@ -449,14 +486,14 @@ def test_full_cube_tree_checks_and_tolerates_a_missing_leaf():
     n = len(leaves)
     steps = _full_cube_tree(leaves)
     assert sum(kind == "a" for kind, _ in steps) == 2 ** (n + 1) - 1
-    assert check_drat(cnf, steps, verify_all=True)
+    assert _check(cnf, steps)
     # One leaf of a sibling pair is redundant: the other leaf's lemma
     # forces the last variable, and propagation refutes the parent.
     leaf = tuple(-var for var in reversed(leaves))
-    assert check_drat(cnf, _without(steps, leaf), verify_all=True)
+    assert _check(cnf, _without(steps, leaf))
     # A depth-1 lemma is not: without it the root has one unit only.
     for lemma in ((-leaves[0],), (leaves[0],)):
-        assert not check_drat(cnf, _without(steps, lemma))
+        assert not _check(cnf, _without(steps, lemma))
 
 
 @pytest.mark.parametrize("width", [3, 5, 6])
@@ -468,19 +505,16 @@ def test_half_leaf_cube_tree_checks(width):
     assert log.num_added == 2 ** n + 2 ** (n - 1) - 1
     assert log.steps[-3:] == [("a", ()), ("d", (-leaves[0],)),
                               ("d", (leaves[0],))]
-    result = check_drat(cnf, log)
-    # Every full cube needs its own propagation: the lone leaf lemma
-    # and its parent are both in the core.
-    assert result.ok and result.checked >= 2 ** n
-    if width == 3:
-        assert check_drat(cnf, log, verify_all=True)
+    result = _check(cnf, log)
+    # One lane pass settles every lemma, across lane blocks at W=6.
+    assert result.ok and result.lane_checked == result.lemmas
 
 
-def test_core_marking_follows_already_marked_clauses():
-    """The core of a lemma's conflict is its whole implication graph,
-    also through clauses an earlier conflict marked.  Stopping there
-    skips the lone leaf lemmas of a half-leaf tree: each is used only
-    through formula clauses every other check marks too."""
+def test_shortened_leaf_lemmas_are_rejected():
+    """A lone leaf lemma of a half-leaf tree is used only through formula
+    clauses every other lemma's check uses too.  Shortening one keeps
+    its parent RUP but makes the leaf itself unsound, and the checker
+    must notice."""
     cnf, leaves = _miter_cnf(3)
     log = ProofLog()
     cec._cube_tree(log, leaves)
@@ -493,17 +527,16 @@ def test_core_marking_follows_already_marked_clauses():
         short = lemma[:2]
         steps = [(kind, short if lits == lemma else lits)
                  for kind, lits in log.steps]
-        core = check_drat(cnf, steps).ok
-        assert core == check_drat(cnf, steps, verify_all=True).ok
-        verdicts.append(core)
+        verdicts.append(_check(cnf, steps).ok)
     assert not all(verdicts)
 
 
 def test_cube_tree_of_a_satisfiable_miter_is_rejected():
     """A needle bug makes the miter satisfiable, so the leaf lemma of
     the differing cube is not RUP.  The half-leaf tree still derives
-    the empty clause through it; the checker must refuse it in its
-    default (core) mode, not only under ``verify_all``."""
+    the empty clause through it.  The lane pass settles every other
+    lemma and leaves that one to the sequential check, which refuses
+    it."""
     good = "module m(input [2:0] a, input [2:0] b, output [5:0] p); " \
            "assign p = a * b; endmodule"
     bad = good.replace("a * b", "(a * b) ^ {5'b0, (a == 3'd1) & (b == 3'd5)}")
@@ -516,15 +549,21 @@ def test_cube_tree_of_a_satisfiable_miter_is_rejected():
     assert Solver(cnf.num_vars, cnf.clauses).solve().satisfiable
     log = ProofLog()
     cec._cube_tree(log, sorted(input_vars.values()))
-    assert not check_drat(cnf, log)
-    assert not check_drat(cnf, log, verify_all=True)
+    result = _check(cnf, log)
+    assert not result and result.reason.endswith(" 0 is not RUP")
+    refuted = {int(tok) for tok in result.reason.split()[1:-4]}
+    # The rejected lemma negates the needle's cube, a = 1 and b = 5.
+    needle = {input_vars[f"{name}[{i}]"] * (1 if value >> i & 1 else -1)
+              for name, value in (("a", 1), ("b", 5)) for i in range(3)}
+    assert refuted == {-lit for lit in needle}
+    assert result.lane_checked == result.lemmas - 1
 
 
 def test_checker_accepts_plain_iterables_and_text():
     clauses, steps = _unsat_proof(3)
     text = "".join(format_drat_step(kind, lits) + "\n"
                    for kind, lits in steps)
-    assert check_drat(tuple(clauses), text).ok
+    assert _check(tuple(clauses), text).ok
     assert check_drat(iter(clauses), steps).ok
 
 
@@ -542,6 +581,40 @@ def test_check_equivalence_certify_unsat():
     assert result.proof_clauses > 0
     assert result.proof_bytes > 0
     assert result.proof_check_seconds >= 0.0
+
+
+def test_certify_spans_say_which_engine_checked(monkeypatch):
+    """The ``cec.certify`` span of a cube-tree proof and the
+    ``fraig.certify`` span of each merge proof record how many lemmas
+    the lane pass and the sequential check verified."""
+    tracer = Tracer()
+    with use_tracer(tracer):
+        cube = check_equivalence(elaborate(MULT_A), elaborate(MULT_B),
+                                 certify=True)
+    (span,) = [r.args for r in tracer.records if r.name == "cec.certify"]
+    assert cube.sim_proven and cube.proof_checked
+    assert span["lane_checked"] == span["lemmas"] == cube.proof_clauses
+    assert span["sequential_checked"] == 0
+    # Merge proofs are small against their formula, so the lane pass is
+    # skipped and every lemma is checked sequentially.
+    tracer = Tracer()
+    with use_tracer(tracer):
+        stats = FraigStats()
+        fraig_sweep(from_netlist(elaborate(ALU.replace("W = 4", "W = 8"))),
+                    patterns=8, stats=stats, certify=True)
+    merges = [r.args for r in tracer.records if r.name == "fraig.certify"]
+    assert len(merges) == stats.proofs_checked > 0
+    for args in merges:
+        assert args["lane_checked"] + args["sequential_checked"] \
+            == args["lemmas"]
+    # With the lane pass forced on, the same checks split the work.
+    monkeypatch.setattr(proof, "_LANE_MIN_SHARE", 10 ** 6)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        fraig_sweep(from_netlist(elaborate(ALU.replace("W = 4", "W = 8"))),
+                    patterns=8, stats=FraigStats(), certify=True)
+    assert sum(r.args["lane_checked"] for r in tracer.records
+               if r.name == "fraig.certify") > 0
 
 
 def test_check_equivalence_uncertified_has_no_proof_fields():

@@ -307,9 +307,10 @@ def _execute(args, out, tracer) -> int:
             check_passes(passes)
         except OptimizationError as exc:
             raise CLIError(str(exc)) from exc
-    if args.emit and not os.path.isdir(os.path.dirname(args.emit) or "."):
-        raise CLIError(
-            f"cannot write '{args.emit}': No such file or directory")
+    for path in (args.emit, args.solve_log):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise CLIError(
+                f"cannot write '{path}': No such file or directory")
     source = _read_source(args.source)
     ref_source = (_read_source(args.check_against) if args.check_against
                   else None)

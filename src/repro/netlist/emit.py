@@ -3,9 +3,14 @@
 :func:`netlist_to_verilog` prints a gate-level :class:`Netlist` as a
 synthesizable Verilog module that the project's own frontend parses and
 re-elaborates.  Bit-blasted port names (``a[3]``) are regrouped into
-vector port declarations, combinational gates become ``assign``
-statements over generated wires, and flip-flops become ``reg``
-declarations driven from one ``always @(posedge <clock>)`` block.
+vector port declarations, and flip-flops become ``reg`` declarations
+driven from one ``always @(posedge <clock>)`` block.  A combinational
+gate with exactly one combinational reader is printed, in parentheses,
+inside that reader's expression; every other gate (read several times,
+driving a port or a register's next state, or past the
+:data:`MAX_NESTING` cap) is one ``wire wN = expr;`` declaration, so a
+LUT netlist, whose LUTs split into chains of single-reader gates, is
+re-read as about a third of the text.
 
 Round-trip fidelity is the design goal: re-elaborating the emitted text
 yields a netlist with the same primary input/output interface, and —
@@ -28,6 +33,7 @@ flagged in the emitted header comment).
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 from .logic import GateType, Netlist, NetlistError
 from .sim import _split_bit_name
@@ -36,6 +42,11 @@ _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_$]*$")
 
 #: Name of the scalar input the emitted ``always`` block is clocked by.
 CLOCK = "clk"
+
+#: Deepest parenthesis nesting of an emitted expression.  The frontend
+#: parses and lowers expressions recursively, so a long chain of
+#: single-reader gates is cut into named wires at this depth.
+MAX_NESTING = 8
 
 
 class EmitError(NetlistError):
@@ -209,22 +220,48 @@ def netlist_to_verilog(netlist: Netlist) -> str:
         GateType.OR: " | ", GateType.NOR: " | ",
         GateType.XOR: " ^ ", GateType.XNOR: " ^ ",
     }
+    _INVERTED = (GateType.NAND, GateType.NOR, GateType.XNOR)
 
-    def gate_expr(gid: int) -> str:
+    # -- combinational gates: a gate read once, by another combinational
+    #    gate, is printed in parentheses inside its reader's expression.
+    #    Multi-reader gates, gates that drive a port or a register, and
+    #    gates whose text would nest deeper than MAX_NESTING stay wires.
+    comb = [
+        gid for gid in netlist.topological_order()
+        if not gates[gid].is_source and not gates[gid].is_register
+    ]
+    readers = Counter(f for gid in comb for f in gates[gid].fanins)
+    pinned = {net for _, net in netlist.outputs}
+    pinned.update(gates[gid].fanins[0] for gid in reg_map.values())
+    text: dict[int, str] = {}  # expressions not inlined (yet), in order
+    depth: dict[int, int] = {}  # deepest parenthesis nesting of each
+
+    for gid in comb:
         gate = gates[gid]
         gtype = gate.gtype
-        operands = [token(f) for f in gate.fanins]
+        extra = 1 if gtype in _INVERTED else 0  # the '~(' of NAND & co.
+        nesting = extra
+        operands = []
+        for f in gate.fanins:
+            if (f in text and readers[f] == 1 and f not in pinned
+                    and depth[f] + 1 + extra <= MAX_NESTING):
+                nesting = max(nesting, depth[f] + 1 + extra)
+                operands.append(f"({text.pop(f)})")
+            else:
+                operands.append(token(f))
         if gtype == GateType.BUF:
-            return operands[0]
-        if gtype == GateType.NOT:
-            return f"~{operands[0]}"
-        if gtype == GateType.MUX:
+            expr = operands[0]
+        elif gtype == GateType.NOT:
+            expr = f"~{operands[0]}"
+        elif gtype == GateType.MUX:
             select, data0, data1 = operands
-            return f"{select} ? {data1} : {data0}"
-        joined = _OPS[gtype].join(operands)
-        if gtype in (GateType.NAND, GateType.NOR, GateType.XNOR):
-            return f"~({joined})"
-        return joined
+            expr = f"{select} ? {data1} : {data0}"
+        else:
+            expr = _OPS[gtype].join(operands)
+            if extra:
+                expr = f"~({expr})"
+        text[gid] = expr
+        depth[gid] = nesting
 
     # -- assemble the module text.
     ports: list[str] = []
@@ -271,14 +308,8 @@ def netlist_to_verilog(netlist: Netlist) -> str:
             width = max(max(reg_words[base]) + 1, 2)
             lines.append(f"  reg [{width - 1}:0] {decl};")
 
-    comb = [
-        gid for gid in netlist.topological_order()
-        if not gates[gid].is_source and not gates[gid].is_register
-    ]
-    for gid in comb:
-        lines.append(f"  wire {wire_prefix}{gid};")
-    for gid in comb:
-        lines.append(f"  assign {wire_prefix}{gid} = {gate_expr(gid)};")
+    lines.extend(f"  wire {wire_prefix}{gid} = {expr};"
+                 for gid, expr in text.items())
 
     for name, net in netlist.outputs:
         base, index = _split_bit_name(name)

@@ -266,12 +266,14 @@ def test_bad_map_rejected_before_any_work(alu_file, capsys, monkeypatch):
      "cannot write '{tmp}/no/such/dir/o.v': No such file or directory"),
     (["--check-against", "{tmp}/missing.v"],
      "cannot read '{tmp}/missing.v': No such file or directory"),
+    (["--check", "--solve-log", "{tmp}/no/such/dir/p.drat"],
+     "cannot write '{tmp}/no/such/dir/p.drat': No such file or directory"),
 ])
 def test_bad_arguments_rejected_before_any_work(alu_file, tmp_path, capsys,
                                                 extra, message):
-    # Like --map: a bad pass name, an --emit directory that does not
-    # exist or an unreadable --check-against source fails the run before
-    # elaboration, so the --profile tree holds no work.
+    # Like --map: a bad pass name, an --emit or --solve-log directory
+    # that does not exist or an unreadable --check-against source fails
+    # the run before elaboration, so the --profile tree holds no work.
     args = [arg.replace("{tmp}", str(tmp_path)) for arg in extra]
     assert run([alu_file, *args, "--profile"]) == 1
     captured = capsys.readouterr()

@@ -7,11 +7,16 @@ sequential designs, whose top-level register names survive the trip and
 keep the register-correspondence check meaningful.
 """
 
+import itertools
+import random
+import re
+
 import pytest
 
 from repro.netlist import GateType, Netlist, elaborate
-from repro.netlist.emit import EmitError, netlist_to_verilog
-from repro.netlist.opt import optimize
+from repro.netlist.aig import from_netlist
+from repro.netlist.emit import MAX_NESTING, EmitError, netlist_to_verilog
+from repro.netlist.opt import map_aig, optimize
 from repro.netlist.sat import check_equivalence
 
 from test_opt import DESIGN_IDS, DESIGNS, _random_vectors
@@ -180,3 +185,98 @@ def test_wire_prefix_rescans_after_every_bump():
     assert "wire w__" in text
     reparsed = elaborate(text, top="m")
     assert check_equivalence(netlist, reparsed).equivalent
+
+
+# ---------------------------------------------------------------------------
+# Inlined single-reader gates
+# ---------------------------------------------------------------------------
+
+def _nesting(text: str) -> int:
+    """Deepest parenthesis nesting on any line of ``text``."""
+    deepest = 0
+    for line in text.splitlines():
+        level = 0
+        for char in line:
+            if char == "(":
+                level += 1
+                deepest = max(deepest, level)
+            elif char == ")":
+                level -= 1
+    return deepest
+
+
+def test_long_single_reader_chain_is_cut_at_the_nesting_cap():
+    netlist = Netlist("chain")
+    inputs = [netlist.add_input(f"x{k}") for k in range(4)]
+    gtypes = (GateType.AND, GateType.XOR, GateType.NOR, GateType.OR,
+              GateType.XNOR, GateType.NAND)
+    net = inputs[0]
+    for k in range(2400):
+        net = netlist.add_gate(gtypes[k % len(gtypes)],
+                               (net, inputs[1 + k % 3]))
+    netlist.add_output("y", net)
+    text = netlist_to_verilog(netlist)
+    assert _nesting(text) <= MAX_NESTING
+    # Most of the chain is inlined: one named wire per few gates.
+    wires = len(re.findall(r"^  wire ", text, re.M))
+    assert wires < 2400 // 3
+    reparsed = elaborate(text, top="chain")
+    assert check_equivalence(netlist, reparsed).equivalent
+
+
+def _random_tree(netlist, leaves, rng, height):
+    """A fanout-free cone of random gate types over ``leaves``: every
+    gate has one reader, so the emitter inlines all of it."""
+    if height == 0:
+        return rng.choice(leaves)
+    gtype = rng.choice((GateType.MUX, GateType.NAND, GateType.NOR,
+                        GateType.XNOR, GateType.NOT, GateType.AND,
+                        GateType.OR, GateType.XOR, GateType.BUF))
+    arity = {GateType.MUX: 3, GateType.NOT: 1, GateType.BUF: 1}.get(gtype, 2)
+    return netlist.add_gate(gtype, [
+        _random_tree(netlist, leaves, rng, height - 1)
+        for _ in range(arity)])
+
+
+def test_mixed_gate_expressions_keep_their_precedence():
+    rng = random.Random(30)
+    netlist = Netlist("mixed")
+    leaves = [netlist.add_input(name) for name in "abcde"]
+    for k in range(12):
+        netlist.add_output(f"y{k}",
+                           _random_tree(netlist, leaves, rng, 1 + k % 4))
+    text = netlist_to_verilog(netlist)
+    assert _nesting(text) >= 3  # operands really were inlined
+    reparsed = elaborate(text, top="mixed")
+    vectors = [dict(zip("abcde", bits))
+               for bits in itertools.product((0, 1), repeat=5)]
+    assert simulate_sequence(reparsed, vectors) == \
+        simulate_sequence(netlist, vectors)
+
+
+@pytest.mark.parametrize("name,source,top,params", DESIGNS, ids=DESIGN_IDS)
+def test_mapped_netlists_name_only_shared_or_pinned_wires(
+        name, source, top, params):
+    netlist = elaborate(source, top=top, params=params)
+    luts = map_aig(from_netlist(netlist), k=4).to_netlist()
+    text = netlist_to_verilog(luts)
+    assert _nesting(text) <= MAX_NESTING
+    lines = text.splitlines()
+    for wire, expr in re.findall(r"^  wire (w\d+) = (.*);$", text, re.M):
+        read = re.compile(rf"\b{wire}\b")
+        readers = [line for line in lines
+                   if not line.startswith(f"  wire {wire} =")
+                   for _ in read.finditer(line)]
+        if len(readers) >= 2 or any(
+                line.endswith(f" = {wire};") or line.endswith(f"<= {wire};")
+                for line in readers):
+            continue  # shared, or drives a port or a register
+        # Read once: inlining it would have nested past the cap.
+        assert len(readers) == 1, f"{name}: {wire} is never read"
+        line = readers[0]
+        at = read.search(line).start()
+        level = line[:at].count("(") - line[:at].count(")")
+        assert level + 1 + _nesting(expr) > MAX_NESTING, \
+            f"{name}: single-reader {wire} was not inlined"
+    reparsed = elaborate(text, top=top)
+    assert check_equivalence(luts, reparsed).equivalent

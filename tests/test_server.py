@@ -452,12 +452,25 @@ def test_daemon_replaces_a_pool_broken_by_a_killed_worker(tmp_path):
 # Long-poll, persistent connections and the bounded job table
 # ---------------------------------------------------------------------------
 
+def _with_bus(src):
+    """Add an 8-bit pass-through bus to a multiplier's ports."""
+    src = src.replace("input [W-1:0] b,",
+                      "input [W-1:0] b, input [7:0] pt_in, "
+                      "output [7:0] pt_out,", 1)
+    return src.replace("endmodule", "  assign pt_out = pt_in;\nendmodule", 1)
+
+
 def _slow_job(client, tag):
-    """Submit a certified W=5 multiplier proof (about 0.3 s of work) that
-    is new to both cache tiers."""
+    """Submit a W=5 multiplier proof that is new to both cache tiers.
+
+    The pass-through bus takes the miter past exhaustive simulation, so
+    the SAT solver decides it: about 2000 conflicts, 0.55 s of work on a
+    2-vCPU host.  Without the bus the pair is simulation-proven in a few
+    tens of milliseconds, and can finish inside a 50 ms long-poll window.
+    """
     a = designs.renamed(designs.multiplier(5), tag)
     b = designs.renamed(designs.shift_add_multiplier(5), tag)
-    return client.submit(a.src, b.src, {"certify": True})
+    return client.submit(_with_bus(a.src), _with_bus(b.src))
 
 
 def _long_poll(client, job_id, wait, close=False):
@@ -617,7 +630,7 @@ def test_shutdown_answers_long_polls_and_closes_idle_connections(tmp_path):
                                           timeout=10)
         idle.request("GET", "/status")
         assert idle.getresponse().read()
-        # Three queued proofs on one worker: about a second of work.
+        # Three queued proofs on one worker: under two seconds of work.
         jobs = [_slow_job(client, f"sd{k}") for k in range(3)]
         box = {}
         poller = threading.Thread(target=lambda: box.update(

@@ -12,23 +12,22 @@ statistics — as a table or as JSON.  Frontend and elaboration problems
 are reported as one-line diagnostics with exit code 1.
 
 The equivalence check runs the full staged CEC pipeline (simulation
-refutation, SAT sweeping, structure-aware encoding, bounded variable
-elimination, seeded CDCL — see :mod:`repro.netlist.sat.cec`).
+refutation, SAT sweeping, structure-aware encoding, seeded CDCL — see
+:mod:`repro.netlist.sat.cec`).
 
 Certification: ``--certify`` has the solver log a DRAT proof and runs
 any UNSAT equivalence verdict through the independent RUP checker
 (exit 1 if the certificate is refused); ``--solve-log FILE`` streams the
-DRAT text to disk for offline re-checking (e.g. with drat-trim).
-Variable-elimination steps land in the same proof as the solver's
-learned clauses.  A miter small enough to simulate exhaustively is
-certified without the solver: its proof is a cube tree over the input
-assignments.
+DRAT text to disk for offline re-checking (e.g. with drat-trim).  A
+miter small enough to simulate exhaustively is certified without the
+solver: its proof is a cube tree over the input assignments.
 
 Observability (:mod:`repro.obs`): ``--trace FILE.json`` records every
 phase of the run as Chrome trace-event JSON (open it in Perfetto or
 ``chrome://tracing``), ``--profile`` prints a self/total wall-time tree
-over the same spans, and ``-v`` / ``--log-level`` stream the spans and
-solver progress events to stderr as ndjson while the run executes.
+over the same spans, and ``-v`` (top phases) / ``-vv`` (everything)
+stream the spans and solver progress events to stderr as ndjson while
+the run executes.
 """
 
 from __future__ import annotations
@@ -220,23 +219,18 @@ def build_parser() -> argparse.ArgumentParser:
         "-v", "--verbose", action="count", default=0,
         help="stream ndjson span/event logs to stderr (-v: top phases, "
              "-vv: everything including solver progress)")
-    parser.add_argument(
-        "--log-level", choices=("quiet", "info", "debug"), default=None,
-        help="explicit ndjson log level (overrides -v)")
     return parser
 
 
-def _log_depth(args) -> Optional[int]:
-    """Map -v/--log-level to an ndjson max depth (None = everything,
+def _log_depth(verbose: int) -> Optional[int]:
+    """Map the -v count to an ndjson max depth (None = everything,
     -1 = logging disabled)."""
-    level = args.log_level
-    if level is None:
-        level = {0: "quiet", 1: "info"}.get(args.verbose, "debug")
-    if level == "quiet":
-        return -1
-    if level == "info":
-        return 2
-    return None
+    return {0: -1, 1: 2}.get(verbose)
+
+
+def _missing_dir(path: Optional[str]) -> bool:
+    """True when ``path`` is set and its directory does not exist."""
+    return bool(path) and not os.path.isdir(os.path.dirname(path) or ".")
 
 
 def _throughput(netlist, cycles: int, seed: int) -> dict:
@@ -261,7 +255,7 @@ def run(argv: Optional[Sequence[str]] = None,
         out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
-    depth = _log_depth(args)
+    depth = _log_depth(args.verbose)
     tracing = bool(args.trace or args.profile or depth != -1)
     if tracing:
         sink = ndjson_sink(sys.stderr, depth) if depth != -1 else None
@@ -279,7 +273,8 @@ def run(argv: Optional[Sequence[str]] = None,
                 span.set(exit_code=code)
     finally:
         if tracer.enabled:
-            if args.trace:
+            # A missing --trace directory was already reported.
+            if args.trace and not _missing_dir(args.trace):
                 try:
                     write_chrome_trace(tracer, args.trace)
                 except OSError as exc:
@@ -307,8 +302,8 @@ def _execute(args, out, tracer) -> int:
             check_passes(passes)
         except OptimizationError as exc:
             raise CLIError(str(exc)) from exc
-    for path in (args.emit, args.solve_log):
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+    for path in (args.emit, args.solve_log, args.trace):
+        if _missing_dir(path):
             raise CLIError(
                 f"cannot write '{path}': No such file or directory")
     source = _read_source(args.source)
@@ -497,12 +492,6 @@ def _execute(args, out, tracer) -> int:
                     f"{solver['restarts']} restarts, "
                     f"{solver['reduced_clauses']} reduced clauses, "
                     f"{solver['propagations']} propagations")
-            if eq.get("preprocessor"):
-                pp = eq["preprocessor"]
-                lines.append(
-                    f"  preprocessor: {pp['eliminated_vars']} variables "
-                    f"eliminated, {pp['eliminated_clauses']} clauses "
-                    f"replaced by {pp['resolvents']} resolvents")
             if "proof" in eq:
                 proof_rep = eq["proof"]
                 if proof_rep["checked"] is True:

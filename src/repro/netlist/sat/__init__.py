@@ -32,7 +32,6 @@ from .cec import (
     replay_counterexample,
 )
 from .cnf import CNF, aig_lit_sat, encode_aig_cone
-from .preprocess import PreprocessResult, PreprocessStats, preprocess
 from .proof import (
     DratCheckResult,
     ProofLog,
@@ -51,9 +50,6 @@ __all__ = [
     "CNF",
     "aig_lit_sat",
     "encode_aig_cone",
-    "PreprocessResult",
-    "PreprocessStats",
-    "preprocess",
     "DratCheckResult",
     "ProofLog",
     "check_drat",

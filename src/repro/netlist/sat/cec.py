@@ -27,10 +27,10 @@ progressively heavier artillery, in order:
    proves every root pair (``sim_proven``) and the later stages never
    run.  When DRAT evidence is requested the budget is the smaller
    :data:`_CUBE_BITS`, and the verdict comes with a *cube-tree* proof:
-   the differing cones are encoded without variable elimination, and one
-   RUP lemma per node of the binary tree over the leaf variables refutes
-   every assignment (:func:`_cube_tree`).  Otherwise the patterns are
-   seeded random and the stage can only refute.
+   the differing cones are encoded, and one RUP lemma per node of the
+   binary tree over the leaf variables refutes every assignment
+   (:func:`_cube_tree`).  Otherwise the patterns are seeded random and
+   the stage can only refute.
 2. **SAT sweeping of the miter** (FRAIG-style, shared with the optimizer
    via :func:`~repro.netlist.opt.fraig.fraig_sweep_map`) — internal
    points the two designs implement identically but with different
@@ -42,10 +42,8 @@ progressively heavier artillery, in order:
    merges (:func:`_sweep_worthwhile`).
 3. **structure-aware encoding** — the surviving cones are encoded with
    XOR/MUX/majority pattern matching
-   (:func:`~repro.netlist.sat.cnf.encode_aig_cone`), then simplified by
-   bounded variable elimination
-   (:func:`~repro.netlist.sat.preprocess.preprocess`) with the shared
-   input/state variables frozen, so counterexample models reconstruct.
+   (:func:`~repro.netlist.sat.cnf.encode_aig_cone`) into the CNF the
+   solver receives as-is.
 4. **guided CDCL** — the solver's saved phases are seeded from the
    simulation signatures' majority votes and its initial VSIDS
    activities from cone fanout counts, pointing the search at the
@@ -63,11 +61,9 @@ A SAT verdict is never returned raw: the model is replayed through the
 compiled simulation engine on both netlists (:func:`replay_counterexample`)
 to confirm the disagreement and name the differing signals, guarding
 against encoder bugs.  Certification survives every stage: an exhaustive
-simulation verdict is certified by its cube-tree proof, variable
-elimination emits RUP-checkable DRAT steps into the same proof log the
-solver extends, sweep merges are certified per-merge inside the sweep,
-and an UNSAT verdict is checked against the *original* (pre-elimination)
-CNF.
+simulation verdict is certified by its cube-tree proof, sweep merges are
+certified per-merge inside the sweep, and a solver UNSAT verdict by its
+DRAT proof, checked against the encoded CNF.
 """
 
 from __future__ import annotations
@@ -83,7 +79,6 @@ from ..logic import Netlist
 from ..sim import (_split_bit_name, aig_signatures, elementary_words,
                    simulate_compiled)
 from .cnf import CNF, aig_lit_sat, encode_aig_cone
-from .preprocess import preprocess as simplify_cnf
 from .proof import ProofLog, check_drat
 from .solver import Solver, SolverStats
 
@@ -165,13 +160,11 @@ class EquivalenceResult:
     #: Number of (output + next-state) functions compared by the miter.
     compared: int = 0
     #: Wall time spent building the miter (lowering, simulation checks,
-    #: Tseitin encoding, cube-tree proof) vs solving it.  Variable
-    #: elimination counts in neither: its time is
-    #: ``preprocessor["seconds"]``.
+    #: Tseitin encoding, cube-tree proof) vs solving it.
     encode_seconds: float = 0.0
     solve_seconds: float = 0.0
-    #: Size of the CNF handed to the solver (before variable
-    #: elimination), or of the CNF a cube-tree proof refutes.
+    #: Size of the CNF handed to the solver, or of the CNF a cube-tree
+    #: proof refutes.
     cnf_vars: int = 0
     cnf_clauses: int = 0
     #: Root pairs proven equal structurally (identical AIG literals in the
@@ -200,9 +193,6 @@ class EquivalenceResult:
     #: True when the counterexample came from the packed-simulation check
     #: — the solver never ran (``solver_stats`` is all zeros).
     refuted_by_simulation: bool = False
-    #: :class:`~repro.netlist.sat.preprocess.PreprocessStats` counters as
-    #: a dict when the miter reached the solve, else None.
-    preprocessor: Optional[dict] = None
 
     def __bool__(self) -> bool:
         return self.equivalent
@@ -230,7 +220,6 @@ class EquivalenceResult:
             "sweep_seconds": self.sweep_seconds,
             "sim_proven": self.sim_proven,
             "refuted_by_simulation": self.refuted_by_simulation,
-            "preprocessor": self.preprocessor,
         }
         if include_proof is None:
             include_proof = certify
@@ -555,9 +544,8 @@ def _certify_exhaustive(result: EquivalenceResult, aig: AIG,
                         *, certify: bool,
                         proof: Optional[ProofLog]) -> None:
     """DRAT evidence for pairs exhaustive simulation proved: encode their
-    cones (no variable elimination), write a :func:`_cube_tree` proof into
-    ``proof`` (a fresh log when None) and, under ``certify``, check it
-    against that CNF."""
+    cones, write a :func:`_cube_tree` proof into ``proof`` (a fresh log
+    when None) and, under ``certify``, check it against that CNF."""
     tracer = get_tracer()
     start = time.perf_counter()
     cnf = CNF()
@@ -589,8 +577,8 @@ def _solve(result: EquivalenceResult, aig: AIG,
            sigs, mask: int, num_patterns: int, *,
            certify: bool, proof: Optional[ProofLog]
            ) -> Optional[tuple[dict[str, int], dict[str, int]]]:
-    """Stages 3–4 for the root ``pairs`` of ``aig``: encode, eliminate
-    variables, seeded solve, model reconstruction and DRAT check.
+    """Stages 3–4 for the root ``pairs`` of ``aig``: encode, seeded
+    solve and DRAT check.
 
     The counters go straight into ``result``.  Returns the named
     ``(inputs, state)`` assignment of a SAT model, or None on UNSAT.
@@ -598,7 +586,7 @@ def _solve(result: EquivalenceResult, aig: AIG,
     ``num_patterns`` stimulus patterns (None disables phase/activity
     seeding).  ``proof`` is the log to write into; under ``certify`` one
     is created when None, and an UNSAT verdict is checked against the
-    original (pre-elimination) CNF.
+    encoded CNF.
     """
     tracer = get_tracer()
     start = time.perf_counter()
@@ -613,47 +601,28 @@ def _solve(result: EquivalenceResult, aig: AIG,
 
     if certify and proof is None:
         proof = ProofLog()
-    # Variable elimination: the proof steps it emits precede the
-    # solver's, so one log certifies the whole pipeline against the
-    # original CNF.  Input/state variables are frozen — they must survive
-    # for model readback and counterexample reconstruction.
-    frozen = set(input_vars.values()) | set(state_vars.values())
-    with tracer.span("cec.preprocess",
-                     cnf_clauses=len(cnf.clauses)) as pp_span:
-        pre = simplify_cnf(cnf.num_vars, cnf.clauses,
-                           frozen=frozen, proof=proof)
-        pp_span.set(clauses_out=len(pre.clauses), unsat=pre.unsat)
-    result.preprocessor = pre.stats.to_dict()
-
-    # When elimination alone derived the empty clause the proof already
-    # ends in it: no search, and certification proceeds as for any other
-    # UNSAT verdict.
+    start = time.perf_counter()
+    with tracer.span("cec.solve", cnf_vars=cnf.num_vars,
+                     cnf_clauses=len(cnf.clauses)) as solve_span:
+        solver = Solver(cnf.num_vars, cnf.clauses)
+        if proof is not None:
+            solver.set_proof(proof)
+        if sigs is not None:
+            # Stage 4: point the search where simulation and structure
+            # say the action is.
+            _seed_solver(solver, var_map, aig, sigs, mask, num_patterns)
+        attach_solver_progress(solver, tracer)
+        outcome = solver.solve()
+        solve_span.set(satisfiable=outcome.satisfiable,
+                       conflicts=outcome.stats.conflicts)
+    result.solve_seconds = time.perf_counter() - start
+    result.solver_stats = outcome.stats
     model = None
-    if not pre.unsat:
-        start = time.perf_counter()
-        with tracer.span("cec.solve", cnf_vars=cnf.num_vars,
-                         cnf_clauses=len(pre.clauses)) as solve_span:
-            solver = Solver(cnf.num_vars, pre.clauses)
-            if proof is not None:
-                solver.set_proof(proof)
-            if sigs is not None:
-                # Stage 4: point the search where simulation and
-                # structure say the action is.
-                _seed_solver(solver, var_map, aig, sigs, mask, num_patterns)
-            attach_solver_progress(solver, tracer)
-            outcome = solver.solve()
-            solve_span.set(satisfiable=outcome.satisfiable,
-                           conflicts=outcome.stats.conflicts)
-        result.solve_seconds = time.perf_counter() - start
-        result.solver_stats = outcome.stats
-        if outcome.satisfiable:
-            # Eliminated variables are re-valued by replaying the
-            # elimination stack.
-            full = pre.reconstruct(outcome.model)
-            model = ({name: int(full.get(var, False))
-                      for name, var in input_vars.items()},
-                     {name: int(full.get(var, False))
-                      for name, var in state_vars.items()})
+    if outcome.satisfiable:
+        model = ({name: int(outcome.model[var])
+                  for name, var in input_vars.items()},
+                 {name: int(outcome.model[var])
+                  for name, var in state_vars.items()})
 
     if proof is not None:
         # Added to the sweep's merge-proof totals, if any.
@@ -682,11 +651,7 @@ def check_equivalence(before: Netlist, after: Netlist,
     Both designs are lowered into one shared hash-consed AIG and the root
     pairs hashing cannot settle run through the staged pipeline from the
     module docstring — simulation (exhaustive on small miters), SAT
-    sweeping, structure-aware encoding, bounded variable elimination,
-    phase/activity-seeded CDCL.  The solve always eliminates variables
-    (shared input/state variables frozen, so counterexamples
-    reconstruct); the result's ``preprocessor`` dict carries the
-    elimination counters.
+    sweeping, structure-aware encoding, phase/activity-seeded CDCL.
 
     ``sim_patterns`` (keyword-only) is the width of the packed random
     stimulus (seeded with :data:`_SIM_SEED`) used by the simulation
@@ -706,21 +671,19 @@ def check_equivalence(before: Netlist, after: Netlist,
 
     ``certify=True`` turns on DRAT proof logging and, on an UNSAT
     verdict, replays the proof through the independent RUP checker
-    (:func:`~repro.netlist.sat.proof.check_drat`) **against the original
-    pre-elimination CNF** — elimination steps are part of the same
-    proof and stay inside the RUP fragment by construction.  Sweep
-    merges are certified per-merge inside the sweep; a rejected sweep
-    proof makes ``proof_checked`` False even when the top-level proof
-    checks.  The result's ``proof_checked`` then certifies the verdict
-    (False means some proof was rejected — callers such as the CLI
-    treat that as a hard failure).  ``proof`` supplies the
+    (:func:`~repro.netlist.sat.proof.check_drat`) against the encoded
+    CNF.  Sweep merges are certified per-merge inside the sweep; a
+    rejected sweep proof makes ``proof_checked`` False even when the
+    top-level proof checks.  The result's ``proof_checked`` then
+    certifies the verdict (False means some proof was rejected —
+    callers such as the CLI treat that as a hard failure).  ``proof`` supplies the
     :class:`ProofLog` to write into — pass one with a stream to keep the
     DRAT text on disk (the CLI's ``--solve-log``); with ``proof`` alone
     the log is recorded but not checked.  A miter exhaustive simulation
     proves within :data:`_CUBE_BITS` needs no solve: its proof is a
     cube tree over the leaf variables of the encoded cones, with
-    ``2**n + 2**(n-1) - 1`` lemmas, checked against that
-    (uneliminated) CNF; ``solver_stats`` stay zero.
+    ``2**n + 2**(n-1) - 1`` lemmas, checked against that CNF;
+    ``solver_stats`` stay zero.
     """
     tracer = get_tracer()
     with tracer.span("cec", before=before.name,

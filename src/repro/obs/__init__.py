@@ -23,10 +23,11 @@ against this zero-dependency subsystem:
   report).
 
 The CLI exposes all three through ``--trace FILE.json``, ``-v`` /
-``--log-level``, and ``--profile``; ``perfbench/run.py --trace 1`` reads
-its per-layer timings from the same spans.  The solver additionally emits MiniSat-style progress
-events every N conflicts through a pluggable callback —
-:func:`attach_solver_progress` routes them into the current tracer.
+``-vv``, and ``--profile``; ``perfbench/run.py --trace 1`` reads its
+per-layer timings from the same spans.  The solver additionally emits
+MiniSat-style progress events every N conflicts through a pluggable
+callback — :func:`attach_solver_progress` routes them into the current
+tracer.
 """
 
 from .metrics import Histogram, MetricsRegistry

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+import os
 import signal
 import sys
 
@@ -36,9 +37,19 @@ def main(argv=None) -> int:
                         help="write a Chrome trace of all jobs on "
                              "shutdown")
     args = parser.parse_args(argv)
+    if not 0 <= args.port <= 65535:
+        print("error: --port expects an integer between 0 and 65535",
+              file=sys.stderr)
+        return 1
     if args.workers is not None and args.workers < 1:
         print("error: --workers expects a positive integer",
               file=sys.stderr)
+        return 1
+    # The trace is written at shutdown: a missing directory would only
+    # show after the whole session.
+    if args.trace and not os.path.isdir(os.path.dirname(args.trace) or "."):
+        print(f"error: cannot write '{args.trace}': "
+              "No such file or directory", file=sys.stderr)
         return 1
     if args.cache:
         try:
@@ -52,8 +63,13 @@ def main(argv=None) -> int:
                           workers=args.workers, cache_dir=args.cache,
                           tracer=tracer)
 
-    async def serve() -> None:
-        await daemon.start()
+    async def serve() -> bool:
+        try:
+            await daemon.start()
+        except OSError as exc:  # bind failure or unresolvable host
+            print(f"error: cannot listen on {args.host}:{args.port}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return False
         print(f"listening on {daemon.host}:{daemon.port} "
               f"(workers={daemon.workers})", flush=True)
         loop = asyncio.get_running_loop()
@@ -61,9 +77,11 @@ def main(argv=None) -> int:
             with contextlib.suppress(NotImplementedError):
                 loop.add_signal_handler(sig, daemon.shutdown)
         await daemon.serve_forever()
+        return True
 
     try:
-        asyncio.run(serve())
+        if not asyncio.run(serve()):
+            return 1
     except KeyboardInterrupt:
         pass
     if tracer is not None:

@@ -111,10 +111,11 @@ class VerifyDaemon:
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listener and spin up the worker pool."""
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        """Bind the listener and spin up the worker pool.  The bind comes
+        first, so an ``OSError`` it raises leaves no pool behind."""
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port)
+        self._pool = ProcessPoolExecutor(max_workers=self.workers)
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = time.monotonic()
 

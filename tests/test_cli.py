@@ -268,12 +268,15 @@ def test_bad_map_rejected_before_any_work(alu_file, capsys, monkeypatch):
      "cannot read '{tmp}/missing.v': No such file or directory"),
     (["--check", "--solve-log", "{tmp}/no/such/dir/p.drat"],
      "cannot write '{tmp}/no/such/dir/p.drat': No such file or directory"),
+    (["--check", "--trace", "{tmp}/no/such/dir/t.json"],
+     "cannot write '{tmp}/no/such/dir/t.json': No such file or directory"),
 ])
 def test_bad_arguments_rejected_before_any_work(alu_file, tmp_path, capsys,
                                                 extra, message):
-    # Like --map: a bad pass name, an --emit or --solve-log directory
-    # that does not exist or an unreadable --check-against source fails
-    # the run before elaboration, so the --profile tree holds no work.
+    # Like --map: a bad pass name, an --emit, --solve-log or --trace
+    # directory that does not exist or an unreadable --check-against
+    # source fails the run before elaboration, so the --profile tree
+    # holds no work, and the one diagnostic is the only stderr line.
     args = [arg.replace("{tmp}", str(tmp_path)) for arg in extra]
     assert run([alu_file, *args, "--profile"]) == 1
     captured = capsys.readouterr()
@@ -302,7 +305,7 @@ def _assert_usage_error(args, flag):
 
 
 def test_retired_no_preprocess_flag_is_a_usage_error(alu_file):
-    # Variable elimination has no off switch.
+    # CEC has no variable-elimination stage to switch off.
     _assert_usage_error([alu_file, "--check", "--no-preprocess"],
                         "--no-preprocess")
 
@@ -311,6 +314,12 @@ def test_retired_sim_flag_is_a_usage_error(alu_file):
     # Word-level simulation has one engine, the compiled one.
     _assert_usage_error([alu_file, "--cycles", "5", "--sim", "interp"],
                         "--sim interp")
+
+
+def test_retired_log_level_flag_is_a_usage_error(alu_file):
+    # -v counts select the ndjson depth: none, top phases, everything.
+    _assert_usage_error([alu_file, "--log-level", "debug"],
+                        "--log-level debug")
 
 
 def test_retired_jobs_flag_is_a_usage_error(alu_file):
@@ -373,7 +382,7 @@ def test_check_prints_solver_stats_when_solving(wide_mult_pair):
     assert "solver:" in text
     assert "conflicts" in text and "restarts" in text
     assert "reduced clauses" in text
-    assert "variables eliminated" in text and "resolvents" in text
+    assert "preprocessor:" not in text
     assert "subsumed" not in text and "vivified" not in text
 
 

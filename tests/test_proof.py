@@ -26,7 +26,6 @@ from repro.netlist.sat import (
     parse_drat,
 )
 from repro.netlist.sat import CNF, cec, proof
-from repro.netlist.sat.preprocess import preprocess
 
 from repro.obs import Tracer, use_tracer
 
@@ -397,10 +396,10 @@ def _miter_cnf(width):
 
 
 def _miter_solver_proof(width, assume):
-    """A preprocessed, reduce-DB-heavy solver proof of the miter, so it
-    carries deletions.  With ``assume`` the disagreement clause is gated
-    by a fresh selector, and the proof holds only under it."""
-    cnf, inputs = _miter_cnf(width)
+    """A reduce-DB-heavy solver proof of the miter, so it carries
+    deletions.  With ``assume`` the disagreement clause is gated by a
+    fresh selector, and the proof holds only under it."""
+    cnf, _ = _miter_cnf(width)
     clauses = list(cnf.clauses)
     assumptions = ()
     if assume:
@@ -408,9 +407,7 @@ def _miter_solver_proof(width, assume):
         clauses[-1] = clauses[-1] + (-selector,)
         assumptions = (selector,)
     log = ProofLog()
-    pre = preprocess(cnf.num_vars, clauses,
-                     frozen={*inputs, *assumptions}, proof=log)
-    solver = Solver(cnf.num_vars, pre.clauses)
+    solver = Solver(cnf.num_vars, clauses)
     solver.max_learnts = 16
     solver.set_proof(log)
     assert not solver.solve(assumptions).satisfiable
@@ -646,16 +643,17 @@ def test_check_equivalence_proof_stream(tmp_path):
     assert steps == proof.steps
 
 
-def test_check_equivalence_certify_preprocessed():
-    # Without simulation (and so without the sweep) the whole differing
-    # cone reaches the CNF preprocessor, whose eliminations must stay
-    # inside the certified proof; the small miter skips the cube-tree
-    # proof and reaches the solve.
+def test_check_equivalence_certify_solve_path():
+    # Without simulation (and so without the sweep) the small miter skips
+    # the cube-tree proof: the whole differing cone reaches the solver,
+    # whose proof is checked against the encoded CNF.
     before = elaborate(MULT_A)
     after = elaborate(MULT_B)
     result = check_equivalence(before, after, certify=True, sim_patterns=0)
     assert result.equivalent and result.proof_checked is True
-    assert result.preprocessor["eliminated_vars"] > 0
+    assert result.solver_stats.conflicts > 0
+    assert result.proof_clauses > 0
+    assert "preprocessor" not in result.to_report(certify=True)
 
 
 def test_fraig_sweep_certify():

@@ -279,6 +279,36 @@ def test_counterexample_replays_on_interpreter_oracle():
         assert (outputs[base] >> index) & 1 == before_val
 
 
+_PLAIN_MULT = """
+module mult (input [3:0] a, input [3:0] b, output [7:0] p);
+  assign p = a * b;
+endmodule
+"""
+
+_NEEDLE_MULT = """
+module mult (input [3:0] a, input [3:0] b, output [7:0] p);
+  assign p = a * b + ((a == 5) & (b == 7));
+endmodule
+"""
+
+
+def test_solver_counterexample_replays_through_simulator():
+    """A single-assignment bug (a=5, b=7) with the simulation check
+    disabled is refuted by the solver: the input assignment read off its
+    model must replay through the simulator and name the needle."""
+    before = elaborate(_PLAIN_MULT, top="mult")
+    after = elaborate(_NEEDLE_MULT, top="mult")
+    verdict = check_equivalence(before, after, sim_patterns=0)
+    assert not verdict.equivalent
+    assert not verdict.refuted_by_simulation
+    assert verdict.cnf_clauses > 0
+    cex = verdict.counterexample
+    assert cex is not None and cex.diff
+    assert cex.packed_inputs() == {"a": 5, "b": 7}
+    assert replay_counterexample(before, after, cex.inputs,
+                                 cex.state) == cex.diff
+
+
 def test_interpreter_state_injection_validates():
     interp = Interpreter(COUNTER, top="counter")
     with pytest.raises(InterpreterError, match="does not name a register"):
@@ -307,17 +337,15 @@ def test_solver_stats_surface_through_equivalence_result():
 
 
 @pytest.mark.parametrize("width,counters", [
-    (4, dict(conflicts=385, propagations=10_717, decisions=462,
-             cnf_vars=106, cnf_clauses=355, proof_clauses=539,
-             eliminated_vars=31)),
-    (5, dict(conflicts=1953, propagations=85_511, decisions=2313,
-             cnf_vars=179, cnf_clauses=617, proof_clauses=2230,
-             eliminated_vars=54)),
+    (4, dict(conflicts=233, propagations=10_445, decisions=274,
+             cnf_vars=106, cnf_clauses=355, proof_clauses=233)),
+    (5, dict(conflicts=1708, propagations=99_362, decisions=2210,
+             cnf_vars=179, cnf_clauses=617, proof_clauses=1708)),
 ])
 def test_serial_solve_counters_pinned(width, counters, monkeypatch):
     """The in-process stage-3/4 solve is one deterministic program: the
-    CNF it encodes, what preprocessing eliminates and the CDCL search on
-    the carry-save vs shift-add multiplier miter are pinned exactly.
+    CNF it encodes and the CDCL search on the carry-save vs shift-add
+    multiplier miter are pinned exactly.
 
     Both miters fit the cube budget, so it is closed here to keep them
     on the solve path; ``sim_patterns=0`` would do that too, but it also
@@ -335,7 +363,6 @@ def test_serial_solve_counters_pinned(width, counters, monkeypatch):
         decisions=stats.decisions, cnf_vars=verdict.cnf_vars,
         cnf_clauses=verdict.cnf_clauses,
         proof_clauses=verdict.proof_clauses,
-        eliminated_vars=verdict.preprocessor["eliminated_vars"],
     ) == counters
 
 

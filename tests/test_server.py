@@ -76,7 +76,7 @@ def test_canonical_options_defaults():
 
 def test_canonical_options_rejects_unknown_keys():
     # "encoding" and "preprocess" are retired options: the miter is
-    # always the shared AIG, and variable elimination always runs.
+    # always the shared AIG, and CEC has no variable-elimination stage.
     for options in ({"certfy": True}, {"encoding": "aig"},
                     {"preprocess": False}):
         with pytest.raises(ValueError,
@@ -188,6 +188,52 @@ def test_server_main_rejects_non_positive_workers(workers, capsys):
     assert main(["--port", "0", "--workers", workers]) == 1
     assert capsys.readouterr().err == \
         "error: --workers expects a positive integer\n"
+
+
+@pytest.mark.parametrize("port", ["99999", "65536", "-3"])
+def test_server_main_rejects_out_of_range_port(port, capsys):
+    from repro.server.__main__ import main
+
+    assert main(["--port", port]) == 1
+    assert capsys.readouterr().err == \
+        "error: --port expects an integer between 0 and 65535\n"
+
+
+def test_server_main_rejects_missing_trace_directory(tmp_path, capsys):
+    # The trace is written at shutdown; the directory is checked first.
+    from repro.server.__main__ import main
+
+    path = tmp_path / "missing" / "t.json"
+    assert main(["--port", "0", "--trace", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: cannot write '{path}': No such file or directory\n"
+
+
+def test_server_main_reports_a_port_in_use(capsys):
+    from repro.server.__main__ import main
+
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        port = held.getsockname()[1]
+        assert main(["--port", str(port), "--workers", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_server_main_reports_an_unresolvable_host(monkeypatch, capsys):
+    # Name resolution happens inside the bind: stand in its failure.
+    from repro.server.__main__ import main
+
+    async def unresolvable(*args, **kwargs):
+        raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+    monkeypatch.setattr(daemon_module.asyncio, "start_server", unresolvable)
+    assert main(["--host", "nowhere.invalid", "--port", "0"]) == 1
+    assert capsys.readouterr().err == ("error: cannot listen on "
+                                       "nowhere.invalid:0: Name or service "
+                                       "not known\n")
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +426,7 @@ def test_daemon_rejects_bad_submissions(client):
     with pytest.raises(ServerError) as exc:
         client.submit(ADDER, ADDER_B, {"no_such_option": 1})
     assert exc.value.status == 400
-    # Variable elimination has no off switch any more.
+    # The retired variable-elimination switch stays an unknown option.
     with pytest.raises(ServerError) as exc:
         client.submit(ADDER, ADDER_B, {"preprocess": False})
     assert exc.value.status == 400
@@ -464,9 +510,10 @@ def _slow_job(client, tag):
     """Submit a W=5 multiplier proof that is new to both cache tiers.
 
     The pass-through bus takes the miter past exhaustive simulation, so
-    the SAT solver decides it: about 2000 conflicts, 0.55 s of work on a
-    2-vCPU host.  Without the bus the pair is simulation-proven in a few
-    tens of milliseconds, and can finish inside a 50 ms long-poll window.
+    the SAT solver decides it: 1,708 conflicts, about 0.75 s of work on a
+    2-vCPU Xeon host.  Without the bus the pair is simulation-proven in a
+    few tens of milliseconds, and can finish inside a 50 ms long-poll
+    window.
     """
     a = designs.renamed(designs.multiplier(5), tag)
     b = designs.renamed(designs.shift_add_multiplier(5), tag)

@@ -17,10 +17,14 @@ refutation, SAT sweeping, structure-aware encoding, seeded CDCL — see
 
 Certification: ``--certify`` has the solver log a DRAT proof and runs
 any UNSAT equivalence verdict through the independent RUP checker
-(exit 1 if the certificate is refused); ``--solve-log FILE`` streams the
-DRAT text to disk for offline re-checking (e.g. with drat-trim).  A
-miter small enough to simulate exhaustively is certified without the
-solver: its proof is a cube tree over the input assignments.
+(exit 1 if the certificate is refused).  A miter small enough to
+simulate exhaustively is certified without the solver: its proof is a
+cube tree over the input assignments.  ``--solve-log FILE`` streams the
+top-level solver's proof, or the cube tree, to FILE as DRAT text for
+offline re-checking (e.g. with drat-trim).  The miter sweep's merge
+proofs are checked in memory and never streamed, so a verdict the
+sweep decided leaves FILE empty; the report's ``log_bytes`` is the
+number of bytes FILE holds.
 
 Observability (:mod:`repro.obs`): ``--trace FILE.json`` records every
 phase of the run as Chrome trace-event JSON (open it in Perfetto or
@@ -173,9 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
              "check exits 1 (implies --check)")
     parser.add_argument(
         "--solve-log", metavar="FILE",
-        help="stream the DRAT proof (the solver's learned-clause "
-             "additions and deletions, or the cube tree of an "
-             "exhaustively simulated miter) to FILE during --check "
+        help="stream the DRAT proof (the top-level solver's "
+             "learned-clause additions and deletions, or the cube tree "
+             "of an exhaustively simulated miter) to FILE during "
+             "--check; the miter sweep's merge proofs are not streamed "
              "(implies --check)")
     parser.add_argument(
         "--cache", metavar="DIR",
@@ -403,6 +408,8 @@ def _execute(args, out, tracer) -> int:
             report["equivalence"]["against"] = args.check_against
         if args.solve_log and "proof" in report["equivalence"]:
             report["equivalence"]["proof"]["log"] = args.solve_log
+            report["equivalence"]["proof"]["log_bytes"] = \
+                proof.bytes_written
     if args.ir == "aig":
         report["aig_stats"] = from_netlist(netlist).stats()
         if result is not None:
@@ -508,7 +515,10 @@ def _execute(args, out, tracer) -> int:
                         "  proof: nothing to check (no solver UNSAT "
                         "verdict)")
                 if proof_rep.get("log"):
-                    lines.append(f"  proof log: {proof_rep['log']}")
+                    written = proof_rep["log_bytes"]
+                    note = (f"{written} bytes" if written else
+                            "empty: it holds none of this verdict's proof")
+                    lines.append(f"  proof log: {proof_rep['log']} ({note})")
         if "simulation" in report:
             sim = report["simulation"]
             lines.append("")

@@ -34,10 +34,11 @@ Observability: each sweep opens a ``fraig`` span on the current
 simulate/rebuild iteration (annotated with its candidate-class count and
 its ``sat_checks`` / ``proven`` / ``refuted`` / ``sim_refuted`` counts),
 a ``fraig.signatures`` span around each packed re-simulation and, when
-certifying, a ``fraig.certify`` span around each merge-proof check
-(annotated with how many lemmas the checker's lane pass and its
-sequential check verified); the per-round solver's search statistics
-are accumulated into
+certifying, one ``fraig.certify`` span per round that merged nodes
+around its proof check (annotated with its ``merges``, ``lemmas``,
+whether the round's proof checked, and how many lemmas the checker's
+lane pass and its sequential check verified); the per-round solver's
+search statistics are accumulated into
 :attr:`FraigStats.solver` rather than discarded, so callers (CLI
 ``--json``, the CEC report) see the sweep's total SAT effort.
 """
@@ -85,6 +86,11 @@ class FraigStats:
         self.proof_clauses = 0
         self.proof_bytes = 0
         self.proof_check_seconds = 0.0
+        #: Lemmas the checker verified (the sum of
+        #: ``DratCheckResult.checked``): one pass over each round's
+        #: proof, so at most ``proof_clauses`` unless a round check
+        #: fails and each of its merges is checked on its own.
+        self.lemma_checks = 0
 
     def to_dict(self) -> dict:
         return {
@@ -101,6 +107,7 @@ class FraigStats:
             "proof_clauses": self.proof_clauses,
             "proof_bytes": self.proof_bytes,
             "proof_check_seconds": round(self.proof_check_seconds, 6),
+            "lemma_checks": self.lemma_checks,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -138,6 +145,44 @@ class SweepResult:
         return self.lit_map[lit >> 1] ^ (lit & 1)
 
 
+def _certify_round(cnf: CNF, proof: ProofLog,
+                   merges: list[tuple[int, int]], stats: FraigStats) -> None:
+    """Certify one round's ``merges`` with one check of its proof.
+
+    Each merge is ``(gate_var, logged)``: the query's gate variable and
+    how many proof steps preceded its ``¬gate_var`` unit.  The round's
+    formula is satisfiable, so the proof is checked without assumptions
+    and without an empty clause, and every lemma is verified once; a
+    merge is certified iff its unit is among them.  Were the units
+    asserted together instead, the check would prove only their
+    conjunction.  When some lemma fails, each merge is checked as its
+    own refutation under its gate, on the steps logged before its unit,
+    so a failure is charged to exactly the merges it breaks.
+    """
+    start = time.perf_counter()
+    with get_tracer().span("fraig.certify", merges=len(merges)) as span:
+        verdict = check_drat(cnf, proof, refutation=False)
+        checks = [verdict]
+        if verdict.ok:
+            units = {lits[0] for kind, lits in proof.steps
+                     if kind == "a" and len(lits) == 1}
+            certified = [-gate in units for gate, _ in merges]
+        else:
+            checks += [check_drat(cnf, proof.steps[:logged],
+                                  assumptions=(gate,))
+                       for gate, logged in merges]
+            certified = [check.ok for check in checks[1:]]
+        lane_checked = sum(check.lane_checked for check in checks)
+        lemma_checks = sum(check.checked for check in checks)
+        span.set(lemmas=verdict.lemmas, round_ok=verdict.ok,
+                 lane_checked=lane_checked,
+                 sequential_checked=lemma_checks - lane_checked)
+    stats.proof_check_seconds += time.perf_counter() - start
+    stats.lemma_checks += lemma_checks
+    stats.proofs_checked += sum(certified)
+    stats.proofs_failed += len(certified) - sum(certified)
+
+
 def fraig_sweep(aig: AIG, patterns: int = 64, seed: int = 2022,
                 stats: Optional[FraigStats] = None,
                 certify: bool = False) -> AIG:
@@ -148,14 +193,18 @@ def fraig_sweep(aig: AIG, patterns: int = 64, seed: int = 2022,
     appended as extra patterns); ``seed`` seeds them.  At most
     :data:`_MAX_ROUNDS` simulate/rebuild rounds run.
 
-    ``certify=True`` logs a DRAT proof per round and runs every UNSAT
-    (merge-proving) verdict through the independent RUP checker, with
-    the assumption literal that gated the query asserted as a unit —
-    see :func:`repro.netlist.sat.proof.check_drat`.  Results land in
-    ``stats``: ``proofs_checked`` / ``proofs_failed`` counts plus total
-    proof clauses/bytes and check time.  Merges are only certified, never
-    changed — a rejected proof counts in ``proofs_failed`` and the
-    caller decides how loudly to fail.
+    ``certify=True`` logs a DRAT proof per round.  Every UNSAT
+    (merge-proving) query adds the unit ``¬gate`` of the literal that
+    gated it, unless the solver's last lemma already is that unit, and
+    at the end of the round the independent RUP checker verifies every
+    lemma of the round's proof once (:func:`_certify_round`; see
+    :func:`repro.netlist.sat.proof.check_drat`).  A merge is certified
+    iff its unit is among the verified lemmas, so checking costs one
+    pass over each round's proof, not one per merge.  Results land in
+    ``stats``: ``proofs_checked`` / ``proofs_failed`` merge counts plus
+    total proof clauses/bytes, ``lemma_checks`` and check time.  Merges
+    are only certified, never changed — a rejected merge counts in
+    ``proofs_failed`` and the caller decides how loudly to fail.
     """
     return fraig_sweep_map(aig, patterns=patterns, seed=seed, stats=stats,
                            certify=certify).aig
@@ -260,6 +309,9 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, seed: int = 2022,
                 if certify:
                     proof = ProofLog()
                     solver.set_proof(proof)
+                # Certified merges of this round: (gate var, proof steps
+                # logged before its ``¬gate`` unit).
+                merges: list[tuple[int, int]] = []
                 var_map: dict[int, int] = {}
                 cex_found = False
                 # This round's counterexamples are the stimulus bits from
@@ -350,24 +402,12 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, seed: int = 2022,
                                 "fraig.proof_conflicts").observe(
                                 solver.stats.conflicts - conflicts_before)
                         if proof is not None:
-                            # Certify formula-so-far ∧ gate_var ⊢ ⊥ with
-                            # the proof logged across all queries so far
-                            # this round (earlier lemmas stay valid: they
-                            # are implied by the clauses alone).
-                            check_start = time.perf_counter()
-                            with tracer.span("fraig.certify",
-                                             lemmas=proof.num_added) as span:
-                                verdict = check_drat(
-                                    cnf, proof, assumptions=(gate_var,))
-                                span.set(lane_checked=verdict.lane_checked,
-                                         sequential_checked=(
-                                             verdict.sequential_checked))
-                            stats.proof_check_seconds += \
-                                time.perf_counter() - check_start
-                            if verdict.ok:
-                                stats.proofs_checked += 1
-                            else:
-                                stats.proofs_failed += 1
+                            # The solver's final conflict under the one
+                            # assumption makes ``¬gate_var`` RUP, and
+                            # its last lemma is often that very unit.
+                            if proof.steps[-1:] != [("a", (-gate_var,))]:
+                                proof.add((-gate_var,))
+                            merges.append((gate_var, len(proof.steps) - 1))
                         proven[(r, nid)] = delta
                         lit_map[nid] = candidate
                         continue
@@ -391,6 +431,8 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, seed: int = 2022,
                     new.add_output(name, mlit(lit))
                 stats.solver.accumulate(solver.stats)
                 if proof is not None:
+                    if merges:
+                        _certify_round(cnf, proof, merges, stats)
                     stats.proof_clauses += proof.num_added
                     stats.proof_bytes += proof.size_bytes()
                 round_span.set(classes=len(rep),

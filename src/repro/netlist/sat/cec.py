@@ -61,9 +61,9 @@ A SAT verdict is never returned raw: the model is replayed through the
 compiled simulation engine on both netlists (:func:`replay_counterexample`)
 to confirm the disagreement and name the differing signals, guarding
 against encoder bugs.  Certification survives every stage: an exhaustive
-simulation verdict is certified by its cube-tree proof, sweep merges are
-certified per-merge inside the sweep, and a solver UNSAT verdict by its
-DRAT proof, checked against the encoded CNF.
+simulation verdict is certified by its cube-tree proof, sweep merges by
+one check of each sweep round's proof inside the sweep, and a solver
+UNSAT verdict by its DRAT proof, checked against the encoded CNF.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ class EquivalenceResult:
     #: DRAT certification (``certify=True`` / ``proof=``).  ``proof_checked``
     #: is True/False when UNSAT evidence was run through the independent
     #: RUP checker (the cube-tree or top-level proof, the sweep's
-    #: per-merge proofs, or both), and None when there was nothing to
+    #: round proofs, or both), and None when there was nothing to
     #: check: certification off, a SAT verdict (certified by the
     #: replayed counterexample instead), or a fully hash-proven miter
     #: that never reached the solver.
@@ -181,6 +181,8 @@ class EquivalenceResult:
     proof_clauses: int = 0
     proof_bytes: int = 0
     proof_check_seconds: float = 0.0
+    #: Lemmas the checker verified, summed over every check it ran.
+    lemma_checks: int = 0
     #: Root pairs whose cones the miter sweep merged (SAT-proven inside
     #: the shared AIG), and the wall time the sweep took.
     sweep_proven: int = 0
@@ -230,6 +232,7 @@ class EquivalenceResult:
                 "clauses": self.proof_clauses,
                 "bytes": self.proof_bytes,
                 "check_seconds": self.proof_check_seconds,
+                "lemma_checks": self.lemma_checks,
             }
         if not self.equivalent and self.counterexample is not None:
             report["counterexample"] = {
@@ -528,14 +531,18 @@ def _cube_tree(proof: ProofLog, leaves: list[int]) -> None:
     refute(())
 
 
-def _certify(cnf: CNF, proof: ProofLog) -> bool:
+def _certify(result: EquivalenceResult, cnf: CNF, proof: ProofLog) -> None:
     """Check ``proof`` against ``cnf`` in a ``cec.certify`` span that
-    records which engine verified the lemmas."""
+    records which engine verified the lemmas, and record the verdict,
+    the lemmas checked and the time taken in ``result``."""
+    start = time.perf_counter()
     with get_tracer().span("cec.certify", lemmas=proof.num_added) as span:
         verdict = check_drat(cnf, proof)
         span.set(lane_checked=verdict.lane_checked,
                  sequential_checked=verdict.sequential_checked)
-    return verdict.ok
+    result.proof_checked = verdict.ok
+    result.lemma_checks += verdict.checked
+    result.proof_check_seconds += time.perf_counter() - start
 
 
 def _certify_exhaustive(result: EquivalenceResult, aig: AIG,
@@ -566,9 +573,7 @@ def _certify_exhaustive(result: EquivalenceResult, aig: AIG,
     result.proof_clauses = proof.num_added
     result.proof_bytes = proof.size_bytes()
     if certify:
-        start = time.perf_counter()
-        result.proof_checked = _certify(cnf, proof)
-        result.proof_check_seconds = time.perf_counter() - start
+        _certify(result, cnf, proof)
 
 
 def _solve(result: EquivalenceResult, aig: AIG,
@@ -629,9 +634,7 @@ def _solve(result: EquivalenceResult, aig: AIG,
         result.proof_clauses += proof.num_added
         result.proof_bytes += proof.size_bytes()
     if certify and model is None:
-        start = time.perf_counter()
-        result.proof_checked = _certify(cnf, proof)
-        result.proof_check_seconds += time.perf_counter() - start
+        _certify(result, cnf, proof)
     return model
 
 
@@ -672,18 +675,20 @@ def check_equivalence(before: Netlist, after: Netlist,
     ``certify=True`` turns on DRAT proof logging and, on an UNSAT
     verdict, replays the proof through the independent RUP checker
     (:func:`~repro.netlist.sat.proof.check_drat`) against the encoded
-    CNF.  Sweep merges are certified per-merge inside the sweep; a
-    rejected sweep proof makes ``proof_checked`` False even when the
-    top-level proof checks.  The result's ``proof_checked`` then
-    certifies the verdict (False means some proof was rejected —
-    callers such as the CLI treat that as a hard failure).  ``proof`` supplies the
-    :class:`ProofLog` to write into — pass one with a stream to keep the
-    DRAT text on disk (the CLI's ``--solve-log``); with ``proof`` alone
-    the log is recorded but not checked.  A miter exhaustive simulation
-    proves within :data:`_CUBE_BITS` needs no solve: its proof is a
-    cube tree over the leaf variables of the encoded cones, with
-    ``2**n + 2**(n-1) - 1`` lemmas, checked against that CNF;
-    ``solver_stats`` stay zero.
+    CNF.  Sweep merges are certified inside the sweep, by one check of
+    each round's proof; a rejected merge makes ``proof_checked`` False
+    even when the top-level proof checks.  The result's
+    ``proof_checked`` then certifies the verdict (False means some
+    proof was rejected — callers such as the CLI treat that as a hard
+    failure), and ``lemma_checks`` counts the lemmas the checker
+    verified.  ``proof`` supplies the :class:`ProofLog` to write into
+    — pass one with a stream to keep the DRAT text on disk (the CLI's
+    ``--solve-log``; the sweep's round proofs are never written to it);
+    with ``proof`` alone the log is recorded but not checked.  A miter
+    exhaustive simulation proves within :data:`_CUBE_BITS` needs no
+    solve: its proof is a cube tree over the leaf variables of the
+    encoded cones, with ``2**n + 2**(n-1) - 1`` lemmas, checked against
+    that CNF; ``solver_stats`` stay zero.
     """
     tracer = get_tracer()
     with tracer.span("cec", before=before.name,
@@ -789,10 +794,11 @@ def check_equivalence(before: Netlist, after: Netlist,
                 sweep_span.set(sweep_proven=result.sweep_proven,
                                remaining=len(pairs))
             result.sweep_seconds = time.perf_counter() - sweep_start
-            # Every merge proof was already RUP-checked under certify.
+            # Every merge was already certified by its round's check.
             result.proof_clauses = sweep_stats.proof_clauses
             result.proof_bytes = sweep_stats.proof_bytes
             result.proof_check_seconds = sweep_stats.proof_check_seconds
+            result.lemma_checks = sweep_stats.lemma_checks
             work_aig = swept.aig
             in_lits = {name: swept.map_lit(lit)
                        for name, lit in pi_lits.items()}

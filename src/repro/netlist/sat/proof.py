@@ -48,21 +48,32 @@ what makes proofs from *incremental* solving (clauses added between
 ``solve()`` calls) checkable with no bookkeeping in the solver.
 
 Assumption-based UNSAT verdicts (``solve(assumptions=...)`` returning
-unsatisfiable, as in the FRAIG sweep) never derive the empty clause from
-the formula alone.  They are certified by passing ``assumptions=`` to
-``check_drat``: the assumption literals are asserted as extra units in
-the checker, under which the proof's final conflict must appear.  This
-is sound because CDCL learned clauses are implied by the clause database
-alone — assumptions enter the search as decisions and are never
-resolved on as clauses — so every logged lemma is still a consequence
-of the formula, and the certificate shows formula ∧ assumptions ⊢ ⊥.
+unsatisfiable) never derive the empty clause from the formula alone.
+CDCL learned clauses are implied by the clause database alone —
+assumptions enter the search as decisions and are never resolved on as
+clauses — so every logged lemma is still a consequence of the formula.
+The FRAIG sweep (:mod:`repro.netlist.opt.fraig`) asks one query per
+candidate merge, each under its own gate literal ``g``, and after an
+UNSAT answer logs the unit ``¬g``: the solver's final conflict under
+that single assumption makes it RUP.  At the end of a round,
+``check_drat(cnf, proof, refutation=False)`` verifies every lemma of
+the round's proof once, without assumptions and without an empty
+clause, since the round's formula is satisfiable.  A merge is certified
+iff its unit is among the verified lemmas; asserting every gate at once
+would prove only their conjunction.  A single refutation under
+assumptions is certified by passing ``assumptions=``: the literals are
+asserted as extra units, under which the proof's final conflict must
+appear, so the certificate shows formula ∧ assumptions ⊢ ⊥.  The sweep
+falls back to that per-merge check when a round's proof fails.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, or_
+from itertools import chain, compress, count
+from operator import and_, lt, or_
 from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
 
 __all__ = [
@@ -128,7 +139,7 @@ class ProofLog:
     """
 
     __slots__ = ("steps", "stream", "bytes_written", "num_added",
-                 "num_deleted", "_bytes")
+                 "num_deleted")
 
     def __init__(self, stream: Optional[TextIO] = None):
         self.steps: List[Step] = []
@@ -137,38 +148,41 @@ class ProofLog:
         #: Running counts of addition and deletion steps.
         self.num_added = 0
         self.num_deleted = 0
-        self._bytes = 0
 
     def add(self, lits: Iterable[int]) -> None:
         """Record a learned-clause addition."""
-        self._record("a", tuple(lits))
+        step = ("a", tuple(lits))
+        self.steps.append(step)
+        self.num_added += 1
+        if self.stream is not None:
+            self._write(step)
 
     def delete(self, lits: Iterable[int]) -> None:
         """Record a clause deletion (reduce-DB erasure)."""
-        self._record("d", tuple(lits))
-
-    def _record(self, kind: str, lits: Tuple[int, ...]) -> None:
-        self.steps.append((kind, lits))
-        if kind == "a":
-            self.num_added += 1
-        else:
-            self.num_deleted += 1
+        step = ("d", tuple(lits))
+        self.steps.append(step)
+        self.num_deleted += 1
         if self.stream is not None:
-            line = format_drat_step(kind, lits) + "\n"
-            self.stream.write(line)
-            self.bytes_written += len(line)
-            self.stream.flush()
-        else:
-            # The DRAT line is the literals joined by single spaces, then
-            # " 0\n" ("0\n" when empty), after "d " for a deletion.
-            self._bytes += (sum(map(len, map(str, lits))) + len(lits) + 2
-                            + (kind == "d") * 2)
+            self._write(step)
+
+    def _write(self, step: Step) -> None:
+        line = format_drat_step(*step) + "\n"
+        self.stream.write(line)
+        self.bytes_written += len(line)
+        self.stream.flush()
 
     def size_bytes(self) -> int:
         """Size of the proof as DRAT text (streamed or would-be)."""
         if self.stream is not None:
             return self.bytes_written
-        return self._bytes
+        # Each line is its literals joined by single spaces, then " 0\n"
+        # ("0\n" when empty), after "d " for a deletion.  A literal's
+        # text is measured once however often it occurs.
+        steps = self.steps
+        counts = Counter(chain.from_iterable(lits for _, lits in steps))
+        return (sum(len(str(lit)) * count for lit, count in counts.items())
+                + sum(counts.values()) + 2 * len(steps)
+                + 2 * sum(kind == "d" for kind, _ in steps))
 
     def to_drat(self) -> str:
         """The whole proof as DRAT text."""
@@ -220,14 +234,20 @@ _LANE_PASSES = 2
 _LANE_BLOCK = 4096
 #: The lane pass runs only on proofs with at least one addition per this
 #: many formula clauses.  A pass sweeps every live clause however few
-#: the lanes: on the FRAIG sweep's merge proofs (about one addition per
-#: five clauses) the lane pass cost more than checking the same lemmas
-#: sequentially.
+#: the lanes, so on proofs with few lemmas it costs more than checking
+#: them sequentially.  On a 2-vCPU host, as the median ratio over 20
+#: alternating repetitions: the four certified FRAIG round checks of two
+#: W=16 ALU self-checks (one addition per 5 to 12 clauses, so this
+#: setting skips the pass) take 1.26x as long with the pass forced on as
+#: with it off; the 100 mutated solver proofs of the tests' checker
+#: oracle take 1.39x forced on and 1.03x at this setting, which runs the
+#: pass on their W=3 proofs (0.7 additions per clause).  The benchmark's
+#: cube tree (2.5 additions per clause) is settled by one pass.
 _LANE_MIN_SHARE = 4
 
 
-def check_drat(cnf, proof, assumptions: Sequence[int] = ()
-               ) -> DratCheckResult:
+def check_drat(cnf, proof, assumptions: Sequence[int] = (),
+               refutation: bool = True) -> DratCheckResult:
     """Independently verify a DRAT(-RUP) proof of unsatisfiability.
 
     ``cnf`` is the input formula: anything with a ``.clauses`` attribute
@@ -236,6 +256,9 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = ()
     ``ProofLog``, a list of ``(kind, lits)`` steps, or DRAT text.
     ``assumptions`` are literals asserted as extra units (certifying
     UNSAT-under-assumptions verdicts).  Every addition is checked.
+    With ``refutation=False`` the proof need not end in a conflict: it
+    is accepted iff every addition is RUP, so each lemma is certified
+    as a consequence of a formula that may be satisfiable.
 
     Returns a ``DratCheckResult``; never raises on a bad proof, only on
     malformed input.
@@ -248,64 +271,60 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = ()
     # -- clause database ---------------------------------------------------
     # Literals are encoded as ``2 * var + sign`` (sign 1 = negative), so
     # values, watch lists and negation (``^ 1``) are flat list indexing.
-    # Clauses are mutable lists so the two watched literals can live at
-    # positions 0 and 1.  ``active`` tracks liveness under the deletion
-    # steps.  Lane ``i`` checks addition ``i`` and the last lane the end
-    # of the proof; a clause is alive in lanes ``born[cid]`` up to
-    # ``dies[cid]`` (exclusive, -1 for never deleted).
-    db: List[List[int]] = []
-    active: List[bool] = []
-    inert: List[bool] = []           # tautologies: never propagate
-    born: List[int] = []
-    dies: List[int] = []
-    unit_ids: List[int] = []
-    empty_ids: List[int] = []
-    by_key: dict = {}                # sorted literal tuple -> clause ids
-    num_vars = 0
-    lemma_count = 0
-
-    def add_clause(lits: Iterable[int]) -> int:
-        nonlocal num_vars
-        uniq = dict.fromkeys(lits)   # duplicates dropped, order kept
-        if 0 in uniq:
-            raise ValueError("literal 0 in clause")
-        clause = [2 * lit if lit > 0 else 1 - 2 * lit for lit in uniq]
-        tautology = len({lit >> 1 for lit in clause}) < len(clause)
-        if clause and max(clause) >> 1 > num_vars:
-            num_vars = max(clause) >> 1
-        cid = len(db)
-        db.append(clause)
-        active.append(True)
-        inert.append(tautology)
-        born.append(lemma_count)
-        dies.append(-1)
-        by_key.setdefault(tuple(sorted(uniq)), []).append(cid)
-        if not tautology and len(clause) < 2:
-            (unit_ids if clause else empty_ids).append(cid)
-        return cid
-
-    for lits in formula:
-        add_clause(lits)
-    base = len(db)                   # lemma i is clause base + i
-
-    matched_deletions = 0
-    events: List[Tuple[str, int]] = []   # proof order, resolved clause ids
+    # Every clause is keyed once by its sorted distinct literals, and its
+    # encoding follows that order; the encodings are mutable lists so
+    # the two watched literals can live at positions 0 and 1.  Formula
+    # clauses come first, then lemma ``i`` as clause ``base + i``.
+    # ``active`` tracks liveness under the deletion steps.  Lane ``i``
+    # checks lemma ``i`` and the last lane the end of the proof; a
+    # clause is alive in lanes ``born[cid]`` up to ``dies[cid]``
+    # (exclusive, -1 for never deleted).
+    clauses = list(formula)
+    base = len(clauses)
+    deletions = []                   # (additions before it, literals)
     for kind, lits in steps:
         if kind == "a":
-            lemma_count += 1         # alive from the next lane on
-            events.append(("a", add_clause(lits)))
+            clauses.append(lits)
         elif kind == "d":
-            key = tuple(sorted(set(lits)))
-            cid = next((c for c in by_key.get(key, ())
-                        if active[c]), None)
-            if cid is None:
-                continue             # deleting an unknown clause: ignore
-            active[cid] = False
-            dies[cid] = lemma_count
-            events.append(("d", cid))
-            matched_deletions += 1
+            deletions.append((len(clauses) - base, lits))
         else:
             raise ValueError(f"unknown DRAT step kind {kind!r}")
+    lemma_count = len(clauses) - base
+    keys = list(map(tuple, map(sorted, clauses)))
+    # Duplicate literals are dropped.  They are rare, so the clauses that
+    # hold one are found in bulk.  A tautology needs no special case: it
+    # can never become unit, and a tautological lemma's negation is a
+    # conflict by itself.
+    for cid in compress(count(), map(lt, map(len, map(set, keys)),
+                                     map(len, keys))):
+        keys[cid] = tuple(sorted(set(keys[cid])))
+    literals = set().union(*keys)
+    if 0 in literals:
+        raise ValueError("literal 0 in clause")
+    num_vars = max(map(abs, literals), default=0)
+    code = {lit: 2 * lit if lit > 0 else 1 - 2 * lit for lit in literals}
+    db: List[List[int]] = [[*map(code.__getitem__, key)] for key in keys]
+    unit_ids = [cid for cid, key in enumerate(keys) if len(key) == 1]
+    empty_ids = [cid for cid, key in enumerate(keys) if not key]
+    born = [0] * base + [*range(1, lemma_count + 1)]
+    dies = [-1] * len(db)
+    active = [True] * len(db)
+
+    # A deletion deactivates the earliest copy of its clause still active
+    # (copies die in birth order); deleting an unknown clause is ignored.
+    copies: dict = {}                # key -> clause ids, latest first
+    for cid in reversed(range(len(keys))):
+        copies.setdefault(keys[cid], []).append(cid)
+    undo: List[Tuple[int, int]] = []     # (lane, clause id), proof order
+    for lane, lits in deletions:
+        ids = (copies.get(tuple(sorted(lits)))
+               or copies.get(tuple(sorted(set(lits)))))
+        if ids and ids[-1] - base < lane:    # born before the deletion
+            cid = ids.pop()
+            active[cid] = False
+            dies[cid] = lane
+            undo.append((lane, cid))
+    matched_deletions = len(undo)
 
     for lit in assumptions:
         if abs(lit) > num_vars:
@@ -313,12 +332,15 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = ()
     assumed = [2 * lit if lit > 0 else 1 - 2 * lit for lit in assumptions]
 
     # -- lane pass ---------------------------------------------------------
-    # ``verified[lane]`` is "1" for each lane unit propagation settled.
+    # ``verified[lane]`` is "1" for each lane unit propagation settled;
+    # without ``refutation`` the end of the proof needs no lane.
     if _LANE_PASSES and lemma_count * _LANE_MIN_SHARE >= base:
-        verified = _lane_pass(db, inert, born, dies, base, assumed,
-                              2 * num_vars + 2)
+        verified = _lane_pass(db, born, dies, base, assumed,
+                              2 * num_vars + 2, refutation)
     else:
-        verified = "0" * (lemma_count + 1)
+        verified = "0" * (lemma_count + refutation)
+    if not refutation:
+        verified += "1"
     lane_checked = verified.count("1", 0, lemma_count)
     checked = lane_checked
     if verified[lemma_count] == "1" and lane_checked == lemma_count:
@@ -350,7 +372,7 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = ()
 
     def hook(cid: int) -> None:
         clause = db[cid]
-        if inert[cid] or len(clause) < 2:
+        if len(clause) < 2:
             return
         if len(clause) == 2:
             first, second = clause
@@ -462,8 +484,9 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = ()
         return conflict
 
     # -- sequential check of what the lane pass left -----------------------
-    # 1. The empty clause must be RUP at the end of the proof: the
-    #    formula plus surviving lemmas (plus assumptions) propagate to a
+    # 1. Unless the lane pass settled it, or ``refutation`` is off, the
+    #    empty clause must be RUP at the end of the proof: the formula
+    #    plus surviving lemmas (plus assumptions) propagate to a
     #    conflict.  This *is* the proof's implicit final step, so no
     #    explicit "0" line is required.
     if verified[lemma_count] != "1" and not rup_conflict(()):
@@ -473,30 +496,34 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = ()
     # 2. Walk the proof backwards.  Deletions reactivate; additions are
     #    removed from the database and, unless their lane is verified,
     #    must be RUP with respect to what remains.
-    for kind, cid in reversed(events):
-        if kind == "d":
+    pending = len(undo)
+    for lemma in reversed(range(lemma_count)):
+        while pending and undo[pending - 1][0] > lemma:
+            pending -= 1             # deleted after this lemma was added
+            cid = undo[pending][1]
             active[cid] = True
             hook(cid)
-            continue
+        cid = base + lemma
         active[cid] = False
-        if verified[cid - base] == "1":
+        if verified[lemma] == "1":
             continue
-        if not inert[cid] and not rup_conflict([lit ^ 1 for lit in db[cid]]):
+        if not rup_conflict([lit ^ 1 for lit in db[cid]]):
             return fail(f"lemma {_dimacs(db[cid])} 0 is not RUP")
-        checked += 1                 # a tautology is trivially redundant
+        checked += 1
 
     return DratCheckResult(True, "", lemmas=lemma_count, checked=checked,
                            lane_checked=lane_checked,
                            deletions=matched_deletions)
 
 
-def _lane_pass(db: List[List[int]], inert: List[bool], born: List[int],
-               dies: List[int], base: int, assumed: Sequence[int],
-               num_lits: int) -> str:
+def _lane_pass(db: List[List[int]], born: List[int], dies: List[int],
+               base: int, assumed: Sequence[int],
+               num_lits: int, end_lane: bool) -> str:
     """Bit-parallel unit propagation with one lane per proof addition.
 
     Lane ``i`` asserts the negation of lemma ``i`` (clause ``base + i``)
-    and the last lane nothing, the end of the proof; every lane also
+    and, with ``end_lane``, one more lane nothing, the end of the
+    proof; every lane also
     asserts ``assumed``.  A clause takes part in lanes ``born[cid]`` up
     to ``dies[cid]``, exactly the lanes in which it is alive, so each
     lane is plain unit propagation over the clauses its check may use.
@@ -505,7 +532,7 @@ def _lane_pass(db: List[List[int]], inert: List[bool], born: List[int],
     within :data:`_LANE_PASSES` passes.
     """
     lemma_count = len(db) - base
-    total = lemma_count + 1
+    total = lemma_count + end_lane
     # Lemmas before the formula: a lemma's units reach the formula
     # clauses in the same pass, so one pass settles a cube tree.
     order = [*range(base, len(db)), *range(base)]
@@ -526,7 +553,7 @@ def _lane_pass(db: List[List[int]], inert: List[bool], born: List[int],
         for cid in order:
             first = max(born[cid], start)
             last = stop if dies[cid] < 0 else min(dies[cid], stop)
-            if first >= last or inert[cid]:
+            if first >= last:
                 continue
             mask = ((1 << (last - first)) - 1) << (first - start)
             clause = db[cid]

@@ -449,6 +449,42 @@ def test_certify_names_the_cube_proof(mult_pair, tmp_path):
     assert sum(1 for kind, _ in steps if kind == "a") == 383
 
 
+def test_solve_log_bytes_match_the_file(mult_pair, tmp_path):
+    # The cube tree of the W=4 multiplier miter is streamed whole.
+    fa, fb = mult_pair
+    log = tmp_path / "cube.drat"
+    code, text = _run([fa, "--check-against", fb, "--certify",
+                       "--solve-log", str(log), "--json"])
+    assert code == 0
+    proof = json.loads(text)["equivalence"]["proof"]
+    assert proof["log"] == str(log)
+    assert proof["log_bytes"] == os.path.getsize(log) == proof["bytes"] > 0
+    assert proof["lemma_checks"] == proof["clauses"] == 383
+
+
+def test_solve_log_of_a_sweep_decided_verdict_is_empty(tmp_path):
+    # The sweep proves every output of the W=16 ALU's optimized
+    # self-check, and its merge proofs are checked in memory: the log
+    # holds none of them, and the report says so.
+    design = designs.alu(16)
+    path = tmp_path / "alu.v"
+    path.write_text(design.src)
+    log = tmp_path / "sweep.drat"
+    argv = [str(path), "--top", design.top, "--passes", "rewrite,fraig",
+            "--certify", "--solve-log", str(log)]
+    code, text = _run(argv + ["--json"])
+    assert code == 0
+    eq = json.loads(text)["equivalence"]
+    assert eq["sweep_proven"] == eq["compared"]
+    assert eq["proof"]["checked"] is True and eq["proof"]["bytes"] > 0
+    assert eq["proof"]["log_bytes"] == os.path.getsize(log) == 0
+    assert 0 < eq["proof"]["lemma_checks"] <= eq["proof"]["clauses"]
+    code, text = _run(argv)
+    assert code == 0
+    assert (f"proof log: {log} (empty: it holds none of this verdict's "
+            f"proof)") in text
+
+
 def test_check_omits_solver_stats_when_hash_proven(alu_file):
     # The ALU self-CEC fully hash-merges in the shared AIG, so no solver
     # ran and no stats line should print.  Assert the precondition too:

@@ -15,7 +15,7 @@ from itertools import combinations
 import pytest
 
 from repro.netlist import elaborate, from_netlist
-from repro.netlist.opt import FraigStats, fraig_sweep
+from repro.netlist.opt import FraigStats, fraig, fraig_sweep
 from repro.netlist.sat import (
     DratCheckResult,
     ProofLog,
@@ -31,15 +31,16 @@ from repro.obs import Tracer, use_tracer
 
 from reference_solver import ReferenceSolver
 from test_elaborate import ALU
+from test_serialize import designs
 
 
-def _check(cnf, steps, assumptions=()):
+def _check(cnf, steps, assumptions=(), refutation=True):
     """``check_drat`` with the lane pass on, after requiring the same
     verdict with it off."""
-    result = check_drat(cnf, steps, assumptions)
+    result = check_drat(cnf, steps, assumptions, refutation)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(proof, "_LANE_PASSES", 0)
-        alone = check_drat(cnf, steps, assumptions)
+        alone = check_drat(cnf, steps, assumptions, refutation)
     assert alone.ok == result.ok and alone.lane_checked == 0
     if result.ok:
         assert result.checked == alone.checked == result.lemmas
@@ -333,6 +334,85 @@ def test_deleted_formula_clause_is_dead_in_every_later_lane():
 
 
 # ---------------------------------------------------------------------------
+# Edge semantics of the clause database
+# ---------------------------------------------------------------------------
+
+
+def test_literal_zero_is_malformed_input():
+    with pytest.raises(ValueError):
+        check_drat([(1, 0)], [])
+    with pytest.raises(ValueError):
+        check_drat([(1,), (-1,)], [("a", (2, 0))])
+
+
+def test_tautology_never_propagates():
+    # (1 -1 2) would imply 2 if it were unit propagated like a clause.
+    assert not _check([(1, -1, 2)], [("a", (2,))], refutation=False)
+    # A tautological lemma is trivially redundant, so it is accepted.
+    result = _check([(1, 2)], [("a", (3, -3))], refutation=False)
+    assert result.ok and result.checked == 1
+
+
+def test_duplicate_literals_are_dropped():
+    # (1 1) is the unit 1, so the formula is refuted by propagation.
+    assert _check([(1, 1), (-1,)], []).ok
+    # A deletion with a repeated literal still finds its clause.
+    result = _check([(1, 2), (-1, 2), (1, -2), (-1, -2)],
+                    [("a", (2,)), ("d", (2, -1, 2)), ("a", ())])
+    assert result.ok and result.deletions == 1
+
+
+def test_deletion_deactivates_one_of_two_copies():
+    # (2) is RUP from (1 2) and (-1); the formula holds (1 2) twice.
+    clauses = [(1, 2), (2, 1), (-1,)]
+    one = _check(clauses, [("d", (1, 2)), ("a", (2,))], refutation=False)
+    assert one.ok and one.deletions == 1
+    both = _check(clauses, [("d", (1, 2)), ("d", (2, 1)), ("a", (2,))],
+                  refutation=False)
+    assert not both and both.deletions == 2
+
+
+def test_deleting_an_unknown_clause_is_ignored():
+    clauses = [(1, 2), (-1,)]
+    # (5 6) is in no database, and (2) is deleted before it is added.
+    steps = [("d", (5, 6)), ("d", (2,)), ("a", (2,))]
+    result = _check(clauses, steps, refutation=False)
+    assert result.ok and result.deletions == 0
+
+
+def test_without_refutation_lemmas_of_a_satisfiable_formula_check():
+    """``refutation=False`` certifies the lemmas of a formula that is
+    satisfiable: every lemma must still be RUP, but the proof need not
+    end in a conflict."""
+    clauses = [(-1, 2), (-2, 3), (1, 3)]
+    steps = [("a", (-1, 3)), ("a", (3,))]
+    result = _check(clauses, steps, refutation=False)
+    assert result.ok and result.checked == result.lemmas == 2
+    assert "empty clause" in check_drat(clauses, steps).reason
+    bogus = _check(clauses, steps + [("a", (-3,))], refutation=False)
+    assert not bogus and "not RUP" in bogus.reason
+
+
+def test_cec_xmul_cube_tree_proof_checks_in_one_lane_pass():
+    """The benchmark's certified W=5 carry-save vs shift-add multiplier
+    miter: a half-leaf cube tree over its 10 inputs."""
+    before = elaborate(designs.multiplier(5).src, top="multiplier")
+    after = elaborate(designs.shift_add_multiplier(5).src,
+                      top="shift_add_multiplier")
+    aig, pi_lits, latch_lits, named = cec._lower_miter(before, after)
+    pairs = [(b, a) for _, _, b, a in named if b != a]
+    cnf = CNF()
+    _, input_vars, _ = cec._encode_pairs(cnf, aig, pairs, pi_lits,
+                                         latch_lits)
+    log = ProofLog()
+    cec._cube_tree(log, sorted(input_vars.values()))
+    assert len(cnf.clauses) == 617
+    result = _check(cnf, log)
+    assert (result.ok, result.lemmas, result.checked, result.lane_checked,
+            result.deletions) == (True, 1535, 1535, 1535, 1534)
+
+
+# ---------------------------------------------------------------------------
 # Differential check against a naive RUP oracle
 # ---------------------------------------------------------------------------
 
@@ -581,8 +661,8 @@ def test_check_equivalence_certify_unsat():
 
 
 def test_certify_spans_say_which_engine_checked(monkeypatch):
-    """The ``cec.certify`` span of a cube-tree proof and the
-    ``fraig.certify`` span of each merge proof record how many lemmas
+    """The ``cec.certify`` span of a cube-tree proof and the one
+    ``fraig.certify`` span of each sweep round record how many lemmas
     the lane pass and the sequential check verified."""
     tracer = Tracer()
     with use_tracer(tracer):
@@ -592,18 +672,25 @@ def test_certify_spans_say_which_engine_checked(monkeypatch):
     assert cube.sim_proven and cube.proof_checked
     assert span["lane_checked"] == span["lemmas"] == cube.proof_clauses
     assert span["sequential_checked"] == 0
-    # Merge proofs are small against their formula, so the lane pass is
-    # skipped and every lemma is checked sequentially.
+    # One check per round that merged something, never one per merge.
     tracer = Tracer()
     with use_tracer(tracer):
         stats = FraigStats()
         fraig_sweep(from_netlist(elaborate(ALU.replace("W = 4", "W = 8"))),
                     patterns=8, stats=stats, certify=True)
-    merges = [r.args for r in tracer.records if r.name == "fraig.certify"]
-    assert len(merges) == stats.proofs_checked > 0
-    for args in merges:
+    rounds = [r.args for r in tracer.records if r.name == "fraig.certify"]
+    assert 0 < len(rounds) < stats.proven
+    assert sum(args["merges"] for args in rounds) == stats.proven
+    assert stats.proofs_checked == stats.proven and not stats.proofs_failed
+    for args in rounds:
+        assert args["round_ok"]
         assert args["lane_checked"] + args["sequential_checked"] \
             == args["lemmas"]
+    # Each round's lemmas are checked once: the checks grow with the
+    # round proofs, not with merges times lemmas.
+    assert stats.lemma_checks == sum(args["lemmas"] for args in rounds)
+    assert stats.lemma_checks <= stats.proof_clauses
+    assert stats.to_dict()["lemma_checks"] == stats.lemma_checks
     # With the lane pass forced on, the same checks split the work.
     monkeypatch.setattr(proof, "_LANE_MIN_SHARE", 10 ** 6)
     tracer = Tracer()
@@ -612,6 +699,73 @@ def test_certify_spans_say_which_engine_checked(monkeypatch):
                     patterns=8, stats=FraigStats(), certify=True)
     assert sum(r.args["lane_checked"] for r in tracer.records
                if r.name == "fraig.certify") > 0
+
+
+def _sweep_alu8(monkeypatch, mutate):
+    """Certified sweep of the W=8 ALU; ``mutate(cnf, steps, merges)``
+    edits each round's proof steps in place before the round check."""
+    certify_round = fraig._certify_round
+
+    def mutated(cnf, log, merges, stats):
+        mutate(cnf, log.steps, merges)
+        certify_round(cnf, log, merges, stats)
+
+    monkeypatch.setattr(fraig, "_certify_round", mutated)
+    stats = FraigStats()
+    fraig_sweep(from_netlist(elaborate(ALU.replace("W = 4", "W = 8"))),
+                patterns=8, stats=stats, certify=True)
+    return stats
+
+
+def test_dropped_gate_unit_charges_its_merge_alone(monkeypatch):
+    dropped = []
+
+    def drop_one(cnf, steps, merges):
+        # Drop the first merge's ``¬gate`` unit that no later lemma
+        # needs: the round still checks, and only that merge is short
+        # of its certificate.
+        for gate, logged in merges:
+            rest = steps[:logged] + steps[logged + 1:]
+            if (not dropped and steps[logged] == ("a", (-gate,))
+                    and check_drat(cnf, rest, refutation=False)):
+                steps[:] = rest
+                dropped.append(gate)
+
+    tracer = Tracer()
+    with use_tracer(tracer):
+        stats = _sweep_alu8(monkeypatch, drop_one)
+    assert dropped
+    assert all(r.args["round_ok"] for r in tracer.records
+               if r.name == "fraig.certify")
+    assert stats.proofs_failed == 1
+    assert stats.proofs_checked == stats.proven - 1
+
+
+def test_corrupt_lemma_fails_the_round_and_each_merge_is_charged(
+        monkeypatch):
+    corrupted = []
+
+    def corrupt_a_solver_lemma(cnf, steps, merges):
+        # A unit on a variable no clause mentions is never RUP by
+        # itself.  Only merges whose own check can use it are charged.
+        if corrupted:
+            return
+        units = {("a", (-gate,)) for gate, _ in merges}
+        i = next(i for i, step in enumerate(steps)
+                 if step[0] == "a" and step not in units)
+        steps[i] = ("a", (cnf.num_vars + 1,))
+        corrupted.append(sum(logged > i for _, logged in merges))
+
+    tracer = Tracer()
+    with use_tracer(tracer):
+        stats = _sweep_alu8(monkeypatch, corrupt_a_solver_lemma)
+    rounds = [r.args for r in tracer.records if r.name == "fraig.certify"]
+    assert not rounds[0]["round_ok"]
+    assert all(args["round_ok"] for args in rounds[1:])
+    # The fallback checks each merge of the broken round on its own:
+    # those that need the bad lemma fail, the rest still check.
+    assert 0 < stats.proofs_failed <= corrupted[0]
+    assert stats.proofs_checked + stats.proofs_failed == stats.proven
 
 
 def test_check_equivalence_uncertified_has_no_proof_fields():

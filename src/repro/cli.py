@@ -20,11 +20,11 @@ any UNSAT equivalence verdict through the independent RUP checker
 (exit 1 if the certificate is refused).  A miter small enough to
 simulate exhaustively is certified without the solver: its proof is a
 cube tree over the input assignments.  ``--solve-log FILE`` streams the
-top-level solver's proof, or the cube tree, to FILE as DRAT text for
-offline re-checking (e.g. with drat-trim).  The miter sweep's merge
-proofs are checked in memory and never streamed, so a verdict the
-sweep decided leaves FILE empty; the report's ``log_bytes`` is the
-number of bytes FILE holds.
+top-level solver's proof, or the cube tree, to FILE as DRAT text.  FILE
+holds the proof steps only: the miter CNF they refute is not written.
+The miter sweep's merge proofs are checked in memory and never
+streamed, so a verdict the sweep decided leaves FILE empty; the
+report's ``log_bytes`` is the number of bytes FILE holds.
 
 Observability (:mod:`repro.obs`): ``--trace FILE.json`` records every
 phase of the run as Chrome trace-event JSON (open it in Perfetto or
@@ -503,9 +503,8 @@ def _execute(args, out, tracer) -> int:
                 proof_rep = eq["proof"]
                 if proof_rep["checked"] is True:
                     lines.append(
-                        f"  proof: {proof_rep['clauses']} DRAT clauses "
-                        f"({proof_rep['bytes']} bytes), independently "
-                        f"checked in "
+                        f"  proof: {proof_rep['clauses']} DRAT clauses, "
+                        f"independently checked in "
                         f"{proof_rep['check_seconds'] * 1e3:.1f} ms")
                 elif proof_rep["checked"] is False:
                     lines.append(

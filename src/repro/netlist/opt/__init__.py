@@ -20,7 +20,7 @@ depth-minimal trees.
 
 from .cut import (build_truth, cut_truth, enumerate_cut_truths,
                   enumerate_cuts, npn_canon, npn_canonical)
-from .fraig import FraigStats, SweepResult, fraig_sweep, fraig_sweep_map
+from .fraig import FraigStats, SweepResult, fraig_sweep
 from .map import LUT, MapResult, MapStats, map_aig
 from .rewrite import RewriteStats, rewrite_aig
 from .pipeline import (OptimizationError, OptResult, PassStats, balance,
@@ -29,7 +29,6 @@ from .pipeline import (OptimizationError, OptResult, PassStats, balance,
 __all__ = [
     "FraigStats",
     "fraig_sweep",
-    "fraig_sweep_map",
     "SweepResult",
     "build_truth",
     "cut_truth",

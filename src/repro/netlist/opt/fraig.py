@@ -79,17 +79,15 @@ class FraigStats:
         #: Aggregated search statistics of every per-round solver instance.
         self.solver = SolverStats()
         #: DRAT certification counters (``fraig_sweep(certify=True)``):
-        #: proofs accepted / rejected by the independent RUP checker, total
-        #: learned clauses and DRAT bytes logged, and time spent checking.
+        #: merges certified / charged by the independent RUP checker,
+        #: total learned clauses logged, and time spent checking.
         self.proofs_checked = 0
         self.proofs_failed = 0
         self.proof_clauses = 0
-        self.proof_bytes = 0
         self.proof_check_seconds = 0.0
         #: Lemmas the checker verified (the sum of
         #: ``DratCheckResult.checked``): one pass over each round's
-        #: proof, so at most ``proof_clauses`` unless a round check
-        #: fails and each of its merges is checked on its own.
+        #: proof, so at most ``proof_clauses``.
         self.lemma_checks = 0
 
     def to_dict(self) -> dict:
@@ -105,7 +103,6 @@ class FraigStats:
             "proofs_checked": self.proofs_checked,
             "proofs_failed": self.proofs_failed,
             "proof_clauses": self.proof_clauses,
-            "proof_bytes": self.proof_bytes,
             "proof_check_seconds": round(self.proof_check_seconds, 6),
             "lemma_checks": self.lemma_checks,
         }
@@ -120,7 +117,7 @@ class FraigStats:
 
 @dataclass
 class SweepResult:
-    """Everything :func:`fraig_sweep_map` learned about an AIG.
+    """Everything :func:`fraig_sweep` learned about an AIG.
 
     ``aig`` is the rebuilt graph with every SAT-proven equivalence
     merged.  ``lit_map`` maps *original* node ids to literals of the
@@ -145,53 +142,53 @@ class SweepResult:
         return self.lit_map[lit >> 1] ^ (lit & 1)
 
 
-def _certify_round(cnf: CNF, proof: ProofLog,
-                   merges: list[tuple[int, int]], stats: FraigStats) -> None:
-    """Certify one round's ``merges`` with one check of its proof.
+def _certify_round(cnf: CNF, proof: ProofLog, gates: list[int],
+                   stats: FraigStats) -> None:
+    """Certify one round's merges with one check of its proof.
 
-    Each merge is ``(gate_var, logged)``: the query's gate variable and
-    how many proof steps preceded its ``¬gate_var`` unit.  The round's
-    formula is satisfiable, so the proof is checked without assumptions
-    and without an empty clause, and every lemma is verified once; a
-    merge is certified iff its unit is among them.  Were the units
-    asserted together instead, the check would prove only their
-    conjunction.  When some lemma fails, each merge is checked as its
-    own refutation under its gate, on the steps logged before its unit,
-    so a failure is charged to exactly the merges it breaks.
+    ``gates`` holds the gate variable of each merge, whose query logged
+    the unit ``¬gate``.  The round's formula is satisfiable, so the
+    proof is checked without an empty clause, and every lemma is
+    verified once.  A merge is certified iff the round checks and its
+    unit is among the lemmas; a round with any lemma that is not RUP
+    charges every one of its merges.  Were the units asserted together
+    instead, the check would prove only their conjunction.
     """
     start = time.perf_counter()
-    with get_tracer().span("fraig.certify", merges=len(merges)) as span:
+    with get_tracer().span("fraig.certify", merges=len(gates)) as span:
         verdict = check_drat(cnf, proof, refutation=False)
-        checks = [verdict]
-        if verdict.ok:
-            units = {lits[0] for kind, lits in proof.steps
-                     if kind == "a" and len(lits) == 1}
-            certified = [-gate in units for gate, _ in merges]
-        else:
-            checks += [check_drat(cnf, proof.steps[:logged],
-                                  assumptions=(gate,))
-                       for gate, logged in merges]
-            certified = [check.ok for check in checks[1:]]
-        lane_checked = sum(check.lane_checked for check in checks)
-        lemma_checks = sum(check.checked for check in checks)
         span.set(lemmas=verdict.lemmas, round_ok=verdict.ok,
-                 lane_checked=lane_checked,
-                 sequential_checked=lemma_checks - lane_checked)
+                 lane_checked=verdict.lane_checked,
+                 sequential_checked=verdict.sequential_checked)
+    certified = 0
+    if verdict.ok:
+        units = {lits[0] for kind, lits in proof.steps
+                 if kind == "a" and len(lits) == 1}
+        certified = sum(-gate in units for gate in gates)
     stats.proof_check_seconds += time.perf_counter() - start
-    stats.lemma_checks += lemma_checks
-    stats.proofs_checked += sum(certified)
-    stats.proofs_failed += len(certified) - sum(certified)
+    stats.lemma_checks += verdict.checked
+    stats.proofs_checked += certified
+    stats.proofs_failed += len(gates) - certified
 
 
 def fraig_sweep(aig: AIG, patterns: int = 64, seed: int = 2022,
                 stats: Optional[FraigStats] = None,
-                certify: bool = False) -> AIG:
-    """Rebuild ``aig`` with all SAT-provably-equivalent nodes merged.
+                certify: bool = False,
+                words: Optional[dict[int, int]] = None,
+                signatures=None) -> SweepResult:
+    """Rebuild ``aig`` with all SAT-provably-equivalent nodes merged;
+    the :class:`SweepResult` holds the rebuilt graph as ``.aig``.
 
     ``patterns`` is the number of random stimulus patterns packed into the
     initial signatures (counterexamples from refuted candidates are
     appended as extra patterns); ``seed`` seeds them.  At most
-    :data:`_MAX_ROUNDS` simulate/rebuild rounds run.
+    :data:`_MAX_ROUNDS` simulate/rebuild rounds run.  ``words`` (a
+    leaf-node-id to packed-stimulus dict holding ``patterns`` bits per
+    leaf) replaces the seeded random stimulus, and ``signatures`` —
+    valid only alongside ``words`` — must be the per-node packed
+    signatures of ``aig`` under exactly that stimulus (what
+    :func:`~repro.netlist.sim.aig_signatures` returns); round 1 then
+    reuses them instead of resimulating.
 
     ``certify=True`` logs a DRAT proof per round.  Every UNSAT
     (merge-proving) query adds the unit ``¬gate`` of the literal that
@@ -199,41 +196,11 @@ def fraig_sweep(aig: AIG, patterns: int = 64, seed: int = 2022,
     at the end of the round the independent RUP checker verifies every
     lemma of the round's proof once (:func:`_certify_round`; see
     :func:`repro.netlist.sat.proof.check_drat`).  A merge is certified
-    iff its unit is among the verified lemmas, so checking costs one
-    pass over each round's proof, not one per merge.  Results land in
-    ``stats``: ``proofs_checked`` / ``proofs_failed`` merge counts plus
-    total proof clauses/bytes, ``lemma_checks`` and check time.  Merges
-    are only certified, never changed — a rejected merge counts in
-    ``proofs_failed`` and the caller decides how loudly to fail.
-    """
-    return fraig_sweep_map(aig, patterns=patterns, seed=seed, stats=stats,
-                           certify=certify).aig
-
-
-def fraig_sweep_map(aig: AIG, patterns: int = 64, seed: int = 2022,
-                    stats: Optional[FraigStats] = None,
-                    certify: bool = False,
-                    words: Optional[dict[int, int]] = None,
-                    signatures=None) -> SweepResult:
-    """The class-refinement core behind :func:`fraig_sweep`.
-
-    Same algorithm and parameters, but the full :class:`SweepResult` is
-    returned — rebuilt AIG, original-node-to-swept-literal map, and the
-    final packed stimulus — so callers that track literals through the
-    sweep can reuse it.  The CEC path runs this *inside the shared miter
-    AIG* before the top-level solve: internal points the two designs
-    implement identically (but with different structure, so hashing
-    missed them) merge here, every merge certified the same way FRAIG
-    certifies its own, and the final solve sees a collapsed cone.
-
-    ``words`` (a leaf-node-id to packed-stimulus dict holding
-    ``patterns`` bits per leaf) replaces the seeded random stimulus, and
-    ``signatures`` — valid only alongside ``words`` — must be the
-    per-node packed signatures of ``aig`` under exactly that stimulus
-    (what :func:`~repro.netlist.sim.aig_signatures` returns).  Round 1
-    then reuses them instead of resimulating, so a caller that already
-    simulated the graph (the CEC path's stage-1 refutation check) does
-    not pay for the same packed evaluation twice.
+    iff the round checks and its unit is among the lemmas.  Results
+    land in ``stats``: ``proofs_checked`` / ``proofs_failed`` merge
+    counts plus total proof clauses, ``lemma_checks`` and check time.
+    Merges are only certified, never changed — a rejected merge counts
+    in ``proofs_failed`` and the caller decides how loudly to fail.
     """
     if stats is None:
         stats = FraigStats()
@@ -245,10 +212,6 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, seed: int = 2022,
         words = {nid: rng.getrandbits(patterns) for nid in leaves}
         signatures = None
     else:
-        # Caller-provided stimulus (``patterns`` bits per leaf); the
-        # optional ``signatures`` must be this graph's packed node
-        # signatures under exactly these words, in which case round 1
-        # reuses them instead of resimulating.
         words = {nid: words.get(nid, 0) for nid in leaves}
     num_patterns = patterns
     #: Proven equivalences at source level: (rep node, node) -> phase,
@@ -309,9 +272,8 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, seed: int = 2022,
                 if certify:
                     proof = ProofLog()
                     solver.set_proof(proof)
-                # Certified merges of this round: (gate var, proof steps
-                # logged before its ``¬gate`` unit).
-                merges: list[tuple[int, int]] = []
+                # Gate variables of this round's certified merges.
+                merges: list[int] = []
                 var_map: dict[int, int] = {}
                 cex_found = False
                 # This round's counterexamples are the stimulus bits from
@@ -407,7 +369,7 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, seed: int = 2022,
                             # its last lemma is often that very unit.
                             if proof.steps[-1:] != [("a", (-gate_var,))]:
                                 proof.add((-gate_var,))
-                            merges.append((gate_var, len(proof.steps) - 1))
+                            merges.append(gate_var)
                         proven[(r, nid)] = delta
                         lit_map[nid] = candidate
                         continue
@@ -434,7 +396,6 @@ def fraig_sweep_map(aig: AIG, patterns: int = 64, seed: int = 2022,
                     if merges:
                         _certify_round(cnf, proof, merges, stats)
                     stats.proof_clauses += proof.num_added
-                    stats.proof_bytes += proof.size_bytes()
                 round_span.set(classes=len(rep),
                                sat_checks=stats.sat_checks - checks_at,
                                proven=stats.proven - proven_at,

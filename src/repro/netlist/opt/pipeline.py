@@ -25,7 +25,7 @@ def _rewrite(aig: AIG) -> tuple[AIG, dict]:
 
 def _fraig(aig: AIG) -> tuple[AIG, dict]:
     stats = FraigStats()
-    return fraig_sweep(aig, stats=stats), stats.to_dict()
+    return fraig_sweep(aig, stats=stats).aig, stats.to_dict()
 
 
 def _qor(aig: AIG) -> tuple[int, int]:

@@ -32,7 +32,7 @@ progressively heavier artillery, in order:
    (:func:`_cube_tree`).  Otherwise the patterns are seeded random and
    the stage can only refute.
 2. **SAT sweeping of the miter** (FRAIG-style, shared with the optimizer
-   via :func:`~repro.netlist.opt.fraig.fraig_sweep_map`) — internal
+   via :func:`~repro.netlist.opt.fraig.fraig_sweep`) — internal
    points the two designs implement identically but with different
    structure merge under incremental, assumption-gated SAT; root pairs
    whose cones collapse onto the same literal are *sweep-proven* and
@@ -119,7 +119,7 @@ class Counterexample:
     """A distinguishing assignment found by the solver, already replayed.
 
     ``inputs`` maps primary-input bit names to 0/1 and ``state`` maps
-    flip-flop names to their assumed current value; ``diff`` lists the
+    flip-flop names to their current value; ``diff`` lists the
     ``(kind, name, before_value, after_value)`` disagreements observed when
     simulating both netlists under that assignment (kind is ``"output"`` or
     ``"next_state"``).
@@ -179,7 +179,6 @@ class EquivalenceResult:
     #: that never reached the solver.
     proof_checked: Optional[bool] = None
     proof_clauses: int = 0
-    proof_bytes: int = 0
     proof_check_seconds: float = 0.0
     #: Lemmas the checker verified, summed over every check it ran.
     lemma_checks: int = 0
@@ -230,7 +229,6 @@ class EquivalenceResult:
                 "certified": bool(certify),
                 "checked": self.proof_checked,
                 "clauses": self.proof_clauses,
-                "bytes": self.proof_bytes,
                 "check_seconds": self.proof_check_seconds,
                 "lemma_checks": self.lemma_checks,
             }
@@ -571,7 +569,6 @@ def _certify_exhaustive(result: EquivalenceResult, aig: AIG,
         span.set(lemmas=proof.num_added - before)
     result.encode_seconds += time.perf_counter() - start
     result.proof_clauses = proof.num_added
-    result.proof_bytes = proof.size_bytes()
     if certify:
         _certify(result, cnf, proof)
 
@@ -632,7 +629,6 @@ def _solve(result: EquivalenceResult, aig: AIG,
     if proof is not None:
         # Added to the sweep's merge-proof totals, if any.
         result.proof_clauses += proof.num_added
-        result.proof_bytes += proof.size_bytes()
     if certify and model is None:
         _certify(result, cnf, proof)
     return model
@@ -776,14 +772,14 @@ def check_equivalence(before: Netlist, after: Netlist,
         if sigs is not None and _sweep_worthwhile(aig, sigs, mask, pairs):
             # Imported lazily: opt.fraig imports sat.cnf/proof/solver, so
             # a module-level import here would be circular.
-            from ..opt.fraig import FraigStats, fraig_sweep_map
+            from ..opt.fraig import FraigStats, fraig_sweep
             sweep_start = time.perf_counter()
             sweep_stats = FraigStats()
             with tracer.span("cec.sweep", ands=aig.num_ands,
                              pairs=len(pairs)) as sweep_span:
                 # Stage 1's stimulus and signatures are handed to the
                 # sweep so its first round does not resimulate.
-                swept = fraig_sweep_map(
+                swept = fraig_sweep(
                     aig, patterns=sim_patterns, seed=_SIM_SEED,
                     stats=sweep_stats, certify=certify,
                     words=words, signatures=sigs)
@@ -796,7 +792,6 @@ def check_equivalence(before: Netlist, after: Netlist,
             result.sweep_seconds = time.perf_counter() - sweep_start
             # Every merge was already certified by its round's check.
             result.proof_clauses = sweep_stats.proof_clauses
-            result.proof_bytes = sweep_stats.proof_bytes
             result.proof_check_seconds = sweep_stats.proof_check_seconds
             result.lemma_checks = sweep_stats.lemma_checks
             work_aig = swept.aig

@@ -47,32 +47,26 @@ accepted lemma is a logical consequence of the input formula — and is
 what makes proofs from *incremental* solving (clauses added between
 ``solve()`` calls) checkable with no bookkeeping in the solver.
 
-Assumption-based UNSAT verdicts (``solve(assumptions=...)`` returning
-unsatisfiable) never derive the empty clause from the formula alone.
-CDCL learned clauses are implied by the clause database alone —
-assumptions enter the search as decisions and are never resolved on as
-clauses — so every logged lemma is still a consequence of the formula.
-The FRAIG sweep (:mod:`repro.netlist.opt.fraig`) asks one query per
-candidate merge, each under its own gate literal ``g``, and after an
-UNSAT answer logs the unit ``¬g``: the solver's final conflict under
-that single assumption makes it RUP.  At the end of a round,
-``check_drat(cnf, proof, refutation=False)`` verifies every lemma of
-the round's proof once, without assumptions and without an empty
-clause, since the round's formula is satisfiable.  A merge is certified
-iff its unit is among the verified lemmas; asserting every gate at once
-would prove only their conjunction.  A single refutation under
-assumptions is certified by passing ``assumptions=``: the literals are
-asserted as extra units, under which the proof's final conflict must
-appear, so the certificate shows formula ∧ assumptions ⊢ ⊥.  The sweep
-falls back to that per-merge check when a round's proof fails.
+Assumptions need no special case: an UNSAT-under-assumptions verdict
+(``solve(assumptions=...)``) is checked as a refutation of the formula
+with each assumption added as a unit clause.  CDCL learned clauses are
+implied by the clause database alone (assumptions enter the search as
+decisions, never as clauses), so the solver's lemmas stay RUP there.
+The FRAIG sweep (:mod:`repro.netlist.opt.fraig`) does not even need the
+units: each merge query runs under its own gate literal ``g``, and
+after an UNSAT answer the sweep logs the unit ``¬g``, which the
+solver's final conflict under that one assumption makes RUP.  At the
+end of a round ``check_drat(cnf, proof, refutation=False)`` verifies
+every lemma of the round's proof once, without an empty clause, since
+the round's formula is satisfiable; a merge is certified iff its unit
+is among the verified lemmas.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress, count
+from itertools import compress, count
 from operator import and_, lt, or_
 from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
 
@@ -171,19 +165,6 @@ class ProofLog:
         self.bytes_written += len(line)
         self.stream.flush()
 
-    def size_bytes(self) -> int:
-        """Size of the proof as DRAT text (streamed or would-be)."""
-        if self.stream is not None:
-            return self.bytes_written
-        # Each line is its literals joined by single spaces, then " 0\n"
-        # ("0\n" when empty), after "d " for a deletion.  A literal's
-        # text is measured once however often it occurs.
-        steps = self.steps
-        counts = Counter(chain.from_iterable(lits for _, lits in steps))
-        return (sum(len(str(lit)) * count for lit, count in counts.items())
-                + sum(counts.values()) + 2 * len(steps)
-                + 2 * sum(kind == "d" for kind, _ in steps))
-
     def to_drat(self) -> str:
         """The whole proof as DRAT text."""
         return "".join(format_drat_step(kind, lits) + "\n"
@@ -246,16 +227,15 @@ _LANE_BLOCK = 4096
 _LANE_MIN_SHARE = 4
 
 
-def check_drat(cnf, proof, assumptions: Sequence[int] = (),
-               refutation: bool = True) -> DratCheckResult:
+def check_drat(cnf, proof, refutation: bool = True) -> DratCheckResult:
     """Independently verify a DRAT(-RUP) proof of unsatisfiability.
 
     ``cnf`` is the input formula: anything with a ``.clauses`` attribute
     (e.g. ``repro.netlist.sat.cnf.CNF``) or a bare iterable of clauses,
     each clause an iterable of signed DIMACS literals.  ``proof`` is a
     ``ProofLog``, a list of ``(kind, lits)`` steps, or DRAT text.
-    ``assumptions`` are literals asserted as extra units (certifying
-    UNSAT-under-assumptions verdicts).  Every addition is checked.
+    Every addition is checked.  To certify a solve that was UNSAT under
+    forced literals, add each of them to ``cnf`` as a unit clause.
     With ``refutation=False`` the proof need not end in a conflict: it
     is accepted iff every addition is RUP, so each lemma is certified
     as a consequence of a formula that may be satisfiable.
@@ -299,7 +279,7 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
                                      map(len, keys))):
         keys[cid] = tuple(sorted(set(keys[cid])))
     literals = set().union(*keys)
-    if 0 in literals:
+    if 0 in literals or any(0 in lits for _, lits in deletions):
         raise ValueError("literal 0 in clause")
     num_vars = max(map(abs, literals), default=0)
     code = {lit: 2 * lit if lit > 0 else 1 - 2 * lit for lit in literals}
@@ -326,17 +306,12 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
             undo.append((lane, cid))
     matched_deletions = len(undo)
 
-    for lit in assumptions:
-        if abs(lit) > num_vars:
-            num_vars = abs(lit)
-    assumed = [2 * lit if lit > 0 else 1 - 2 * lit for lit in assumptions]
-
     # -- lane pass ---------------------------------------------------------
     # ``verified[lane]`` is "1" for each lane unit propagation settled;
     # without ``refutation`` the end of the proof needs no lane.
     if _LANE_PASSES and lemma_count * _LANE_MIN_SHARE >= base:
-        verified = _lane_pass(db, born, dies, base, assumed,
-                              2 * num_vars + 2, refutation)
+        verified = _lane_pass(db, born, dies, base, 2 * num_vars + 2,
+                              refutation)
     else:
         verified = "0" * (lemma_count + refutation)
     if not refutation:
@@ -468,12 +443,10 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
         return have < 0
 
     def rup_conflict(negated: Sequence[int]) -> bool:
-        """True iff asserting ``negated`` ∪ assumptions ∪ units yields a
-        UP conflict."""
+        """True iff asserting ``negated`` ∪ units yields a UP conflict."""
         if any(active[cid] for cid in empty_ids):
             return True
-        conflict = (any(assert_lit(lit) for lit in assumed)
-                    or any(assert_lit(lit) for lit in negated)
+        conflict = (any(assert_lit(lit) for lit in negated)
                     or any(assert_lit(db[cid][0]) for cid in unit_ids
                            if active[cid])
                     or propagate())
@@ -486,9 +459,9 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
     # -- sequential check of what the lane pass left -----------------------
     # 1. Unless the lane pass settled it, or ``refutation`` is off, the
     #    empty clause must be RUP at the end of the proof: the formula
-    #    plus surviving lemmas (plus assumptions) propagate to a
-    #    conflict.  This *is* the proof's implicit final step, so no
-    #    explicit "0" line is required.
+    #    plus surviving lemmas propagate to a conflict.  This *is* the
+    #    proof's implicit final step, so no explicit "0" line is
+    #    required.
     if verified[lemma_count] != "1" and not rup_conflict(()):
         return fail("no unit-propagation conflict at end of proof "
                     "(empty clause is not RUP)")
@@ -507,8 +480,10 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
         active[cid] = False
         if verified[lemma] == "1":
             continue
-        if not rup_conflict([lit ^ 1 for lit in db[cid]]):
-            return fail(f"lemma {_dimacs(db[cid])} 0 is not RUP")
+        clause = db[cid]
+        if not rup_conflict([lit ^ 1 for lit in clause]):
+            return fail(f"lemma {_dimacs(clause)} 0 is not RUP" if clause
+                        else "lemma 0 (the empty clause) is not RUP")
         checked += 1
 
     return DratCheckResult(True, "", lemmas=lemma_count, checked=checked,
@@ -517,16 +492,14 @@ def check_drat(cnf, proof, assumptions: Sequence[int] = (),
 
 
 def _lane_pass(db: List[List[int]], born: List[int], dies: List[int],
-               base: int, assumed: Sequence[int],
-               num_lits: int, end_lane: bool) -> str:
+               base: int, num_lits: int, end_lane: bool) -> str:
     """Bit-parallel unit propagation with one lane per proof addition.
 
     Lane ``i`` asserts the negation of lemma ``i`` (clause ``base + i``)
     and, with ``end_lane``, one more lane nothing, the end of the
-    proof; every lane also
-    asserts ``assumed``.  A clause takes part in lanes ``born[cid]`` up
-    to ``dies[cid]``, exactly the lanes in which it is alive, so each
-    lane is plain unit propagation over the clauses its check may use.
+    proof.  A clause takes part in lanes ``born[cid]`` up to
+    ``dies[cid]``, exactly the lanes in which it is alive, so each lane
+    is plain unit propagation over the clauses its check may use.
     Returns one character per lane, ``"1"`` where propagation reached a
     conflict (a clause all false, so a literal both true and false)
     within :data:`_LANE_PASSES` passes.
@@ -542,8 +515,6 @@ def _lane_pass(db: List[List[int]], born: List[int], dies: List[int],
         full = (1 << (stop - start)) - 1
         # value[lit]: the lanes in which ``lit`` is true.
         value = [0] * num_lits
-        for lit in assumed:
-            value[lit] = full
         for lane in range(start, min(stop, lemma_count)):
             bit = 1 << (lane - start)
             for lit in db[base + lane]:

@@ -909,7 +909,7 @@ class Solver:
                 continue
             # Re-assume any assumptions not currently decided (initially,
             # and again after every backjump or restart below their level).
-            assumed = False
+            assigned = False
             while len(trail_lim) < len(assumps):
                 enc = assumps[len(trail_lim)]
                 v = val[enc]
@@ -922,10 +922,10 @@ class Solver:
                 trail_lim.append(len(self.trail))
                 if v == 0:
                     self._assign(enc, -1)
-                    assumed = True
+                    assigned = True
                     break
                 # Already true: leave an empty decision level placeholder.
-            if assumed:
+            if assigned:
                 continue
             if not self._decide():
                 model = Model(val[:], self.num_vars)

@@ -30,7 +30,6 @@ from repro.netlist.opt import (
     rewrite_aig,
 )
 from repro.netlist.opt.cut import npn_transforms
-from repro.netlist.opt.fraig import fraig_sweep_map
 from repro.netlist.opt.map import MapStats
 from repro.netlist.opt.npn4 import NPN4_LIBRARY
 from repro.netlist.opt.rewrite import (
@@ -617,9 +616,9 @@ def test_fraig_accepts_precomputed_signatures():
         [words[nid] for nid in aig.latches],
         mask,
     )
-    with_sigs = fraig_sweep_map(aig, patterns=patterns,
-                                words=words, signatures=sigs)
-    without = fraig_sweep_map(aig, patterns=patterns, words=words)
+    with_sigs = fraig_sweep(aig, patterns=patterns,
+                            words=words, signatures=sigs)
+    without = fraig_sweep(aig, patterns=patterns, words=words)
     assert with_sigs.aig.num_ands == without.aig.num_ands
     assert with_sigs.stats.proven == without.stats.proven
     _assert_equivalent(netlist, to_netlist(with_sigs.aig))
@@ -670,7 +669,7 @@ def test_fraig_filter_keeps_complemented_pairs_for_sat():
                       ("a_not_c", a_not_c)):
         aig.add_output(name, lit)
     words = {a >> 1: 0b0101, b >> 1: 0b0011, c >> 1: 0b0011}
-    swept = fraig_sweep_map(aig, patterns=4, words=words)
+    swept = fraig_sweep(aig, patterns=4, words=words)
     stats = swept.stats
     assert (stats.refuted, stats.sim_refuted, stats.proven) == (1, 1, 1)
     assert stats.sat_checks == stats.proven + stats.refuted

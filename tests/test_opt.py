@@ -175,7 +175,8 @@ def test_pipeline_against_interpreter_oracle(name, source, top, params):
 #: is the bare lower/raise round trip every AIG pass runs inside.
 PASSES = {
     "balance": balance,
-    "fraig": lambda netlist: to_netlist(fraig_sweep(from_netlist(netlist))),
+    "fraig": lambda netlist: to_netlist(
+        fraig_sweep(from_netlist(netlist)).aig),
     "rewrite": lambda netlist: to_netlist(rewrite_aig(from_netlist(netlist))),
     "strash": lambda netlist: to_netlist(from_netlist(netlist)),
 }
@@ -551,6 +552,7 @@ def test_fraig_distinguishes_near_equivalent_cones():
     c = netlist.add_input("c")
     netlist.add_output("y1", netlist.make_and(a, b))
     netlist.add_output("y2", netlist.make_and(a, netlist.make_or(b, c)))
-    out = to_netlist(fraig_sweep(from_netlist(netlist), patterns=1, seed=0))
+    out = to_netlist(fraig_sweep(from_netlist(netlist), patterns=1,
+                                 seed=0).aig)
     assert out.output_net("y1") != out.output_net("y2")
     _assert_equivalent(netlist, out)

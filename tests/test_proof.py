@@ -15,7 +15,7 @@ from itertools import combinations
 import pytest
 
 from repro.netlist import elaborate, from_netlist
-from repro.netlist.opt import FraigStats, fraig, fraig_sweep
+from repro.netlist.opt import FraigStats, fraig, fraig_sweep, optimize
 from repro.netlist.sat import (
     DratCheckResult,
     ProofLog,
@@ -34,13 +34,20 @@ from test_elaborate import ALU
 from test_serialize import designs
 
 
+def _with_units(cnf, assumptions):
+    """The clauses of ``cnf`` plus one unit clause per assumption."""
+    return [*getattr(cnf, "clauses", cnf), *((lit,) for lit in assumptions)]
+
+
 def _check(cnf, steps, assumptions=(), refutation=True):
-    """``check_drat`` with the lane pass on, after requiring the same
-    verdict with it off."""
-    result = check_drat(cnf, steps, assumptions, refutation)
+    """``check_drat`` of ``cnf`` with each assumption as a unit clause,
+    with the lane pass on, after requiring the same verdict with it
+    off."""
+    formula = _with_units(cnf, assumptions) if assumptions else cnf
+    result = check_drat(formula, steps, refutation)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(proof, "_LANE_PASSES", 0)
-        alone = check_drat(cnf, steps, assumptions, refutation)
+        alone = check_drat(formula, steps, refutation)
     assert alone.ok == result.ok and alone.lane_checked == 0
     if result.ok:
         assert result.checked == alone.checked == result.lemmas
@@ -107,7 +114,6 @@ def test_prooflog_drat_text_round_trip():
     text = log.to_drat()
     assert text == "1 -2 3 0\nd 5 6 0\n0\n"
     assert parse_drat(text) == log.steps
-    assert log.size_bytes() == len(text)
 
 
 def test_prooflog_streams_live(tmp_path):
@@ -119,7 +125,7 @@ def test_prooflog_streams_live(tmp_path):
         assert path.read_text() == "1 2 0\n"
         log.delete((1, 2))
     assert path.read_text() == "1 2 0\nd 1 2 0\n"
-    assert log.bytes_written == log.size_bytes() == 14
+    assert log.bytes_written == 14
 
 
 @pytest.mark.parametrize("streamed", [False, True])
@@ -135,7 +141,7 @@ def test_prooflog_running_counters_match_recount(streamed, tmp_path):
         assert log.steps == steps[:count]
         assert log.num_added == sum(k == "a" for k, _ in log.steps)
         assert log.num_deleted == sum(k == "d" for k, _ in log.steps)
-        assert log.size_bytes() == len(log.to_drat())
+        assert log.bytes_written == (len(log.to_drat()) if streamed else 0)
     if streamed:
         handle.close()
         assert (tmp_path / "p.drat").read_text() == log.to_drat()
@@ -343,6 +349,14 @@ def test_literal_zero_is_malformed_input():
         check_drat([(1, 0)], [])
     with pytest.raises(ValueError):
         check_drat([(1,), (-1,)], [("a", (2, 0))])
+    with pytest.raises(ValueError):
+        check_drat([(1,), (-1,)], [("d", (1, 0))])
+
+
+def test_a_non_rup_empty_lemma_is_named_in_the_reason():
+    result = _check([(1, 2)], [("a", ())])
+    assert not result
+    assert result.reason == "lemma 0 (the empty clause) is not RUP"
 
 
 def test_tautology_never_propagates():
@@ -417,11 +431,11 @@ def test_cec_xmul_cube_tree_proof_checks_in_one_lane_pass():
 # ---------------------------------------------------------------------------
 
 
-def _naive_rup(db, assumptions, lemma):
-    """True iff asserting the assumptions and the lemma's negation, then
-    sweeping every clause of ``db`` until no unit is left, conflicts."""
+def _naive_rup(db, lemma):
+    """True iff asserting the lemma's negation, then sweeping every
+    clause of ``db`` until no unit is left, conflicts."""
     value = set()
-    for lit in (*assumptions, *(-lit for lit in lemma)):
+    for lit in (-lit for lit in lemma):
         if -lit in value:
             return True
         value.add(lit)
@@ -446,7 +460,7 @@ def _naive_rup(db, assumptions, lemma):
     return False
 
 
-def _oracle_accepts(formula, steps, assumptions=()):
+def _oracle_accepts(formula, steps):
     """Forward DRAT-RUP semantics: every lemma is RUP over the formula
     plus the lemmas still alive before it, deletions drop one matching
     clause (unknown ones are ignored), and the end is a conflict."""
@@ -454,12 +468,12 @@ def _oracle_accepts(formula, steps, assumptions=()):
     for kind, lits in steps:
         key = frozenset(lits)
         if kind == "a":
-            if not _naive_rup(db, assumptions, lits):
+            if not _naive_rup(db, lits):
                 return False
             db.append(key)
         elif key in db:
             db.remove(key)
-    return _naive_rup(db, assumptions, ())
+    return _naive_rup(db, ())
 
 
 def _miter_cnf(width):
@@ -520,7 +534,8 @@ def test_checker_agrees_with_naive_oracle_on_mutated_proofs():
         rng = random.Random(10 * width + assume)
         for _ in range(count):
             mutated = _mutate(steps, rng)
-            expected = _oracle_accepts(clauses, mutated, assumptions)
+            expected = _oracle_accepts(_with_units(clauses, assumptions),
+                                       mutated)
             got = _check(clauses, mutated, assumptions).ok
             assert got == expected, (width, assume)
             verdicts.append(got)
@@ -656,7 +671,6 @@ def test_check_equivalence_certify_unsat():
     assert result.equivalent
     assert result.proof_checked is True
     assert result.proof_clauses > 0
-    assert result.proof_bytes > 0
     assert result.proof_check_seconds >= 0.0
 
 
@@ -701,16 +715,23 @@ def test_certify_spans_say_which_engine_checked(monkeypatch):
                if r.name == "fraig.certify") > 0
 
 
-def _sweep_alu8(monkeypatch, mutate):
-    """Certified sweep of the W=8 ALU; ``mutate(cnf, steps, merges)``
-    edits each round's proof steps in place before the round check."""
+def _mutate_rounds(monkeypatch, mutate):
+    """Have every certified sweep round call ``mutate(cnf, steps,
+    gates)``, which edits the round's proof steps in place, before its
+    check."""
     certify_round = fraig._certify_round
 
-    def mutated(cnf, log, merges, stats):
-        mutate(cnf, log.steps, merges)
-        certify_round(cnf, log, merges, stats)
+    def mutated(cnf, log, gates, stats):
+        mutate(cnf, log.steps, gates)
+        certify_round(cnf, log, gates, stats)
 
     monkeypatch.setattr(fraig, "_certify_round", mutated)
+
+
+def _sweep_alu8(monkeypatch, mutate):
+    """Certified sweep of the W=8 ALU, each round's proof edited by
+    ``mutate`` (see :func:`_mutate_rounds`)."""
+    _mutate_rounds(monkeypatch, mutate)
     stats = FraigStats()
     fraig_sweep(from_netlist(elaborate(ALU.replace("W = 4", "W = 8"))),
                 patterns=8, stats=stats, certify=True)
@@ -720,14 +741,16 @@ def _sweep_alu8(monkeypatch, mutate):
 def test_dropped_gate_unit_charges_its_merge_alone(monkeypatch):
     dropped = []
 
-    def drop_one(cnf, steps, merges):
+    def drop_one(cnf, steps, gates):
         # Drop the first merge's ``¬gate`` unit that no later lemma
         # needs: the round still checks, and only that merge is short
         # of its certificate.
-        for gate, logged in merges:
-            rest = steps[:logged] + steps[logged + 1:]
-            if (not dropped and steps[logged] == ("a", (-gate,))
-                    and check_drat(cnf, rest, refutation=False)):
+        for gate in gates:
+            unit = ("a", (-gate,))
+            if dropped or steps.count(unit) != 1:
+                continue
+            rest = [step for step in steps if step != unit]
+            if check_drat(cnf, rest, refutation=False):
                 steps[:] = rest
                 dropped.append(gate)
 
@@ -741,31 +764,48 @@ def test_dropped_gate_unit_charges_its_merge_alone(monkeypatch):
     assert stats.proofs_checked == stats.proven - 1
 
 
-def test_corrupt_lemma_fails_the_round_and_each_merge_is_charged(
-        monkeypatch):
-    corrupted = []
-
-    def corrupt_a_solver_lemma(cnf, steps, merges):
-        # A unit on a variable no clause mentions is never RUP by
-        # itself.  Only merges whose own check can use it are charged.
+def _corrupt_first_round(corrupted):
+    """A ``mutate`` for :func:`_mutate_rounds` that corrupts one solver
+    lemma of the first round, recording that round's merge count in
+    ``corrupted``.  A unit on a variable no clause mentions is never
+    RUP."""
+    def corrupt(cnf, steps, gates):
         if corrupted:
             return
-        units = {("a", (-gate,)) for gate, _ in merges}
+        units = {("a", (-gate,)) for gate in gates}
         i = next(i for i, step in enumerate(steps)
                  if step[0] == "a" and step not in units)
         steps[i] = ("a", (cnf.num_vars + 1,))
-        corrupted.append(sum(logged > i for _, logged in merges))
+        corrupted.append(len(gates))
 
+    return corrupt
+
+
+def test_corrupt_lemma_fails_the_round_and_each_merge_is_charged(
+        monkeypatch):
+    corrupted = []
     tracer = Tracer()
     with use_tracer(tracer):
-        stats = _sweep_alu8(monkeypatch, corrupt_a_solver_lemma)
+        stats = _sweep_alu8(monkeypatch, _corrupt_first_round(corrupted))
     rounds = [r.args for r in tracer.records if r.name == "fraig.certify"]
     assert not rounds[0]["round_ok"]
     assert all(args["round_ok"] for args in rounds[1:])
-    # The fallback checks each merge of the broken round on its own:
-    # those that need the bad lemma fail, the rest still check.
-    assert 0 < stats.proofs_failed <= corrupted[0]
+    # Every merge of the broken round is charged, and no other.
+    assert stats.proofs_failed == rounds[0]["merges"] == corrupted[0] > 0
     assert stats.proofs_checked + stats.proofs_failed == stats.proven
+
+
+def test_corrupt_sweep_lemma_fails_the_certified_cec(monkeypatch):
+    """A CEC whose miter sweep proves every output is not certified when
+    one sweep round's proof is corrupted."""
+    netlist = elaborate(ALU, top="alu", params={"W": 16})
+    optimized = optimize(netlist).netlist
+    corrupted = []
+    _mutate_rounds(monkeypatch, _corrupt_first_round(corrupted))
+    verdict = check_equivalence(netlist, optimized, certify=True)
+    assert corrupted and verdict.equivalent
+    assert verdict.sweep_proven == verdict.compared
+    assert verdict.proof_checked is False
 
 
 def test_check_equivalence_uncertified_has_no_proof_fields():
@@ -774,7 +814,7 @@ def test_check_equivalence_uncertified_has_no_proof_fields():
     result = check_equivalence(before, after)
     assert result.equivalent
     assert result.proof_checked is None
-    assert result.proof_clauses == 0 and result.proof_bytes == 0
+    assert result.proof_clauses == 0
 
 
 def test_check_equivalence_certify_hash_proven_skips_checker():
@@ -832,12 +872,12 @@ endmodule
 """
     aig = from_netlist(elaborate(source))
     stats = FraigStats()
-    swept = fraig_sweep(aig, patterns=8, stats=stats, certify=True)
+    swept = fraig_sweep(aig, patterns=8, stats=stats, certify=True).aig
     assert swept.num_ands <= aig.num_ands
     assert stats.proven > 0
     assert stats.proofs_checked == stats.proven
     assert stats.proofs_failed == 0
-    assert stats.proof_clauses >= 0 and stats.proof_bytes > 0
+    assert stats.proof_clauses > 0
     snap = stats.to_dict()
     assert snap["proofs_checked"] == stats.proofs_checked
     assert snap["proofs_failed"] == 0
@@ -849,4 +889,4 @@ def test_fraig_sweep_uncertified_counts_stay_zero():
     stats = FraigStats()
     fraig_sweep(aig, patterns=4, stats=stats)
     assert stats.proofs_checked == 0 and stats.proofs_failed == 0
-    assert stats.proof_clauses == 0 and stats.proof_bytes == 0
+    assert stats.proof_clauses == 0

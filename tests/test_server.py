@@ -2,6 +2,7 @@
 
 import asyncio
 import contextlib
+import functools
 import http.client
 import io
 import json
@@ -498,26 +499,55 @@ def test_daemon_replaces_a_pool_broken_by_a_killed_worker(tmp_path):
 # Long-poll, persistent connections and the bounded job table
 # ---------------------------------------------------------------------------
 
-def _with_bus(src):
-    """Add an 8-bit pass-through bus to a multiplier's ports."""
-    src = src.replace("input [W-1:0] b,",
-                      "input [W-1:0] b, input [7:0] pt_in, "
-                      "output [7:0] pt_out,", 1)
-    return src.replace("endmodule", "  assign pt_out = pt_in;\nendmodule", 1)
+def _gated(gate, payload):
+    """``run_verify_job``, held until the file ``gate`` exists.  A gate
+    that never opens fails the job after a minute."""
+    deadline = time.monotonic() + 60
+    while not os.path.exists(gate):
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"gate {gate} never opened")
+        time.sleep(0.005)
+    return run_verify_job(payload)
 
 
-def _slow_job(client, tag):
-    """Submit a W=5 multiplier proof that is new to both cache tiers.
+@contextlib.contextmanager
+def _gate(monkeypatch, tmp_path):
+    """Hold every job the daemon dispatches in its worker until the
+    yielded ``open_gate()`` is called; the gate opens on exit at the
+    latest, so no job outlives the test."""
+    path = tmp_path / "gate"
+    monkeypatch.setattr(daemon_module, "run_verify_job",
+                        functools.partial(_gated, str(path)))
+    try:
+        yield path.touch
+    finally:
+        path.touch()
 
-    The pass-through bus takes the miter past exhaustive simulation, so
-    the SAT solver decides it: 1,708 conflicts, about 0.75 s of work on a
-    2-vCPU Xeon host.  Without the bus the pair is simulation-proven in a
-    few tens of milliseconds, and can finish inside a 50 ms long-poll
-    window.
-    """
-    a = designs.renamed(designs.multiplier(5), tag)
-    b = designs.renamed(designs.shift_add_multiplier(5), tag)
-    return client.submit(_with_bus(a.src), _with_bus(b.src))
+
+def _open_when_waiting(client, count, open_gate):
+    """From a new thread, call ``open_gate()`` once the daemon holds
+    ``count`` long-polls."""
+    def run():
+        try:
+            deadline = time.monotonic() + 10
+            while (client.status()["waiting"] < count
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+        finally:
+            open_gate()
+            client.close()
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread
+
+
+def _pending_job(client, tag):
+    """Submit a W=3 multiplier proof that is new to both cache tiers.
+    Under :func:`_gate` it stays pending until the gate opens."""
+    a = designs.renamed(designs.multiplier(3), tag)
+    b = designs.renamed(designs.shift_add_multiplier(3), tag)
+    return client.submit(a.src, b.src)
 
 
 def _long_poll(client, job_id, wait, close=False):
@@ -531,36 +561,49 @@ def _long_poll(client, job_id, wait, close=False):
     return record, arrived
 
 
-def test_long_poll_returns_as_the_job_finishes(client):
-    job = _slow_job(client, "lp1")
-    sent = time.time()
-    record, arrived = _long_poll(client, job["id"], 30)
+def test_long_poll_returns_as_the_job_finishes(client, monkeypatch,
+                                               tmp_path):
+    with _gate(monkeypatch, tmp_path) as open_gate:
+        job = _pending_job(client, "lp1")
+        sent = time.time()
+        opener = _open_when_waiting(client, 1, open_gate)
+        record, arrived = _long_poll(client, job["id"], 30)
+        opener.join(timeout=30)
+        assert not opener.is_alive()
     assert record["status"] == "done"
     assert record["equivalence"]["equivalent"] is True
     assert sent < record["finished"], "the job finished before the poll"
     assert arrived - record["finished"] < 0.05
 
 
-def test_long_poll_past_its_window_returns_the_pending_record(client):
-    job = _slow_job(client, "lp2")
-    start = time.monotonic()
-    record, _ = _long_poll(client, job["id"], 0.05)
-    held = time.monotonic() - start
-    assert record["status"] in ("queued", "running")
-    assert record["finished"] is None
-    assert 0.05 <= held < 5.0
-    assert client.wait(job["id"])["status"] == "done"
+def test_long_poll_past_its_window_returns_the_pending_record(
+        client, monkeypatch, tmp_path):
+    with _gate(monkeypatch, tmp_path) as open_gate:
+        job = _pending_job(client, "lp2")
+        start = time.monotonic()
+        record, _ = _long_poll(client, job["id"], 0.05)
+        held = time.monotonic() - start
+        assert record["status"] in ("queued", "running")
+        assert record["finished"] is None
+        assert 0.05 <= held < 5.0
+        open_gate()
+        assert client.wait(job["id"])["status"] == "done"
 
 
-def test_two_waiters_on_a_deduplicated_job_are_both_released(client):
-    first = _slow_job(client, "lp3")
-    second = _slow_job(client, "lp3")
-    assert second.get("deduplicated") is True
-    assert second["id"] == first["id"]
-    with ThreadPoolExecutor(2) as pool:
-        replies = list(pool.map(
-            lambda _: _long_poll(client, first["id"], 30, close=True),
-            range(2)))
+def test_two_waiters_on_a_deduplicated_job_are_both_released(
+        client, monkeypatch, tmp_path):
+    with _gate(monkeypatch, tmp_path) as open_gate:
+        first = _pending_job(client, "lp3")
+        second = _pending_job(client, "lp3")
+        assert second.get("deduplicated") is True
+        assert second["id"] == first["id"]
+        opener = _open_when_waiting(client, 2, open_gate)
+        with ThreadPoolExecutor(2) as pool:
+            replies = list(pool.map(
+                lambda _: _long_poll(client, first["id"], 30, close=True),
+                range(2)))
+        opener.join(timeout=30)
+        assert not opener.is_alive()
     for record, arrived in replies:
         assert record["status"] == "done"
         assert arrived - record["finished"] < 0.05
@@ -671,18 +714,27 @@ def test_status_reports_transport_counters(client):
     assert status["waiting"] == 0
 
 
-def test_shutdown_answers_long_polls_and_closes_idle_connections(tmp_path):
-    with _serving(str(tmp_path)) as (daemon, client):
+def test_shutdown_answers_long_polls_and_closes_idle_connections(
+        tmp_path, monkeypatch):
+    with _gate(monkeypatch, tmp_path) as open_gate, \
+            _serving(str(tmp_path)) as (daemon, client):
         idle = http.client.HTTPConnection("127.0.0.1", daemon.port,
                                           timeout=10)
         idle.request("GET", "/status")
         assert idle.getresponse().read()
-        # Three queued proofs on one worker: under two seconds of work.
-        jobs = [_slow_job(client, f"sd{k}") for k in range(3)]
+        # Three proofs held on one worker until the poller's long-poll
+        # is answered; the daemon's drain then lets them finish.
+        jobs = [_pending_job(client, f"sd{k}") for k in range(3)]
         box = {}
-        poller = threading.Thread(target=lambda: box.update(
-            reply=_long_poll(ServerClient(port=daemon.port),
-                             jobs[-1]["id"], 30, close=True)))
+
+        def poll_then_open():
+            try:
+                box["reply"] = _long_poll(ServerClient(port=daemon.port),
+                                          jobs[-1]["id"], 30, close=True)
+            finally:
+                open_gate()
+
+        poller = threading.Thread(target=poll_then_open)
         poller.start()
         deadline = time.monotonic() + 10
         while client.status()["waiting"] < 1:

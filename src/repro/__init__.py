@@ -20,10 +20,11 @@ Subpackages:
 * :mod:`repro.netlist.sat` — Tseitin CNF encoding of AIG cones, a small
   CDCL solver and miter-based combinational equivalence checking, used to
   formally verify every optimization;
-* :mod:`repro.obs` — the unified tracing & metrics layer: hierarchical
-  span tracing across every engine above, a histogram registry for
-  per-solve distributions, solver progress events, and Chrome-trace /
-  ndjson / profile exporters (CLI ``--trace`` / ``--profile`` / ``-v``).
+* :mod:`repro.obs` — the unified tracing layer: hierarchical span
+  tracing and instant events (solver progress, FRAIG proofs) across
+  every engine above in one record list, and the views over it —
+  Chrome-trace / ndjson / profile exporters and per-solve distribution
+  summaries (CLI ``--trace`` / ``--profile`` / ``-v``).
 
 ``python -m repro design.v`` runs the full parse → elaborate → optimize →
 verify flow from the command line (see :mod:`repro.cli`).

@@ -62,6 +62,7 @@ from .obs import (
     ndjson_sink,
     profile_tree,
     span_totals,
+    trace_metrics,
     use_tracer,
     write_chrome_trace,
 )
@@ -437,11 +438,11 @@ def _execute(args, out, tracer) -> int:
         trace_report: dict = {"spans": span_totals(tracer, depth=1)}
         if args.trace:
             trace_report["file"] = args.trace
-        # Distribution metrics (per-CEC-pair solve times, per-fraig-proof
+        # Distribution metrics (per-CEC solve times, per-fraig-proof
         # conflicts): count/mean and exact p50/p95.
-        histograms = tracer.metrics.to_dict()
-        if histograms:
-            trace_report["metrics"] = histograms
+        metrics = trace_metrics(tracer)
+        if metrics:
+            trace_report["metrics"] = metrics
         report["trace"] = trace_report
 
     if args.as_json:

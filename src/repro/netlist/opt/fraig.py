@@ -360,9 +360,10 @@ def fraig_sweep(aig: AIG, patterns: int = 64, seed: int = 2022,
                     if not result.satisfiable:
                         stats.proven += 1
                         if tracer.enabled:
-                            tracer.metrics.histogram(
-                                "fraig.proof_conflicts").observe(
-                                solver.stats.conflicts - conflicts_before)
+                            tracer.instant(
+                                "fraig.proof",
+                                conflicts=(solver.stats.conflicts
+                                           - conflicts_before))
                         if proof is not None:
                             # The solver's final conflict under the one
                             # assumption makes ``¬gate_var`` RUP, and

@@ -835,9 +835,6 @@ def check_equivalence(before: Netlist, after: Netlist,
         model = _solve(result, work_aig, pairs, in_lits, st_lits, sigs,
                        mask, num_patterns, certify=certify, proof=proof)
         cec_span.set(cnf_clauses=result.cnf_clauses)
-        if tracer.enabled:
-            tracer.metrics.histogram("cec.solve_seconds").observe(
-                result.solve_seconds)
         if model is None:
             if (certify and sweep_stats is not None
                     and sweep_stats.proofs_failed):

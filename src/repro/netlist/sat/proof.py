@@ -17,8 +17,8 @@ This module provides both halves:
     deletions) to a file-like object.
 
 ``check_drat(cnf, proof)``
-    A pure-Python RUP checker.  It shares **no** code with either solver
-    engine.  A proof is accepted iff every addition is RUP (reverse unit
+    A pure-Python RUP checker.  It shares **no** code with the solver.
+    A proof is accepted iff every addition is RUP (reverse unit
     propagation) with respect to the formula plus the additions still
     alive when it was made, and the empty clause is RUP at the end of
     the proof.  Every addition is checked, in two stages:
@@ -34,8 +34,8 @@ This module provides both halves:
        two-watched-literal unit propagation over flat per-literal arrays
        and its own trail, with deletions reactivating clauses.
 
-Checking is deliberately restricted to the RUP fragment of DRAT: both
-in-tree solvers only ever learn clauses by resolution (1-UIP), and every
+Checking is deliberately restricted to the RUP fragment of DRAT: the
+solver only ever learns clauses by resolution (1-UIP), and every
 such clause is RUP with respect to the clause database at learn time.
 The cube-tree proofs of certified exhaustive simulation
 (:mod:`repro.netlist.sat.cec`) are RUP by construction too: a lemma

@@ -286,7 +286,7 @@ class Solver:
         ``conflicts_per_second`` measured over the current :meth:`solve`
         call — the numbers a MiniSat progress line prints.
         ``repro.obs.attach_solver_progress`` routes these into the
-        active tracer as instant events and counter-track time series.
+        active tracer as instant events.
         """
         if interval < 1:
             raise ValueError("progress interval must be >= 1")

@@ -12,15 +12,23 @@ Three consumers, three formats:
   summary (ABC's ``time`` command, but hierarchical).
 
 :func:`span_totals` is the machine-readable reduction the benchmark rows
-embed: top-level span name → total seconds.
+embed: top-level span name → total seconds.  :func:`trace_metrics` is the
+CLI's ``trace.metrics`` report: distributions summarized from the spans
+and instants the engines already record.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import IO, Callable, Optional
 
 from .tracer import SpanRecord, Tracer
+
+#: ``solver.progress`` report keys that :func:`to_chrome_trace` graphs as
+#: counter tracks.
+_COUNTER_KEYS = ("conflicts", "conflicts_per_second", "trail", "learned",
+                 "mean_lbd", "props_per_second")
 
 
 def to_chrome_trace(tracer: Tracer) -> dict:
@@ -31,10 +39,13 @@ def to_chrome_trace(tracer: Tracer) -> dict:
     microseconds from the tracer's epoch, which is what the trace viewers
     expect.  Every thread that recorded a span gets ``thread_name`` /
     ``thread_sort_index`` metadata (the tracer's own thread is ``main``
-    and sorts first; others are ``worker-N`` in order of appearance), and
-    each :class:`~repro.obs.timeseries.TimeSeries` channel becomes a
-    counter track (``"ph": "C"``) that Perfetto renders as a graph —
-    the solver's live search telemetry.
+    and sorts first; others are ``worker-N`` in order of appearance).
+    Each ``solver.progress`` instant also becomes one counter (``"ph":
+    "C"``) event per search-shape key, which Perfetto graphs as live
+    tracks of the solver's search under the flame graph.  Perfetto keys
+    counters by (pid, name), so the main lane's tracks are
+    ``solver.<key>`` and every other lane's carry its label
+    (``worker-1 solver.conflicts``).
     """
     events: list[dict] = [{
         "name": "process_name",
@@ -80,19 +91,20 @@ def to_chrome_trace(tracer: Tracer) -> dict:
             event["ph"] = "X"
             event["dur"] = round(record.duration * 1e6, 3)
         events.append(event)
-    # Counter tracks: one event per sample; Perfetto keys counters by
-    # (pid, name), so the track survives whatever thread sampled it.
-    for name in sorted(getattr(tracer, "timeseries", {})):
-        series = tracer.timeseries[name]
-        for t, value in series:
-            events.append({
-                "name": name,
-                "ph": "C",
-                "pid": tracer.pid,
-                "tid": 0,
-                "ts": round(t * 1e6, 3),
-                "args": {"value": value},
-            })
+        if record.name == "solver.progress":
+            label = tids[record.tid]
+            prefix = "solver." if label == "main" else f"{label} solver."
+            for key in _COUNTER_KEYS:
+                value = record.args.get(key)
+                if value is not None:
+                    events.append({
+                        "name": prefix + key,
+                        "ph": "C",
+                        "pid": tracer.pid,
+                        "tid": 0,
+                        "ts": event["ts"],
+                        "args": {"value": value},
+                    })
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
@@ -144,6 +156,50 @@ def span_totals(tracer: Tracer, depth: int = 0) -> dict[str, float]:
             totals[record.name] = totals.get(record.name, 0.0) + \
                 record.duration
     return totals
+
+
+def summarize(values: list) -> dict:
+    """Count, sum, min, max, mean and nearest-rank p50/p95 of ``values``.
+
+    Empty input reads count 0, min/max ``None`` and 0 for the rest.
+    """
+    ordered = sorted(values)
+    count = len(ordered)
+    total = sum(values)
+
+    def percentile(p: float):
+        return ordered[math.ceil(p / 100.0 * count) - 1] if ordered else 0
+
+    return {
+        "type": "histogram",
+        "count": count,
+        "sum": total,
+        "min": ordered[0] if ordered else None,
+        "max": ordered[-1] if ordered else None,
+        "mean": total / count if count else 0.0,
+        "p50": percentile(50),
+        "p95": percentile(95),
+    }
+
+
+def trace_metrics(tracer: Tracer) -> dict[str, dict]:
+    """The distributions a run's totals cannot show, by metric name.
+
+    ``cec.solve_seconds`` summarizes the ``cec.solve`` span durations and
+    ``fraig.proof_conflicts`` the ``conflicts`` of the FRAIG sweep's
+    ``fraig.proof`` instants (one per proven merge); a metric with no
+    sample is left out.
+    """
+    samples: dict[str, list] = {}
+    for record in tracer.records:
+        if record.name == "cec.solve" and record.duration is not None:
+            samples.setdefault("cec.solve_seconds", []).append(
+                record.duration)
+        elif record.name == "fraig.proof":
+            samples.setdefault("fraig.proof_conflicts", []).append(
+                record.args["conflicts"])
+    return {name: summarize(values)
+            for name, values in sorted(samples.items())}
 
 
 def profile_tree(tracer: Tracer) -> str:

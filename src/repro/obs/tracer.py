@@ -3,11 +3,13 @@ pipeline.
 
 A :class:`Tracer` records *spans* — named, nested, wall-clocked intervals
 opened with the :meth:`Tracer.span` context manager — plus zero-duration
-*instant* events (solver progress reports, hash-proven root pairs).  The
-records are flat :class:`SpanRecord` rows carrying their nesting path, so
-exporters (:mod:`repro.obs.export`) can rebuild the tree, emit Chrome
-trace-event JSON, stream ndjson, or print a self/total profile without the
-tracer itself committing to any one format.
+*instant* events (solver progress reports, FRAIG proofs, hash-proven root
+pairs).  The records are flat :class:`SpanRecord` rows carrying their
+nesting path, and they are the tracer's only store: exporters
+(:mod:`repro.obs.export`) derive everything else from them — the tree,
+Chrome trace-event JSON with its counter tracks, ndjson, a self/total
+profile and the per-run distribution summaries — without the tracer
+itself committing to any one format.
 
 The instrumented engines never take a tracer parameter; they call
 :func:`get_tracer` and trace into whatever is installed.  The default is
@@ -30,9 +32,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
-
-from .metrics import MetricsRegistry
-from .timeseries import TimeSeries
 
 
 @dataclass
@@ -92,14 +91,6 @@ class NullTracer:
     def instant(self, name: str, /, **args: Any) -> None:
         pass
 
-    def counter(self, name: str, value: Any, /) -> None:
-        pass
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        # A fresh throwaway registry: writes vanish, reads see nothing.
-        return MetricsRegistry()
-
 
 #: The process-wide disabled tracer (also the reset target).
 NULL_TRACER = NullTracer()
@@ -156,7 +147,7 @@ class _LiveSpan:
 
 
 class Tracer:
-    """A live span/event recorder with an attached histogram registry.
+    """A live span/event recorder.
 
     ``sink`` (optional) is called with every finished :class:`SpanRecord`
     as it lands — the ndjson structured log streams through it — while the
@@ -171,8 +162,6 @@ class Tracer:
         #: seconds since it.
         self.epoch = time.perf_counter()
         self.records: list[SpanRecord] = []
-        self.metrics = MetricsRegistry()
-        self.timeseries: dict[str, TimeSeries] = {}
         self.sink = sink
         self.pid = os.getpid()
         #: Thread that built the tracer — labeled "main" by the Chrome
@@ -207,24 +196,6 @@ class Tracer:
             tid=threading.get_ident(),
             args=args,
         ))
-
-    def counter(self, name: str, value: Any, /) -> None:
-        """Append one sample to the named :class:`TimeSeries`.
-
-        Counter channels are time-resolved (``(t, value)`` at the
-        tracer's clock), unlike the metrics registry's histograms, which
-        keep values without their times.
-        They export as Chrome trace-event counter tracks — Perfetto
-        graphs them under the flame graph — which is how the solver's
-        progress snapshots (conflict rate, mean LBD, trail depth, ...)
-        become live search-behavior plots.
-        """
-        t = time.perf_counter() - self.epoch
-        series = self.timeseries.get(name)
-        if series is None:
-            with self._lock:
-                series = self.timeseries.setdefault(name, TimeSeries(name))
-        series.append(t, value)
 
     def adopt(self, records: list[SpanRecord],
               tid: Optional[int] = None) -> None:

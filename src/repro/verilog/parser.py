@@ -261,10 +261,10 @@ class Parser:
                 self._advance()
                 return
             if tok.value in ("function", "task"):
-                self._skip_until_keyword(
-                    "endfunction" if tok.value == "function" else "endtask"
+                raise VerilogSyntaxError(
+                    f"'{tok.value}' declaration at line {tok.line} is not "
+                    "supported"
                 )
-                return
             if tok.value == "genvar":
                 self._advance()
                 self._expect("ID")
@@ -279,11 +279,6 @@ class Parser:
             f"unexpected token {tok.value!r} at line {tok.line} inside module "
             f"'{module.name}'"
         )
-
-    def _skip_until_keyword(self, keyword: str) -> None:
-        while not self._check("KEYWORD", keyword):
-            self._advance()
-        self._advance()
 
     def _parse_optional_range(self) -> Optional[ast.Range]:
         if self._check("PUNCT", "["):
@@ -486,8 +481,7 @@ class Parser:
                 parts.append(self._parse_lvalue())
             self._expect("PUNCT", "}")
             return ast.Concat(parts=parts)
-        name = self._expect("ID").value
-        return self._parse_postfix(ast.Identifier(name=name))
+        return self._parse_postfix(self._parse_identifier())
 
     def _parse_procedural_assign(
         self, consume_semicolon: bool = True
@@ -636,13 +630,20 @@ class Parser:
             return self._parse_concat_or_repeat()
 
         if tok.kind == "ID":
-            self._advance()
-            expr = ast.Identifier(name=tok.value)
-            return self._parse_postfix(expr)
+            return self._parse_postfix(self._parse_identifier())
 
         raise VerilogSyntaxError(
             f"unexpected token {tok.value!r} at line {tok.line} in expression"
         )
+
+    def _parse_identifier(self) -> ast.Identifier:
+        """An identifier reference; a call ``f(...)`` is rejected."""
+        tok = self._expect("ID")
+        if self._check("PUNCT", "("):
+            raise VerilogSyntaxError(
+                f"call of '{tok.value}' at line {tok.line} is not supported"
+            )
+        return ast.Identifier(name=tok.value)
 
     def _parse_postfix(self, expr: ast.Expression) -> ast.Expression:
         while self._check("PUNCT", "["):

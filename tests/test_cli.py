@@ -110,6 +110,24 @@ def test_syntax_error_diagnostic(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text,what", [
+    ("module m(input [3:0] a, output [3:0] y);\n"
+     "  function [3:0] f(input [3:0] x); f = x; endfunction\n"
+     "  assign y = f(a);\nendmodule\n",
+     "'function' declaration at line 2 is not supported"),
+    ("module m(input [3:0] a, output [3:0] y);\n"
+     "  assign y = $clog2(a);\nendmodule\n",
+     "call of '$clog2' at line 2 is not supported"),
+])
+def test_unsupported_function_syntax_diagnostic(tmp_path, capsys, text,
+                                                what):
+    path = tmp_path / "fn.v"
+    path.write_text(text)
+    assert run([str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: syntax error: {what}\n"
+
+
+@pytest.mark.parametrize("text,what", [
     ("module m(input a, output y);\n  /* open\n  assign y = a;\nendmodule\n",
      "unterminated block comment starting at line 2"),
     ('module m(input a, output y);\n\n  initial "open;\nendmodule\n',
@@ -666,6 +684,29 @@ def test_trace_json_carries_histogram_metrics(wide_mult_pair, tmp_path):
     assert hist["type"] == "histogram"
     assert hist["count"] == 1
     assert "p50" in hist and "p95" in hist
+
+
+def test_trace_json_summarizes_fraig_proof_conflicts(tmp_path):
+    # The optimizer's and the miter sweep's FRAIG merges each log one
+    # fraig.proof instant; trace.metrics summarizes the same instants
+    # that the Chrome trace file holds.
+    design = designs.alu(16)
+    path = tmp_path / "alu.v"
+    path.write_text(design.src)
+    trace = tmp_path / "t.json"
+    code, text = _run([str(path), "--top", design.top, "--passes",
+                       "rewrite,fraig", "--certify", "--json",
+                       "--trace", str(trace)])
+    assert code == 0
+    hist = json.loads(text)["trace"]["metrics"]["fraig.proof_conflicts"]
+    events = json.loads(trace.read_text())["traceEvents"]
+    conflicts = [e["args"]["conflicts"] for e in events
+                 if e["name"] == "fraig.proof" and e["ph"] == "i"]
+    assert hist["type"] == "histogram"
+    assert hist["count"] == len(conflicts) > 0
+    assert hist["sum"] == sum(conflicts)
+    assert hist["min"] == min(conflicts) and hist["max"] == max(conflicts)
+    assert hist["min"] <= hist["p50"] <= hist["p95"] <= hist["max"]
 
 
 # ---------------------------------------------------------------------------

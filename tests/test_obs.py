@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.obs` — tracing, metrics, exporters, CLI wiring."""
+"""Tests for :mod:`repro.obs` — tracing, exporters, CLI wiring."""
 
 import io
 import json
@@ -14,7 +14,6 @@ from repro.netlist.sat import Solver, check_equivalence
 from repro.netlist.sat.solver import SolverStats
 from repro.obs import (
     NULL_TRACER,
-    MetricsRegistry,
     Tracer,
     attach_solver_progress,
     get_tracer,
@@ -23,10 +22,13 @@ from repro.obs import (
     set_tracer,
     span_totals,
     to_chrome_trace,
+    trace_metrics,
     use_tracer,
     write_chrome_trace,
 )
+from repro.obs.export import summarize
 
+from test_elaborate import ALU as ELABORATE_ALU
 from test_proof import MULT_A, MULT_B
 
 ALU = """
@@ -155,9 +157,6 @@ def test_null_tracer_is_inert():
     with span as inner:
         inner.set(more=1)
     NULL_TRACER.instant("event", name="n")
-    # Metric writes vanish.
-    NULL_TRACER.metrics.histogram("h").observe(5)
-    assert NULL_TRACER.metrics.to_dict() == {}
 
 
 def test_null_tracer_shares_one_span_object():
@@ -211,71 +210,47 @@ def test_set_tracer_returns_previous():
 
 
 # ---------------------------------------------------------------------------
-# Metrics registry
+# Distribution summaries (trace.metrics)
 # ---------------------------------------------------------------------------
 
 
-def test_metrics_registry_histograms():
-    registry = MetricsRegistry()
-    for value in (1.0, 2.0, 3.0):
-        registry.histogram("lbd").observe(value)
-    registry.histogram("empty")
-    assert registry.histogram("lbd") is registry.histogram("lbd")
-    snap = registry.to_dict()
-    assert list(snap) == ["empty", "lbd"]
-    assert snap["lbd"]["type"] == "histogram"
-    assert snap["lbd"]["count"] == 3
-    assert snap["lbd"]["mean"] == 2.0
-    assert snap["lbd"]["min"] == 1.0 and snap["lbd"]["max"] == 3.0
+def test_trace_metrics_summarizes_spans_and_instants():
+    tracer = Tracer()
+    for conflicts in (3, 1, 2):
+        tracer.instant("fraig.proof", conflicts=conflicts)
+    with tracer.span("cec.solve"):
+        pass
+    tracer.instant("cec.solve")  # an instant is not a solve
+    tracer.instant("solver.progress", conflicts=50)
+    metrics = trace_metrics(tracer)
+    assert list(metrics) == ["cec.solve_seconds", "fraig.proof_conflicts"]
+    proofs = metrics["fraig.proof_conflicts"]
+    assert proofs["type"] == "histogram"
+    assert proofs["count"] == 3 and proofs["sum"] == 6
+    assert proofs["mean"] == 2.0
+    assert proofs["min"] == 1 and proofs["max"] == 3
+    (solve,) = tracer.spans()
+    assert metrics["cec.solve_seconds"]["count"] == 1
+    assert metrics["cec.solve_seconds"]["sum"] == solve.duration
+    # No samples, no metric.
+    assert trace_metrics(Tracer()) == {}
 
 
 def test_histogram_percentiles():
-    registry = MetricsRegistry()
-    hist = registry.histogram("latency")
-    for value in range(1, 101):       # 1..100
-        hist.observe(value)
-    assert hist.percentile(50) == 50
-    assert hist.percentile(95) == 95
-    assert hist.percentile(0) == 1
-    assert hist.percentile(100) == 100
-    snap = hist.to_dict()
+    snap = summarize(list(range(1, 101)))  # 1..100
     assert snap["p50"] == 50 and snap["p95"] == 95
+    assert snap["min"] == 1 and snap["max"] == 100
     assert snap["count"] == 100 and snap["mean"] == 50.5
+    assert snap["sum"] == 5050
 
 
 def test_histogram_percentile_empty_and_single():
-    hist = MetricsRegistry().histogram("x")
-    assert hist.percentile(50) == 0
-    assert hist.to_dict()["p95"] == 0
-    hist.observe(7.5)
-    assert hist.percentile(50) == 7.5 and hist.percentile(95) == 7.5
-
-
-def test_timeseries_basics():
-    from repro.obs import TimeSeries
-    series = TimeSeries("solver.conflicts")
-    assert len(series) == 0 and series.last() is None
-    series.append(0.1, 100)
-    series.append(0.2, 250)
-    assert len(series) == 2
-    assert series.last() == (0.2, 250)
-    assert list(series) == [(0.1, 100), (0.2, 250)]
-    doc = series.to_dict()
-    assert doc["name"] == "solver.conflicts"
-    assert doc["samples"] == [[0.1, 100], [0.2, 250]]
-
-
-def test_tracer_counter_records_timeseries():
-    tracer = Tracer()
-    tracer.counter("solver.trail", 10)
-    tracer.counter("solver.trail", 25)
-    tracer.counter("solver.mean_lbd", 4.2)
-    assert set(tracer.timeseries) == {"solver.trail", "solver.mean_lbd"}
-    trail = tracer.timeseries["solver.trail"]
-    assert trail.values == [10, 25]
-    assert trail.times == sorted(trail.times)
-    # NullTracer.counter is a no-op.
-    NULL_TRACER.counter("solver.trail", 1)
+    assert summarize([]) == {"type": "histogram", "count": 0, "sum": 0,
+                             "min": None, "max": None, "mean": 0.0,
+                             "p50": 0, "p95": 0}
+    assert summarize([7.5]) == {"type": "histogram", "count": 1,
+                                "sum": 7.5, "min": 7.5, "max": 7.5,
+                                "mean": 7.5, "p50": 7.5, "p95": 7.5}
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +310,38 @@ def test_chrome_trace_thread_metadata():
 def test_chrome_trace_counter_tracks():
     tracer = Tracer()
     with tracer.span("solve"):
-        tracer.counter("solver.conflicts", 100)
-        tracer.counter("solver.conflicts", 250)
-        tracer.counter("solver.mean_lbd", 3.4)
+        tracer.instant("solver.progress", conflicts=100, restarts=1)
+        tracer.instant("solver.progress", conflicts=250, mean_lbd=3.4)
+        tracer.instant("other", conflicts=7)
     doc = to_chrome_trace(tracer)
     counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
+    # Only the graphed keys of solver.progress instants become counters.
     assert len(counters) == 3
     conflicts = [e for e in counters if e["name"] == "solver.conflicts"]
     assert [e["args"]["value"] for e in conflicts] == [100, 250]
     assert conflicts[0]["ts"] <= conflicts[1]["ts"]
+    (lbd,) = [e for e in counters if e["name"] == "solver.mean_lbd"]
+    assert lbd["args"]["value"] == 3.4
+    # Each counter sits at its instant's timestamp.
+    instants = [e for e in doc["traceEvents"]
+                if e["ph"] == "i" and e["name"] == "solver.progress"]
+    assert [e["ts"] for e in conflicts] == [e["ts"] for e in instants]
+    assert lbd["ts"] == instants[1]["ts"]
     assert all(e["pid"] == tracer.pid for e in counters)
+
+
+def test_chrome_trace_counter_tracks_name_their_lane():
+    worker = Tracer()
+    worker.instant("solver.progress", conflicts=2000, trail=9)
+    tracer = Tracer()
+    tracer.instant("solver.progress", conflicts=100)
+    tracer.adopt(worker.records, tid=30_000_001)
+    counters = {e["name"]: e["args"]["value"]
+                for e in to_chrome_trace(tracer)["traceEvents"]
+                if e["ph"] == "C"}
+    assert counters == {"solver.conflicts": 100,
+                        "worker-1 solver.conflicts": 2000,
+                        "worker-1 solver.trail": 9}
 
 
 def test_write_chrome_trace_round_trip(tmp_path):
@@ -486,13 +483,18 @@ def test_attach_solver_progress_emits_instants():
     instants = [r for r in tracer.records
                 if r.name == "solver.progress"]
     assert instants and all(r.path == ("solve",) for r in instants)
-    # The same snapshots land as time-resolved counter channels.
+    # The Chrome trace graphs the same reports as counter tracks, key by
+    # key, in time order.
+    counters = [e for e in to_chrome_trace(tracer)["traceEvents"]
+                if e["ph"] == "C"]
     for key in ("conflicts", "conflicts_per_second", "trail", "learned",
                 "mean_lbd", "props_per_second"):
-        series = tracer.timeseries[f"solver.{key}"]
-        assert len(series) == len(instants)
-    conflicts = tracer.timeseries["solver.conflicts"]
-    assert conflicts.values == [r.args["conflicts"] for r in instants]
+        track = [e for e in counters if e["name"] == f"solver.{key}"]
+        assert [e["args"]["value"] for e in track] == \
+            [r.args[key] for r in instants]
+        times = [e["ts"] for e in track]
+        assert times == sorted(times)
+    assert len(counters) == 6 * len(instants)
 
 
 def test_attach_solver_progress_noop_when_disabled():
@@ -559,6 +561,22 @@ def test_fraig_sweep_aggregates_solver_stats():
     assert snap["sim_refuted"] == stats.sim_refuted
     assert snap["solver"]["propagations"] == stats.solver.propagations
     assert "mean_lbd" in snap["solver"]
+
+
+def test_fraig_sweep_logs_one_proof_instant_per_merge():
+    netlist = elaborate(ELABORATE_ALU.replace("W = 4", "W = 8"))
+    stats = FraigStats()
+    tracer = Tracer()
+    with use_tracer(tracer):
+        fraig_sweep(from_netlist(netlist), patterns=8, stats=stats)
+    proofs = [r for r in tracer.records if r.name == "fraig.proof"]
+    assert stats.proven > 0
+    assert len(proofs) == stats.proven
+    assert all(r.duration is None and r.args["conflicts"] >= 0
+               for r in proofs)
+    summary = trace_metrics(tracer)["fraig.proof_conflicts"]
+    assert summary["count"] == stats.proven
+    assert summary["sum"] == sum(r.args["conflicts"] for r in proofs)
 
 
 # ---------------------------------------------------------------------------

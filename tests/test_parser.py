@@ -246,3 +246,35 @@ def test_expression_trees(expression, tree):
 def test_expression_error_messages(text, message):
     with pytest.raises(VerilogSyntaxError, match=message):
         parse(text)
+
+
+_FUNCTION = """module m(input [3:0] a, output [3:0] y);
+  function [3:0] f(input [3:0] x); f = x; endfunction
+  assign y = f(a);
+endmodule
+"""
+
+
+@pytest.mark.parametrize("text,message", [
+    (_FUNCTION, "'function' declaration at line 2 is not supported"),
+    # Without the declaration, the call itself is named.
+    (_FUNCTION.replace("function", "// function"),
+     "call of 'f' at line 3 is not supported"),
+    ("module m(input [3:0] a, output [3:0] y);\n"
+     "  assign y = $clog2(a);\nendmodule\n",
+     "call of '\\$clog2' at line 2 is not supported"),
+    # A declaration that never ends is located where it starts.
+    ("module m(input a, output y);\n  function f;\n  assign y = a;\n"
+     "endmodule\n",
+     "'function' declaration at line 2 is not supported"),
+    ("module m(input a, output y);\n  task t; endtask\n"
+     "  assign y = a;\nendmodule\n",
+     "'task' declaration at line 2 is not supported"),
+    # A task enable is a call in statement position.
+    ("module m(input a, output reg y);\n  always @(*) begin\n"
+     "    t(a);\n  end\nendmodule\n",
+     "call of 't' at line 3 is not supported"),
+])
+def test_functions_and_calls_are_rejected(text, message):
+    with pytest.raises(VerilogSyntaxError, match=message):
+        parse(text)

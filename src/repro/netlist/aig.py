@@ -19,6 +19,12 @@ on every call: constant and identity operands fold (``x & 0 = 0``,
 in a unique table — so structural hashing is implicit and a cone built
 twice *is* the same literal, with no separate strash pass.
 
+Every pass that rebuilds a graph (rewriting, FRAIG sweeping, LUT
+re-materialization) brackets its node loop with one pair of methods:
+:meth:`AIG.start_rebuild` recreates the leaves and seeds the node-id ->
+literal map, and :meth:`AIG.finish_rebuild` carries the outputs and
+next-state functions across it.
+
 :func:`from_netlist` lowers a :class:`~repro.netlist.logic.Netlist` into an
 AIG and :func:`to_netlist` raises it back, re-deriving XOR/XNOR and MUX
 gates from their AND patterns so round-trips do not bloat gate counts.
@@ -242,6 +248,36 @@ class AIG:
         self.outputs.append((name, lit))
         self._output_index[name] = lit
         self.version += 1
+
+    # -- rebuilding ---------------------------------------------------------
+
+    def start_rebuild(self) -> tuple["AIG", dict[int, int]]:
+        """Begin a rebuild: a fresh graph with this graph's inputs and
+        latches, in order and by name, and the node-id -> literal map
+        they seed (node 0 -> constant 0, each leaf -> its new literal).
+
+        A pass then maps each AND node it keeps to a literal of the new
+        graph and ends with :meth:`finish_rebuild`.
+        """
+        new = AIG(self.name)
+        lit_map = {0: FALSE}
+        for nid in self.inputs:
+            lit_map[nid] = new.add_input(self._name[nid])
+        for nid in self.latches:
+            lit_map[nid] = new.add_latch(self._name[nid])
+        return new, lit_map
+
+    def finish_rebuild(self, new: "AIG", lit_map: dict[int, int]) -> None:
+        """End a rebuild: attach this graph's outputs and next-state
+        functions to ``new``, translating each literal through
+        ``lit_map`` (the map :meth:`start_rebuild` seeded, covering every
+        node the roots reach)."""
+        for name, lit in self.outputs:
+            new.add_output(name, lit_map[lit >> 1] ^ (lit & 1))
+        for nid in self.latches:
+            nxt = self._next.get(nid)
+            if nxt is not None:
+                new.set_next(lit_map[nid], lit_map[nxt >> 1] ^ (nxt & 1))
 
     # -- queries ------------------------------------------------------------
 
@@ -498,12 +534,10 @@ def to_netlist(aig: AIG) -> Netlist:
     net_of: dict[int, int] = {}
 
     for nid in aig.inputs:
-        net_of[nid << 1] = netlist.add_input(aig.node_name(nid) or
-                                             f"pi_{nid}")
+        net_of[nid << 1] = netlist.add_input(aig.node_name(nid))
     dff_net: dict[int, int] = {}
     for nid in aig.latches:
-        dff = netlist.add_dff(netlist.const0(),
-                              name=aig.node_name(nid) or f"latch_{nid}")
+        dff = netlist.add_dff(netlist.const0(), name=aig.node_name(nid))
         dff_net[nid] = dff
         net_of[nid << 1] = dff
 

@@ -247,18 +247,7 @@ def fraig_sweep(aig: AIG, patterns: int = 64, seed: int = 2022,
                             mask,
                         )
 
-                new = AIG(name=aig.name)
-                lit_map = {0: 0}
-                for nid in aig.inputs:
-                    lit_map[nid] = new.add_input(aig.node_name(nid) or
-                                                 f"pi_{nid}")
-                for nid in aig.latches:
-                    lit_map[nid] = new.add_latch(aig.node_name(nid) or
-                                                 f"latch_{nid}")
-
-                def mlit(lit: int) -> int:
-                    return lit_map[lit >> 1] ^ (lit & 1)
-
+                new, lit_map = aig.start_rebuild()
                 # Candidate-class representatives keyed by signature
                 # normalized to its complement-canonical form; the constant
                 # node represents the all-0/all-1 class.
@@ -294,7 +283,8 @@ def fraig_sweep(aig: AIG, patterns: int = 64, seed: int = 2022,
                     if not aig.is_and(nid):
                         continue
                     f0, f1 = aig.fanins(nid)
-                    built = new.aig_and(mlit(f0), mlit(f1))
+                    built = new.aig_and(lit_map[f0 >> 1] ^ (f0 & 1),
+                                        lit_map[f1 >> 1] ^ (f1 & 1))
                     lit_map[nid] = built
                     sig = sigs[nid]
                     key = min(sig, sig ^ mask)
@@ -387,11 +377,7 @@ def fraig_sweep(aig: AIG, patterns: int = 64, seed: int = 2022,
                     num_patterns += 1
                     cex_sim = None
 
-                for nid in aig.latches:
-                    if nid in aig._next:
-                        new.set_next(lit_map[nid], mlit(aig._next[nid]))
-                for name, lit in aig.outputs:
-                    new.add_output(name, mlit(lit))
+                aig.finish_rebuild(new, lit_map)
                 stats.solver.accumulate(solver.stats)
                 if proof is not None:
                     if merges:

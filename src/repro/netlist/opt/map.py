@@ -68,18 +68,6 @@ class MapStats:
     exact_area_luts: int = 0
     depth_fallback: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "ands": self.ands,
-            "lut_count": self.lut_count,
-            "depth": self.depth,
-            "depth_target": self.depth_target,
-            "area_flow_luts": self.area_flow_luts,
-            "exact_area_luts": self.exact_area_luts,
-            "depth_fallback": self.depth_fallback,
-        }
-
 
 @dataclass
 class MapResult:
@@ -110,24 +98,12 @@ class MapResult:
         (PI/PO/latch names) matches the source, so the result CECs
         against the original design.
         """
-        src = self.aig
-        out = AIG(src.name)
-        lit_map = {0: 0}
-        for nid in src.inputs:
-            lit_map[nid] = out.add_input(src.node_name(nid))
-        for nid in src.latches:
-            lit_map[nid] = out.add_latch(src.node_name(nid))
+        out, lit_map = self.aig.start_rebuild()
         for lut in self.luts:
             lits = [lit_map[leaf] for leaf in lut.inputs]
             lit_map[lut.output] = build_truth(out, lut.truth,
                                               len(lut.inputs), lits)
-        for name, lit in src.outputs:
-            out.add_output(name, lit_map[lit >> 1] ^ (lit & 1))
-        for qnid in src.latches:
-            if qnid in src._next:
-                nxt = src._next[qnid]
-                out.set_next(lit_map[qnid],
-                             lit_map[nxt >> 1] ^ (nxt & 1))
+        self.aig.finish_rebuild(out, lit_map)
         return to_netlist(out)
 
     def to_report(self) -> dict:

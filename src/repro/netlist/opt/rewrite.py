@@ -286,17 +286,9 @@ def _evaluate(aig: AIG, live: list[int], cuts: dict, tables: dict,
     for lit in aig.and_roots():
         refs[lit >> 1] += 1
 
-    new = AIG(aig.name)
-    levels: dict[int, int] = {0: 0}
-    lit_map: dict[int, int] = {0: 0}
-    for nid in aig.inputs:
-        lit = new.add_input(aig.node_name(nid))
-        lit_map[nid] = lit
-        levels[lit >> 1] = 0
-    for nid in aig.latches:
-        lit = new.add_latch(aig.node_name(nid))
-        lit_map[nid] = lit
-        levels[lit >> 1] = 0
+    new, lit_map = aig.start_rebuild()
+    # Leaves sit at level 0; a literal that folds to a leaf must read it.
+    levels: dict[int, int] = {lit >> 1: 0 for lit in lit_map.values()}
 
     replaced: set[int] = set()
     # Functional cut-sweep table: (NPN canon, concrete literals feeding
@@ -410,36 +402,20 @@ def _evaluate(aig: AIG, live: list[int], cuts: dict, tables: dict,
             func_map.setdefault(key, final ^ out)
     stats.cuts_evaluated += evaluated
     stats.probes += probes
-
-    for name, lit in aig.outputs:
-        new.add_output(name, lit_map[lit >> 1] ^ (lit & 1))
-    for qnid in aig.latches:
-        if qnid in aig._next:
-            nxt = aig._next[qnid]
-            new.set_next(lit_map[qnid], lit_map[nxt >> 1] ^ (nxt & 1))
+    aig.finish_rebuild(new, lit_map)
     return new
 
 
 def _copy_live(aig: AIG) -> AIG:
     """Compact: copy only the live cone into a fresh AIG (drops the
     garbage that probing-then-rebuilding leaves in the unique table)."""
-    out = AIG(aig.name)
-    lit_map = {0: 0}
-    for nid in aig.inputs:
-        lit_map[nid] = out.add_input(aig.node_name(nid))
-    for nid in aig.latches:
-        lit_map[nid] = out.add_latch(aig.node_name(nid))
+    out, lit_map = aig.start_rebuild()
     for nid in sorted(aig.cone(aig.and_roots())):
         if aig.is_and(nid):
             f0, f1 = aig.fanins(nid)
             lit_map[nid] = out.aig_and(lit_map[f0 >> 1] ^ (f0 & 1),
                                        lit_map[f1 >> 1] ^ (f1 & 1))
-    for name, lit in aig.outputs:
-        out.add_output(name, lit_map[lit >> 1] ^ (lit & 1))
-    for qnid in aig.latches:
-        if qnid in aig._next:
-            nxt = aig._next[qnid]
-            out.set_next(lit_map[qnid], lit_map[nxt >> 1] ^ (nxt & 1))
+    aig.finish_rebuild(out, lit_map)
     return out
 
 

@@ -254,20 +254,14 @@ def _interface(netlist: Netlist) -> tuple[dict[str, int], dict[str, int],
 
 def _check_interfaces(b_in: dict, a_in: dict,
                       b_out: dict, a_out: dict) -> None:
-    if set(b_in) != set(a_in):
-        only_b = sorted(set(b_in) - set(a_in))
-        only_a = sorted(set(a_in) - set(b_in))
-        raise CECError(
-            f"primary inputs differ (only in before: {only_b}, "
-            f"only in after: {only_a})"
-        )
-    if set(b_out) != set(a_out):
-        only_b = sorted(set(b_out) - set(a_out))
-        only_a = sorted(set(a_out) - set(b_out))
-        raise CECError(
-            f"primary outputs differ (only in before: {only_b}, "
-            f"only in after: {only_a})"
-        )
+    for kind, b_names, a_names in (("inputs", set(b_in), set(a_in)),
+                                   ("outputs", set(b_out), set(a_out))):
+        if b_names != a_names:
+            raise CECError(
+                f"primary {kind} differ (only in before: "
+                f"{sorted(b_names - a_names)}, only in after: "
+                f"{sorted(a_names - b_names)})"
+            )
 
 
 def _assert_disagreement(cnf: CNF,
@@ -328,54 +322,78 @@ def _lower_miter(before: Netlist, after: Netlist
     return aig, pi_lits, latch_lits, named_pairs
 
 
-def _encode_pairs(cnf: CNF, aig: AIG, pairs: list[tuple[int, int]],
+def _encode_pairs(result: EquivalenceResult, aig: AIG,
+                  pairs: list[tuple[int, int]],
                   pi_lits: dict[str, int], latch_lits: dict[str, int]
-                  ) -> tuple[dict[int, int], dict[str, int], dict[str, int]]:
-    """Encode the cones of the differing pairs and assert the miter output.
+                  ) -> tuple[CNF, dict[int, int], dict[str, int],
+                             dict[str, int]]:
+    """Encode the cones of the differing pairs into a fresh CNF and
+    assert the miter output, in a ``cec.encode`` span.
 
-    Returns ``(var_map, input_vars, state_vars)``.  Leaves outside every
+    Records the CNF size and the time taken in ``result``.  Returns
+    ``(cnf, var_map, input_vars, state_vars)``.  Leaves outside every
     encoded cone never get a variable: they cannot influence the verdict
     and default to 0 in counterexamples.
     """
-    roots = [lit for pair in pairs for lit in pair]
-    var_map = encode_aig_cone(cnf, aig, roots)
-    _assert_disagreement(cnf, [
-        (aig_lit_sat(var_map, b), aig_lit_sat(var_map, a))
-        for b, a in pairs
-    ])
-    input_vars: dict[str, int] = {}
-    state_vars: dict[str, int] = {}
-    for name, lit in pi_lits.items():
-        var = var_map.get(lit >> 1)
-        if var is not None:
-            input_vars[name] = var
-    for name, lit in latch_lits.items():
-        var = var_map.get(lit >> 1)
-        if var is not None:
-            state_vars[name] = var
-    return var_map, input_vars, state_vars
-
-
-def _lit_sig(sigs, mask: int, lit: int) -> int:
-    """Packed simulation value of an AIG literal (edge polarity applied)."""
-    s = sigs[lit >> 1]
-    return (s ^ mask) if lit & 1 else s
-
-
-def _first_diff_bit(sigs, mask: int,
-                    pairs: list[tuple[int, int]]) -> Optional[int]:
-    """Index of the first stimulus pattern on which any pair disagrees."""
-    for b, a in pairs:
-        diff = (_lit_sig(sigs, mask, b) ^ _lit_sig(sigs, mask, a)) & mask
-        if diff:
-            return (diff & -diff).bit_length() - 1
-    return None
+    start = time.perf_counter()
+    cnf = CNF()
+    with get_tracer().span("cec.encode", pairs=len(pairs)) as span:
+        roots = [lit for pair in pairs for lit in pair]
+        var_map = encode_aig_cone(cnf, aig, roots)
+        _assert_disagreement(cnf, [
+            (aig_lit_sat(var_map, b), aig_lit_sat(var_map, a))
+            for b, a in pairs
+        ])
+        input_vars, state_vars = (
+            {name: var_map[lit >> 1] for name, lit in lits.items()
+             if lit >> 1 in var_map}
+            for lits in (pi_lits, latch_lits))
+        span.set(cnf_vars=cnf.num_vars, cnf_clauses=len(cnf.clauses))
+    result.cnf_vars = cnf.num_vars
+    result.cnf_clauses = len(cnf.clauses)
+    result.encode_seconds += time.perf_counter() - start
+    return cnf, var_map, input_vars, state_vars
 
 
 def _pattern(words: dict[int, int], lits: dict[str, int],
              bit: int) -> dict[str, int]:
     """Per-name values of stimulus pattern ``bit`` at leaf literals."""
     return {name: (words[lit >> 1] >> bit) & 1 for name, lit in lits.items()}
+
+
+def _simcheck(result: EquivalenceResult, aig: AIG, words: dict[int, int],
+              pi_lits: dict[str, int], latch_lits: dict[str, int],
+              num_patterns: int, pairs: list[tuple[int, int]],
+              **span_args) -> tuple[tuple[int, ...], Optional[tuple]]:
+    """Simulate ``aig`` (the miter or a rebuild of it, whose leaves
+    follow ``pi_lits`` / ``latch_lits`` in order) under ``num_patterns``
+    packed stimulus bits per miter leaf and compare the root ``pairs``,
+    timed as encoding.  Returns the node signatures and the named
+    ``(inputs, state)`` of the first differing pattern, or None."""
+    mask = (1 << num_patterns) - 1
+    start = time.perf_counter()
+    with get_tracer().span("cec.simcheck", patterns=num_patterns,
+                           pairs=len(pairs), **span_args) as span:
+        sigs = aig_signatures(
+            aig,
+            [words[lit >> 1] for lit in pi_lits.values()],
+            [words[lit >> 1] for lit in latch_lits.values()],
+            mask,
+        )
+        diff = 0
+        for b, a in pairs:
+            # Edge polarities: complement the XOR when exactly one is set.
+            diff = (sigs[b >> 1] ^ sigs[a >> 1] ^
+                    (mask if (a ^ b) & 1 else 0)) & mask
+            if diff:
+                break
+        span.set(refuted=diff != 0)
+    result.encode_seconds += time.perf_counter() - start
+    if not diff:
+        return sigs, None
+    bit = (diff & -diff).bit_length() - 1
+    return sigs, (_pattern(words, pi_lits, bit),
+                  _pattern(words, latch_lits, bit))
 
 
 def _refute(result: EquivalenceResult, before: Netlist, after: Netlist,
@@ -404,11 +422,12 @@ def _refute(result: EquivalenceResult, before: Netlist, after: Netlist,
     return result
 
 
-def _sweep_worthwhile(aig: AIG, sigs, mask: int,
+def _sweep_worthwhile(aig: AIG, sigs, num_patterns: int,
                       pairs: list[tuple[int, int]]) -> bool:
     """Whether to sweep the miter: the size and candidate-merge density
     of the differing cone, measured on the signatures stage 1 already
     computed."""
+    mask = (1 << num_patterns) - 1
     roots = [lit for pair in pairs for lit in pair]
     cone_ands = [nid for nid in aig.cone(roots) if aig.is_and(nid)]
     if len(cone_ands) < _SWEEP_MIN_ANDS:
@@ -425,7 +444,7 @@ def _sweep_worthwhile(aig: AIG, sigs, mask: int,
 
 
 def _seed_solver(solver: Solver, var_map: dict[int, int], aig: AIG,
-                 sigs, mask: int, num_patterns: int) -> None:
+                 sigs, num_patterns: int) -> None:
     """Seed saved phases from simulation majority votes and initial VSIDS
     activity from cone fanout counts.
 
@@ -438,6 +457,7 @@ def _seed_solver(solver: Solver, var_map: dict[int, int], aig: AIG,
     heavily shared signals are decided early, like the fanout-weighted
     variable orders of circuit-aware SAT solvers.
     """
+    mask = (1 << num_patterns) - 1
     solver.seed_phases({
         var: bin(sigs[nid] & mask).count("1") * 2 >= num_patterns
         for nid, var in var_map.items()
@@ -551,20 +571,14 @@ def _certify_exhaustive(result: EquivalenceResult, aig: AIG,
     """DRAT evidence for pairs exhaustive simulation proved: encode their
     cones, write a :func:`_cube_tree` proof into ``proof`` (a fresh log
     when None) and, under ``certify``, check it against that CNF."""
-    tracer = get_tracer()
-    start = time.perf_counter()
-    cnf = CNF()
-    with tracer.span("cec.encode", pairs=len(pairs)) as span:
-        _, input_vars, state_vars = _encode_pairs(
-            cnf, aig, pairs, pi_lits, latch_lits)
-        span.set(cnf_vars=cnf.num_vars, cnf_clauses=len(cnf.clauses))
-    result.cnf_vars = cnf.num_vars
-    result.cnf_clauses = len(cnf.clauses)
+    cnf, _, input_vars, state_vars = _encode_pairs(
+        result, aig, pairs, pi_lits, latch_lits)
     if proof is None:
         proof = ProofLog()
     leaves = sorted({*input_vars.values(), *state_vars.values()})
     before = proof.num_added
-    with tracer.span("cec.cube", leaves=len(leaves)) as span:
+    start = time.perf_counter()
+    with get_tracer().span("cec.cube", leaves=len(leaves)) as span:
         _cube_tree(proof, leaves)
         span.set(lemmas=proof.num_added - before)
     result.encode_seconds += time.perf_counter() - start
@@ -576,7 +590,7 @@ def _certify_exhaustive(result: EquivalenceResult, aig: AIG,
 def _solve(result: EquivalenceResult, aig: AIG,
            pairs: list[tuple[int, int]],
            in_lits: dict[str, int], st_lits: dict[str, int],
-           sigs, mask: int, num_patterns: int, *,
+           sigs, num_patterns: int, *,
            certify: bool, proof: Optional[ProofLog]
            ) -> Optional[tuple[dict[str, int], dict[str, int]]]:
     """Stages 3–4 for the root ``pairs`` of ``aig``: encode, seeded
@@ -591,16 +605,8 @@ def _solve(result: EquivalenceResult, aig: AIG,
     encoded CNF.
     """
     tracer = get_tracer()
-    start = time.perf_counter()
-    cnf = CNF()
-    with tracer.span("cec.encode", pairs=len(pairs)) as span:
-        var_map, input_vars, state_vars = _encode_pairs(
-            cnf, aig, pairs, in_lits, st_lits)
-        span.set(cnf_vars=cnf.num_vars, cnf_clauses=len(cnf.clauses))
-    result.cnf_vars = cnf.num_vars
-    result.cnf_clauses = len(cnf.clauses)
-    result.encode_seconds += time.perf_counter() - start
-
+    cnf, var_map, input_vars, state_vars = _encode_pairs(
+        result, aig, pairs, in_lits, st_lits)
     if certify and proof is None:
         proof = ProofLog()
     start = time.perf_counter()
@@ -612,7 +618,7 @@ def _solve(result: EquivalenceResult, aig: AIG,
         if sigs is not None:
             # Stage 4: point the search where simulation and structure
             # say the action is.
-            _seed_solver(solver, var_map, aig, sigs, mask, num_patterns)
+            _seed_solver(solver, var_map, aig, sigs, num_patterns)
         attach_solver_progress(solver, tracer)
         outcome = solver.solve()
         solve_span.set(satisfiable=outcome.satisfiable,
@@ -720,7 +726,6 @@ def check_equivalence(before: Netlist, after: Netlist,
         in_lits, st_lits = pi_lits, latch_lits
         words = None
         sigs = None
-        mask = 0
         num_patterns = 0
         sweep_stats = None
         if sim_patterns > 0:
@@ -736,25 +741,12 @@ def check_equivalence(before: Netlist, after: Netlist,
                 words = {nid: rng.getrandbits(sim_patterns)
                          for nid in leaves}
                 num_patterns = sim_patterns
-            mask = (1 << num_patterns) - 1
-            start = time.perf_counter()
-            with tracer.span("cec.simcheck", patterns=num_patterns,
-                             pairs=len(pairs),
-                             exhaustive=exhaustive) as sim_span:
-                sigs = aig_signatures(
-                    aig,
-                    [words[nid] for nid in aig.inputs],
-                    [words[nid] for nid in aig.latches],
-                    mask,
-                )
-                bit = _first_diff_bit(sigs, mask, pairs)
-                sim_span.set(refuted=bit is not None)
-            result.encode_seconds += time.perf_counter() - start
-            if bit is not None:
+            sigs, pattern = _simcheck(result, aig, words, pi_lits,
+                                      latch_lits, num_patterns, pairs,
+                                      exhaustive=exhaustive)
+            if pattern is not None:
                 cec_span.set(equivalent=False, refuted_by="simulation")
-                return _refute(result, before, after,
-                               _pattern(words, pi_lits, bit),
-                               _pattern(words, latch_lits, bit),
+                return _refute(result, before, after, *pattern,
                                by_simulation=True)
             if exhaustive:
                 # All 2**n assignments agree: every pair is proven.
@@ -769,7 +761,8 @@ def check_equivalence(before: Netlist, after: Netlist,
         # Stage 2: SAT-sweep the miter AIG — internal equivalences the
         # unique table missed collapse under incremental SAT, and root
         # pairs whose cones merge are proven without the top-level solve.
-        if sigs is not None and _sweep_worthwhile(aig, sigs, mask, pairs):
+        if sigs is not None and \
+                _sweep_worthwhile(aig, sigs, num_patterns, pairs):
             # Imported lazily: opt.fraig imports sat.cnf/proof/solver, so
             # a module-level import here would be circular.
             from ..opt.fraig import FraigStats, fraig_sweep
@@ -801,7 +794,6 @@ def check_equivalence(before: Netlist, after: Netlist,
                        for name, lit in latch_lits.items()}
             words = swept.words
             num_patterns = swept.num_patterns
-            mask = (1 << num_patterns) - 1
             cec_span.set(sweep_proven=result.sweep_proven)
             if not pairs:
                 # Hashing + sweeping proved every root pair.
@@ -812,28 +804,17 @@ def check_equivalence(before: Netlist, after: Netlist,
             # The sweep's refuted candidates appended distinguishing
             # patterns to the stimulus — re-check the surviving pairs
             # under the enriched batch.
-            start = time.perf_counter()
-            with tracer.span("cec.simcheck", patterns=num_patterns,
-                             pairs=len(pairs), post_sweep=True) as sim_span:
-                sigs = aig_signatures(
-                    work_aig,
-                    [words[nid] for nid in aig.inputs],
-                    [words[nid] for nid in aig.latches],
-                    mask,
-                )
-                bit = _first_diff_bit(sigs, mask, pairs)
-                sim_span.set(refuted=bit is not None)
-            result.encode_seconds += time.perf_counter() - start
-            if bit is not None:
+            sigs, pattern = _simcheck(result, work_aig, words, pi_lits,
+                                      latch_lits, num_patterns, pairs,
+                                      post_sweep=True)
+            if pattern is not None:
                 cec_span.set(equivalent=False, refuted_by="simulation")
-                return _refute(result, before, after,
-                               _pattern(words, pi_lits, bit),
-                               _pattern(words, latch_lits, bit),
+                return _refute(result, before, after, *pattern,
                                by_simulation=True)
 
         # Stages 3–4: one solve over every surviving pair.
         model = _solve(result, work_aig, pairs, in_lits, st_lits, sigs,
-                       mask, num_patterns, certify=certify, proof=proof)
+                       num_patterns, certify=certify, proof=proof)
         cec_span.set(cnf_clauses=result.cnf_clauses)
         if model is None:
             if (certify and sweep_stats is not None

@@ -256,8 +256,8 @@ class Parser:
                 module.items.append(ast.Initial(statement=stmt))
                 return
             if tok.value in ("generate", "endgenerate"):
-                # Generate regions are flattened by the benchmark generators;
-                # tolerate the keywords as no-ops.
+                # The items of a generate region parse as ordinary module
+                # items, so the keywords are no-ops; a loop is rejected.
                 self._advance()
                 return
             if tok.value in ("function", "task"):
@@ -265,6 +265,9 @@ class Parser:
                     f"'{tok.value}' declaration at line {tok.line} is not "
                     "supported"
                 )
+            if tok.value == "for":
+                raise VerilogSyntaxError(
+                    f"generate loop at line {tok.line} is not supported")
             if tok.value == "genvar":
                 self._advance()
                 self._expect("ID")

@@ -117,6 +117,10 @@ def test_syntax_error_diagnostic(tmp_path, capsys):
     ("module m(input [3:0] a, output [3:0] y);\n"
      "  assign y = $clog2(a);\nendmodule\n",
      "call of '$clog2' at line 2 is not supported"),
+    ("module m(input [3:0] a, output [3:0] y);\n  genvar i;\n"
+     "  generate for (i = 0; i < 4; i = i + 1) begin : g\n"
+     "    assign y[i] = a[i];\n  end endgenerate\nendmodule\n",
+     "generate loop at line 3 is not supported"),
 ])
 def test_unsupported_function_syntax_diagnostic(tmp_path, capsys, text,
                                                 what):
@@ -381,6 +385,21 @@ def test_emit_round_trips_through_the_frontend(alu_file, tmp_path):
     original = elaborate(ALU, top="alu")
     reparsed = elaborate(emitted.read_text(), top="alu")
     assert check_equivalence(original, reparsed).equivalent
+
+
+def test_map_reports_the_mapper_result(alu_file):
+    from repro.netlist import elaborate, from_netlist
+    from repro.netlist.opt import map_aig
+    mapped = map_aig(from_netlist(elaborate(ALU, top="alu")), 4)
+    code, text = _run([alu_file, "--map", "4", "--json"])
+    assert code == 0
+    assert json.loads(text)["mapping"] == {
+        "k": 4, "lut_count": mapped.lut_count, "depth": mapped.depth,
+        "depth_target": mapped.stats.depth_target}
+    code, text = _run([alu_file, "--map", "4"])
+    assert code == 0
+    assert (f"mapping: {mapped.lut_count} LUT4s, depth {mapped.depth} "
+            f"(depth target {mapped.stats.depth_target})") in text
 
 
 def test_emit_write_failure_is_diagnosed(alu_file, tmp_path, capsys):

@@ -258,14 +258,37 @@ def test_blocking_temporaries_in_sequential_block():
 
 def test_ternary_reduction_and_logical_ops():
     source = """
-    module mix(input [3:0] a, input [3:0] b, output [3:0] y, output f);
+    module mix(input [3:0] a, input [3:0] b, output [3:0] y, output f,
+               output [3:0] r, output [2:0] c, output co, output [3:0] q,
+               output [4:0] s, output [3:0] k);
+      localparam [3:0] K = {~&4'b1111, ~|4'b0000, ~^4'b0110, ^~4'b0111}
+          | {3'b000, (&4'b1111) && (|4'b0100) && (^4'b0111)
+                     && (3 > 2) && (2 <= 2) && (2 >= 1)};
       assign y = (&a) ? a : (a ^ b);
       assign f = (a != 0) && (|b) || !a[0];
+      assign r = {~&a, ~|b, ~^a, ^~b};
+      assign c = {a > b, a <= b, a >= b};
+      assign {co, q} = a + b;
+      assign s[4:1] = a - b;
+      assign s[0] = a[0];
+      assign k = K;
     endmodule
     """
     vectors = [{"a": a, "b": b}
                for a, b in itertools.product(range(16), range(16))]
-    cross_check(source, "mix", None, vectors)
+    _, got = cross_check(source, "mix", None, vectors)
+
+    def parity(v):
+        return bin(v).count("1") & 1
+
+    for vec, out in zip(vectors, got):
+        a, b = vec["a"], vec["b"]
+        assert out["r"] == ((a != 15) << 3 | (b == 0) << 2
+                            | (1 - parity(a)) << 1 | (1 - parity(b)))
+        assert out["c"] == (a > b) << 2 | (a <= b) << 1 | (a >= b)
+        assert (out["co"], out["q"]) == divmod(a + b, 16)
+        assert out["s"] == ((a - b) % 16) << 1 | (a & 1)
+        assert out["k"] == 0b0111
 
 
 def test_per_bit_feedback_through_vector_is_not_a_cycle():

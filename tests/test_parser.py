@@ -254,6 +254,14 @@ _FUNCTION = """module m(input [3:0] a, output [3:0] y);
 endmodule
 """
 
+_GENERATE_LOOP = """module m(input [3:0] a, output [3:0] y);
+  genvar i;
+  generate for (i = 0; i < 4; i = i + 1) begin : g
+    assign y[i] = a[3 - i];
+  end endgenerate
+endmodule
+"""
+
 
 @pytest.mark.parametrize("text,message", [
     (_FUNCTION, "'function' declaration at line 2 is not supported"),
@@ -274,7 +282,19 @@ endmodule
     ("module m(input a, output reg y);\n  always @(*) begin\n"
      "    t(a);\n  end\nendmodule\n",
      "call of 't' at line 3 is not supported"),
+    (_GENERATE_LOOP, "^generate loop at line 3 is not supported$"),
+    # The region keywords are optional around a loop.
+    (_GENERATE_LOOP.replace("generate ", "").replace(" endgenerate", ""),
+     "^generate loop at line 3 is not supported$"),
 ])
 def test_functions_and_calls_are_rejected(text, message):
     with pytest.raises(VerilogSyntaxError, match=message):
         parse(text)
+
+
+def test_generate_regions_and_genvars_parse_as_plain_items():
+    module = parse("module m(input [3:0] a, output [3:0] y);\n"
+                   "  genvar i, j;\n"
+                   "  generate\n    assign y = ~a;\n  endgenerate\n"
+                   "endmodule\n").modules[0]
+    assert len(module.assigns) == 1 and module.assigns[0].lhs.name == "y"

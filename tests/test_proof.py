@@ -25,7 +25,7 @@ from repro.netlist.sat import (
     format_drat_step,
     parse_drat,
 )
-from repro.netlist.sat import CNF, cec, proof
+from repro.netlist.sat import cec, proof
 
 from repro.obs import Tracer, use_tracer
 
@@ -415,9 +415,8 @@ def test_cec_xmul_cube_tree_proof_checks_in_one_lane_pass():
                       top="shift_add_multiplier")
     aig, pi_lits, latch_lits, named = cec._lower_miter(before, after)
     pairs = [(b, a) for _, _, b, a in named if b != a]
-    cnf = CNF()
-    _, input_vars, _ = cec._encode_pairs(cnf, aig, pairs, pi_lits,
-                                         latch_lits)
+    cnf, _, input_vars, _ = cec._encode_pairs(
+        cec.EquivalenceResult(True), aig, pairs, pi_lits, latch_lits)
     log = ProofLog()
     cec._cube_tree(log, sorted(input_vars.values()))
     assert len(cnf.clauses) == 617
@@ -483,9 +482,8 @@ def _miter_cnf(width):
     after = elaborate(MULT_B.replace("W = 4", f"W = {width}"))
     aig, pi_lits, latch_lits, named = cec._lower_miter(before, after)
     pairs = [(b, a) for _, _, b, a in named if b != a]
-    cnf = CNF()
-    _, input_vars, _ = cec._encode_pairs(cnf, aig, pairs, pi_lits,
-                                         latch_lits)
+    cnf, _, input_vars, _ = cec._encode_pairs(
+        cec.EquivalenceResult(True), aig, pairs, pi_lits, latch_lits)
     return cnf, sorted(input_vars.values())
 
 
@@ -635,9 +633,8 @@ def test_cube_tree_of_a_satisfiable_miter_is_rejected():
     aig, pi_lits, latch_lits, named = cec._lower_miter(elaborate(good),
                                                        elaborate(bad))
     pairs = [(b, a) for _, _, b, a in named if b != a]
-    cnf = CNF()
-    _, input_vars, _ = cec._encode_pairs(cnf, aig, pairs, pi_lits,
-                                         latch_lits)
+    cnf, _, input_vars, _ = cec._encode_pairs(
+        cec.EquivalenceResult(True), aig, pairs, pi_lits, latch_lits)
     assert Solver(cnf.num_vars, cnf.clauses).solve().satisfiable
     log = ProofLog()
     cec._cube_tree(log, sorted(input_vars.values()))
@@ -805,6 +802,33 @@ def test_corrupt_sweep_lemma_fails_the_certified_cec(monkeypatch):
     verdict = check_equivalence(netlist, optimized, certify=True)
     assert corrupted and verdict.equivalent
     assert verdict.sweep_proven == verdict.compared
+    assert verdict.proof_checked is False
+
+
+def test_corrupt_sweep_lemma_fails_the_certified_cec_after_a_solve(
+        monkeypatch):
+    """A sweep cut to one round on 8 patterns merges some root pairs and
+    leaves the rest to the top-level solve.  Its proof checks, but the
+    corrupted sweep round still leaves the verdict uncertified."""
+    netlist = elaborate(ALU, top="alu", params={"W": 16})
+    optimized = optimize(netlist).netlist
+    monkeypatch.setattr(fraig, "_MAX_ROUNDS", 1)
+    corrupted = []
+    _mutate_rounds(monkeypatch, _corrupt_first_round(corrupted))
+    top_checks = []
+    certify = cec._certify
+
+    def recording(result, cnf, log):
+        certify(result, cnf, log)
+        top_checks.append(result.proof_checked)
+
+    monkeypatch.setattr(cec, "_certify", recording)
+    verdict = check_equivalence(netlist, optimized, certify=True,
+                                sim_patterns=8)
+    assert corrupted and verdict.equivalent
+    assert 0 < verdict.sweep_proven < verdict.compared
+    assert verdict.solver_stats.conflicts > 0
+    assert top_checks == [True]
     assert verdict.proof_checked is False
 
 

@@ -1,6 +1,7 @@
 """Tests for the SAT subsystem (repro.netlist.sat): CNF encoding, the CDCL
 solver, and miter-based equivalence checking with counterexample replay."""
 
+import functools
 import itertools
 import random
 
@@ -17,7 +18,7 @@ from repro.netlist import (
     simulate,
 )
 from repro.netlist.aig import aig_not
-from repro.netlist.opt import optimize
+from repro.netlist.opt import fraig, optimize
 from repro.netlist.sat import (
     CECError,
     CNF,
@@ -614,6 +615,70 @@ def test_sweep_auto_skips_sparse_miters(monkeypatch):
     assert verdict.sim_proven == 0 and verdict.sweep_proven == 0
     names = {record.name for record in tracer.spans()}
     assert "cec.simcheck" in names and "cec.sweep" not in names
+
+
+@functools.lru_cache(maxsize=None)
+def _alu16():
+    """The benchmark's W=16 ALU, elaborated and optimized: the miter
+    against its optimized netlist is the one CEC sweeps."""
+    design = designs.alu(16)
+    netlist = elaborate(design.src, top=design.top)
+    return design, netlist, optimize(netlist).netlist
+
+
+@pytest.mark.parametrize("certify", [False, True])
+def test_post_sweep_simulation_refutes_what_stage_one_missed(certify):
+    """A bug on one ``a`` value of one opcode slips past stage 1's 64
+    random patterns; the sweep proves the 15 other output bits, and the
+    distinguishing patterns its refuted candidates appended catch the
+    last pair in the post-sweep re-check, before any top-level solve."""
+    design, _, optimized = _alu16()
+    buggy = design.src.replace(
+        "3'd6: y = a ^ b;",
+        "3'd6: y = (a ^ b) ^ {15'd0, a == 16'hBEEF};")
+    assert buggy != design.src
+    tracer = Tracer()
+    with use_tracer(tracer):
+        verdict = check_equivalence(elaborate(buggy, top=design.top),
+                                    optimized, certify=certify)
+    assert not verdict.equivalent and verdict.refuted_by_simulation
+    assert verdict.sweep_proven == 15 and verdict.compared == 16
+    assert verdict.solver_stats.conflicts == 0
+    first, post = _simcheck_spans(tracer)
+    assert not first["refuted"] and first["pairs"] == 16
+    assert post["post_sweep"] is True and post["refuted"] is True
+    assert post["pairs"] == 1 and post["patterns"] > first["patterns"]
+    assert "cec.solve" not in {record.name for record in tracer.spans()}
+    cex = verdict.counterexample
+    inputs = cex.packed_inputs()
+    assert inputs["a"] == 0xBEEF and inputs["op"] == 6
+    # The counterexample replays: the buggy design's interpreter differs
+    # from the intended result on exactly the differing bit.
+    got = Interpreter(buggy, top=design.top).step(inputs)["y"]
+    assert got == (0xBEEF ^ inputs["b"]) ^ 1
+    [(kind, name, buggy_bit, good_bit)] = cex.diff
+    assert (kind, name) == ("output", "y[0]")
+    assert (buggy_bit, good_bit) == (got & 1, (got ^ 1) & 1)
+
+
+def test_unmerged_sweep_hands_every_pair_to_the_solve(monkeypatch):
+    """With no sweep rounds the miter comes back unmerged: every pair
+    passes the post-sweep re-check and the top-level solve proves them,
+    with its DRAT proof checked."""
+    monkeypatch.setattr(fraig, "_MAX_ROUNDS", 0)
+    _, netlist, optimized = _alu16()
+    tracer = Tracer()
+    with use_tracer(tracer):
+        verdict = check_equivalence(netlist, optimized, certify=True)
+    assert verdict.equivalent and verdict.proof_checked is True
+    assert verdict.sweep_proven == 0
+    assert verdict.solver_stats.conflicts > 0
+    assert verdict.lemma_checks > 0
+    first, post = _simcheck_spans(tracer)
+    assert post["post_sweep"] is True and not post["refuted"]
+    assert post["pairs"] == first["pairs"] == verdict.compared
+    names = [record.name for record in tracer.spans()]
+    assert names.count("cec.solve") == 1 and names.count("cec.encode") == 1
 
 
 @pytest.mark.parametrize("sim_patterns,bug", [(64, "AIG lowering bug"),

@@ -1,28 +1,30 @@
 """A minimal stdlib client for the verification daemon.
 
-:class:`ServerClient` wraps the daemon's four endpoints with plain
-:mod:`http.client` calls — no dependencies, safe to use from tests, CI
-smoke scripts, and the ``server_mix`` benchmark workload.  ``submit`` +
-``wait`` is the common round trip::
+:class:`ServerClient` wraps the daemon's four endpoints with HTTP/1.1
+requests written straight to a TCP socket — no dependencies, safe to
+use from tests, CI smoke scripts, and the ``server_mix`` benchmark
+workload.  ``submit`` + ``wait`` is the common round trip::
 
     client = ServerClient(port=8347)
     job = client.submit(before_src, after_src, {"certify": True})
     record = client.wait(job["id"])
     assert record["equivalence"]["equivalent"]
 
-Each thread that uses a client gets its own persistent HTTP/1.1
-connection, so one client can be shared across threads.  A request is
-retried once, on a fresh connection, only when the daemon closed a
-reused connection before replying (an idle keep-alive connection it
-dropped).  ``wait`` long-polls ``GET /jobs/<id>?wait=S``: the daemon
-replies as soon as the job finishes, so no polling interval adds to the
-latency.
+Each thread that uses a client gets its own persistent connection, so
+one client can be shared across threads.  A request goes out in one
+``sendall`` with Nagle's algorithm off, and the reply is read by its
+status line and ``Content-Length``: the daemon's replies are always
+JSON bodies of known length.  A request is retried once, on a fresh
+connection, only when the daemon closed a reused connection before
+replying (an idle keep-alive connection it dropped).  ``wait``
+long-polls ``GET /jobs/<id>?wait=S``: the daemon replies as soon as the
+job finishes, so no polling interval adds to the latency.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import threading
 import time
 from typing import Optional
@@ -49,50 +51,52 @@ class ServerClient:
 
     def _request(self, method: str, path: str,
                  body: Optional[dict] = None) -> dict:
-        payload = json.dumps(body).encode("utf-8") \
-            if body is not None else None
-        headers = {"Content-Type": "application/json"} if payload else {}
-        conn = getattr(self._local, "conn", None)
-        reused = conn is not None
+        head = (f"{method} {path} HTTP/1.1\r\n"
+                f"Host: {self.host}:{self.port}\r\n")
+        payload = b""
+        if body is not None:
+            payload = json.dumps(body).encode("utf-8")
+            head += ("Content-Type: application/json\r\n"
+                     f"Content-Length: {len(payload)}\r\n")
+        message = (head + "\r\n").encode("ascii") + payload
+        sock = getattr(self._local, "sock", None)
+        reused = sock is not None
         try:
             if not reused:
-                conn = self._connect()
+                sock = self._connect()
             try:
-                conn.request(method, path, body=payload, headers=headers)
-                response = conn.getresponse()
+                status, keep, raw = _exchange(sock, message)
             except (ConnectionResetError, BrokenPipeError):
                 if not reused:
                     raise
                 # The daemon closed this idle connection before the
-                # request reached it (RemoteDisconnected is a
-                # ConnectionResetError), so sending it again is safe.
-                conn.close()
-                conn = self._connect()
-                conn.request(method, path, body=payload, headers=headers)
-                response = conn.getresponse()
-            raw = response.read()
+                # request reached it, so sending it again is safe.
+                self.close()
+                status, keep, raw = _exchange(self._connect(), message)
         except BaseException:
             self.close()
             raise
-        if response.will_close:
+        if not keep:
             self.close()
         data = json.loads(raw.decode("utf-8"))
-        if response.status >= 400:
-            raise ServerError(response.status, data)
+        if status >= 400:
+            raise ServerError(status, data)
         return data
 
-    def _connect(self) -> http.client.HTTPConnection:
-        self._local.conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout)
-        return self._local.conn
+    def _connect(self) -> socket.socket:
+        sock = socket.create_connection((self.host, self.port),
+                                        timeout=self.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._local.sock = sock
+        return sock
 
     def close(self) -> None:
         """Close the calling thread's connection (a later request opens
         a new one)."""
-        conn = getattr(self._local, "conn", None)
-        self._local.conn = None
-        if conn is not None:
-            conn.close()
+        sock = getattr(self._local, "sock", None)
+        self._local.sock = None
+        if sock is not None:
+            sock.close()
 
     def submit(self, before: str, after: str,
                options: Optional[dict] = None) -> dict:
@@ -149,3 +153,40 @@ class ServerClient:
                 if time.monotonic() >= deadline:
                     raise
                 time.sleep(poll)
+
+
+def _exchange(sock: socket.socket, message: bytes
+              ) -> tuple[int, bool, bytearray]:
+    """Send one request and read its reply: ``(status, whether the
+    connection stays open, body)``.  Raises ConnectionResetError only
+    when the daemon closed the connection before any byte of the reply,
+    the one case in which the request may be sent again."""
+    sock.sendall(message)
+    data = bytearray()
+    while (end := data.find(b"\r\n\r\n")) < 0:
+        chunk = sock.recv(65536)
+        if not chunk:
+            if not data:
+                raise ConnectionResetError("the daemon closed the "
+                                           "connection")
+            raise ConnectionError("the daemon closed the connection in "
+                                  "the middle of a reply")
+        data += chunk
+    status_line, *headers = data[:end].decode("latin-1").split("\r\n")
+    status = int(status_line.split()[1])
+    length, keep = 0, True
+    for header in headers:
+        name, _, value = header.partition(":")
+        name = name.strip().lower()
+        if name == "content-length":
+            length = int(value)
+        elif name == "connection":
+            keep = value.strip().lower() != "close"
+    body = data[end + 4:]
+    while len(body) < length:
+        chunk = sock.recv(length - len(body))
+        if not chunk:
+            raise ConnectionError("the daemon closed the connection in "
+                                  "the middle of a reply")
+        body += chunk
+    return status, keep, body

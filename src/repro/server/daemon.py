@@ -2,9 +2,13 @@
 
 :class:`VerifyDaemon` is ROADMAP item 3's long-running service.  A
 hand-rolled (stdlib-only) HTTP/1.1 server accepts JSON job submissions
-and shards the actual work — elaborate, hash, cache-check, staged CEC —
-across a :class:`~concurrent.futures.ProcessPoolExecutor` of
-``workers`` processes via :func:`~repro.server.jobs.run_verify_job`.
+and runs the actual work — elaborate, hash, cache-check, staged CEC —
+on ``workers`` forked worker processes via
+:func:`~repro.server.jobs.run_verify_job`.  Each worker has its own
+duplex pipe, which the event loop reads directly: a submitted job waits
+on a FIFO until a worker is idle, is sent down that worker's pipe, and
+is finished on the loop when the reply comes back.  A worker that dies
+(killed, out of memory) fails only the job it held and is forked again.
 
 Endpoints:
 
@@ -13,11 +17,11 @@ Endpoints:
     Replies ``{"id": ..., "status": ...}`` immediately.  Three paths:
     a *source-alias hit* (identical text + options seen before) completes
     the job instantly from the daemon's in-memory result, never touching
-    the pool; an *in-flight duplicate* returns the already-running job's
+    a worker; an *in-flight duplicate* returns the already-running job's
     id (``"deduplicated": true``) so a thundering herd of identical
-    submissions costs one solve; everything else queues on the pool,
-    where the worker still gets a shot at the shared on-disk
-    content-hash cache before solving.
+    submissions costs one solve; everything else queues for a worker,
+    which still gets a shot at the shared on-disk content-hash cache
+    before solving.
 ``GET /jobs/<id>[?wait=S]``
     Job record: status (``queued`` / ``running`` / ``done`` / ``error``),
     timing, ``cache_hit``, and the ``equivalence`` report when done.
@@ -51,11 +55,12 @@ import collections
 import contextlib
 import json
 import math
+import multiprocessing
 import os
+import signal
 import time
 import urllib.parse
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import Connection
 from typing import Optional
 
 from ..obs import Tracer
@@ -69,6 +74,11 @@ _MAX_WAIT_S = 30.0
 _IDLE_S = 60.0
 #: Finished job records kept; past this the oldest one is evicted.
 _MAX_FINISHED = 1024
+#: Workers are forked, not spawned: a spawned or forkserver worker
+#: re-imports the package before its first job, which more than doubles
+#: the daemon's start-up time.  Named explicitly because Python 3.14
+#: changes the default start method.
+_FORK = multiprocessing.get_context("fork")
 
 
 class VerifyDaemon:
@@ -103,7 +113,12 @@ class VerifyDaemon:
         #: Connections waiting for their next request.
         self._idle: set[asyncio.StreamWriter] = set()
         self._next_id = 0
-        self._pool: Optional[ProcessPoolExecutor] = None
+        #: One slot per worker; ``None`` while a dead worker awaits its
+        #: replacement.
+        self._workers: list[Optional[_Worker]] = []
+        #: Submitted ``(job, payload)`` pairs waiting for an idle worker.
+        self._queue: collections.deque[tuple[dict, dict]] = \
+            collections.deque()
         self._server: Optional[asyncio.AbstractServer] = None
         self._stop = asyncio.Event()
         self._started_at = time.monotonic()
@@ -111,12 +126,15 @@ class VerifyDaemon:
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listener and spin up the worker pool.  The bind comes
-        first, so an ``OSError`` it raises leaves no pool behind."""
+        """Bind the listener, fork the workers, then start serving.  The
+        bind comes first, so an ``OSError`` it raises leaves no worker
+        behind; the workers fork before any connection is accepted, so
+        none of them holds a client's socket."""
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port)
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._handle, self.host, self.port, start_serving=False)
         self.port = self._server.sockets[0].getsockname()[1]
+        self._workers = [self._fork() for _ in range(self.workers)]
+        await self._server.start_serving()
         self._started_at = time.monotonic()
 
     async def serve_forever(self) -> None:
@@ -130,16 +148,99 @@ class VerifyDaemon:
         for writer in list(self._idle):
             _close(writer)
         await self._server.wait_closed()
-        # Let queued jobs finish: ProcessPoolExecutor.shutdown(wait=True)
-        # blocks, so push it off the event loop.
-        pool = self._pool
-        self._pool = None
-        if pool is not None:
-            await asyncio.get_running_loop().run_in_executor(
-                None, pool.shutdown)
+        # Let queued and running jobs finish, then stop the workers.
+        while pending := [job["_done"] for job in self.jobs.values()
+                          if "_done" in job]:
+            await pending[0].wait()
+        loop = asyncio.get_running_loop()
+        workers = [w for w in self._workers if w is not None]
+        self._workers = []
+        for worker in workers:
+            loop.remove_reader(worker.conn.fileno())
+            with contextlib.suppress(OSError):
+                worker.conn.send(None)
+            worker.conn.close()
+        # join() blocks, so it runs off the loop, which meanwhile ends
+        # the handlers of the connections closed above.
+        for worker in workers:
+            await loop.run_in_executor(None, worker.process.join)
 
     def shutdown(self) -> None:
         self._stop.set()
+
+    # -- workers ------------------------------------------------------------
+
+    def _fork(self) -> _Worker:
+        """Start one worker process and watch its end of the pipe."""
+        conn, child_conn = _FORK.Pipe()
+        process = _FORK.Process(target=_serve_jobs, args=(child_conn,),
+                                name="verify-worker", daemon=True)
+        try:
+            process.start()
+        finally:
+            child_conn.close()
+        worker = _Worker(process, conn)
+        asyncio.get_running_loop().add_reader(conn.fileno(), self._on_reply,
+                                              worker)
+        return worker
+
+    def _dispatch(self) -> None:
+        """Fork a worker into each slot a dead one left, then send queued
+        jobs, oldest first, to idle workers."""
+        for slot, worker in enumerate(self._workers):
+            if worker is None:
+                try:
+                    worker = self._workers[slot] = self._fork()
+                except OSError as exc:
+                    # The slot stays empty until the next dispatch.
+                    if self._queue:
+                        job, _ = self._queue.popleft()
+                        self._fail(job, error=f"cannot start a worker: {exc}",
+                                   error_type=type(exc).__name__)
+                    continue
+            if worker.job is not None or not self._queue:
+                continue
+            job, payload = self._queue.popleft()
+            try:
+                # Looked up per job, so a replaced module-level
+                # run_verify_job reaches the workers already forked.
+                worker.conn.send((run_verify_job, payload))
+            except OSError:
+                # The worker died while idle: the job never reached it.
+                self._queue.appendleft((job, payload))
+                self._lost(worker)
+                return
+            worker.job = job
+            job["status"] = "running"
+            job["started"] = time.time()
+
+    def _on_reply(self, worker: _Worker) -> None:
+        """The loop's reader for one worker's pipe: finish the job it
+        held with its reply, or fail the job if the worker died."""
+        try:
+            reply = worker.conn.recv()
+        except (EOFError, OSError):
+            self._lost(worker)
+            return
+        job, worker.job = worker.job, None
+        self._complete(job, reply)
+        self._dispatch()
+
+    def _lost(self, worker: _Worker) -> None:
+        """``worker`` exited: fail the job it held, and fork its
+        replacement."""
+        asyncio.get_running_loop().remove_reader(worker.conn.fileno())
+        worker.conn.close()
+        # The pipe closes as the process exits, so kill() finds it dead
+        # or dying; join() reaps it.
+        worker.process.kill()
+        worker.process.join()
+        if worker.job is not None:
+            self._fail(worker.job,
+                       error=f"worker process {worker.process.pid} exited "
+                             f"(exit code {worker.process.exitcode})")
+        self._workers[self._workers.index(worker)] = None
+        self._dispatch()
 
     # -- job bookkeeping ----------------------------------------------------
 
@@ -173,41 +274,17 @@ class VerifyDaemon:
             if self.alias.get(old["_alias"]) == old["id"]:
                 del self.alias[old["_alias"]]
 
+    def _fail(self, job: dict, **fields) -> None:
+        """Finish ``job`` as ``error``, with ``fields`` (``error`` and,
+        from a worker's reply, ``error_type``) in its record."""
+        job.update(fields)
+        self.alias.pop(job["_alias"], None)
+        self._finish(job, "error")
+
     def _public_job(self, job: dict) -> dict:
         return {k: v for k, v in job.items() if not k.startswith("_")}
 
-    def _renew_pool(self, broken: ProcessPoolExecutor
-                    ) -> Optional[ProcessPoolExecutor]:
-        """Replace ``broken`` with a fresh pool, unless another job already
-        did.  A worker that dies (killed, out of memory) breaks its whole
-        executor for good, so without this every later job would fail."""
-        if self._pool is broken:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            broken.shutdown(wait=False)
-        return self._pool
-
-    async def _run_job(self, job: dict, payload: dict) -> None:
-        job["status"] = "running"
-        job["started"] = time.time()
-        loop = asyncio.get_running_loop()
-        pool = self._pool
-        try:
-            try:
-                future = loop.run_in_executor(pool, run_verify_job, payload)
-            except BrokenProcessPool:
-                # A worker died while the pool was idle: this job never
-                # ran, so it goes to a fresh pool.
-                pool = self._renew_pool(pool)
-                future = loop.run_in_executor(pool, run_verify_job, payload)
-            reply = await future
-        except Exception as exc:  # noqa: BLE001 — pool died / cancelled
-            if isinstance(exc, BrokenProcessPool):
-                # A worker died under this job; later jobs get a new pool.
-                self._renew_pool(pool)
-            job["error"] = str(exc)
-            self.alias.pop(job["_alias"], None)
-            self._finish(job, "error")
-            return
+    def _complete(self, job: dict, reply: dict) -> None:
         job["seconds"] = reply.get("seconds")
         if self.tracer is not None and reply.get("spans"):
             # One synthetic worker track per job keeps concurrent jobs
@@ -221,10 +298,8 @@ class VerifyDaemon:
             job["equivalence"] = reply.get("report")
             self._finish(job, "done")
         else:
-            job["error"] = reply.get("error")
-            job["error_type"] = reply.get("error_type")
-            self.alias.pop(job["_alias"], None)
-            self._finish(job, "error")
+            self._fail(job, error=reply.get("error"),
+                       error_type=reply.get("error_type"))
 
     def _submit(self, body: dict) -> tuple[int, dict]:
         before = body.get("before")
@@ -242,7 +317,7 @@ class VerifyDaemon:
             prior = self.jobs[prior_id]
             if prior["status"] == "done":
                 # Source-alias hit: a completed result for byte-identical
-                # input — answer from memory without touching the pool.
+                # input — answer from memory without touching a worker.
                 # The alias follows the newest record, so a design that
                 # keeps being resubmitted outlives its evicted original.
                 self.alias_hits += 1
@@ -268,8 +343,8 @@ class VerifyDaemon:
             "cache_dir": self.cache_dir,
             "trace": self.tracer is not None,
         }
-        asyncio.get_running_loop().create_task(
-            self._run_job(job, payload))
+        self._queue.append((job, payload))
+        self._dispatch()
         return 200, {"id": job["id"], "status": job["status"]}
 
     def _status(self) -> dict:
@@ -413,12 +488,53 @@ class VerifyDaemon:
 
 
 def _close(writer: asyncio.StreamWriter) -> None:
-    """End a connection.  Pool workers forked while it was open hold
-    copies of its socket, so close() alone would not end it for the
-    client; shutting down the write side first sends the FIN."""
+    """End a connection.  The workers forked at start-up hold no client
+    socket, but one forked to replace a dead worker holds a copy of every
+    connection open at that moment, so close() alone would not end it
+    for the client; shutting down the write side first sends the FIN."""
     with contextlib.suppress(OSError):
         writer.write_eof()
     writer.close()
+
+
+class _Worker:
+    """One worker process, the daemon's end of its pipe, and the job it
+    is running (``None`` while idle)."""
+
+    __slots__ = ("process", "conn", "job")
+
+    def __init__(self, process: multiprocessing.process.BaseProcess,
+                 conn: Connection) -> None:
+        self.process = process
+        self.conn = conn
+        self.job: Optional[dict] = None
+
+
+def _serve_jobs(conn: Connection) -> None:
+    """A worker process's loop: run each ``(function, payload)`` the
+    daemon sends and reply with its result, until the daemon sends
+    ``None`` or closes the pipe.  A job that raises costs that job only:
+    the exception is the reply."""
+    # The worker was forked from the daemon's event-loop thread: drop
+    # the loop's signal wake-up pipe, so a signal sent to this process
+    # is not taken for one sent to the daemon.  Ctrl-C reaches the whole
+    # process group; the daemon then drains and stops its workers.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    while True:
+        try:
+            task = conn.recv()
+            if task is None:
+                return
+            function, payload = task
+            reply = function(payload)
+        except EOFError:
+            return
+        except Exception as exc:  # noqa: BLE001 — one job, not the worker
+            reply = {"ok": False, "error": str(exc),
+                     "error_type": type(exc).__name__}
+        conn.send(reply)
 
 
 def _wait_seconds(query: str) -> float:

@@ -1,7 +1,7 @@
 """Worker-side execution of verification jobs.
 
 :func:`run_verify_job` is the module-level, picklable function the
-daemon's :class:`~concurrent.futures.ProcessPoolExecutor` runs.  One job
+daemon sends down a worker process's pipe with each job.  One job
 is one equivalence check: elaborate both submitted sources, compute their
 structural content hashes, consult the shared on-disk
 :class:`~repro.server.cache.ResultCache` (when the daemon has a cache
@@ -12,8 +12,9 @@ dict — JSON-ready report, cache metadata, and the worker's recorded
 
 Jobs never raise across the process boundary: every failure mode
 (frontend errors, interface mismatches, bad options) comes back as
-``{"ok": False, "error": ...}`` so one malformed submission cannot kill a
-pool worker mid-batch.
+``{"ok": False, "error": ..., "error_type": ...}``.  The worker loop
+replies the same way to an exception that escapes the job function, so
+one malformed submission costs its own job, never a worker.
 """
 
 from __future__ import annotations

@@ -327,9 +327,10 @@ def test_run_verify_job_reports_errors():
 # ---------------------------------------------------------------------------
 
 @contextlib.contextmanager
-def _serving(cache_dir):
-    """A one-worker daemon on an ephemeral port, served from a thread;
-    yields ``(daemon, client)`` and shuts the daemon down on exit."""
+def _serving(cache_dir, workers=1):
+    """A daemon (one worker by default) on an ephemeral port, served from
+    a thread; yields ``(daemon, client)`` and shuts the daemon down on
+    exit."""
     box = {}
     started = threading.Event()
 
@@ -338,8 +339,8 @@ def _serving(cache_dir):
             box["daemon"] = daemon
             started.set()
 
-        asyncio.run(run_daemon(port=0, workers=1, cache_dir=cache_dir,
-                               ready=_ready))
+        asyncio.run(run_daemon(port=0, workers=workers,
+                               cache_dir=cache_dir, ready=_ready))
 
     thread = threading.Thread(target=_serve, daemon=True)
     thread.start()
@@ -456,43 +457,130 @@ def test_daemon_status_counters(client):
     assert status["uptime_seconds"] > 0.0
 
 
-def _kill_worker(pool):
-    """SIGKILL the pool's only worker process."""
-    (worker,) = pool._processes.values()
-    os.kill(worker.pid, signal.SIGKILL)
+def _worker_pids(daemon):
+    return [worker.process.pid if worker else None
+            for worker in daemon._workers]
 
 
-def test_daemon_replaces_a_pool_broken_by_a_killed_worker(tmp_path):
-    """A dead worker breaks its whole process pool; the daemon must swap
-    in a fresh pool instead of failing every later job."""
-    slow_a = designs.multiplier(7)
-    slow_b = designs.shift_add_multiplier(7)
+def _until(condition, what, timeout=30):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting: {what}"
+        time.sleep(0.01)
+
+
+def _kill_worker(daemon, slot=0):
+    """SIGKILL one worker process; returns its pid once the daemon has
+    forked its replacement."""
+    pid = daemon._workers[slot].process.pid
+    os.kill(pid, signal.SIGKILL)
+    _until(lambda: _worker_pids(daemon)[slot] not in (pid, None),
+           "the daemon never replaced the killed worker")
+    return pid
+
+
+def test_a_killed_worker_is_replaced(tmp_path, monkeypatch):
+    """A worker killed while idle is forked again, and the next job runs
+    on its replacement; one killed under a job fails that job only."""
     with _serving(str(tmp_path)) as (daemon, client):
         assert client.verify(ADDER, ADDER_B)["status"] == "done"
 
-        # Killed while idle: the next submission never reached the dead
-        # pool, so it runs on the replacement and completes.
-        idle_pool = daemon._pool
-        _kill_worker(idle_pool)
-        deadline = time.monotonic() + 30
-        while not idle_pool._broken and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert idle_pool._broken, "the pool never noticed the dead worker"
+        _kill_worker(daemon)
         record = client.verify(ADDER, ADDER_BAD)
         assert record["status"] == "done"
         assert record["equivalence"]["equivalent"] is False
-        assert daemon._pool is not idle_pool
 
-        # Killed under a job (a certified W=7 multiplier proof takes
-        # seconds): that job fails, and the next one completes.
-        busy_pool = daemon._pool
-        job = client.submit(slow_a.src, slow_b.src, {"certify": True})
-        _kill_worker(busy_pool)
-        assert client.wait(job["id"])["status"] == "error"
-        record = client.verify(ADDER_B, ADDER)
+        with _gate(monkeypatch, tmp_path) as open_gate:
+            job = _pending_job(client, "kill1")
+            _until(lambda: client.job(job["id"])["status"] == "running",
+                   "the held job never reached the worker")
+            pid = _kill_worker(daemon)
+            record = client.wait(job["id"])
+            assert record["status"] == "error"
+            assert f"worker process {pid} exited" in record["error"]
+            open_gate()
+            record = client.verify(ADDER_B, ADDER)
         assert record["status"] == "done"
         assert record["equivalence"]["equivalent"] is True
-        assert daemon._pool is not busy_pool
+
+
+def test_a_killed_worker_fails_only_its_own_job(tmp_path, monkeypatch):
+    """Two workers each hold a job; killing one fails its job alone.  The
+    other job's verdict stands, and the daemon keeps both workers."""
+    with _gate(monkeypatch, tmp_path) as open_gate, \
+            _serving(str(tmp_path), workers=2) as (daemon, client):
+        held = {_pending_job(client, f"iso{k}")["id"] for k in range(2)}
+        _until(lambda: all(w is not None and w.job is not None
+                           for w in daemon._workers),
+               "both workers to take a job")
+        victim = daemon._workers[0].job["id"]
+        pid = _kill_worker(daemon, 0)
+        record = client.wait(victim)
+        assert record["status"] == "error"
+        assert f"worker process {pid} exited" in record["error"]
+        open_gate()
+        (survivor,) = held - {victim}
+        record = client.wait(survivor)
+        assert record["status"] == "done"
+        assert record["equivalence"]["equivalent"] is True
+        later = [_pending_job(client, f"iso{k}") for k in (2, 3)]
+        for job in later:
+            record = client.wait(job["id"])
+            assert record["status"] == "done"
+            assert record["equivalence"]["equivalent"] is True
+
+
+def _raising(payload):
+    raise RuntimeError("the job function failed")
+
+
+def test_a_raising_job_costs_the_job_not_the_worker(served, monkeypatch):
+    daemon, client = served
+    pids = _worker_pids(daemon)
+    monkeypatch.setattr(daemon_module, "run_verify_job", _raising)
+    record = client.verify("// raising\n" + ADDER, ADDER_B)
+    assert record["status"] == "error"
+    assert record["error_type"] == "RuntimeError"
+    assert record["error"] == "the job function failed"
+    monkeypatch.undo()
+    record = client.verify("// after raising\n" + ADDER, ADDER_B)
+    assert record["status"] == "done"
+    assert _worker_pids(daemon) == pids
+
+
+def _accepted_socket(port, peer_port):
+    """``socket:[inode]``, the ``/proc/<pid>/fd`` link of the socket a
+    daemon listening on ``port`` accepted from local port ``peer_port``."""
+    with open("/proc/net/tcp") as table:
+        for line in table.readlines()[1:]:
+            fields = line.split()
+            local, remote = fields[1], fields[2]
+            if (int(local.split(":")[1], 16) == port
+                    and int(remote.split(":")[1], 16) == peer_port):
+                return f"socket:[{fields[9]}]"
+    raise AssertionError(f"no connection from port {peer_port} to {port}")
+
+
+def _fd_links(pid):
+    links = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        with contextlib.suppress(FileNotFoundError):
+            links.add(os.readlink(f"/proc/{pid}/fd/{fd}"))
+    return links
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="reads /proc")
+def test_no_worker_holds_a_client_connection(tmp_path):
+    """The workers fork before the daemon accepts a connection, so a
+    connection the client closes is not kept open in a worker."""
+    with _serving(str(tmp_path)) as (daemon, client):
+        assert client.verify(ADDER, ADDER_B)["status"] == "done"
+        peer_port = client._local.sock.getsockname()[1]
+        accepted = _accepted_socket(daemon.port, peer_port)
+        assert accepted in _fd_links(os.getpid())  # the daemon's thread
+        for pid in _worker_pids(daemon):
+            assert accepted not in _fd_links(pid)
 
 
 # ---------------------------------------------------------------------------
@@ -672,9 +760,10 @@ def test_request_after_the_daemon_dropped_an_idle_connection(
         tmp_path, monkeypatch):
     with _serving(str(tmp_path)) as (daemon, _):
         fresh = ServerClient(port=daemon.port, timeout=10)
-        # The pool worker is forked while this connection is open, so it
-        # holds a copy of the daemon's end of it.
         assert fresh.verify(ADDER, ADDER_B)["status"] == "done"
+        # The replacement worker is forked while this connection is
+        # open, so it holds a copy of the daemon's end of it.
+        _kill_worker(daemon)
         monkeypatch.setattr(daemon_module, "_IDLE_S", 0.1)
         first = fresh.status()
         time.sleep(0.5)

@@ -420,41 +420,60 @@ def insert_netlist(aig: AIG, netlist: Netlist,
     AIG so common cones hash-merge.  Returns a gate-id -> literal map
     covering every gate feeding an output or a register data pin.
     """
-    gates = netlist.gates
+    types, fanins = netlist._type, netlist._fanins
     roots = [net for _, net in netlist.outputs]
-    roots.extend(gates[gid].fanins[0] for gid in netlist.registers)
+    roots.extend(fanins[gid][0] for gid in netlist.registers)
     cone = netlist.transitive_fanin(roots) if roots else set()
     lit_map: dict[int, int] = {}
+    aig_and = aig.aig_and
+    # Members bound to locals: before Python 3.12 a lookup on the enum
+    # class costs about as much as lowering the gate.
+    G = GateType
+    AND, NAND, OR, NOR = G.AND, G.NAND, G.OR, G.NOR
+    XOR, XNOR, NOT, MUX = G.XOR, G.XNOR, G.NOT, G.MUX
+    INPUT, DFF, BUF = G.INPUT, G.DFF, G.BUF
 
     for gid in netlist.topological_order():
         if gid not in cone:
             continue
-        gate = gates[gid]
-        gtype = gate.gtype
-        if gtype == GateType.INPUT:
+        gtype = types[gid]
+        fs = fanins[gid]
+        if gtype is AND or gtype is NAND:
+            if len(fs) == 2:
+                lit = aig_and(lit_map[fs[0]], lit_map[fs[1]])
+            else:
+                lit = aig.aig_ands(lit_map[f] for f in fs)
+            lit_map[gid] = lit ^ 1 if gtype is NAND else lit
+        elif gtype is OR or gtype is NOR:
+            if len(fs) == 2:
+                lit = aig_and(lit_map[fs[0]] ^ 1, lit_map[fs[1]] ^ 1) ^ 1
+            else:
+                lit = aig.aig_ors(lit_map[f] for f in fs)
+            lit_map[gid] = lit ^ 1 if gtype is NOR else lit
+        elif gtype is XOR or gtype is XNOR:
+            if len(fs) == 2:
+                # In sorted order, as aig_xors passes them: aig_xor
+                # creates its ANDs in operand order, which sets node ids.
+                a, b = lit_map[fs[0]], lit_map[fs[1]]
+                lit = aig.aig_xor(a, b) if a < b else aig.aig_xor(b, a)
+            else:
+                lit = aig.aig_xors(lit_map[f] for f in fs)
+            lit_map[gid] = lit ^ 1 if gtype is XNOR else lit
+        elif gtype is NOT:
+            lit_map[gid] = lit_map[fs[0]] ^ 1
+        elif gtype is MUX:
+            lit_map[gid] = aig.aig_mux(
+                lit_map[fs[0]], lit_map[fs[1]], lit_map[fs[2]])
+        elif gtype is INPUT:
             lit_map[gid] = input_lits[gid]
-        elif gtype == GateType.DFF:
+        elif gtype is DFF:
             lit_map[gid] = latch_lits[gid]
-        elif gtype == GateType.CONST0:
+        elif gtype is BUF:
+            lit_map[gid] = lit_map[fs[0]]
+        elif gtype is G.CONST0:
             lit_map[gid] = FALSE
-        elif gtype == GateType.CONST1:
+        elif gtype is G.CONST1:
             lit_map[gid] = TRUE
-        elif gtype == GateType.BUF:
-            lit_map[gid] = lit_map[gate.fanins[0]]
-        elif gtype == GateType.NOT:
-            lit_map[gid] = lit_map[gate.fanins[0]] ^ 1
-        elif gtype in (GateType.AND, GateType.NAND):
-            lit = aig.aig_ands(lit_map[f] for f in gate.fanins)
-            lit_map[gid] = lit ^ 1 if gtype == GateType.NAND else lit
-        elif gtype in (GateType.OR, GateType.NOR):
-            lit = aig.aig_ors(lit_map[f] for f in gate.fanins)
-            lit_map[gid] = lit ^ 1 if gtype == GateType.NOR else lit
-        elif gtype in (GateType.XOR, GateType.XNOR):
-            lit = aig.aig_xors(lit_map[f] for f in gate.fanins)
-            lit_map[gid] = lit ^ 1 if gtype == GateType.XNOR else lit
-        elif gtype == GateType.MUX:
-            select, data0, data1 = (lit_map[f] for f in gate.fanins)
-            lit_map[gid] = aig.aig_mux(select, data0, data1)
         else:  # pragma: no cover - GateType is closed
             raise NetlistError(f"cannot lower gate type {gtype.value}")
     return lit_map
@@ -470,18 +489,19 @@ def from_netlist(netlist: Netlist) -> AIG:
     by construction.
     """
     aig = AIG(name=netlist.name)
-    gates = netlist.gates
     input_lits = {
-        gid: aig.add_input(gates[gid].name or f"pi_{gid}")
-        for gid in netlist.inputs
+        gid: aig.add_input(name)
+        for gid, name in zip(netlist.inputs, netlist.input_names())
     }
+    names = netlist._name
     latch_lits = {
-        gid: aig.add_latch(gates[gid].name or f"dff_{gid}")
+        gid: aig.add_latch(names[gid] or f"dff_{gid}")
         for gid in netlist.registers
     }
     lit_map = insert_netlist(aig, netlist, input_lits, latch_lits)
+    fanins = netlist._fanins
     for gid in netlist.registers:
-        aig.set_next(latch_lits[gid], lit_map[gates[gid].fanins[0]])
+        aig.set_next(latch_lits[gid], lit_map[fanins[gid][0]])
     for name, net in netlist.outputs:
         aig.add_output(name, lit_map[net])
     return aig

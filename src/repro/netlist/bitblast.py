@@ -57,61 +57,66 @@ def binary_width(op: str, wl: int, wr: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _is_const0(netlist: Netlist, net: int) -> bool:
-    return netlist.gate(net).gtype == GateType.CONST0
-
-
-def _is_const1(netlist: Netlist, net: int) -> bool:
-    return netlist.gate(net).gtype == GateType.CONST1
+# Members read once: before Python 3.12 a lookup on the enum class costs
+# about as much as folding the gate.
+_CONST0, _CONST1 = GateType.CONST0, GateType.CONST1
+_NOT, _AND, _OR = GateType.NOT, GateType.AND, GateType.OR
+_XOR, _MUX = GateType.XOR, GateType.MUX
 
 
 def b_not(netlist: Netlist, a: int) -> int:
-    if _is_const0(netlist, a):
+    gtype = netlist._type[a]
+    if gtype is _CONST0:
         return netlist.const1()
-    if _is_const1(netlist, a):
+    if gtype is _CONST1:
         return netlist.const0()
-    gate = netlist.gate(a)
-    if gate.gtype == GateType.NOT:
-        return gate.fanins[0]
-    return netlist.add_gate(GateType.NOT, (a,))
+    if gtype is _NOT:
+        return netlist._fanins[a][0]
+    return netlist.add_gate(_NOT, (a,))
 
 
 def b_and(netlist: Netlist, a: int, b: int) -> int:
-    if _is_const0(netlist, a) or _is_const0(netlist, b):
+    types = netlist._type
+    ta, tb = types[a], types[b]
+    if ta is _CONST0 or tb is _CONST0:
         return netlist.const0()
-    if _is_const1(netlist, a):
+    if ta is _CONST1:
         return b
-    if _is_const1(netlist, b):
+    if tb is _CONST1:
         return a
     if a == b:
         return a
-    return netlist.add_gate(GateType.AND, (a, b))
+    return netlist.add_gate(_AND, (a, b))
 
 
 def b_or(netlist: Netlist, a: int, b: int) -> int:
-    if _is_const1(netlist, a) or _is_const1(netlist, b):
+    types = netlist._type
+    ta, tb = types[a], types[b]
+    if ta is _CONST1 or tb is _CONST1:
         return netlist.const1()
-    if _is_const0(netlist, a):
+    if ta is _CONST0:
         return b
-    if _is_const0(netlist, b):
+    if tb is _CONST0:
         return a
     if a == b:
         return a
-    return netlist.add_gate(GateType.OR, (a, b))
+    return netlist.add_gate(_OR, (a, b))
 
 
 def b_xor(netlist: Netlist, a: int, b: int) -> int:
-    if _is_const0(netlist, a):
+    types = netlist._type
+    ta, tb = types[a], types[b]
+    if ta is _CONST0:
         return b
-    if _is_const0(netlist, b):
+    if tb is _CONST0:
         return a
-    if _is_const1(netlist, a):
+    if ta is _CONST1:
         return b_not(netlist, b)
-    if _is_const1(netlist, b):
+    if tb is _CONST1:
         return b_not(netlist, a)
     if a == b:
         return netlist.const0()
-    return netlist.add_gate(GateType.XOR, (a, b))
+    return netlist.add_gate(_XOR, (a, b))
 
 
 def b_xnor(netlist: Netlist, a: int, b: int) -> int:
@@ -120,17 +125,20 @@ def b_xnor(netlist: Netlist, a: int, b: int) -> int:
 
 def b_mux(netlist: Netlist, select: int, data0: int, data1: int) -> int:
     """``select ? data1 : data0`` with constant folding."""
-    if _is_const0(netlist, select):
+    types = netlist._type
+    ts = types[select]
+    if ts is _CONST0:
         return data0
-    if _is_const1(netlist, select):
+    if ts is _CONST1:
         return data1
     if data0 == data1:
         return data0
-    if _is_const0(netlist, data0) and _is_const1(netlist, data1):
+    t0, t1 = types[data0], types[data1]
+    if t0 is _CONST0 and t1 is _CONST1:
         return select
-    if _is_const1(netlist, data0) and _is_const0(netlist, data1):
+    if t0 is _CONST1 and t1 is _CONST0:
         return b_not(netlist, select)
-    return netlist.add_gate(GateType.MUX, (select, data0, data1))
+    return netlist.add_gate(_MUX, (select, data0, data1))
 
 
 # ---------------------------------------------------------------------------

@@ -452,7 +452,7 @@ class Elaborator:
         cond_bits = self.lower_expr(env.scope, stmt.cond, reader=env.read,
                                     consts=env.consts)
         cond = bb.reduce_or(self.netlist, cond_bits)
-        gtype = self.netlist.gate(cond).gtype
+        gtype = self.netlist._type[cond]
         if gtype == GateType.CONST1:
             self.exec_stmt(env, stmt.then_stmt)
             return
@@ -490,7 +490,7 @@ class Elaborator:
                 self.exec_stmt(env, default_stmt)
                 return
             cond, arm_stmt = arms[k]
-            gtype = self.netlist.gate(cond).gtype
+            gtype = self.netlist._type[cond]
             if gtype == GateType.CONST1:
                 self.exec_stmt(env, arm_stmt)
                 return

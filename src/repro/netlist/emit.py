@@ -48,6 +48,20 @@ CLOCK = "clk"
 #: single-reader gates is cut into named wires at this depth.
 MAX_NESTING = 8
 
+# Members read once: before Python 3.12 a lookup on the enum class costs
+# about as much as printing the gate.
+_INPUT, _DFF = GateType.INPUT, GateType.DFF
+_CONST0, _CONST1 = GateType.CONST0, GateType.CONST1
+_BUF, _NOT, _MUX = GateType.BUF, GateType.NOT, GateType.MUX
+#: Nets that are not combinational gates: sources and flip-flops.
+_NOT_COMB = frozenset((_INPUT, _CONST0, _CONST1, _DFF))
+_OPS = {
+    GateType.AND: " & ", GateType.NAND: " & ",
+    GateType.OR: " | ", GateType.NOR: " | ",
+    GateType.XOR: " ^ ", GateType.XNOR: " ^ ",
+}
+_INVERTED = frozenset((GateType.NAND, GateType.NOR, GateType.XNOR))
+
 
 class EmitError(NetlistError):
     """Raised when a netlist cannot be printed as Verilog."""
@@ -112,7 +126,7 @@ def _port_decl(direction: str, base: str, bits: dict[int, int],
 
 def netlist_to_verilog(netlist: Netlist) -> str:
     """Print a netlist as a structural Verilog module."""
-    gates = netlist.gates
+    types, fanins, names = netlist._type, netlist._fanins, netlist._name
     input_names = netlist.input_names()
     output_names = netlist.output_names()
     in_words = _group_bits(input_names, "input")
@@ -201,26 +215,18 @@ def netlist_to_verilog(netlist: Netlist) -> str:
                 else f"{decl}[{index}]"
 
     def token(net: int) -> str:
-        gate = gates[net]
-        gtype = gate.gtype
-        if gtype == GateType.INPUT:
-            name = gate.name or f"pi_{net}"
+        gtype = types[net]
+        if gtype is _INPUT:
+            name = names[net] or f"pi_{net}"
             base, index = _split_bit_name(name)
             return base if name == base else f"{base}[{index}]"
-        if gtype == GateType.CONST0:
+        if gtype is _CONST0:
             return "1'b0"
-        if gtype == GateType.CONST1:
+        if gtype is _CONST1:
             return "1'b1"
-        if gtype == GateType.DFF:
+        if gtype is _DFF:
             return reg_of_gid[net]
         return f"{wire_prefix}{net}"
-
-    _OPS = {
-        GateType.AND: " & ", GateType.NAND: " & ",
-        GateType.OR: " | ", GateType.NOR: " | ",
-        GateType.XOR: " ^ ", GateType.XNOR: " ^ ",
-    }
-    _INVERTED = (GateType.NAND, GateType.NOR, GateType.XNOR)
 
     # -- combinational gates: a gate read once, by another combinational
     #    gate, is printed in parentheses inside its reader's expression.
@@ -228,32 +234,31 @@ def netlist_to_verilog(netlist: Netlist) -> str:
     #    gates whose text would nest deeper than MAX_NESTING stay wires.
     comb = [
         gid for gid in netlist.topological_order()
-        if not gates[gid].is_source and not gates[gid].is_register
+        if types[gid] not in _NOT_COMB
     ]
-    readers = Counter(f for gid in comb for f in gates[gid].fanins)
+    readers = Counter(f for gid in comb for f in fanins[gid])
     pinned = {net for _, net in netlist.outputs}
-    pinned.update(gates[gid].fanins[0] for gid in reg_map.values())
+    pinned.update(fanins[gid][0] for gid in reg_map.values())
     text: dict[int, str] = {}  # expressions not inlined (yet), in order
     depth: dict[int, int] = {}  # deepest parenthesis nesting of each
 
     for gid in comb:
-        gate = gates[gid]
-        gtype = gate.gtype
+        gtype = types[gid]
         extra = 1 if gtype in _INVERTED else 0  # the '~(' of NAND & co.
         nesting = extra
         operands = []
-        for f in gate.fanins:
+        for f in fanins[gid]:
             if (f in text and readers[f] == 1 and f not in pinned
                     and depth[f] + 1 + extra <= MAX_NESTING):
                 nesting = max(nesting, depth[f] + 1 + extra)
                 operands.append(f"({text.pop(f)})")
             else:
                 operands.append(token(f))
-        if gtype == GateType.BUF:
+        if gtype is _BUF:
             expr = operands[0]
-        elif gtype == GateType.NOT:
+        elif gtype is _NOT:
             expr = f"~{operands[0]}"
-        elif gtype == GateType.MUX:
+        elif gtype is _MUX:
             select, data0, data1 = operands
             expr = f"{select} ? {data1} : {data0}"
         else:
@@ -324,7 +329,7 @@ def netlist_to_verilog(netlist: Netlist) -> str:
             word = reg_words[base]
             for index in sorted(word):
                 gid = word[index]
-                data = gates[gid].fanins[0]
+                data = fanins[gid][0]
                 lines.append(
                     f"    {reg_of_gid[gid]} <= {token(data)};")
         lines.append("  end")

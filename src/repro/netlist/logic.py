@@ -3,11 +3,25 @@
 The elaborator lowers RTL into this bit-level boolean network; the optimizer,
 technology mapper, simulator and security machinery all operate on it.
 
-A :class:`Netlist` is a DAG of :class:`Gate` nodes identified by integer ids.
-Primary inputs, constants and flip-flop outputs are sources; primary outputs
-and flip-flop data pins are sinks.  Combinational gates are limited to a small
-set of primitive functions which keeps downstream algorithms (AIG conversion,
-cut enumeration, CNF encoding) simple.
+A :class:`Netlist` is a DAG of nets identified by dense integer ids
+``0 .. num_nets - 1``, in creation order.  Primary inputs, constants and
+flip-flop outputs are sources; primary outputs and flip-flop data pins are
+sinks.  Combinational gates are limited to a small set of primitive
+functions which keeps downstream algorithms (AIG conversion, cut
+enumeration, CNF encoding) simple.
+
+Storage is three parallel per-net lists indexed by gate id, the layout the
+:class:`~repro.netlist.aig.AIG` already uses: ``_type`` (the
+:class:`GateType`), ``_fanins`` (a tuple of net ids) and ``_name`` (``None``
+when unnamed).  There is no object per net.  The modules of this package
+that walk every net (bit-blasting, AIG lowering, simulation, emission,
+balancing, equivalence checking) read those lists directly; everyone else
+reads one net at a time through :meth:`Netlist.gate_type`,
+:meth:`Netlist.fanins` and :meth:`Netlist.gate_name`, which reject an
+unknown id.  :meth:`Netlist.gate` builds a :class:`Gate` snapshot of one
+net on request; nothing stores one.  The builders check every id they are
+given against ``0 <= id < num_nets``, because a list would quietly accept
+a negative index.
 """
 
 from __future__ import annotations
@@ -56,14 +70,29 @@ _FANIN_COUNT = {
     GateType.DFF: 1,
 }
 
+#: Each type's serialized value (``GateType.value`` is a property lookup).
+_TYPE_VALUE = {gtype: gtype.value for gtype in GateType}
+
+# Reading a member off the enum class goes through its metaclass, which
+# costs a per-net loop about as much as the work itself.
+_INPUT = GateType.INPUT
+_CONST0 = GateType.CONST0
+_CONST1 = GateType.CONST1
+_DFF = GateType.DFF
+
 
 class NetlistError(Exception):
     """Raised on structural errors (bad fanin counts, unknown nets, cycles)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Gate:
-    """A single node of the boolean network."""
+    """A snapshot of one net, built by :meth:`Netlist.gate`.
+
+    Not stored and not live: the netlist keeps its nets in parallel lists,
+    so editing a netlist goes through its builders, never through a
+    :class:`Gate`.
+    """
 
     gid: int
     gtype: GateType
@@ -84,14 +113,20 @@ class Netlist:
 
     def __init__(self, name: str = "netlist"):
         self.name = name
-        self.gates: dict[int, Gate] = {}
+        # Parallel per-net lists, indexed by gate id.
+        self._type: list[GateType] = []
+        self._fanins: list[tuple[int, ...]] = []
+        self._name: list[Optional[str]] = []
         self.inputs: list[int] = []
         self.outputs: list[tuple[str, int]] = []
-        self._next_id = 0
         self._const0: Optional[int] = None
         self._const1: Optional[int] = None
         self._input_index: dict[str, int] = {}
         self._output_index: dict[str, int] = {}
+        #: True while every combinational gate's fanins have lower ids than
+        #: the gate, so id order is a topological order.  Only
+        #: :meth:`set_fanins` can point a gate forward.
+        self._id_ordered = True
         self._topo_cache: Optional[tuple[int, ...]] = None
         self._registers_cache: Optional[tuple[int, ...]] = None
         #: ``(version, value)`` caches of :attr:`num_gates` and
@@ -111,25 +146,27 @@ class Netlist:
 
     # -- construction -----------------------------------------------------------
 
-    def _new_id(self) -> int:
-        gid = self._next_id
-        self._next_id += 1
-        return gid
-
-    def _invalidate(self) -> None:
+    def _add(self, gtype: GateType, fanins: tuple[int, ...],
+             name: Optional[str]) -> int:
+        gid = len(self._type)
+        self._type.append(gtype)
+        self._fanins.append(fanins)
+        self._name.append(name)
         self._topo_cache = None
         self._registers_cache = None
         self.version += 1
+        return gid
+
+    def _is_net(self, gid: object) -> bool:
+        return isinstance(gid, int) and 0 <= gid < len(self._type)
 
     def add_input(self, name: str) -> int:
         """Create a primary input bit and return its net id."""
         if name in self._input_index:
             raise NetlistError(f"duplicate primary input name '{name}'")
-        gid = self._new_id()
-        self.gates[gid] = Gate(gid=gid, gtype=GateType.INPUT, name=name)
+        gid = self._add(_INPUT, (), name)
         self.inputs.append(gid)
         self._input_index[name] = gid
-        self._invalidate()
         return gid
 
     def _check_fanins(self, gtype: GateType,
@@ -144,18 +181,25 @@ class Netlist:
             raise NetlistError(
                 f"gate type {gtype.value} requires at least one fanin"
             )
+        count = len(self._type)
         for fid in fanins:
-            if fid not in self.gates:
-                raise NetlistError(f"fanin net {fid} does not exist")
+            if not (isinstance(fid, int) and 0 <= fid < count):
+                raise NetlistError(f"fanin net {fid!r} does not exist")
 
     def add_gate(self, gtype: GateType, fanins: Iterable[int],
                  name: Optional[str] = None) -> int:
         """Create a gate of type ``gtype`` driven by ``fanins``."""
         fanins = tuple(fanins)
         self._check_fanins(gtype, fanins)
-        gid = self._new_id()
-        self.gates[gid] = Gate(gid=gid, gtype=gtype, fanins=fanins, name=name)
-        self._invalidate()
+        # _add, inlined: the elaborator calls this once per gate.
+        types = self._type
+        gid = len(types)
+        types.append(gtype)
+        self._fanins.append(fanins)
+        self._name.append(name)
+        self._topo_cache = None
+        self._registers_cache = None
+        self.version += 1
         return gid
 
     def set_fanins(self, gid: int, fanins: Iterable[int]) -> None:
@@ -165,36 +209,34 @@ class Netlist:
         Q net can participate in the logic that computes its own next state;
         this patches the data pin in afterwards.
         """
-        gate = self.gates.get(gid)
-        if gate is None:
-            raise NetlistError(f"gate {gid} does not exist")
+        if not self._is_net(gid):
+            raise NetlistError(f"gate {gid!r} does not exist")
         fanins = tuple(fanins)
-        self._check_fanins(gate.gtype, fanins)
-        gate.fanins = fanins
-        self._invalidate()
+        gtype = self._type[gid]
+        self._check_fanins(gtype, fanins)
+        if gtype is not _DFF and max(fanins, default=-1) >= gid:
+            self._id_ordered = False
+        self._fanins[gid] = fanins
+        self._topo_cache = None
+        self._registers_cache = None
+        self.version += 1
 
     def const0(self) -> int:
         """Return the (unique) constant-zero net."""
         if self._const0 is None:
-            gid = self._new_id()
-            self.gates[gid] = Gate(gid=gid, gtype=GateType.CONST0, name="1'b0")
-            self._const0 = gid
-            self._invalidate()
+            self._const0 = self._add(_CONST0, (), "1'b0")
         return self._const0
 
     def const1(self) -> int:
         """Return the (unique) constant-one net."""
         if self._const1 is None:
-            gid = self._new_id()
-            self.gates[gid] = Gate(gid=gid, gtype=GateType.CONST1, name="1'b1")
-            self._const1 = gid
-            self._invalidate()
+            self._const1 = self._add(_CONST1, (), "1'b1")
         return self._const1
 
     def add_output(self, name: str, net: int) -> None:
         """Mark ``net`` as the primary output called ``name``."""
-        if net not in self.gates:
-            raise NetlistError(f"output net {net} does not exist")
+        if not self._is_net(net):
+            raise NetlistError(f"output net {net!r} does not exist")
         if name in self._output_index:
             raise NetlistError(f"duplicate primary output name '{name}'")
         self.outputs.append((name, net))
@@ -224,8 +266,32 @@ class Netlist:
 
     # -- queries ------------------------------------------------------------------
 
+    def _net(self, gid: int) -> int:
+        if not self._is_net(gid):
+            raise NetlistError(f"net {gid!r} does not exist")
+        return gid
+
+    def gate_type(self, gid: int) -> GateType:
+        """The :class:`GateType` of net ``gid``."""
+        return self._type[self._net(gid)]
+
+    def fanins(self, gid: int) -> tuple[int, ...]:
+        """The fanin net ids of net ``gid`` (``()`` for a source)."""
+        return self._fanins[self._net(gid)]
+
+    def gate_name(self, gid: int) -> Optional[str]:
+        """The name of net ``gid``, or ``None``."""
+        return self._name[self._net(gid)]
+
     def gate(self, gid: int) -> Gate:
-        return self.gates[gid]
+        """A :class:`Gate` snapshot of net ``gid`` (built on each call)."""
+        self._net(gid)
+        return Gate(gid, self._type[gid], self._fanins[gid], self._name[gid])
+
+    @property
+    def num_nets(self) -> int:
+        """Number of nets of every type (gate ids run ``0 .. num_nets-1``)."""
+        return len(self._type)
 
     @property
     def num_gates(self) -> int:
@@ -236,10 +302,9 @@ class Netlist:
         cached = self._gates_cache
         if cached is not None and cached[0] == self.version:
             return cached[1]
-        count = sum(
-            1 for g in self.gates.values()
-            if not g.is_source and not g.is_register
-        )
+        types = self._type
+        count = len(types) - sum(
+            types.count(t) for t in (_INPUT, _CONST0, _CONST1, _DFF))
         self._gates_cache = (self.version, count)
         return count
 
@@ -255,8 +320,8 @@ class Netlist:
         like :func:`simulate` do not rescan every gate.
         """
         if self._registers_cache is None:
-            self._registers_cache = tuple(sorted(
-                g.gid for g in self.gates.values() if g.is_register))
+            self._registers_cache = tuple(
+                gid for gid, gtype in enumerate(self._type) if gtype is _DFF)
         return list(self._registers_cache)
 
     def register_map(self) -> dict[str, int]:
@@ -267,8 +332,9 @@ class Netlist:
         registers across netlists, so duplicates are rejected.
         """
         mapping: dict[str, int] = {}
+        names = self._name
         for gid in self.registers:
-            name = self.gates[gid].name or f"dff_{gid}"
+            name = names[gid] or f"dff_{gid}"
             if name in mapping:
                 raise NetlistError(f"duplicate flip-flop name '{name}'")
             mapping[name] = gid
@@ -282,19 +348,22 @@ class Netlist:
         data pins, yielding the full sequential support cone; otherwise
         flip-flops are treated as cut points (combinational cone).
         """
+        types, fanins = self._type, self._fanins
         seen: set[int] = set()
-        stack = [gid for gid in roots]
+        stack = list(roots)
+        # Fanins were checked when they were set, so only roots can be
+        # unknown.
+        for gid in stack:
+            if not self._is_net(gid):
+                raise NetlistError(f"net {gid!r} does not exist")
         while stack:
             gid = stack.pop()
             if gid in seen:
                 continue
-            if gid not in self.gates:
-                raise NetlistError(f"net {gid} does not exist")
             seen.add(gid)
-            gate = self.gates[gid]
-            if gate.is_register and not through_registers:
+            if types[gid] is _DFF and not through_registers:
                 continue
-            stack.extend(gate.fanins)
+            stack.extend(fanins[gid])
         return seen
 
     @property
@@ -318,7 +387,8 @@ class Netlist:
             raise KeyError(f"input '{name}' not found") from None
 
     def input_names(self) -> list[str]:
-        return [self.gates[gid].name or f"pi_{gid}" for gid in self.inputs]
+        names = self._name
+        return [names[gid] or f"pi_{gid}" for gid in self.inputs]
 
     def output_names(self) -> list[str]:
         return [name for name, _ in self.outputs]
@@ -336,26 +406,34 @@ class Netlist:
         """
         if self._topo_cache is not None:
             return list(self._topo_cache)
+        types, fanins = self._type, self._fanins
+        if self._id_ordered:
+            # What the DFS below yields when no fanin points forward.
+            self._topo_cache = tuple(range(len(types)))
+            return list(self._topo_cache)
+        # A flip-flop's data pin is sequential: cut it here.
+        comb = [() if gtype is _DFF else fs
+                for gtype, fs in zip(types, fanins)]
         order: list[int] = []
-        state: dict[int, int] = {}  # 0 = unvisited, 1 = visiting, 2 = done
+        state = bytearray(len(types))  # 0 = unvisited, 1 = visiting, 2 = done
 
-        for start in self.gates:
-            if state.get(start, 0) == 2:
+        for start in range(len(types)):
+            if state[start] == 2:
                 continue
-            stack = [(start, iter(self._comb_fanins(start)))]
+            stack = [(start, iter(comb[start]))]
             state[start] = 1
             while stack:
                 gid, fanin_iter = stack[-1]
                 advanced = False
                 for fid in fanin_iter:
-                    status = state.get(fid, 0)
+                    status = state[fid]
                     if status == 1:
                         raise NetlistError(
                             f"combinational cycle detected through net {fid}"
                         )
                     if status == 0:
                         state[fid] = 1
-                        stack.append((fid, iter(self._comb_fanins(fid))))
+                        stack.append((fid, iter(comb[fid])))
                         advanced = True
                         break
                 if not advanced:
@@ -364,12 +442,6 @@ class Netlist:
                     stack.pop()
         self._topo_cache = tuple(order)
         return order
-
-    def _comb_fanins(self, gid: int) -> tuple[int, ...]:
-        gate = self.gates[gid]
-        if gate.is_source or gate.is_register:
-            return ()
-        return gate.fanins
 
     def logic_levels(self) -> int:
         """Longest combinational path length in gate levels.
@@ -380,14 +452,14 @@ class Netlist:
         cached = self._levels_cache
         if cached is not None and cached[0] == self.version:
             return cached[1]
-        level: dict[int, int] = {}
+        types, fanins = self._type, self._fanins
+        level = [0] * len(types)
         for gid in self.topological_order():
-            gate = self.gates[gid]
-            if gate.is_source or gate.is_register:
-                level[gid] = 0
-            else:
-                level[gid] = 1 + max((level[f] for f in gate.fanins), default=0)
-        depth = max(level.values(), default=0)
+            gtype = types[gid]
+            if gtype is not _DFF and gtype not in SOURCE_TYPES:
+                level[gid] = 1 + max(
+                    (level[f] for f in fanins[gid]), default=0)
+        depth = max(level, default=0)
         self._levels_cache = (self.version, depth)
         return depth
 
@@ -406,18 +478,19 @@ class Netlist:
     def _codec_state(self) -> tuple:
         """The compact tuple behind :meth:`to_bytes` and content hashing.
 
-        Carries only the structural identity of the netlist — gates (in id
-        order), primary inputs/outputs, the id counter and the interned
-        constant nets.  Derived artifacts (topological order, register
-        cache, the compiled-simulator closure, optimizer statistics) are
-        left out: they do not change what the netlist computes.
+        Carries only the structural identity of the netlist — one
+        ``(gid, type value, fanins, name)`` row per net (in id order),
+        primary inputs/outputs, the net count and the interned constant
+        nets.  Derived artifacts (topological order, register cache, the
+        compiled-simulator closure, optimizer statistics) are left out:
+        they do not change what the netlist computes.
         """
-        gates = tuple(
-            (gate.gid, gate.gtype.value, gate.fanins, gate.name)
-            for gate in (self.gates[gid] for gid in sorted(self.gates))
-        )
+        count = len(self._type)
+        gates = tuple(zip(range(count),
+                          map(_TYPE_VALUE.__getitem__, self._type),
+                          self._fanins, self._name))
         return (self.name, gates, tuple(self.inputs), tuple(self.outputs),
-                self._next_id, self._const0, self._const1)
+                count, self._const0, self._const1)
 
     def to_bytes(self) -> bytes:
         """Canonical byte serialization of the structural identity.
@@ -462,30 +535,29 @@ def simulate(netlist: Netlist, input_values: dict[str, int],
     values: dict[int, int] = {}
     # ``state`` is only read, never written, so no defensive copy is needed.
     state = state if state is not None else {}
+    types, fanins = netlist._type, netlist._fanins
 
-    for gid in netlist.inputs:
-        name = netlist.gates[gid].name or f"pi_{gid}"
+    for gid, name in zip(netlist.inputs, netlist.input_names()):
         if name not in input_values:
             raise NetlistError(f"missing value for input '{name}'")
         values[gid] = int(bool(input_values[name]))
 
     for gid in netlist.topological_order():
-        gate = netlist.gates[gid]
-        if gate.gtype == GateType.INPUT:
+        gtype = types[gid]
+        if gtype is _INPUT:
             continue
-        if gate.gtype == GateType.CONST0:
+        if gtype is _CONST0:
             values[gid] = 0
-        elif gate.gtype == GateType.CONST1:
+        elif gtype is _CONST1:
             values[gid] = 1
-        elif gate.gtype == GateType.DFF:
+        elif gtype is _DFF:
             values[gid] = state.get(gid, 0)
         else:
-            operands = [values[f] for f in gate.fanins]
-            values[gid] = _eval_gate(gate.gtype, operands)
+            operands = [values[f] for f in fanins[gid]]
+            values[gid] = _eval_gate(gtype, operands)
 
-    gates = netlist.gates
     next_state = {
-        gid: values[gates[gid].fanins[0]] for gid in netlist.registers
+        gid: values[fanins[gid][0]] for gid in netlist.registers
     }
 
     outputs = {name: values[net] for name, net in netlist.outputs}

@@ -9,7 +9,7 @@ from typing import Callable, Optional, Sequence
 
 from ...obs import get_tracer
 from ..aig import AIG, from_netlist, to_netlist
-from ..logic import Gate, GateType, Netlist
+from ..logic import GateType, Netlist
 from .fraig import FraigStats, fraig_sweep
 from .rewrite import RewriteStats, rewrite_aig
 
@@ -42,11 +42,8 @@ _AIG_PASSES: dict[str, Callable[[AIG], tuple[AIG, dict]]] = {
 
 
 #: Associative gate types whose two-input chains :func:`balance` rebuilds.
-_CHAIN_TYPES = (GateType.AND, GateType.OR, GateType.XOR)
-
-
-def _is_chain(gate: Gate) -> bool:
-    return gate.gtype in _CHAIN_TYPES and len(gate.fanins) == 2
+_CHAIN_TYPES = frozenset((GateType.AND, GateType.OR, GateType.XOR))
+_CONST0, _CONST1 = GateType.CONST0, GateType.CONST1
 
 
 def balance(netlist: Netlist) -> Netlist:
@@ -64,13 +61,17 @@ def balance(netlist: Netlist) -> Netlist:
     valid; unnamed flip-flops are named ``dff_<gid>``, because register
     names are the correspondence key of the equivalence checker.
     """
-    gates = netlist.gates
+    types, fanins, names = netlist._type, netlist._fanins, netlist._name
+
+    def is_chain(gid: int) -> bool:
+        return types[gid] in _CHAIN_TYPES and len(fanins[gid]) == 2
+
     live = netlist.transitive_fanin(
         (net for _, net in netlist.outputs), through_registers=True)
     uses: dict[int, int] = {}
     consumer: dict[int, int] = {}
     for gid in live:
-        for fid in gates[gid].fanins:
+        for fid in fanins[gid]:
             uses[fid] = uses.get(fid, 0) + 1
             consumer[fid] = gid
     for _, net in netlist.outputs:
@@ -78,58 +79,58 @@ def balance(netlist: Netlist) -> Netlist:
         consumer.pop(net, None)
     absorbed = {
         gid for gid in live
-        if uses.get(gid) == 1 and gid in consumer and _is_chain(gates[gid])
-        and _is_chain(gates[consumer[gid]])
-        and gates[consumer[gid]].gtype == gates[gid].gtype
+        if uses.get(gid) == 1 and gid in consumer and is_chain(gid)
+        and is_chain(consumer[gid])
+        and types[consumer[gid]] is types[gid]
     }
 
     result = Netlist(name=netlist.name)
     new: dict[int, int] = {}    # source net -> result net
     level: dict[int, int] = {}  # result gate -> logic level (sources: 0)
 
-    def emit(gtype: GateType, fanins: tuple[int, ...],
+    def emit(gtype: GateType, operands: tuple[int, ...],
              name: Optional[str]) -> int:
-        gid = result.add_gate(gtype, fanins, name=name)
-        level[gid] = 1 + max(level.get(f, 0) for f in fanins)
+        gid = result.add_gate(gtype, operands, name=name)
+        level[gid] = 1 + max(level.get(f, 0) for f in operands)
         return gid
 
     for gid in netlist.inputs:
-        new[gid] = result.add_input(gates[gid].name)
+        new[gid] = result.add_input(names[gid])
     # Flip-flops come first, on a placeholder data pin: their Q net may
     # feed their own data cone.  Constant zero is created on first use.
     registers = [gid for gid in netlist.registers if gid in live]
     for gid in registers:
         new[gid] = result.add_dff(result.const0(),
-                                  name=gates[gid].name or f"dff_{gid}")
+                                  name=names[gid] or f"dff_{gid}")
     for gid in netlist.topological_order():
         if gid not in live or gid in new or gid in absorbed:
             continue
-        gate = gates[gid]
-        if gate.gtype == GateType.CONST0:
+        gtype = types[gid]
+        if gtype is _CONST0:
             new[gid] = result.const0()
-        elif gate.gtype == GateType.CONST1:
+        elif gtype is _CONST1:
             new[gid] = result.const1()
-        elif not _is_chain(gate):
-            new[gid] = emit(gate.gtype, tuple(new[f] for f in gate.fanins),
-                            gate.name)
+        elif not is_chain(gid):
+            new[gid] = emit(gtype, tuple(new[f] for f in fanins[gid]),
+                            names[gid])
         else:
             heap = []
-            stack = list(reversed(gate.fanins))
+            stack = list(reversed(fanins[gid]))
             while stack:
                 fid = stack.pop()
                 if fid in absorbed:
-                    stack.extend(reversed(gates[fid].fanins))
+                    stack.extend(reversed(fanins[fid]))
                 else:
                     heap.append((level.get(new[fid], 0), new[fid]))
             heapq.heapify(heap)
             while len(heap) > 1:
                 _, a = heapq.heappop(heap)
                 _, b = heapq.heappop(heap)
-                node = emit(gate.gtype, (a, b), None if heap else gate.name)
+                node = emit(gtype, (a, b), None if heap else names[gid])
                 heapq.heappush(heap, (level[node], node))
             new[gid] = heap[0][1]
     for gid in registers:
-        result.set_fanins(new[gid], (new[gates[gid].fanins[0]],))
+        result.set_fanins(new[gid], (new[fanins[gid][0]],))
     for name, net in netlist.outputs:
         result.add_output(name, new[net])
     return result

@@ -244,10 +244,7 @@ class EquivalenceResult:
 def _interface(netlist: Netlist) -> tuple[dict[str, int], dict[str, int],
                                           dict[str, int]]:
     """(input name -> net, output name -> net, register name -> gid)."""
-    inputs = {
-        netlist.gates[gid].name or f"pi_{gid}": gid
-        for gid in netlist.inputs
-    }
+    inputs = dict(zip(netlist.input_names(), netlist.inputs))
     outputs = dict(netlist.outputs)
     return inputs, outputs, netlist.register_map()
 
@@ -317,8 +314,8 @@ def _lower_miter(before: Netlist, after: Netlist
     for name in shared_regs:
         named_pairs.append(
             ("next_state", name,
-             b_map[before.gates[b_regs[name]].fanins[0]],
-             a_map[after.gates[a_regs[name]].fanins[0]]))
+             b_map[before._fanins[b_regs[name]][0]],
+             a_map[after._fanins[a_regs[name]][0]]))
     return aig, pi_lits, latch_lits, named_pairs
 
 

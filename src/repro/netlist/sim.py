@@ -95,9 +95,9 @@ class CompiledNetlist:
 
     def _generate(self) -> str:
         netlist = self.netlist
-        gates = netlist.gates
+        types, fanins = netlist._type, netlist._fanins
         roots = [net for _, net in netlist.outputs]
-        roots.extend(gates[gid].fanins[0] for gid in self.registers)
+        roots.extend(fanins[gid][0] for gid in self.registers)
         roots.extend(self.registers)
         cone = netlist.transitive_fanin(roots) if roots else set()
 
@@ -206,43 +206,47 @@ class CompiledNetlist:
             else:
                 emit(gid, f"({se} & {e1}) | (({se} ^ M) & {e0})")
 
+        # Members bound to locals: before Python 3.12 a lookup on the enum
+        # class costs about as much as compiling the gate.
+        G = GateType
+        AND, NAND, OR, NOR = G.AND, G.NAND, G.OR, G.NOR
+        XOR, XNOR, NOT, MUX = G.XOR, G.XNOR, G.NOT, G.MUX
+        INPUT, DFF, BUF = G.INPUT, G.DFF, G.BUF
         for gid in netlist.topological_order():
             if gid not in cone:
                 continue
-            gate = gates[gid]
-            gtype = gate.gtype
-            if gtype == GateType.INPUT:
-                exprs[gid] = f"i{input_pos[gid]}"
-            elif gtype == GateType.DFF:
-                exprs[gid] = f"s{reg_pos[gid]}"
-            elif gtype == GateType.CONST0:
-                set_const(gid, 0)
-            elif gtype == GateType.CONST1:
-                set_const(gid, 1)
-            elif gtype == GateType.BUF:
-                alias(gid, gate.fanins[0])
-            elif gtype == GateType.NOT:
-                fid = gate.fanins[0]
+            gtype = types[gid]
+            fs = fanins[gid]
+            if gtype is AND or gtype is NAND:
+                and_or(gid, fs, is_and=True, invert=gtype is NAND)
+            elif gtype is OR or gtype is NOR:
+                and_or(gid, fs, is_and=False, invert=gtype is NOR)
+            elif gtype is XOR or gtype is XNOR:
+                xor(gid, fs, invert=gtype is XNOR)
+            elif gtype is NOT:
+                fid = fs[0]
                 c = consts.get(fid)
                 if c is not None:
                     set_const(gid, 1 - c)
                 else:
                     emit(gid, f"{exprs[fid]} ^ M")
-            elif gtype in (GateType.AND, GateType.NAND):
-                and_or(gid, gate.fanins, is_and=True,
-                       invert=gtype == GateType.NAND)
-            elif gtype in (GateType.OR, GateType.NOR):
-                and_or(gid, gate.fanins, is_and=False,
-                       invert=gtype == GateType.NOR)
-            elif gtype in (GateType.XOR, GateType.XNOR):
-                xor(gid, gate.fanins, invert=gtype == GateType.XNOR)
-            elif gtype == GateType.MUX:
-                mux(gid, gate.fanins)
+            elif gtype is MUX:
+                mux(gid, fs)
+            elif gtype is INPUT:
+                exprs[gid] = f"i{input_pos[gid]}"
+            elif gtype is DFF:
+                exprs[gid] = f"s{reg_pos[gid]}"
+            elif gtype is BUF:
+                alias(gid, fs[0])
+            elif gtype is G.CONST0:
+                set_const(gid, 0)
+            elif gtype is G.CONST1:
+                set_const(gid, 1)
             else:  # pragma: no cover - GateType is closed
                 raise NetlistError(f"cannot compile gate type {gtype.value}")
 
         out_exprs = [exprs[net] for _, net in netlist.outputs]
-        ns_exprs = [exprs[gates[gid].fanins[0]] for gid in self.registers]
+        ns_exprs = [exprs[fanins[gid][0]] for gid in self.registers]
         lines.append(f"    return {_tuple_expr(out_exprs)}, "
                      f"{_tuple_expr(ns_exprs)}")
         return "\n".join(lines) + "\n"

@@ -36,8 +36,8 @@ Endpoints:
     ``waiting`` (held long-polls).
 ``POST /shutdown``
     Graceful shutdown — held long-polls are answered, idle connections
-    closed, in-flight jobs finish, the listener closes, and
-    :meth:`VerifyDaemon.serve_forever` returns.
+    closed, every connection handler ends, in-flight jobs finish, the
+    listener closes, and :meth:`VerifyDaemon.serve_forever` returns.
 
 Connections are persistent (HTTP/1.1 keep-alive): one connection serves
 requests until the client sends ``Connection: close``, a request is
@@ -112,6 +112,9 @@ class VerifyDaemon:
         self._finished: collections.deque[str] = collections.deque()
         #: Connections waiting for their next request.
         self._idle: set[asyncio.StreamWriter] = set()
+        #: The handler task of every open connection.  The loop holds
+        #: tasks weakly, and shutdown awaits these.
+        self._handlers: set[asyncio.Task] = set()
         self._next_id = 0
         #: One slot per worker; ``None`` while a dead worker awaits its
         #: replacement.
@@ -142,12 +145,15 @@ class VerifyDaemon:
         assert self._server is not None
         await self._stop.wait()
         self._server.close()
-        # Since Python 3.12 wait_closed() also waits for every open
-        # connection.  Idle ones are closed here; a busy one closes after
-        # its reply, and the stop event has answered held long-polls.
+        # Idle connections are closed here; a busy one closes after its
+        # reply, and the stop event has answered held long-polls.  Since
+        # Python 3.12 wait_closed() also waits for every handler; before
+        # it, only the wait on the handlers' own tasks does.
         for writer in list(self._idle):
             _close(writer)
         await self._server.wait_closed()
+        if self._handlers:
+            await asyncio.wait(list(self._handlers))
         # Let queued and running jobs finish, then stop the workers.
         while pending := [job["_done"] for job in self.jobs.values()
                           if "_done" in job]:
@@ -160,8 +166,7 @@ class VerifyDaemon:
             with contextlib.suppress(OSError):
                 worker.conn.send(None)
             worker.conn.close()
-        # join() blocks, so it runs off the loop, which meanwhile ends
-        # the handlers of the connections closed above.
+        # join() blocks, so it runs off the loop.
         for worker in workers:
             await loop.run_in_executor(None, worker.process.join)
 
@@ -370,6 +375,9 @@ class VerifyDaemon:
                       writer: asyncio.StreamWriter) -> None:
         """Serve one connection's requests in turn; see the module
         docstring for when it closes."""
+        task = asyncio.current_task()
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
         self.connections += 1
         try:
             while not self._stop.is_set():

@@ -169,8 +169,8 @@ def test_constant_outputs_round_trip():
     netlist.add_output("zero", netlist.make_and(a, netlist.const0()))
     netlist.add_output("one", netlist.make_or(a, netlist.const1()))
     rt = to_netlist(from_netlist(netlist))
-    assert rt.gate(rt.output_net("zero")).gtype == GateType.CONST0
-    assert rt.gate(rt.output_net("one")).gtype == GateType.CONST1
+    assert rt.gate_type(rt.output_net("zero")) == GateType.CONST0
+    assert rt.gate_type(rt.output_net("one")) == GateType.CONST1
 
 
 def test_xor_and_mux_rederived_on_raising():
@@ -181,7 +181,7 @@ def test_xor_and_mux_rederived_on_raising():
     netlist.add_output("x", netlist.make_xor(a, b))
     netlist.add_output("m", netlist.make_mux(s, a, b))
     rt = to_netlist(from_netlist(netlist))
-    gtypes = {rt.gate(net).gtype for _, net in rt.outputs}
+    gtypes = {rt.gate_type(net) for _, net in rt.outputs}
     assert GateType.XOR in gtypes or GateType.XNOR in gtypes
     assert GateType.MUX in gtypes
     # No AND-tree explosion: one gate per re-derived operator (a NOT may

@@ -535,13 +535,14 @@ def test_elaborate_accepts_parsed_source():
 
     netlist = elaborate(parse(RCA), top="rca")
     assert netlist.num_inputs == 9
-    assert netlist.gate(netlist.output_net("cout")) is not None
+    assert netlist.gate_type(netlist.output_net("cout")) is not None
 
 
 def test_netlist_structure_of_sequential_design():
     netlist = elaborate(COUNTER, top="counter", params={"W": 6})
     assert netlist.num_registers == 6
     assert netlist.num_inputs == 3
-    dffs = [g for g in netlist.gates.values()
-            if g.gtype == GateType.DFF]
-    assert all(g.name.startswith("counter.q") for g in dffs)
+    dffs = [gid for gid in range(netlist.num_nets)
+            if netlist.gate_type(gid) == GateType.DFF]
+    assert all(netlist.gate_name(gid).startswith("counter.q")
+               for gid in dffs)

@@ -1,8 +1,14 @@
 """Netlist IR tests: construction, indexes, topo-order caching, simulation."""
 
+import random
+
 import pytest
 
+from repro.netlist import check_equivalence, elaborate, logic, simulate_sequence
+from repro.netlist.aig import from_netlist
+from repro.netlist.emit import netlist_to_verilog
 from repro.netlist.logic import GateType, Netlist, NetlistError, simulate
+from repro.netlist.opt import map_aig, optimize
 
 
 def build_xor_netlist():
@@ -37,14 +43,14 @@ def test_duplicate_output_name_rejected():
 
 def test_output_net_index():
     netlist = build_xor_netlist()
-    assert netlist.gate(netlist.output_net("y")).gtype == GateType.XOR
+    assert netlist.gate_type(netlist.output_net("y")) == GateType.XOR
     with pytest.raises(KeyError):
         netlist.output_net("nope")
 
 
 def test_input_net_index():
     netlist = build_xor_netlist()
-    assert netlist.gates[netlist.input_net("a")].name == "a"
+    assert netlist.gate_name(netlist.input_net("a")) == "a"
     with pytest.raises(KeyError):
         netlist.input_net("zz")
 
@@ -60,6 +66,128 @@ def test_fanin_count_validation():
         netlist.add_gate(GateType.AND, (a, 999))
 
 
+def test_unknown_ids_rejected_not_indexed_from_the_end():
+    """The nets live in lists, which would read index -1 as the last net:
+    every builder and reader rejects an id outside ``0 .. num_nets-1``."""
+    netlist = build_xor_netlist()
+    a = netlist.input_net("a")
+    past_end = netlist.num_nets
+    for bad in (-1, past_end, "0", 1.0, None):
+        with pytest.raises(NetlistError, match="does not exist"):
+            netlist.add_gate(GateType.AND, (a, bad))
+    for bad in (-1, past_end):
+        with pytest.raises(NetlistError, match="does not exist"):
+            netlist.set_fanins(bad, (a,))
+        with pytest.raises(NetlistError, match="does not exist"):
+            netlist.add_output("z", bad)
+        with pytest.raises(NetlistError, match="does not exist"):
+            netlist.gate_type(bad)
+        with pytest.raises(NetlistError, match="does not exist"):
+            netlist.fanins(bad)
+        with pytest.raises(NetlistError, match="does not exist"):
+            netlist.gate_name(bad)
+        with pytest.raises(NetlistError, match="does not exist"):
+            netlist.transitive_fanin([netlist.output_net("y"), bad])
+    # Nothing was added by the rejected calls.
+    assert netlist.num_nets == past_end
+    assert netlist.output_names() == ["y"]
+
+
+def test_read_api_and_gate_snapshot():
+    netlist = build_xor_netlist()
+    y = netlist.output_net("y")
+    a, b = netlist.inputs
+    assert netlist.num_nets == 3
+    assert (netlist.gate_type(y), netlist.fanins(y), netlist.gate_name(y)) \
+        == (GateType.XOR, (a, b), None)
+    assert netlist.fanins(a) == ()
+    snapshot = netlist.gate(y)
+    assert (snapshot.gid, snapshot.gtype, snapshot.fanins) \
+        == (y, GateType.XOR, (a, b))
+    assert not snapshot.is_source and not snapshot.is_register
+    # A snapshot is read-only: edits go through the builders.
+    with pytest.raises(AttributeError):
+        snapshot.fanins = (a, a)
+
+
+HIER = """
+module half (input x, input y, output s, output c);
+  assign s = x ^ y;
+  assign c = x & y;
+endmodule
+module top (input a, input b, input cin, output sum, output cout);
+  wire s1, c1, c2;
+  half h1 (.x(a), .y(b & cin), .s(s1), .c(c1));
+  half h2 (.x(s1), .y(cin), .s(sum), .c(c2));
+  assign cout = c1 | c2;
+endmodule
+"""
+
+
+def test_id_order_shortcut_matches_the_dfs():
+    """Without a forward fanin, id order is what the DFS yields.  An
+    instance's input buffers exist before the logic driving them, so
+    they are patched forward and the netlist takes the DFS."""
+    flat = build_xor_netlist()
+    flat.set_fanins(flat.inputs[0], ())  # a source keeps no fanins
+    assert flat._id_ordered
+    assert flat.topological_order() == list(range(flat.num_nets))
+    netlist = elaborate(HIER, top="top")
+    assert not netlist._id_ordered
+    order = netlist.topological_order()
+    assert order != list(range(netlist.num_nets))
+    position = {gid: k for k, gid in enumerate(order)}
+    assert all(position[f] < position[gid] for gid in order
+               if netlist.gate_type(gid) != GateType.DFF
+               for f in netlist.fanins(gid))
+    # A flip-flop's data pin may point forward without leaving id order.
+    ring = Netlist()
+    d = ring.add_input("d")
+    q = ring.add_dff(ring.const0(), name="q")
+    ring.set_fanins(q, (ring.make_xor(q, d),))
+    assert ring._id_ordered
+    ring._id_ordered = False
+    ring._topo_cache = None
+    assert ring.topological_order() == list(range(ring.num_nets))
+
+
+def test_flow_builds_no_gate_object(monkeypatch):
+    """One design through every netlist stage, with :class:`Gate`
+    construction patched to raise: no stage builds a per-net object."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Gate object was built")
+
+    monkeypatch.setattr(logic.Gate, "__init__", refuse)
+    source = """
+module acc (input clk, input [3:0] a, input [3:0] b, input [1:0] op,
+            output reg [3:0] q, output zero);
+  assign zero = q == 0;
+  always @(posedge clk) begin
+    case (op)
+      2'd0: q <= a + b;
+      2'd1: q <= a - q;
+      2'd2: q <= a & b;
+      default: q <= q ^ b;
+    endcase
+  end
+endmodule
+"""
+    original = elaborate(source, top="acc")
+    optimized = optimize(original).netlist
+    assert check_equivalence(original, optimized).equivalent
+    luts = map_aig(from_netlist(optimized), k=4).to_netlist()
+    text = netlist_to_verilog(luts)
+    reloaded = elaborate(text, top="acc")
+    assert check_equivalence(original, reloaded).equivalent
+    rng = random.Random(7)
+    vectors = [{"clk": 0, "a": rng.getrandbits(4), "b": rng.getrandbits(4),
+                "op": rng.getrandbits(2)} for _ in range(12)]
+    assert simulate_sequence(reloaded, vectors) \
+        == simulate_sequence(original, vectors)
+    with pytest.raises(AssertionError, match="Gate object"):
+        original.gate(0)
+
+
 def test_topological_order_cached_and_invalidated():
     netlist = build_xor_netlist()
     first = netlist.topological_order()
@@ -71,7 +199,7 @@ def test_topological_order_cached_and_invalidated():
     # Structural changes invalidate.
     netlist.make_not(netlist.inputs[0])
     assert netlist._topo_cache is None
-    assert len(netlist.topological_order()) == len(netlist.gates)
+    assert len(netlist.topological_order()) == netlist.num_nets
 
 
 def test_gate_count_and_levels_cached_and_invalidated():

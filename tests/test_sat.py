@@ -221,7 +221,7 @@ def test_corrupted_next_state_function_refuted():
     after = elaborate(COUNTER, top="counter")
     regs = after.register_map()
     name, gid = sorted(regs.items())[0]
-    data = after.gates[gid].fanins[0]
+    (data,) = after.fanins(gid)
     after.set_fanins(gid, (after.make_not(data),))
     verdict = check_equivalence(before, after)
     assert not verdict.equivalent

@@ -69,3 +69,22 @@ def test_content_hash_changes_on_semantic_mutation():
     # The AIG-level hash must split them too (it keys FRAIG-side reuse).
     assert from_netlist(broken).content_hash() \
         != from_netlist(good).content_hash()
+
+
+#: ``elaborate(src).content_hash()`` of two benchmark designs: the keys of
+#: the server's result cache.  Any change to the netlist's serialized form
+#: (gate order, type spelling, field layout) moves them, and with them
+#: every cached verdict.
+PINNED_HASHES = {
+    "alu_w8": (designs.alu, 8,
+               "721c6970fa154ea1e911b7725799308a71c0e01677c67c9c153961bd69512bbe"),
+    "counter_w6": (designs.counter, 6,
+                   "42da1b29ca13b1b3fdd52cbafc37c73ae7f2dca5d720340fc33ceb41d45eee9a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HASHES))
+def test_content_hash_pinned(name):
+    factory, width, digest = PINNED_HASHES[name]
+    _, _, netlist = _elaborated(factory, width)
+    assert netlist.content_hash() == digest

@@ -841,6 +841,32 @@ def test_shutdown_answers_long_polls_and_closes_idle_connections(
     idle.close()
 
 
+def test_shutdown_awaits_the_handlers_of_idle_connections(tmp_path):
+    """An idle keep-alive connection at shutdown: by the time
+    serve_forever returns, its handler task (and every other) has ended
+    on its own, none cancelled by asyncio.run's clean-up."""
+    async def handler_tasks():
+        return set(daemon._handlers)
+
+    with _serving(str(tmp_path)) as (daemon, client):
+        idle = http.client.HTTPConnection("127.0.0.1", daemon.port,
+                                          timeout=10)
+        idle.request("GET", "/status")
+        assert idle.getresponse().read()
+        loop = daemon._server.get_loop()
+        tasks = asyncio.run_coroutine_threadsafe(
+            handler_tasks(), loop).result(timeout=10)
+        # The idle connection's and the client's own.
+        assert len(tasks) == 2
+    # ``_serving`` posted /shutdown and joined the daemon thread.
+    assert all(task.done() for task in tasks)
+    assert not any(task.cancelled() for task in tasks)
+    assert not daemon._handlers
+    idle.sock.settimeout(5)
+    assert idle.sock.recv(1) == b""
+    idle.close()
+
+
 def test_finished_job_table_is_bounded(tmp_path, monkeypatch):
     monkeypatch.setattr(daemon_module, "_MAX_FINISHED", 3)
     with _serving(str(tmp_path)) as (daemon, client):

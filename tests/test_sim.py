@@ -138,7 +138,7 @@ endmodule
 
 def test_step_and_state_lockstep_with_interpreter():
     netlist = elaborate(COUNTER, top="counter")
-    names = {netlist.gate(gid).name: gid for gid in netlist.registers}
+    names = {netlist.gate_name(gid): gid for gid in netlist.registers}
     q_gids = [names[f"counter.q[{i}]"] for i in range(4)]
     interp = Interpreter(COUNTER, top="counter")
     rng = random.Random(11)

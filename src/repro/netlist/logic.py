@@ -146,17 +146,6 @@ class Netlist:
 
     # -- construction -----------------------------------------------------------
 
-    def _add(self, gtype: GateType, fanins: tuple[int, ...],
-             name: Optional[str]) -> int:
-        gid = len(self._type)
-        self._type.append(gtype)
-        self._fanins.append(fanins)
-        self._name.append(name)
-        self._topo_cache = None
-        self._registers_cache = None
-        self.version += 1
-        return gid
-
     def _is_net(self, gid: object) -> bool:
         return isinstance(gid, int) and 0 <= gid < len(self._type)
 
@@ -164,7 +153,7 @@ class Netlist:
         """Create a primary input bit and return its net id."""
         if name in self._input_index:
             raise NetlistError(f"duplicate primary input name '{name}'")
-        gid = self._add(_INPUT, (), name)
+        gid = self.add_gate(_INPUT, (), name)
         self.inputs.append(gid)
         self._input_index[name] = gid
         return gid
@@ -191,7 +180,6 @@ class Netlist:
         """Create a gate of type ``gtype`` driven by ``fanins``."""
         fanins = tuple(fanins)
         self._check_fanins(gtype, fanins)
-        # _add, inlined: the elaborator calls this once per gate.
         types = self._type
         gid = len(types)
         types.append(gtype)
@@ -224,13 +212,13 @@ class Netlist:
     def const0(self) -> int:
         """Return the (unique) constant-zero net."""
         if self._const0 is None:
-            self._const0 = self._add(_CONST0, (), "1'b0")
+            self._const0 = self.add_gate(_CONST0, (), "1'b0")
         return self._const0
 
     def const1(self) -> int:
         """Return the (unique) constant-one net."""
         if self._const1 is None:
-            self._const1 = self._add(_CONST1, (), "1'b1")
+            self._const1 = self.add_gate(_CONST1, (), "1'b1")
         return self._const1
 
     def add_output(self, name: str, net: int) -> None:
@@ -354,8 +342,7 @@ class Netlist:
         # Fanins were checked when they were set, so only roots can be
         # unknown.
         for gid in stack:
-            if not self._is_net(gid):
-                raise NetlistError(f"net {gid!r} does not exist")
+            self._net(gid)
         while stack:
             gid = stack.pop()
             if gid in seen:

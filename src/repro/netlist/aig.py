@@ -37,7 +37,10 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Optional, Sequence
 
-from .logic import GateType, Netlist, NetlistError
+from .logic import (
+    AND, BUF, CONST0, CONST1, DFF, INPUT, MUX, NAND, NOR, NOT, OR, XNOR, XOR,
+    GateType, Netlist, NetlistError,
+)
 
 #: Literal constants: node 0 is the constant-false source.
 FALSE = 0
@@ -426,19 +429,25 @@ def insert_netlist(aig: AIG, netlist: Netlist,
     cone = netlist.transitive_fanin(roots) if roots else set()
     lit_map: dict[int, int] = {}
     aig_and = aig.aig_and
-    # Members bound to locals: before Python 3.12 a lookup on the enum
-    # class costs about as much as lowering the gate.
-    G = GateType
-    AND, NAND, OR, NOR = G.AND, G.NAND, G.OR, G.NOR
-    XOR, XNOR, NOT, MUX = G.XOR, G.XNOR, G.NOT, G.MUX
-    INPUT, DFF, BUF = G.INPUT, G.DFF, G.BUF
 
     for gid in netlist.topological_order():
         if gid not in cone:
             continue
         gtype = types[gid]
         fs = fanins[gid]
-        if gtype is AND or gtype is NAND:
+        if gtype is INPUT:
+            lit_map[gid] = input_lits[gid]
+        elif gtype is DFF:
+            lit_map[gid] = latch_lits[gid]
+        elif gtype is CONST0:
+            lit_map[gid] = FALSE
+        elif gtype is CONST1:
+            lit_map[gid] = TRUE
+        elif gtype is BUF:
+            lit_map[gid] = lit_map[fs[0]]
+        elif gtype is NOT:
+            lit_map[gid] = lit_map[fs[0]] ^ 1
+        elif gtype is AND or gtype is NAND:
             if len(fs) == 2:
                 lit = aig_and(lit_map[fs[0]], lit_map[fs[1]])
             else:
@@ -459,21 +468,9 @@ def insert_netlist(aig: AIG, netlist: Netlist,
             else:
                 lit = aig.aig_xors(lit_map[f] for f in fs)
             lit_map[gid] = lit ^ 1 if gtype is XNOR else lit
-        elif gtype is NOT:
-            lit_map[gid] = lit_map[fs[0]] ^ 1
         elif gtype is MUX:
             lit_map[gid] = aig.aig_mux(
                 lit_map[fs[0]], lit_map[fs[1]], lit_map[fs[2]])
-        elif gtype is INPUT:
-            lit_map[gid] = input_lits[gid]
-        elif gtype is DFF:
-            lit_map[gid] = latch_lits[gid]
-        elif gtype is BUF:
-            lit_map[gid] = lit_map[fs[0]]
-        elif gtype is G.CONST0:
-            lit_map[gid] = FALSE
-        elif gtype is G.CONST1:
-            lit_map[gid] = TRUE
         else:  # pragma: no cover - GateType is closed
             raise NetlistError(f"cannot lower gate type {gtype.value}")
     return lit_map

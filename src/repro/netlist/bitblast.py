@@ -26,7 +26,7 @@ result widths, so the rules live here in one place (:func:`binary_width`):
 
 from __future__ import annotations
 
-from .logic import GateType, Netlist
+from .logic import AND, CONST0, CONST1, MUX, NOT, OR, XOR, Netlist
 
 #: Bit vector type alias: net ids, LSB first.
 Bits = list
@@ -57,66 +57,59 @@ def binary_width(op: str, wl: int, wr: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Members read once: before Python 3.12 a lookup on the enum class costs
-# about as much as folding the gate.
-_CONST0, _CONST1 = GateType.CONST0, GateType.CONST1
-_NOT, _AND, _OR = GateType.NOT, GateType.AND, GateType.OR
-_XOR, _MUX = GateType.XOR, GateType.MUX
-
-
 def b_not(netlist: Netlist, a: int) -> int:
     gtype = netlist._type[a]
-    if gtype is _CONST0:
+    if gtype is CONST0:
         return netlist.const1()
-    if gtype is _CONST1:
+    if gtype is CONST1:
         return netlist.const0()
-    if gtype is _NOT:
+    if gtype is NOT:
         return netlist._fanins[a][0]
-    return netlist.add_gate(_NOT, (a,))
+    return netlist.add_gate(NOT, (a,))
 
 
 def b_and(netlist: Netlist, a: int, b: int) -> int:
     types = netlist._type
     ta, tb = types[a], types[b]
-    if ta is _CONST0 or tb is _CONST0:
+    if ta is CONST0 or tb is CONST0:
         return netlist.const0()
-    if ta is _CONST1:
+    if ta is CONST1:
         return b
-    if tb is _CONST1:
+    if tb is CONST1:
         return a
     if a == b:
         return a
-    return netlist.add_gate(_AND, (a, b))
+    return netlist.add_gate(AND, (a, b))
 
 
 def b_or(netlist: Netlist, a: int, b: int) -> int:
     types = netlist._type
     ta, tb = types[a], types[b]
-    if ta is _CONST1 or tb is _CONST1:
+    if ta is CONST1 or tb is CONST1:
         return netlist.const1()
-    if ta is _CONST0:
+    if ta is CONST0:
         return b
-    if tb is _CONST0:
+    if tb is CONST0:
         return a
     if a == b:
         return a
-    return netlist.add_gate(_OR, (a, b))
+    return netlist.add_gate(OR, (a, b))
 
 
 def b_xor(netlist: Netlist, a: int, b: int) -> int:
     types = netlist._type
     ta, tb = types[a], types[b]
-    if ta is _CONST0:
+    if ta is CONST0:
         return b
-    if tb is _CONST0:
+    if tb is CONST0:
         return a
-    if ta is _CONST1:
+    if ta is CONST1:
         return b_not(netlist, b)
-    if tb is _CONST1:
+    if tb is CONST1:
         return b_not(netlist, a)
     if a == b:
         return netlist.const0()
-    return netlist.add_gate(_XOR, (a, b))
+    return netlist.add_gate(XOR, (a, b))
 
 
 def b_xnor(netlist: Netlist, a: int, b: int) -> int:
@@ -127,18 +120,18 @@ def b_mux(netlist: Netlist, select: int, data0: int, data1: int) -> int:
     """``select ? data1 : data0`` with constant folding."""
     types = netlist._type
     ts = types[select]
-    if ts is _CONST0:
+    if ts is CONST0:
         return data0
-    if ts is _CONST1:
+    if ts is CONST1:
         return data1
     if data0 == data1:
         return data0
     t0, t1 = types[data0], types[data1]
-    if t0 is _CONST0 and t1 is _CONST1:
+    if t0 is CONST0 and t1 is CONST1:
         return select
-    if t0 is _CONST1 and t1 is _CONST0:
+    if t0 is CONST1 and t1 is CONST0:
         return b_not(netlist, select)
-    return netlist.add_gate(_MUX, (select, data0, data1))
+    return netlist.add_gate(MUX, (select, data0, data1))
 
 
 # ---------------------------------------------------------------------------

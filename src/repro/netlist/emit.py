@@ -35,7 +35,10 @@ from __future__ import annotations
 import re
 from collections import Counter
 
-from .logic import GateType, Netlist, NetlistError
+from .logic import (
+    AND, BUF, CONST0, CONST1, DFF, INPUT, MUX, NAND, NON_COMB_TYPES, NOR, NOT,
+    OR, XNOR, XOR, Netlist, NetlistError,
+)
 from .sim import _split_bit_name
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_$]*$")
@@ -48,19 +51,9 @@ CLOCK = "clk"
 #: single-reader gates is cut into named wires at this depth.
 MAX_NESTING = 8
 
-# Members read once: before Python 3.12 a lookup on the enum class costs
-# about as much as printing the gate.
-_INPUT, _DFF = GateType.INPUT, GateType.DFF
-_CONST0, _CONST1 = GateType.CONST0, GateType.CONST1
-_BUF, _NOT, _MUX = GateType.BUF, GateType.NOT, GateType.MUX
-#: Nets that are not combinational gates: sources and flip-flops.
-_NOT_COMB = frozenset((_INPUT, _CONST0, _CONST1, _DFF))
-_OPS = {
-    GateType.AND: " & ", GateType.NAND: " & ",
-    GateType.OR: " | ", GateType.NOR: " | ",
-    GateType.XOR: " ^ ", GateType.XNOR: " ^ ",
-}
-_INVERTED = frozenset((GateType.NAND, GateType.NOR, GateType.XNOR))
+_OPS = {AND: " & ", NAND: " & ", OR: " | ", NOR: " | ",
+        XOR: " ^ ", XNOR: " ^ "}
+_INVERTED = frozenset((NAND, NOR, XNOR))
 
 
 class EmitError(NetlistError):
@@ -216,15 +209,15 @@ def netlist_to_verilog(netlist: Netlist) -> str:
 
     def token(net: int) -> str:
         gtype = types[net]
-        if gtype is _INPUT:
+        if gtype is INPUT:
             name = names[net] or f"pi_{net}"
             base, index = _split_bit_name(name)
             return base if name == base else f"{base}[{index}]"
-        if gtype is _CONST0:
+        if gtype is CONST0:
             return "1'b0"
-        if gtype is _CONST1:
+        if gtype is CONST1:
             return "1'b1"
-        if gtype is _DFF:
+        if gtype is DFF:
             return reg_of_gid[net]
         return f"{wire_prefix}{net}"
 
@@ -234,7 +227,7 @@ def netlist_to_verilog(netlist: Netlist) -> str:
     #    gates whose text would nest deeper than MAX_NESTING stay wires.
     comb = [
         gid for gid in netlist.topological_order()
-        if types[gid] not in _NOT_COMB
+        if types[gid] not in NON_COMB_TYPES
     ]
     readers = Counter(f for gid in comb for f in fanins[gid])
     pinned = {net for _, net in netlist.outputs}
@@ -254,11 +247,11 @@ def netlist_to_verilog(netlist: Netlist) -> str:
                 operands.append(f"({text.pop(f)})")
             else:
                 operands.append(token(f))
-        if gtype is _BUF:
+        if gtype is BUF:
             expr = operands[0]
-        elif gtype is _NOT:
+        elif gtype is NOT:
             expr = f"~{operands[0]}"
-        elif gtype is _MUX:
+        elif gtype is MUX:
             select, data0, data1 = operands
             expr = f"{select} ? {data1} : {data0}"
         else:

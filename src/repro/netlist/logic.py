@@ -19,9 +19,10 @@ balancing, equivalence checking) read those lists directly; everyone else
 reads one net at a time through :meth:`Netlist.gate_type`,
 :meth:`Netlist.fanins` and :meth:`Netlist.gate_name`, which reject an
 unknown id.  :meth:`Netlist.gate` builds a :class:`Gate` snapshot of one
-net on request; nothing stores one.  The builders check every id they are
-given against ``0 <= id < num_nets``, because a list would quietly accept
-a negative index.
+net on request, and is kept only for API compatibility: nothing stores one
+and no module of this package calls it.  The builders check every id they
+are given to be an ``int`` (not a ``bool``) with ``0 <= id < num_nets``,
+because a list would quietly accept a negative index.
 """
 
 from __future__ import annotations
@@ -50,8 +51,19 @@ class GateType(str, Enum):
     DFF = "dff"   # fanins: (data,) — output is the registered value
 
 
+# Every member under a module name, for the modules that walk every net:
+# before Python 3.12 reading a member off the enum class goes through its
+# metaclass, which costs such a loop about as much as its work.
+INPUT, CONST0, CONST1 = GateType.INPUT, GateType.CONST0, GateType.CONST1
+BUF, NOT, MUX, DFF = GateType.BUF, GateType.NOT, GateType.MUX, GateType.DFF
+AND, OR, XOR = GateType.AND, GateType.OR, GateType.XOR
+NAND, NOR, XNOR = GateType.NAND, GateType.NOR, GateType.XNOR
+
 #: Gate types with no combinational fanin requirements.
-SOURCE_TYPES = {GateType.INPUT, GateType.CONST0, GateType.CONST1}
+SOURCE_TYPES = {INPUT, CONST0, CONST1}
+
+#: Net types that are not combinational gates: sources and flip-flops.
+NON_COMB_TYPES = frozenset((INPUT, CONST0, CONST1, DFF))
 
 #: Expected fanin counts for each gate type (None = variable, >= 1).
 _FANIN_COUNT = {
@@ -73,13 +85,6 @@ _FANIN_COUNT = {
 #: Each type's serialized value (``GateType.value`` is a property lookup).
 _TYPE_VALUE = {gtype: gtype.value for gtype in GateType}
 
-# Reading a member off the enum class goes through its metaclass, which
-# costs a per-net loop about as much as the work itself.
-_INPUT = GateType.INPUT
-_CONST0 = GateType.CONST0
-_CONST1 = GateType.CONST1
-_DFF = GateType.DFF
-
 
 class NetlistError(Exception):
     """Raised on structural errors (bad fanin counts, unknown nets, cycles)."""
@@ -89,9 +94,9 @@ class NetlistError(Exception):
 class Gate:
     """A snapshot of one net, built by :meth:`Netlist.gate`.
 
-    Not stored and not live: the netlist keeps its nets in parallel lists,
-    so editing a netlist goes through its builders, never through a
-    :class:`Gate`.
+    Kept only for API compatibility.  Not stored and not live: the netlist
+    keeps its nets in parallel lists, so editing a netlist goes through its
+    builders, never through a :class:`Gate`.
     """
 
     gid: int
@@ -123,10 +128,6 @@ class Netlist:
         self._const1: Optional[int] = None
         self._input_index: dict[str, int] = {}
         self._output_index: dict[str, int] = {}
-        #: True while every combinational gate's fanins have lower ids than
-        #: the gate, so id order is a topological order.  Only
-        #: :meth:`set_fanins` can point a gate forward.
-        self._id_ordered = True
         self._topo_cache: Optional[tuple[int, ...]] = None
         self._registers_cache: Optional[tuple[int, ...]] = None
         #: ``(version, value)`` caches of :attr:`num_gates` and
@@ -147,13 +148,13 @@ class Netlist:
     # -- construction -----------------------------------------------------------
 
     def _is_net(self, gid: object) -> bool:
-        return isinstance(gid, int) and 0 <= gid < len(self._type)
+        return type(gid) is int and 0 <= gid < len(self._type)
 
     def add_input(self, name: str) -> int:
         """Create a primary input bit and return its net id."""
         if name in self._input_index:
             raise NetlistError(f"duplicate primary input name '{name}'")
-        gid = self.add_gate(_INPUT, (), name)
+        gid = self.add_gate(INPUT, (), name)
         self.inputs.append(gid)
         self._input_index[name] = gid
         return gid
@@ -172,7 +173,7 @@ class Netlist:
             )
         count = len(self._type)
         for fid in fanins:
-            if not (isinstance(fid, int) and 0 <= fid < count):
+            if not (type(fid) is int and 0 <= fid < count):
                 raise NetlistError(f"fanin net {fid!r} does not exist")
 
     def add_gate(self, gtype: GateType, fanins: Iterable[int],
@@ -202,8 +203,6 @@ class Netlist:
         fanins = tuple(fanins)
         gtype = self._type[gid]
         self._check_fanins(gtype, fanins)
-        if gtype is not _DFF and max(fanins, default=-1) >= gid:
-            self._id_ordered = False
         self._fanins[gid] = fanins
         self._topo_cache = None
         self._registers_cache = None
@@ -212,13 +211,13 @@ class Netlist:
     def const0(self) -> int:
         """Return the (unique) constant-zero net."""
         if self._const0 is None:
-            self._const0 = self.add_gate(_CONST0, (), "1'b0")
+            self._const0 = self.add_gate(CONST0, (), "1'b0")
         return self._const0
 
     def const1(self) -> int:
         """Return the (unique) constant-one net."""
         if self._const1 is None:
-            self._const1 = self.add_gate(_CONST1, (), "1'b1")
+            self._const1 = self.add_gate(CONST1, (), "1'b1")
         return self._const1
 
     def add_output(self, name: str, net: int) -> None:
@@ -233,7 +232,7 @@ class Netlist:
 
     def add_dff(self, data: int, name: Optional[str] = None) -> int:
         """Create a D flip-flop whose data pin is ``data``; returns Q net."""
-        return self.add_gate(GateType.DFF, (data,), name=name)
+        return self.add_gate(DFF, (data,), name=name)
 
     # -- convenience boolean constructors ----------------------------------------
 
@@ -272,7 +271,12 @@ class Netlist:
         return self._name[self._net(gid)]
 
     def gate(self, gid: int) -> Gate:
-        """A :class:`Gate` snapshot of net ``gid`` (built on each call)."""
+        """A :class:`Gate` snapshot of net ``gid`` (built on each call).
+
+        Kept only for API compatibility; :meth:`gate_type`,
+        :meth:`fanins` and :meth:`gate_name` read the same fields without
+        building an object.
+        """
         self._net(gid)
         return Gate(gid, self._type[gid], self._fanins[gid], self._name[gid])
 
@@ -291,8 +295,7 @@ class Netlist:
         if cached is not None and cached[0] == self.version:
             return cached[1]
         types = self._type
-        count = len(types) - sum(
-            types.count(t) for t in (_INPUT, _CONST0, _CONST1, _DFF))
+        count = len(types) - sum(types.count(t) for t in NON_COMB_TYPES)
         self._gates_cache = (self.version, count)
         return count
 
@@ -309,7 +312,7 @@ class Netlist:
         """
         if self._registers_cache is None:
             self._registers_cache = tuple(
-                gid for gid, gtype in enumerate(self._type) if gtype is _DFF)
+                gid for gid, gtype in enumerate(self._type) if gtype is DFF)
         return list(self._registers_cache)
 
     def register_map(self) -> dict[str, int]:
@@ -348,7 +351,7 @@ class Netlist:
             if gid in seen:
                 continue
             seen.add(gid)
-            if types[gid] is _DFF and not through_registers:
+            if types[gid] is DFF and not through_registers:
                 continue
             stack.extend(fanins[gid])
         return seen
@@ -394,12 +397,8 @@ class Netlist:
         if self._topo_cache is not None:
             return list(self._topo_cache)
         types, fanins = self._type, self._fanins
-        if self._id_ordered:
-            # What the DFS below yields when no fanin points forward.
-            self._topo_cache = tuple(range(len(types)))
-            return list(self._topo_cache)
         # A flip-flop's data pin is sequential: cut it here.
-        comb = [() if gtype is _DFF else fs
+        comb = [() if gtype is DFF else fs
                 for gtype, fs in zip(types, fanins)]
         order: list[int] = []
         state = bytearray(len(types))  # 0 = unvisited, 1 = visiting, 2 = done
@@ -442,8 +441,7 @@ class Netlist:
         types, fanins = self._type, self._fanins
         level = [0] * len(types)
         for gid in self.topological_order():
-            gtype = types[gid]
-            if gtype is not _DFF and gtype not in SOURCE_TYPES:
+            if types[gid] not in NON_COMB_TYPES:
                 level[gid] = 1 + max(
                     (level[f] for f in fanins[gid]), default=0)
         depth = max(level, default=0)
@@ -531,13 +529,13 @@ def simulate(netlist: Netlist, input_values: dict[str, int],
 
     for gid in netlist.topological_order():
         gtype = types[gid]
-        if gtype is _INPUT:
+        if gtype is INPUT:
             continue
-        if gtype is _CONST0:
+        if gtype is CONST0:
             values[gid] = 0
-        elif gtype is _CONST1:
+        elif gtype is CONST1:
             values[gid] = 1
-        elif gtype is _DFF:
+        elif gtype is DFF:
             values[gid] = state.get(gid, 0)
         else:
             operands = [values[f] for f in fanins[gid]]

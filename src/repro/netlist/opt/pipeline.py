@@ -9,7 +9,7 @@ from typing import Callable, Optional, Sequence
 
 from ...obs import get_tracer
 from ..aig import AIG, from_netlist, to_netlist
-from ..logic import GateType, Netlist
+from ..logic import AND, CONST0, CONST1, OR, XOR, GateType, Netlist
 from .fraig import FraigStats, fraig_sweep
 from .rewrite import RewriteStats, rewrite_aig
 
@@ -42,8 +42,7 @@ _AIG_PASSES: dict[str, Callable[[AIG], tuple[AIG, dict]]] = {
 
 
 #: Associative gate types whose two-input chains :func:`balance` rebuilds.
-_CHAIN_TYPES = frozenset((GateType.AND, GateType.OR, GateType.XOR))
-_CONST0, _CONST1 = GateType.CONST0, GateType.CONST1
+_CHAIN_TYPES = frozenset((AND, OR, XOR))
 
 
 def balance(netlist: Netlist) -> Netlist:
@@ -106,9 +105,9 @@ def balance(netlist: Netlist) -> Netlist:
         if gid not in live or gid in new or gid in absorbed:
             continue
         gtype = types[gid]
-        if gtype is _CONST0:
+        if gtype is CONST0:
             new[gid] = result.const0()
-        elif gtype is _CONST1:
+        elif gtype is CONST1:
             new[gid] = result.const1()
         elif not is_chain(gid):
             new[gid] = emit(gtype, tuple(new[f] for f in fanins[gid]),

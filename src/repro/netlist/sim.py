@@ -32,7 +32,10 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from ..obs import get_tracer
 from .aig import _AND, AIG
-from .logic import GateType, Netlist, NetlistError
+from .logic import (
+    AND, BUF, CONST0, CONST1, DFF, INPUT, MUX, NAND, NOR, NOT, OR, XNOR, XOR,
+    Netlist, NetlistError,
+)
 
 _BIT_SUFFIX = re.compile(r"^(.+)\[(\d+)\]$")
 
@@ -206,23 +209,21 @@ class CompiledNetlist:
             else:
                 emit(gid, f"({se} & {e1}) | (({se} ^ M) & {e0})")
 
-        # Members bound to locals: before Python 3.12 a lookup on the enum
-        # class costs about as much as compiling the gate.
-        G = GateType
-        AND, NAND, OR, NOR = G.AND, G.NAND, G.OR, G.NOR
-        XOR, XNOR, NOT, MUX = G.XOR, G.XNOR, G.NOT, G.MUX
-        INPUT, DFF, BUF = G.INPUT, G.DFF, G.BUF
         for gid in netlist.topological_order():
             if gid not in cone:
                 continue
             gtype = types[gid]
             fs = fanins[gid]
-            if gtype is AND or gtype is NAND:
-                and_or(gid, fs, is_and=True, invert=gtype is NAND)
-            elif gtype is OR or gtype is NOR:
-                and_or(gid, fs, is_and=False, invert=gtype is NOR)
-            elif gtype is XOR or gtype is XNOR:
-                xor(gid, fs, invert=gtype is XNOR)
+            if gtype is INPUT:
+                exprs[gid] = f"i{input_pos[gid]}"
+            elif gtype is DFF:
+                exprs[gid] = f"s{reg_pos[gid]}"
+            elif gtype is CONST0:
+                set_const(gid, 0)
+            elif gtype is CONST1:
+                set_const(gid, 1)
+            elif gtype is BUF:
+                alias(gid, fs[0])
             elif gtype is NOT:
                 fid = fs[0]
                 c = consts.get(fid)
@@ -230,18 +231,14 @@ class CompiledNetlist:
                     set_const(gid, 1 - c)
                 else:
                     emit(gid, f"{exprs[fid]} ^ M")
+            elif gtype is AND or gtype is NAND:
+                and_or(gid, fs, is_and=True, invert=gtype is NAND)
+            elif gtype is OR or gtype is NOR:
+                and_or(gid, fs, is_and=False, invert=gtype is NOR)
+            elif gtype is XOR or gtype is XNOR:
+                xor(gid, fs, invert=gtype is XNOR)
             elif gtype is MUX:
                 mux(gid, fs)
-            elif gtype is INPUT:
-                exprs[gid] = f"i{input_pos[gid]}"
-            elif gtype is DFF:
-                exprs[gid] = f"s{reg_pos[gid]}"
-            elif gtype is BUF:
-                alias(gid, fs[0])
-            elif gtype is G.CONST0:
-                set_const(gid, 0)
-            elif gtype is G.CONST1:
-                set_const(gid, 1)
             else:  # pragma: no cover - GateType is closed
                 raise NetlistError(f"cannot compile gate type {gtype.value}")
 

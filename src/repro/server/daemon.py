@@ -41,7 +41,9 @@ Endpoints:
 
 Connections are persistent (HTTP/1.1 keep-alive): one connection serves
 requests until the client sends ``Connection: close``, a request is
-malformed, it stays idle for ``_IDLE_S`` seconds, or the daemon stops.
+malformed, it stays idle for ``_IDLE_S`` seconds, the rest of a request
+does not arrive within ``_REQUEST_S`` seconds of its first line (a 408),
+or the daemon stops.
 
 Per-job :mod:`repro.obs` spans recorded in the workers are adopted into
 the daemon's tracer (one synthetic thread track per job), so a single
@@ -72,6 +74,11 @@ _MAX_BODY = 64 * 1024 * 1024
 _MAX_WAIT_S = 30.0
 #: A keep-alive connection idle this many seconds is closed.
 _IDLE_S = 60.0
+#: Once a request line has arrived, the client has this many seconds to
+#: send the headers, and as many again for the body; past that it gets a
+#: 408 and the connection closes.  This bounds how long a stalled client
+#: can hold shutdown, which waits for every connection handler.
+_REQUEST_S = 30.0
 #: Finished job records kept; past this the oldest one is evicted.
 _MAX_FINISHED = 1024
 #: Workers are forked, not spawned: a spawned or forkserver worker
@@ -146,9 +153,10 @@ class VerifyDaemon:
         await self._stop.wait()
         self._server.close()
         # Idle connections are closed here; a busy one closes after its
-        # reply, and the stop event has answered held long-polls.  Since
-        # Python 3.12 wait_closed() also waits for every handler; before
-        # it, only the wait on the handlers' own tasks does.
+        # reply, the stop event has answered held long-polls, and a
+        # stalled request times out after _REQUEST_S.  Since Python 3.12
+        # wait_closed() also waits for every handler; before it, only the
+        # wait on the handlers' own tasks does.
         for writer in list(self._idle):
             _close(writer)
         await self._server.wait_closed()
@@ -432,25 +440,19 @@ class VerifyDaemon:
             raise ValueError(f"malformed request line: {request!r}")
         method, target = parts[0].upper(), parts[1]
         keep = len(parts) > 2 and parts[2].upper() != "HTTP/1.0"
-        length = 0
-        while True:
-            header = (await reader.readline()).decode("ascii",
-                                                      "replace").strip()
-            if not header:
-                break
-            name, _, value = header.partition(":")
-            name = name.strip().lower()
-            if name == "content-length":
-                length = int(value.strip())
-            elif name == "connection":
-                keep = value.strip().lower() != "close"
-        if length > _MAX_BODY:
-            # The unread body would be taken for the next request.
-            return 413, {"error": "request body too large"}, False
-        body: dict = {}
-        if length:
-            raw = await reader.readexactly(length)
-            body = json.loads(raw.decode("utf-8"))
+        try:
+            length, keep = await asyncio.wait_for(
+                _read_headers(reader, keep), _REQUEST_S)
+            if length > _MAX_BODY:
+                # The unread body would be taken for the next request.
+                return 413, {"error": "request body too large"}, False
+            body: dict = {}
+            if length:
+                raw = await asyncio.wait_for(reader.readexactly(length),
+                                             _REQUEST_S)
+                body = json.loads(raw.decode("utf-8"))
+        except asyncio.TimeoutError:
+            return 408, {"error": "request not received in time"}, False
         status, payload = await self._route(method, target, body)
         return status, payload, keep
 
@@ -493,6 +495,23 @@ class VerifyDaemon:
             self.waiting -= 1
             for waiter in waiters:
                 waiter.cancel()
+
+
+async def _read_headers(reader: asyncio.StreamReader,
+                        keep: bool) -> tuple[int, bool]:
+    """Read a request's headers: its ``Content-Length`` (0 when absent)
+    and whether the connection stays open, starting from ``keep``."""
+    length = 0
+    while True:
+        header = (await reader.readline()).decode("ascii", "replace").strip()
+        if not header:
+            return length, keep
+        name, _, value = header.partition(":")
+        name = name.strip().lower()
+        if name == "content-length":
+            length = int(value.strip())
+        elif name == "connection":
+            keep = value.strip().lower() != "close"
 
 
 def _close(writer: asyncio.StreamWriter) -> None:
@@ -570,7 +589,7 @@ def _wait_seconds(query: str) -> float:
 
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            413: "Payload Too Large"}
+            408: "Request Timeout", 413: "Payload Too Large"}
 
 
 async def run_daemon(host: str = "127.0.0.1", port: int = 0,

@@ -68,14 +68,16 @@ def test_fanin_count_validation():
 
 def test_unknown_ids_rejected_not_indexed_from_the_end():
     """The nets live in lists, which would read index -1 as the last net:
-    every builder and reader rejects an id outside ``0 .. num_nets-1``."""
+    every builder and reader rejects an id outside ``0 .. num_nets-1``.
+    A ``bool`` is rejected too: ``True`` would serialize differently from
+    the net ``1`` it indexes, giving one structure two content hashes."""
     netlist = build_xor_netlist()
     a = netlist.input_net("a")
     past_end = netlist.num_nets
-    for bad in (-1, past_end, "0", 1.0, None):
+    for bad in (-1, past_end, True, "0", 1.0, None):
         with pytest.raises(NetlistError, match="does not exist"):
             netlist.add_gate(GateType.AND, (a, bad))
-    for bad in (-1, past_end):
+    for bad in (-1, past_end, True):
         with pytest.raises(NetlistError, match="does not exist"):
             netlist.set_fanins(bad, (a,))
         with pytest.raises(NetlistError, match="does not exist"):
@@ -124,30 +126,25 @@ endmodule
 """
 
 
-def test_id_order_shortcut_matches_the_dfs():
-    """Without a forward fanin, id order is what the DFS yields.  An
-    instance's input buffers exist before the logic driving them, so
-    they are patched forward and the netlist takes the DFS."""
+def test_topological_order_of_patched_forward_fanins():
+    """An instance's input buffers exist before the logic driving them,
+    so they are patched forward: the order puts every fanin first, and
+    differs from id order.  A flip-flop's data pin is cut, so pointing
+    it forward leaves id order alone."""
     flat = build_xor_netlist()
-    flat.set_fanins(flat.inputs[0], ())  # a source keeps no fanins
-    assert flat._id_ordered
     assert flat.topological_order() == list(range(flat.num_nets))
     netlist = elaborate(HIER, top="top")
-    assert not netlist._id_ordered
     order = netlist.topological_order()
     assert order != list(range(netlist.num_nets))
+    assert sorted(order) == list(range(netlist.num_nets))
     position = {gid: k for k, gid in enumerate(order)}
     assert all(position[f] < position[gid] for gid in order
                if netlist.gate_type(gid) != GateType.DFF
                for f in netlist.fanins(gid))
-    # A flip-flop's data pin may point forward without leaving id order.
     ring = Netlist()
     d = ring.add_input("d")
     q = ring.add_dff(ring.const0(), name="q")
     ring.set_fanins(q, (ring.make_xor(q, d),))
-    assert ring._id_ordered
-    ring._id_ordered = False
-    ring._topo_cache = None
     assert ring.topological_order() == list(range(ring.num_nets))
 
 

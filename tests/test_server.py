@@ -867,6 +867,39 @@ def test_shutdown_awaits_the_handlers_of_idle_connections(tmp_path):
     idle.close()
 
 
+def test_shutdown_ends_the_handler_of_a_stalled_request(tmp_path,
+                                                       monkeypatch):
+    """A client sends a request line and half its request, then stalls.
+    Its handler times out on the rest and answers 408, so shutdown,
+    which waits for every handler, still returns promptly."""
+    monkeypatch.setattr(daemon_module, "_REQUEST_S", 0.5)
+    with _serving(str(tmp_path)) as (daemon, client):
+        stalled = socket.create_connection(("127.0.0.1", daemon.port),
+                                           timeout=10)
+        stalled.sendall(b"POST /submit HTTP/1.1\r\n"
+                        b"Content-Length: 100\r\n\r\n{")
+        # Once the daemon has read the request line, only the client's
+        # own connection is idle.
+        deadline = time.monotonic() + 10
+        while daemon.connections < 2 or len(daemon._idle) != 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        started = time.monotonic()
+        # Without the timeout the handler would wait for ever; ending the
+        # request here keeps such a failure from hanging the suite.
+        unstall = threading.Timer(8, stalled.shutdown, (socket.SHUT_WR,))
+        unstall.start()
+    unstall.cancel()
+    assert time.monotonic() - started < 5
+    assert not daemon._handlers
+    reply = b""
+    while chunk := stalled.recv(4096):
+        reply += chunk
+    stalled.close()
+    assert reply.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+    assert b"Connection: close" in reply
+
+
 def test_finished_job_table_is_bounded(tmp_path, monkeypatch):
     monkeypatch.setattr(daemon_module, "_MAX_FINISHED", 3)
     with _serving(str(tmp_path)) as (daemon, client):

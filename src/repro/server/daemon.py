@@ -42,8 +42,8 @@ Endpoints:
 Connections are persistent (HTTP/1.1 keep-alive): one connection serves
 requests until the client sends ``Connection: close``, a request is
 malformed, it stays idle for ``_IDLE_S`` seconds, the rest of a request
-does not arrive within ``_REQUEST_S`` seconds of its first line (a 408),
-or the daemon stops.
+does not arrive within ``_REQUEST_S`` seconds of its first line, or the
+daemon stops.
 
 Per-job :mod:`repro.obs` spans recorded in the workers are adopted into
 the daemon's tracer (one synthetic thread track per job), so a single
@@ -75,9 +75,9 @@ _MAX_WAIT_S = 30.0
 #: A keep-alive connection idle this many seconds is closed.
 _IDLE_S = 60.0
 #: Once a request line has arrived, the client has this many seconds to
-#: send the headers, and as many again for the body; past that it gets a
-#: 408 and the connection closes.  This bounds how long a stalled client
-#: can hold shutdown, which waits for every connection handler.
+#: send the rest of the request; past that the connection is closed.
+#: This bounds how long a stalled client can hold shutdown, which waits
+#: for every connection handler.
 _REQUEST_S = 30.0
 #: Finished job records kept; past this the oldest one is evicted.
 _MAX_FINISHED = 1024
@@ -393,7 +393,8 @@ class VerifyDaemon:
                     line = await self._next_request(reader, writer)
                     if not line:
                         break
-                    status, payload, keep = await self._respond(line, reader)
+                    status, payload, keep = await self._respond(
+                        line, reader, writer)
                 except (ConnectionError, asyncio.IncompleteReadError):
                     break
                 except Exception as exc:  # noqa: BLE001 — protocol errors
@@ -430,29 +431,47 @@ class VerifyDaemon:
             timer.cancel()
             self._idle.discard(writer)
 
-    async def _respond(self, line: bytes, reader: asyncio.StreamReader
+    async def _respond(self, line: bytes, reader: asyncio.StreamReader,
+                       writer: asyncio.StreamWriter
                        ) -> tuple[int, dict, bool]:
         """Read the rest of one request and answer it; the flag says
-        whether the connection stays open."""
+        whether the connection stays open.  A request not read in full
+        within ``_REQUEST_S`` has its connection closed, which ends the
+        read."""
         request = line.decode("ascii", "replace").strip()
         parts = request.split()
         if len(parts) < 2:
             raise ValueError(f"malformed request line: {request!r}")
         method, target = parts[0].upper(), parts[1]
         keep = len(parts) > 2 and parts[2].upper() != "HTTP/1.0"
+        length = 0
+        timer = asyncio.get_running_loop().call_later(_REQUEST_S, _close,
+                                                      writer)
         try:
-            length, keep = await asyncio.wait_for(
-                _read_headers(reader, keep), _REQUEST_S)
+            while True:
+                raw = await reader.readline()
+                if not raw:
+                    # EOF, from the client or the timer: the request is
+                    # incomplete, so it is not served.
+                    raise asyncio.IncompleteReadError(b"", None)
+                header = raw.decode("ascii", "replace").strip()
+                if not header:
+                    break
+                name, _, value = header.partition(":")
+                name = name.strip().lower()
+                if name == "content-length":
+                    length = int(value.strip())
+                elif name == "connection":
+                    keep = value.strip().lower() != "close"
             if length > _MAX_BODY:
                 # The unread body would be taken for the next request.
                 return 413, {"error": "request body too large"}, False
             body: dict = {}
             if length:
-                raw = await asyncio.wait_for(reader.readexactly(length),
-                                             _REQUEST_S)
+                raw = await reader.readexactly(length)
                 body = json.loads(raw.decode("utf-8"))
-        except asyncio.TimeoutError:
-            return 408, {"error": "request not received in time"}, False
+        finally:
+            timer.cancel()
         status, payload = await self._route(method, target, body)
         return status, payload, keep
 
@@ -495,23 +514,6 @@ class VerifyDaemon:
             self.waiting -= 1
             for waiter in waiters:
                 waiter.cancel()
-
-
-async def _read_headers(reader: asyncio.StreamReader,
-                        keep: bool) -> tuple[int, bool]:
-    """Read a request's headers: its ``Content-Length`` (0 when absent)
-    and whether the connection stays open, starting from ``keep``."""
-    length = 0
-    while True:
-        header = (await reader.readline()).decode("ascii", "replace").strip()
-        if not header:
-            return length, keep
-        name, _, value = header.partition(":")
-        name = name.strip().lower()
-        if name == "content-length":
-            length = int(value.strip())
-        elif name == "connection":
-            keep = value.strip().lower() != "close"
 
 
 def _close(writer: asyncio.StreamWriter) -> None:
@@ -589,7 +591,7 @@ def _wait_seconds(query: str) -> float:
 
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            408: "Request Timeout", 413: "Payload Too Large"}
+            413: "Payload Too Large"}
 
 
 async def run_daemon(host: str = "127.0.0.1", port: int = 0,

@@ -870,8 +870,9 @@ def test_shutdown_awaits_the_handlers_of_idle_connections(tmp_path):
 def test_shutdown_ends_the_handler_of_a_stalled_request(tmp_path,
                                                        monkeypatch):
     """A client sends a request line and half its request, then stalls.
-    Its handler times out on the rest and answers 408, so shutdown,
-    which waits for every handler, still returns promptly."""
+    After ``_REQUEST_S`` its connection is closed unanswered, which ends
+    its handler, so shutdown, which waits for every handler, still
+    returns promptly."""
     monkeypatch.setattr(daemon_module, "_REQUEST_S", 0.5)
     with _serving(str(tmp_path)) as (daemon, client):
         stalled = socket.create_connection(("127.0.0.1", daemon.port),
@@ -886,7 +887,8 @@ def test_shutdown_ends_the_handler_of_a_stalled_request(tmp_path,
             time.sleep(0.01)
         started = time.monotonic()
         # Without the timeout the handler would wait for ever; ending the
-        # request here keeps such a failure from hanging the suite.
+        # request here keeps such a failure from hanging the suite, and
+        # the elapsed-time check below still catches it.
         unstall = threading.Timer(8, stalled.shutdown, (socket.SHUT_WR,))
         unstall.start()
     unstall.cancel()
@@ -896,8 +898,7 @@ def test_shutdown_ends_the_handler_of_a_stalled_request(tmp_path,
     while chunk := stalled.recv(4096):
         reply += chunk
     stalled.close()
-    assert reply.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
-    assert b"Connection: close" in reply
+    assert reply == b""
 
 
 def test_finished_job_table_is_bounded(tmp_path, monkeypatch):

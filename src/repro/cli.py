@@ -374,21 +374,20 @@ def _execute(args, out, tracer) -> int:
         # when the exact pair + options was verified before, serve the
         # stored report without solving.  --solve-log bypasses it — the
         # caller asked for a live DRAT stream.
-        cache = None
-        cache_key = None
-        eq_report = None
+        cache_hit = False
         if args.cache and not args.solve_log:
-            from .server.cache import CacheError, ResultCache, content_key
-            options = {"certify": args.certify}
+            from .server.cache import CacheError, ResultCache
+            from .server.jobs import verify_cached
             try:
                 cache = ResultCache(args.cache)
             except CacheError as exc:
                 raise CLIError(str(exc)) from exc
-            cache_key = content_key(lhs.content_hash(),
-                                    rhs.content_hash(), options)
-            eq_report = cache.get(cache_key)
-        cache_hit = eq_report is not None
-        if eq_report is None:
+            try:
+                eq_report, _, _, cache_hit = verify_cached(
+                    lhs, rhs, {"certify": args.certify}, cache)
+            except CECError as exc:
+                raise CLIError(str(exc)) from exc
+        else:
             try:
                 verdict = check_equivalence(
                     lhs, rhs, certify=args.certify, proof=proof)
@@ -400,8 +399,6 @@ def _execute(args, out, tracer) -> int:
             eq_report = verdict.to_report(
                 certify=args.certify,
                 include_proof=bool(args.certify or args.solve_log))
-            if cache is not None:
-                cache.put(cache_key, eq_report)
         report["equivalence"] = eq_report
         if args.cache:
             report["equivalence"]["cache_hit"] = cache_hit

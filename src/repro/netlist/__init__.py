@@ -26,7 +26,7 @@ from .elaborate import (
 )
 from .environment import ElaborationError, Scope
 from .interp import Interpreter, InterpreterError
-from .logic import Gate, GateType, Netlist, NetlistError, simulate
+from .logic import GateType, Netlist, NetlistError, simulate
 from .opt import OptResult, PassStats, optimize
 from .sat import EquivalenceResult, check_equivalence
 from .sim import CompiledNetlist, compile_netlist, simulate_compiled
@@ -46,7 +46,6 @@ __all__ = [
     "Scope",
     "Interpreter",
     "InterpreterError",
-    "Gate",
     "GateType",
     "Netlist",
     "NetlistError",

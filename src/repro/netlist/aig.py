@@ -95,8 +95,6 @@ class AIG:
         self._input_index: dict[str, int] = {}
         self._output_index: dict[str, int] = {}
         self._latch_index: dict[str, int] = {}
-        #: Monotonic structural revision (content-hash cache key).
-        self.version = 0
 
     # -- construction -------------------------------------------------------
 
@@ -107,7 +105,6 @@ class AIG:
         self._fanin0.append(f0)
         self._fanin1.append(f1)
         self._name.append(name)
-        self.version += 1
         return nid
 
     def _check_lit(self, lit: int) -> None:
@@ -144,7 +141,6 @@ class AIG:
             raise AIGError(f"literal {q_lit} is not a latch output")
         self._check_lit(next_lit)
         self._next[nid] = next_lit
-        self.version += 1
 
     def next_state(self, q_lit: int) -> int:
         """Next-state literal of the latch behind ``q_lit``."""
@@ -250,7 +246,6 @@ class AIG:
             raise AIGError(f"duplicate primary output name '{name}'")
         self.outputs.append((name, lit))
         self._output_index[name] = lit
-        self.version += 1
 
     # -- rebuilding ---------------------------------------------------------
 
@@ -393,13 +388,8 @@ class AIG:
 
     def content_hash(self) -> str:
         """Stable structural content hash (hex SHA-256 of :meth:`to_bytes`),
-        cached against the structural ``version`` counter."""
-        cached = getattr(self, "_hash_cache", None)
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        digest = hashlib.sha256(self.to_bytes()).hexdigest()
-        self._hash_cache = (self.version, digest)
-        return digest
+        computed on each call."""
+        return hashlib.sha256(self.to_bytes()).hexdigest()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"AIG({self.name!r}, inputs={self.num_inputs}, "

@@ -18,17 +18,16 @@ that walk every net (bit-blasting, AIG lowering, simulation, emission,
 balancing, equivalence checking) read those lists directly; everyone else
 reads one net at a time through :meth:`Netlist.gate_type`,
 :meth:`Netlist.fanins` and :meth:`Netlist.gate_name`, which reject an
-unknown id.  :meth:`Netlist.gate` builds a :class:`Gate` snapshot of one
-net on request, and is kept only for API compatibility: nothing stores one
-and no module of this package calls it.  The builders check every id they
-are given to be an ``int`` (not a ``bool``) with ``0 <= id < num_nets``,
-because a list would quietly accept a negative index.
+unknown id.  :meth:`Netlist.add_gate` is the one builder of a gate (inputs,
+constants and flip-flops have their own wrappers around it), and it checks
+every id it is given to be an ``int`` (not a ``bool``) with
+``0 <= id < num_nets``, because a list would quietly accept a negative
+index.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -59,9 +58,6 @@ BUF, NOT, MUX, DFF = GateType.BUF, GateType.NOT, GateType.MUX, GateType.DFF
 AND, OR, XOR = GateType.AND, GateType.OR, GateType.XOR
 NAND, NOR, XNOR = GateType.NAND, GateType.NOR, GateType.XNOR
 
-#: Gate types with no combinational fanin requirements.
-SOURCE_TYPES = {INPUT, CONST0, CONST1}
-
 #: Net types that are not combinational gates: sources and flip-flops.
 NON_COMB_TYPES = frozenset((INPUT, CONST0, CONST1, DFF))
 
@@ -90,29 +86,6 @@ class NetlistError(Exception):
     """Raised on structural errors (bad fanin counts, unknown nets, cycles)."""
 
 
-@dataclass(frozen=True)
-class Gate:
-    """A snapshot of one net, built by :meth:`Netlist.gate`.
-
-    Kept only for API compatibility.  Not stored and not live: the netlist
-    keeps its nets in parallel lists, so editing a netlist goes through its
-    builders, never through a :class:`Gate`.
-    """
-
-    gid: int
-    gtype: GateType
-    fanins: tuple[int, ...] = ()
-    name: Optional[str] = None
-
-    @property
-    def is_source(self) -> bool:
-        return self.gtype in SOURCE_TYPES
-
-    @property
-    def is_register(self) -> bool:
-        return self.gtype == GateType.DFF
-
-
 class Netlist:
     """A mutable gate-level netlist."""
 
@@ -130,10 +103,12 @@ class Netlist:
         self._output_index: dict[str, int] = {}
         self._topo_cache: Optional[tuple[int, ...]] = None
         self._registers_cache: Optional[tuple[int, ...]] = None
-        #: ``(version, value)`` caches of :attr:`num_gates` and
-        #: :meth:`logic_levels`, stale once ``version`` moves on.
+        #: ``(version, value)`` caches of :attr:`num_gates`,
+        #: :meth:`logic_levels` and :meth:`content_hash`, stale once
+        #: ``version`` moves on.
         self._gates_cache: Optional[tuple[int, int]] = None
         self._levels_cache: Optional[tuple[int, int]] = None
+        self._hash_cache: Optional[tuple[int, str]] = None
         #: Monotonic structural revision, bumped on every mutation (including
         #: :meth:`add_output`, which does not disturb the topological order
         #: but does change what a compiled simulator must produce).  Derived
@@ -234,23 +209,6 @@ class Netlist:
         """Create a D flip-flop whose data pin is ``data``; returns Q net."""
         return self.add_gate(DFF, (data,), name=name)
 
-    # -- convenience boolean constructors ----------------------------------------
-
-    def make_not(self, a: int) -> int:
-        return self.add_gate(GateType.NOT, (a,))
-
-    def make_and(self, *nets: int) -> int:
-        return self.add_gate(GateType.AND, nets)
-
-    def make_or(self, *nets: int) -> int:
-        return self.add_gate(GateType.OR, nets)
-
-    def make_xor(self, a: int, b: int) -> int:
-        return self.add_gate(GateType.XOR, (a, b))
-
-    def make_mux(self, select: int, data0: int, data1: int) -> int:
-        return self.add_gate(GateType.MUX, (select, data0, data1))
-
     # -- queries ------------------------------------------------------------------
 
     def _net(self, gid: int) -> int:
@@ -269,16 +227,6 @@ class Netlist:
     def gate_name(self, gid: int) -> Optional[str]:
         """The name of net ``gid``, or ``None``."""
         return self._name[self._net(gid)]
-
-    def gate(self, gid: int) -> Gate:
-        """A :class:`Gate` snapshot of net ``gid`` (built on each call).
-
-        Kept only for API compatibility; :meth:`gate_type`,
-        :meth:`fanins` and :meth:`gate_name` read the same fields without
-        building an object.
-        """
-        self._net(gid)
-        return Gate(gid, self._type[gid], self._fanins[gid], self._name[gid])
 
     @property
     def num_nets(self) -> int:
@@ -495,7 +443,7 @@ class Netlist:
         verification server's result cache shards on.  Cached against the
         structural ``version`` counter so repeat lookups are free.
         """
-        cached = getattr(self, "_hash_cache", None)
+        cached = self._hash_cache
         if cached is not None and cached[0] == self.version:
             return cached[1]
         digest = hashlib.sha256(self.to_bytes()).hexdigest()

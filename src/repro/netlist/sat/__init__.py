@@ -39,7 +39,7 @@ from .proof import (
     format_drat_step,
     parse_drat,
 )
-from .solver import Solver, SolverResult, SolverStats, luby, solve
+from .solver import Solver, SolverResult, SolverStats, luby
 
 __all__ = [
     "CECError",
@@ -59,5 +59,4 @@ __all__ = [
     "SolverResult",
     "SolverStats",
     "luby",
-    "solve",
 ]

@@ -932,9 +932,3 @@ class Solver:
                 if trail_lim:
                     self._cancel_until(0)
                 return SolverResult(True, model=model, stats=stats)
-
-
-def solve(num_vars: int,
-          clauses: Iterable[Iterable[int]]) -> SolverResult:
-    """One-shot convenience wrapper around :class:`Solver`."""
-    return Solver(num_vars, clauses).solve()

@@ -146,8 +146,8 @@ def test_interface_names_round_trip():
     a = netlist.add_input("a")
     b = netlist.add_input("b[0]")
     q = netlist.add_dff(netlist.const0(), name="top.q")
-    netlist.set_fanins(q, (netlist.make_and(a, b),))
-    netlist.add_output("y", netlist.make_xor(a, q))
+    netlist.set_fanins(q, (netlist.add_gate(GateType.AND, (a, b)),))
+    netlist.add_output("y", netlist.add_gate(GateType.XOR, (a, q)))
     rt = to_netlist(from_netlist(netlist))
     assert rt.input_names() == ["a", "b[0]"]
     assert rt.output_names() == ["y"]
@@ -166,8 +166,10 @@ def test_round_trip_keeps_dead_inputs():
 def test_constant_outputs_round_trip():
     netlist = Netlist("top")
     a = netlist.add_input("a")
-    netlist.add_output("zero", netlist.make_and(a, netlist.const0()))
-    netlist.add_output("one", netlist.make_or(a, netlist.const1()))
+    netlist.add_output("zero",
+                       netlist.add_gate(GateType.AND, (a, netlist.const0())))
+    netlist.add_output("one",
+                       netlist.add_gate(GateType.OR, (a, netlist.const1())))
     rt = to_netlist(from_netlist(netlist))
     assert rt.gate_type(rt.output_net("zero")) == GateType.CONST0
     assert rt.gate_type(rt.output_net("one")) == GateType.CONST1
@@ -178,8 +180,8 @@ def test_xor_and_mux_rederived_on_raising():
     a = netlist.add_input("a")
     b = netlist.add_input("b")
     s = netlist.add_input("s")
-    netlist.add_output("x", netlist.make_xor(a, b))
-    netlist.add_output("m", netlist.make_mux(s, a, b))
+    netlist.add_output("x", netlist.add_gate(GateType.XOR, (a, b)))
+    netlist.add_output("m", netlist.add_gate(GateType.MUX, (s, a, b)))
     rt = to_netlist(from_netlist(netlist))
     gtypes = {rt.gate_type(net) for _, net in rt.outputs}
     assert GateType.XOR in gtypes or GateType.XNOR in gtypes

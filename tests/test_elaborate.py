@@ -7,6 +7,7 @@ reference interpreter (:class:`repro.netlist.Interpreter`).
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.netlist import (
     ElaborationError,
     GateType,
     Interpreter,
+    InterpreterError,
     elaborate,
     simulate_sequence,
     simulate_vectors,
@@ -312,6 +314,41 @@ def test_per_bit_feedback_through_vector_is_not_a_cycle():
         netlist = elaborate(source)
         out, _ = simulate_vectors(netlist, {"x": 1})
         assert out == Interpreter(source).step({"x": 1}) == {"a": 3}
+
+
+CONST_ARITH = """
+module m #(parameter W = 16) (input [7:0] a, output [7:0] y);
+  assign y = %s;
+endmodule
+"""
+
+
+@pytest.mark.parametrize("expr, expected", [
+    ("7 / 2", 3), ("7 % 3", 1), ("2 ** 3", 8),
+    ("W / 3", 5), ("W % 5", 1), ("2 ** (W - 14)", 4),
+])
+def test_constant_divide_modulo_power(expr, expected):
+    """``/``, ``%`` and ``**`` of constants fold the same in the
+    elaborator and the interpreter."""
+    source = CONST_ARITH % expr
+    outputs, _ = simulate_vectors(elaborate(source), {"a": 0})
+    assert outputs == {"y": expected}
+    assert Interpreter(source).step({"a": 0}) == {"y": expected}
+
+
+@pytest.mark.parametrize("expr, op", [
+    ("a / 2", "/"), ("a % 2", "%"), ("2 ** a", "**"),
+])
+def test_non_constant_divide_modulo_power_rejected(expr, op):
+    source = CONST_ARITH % expr
+    with pytest.raises(ElaborationError,
+                       match=f"non-constant '{re.escape(op)}' is not "
+                             "synthesizable"):
+        elaborate(source)
+    with pytest.raises(InterpreterError,
+                       match=f"non-constant '{re.escape(op)}' is not "
+                             "supported"):
+        Interpreter(source).step({"a": 1})
 
 
 def test_carry_preserved_into_wider_target():

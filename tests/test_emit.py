@@ -116,7 +116,7 @@ def test_every_gate_type_prints(tmp_path):
         fanins = (a,) if gtype in (GateType.BUF, GateType.NOT) else (a, b)
         netlist.add_output(f"o_{gtype.value}",
                            netlist.add_gate(gtype, fanins))
-    netlist.add_output("o_mux", netlist.make_mux(s, a, b))
+    netlist.add_output("o_mux", netlist.add_gate(GateType.MUX, (s, a, b)))
     netlist.add_output("o_c0", netlist.const0())
     netlist.add_output("o_c1", netlist.const1())
     text = netlist_to_verilog(netlist)
@@ -150,7 +150,7 @@ def test_single_bit_vector_register_round_trips():
     netlist.add_input("clk")  # reused by the emitted always block
     a = netlist.add_input("a")
     q = netlist.add_dff(netlist.const0(), name="m.q[0]")
-    netlist.set_fanins(q, (netlist.make_xor(a, q),))
+    netlist.set_fanins(q, (netlist.add_gate(GateType.XOR, (a, q)),))
     netlist.add_output("y", q)
     text = netlist_to_verilog(netlist)
     assert "reg [1:0] q;" in text
@@ -167,7 +167,7 @@ def test_wire_prefix_avoids_port_collisions():
     netlist = Netlist("m")
     w2 = netlist.add_input("w2")
     b = netlist.add_input("b")
-    netlist.add_output("y", netlist.make_and(w2, b))
+    netlist.add_output("y", netlist.add_gate(GateType.AND, (w2, b)))
     text = netlist_to_verilog(netlist)
     reparsed = elaborate(text, top="m")
     assert check_equivalence(netlist, reparsed).equivalent
@@ -180,7 +180,7 @@ def test_wire_prefix_rescans_after_every_bump():
     netlist = Netlist("m")
     a = netlist.add_input("w3")
     b = netlist.add_input("w_5")
-    netlist.add_output("y", netlist.make_and(a, b))
+    netlist.add_output("y", netlist.add_gate(GateType.AND, (a, b)))
     text = netlist_to_verilog(netlist)
     assert "wire w__" in text
     reparsed = elaborate(text, top="m")

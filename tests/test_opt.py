@@ -214,8 +214,8 @@ def test_optimize_never_mutates_or_returns_its_input(name, source, top,
 def test_constprop_folds_dominating_constants():
     netlist = Netlist("t")
     a = netlist.add_input("a")
-    dead = netlist.make_and(a, netlist.const0())
-    keep = netlist.make_or(dead, a)
+    dead = netlist.add_gate(GateType.AND, (a, netlist.const0()))
+    keep = netlist.add_gate(GateType.OR, (dead, a))
     netlist.add_output("y", keep)
     out = optimize(netlist).netlist
     # AND(a, 0) -> 0, OR(0, a) -> a: no combinational gates survive.
@@ -227,7 +227,7 @@ def test_constprop_folds_mux_with_constant_select():
     netlist = Netlist("t")
     a = netlist.add_input("a")
     b = netlist.add_input("b")
-    m = netlist.make_mux(netlist.const1(), a, b)
+    m = netlist.add_gate(GateType.MUX, (netlist.const1(), a, b))
     netlist.add_output("y", m)
     out = optimize(netlist).netlist
     assert out.num_gates == 0
@@ -238,7 +238,8 @@ def test_constprop_strength_reduces_mux_with_constant_data():
     netlist = Netlist("t")
     s = netlist.add_input("s")
     a = netlist.add_input("a")
-    m = netlist.make_mux(s, netlist.const0(), a)  # s ? a : 0  ==  s & a
+    # s ? a : 0  ==  s & a
+    m = netlist.add_gate(GateType.MUX, (s, netlist.const0(), a))
     netlist.add_output("y", m)
     out = optimize(netlist).netlist
     # Sources have no fanins; flip-flops are not combinational.
@@ -250,7 +251,8 @@ def test_constprop_strength_reduces_mux_with_constant_data():
 def test_simplify_cancels_double_inverters():
     netlist = Netlist("t")
     a = netlist.add_input("a")
-    nn = netlist.make_not(netlist.make_not(a))
+    n = netlist.add_gate(GateType.NOT, (a,))
+    nn = netlist.add_gate(GateType.NOT, (n,))
     netlist.add_output("y", nn)
     out = optimize(netlist).netlist
     assert out.output_net("y") == out.input_net("a")
@@ -260,10 +262,10 @@ def test_simplify_cancels_double_inverters():
 def test_simplify_complementary_operands():
     netlist = Netlist("t")
     a = netlist.add_input("a")
-    na = netlist.make_not(a)
-    netlist.add_output("and0", netlist.make_and(a, na))
-    netlist.add_output("or1", netlist.make_or(a, na))
-    netlist.add_output("xor1", netlist.make_xor(a, na))
+    na = netlist.add_gate(GateType.NOT, (a,))
+    netlist.add_output("and0", netlist.add_gate(GateType.AND, (a, na)))
+    netlist.add_output("or1", netlist.add_gate(GateType.OR, (a, na)))
+    netlist.add_output("xor1", netlist.add_gate(GateType.XOR, (a, na)))
     out = optimize(netlist).netlist
     assert out.num_gates == 0
     assert out.gate_type(out.output_net("and0")) == GateType.CONST0
@@ -275,8 +277,9 @@ def test_simplify_rewrites_mux_of_complement_to_xor():
     netlist = Netlist("t")
     s = netlist.add_input("s")
     d = netlist.add_input("d")
-    nd = netlist.make_not(d)
-    netlist.add_output("y", netlist.make_mux(s, d, nd))  # s ? ~d : d
+    nd = netlist.add_gate(GateType.NOT, (d,))
+    # s ? ~d : d
+    netlist.add_output("y", netlist.add_gate(GateType.MUX, (s, d, nd)))
     out = optimize(netlist).netlist
     assert out.gate_type(out.output_net("y")) == GateType.XOR
 
@@ -285,10 +288,11 @@ def test_strash_merges_structurally_identical_cones():
     netlist = Netlist("t")
     a = netlist.add_input("a")
     b = netlist.add_input("b")
-    x1 = netlist.make_xor(a, b)
-    x2 = netlist.make_xor(b, a)  # same function, swapped operands
-    netlist.add_output("p", netlist.make_and(x1, a))
-    netlist.add_output("q", netlist.make_and(x2, a))
+    x1 = netlist.add_gate(GateType.XOR, (a, b))
+    # Same function, swapped operands.
+    x2 = netlist.add_gate(GateType.XOR, (b, a))
+    netlist.add_output("p", netlist.add_gate(GateType.AND, (x1, a)))
+    netlist.add_output("q", netlist.add_gate(GateType.AND, (x2, a)))
     out = optimize(netlist).netlist
     assert out.num_gates == 2  # one XOR + one AND shared by both outputs
     assert out.output_net("p") == out.output_net("q")
@@ -299,7 +303,8 @@ def test_strash_canonicalizes_inverted_gate_variants():
     a = netlist.add_input("a")
     b = netlist.add_input("b")
     nand = netlist.add_gate(GateType.NAND, (a, b))
-    netlist.add_output("y", netlist.make_not(nand))  # ~(~(a&b)) == a&b
+    # ~(~(a&b)) == a&b
+    netlist.add_output("y", netlist.add_gate(GateType.NOT, (nand,)))
     out = optimize(netlist).netlist
     assert out.gate_type(out.output_net("y")) == GateType.AND
     assert out.num_gates == 1
@@ -322,8 +327,9 @@ def test_balance_reduces_reduction_chain_depth():
 def test_balance_does_not_duplicate_shared_nodes():
     netlist = Netlist("t")
     bits = [netlist.add_input(f"a{i}") for i in range(4)]
-    shared = netlist.make_and(bits[0], bits[1])
-    chain = netlist.make_and(netlist.make_and(shared, bits[2]), bits[3])
+    shared = netlist.add_gate(GateType.AND, (bits[0], bits[1]))
+    inner = netlist.add_gate(GateType.AND, (shared, bits[2]))
+    chain = netlist.add_gate(GateType.AND, (inner, bits[3]))
     netlist.add_output("y", chain)
     netlist.add_output("z", shared)  # 'shared' has fanout 2
     out = balance(netlist)
@@ -335,9 +341,9 @@ def test_sweep_drops_dead_gates_and_registers():
     netlist = Netlist("t")
     a = netlist.add_input("a")
     b = netlist.add_input("b")
-    netlist.make_and(a, b)                 # dead gate
-    netlist.add_dff(netlist.make_xor(a, b), name="dead_ff")
-    netlist.add_output("y", netlist.make_or(a, b))
+    netlist.add_gate(GateType.AND, (a, b))  # dead gate
+    netlist.add_dff(netlist.add_gate(GateType.XOR, (a, b)), name="dead_ff")
+    netlist.add_output("y", netlist.add_gate(GateType.OR, (a, b)))
     assert netlist.num_gates == 3 and netlist.num_registers == 1
     out = optimize(netlist).netlist
     assert out.num_gates == 1
@@ -360,9 +366,10 @@ def test_unnamed_registers_survive_optimization_and_equivalence():
     """Gids renumber across rebuilds; unnamed flip-flops must still match."""
     netlist = Netlist("t")
     d = netlist.add_input("d")
-    netlist.make_and(d, d)  # dead gate: forces gid renumbering in rebuild
+    # Dead gate: forces gid renumbering in rebuild.
+    netlist.add_gate(GateType.AND, (d, d))
     ff = netlist.add_dff(netlist.const0())  # deliberately unnamed
-    netlist.set_fanins(ff, (netlist.make_xor(ff, d),))
+    netlist.set_fanins(ff, (netlist.add_gate(GateType.XOR, (ff, d)),))
     netlist.add_output("q", ff)
     result = optimize(netlist)
     assert result.netlist.num_registers == 1
@@ -374,7 +381,7 @@ def test_balance_handles_very_long_chains_iteratively():
     bits = [netlist.add_input(f"a{i}") for i in range(3000)]
     acc = bits[0]
     for bit in bits[1:]:
-        acc = netlist.make_and(acc, bit)
+        acc = netlist.add_gate(GateType.AND, (acc, bit))
     netlist.add_output("y", acc)
     out = balance(netlist)  # must not hit the recursion limit
     assert out.logic_levels() == 12  # ceil(log2(3000))
@@ -387,7 +394,7 @@ def test_balance_keeps_register_data_cones():
     netlist = Netlist("t")
     d = netlist.add_input("d")
     ff = netlist.add_dff(netlist.const0(), name="ff")
-    netlist.set_fanins(ff, (netlist.make_xor(ff, d),))
+    netlist.set_fanins(ff, (netlist.add_gate(GateType.XOR, (ff, d)),))
     netlist.add_output("q", ff)
     out = balance(netlist)
     (reg,) = out.registers
@@ -512,8 +519,10 @@ def test_fraig_merges_beyond_structural_hashing():
     a = netlist.add_input("a")
     b = netlist.add_input("b")
     c = netlist.add_input("c")
-    netlist.add_output("y1", netlist.make_and(netlist.make_and(a, b), c))
-    netlist.add_output("y2", netlist.make_and(a, netlist.make_and(b, c)))
+    ab = netlist.add_gate(GateType.AND, (a, b))
+    netlist.add_output("y1", netlist.add_gate(GateType.AND, (ab, c)))
+    bc = netlist.add_gate(GateType.AND, (b, c))
+    netlist.add_output("y2", netlist.add_gate(GateType.AND, (a, bc)))
     strashed = optimize(netlist, passes=()).netlist
     fraiged = optimize(netlist, passes=["fraig"]).netlist
     assert strashed.output_net("y1") != strashed.output_net("y2")
@@ -527,9 +536,9 @@ def test_fraig_proves_constant_cones():
     netlist = Netlist("t")
     a = netlist.add_input("a")
     b = netlist.add_input("b")
-    left = netlist.make_and(a, b)
-    right = netlist.make_and(b, a)
-    netlist.add_output("z", netlist.make_xor(left, right))
+    left = netlist.add_gate(GateType.AND, (a, b))
+    right = netlist.add_gate(GateType.AND, (b, a))
+    netlist.add_output("z", netlist.add_gate(GateType.XOR, (left, right)))
     out = optimize(netlist, passes=["fraig"]).netlist
     assert out.gate_type(out.output_net("z")) == GateType.CONST0
     _assert_equivalent(netlist, out)
@@ -551,8 +560,9 @@ def test_fraig_distinguishes_near_equivalent_cones():
     a = netlist.add_input("a")
     b = netlist.add_input("b")
     c = netlist.add_input("c")
-    netlist.add_output("y1", netlist.make_and(a, b))
-    netlist.add_output("y2", netlist.make_and(a, netlist.make_or(b, c)))
+    netlist.add_output("y1", netlist.add_gate(GateType.AND, (a, b)))
+    b_or_c = netlist.add_gate(GateType.OR, (b, c))
+    netlist.add_output("y2", netlist.add_gate(GateType.AND, (a, b_or_c)))
     out = to_netlist(fraig_sweep(from_netlist(netlist), patterns=1,
                                  seed=0).aig)
     assert out.output_net("y1") != out.output_net("y2")

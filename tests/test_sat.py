@@ -29,7 +29,6 @@ from repro.netlist.sat import (
     check_equivalence,
     encode_aig_cone,
     replay_counterexample,
-    solve,
 )
 from repro.netlist.sat import cec
 from repro.obs import Tracer, use_tracer
@@ -77,12 +76,12 @@ def test_gate_encoding_matches_simulator(gtype, arity):
         units = [(v if value else -v,) for v, value in zip(pins, assignment)]
         # Forcing the correct output value must be satisfiable...
         y = aig_lit_sat(var_map, root)
-        ok = solve(cnf.num_vars,
-                   cnf.clauses + units + [(y if expected["y"] else -y,)])
+        ok = Solver(cnf.num_vars, cnf.clauses + units
+                    + [(y if expected["y"] else -y,)]).solve()
         assert ok.satisfiable
         # ...and forcing the wrong one must not.
-        bad = solve(cnf.num_vars,
-                    cnf.clauses + units + [(-y if expected["y"] else y,)])
+        bad = Solver(cnf.num_vars, cnf.clauses + units
+                     + [(-y if expected["y"] else y,)]).solve()
         assert not bad.satisfiable
 
 
@@ -101,16 +100,16 @@ def test_cnf_rejects_unknown_literals():
 
 
 def test_solver_trivial_cases():
-    assert solve(0, []).satisfiable
-    assert not solve(0, [()]).satisfiable  # empty clause
-    assert solve(1, [(1,)]).model == {1: True}
-    assert not solve(1, [(1,), (-1,)]).satisfiable
-    assert solve(2, [(1, -1)]).satisfiable  # tautology dropped
+    assert Solver(0, []).solve().satisfiable
+    assert not Solver(0, [()]).solve().satisfiable  # empty clause
+    assert Solver(1, [(1,)]).solve().model == {1: True}
+    assert not Solver(1, [(1,), (-1,)]).solve().satisfiable
+    assert Solver(2, [(1, -1)]).solve().satisfiable  # tautology dropped
 
 
 def test_solver_implication_chain():
     clauses = [(1,)] + [(-i, i + 1) for i in range(1, 50)]
-    result = solve(50, clauses)
+    result = Solver(50, clauses).solve()
     assert result.satisfiable
     assert all(result.model[v] for v in range(1, 51))
 
@@ -131,7 +130,7 @@ def test_solver_pigeonhole_unsat():
     """PHP forces real conflict analysis, learning and backjumping."""
     for pigeons in (3, 4, 5):
         num_vars, clauses = _pigeonhole(pigeons, pigeons - 1)
-        result = solve(num_vars, clauses)
+        result = Solver(num_vars, clauses).solve()
         assert not result.satisfiable
         assert result.stats.conflicts > 0
         assert result.stats.learned_clauses > 0
@@ -139,7 +138,7 @@ def test_solver_pigeonhole_unsat():
 
 def test_solver_pigeonhole_sat_when_holes_suffice():
     num_vars, clauses = _pigeonhole(4, 4)
-    result = solve(num_vars, clauses)
+    result = Solver(num_vars, clauses).solve()
     assert result.satisfiable
 
 
@@ -161,7 +160,7 @@ def test_solver_randomized_against_brute_force():
             )
             for _ in range(rng.randint(5, 4 * num_vars))
         ]
-        result = solve(num_vars, clauses)
+        result = Solver(num_vars, clauses).solve()
         brute = any(
             _eval_clauses(clauses,
                           dict(enumerate(bits, start=1)))
@@ -222,7 +221,7 @@ def test_corrupted_next_state_function_refuted():
     regs = after.register_map()
     name, gid = sorted(regs.items())[0]
     (data,) = after.fanins(gid)
-    after.set_fanins(gid, (after.make_not(data),))
+    after.set_fanins(gid, (after.add_gate(GateType.NOT, (data,)),))
     verdict = check_equivalence(before, after)
     assert not verdict.equivalent
     assert any(kind == "next_state" for kind, *_ in
@@ -262,7 +261,7 @@ def test_counterexample_replays_on_interpreter_oracle():
     broken = optimize(before).netlist
     name, net = broken.outputs[0]
     assert name == "q[0]"
-    broken.outputs[0] = (name, broken.make_not(net))
+    broken.outputs[0] = (name, broken.add_gate(GateType.NOT, (net,)))
     verdict = check_equivalence(before, broken)
     assert not verdict.equivalent
     cex = verdict.counterexample
@@ -384,8 +383,8 @@ def _and_xor_netlist(swap=False):
     a = netlist.add_input("a")
     b = netlist.add_input("b")
     c = netlist.add_input("c")
-    ab = netlist.make_and(b, a) if swap else netlist.make_and(a, b)
-    netlist.add_output("y", netlist.make_xor(ab, c))
+    ab = netlist.add_gate(GateType.AND, (b, a) if swap else (a, b))
+    netlist.add_output("y", netlist.add_gate(GateType.XOR, (ab, c)))
     return netlist
 
 

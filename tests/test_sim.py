@@ -174,11 +174,11 @@ def test_buf_chains_and_constants_fold_away():
     buf = netlist.add_gate(GateType.BUF, (a,))
     buf2 = netlist.add_gate(GateType.BUF, (buf,))
     netlist.add_output("y", buf2)                       # alias chain
-    netlist.add_output("k1", netlist.make_and(a, netlist.const1()))  # = a
-    netlist.add_output("k0", netlist.make_or(
-        netlist.const0(), netlist.const0()))            # = 0
-    netlist.add_output("n1", netlist.make_not(netlist.const0()))     # = 1
-    m = netlist.make_mux(netlist.const1(), netlist.const0(), a)
+    c1, c0 = netlist.const1(), netlist.const0()
+    netlist.add_output("k1", netlist.add_gate(GateType.AND, (a, c1)))   # = a
+    netlist.add_output("k0", netlist.add_gate(GateType.OR, (c0, c0)))  # = 0
+    netlist.add_output("n1", netlist.add_gate(GateType.NOT, (c0,)))    # = 1
+    m = netlist.add_gate(GateType.MUX, (c1, c0, a))
     netlist.add_output("m", m)                          # select const -> a
     compiled = compile_netlist(netlist)
     # Everything folds to aliases/constants: no gate assignment is emitted.
@@ -194,9 +194,10 @@ def test_buf_chains_and_constants_fold_away():
 def test_constant_dominated_gates_fold():
     netlist = Netlist("fold2")
     a = netlist.add_input("a")
-    netlist.add_output("z", netlist.make_and(a, netlist.const0()))
-    netlist.add_output("o", netlist.make_or(a, netlist.const1()))
-    netlist.add_output("x", netlist.make_xor(a, netlist.const1()))  # = ~a
+    c0, c1 = netlist.const0(), netlist.const1()
+    netlist.add_output("z", netlist.add_gate(GateType.AND, (a, c0)))
+    netlist.add_output("o", netlist.add_gate(GateType.OR, (a, c1)))
+    netlist.add_output("x", netlist.add_gate(GateType.XOR, (a, c1)))  # = ~a
     compiled = compile_netlist(netlist)
     for value in (0, 1):
         outputs, _ = compiled.run_words({"a": value}, ())
@@ -207,8 +208,9 @@ def test_dead_cone_is_not_compiled():
     netlist = Netlist("dead")
     a = netlist.add_input("a")
     b = netlist.add_input("b")
-    netlist.make_xor(a, b)  # dead: feeds no output or register
-    netlist.add_output("y", netlist.make_and(a, b))
+    # Dead: feeds no output or register.
+    netlist.add_gate(GateType.XOR, (a, b))
+    netlist.add_output("y", netlist.add_gate(GateType.AND, (a, b)))
     compiled = compile_netlist(netlist)
     assert "^" not in compiled.source
     assert "&" in compiled.source
@@ -217,7 +219,7 @@ def test_dead_cone_is_not_compiled():
 def test_compile_cache_hits_and_invalidation():
     netlist = Netlist("cache")
     a = netlist.add_input("a")
-    netlist.add_output("y", netlist.make_not(a))
+    netlist.add_output("y", netlist.add_gate(GateType.NOT, (a,)))
     first = compile_netlist(netlist)
     assert compile_netlist(netlist) is first
     netlist.add_output("raw", a)  # add_output alone must invalidate
@@ -237,7 +239,7 @@ def test_packed_run_raw_interface():
     netlist = Netlist("raw")
     a = netlist.add_input("a")
     b = netlist.add_input("b")
-    netlist.add_output("y", netlist.make_xor(a, b))
+    netlist.add_output("y", netlist.add_gate(GateType.XOR, (a, b)))
     compiled = compile_netlist(netlist)
     mask = (1 << 64) - 1
     rng = random.Random(5)

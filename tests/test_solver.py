@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.netlist.sat.solver import Model, Solver, luby, solve
+from repro.netlist.sat.solver import Model, Solver, luby
 
 from reference_solver import ReferenceSolver, reference_solve
 
@@ -88,7 +88,7 @@ def test_random_3sat_vs_brute_force():
         num_vars = rng.randint(1, 12)
         clauses = random_instance(rng, num_vars, rng.randint(1, 5 * num_vars))
         expected = brute_force_sat(num_vars, clauses)
-        result = solve(num_vars, clauses)
+        result = Solver(num_vars, clauses).solve()
         assert result.satisfiable == expected, clauses
         if result.satisfiable:
             check_model(result.model, clauses)
@@ -99,7 +99,7 @@ def test_random_3sat_larger_instances_vs_brute_force():
     for num_vars in (14, 16):
         clauses = random_instance(rng, num_vars, 4 * num_vars)
         expected = brute_force_sat(num_vars, clauses)
-        result = solve(num_vars, clauses)
+        result = Solver(num_vars, clauses).solve()
         assert result.satisfiable == expected
         if result.satisfiable:
             check_model(result.model, clauses)
@@ -110,7 +110,7 @@ def test_random_3sat_vs_reference_solver():
     for _ in range(60):
         num_vars = rng.randint(5, 30)
         clauses = random_instance(rng, num_vars, rng.randint(1, 4 * num_vars))
-        result = solve(num_vars, clauses)
+        result = Solver(num_vars, clauses).solve()
         reference = reference_solve(num_vars, clauses)
         assert result.satisfiable == reference.satisfiable, clauses
         if result.satisfiable:
@@ -314,8 +314,8 @@ def test_add_clauses_bulk_entry_point():
 
 def test_problem_clause_simplification():
     # Tautologies vanish, duplicate literals collapse.
-    assert solve(2, [(1, -1)]).satisfiable
-    result = solve(2, [(1, 1, 2), (-2, -2)])
+    assert Solver(2, [(1, -1)]).solve().satisfiable
+    result = Solver(2, [(1, 1, 2), (-2, -2)]).solve()
     assert result.satisfiable
     assert result.model[2] is False
 
@@ -332,7 +332,7 @@ def test_clauses_simplify_against_root_assignments():
 
 
 def test_model_is_mapping_like():
-    result = solve(3, [(1,), (-2,), (3,)])
+    result = Solver(3, [(1,), (-2,), (3,)]).solve()
     model = result.model
     assert isinstance(model, Model)
     assert model == {1: True, 2: False, 3: True}

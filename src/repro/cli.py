@@ -375,30 +375,27 @@ def _execute(args, out, tracer) -> int:
         # stored report without solving.  --solve-log bypasses it — the
         # caller asked for a live DRAT stream.
         cache_hit = False
-        if args.cache and not args.solve_log:
-            from .server.cache import CacheError, ResultCache
-            from .server.jobs import verify_cached
-            try:
-                cache = ResultCache(args.cache)
-            except CacheError as exc:
-                raise CLIError(str(exc)) from exc
-            try:
+        try:
+            if args.cache and not args.solve_log:
+                from .server.cache import CacheError, ResultCache
+                from .server.jobs import verify_cached
+                try:
+                    cache = ResultCache(args.cache)
+                except CacheError as exc:
+                    raise CLIError(str(exc)) from exc
                 eq_report, _, _, cache_hit = verify_cached(
                     lhs, rhs, {"certify": args.certify}, cache)
-            except CECError as exc:
-                raise CLIError(str(exc)) from exc
-        else:
-            try:
+            else:
                 verdict = check_equivalence(
                     lhs, rhs, certify=args.certify, proof=proof)
-            except CECError as exc:
-                raise CLIError(str(exc)) from exc
-            finally:
-                if log_handle is not None:
-                    log_handle.close()
-            eq_report = verdict.to_report(
-                certify=args.certify,
-                include_proof=bool(args.certify or args.solve_log))
+                eq_report = verdict.to_report(
+                    certify=args.certify,
+                    include_proof=bool(args.certify or args.solve_log))
+        except CECError as exc:
+            raise CLIError(str(exc)) from exc
+        finally:
+            if log_handle is not None:
+                log_handle.close()
         report["equivalence"] = eq_report
         if args.cache:
             report["equivalence"]["cache_hit"] = cache_hit

@@ -8,11 +8,14 @@ This is the shared truth-table kernel behind DAG-aware rewriting
   node in a cone — each cut a set of *leaf* nodes such that every path from
   the node to the primary inputs passes through a leaf.  Leaf sets are
   ``int`` bitmasks while merging, so union, size and dominance checks are
-  single integer operations.
+  single integer operations.  A kept merge reuses its child cuts' leaf
+  tuples where their leaves do not interleave (the cases are listed in
+  :func:`_enumerate`).
 * :func:`enumerate_cut_truths` also carries each cut's truth table,
   composed from its two child cuts' tables during enumeration (stretch
   each over the merged leaves, complement per fanin edge, AND) — this is
-  what the rewriter consumes.
+  what the rewriter consumes.  The same merge cases spare most
+  stretches.
 * :func:`cut_truth` evaluates a cut's cone with packed *elementary* words
   (:func:`repro.netlist.sim.elementary_words` fed through
   :func:`repro.netlist.sim.packed_eval` — the same word-parallel core that
@@ -38,6 +41,7 @@ from typing import Iterable, Optional, Sequence
 
 from ..aig import _AND, AIG
 from ..sim import elementary_words, packed_eval
+from .npn4 import NPN4_LIBRARY
 
 __all__ = [
     "enumerate_cuts",
@@ -100,7 +104,12 @@ def _enumerate(aig: AIG, k: int, limit: int, nodes: Optional[Sequence[int]],
 
     Leaf sets are ``int`` bitmasks while merging (union ``|``, size
     ``bit_count``, domination ``p & u == p``); leaf tuples — and, with
-    ``truths``, the tables — are built only for the cuts that are kept.
+    ``truths``, the tables — are built only for the cuts that are kept,
+    by case: when every leaf of one child cut precedes every leaf of the
+    other, the merged tuple is the two joined, the lower child's table
+    stands as is and the upper one's only shifts its variables up; when
+    the union is one child, that child's tuple and table stand as is.
+    Only an interleaved union is sorted and both tables stretched.
     """
     if nodes is None:
         nodes = sorted(aig.cone(aig.and_roots()))
@@ -108,7 +117,9 @@ def _enumerate(aig: AIG, k: int, limit: int, nodes: Optional[Sequence[int]],
     full = (1 << (1 << k)) - 1
     var0 = elementary_words(k)[0] if k else 0
     swaps = _swap_masks(k)
-    stretched: dict[tuple[int, tuple[int, ...]], int] = {}
+    # Stretched tables, by (table, leaf positions) and, for a table whose
+    # variables all shift up by ``s``, by (table, s).
+    stretched: dict[tuple, int] = {}
     # Per node: its cuts, and as tuples (ints only, so the cyclic GC
     # stops tracking them) their bitmasks and truth tables.
     cuts: dict[int, list[tuple[int, ...]]] = {}
@@ -124,6 +135,13 @@ def _enumerate(aig: AIG, k: int, limit: int, nodes: Optional[Sequence[int]],
         out = stretched.get(key)
         if out is None:
             out = stretched[key] = _stretch(tt, positions, swaps)
+        return out
+
+    def shift(tt: int, s: int, n: int) -> int:
+        key = (tt, s)
+        out = stretched.get(key)
+        if out is None:
+            out = stretched[key] = _stretch(tt, tuple(range(s, s + n)), swaps)
         return out
 
     for nid in nodes:
@@ -142,17 +160,16 @@ def _enumerate(aig: AIG, k: int, limit: int, nodes: Optional[Sequence[int]],
         t1 = tables.get(n1) or (var0,)
         node_tables = [var0]
         # Bucketing by size keeps insertion order within a size — the
-        # same order as a stable sort of the merges by length.
+        # same order as a stable sort of the merges by length.  A repeated
+        # union needs no set to drop it: its first copy, or the cut that
+        # dominated that copy, dominates it.
         by_size: list[list[tuple[int, int, int]]] = [[] for _ in range(k + 1)]
-        seen: set[int] = set()
         for i, ma in enumerate(m0):
             for j, mb in enumerate(m1):
                 u = ma | mb
                 size = u.bit_count()
-                if size > k or u in seen:
-                    continue
-                seen.add(u)
-                by_size[size].append((u, i, j))
+                if size <= k:
+                    by_size[size].append((u, i, j))
         kept: list[int] = []
         for u, i, j in chain.from_iterable(by_size):
             for prev in kept:
@@ -161,12 +178,29 @@ def _enumerate(aig: AIG, k: int, limit: int, nodes: Optional[Sequence[int]],
             else:
                 kept.append(u)
                 a, b = l0[i], l1[j]
-                leaves = tuple(sorted({*a, *b}))
+                if a[-1] < b[0]:
+                    leaves = a + b
+                    if truths:
+                        ta, tb = t0[i], shift(t1[j], len(a), len(b))
+                elif b[-1] < a[0]:
+                    leaves = b + a
+                    if truths:
+                        ta, tb = shift(t0[i], len(b), len(a)), t1[j]
+                elif u == m0[i]:
+                    leaves = a
+                    if truths:
+                        ta, tb = t0[i], expand(t1[j], b, a)
+                elif u == m1[j]:
+                    leaves = b
+                    if truths:
+                        ta, tb = expand(t0[i], a, b), t1[j]
+                else:
+                    leaves = tuple(sorted({*a, *b}))
+                    if truths:
+                        ta = expand(t0[i], a, leaves)
+                        tb = expand(t1[j], b, leaves)
                 node_cuts.append(leaves)
                 if truths:
-                    n = len(leaves)
-                    ta = t0[i] if len(a) == n else expand(t0[i], a, leaves)
-                    tb = t1[j] if len(b) == n else expand(t1[j], b, leaves)
                     if f0 & 1:
                         ta ^= full
                     if f1 & 1:
@@ -390,8 +424,6 @@ def _pad_to_4(tt: int, num_vars: int) -> int:
 
 def _build4(aig: AIG, tt: int, input_lits: Sequence[int]) -> int:
     """Instantiate the library structure for ``tt`` over 4 input literals."""
-    from .npn4 import NPN4_LIBRARY
-
     canon, perm, neg, out = npn_canon(tt)
     root, nodes = NPN4_LIBRARY[canon]
     # Library literal encoding: slot 0 = const-false, slots 1-4 = the

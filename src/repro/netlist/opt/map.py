@@ -152,7 +152,8 @@ def map_aig(aig: AIG, k: int = 4,
     roots = _root_nodes(aig)
 
     with tracer.span("map", k=k, ands=len(ands)):
-        cuts = enumerate_cuts(aig, k, nodes=live)
+        with tracer.span("map.cuts"):
+            cuts = enumerate_cuts(aig, k, nodes=live)
         # Structural fanout counts discount shared logic in area flow.
         refs: dict[int, int] = {nid: 0 for nid in live}
         refs[0] = 0
@@ -166,6 +167,7 @@ def map_aig(aig: AIG, k: int = 4,
                                    if kinds[nid] != _AND}
         arrival[0] = 0
         flow: dict[int, float] = {nid: 0.0 for nid in arrival}
+        arrival_of, flow_of = arrival.__getitem__, flow.__getitem__
         best_cut: dict[int, tuple[int, ...]] = {}
 
         # -- pass 1: depth-oriented ------------------------------------
@@ -173,8 +175,8 @@ def map_aig(aig: AIG, k: int = 4,
             for nid in ands:
                 best = None
                 for cut in cuts[nid][1:]:
-                    arr = 1 + max(arrival[leaf] for leaf in cut)
-                    af = 1.0 + sum(flow[leaf] for leaf in cut)
+                    arr = 1 + max(map(arrival_of, cut))
+                    af = 1.0 + sum(map(flow_of, cut))
                     if best is None or (arr, af) < (best[0], best[1]):
                         best = (arr, af, cut)
                 arr, af, cut = best
@@ -204,8 +206,8 @@ def map_aig(aig: AIG, k: int = 4,
                 best = None
                 fallback = None
                 for cut in cuts[nid][1:]:
-                    arr = 1 + max(arrival[leaf] for leaf in cut)
-                    af = 1.0 + sum(flow[leaf] for leaf in cut)
+                    arr = 1 + max(map(arrival_of, cut))
+                    af = 1.0 + sum(map(flow_of, cut))
                     if fallback is None or (arr, af) < fallback[:2]:
                         fallback = (arr, af, cut)
                     if arr > need:
@@ -257,12 +259,12 @@ def map_aig(aig: AIG, k: int = 4,
                 need = req.get(nid, _INF)
                 current = best_cut[nid]
                 old_area = cut_deref(current)
-                best = (old_area, 1 + max(arrival[leaf]
-                                          for leaf in current), current)
+                best = (old_area, 1 + max(map(arrival_of, current)),
+                        current)
                 for cut in cuts[nid][1:]:
                     if cut == current:
                         continue
-                    arr = 1 + max(arrival[leaf] for leaf in cut)
+                    arr = 1 + max(map(arrival_of, cut))
                     if arr > need:
                         continue
                     area = cut_ref(cut)
@@ -279,21 +281,20 @@ def map_aig(aig: AIG, k: int = 4,
         # -- depth guarantee -------------------------------------------
         for nid in ands:
             if nid in best_cut:
-                arrival[nid] = 1 + max(arrival[leaf]
-                                       for leaf in best_cut[nid])
+                arrival[nid] = 1 + max(map(arrival_of, best_cut[nid]))
         depth = max((arrival[nid] for nid in roots), default=0)
         if depth > depth_target:
             best_cut = depth_cuts
             cover = _cover_of(aig, best_cut, roots)
             for nid in ands:
-                arrival[nid] = 1 + max(arrival[leaf]
-                                       for leaf in best_cut[nid])
+                arrival[nid] = 1 + max(map(arrival_of, best_cut[nid]))
             depth = max((arrival[nid] for nid in roots), default=0)
             stats.depth_fallback = True
 
-        luts = [LUT(nid, best_cut[nid],
-                    cut_truth(aig, nid, best_cut[nid]))
-                for nid in cover]
+        with tracer.span("map.truths"):
+            luts = [LUT(nid, best_cut[nid],
+                        cut_truth(aig, nid, best_cut[nid]))
+                    for nid in cover]
         stats.lut_count = len(luts)
         stats.depth = depth
     return MapResult(aig=aig, k=k, luts=luts, depth=depth, stats=stats)

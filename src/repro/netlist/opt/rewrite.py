@@ -10,16 +10,21 @@ size-optimal structure for the function's NPN class would beat
 rebuilding the node as-is:
 
 * *saved* is the size of the node's maximal fanout-free cone w.r.t. the
-  cut — the nodes that die with it, measured by the standard
-  dereference/re-reference walk over live fanout counts;
+  cut — the nodes that die with it, measured by one dereference walk
+  over live fanout counts (:func:`_mffc`) that tallies the released
+  references in a local map; committing a cut subtracts that tally, so
+  the size a choice is made on and the release it commits are one walk;
 * *cost* is the number of genuinely new AND nodes the replacement would
   insert, probed against the output graph's unique table *without*
   inserting anything — logic already built (by earlier replacements, by
   sharing with untouched cones) is free, which is what makes the pass
-  DAG-aware rather than tree-local.  A probe is bounded: only a gain of
-  at least ``max(rebuild gain, best gain so far)`` can change the choice,
-  so the probe stops as soon as its cost rules that out, and is skipped
-  when even a free structure could not reach it.  A function's cached
+  DAG-aware rather than tree-local.  Rebuilding the node as it is costs
+  one unique-table lookup unless a fold applies.  A probe is bounded:
+  only a gain of at least ``max(rebuild gain, best gain so far)`` can
+  change the choice, so the probe stops as soon as its cost rules that
+  out, and is skipped when even a free structure could not reach it;
+  the levels of the nodes it would add are worked out only for a probe
+  that stays within its budget.  A function's cached
   NPN transforms often build the same ANDs over the cut's leaves; each
   table's plan groups them by that *leaf program*, and a cut probes each
   group once (:attr:`RewriteStats.probes` counts the probes run).
@@ -95,42 +100,32 @@ class RewriteStats:
         }
 
 
-def _live_ands(aig: AIG) -> list[int]:
-    """Live AND nodes (reachable from outputs/next-states), ascending."""
-    return [nid for nid in sorted(aig.cone(aig.and_roots()))
-            if aig.is_and(nid)]
+def _mffc(aig: AIG, refs: dict[int, int], nid: int,
+          leaves: tuple[int, ...], stop: set[int]
+          ) -> tuple[int, dict[int, int]]:
+    """``nid``'s MFFC size w.r.t. the cut ``leaves``, and the fanin
+    references that removing the cone would release, by node.
 
-
-def _deref_cone(aig: AIG, refs: dict[int, int], nid: int,
-                leaves: set[int], stop: set[int]) -> int:
-    """Release ``nid``'s fanin references; returns the MFFC size.
-
-    The recursive edge walk of Abc_NodeDeref: an AND fanin whose count
-    drops to zero dies with the cone and is descended into, unless it is
-    a cut leaf or an already-replaced node (whose old fanins were released
-    when it was rewritten).
+    The edge walk of Abc_NodeDeref, with the released references tallied
+    in a local map instead of taken off ``refs``: an AND fanin all of
+    whose references are released dies with the cone and is descended
+    into, unless it is a cut leaf or an already-replaced node (whose old
+    fanins were released when it was rewritten).  The caller that commits
+    the cut subtracts the tally from ``refs``.
     """
+    kinds, fanin0, fanin1 = aig._kind, aig._fanin0, aig._fanin1
+    released: dict[int, int] = {}
     size = 1
-    for fl in (aig._fanin0[nid], aig._fanin1[nid]):
-        fn = fl >> 1
-        refs[fn] -= 1
-        if refs[fn] == 0 and aig._kind[fn] == _AND \
-                and fn not in leaves and fn not in stop:
-            size += _deref_cone(aig, refs, fn, leaves, stop)
-    return size
-
-
-def _ref_cone(aig: AIG, refs: dict[int, int], nid: int,
-              leaves: set[int], stop: set[int]) -> int:
-    """Undo :func:`_deref_cone` (reference counts restored exactly)."""
-    size = 1
-    for fl in (aig._fanin0[nid], aig._fanin1[nid]):
-        fn = fl >> 1
-        if refs[fn] == 0 and aig._kind[fn] == _AND \
-                and fn not in leaves and fn not in stop:
-            size += _ref_cone(aig, refs, fn, leaves, stop)
-        refs[fn] += 1
-    return size
+    stack = [nid]
+    while stack:
+        node = stack.pop()
+        for fn in (fanin0[node] >> 1, fanin1[node] >> 1):
+            count = released[fn] = released.get(fn, 0) + 1
+            if count == refs[fn] and kinds[fn] == _AND \
+                    and fn not in leaves and fn not in stop:
+                size += 1
+                stack.append(fn)
+    return size, released
 
 
 #: Virtual literals for not-yet-inserted nodes during a cost probe start
@@ -155,12 +150,11 @@ def _probe_structure(new: AIG, levels: dict[int, int], root: int,
     ``budget`` — the caller has no use for a candidate that expensive.
     """
     table = new._table
-    # Virtual nodes created so far, by fanin key, and their levels.
+    # Virtual nodes created so far, by fanin key, in creation order; their
+    # levels are worked out only for a probe that stays within budget.
     vtable: dict[tuple[int, int], int] = {}
-    vlevel: dict[int, int] = {}
     vals = [0, *inputs]
     cost = 0
-    vnext = _VIRT_BASE
     for l0, l1 in nodes:
         a = vals[l0 >> 1] ^ (l0 & 1)
         b = vals[l1 >> 1] ^ (l1 & 1)
@@ -173,26 +167,47 @@ def _probe_structure(new: AIG, levels: dict[int, int], root: int,
         elif b == 1:
             r = a
         else:
+            # A key with a virtual literal misses the real table.
             key = (a, b) if a < b else (b, a)
-            r = table.get(key) if key[1] < _VIRT_BASE else None
+            r = table.get(key) or vtable.get(key)
             if r is None:
-                r = vtable.get(key)
-            if r is None:
-                cost += 1
-                if cost > budget:
+                if cost >= budget:
                     return None
-                r = vtable[key] = vnext
-                vnext += 2
-                la = levels.get(a >> 1, 0) if a < _VIRT_BASE \
-                    else vlevel[a >> 1]
-                lb = levels.get(b >> 1, 0) if b < _VIRT_BASE \
-                    else vlevel[b >> 1]
-                vlevel[r >> 1] = 1 + (la if la >= lb else lb)
+                r = vtable[key] = _VIRT_BASE + 2 * cost
+                cost += 1
         vals.append(r)
     out = vals[root >> 1] ^ (root & 1)
     if out < _VIRT_BASE:
         return cost, levels.get(out >> 1, 0), out
+    vlevel: dict[int, int] = {}
+    for (a, b), r in vtable.items():
+        la = levels.get(a >> 1, 0) if a < _VIRT_BASE else vlevel[a >> 1]
+        lb = levels.get(b >> 1, 0) if b < _VIRT_BASE else vlevel[b >> 1]
+        vlevel[r >> 1] = 1 + (la if la >= lb else lb)
     return cost, vlevel[out >> 1], None
+
+
+def _rebuild_as_is(new: AIG, levels: dict[int, int], a: int, b: int
+                   ) -> tuple[int, int, Optional[int]]:
+    """What rebuilding the AND of ``a`` and ``b`` would cost: the answer
+    of the one-node probe ``_probe_structure(new, levels, 6, ((2, 4),),
+    (a, b), 1)`` without its per-call setup — the same folds, else one
+    unique-table lookup."""
+    if a == b:
+        r = a
+    elif a == (b ^ 1) or a == 0 or b == 0:
+        r = 0
+    elif a == 1:
+        r = b
+    elif b == 1:
+        r = a
+    else:
+        r = new._table.get((a, b) if a < b else (b, a))
+        if r is None:
+            la = levels.get(a >> 1, 0)
+            lb = levels.get(b >> 1, 0)
+            return 1, 1 + (la if la >= lb else lb), None
+    return 0, levels.get(r >> 1, 0), r
 
 
 def _build_structure(new: AIG, levels: dict[int, int], root: int,
@@ -259,11 +274,11 @@ def _plan(tt4: int) -> tuple:
     return plan
 
 
-def _sweep(aig: AIG, stats: RewriteStats) -> AIG:
-    """One topological rewrite-and-rebuild sweep; returns the new AIG
-    (its table may hold garbage — callers compact via :func:`_copy_live`)."""
+def _sweep(aig: AIG, live: list[int], stats: RewriteStats) -> AIG:
+    """One topological rewrite-and-rebuild sweep over the ascending
+    ``live`` cone; returns the new AIG (its table may hold garbage —
+    callers compact via :func:`_copy_live`)."""
     tracer = get_tracer()
-    live = sorted(aig.cone(aig.and_roots()))
     with tracer.span("rewrite.cuts"):
         cuts, tables = enumerate_cut_truths(aig, 4, nodes=live)
     with tracer.span("rewrite.eval") as span:
@@ -305,10 +320,8 @@ def _evaluate(aig: AIG, live: list[int], cuts: dict, tables: dict,
         f1 = aig._fanin1[nid]
         m0 = lit_map[f0 >> 1] ^ (f0 & 1)
         m1 = lit_map[f1 >> 1] ^ (f1 & 1)
-        # Baseline: rebuild the node as-is.  Probing it through a
-        # one-node pseudo-structure reuses the exact fold mirror.
-        d_cost, d_level, d_lit = _probe_structure(
-            new, levels, 6, ((2, 4),), (m0, m1), 1)
+        # Baseline: rebuild the node as-is.
+        d_cost, d_level, d_lit = _rebuild_as_is(new, levels, m0, m1)
         d_gain = 1 - d_cost
 
         best = None
@@ -319,9 +332,7 @@ def _evaluate(aig: AIG, live: list[int], cuts: dict, tables: dict,
             if len(cut) < 2:
                 continue
             evaluated += 1
-            leaves = set(cut)
-            saved = _deref_cone(aig, refs, nid, leaves, replaced)
-            _ref_cone(aig, refs, nid, leaves, replaced)
+            saved = _mffc(aig, refs, nid, cut, replaced)[0]
             canon, lib_root, lib_nodes, transforms, programs = \
                 _PLANS.get(tt4) or _plan(tt4)
             leaf_lits = [lit_map[leaf] for leaf in cut]
@@ -375,8 +386,10 @@ def _evaluate(aig: AIG, live: list[int], cuts: dict, tables: dict,
                     best = cand
 
         if best is None:
-            lit_map[nid] = _build_structure(new, levels, 6, ((2, 4),),
-                                            (m0, m1))
+            if d_lit is None:
+                d_lit = new.aig_and(m0, m1)
+                levels[d_lit >> 1] = d_level
+            lit_map[nid] = d_lit
         else:
             gain, level, cut, root, nodes, inputs, real = best
             stats.replacements += 1
@@ -384,8 +397,9 @@ def _evaluate(aig: AIG, live: list[int], cuts: dict, tables: dict,
                 stats.nodes_saved += gain - d_gain
             else:
                 stats.zero_gain_depth += 1
-            leaves = set(cut)
-            _deref_cone(aig, refs, nid, leaves, replaced)
+            released = _mffc(aig, refs, nid, cut, replaced)[1]
+            for fn, count in released.items():
+                refs[fn] -= count
             for leaf in cut:
                 refs[leaf] += 1
             replaced.add(nid)
@@ -431,9 +445,10 @@ def rewrite_aig(aig: AIG, stats: Optional[RewriteStats] = None) -> AIG:
     tracer = get_tracer()
     if stats is None:
         stats = RewriteStats()
-    before = stats.ands_before = len(_live_ands(aig))
+    live = sorted(aig.cone(aig.and_roots()))
+    before = stats.ands_before = sum(map(aig.is_and, live))
     with tracer.span("rewrite", ands_before=before) as span:
-        swept = _sweep(aig, stats)
+        swept = _sweep(aig, live, stats)
         with tracer.span("rewrite.compact"):
             swept = _copy_live(swept)
         if swept.num_ands > before:

@@ -8,6 +8,7 @@ SAT-proven equivalence on every elaborator test design, plus emit ->
 re-elaborate -> CEC round trips for the mapped netlists.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -37,9 +38,9 @@ from repro.netlist.opt.rewrite import (
     RewriteStats,
     _build_structure,
     _copy_live,
-    _live_ands,
     _plan,
     _probe_structure,
+    _rebuild_as_is,
     _sweep,
 )
 from repro.netlist.sat import check_equivalence
@@ -193,28 +194,27 @@ def test_cut_enumeration_and_truths_on_small_design():
 
 
 def _reference_cuts(aig: AIG, k: int, limit: int) -> dict:
-    """Sorted-merge priority-cut enumeration over leaf tuples and sets:
-    the plain statement of the algorithm the bitmask kernel implements."""
+    """Sorted-merge priority-cut enumeration over leaf sets: the plain
+    statement of the algorithm the bitmask kernel implements."""
     cuts = {}
     for nid in sorted(aig.cone(aig.and_roots())):
         if not aig.is_and(nid):
             cuts[nid] = [(nid,)]
             continue
         f0, f1 = aig.fanins(nid)
-        merged = []
+        merged = {}  # distinct unions, first-seen order
         for a in cuts[f0 >> 1]:
             for b in cuts[f1 >> 1]:
-                union = tuple(sorted(set(a) | set(b)))
-                if len(union) <= k and union not in merged:
-                    merged.append(union)
-        merged.sort(key=len)
+                union = frozenset(a).union(b)
+                if len(union) <= k:
+                    merged.setdefault(union)
         kept = []
-        for cand in merged:
-            if not any(set(prev) <= set(cand) for prev in kept):
+        for cand in sorted(merged, key=len):
+            if not any(prev <= cand for prev in kept):
                 kept.append(cand)
                 if len(kept) >= limit:
                     break
-        cuts[nid] = [(nid,)] + kept
+        cuts[nid] = [(nid,)] + [tuple(sorted(cut)) for cut in kept]
     return cuts
 
 
@@ -243,6 +243,86 @@ def test_carried_truth_tables_match_cut_truth(name, source, top, params, k):
                 want |= want << span
                 span <<= 1
             assert tt == want, (nid, cut)
+
+
+def _random_aig(rng: random.Random) -> AIG:
+    """A small random AIG: 8-40 ANDs over 3-8 inputs.  Fanins are drawn
+    from every earlier literal, so cones share fanins and reconverge;
+    either edge may be complemented; and now and then a fanin is the
+    constant, which ``aig_and`` folds away, so the constant node reaches
+    the enumeration through the constant output every AIG drives.  Each
+    AND without a reader drives an output, so every AND is live."""
+    aig = AIG("rand")
+    lits = [aig.add_input(f"x{i}") for i in range(rng.randint(3, 8))]
+    size = rng.randint(8, 40)
+    while aig.num_ands < size:
+        a = rng.getrandbits(1) if rng.random() < 0.05 else rng.choice(lits)
+        b = rng.choice(lits)
+        lit = aig.aig_and(a ^ rng.getrandbits(1), b ^ rng.getrandbits(1))
+        if lit > 1 and lit not in lits:
+            lits.append(lit)
+    ands = [nid for nid in range(aig.num_nodes) if aig.is_and(nid)]
+    read = {lit >> 1 for nid in ands for lit in aig.fanins(nid)}
+    for nid in ands:
+        if nid not in read:
+            aig.add_output(f"y{nid}", 2 * nid ^ rng.getrandbits(1))
+    aig.add_output("zero", 0)
+    return aig
+
+
+def _merges(aig: AIG, cuts: dict, nid: int):
+    """``(a, b, cut)`` per non-trivial cut of ``nid``: the first pair of
+    fanin cuts, in the kernel's row-major order, whose union it is."""
+    f0, f1 = aig.fanins(nid)
+    first = {}
+    for a in cuts[f0 >> 1]:
+        for b in cuts[f1 >> 1]:
+            first.setdefault(frozenset(a).union(b), (a, b))
+    for cut in cuts[nid][1:]:
+        yield (*first[frozenset(cut)], cut)
+
+
+def _merge_case(a: tuple, b: tuple, union: tuple) -> str:
+    if a[-1] < b[0]:
+        return "lower first"
+    if b[-1] < a[0]:
+        return "upper first"
+    if union in (a, b):
+        return "one child"
+    return "interleaved"
+
+
+def test_random_aigs_match_the_reference_in_every_merge_case():
+    """On 300 seeded random AIGs, bitmask enumeration equals the
+    sorted-merge reference and every carried table equals the
+    cone-simulating oracle, at each limit; k cycles through 3, 4 and 6,
+    so each k sees 100 AIGs.  Each kept merge (at limit 8) is classified
+    by how its two child cuts' leaves interleave; every case the kernel
+    handles separately must occur."""
+    rng = random.Random(39)
+    cases = dict.fromkeys(("lower first", "upper first", "one child",
+                           "interleaved"), 0)
+    for k in (3, 4, 6) * 100:
+        aig = _random_aig(rng)
+        truths = {}
+        for limit in (2, 8):
+            cuts, tables = enumerate_cut_truths(aig, k, limit)
+            reference = _reference_cuts(aig, k, limit)
+            assert enumerate_cuts(aig, k, limit) == cuts == reference
+            for nid, node_cuts in cuts.items():
+                for cut, tt in zip(node_cuts, tables[nid]):
+                    want = truths.get((nid, cut))
+                    if want is None:
+                        want = truths[nid, cut] = cut_truth(aig, nid, cut)
+                    span = 1 << len(cut)
+                    while span < 1 << k:
+                        want |= want << span
+                        span <<= 1
+                    assert tt == want, (nid, cut)
+                if limit == 8 and aig.is_and(nid):
+                    for a, b, cut in _merges(aig, cuts, nid):
+                        cases[_merge_case(a, b, cut)] += 1
+    assert all(cases.values()), cases
 
 
 @pytest.mark.parametrize("num_vars", [2, 3, 4, 5, 6])
@@ -325,12 +405,21 @@ def test_rewrite_and_optimize_match_pinned_results(name, source, top,
     assert result.netlist.content_hash() == optimized
 
 
+def _live(aig: AIG) -> list[int]:
+    """The live cone, ascending: the node order a rewrite sweep takes."""
+    return sorted(aig.cone(aig.and_roots()))
+
+
+def _live_ands(aig: AIG) -> list[int]:
+    return [nid for nid in _live(aig) if aig.is_and(nid)]
+
+
 @pytest.mark.parametrize("name,source,top,params", DESIGNS, ids=DESIGN_IDS)
 def test_compacted_sweep_has_only_live_ands(name, source, top, params):
     """``rewrite_aig`` counts a compacted sweep by ``num_ands``: after
     ``_copy_live`` every AND in the unique table is live."""
     aig = from_netlist(elaborate(source, top=top, params=params))
-    swept = _sweep(aig, RewriteStats())
+    swept = _sweep(aig, _live(aig), RewriteStats())
     compact = _copy_live(swept)
     assert compact.num_ands == len(_live_ands(compact)) \
         == len(_live_ands(swept))
@@ -354,6 +443,30 @@ def test_probe_stops_once_cost_passes_budget():
     built = _build_structure(new, levels, root, nodes, inputs)
     assert _probe_structure(new, levels, root, nodes, inputs, 0) == \
         (0, level, built)
+
+
+def test_rebuild_as_is_answers_like_the_one_node_probe():
+    """The rewriter's rebuild-as-is baseline gives the one-node probe's
+    ``(cost, level, real)`` for every fanin pair: equal, complementary and
+    constant literals (each fold), ANDs already in the table in either
+    fanin order, and ANDs that would be new."""
+    new = AIG("base")
+    xs = [new.add_input(f"x{i}") for i in range(3)]
+    levels = {0: 0, **{lit >> 1: 0 for lit in xs}}
+    built = [_build_structure(new, levels, 6, ((2, 4),), pair)
+             for pair in ((xs[0], xs[1]), (xs[1] ^ 1, xs[2]))]
+    built.append(_build_structure(new, levels, 6, ((2, 4),),
+                                  (built[0], built[1] ^ 1)))
+    pool = [0, 1, *xs, *built]
+    pool += [lit ^ 1 for lit in pool[2:]]
+    outcomes = set()
+    for a in pool:
+        for b in pool:
+            got = _rebuild_as_is(new, levels, a, b)
+            assert got == _probe_structure(new, levels, 6, ((2, 4),),
+                                           (a, b), 1), (a, b)
+            outcomes.add((got[0], got[1] > 0))
+    assert outcomes == {(0, False), (0, True), (1, True)}
 
 
 def _wide_alu():
@@ -473,7 +586,7 @@ def test_rewrite_counters_are_zero_when_the_sweep_grows():
     saving) must not claim replacements the result does not contain."""
     aig = from_netlist(elaborate(MULTIPLIER, top="multiplier"))
     sweep_stats = RewriteStats()
-    grown = _copy_live(_sweep(aig, sweep_stats))
+    grown = _copy_live(_sweep(aig, _live(aig), sweep_stats))
     assert grown.num_ands > len(_live_ands(aig))
     assert sweep_stats.replacements > 0 and sweep_stats.nodes_saved > 0
 
@@ -572,6 +685,79 @@ def test_map_emit_reelaborate_cec(name, source, top, params, k):
     emitted = netlist_to_verilog(mapped)
     reloaded = elaborate(emitted, top=netlist.name)
     _assert_equivalent(netlist, reloaded)
+
+
+#: Per design: ``(LUT count, depth, SHA-256 of the (output, inputs,
+#: truth) list)`` of ``map_aig`` on the optimized design's AIG, for k = 4
+#: and k = 6; the flow benchmark's generators at their full widths
+#: follow the test designs.  Round-trip CEC cannot see a mapper change
+#: that keeps the function but moves the cover; these pins do.
+COVER_PINS = {
+    "rca": (
+        (11, 3, "3762b58ee1ee46a90be1104fd21dc50bf308374524ba4ab9c9217ced60b04518"),
+        (11, 3, "3762b58ee1ee46a90be1104fd21dc50bf308374524ba4ab9c9217ced60b04518")),
+    "alu": (
+        (56, 8, "c468e134f4ea2ef5d85b0dff68fdc1b6ce399ab7f48e99f2d2139cbba5205750"),
+        (56, 8, "2bde2c0cf99c3b04229f7def9003f2eb11eb30017299b261fd692280b07bc678")),
+    "alu_w8": (
+        (111, 12, "42dc2b974af816f30e344c9255482bed5b72f6c801ebf0f6a0251f8ba1b42fe3"),
+        (114, 11, "4c22e3869a3c90dc75cdfebe2a7b7301b40ac34371d52f43b067704197e7618a")),
+    "counter": (
+        (7, 2, "f844ff61f75010e20af577599eba4239c2521eda2ecae6cb308365383770063e"),
+        (7, 2, "f844ff61f75010e20af577599eba4239c2521eda2ecae6cb308365383770063e")),
+    "fsm": (
+        (3, 1, "4ad266d7504423ff3c3f76c5f99cdff1395facd257019dcfd7340b4512e80d09"),
+        (3, 1, "4ad266d7504423ff3c3f76c5f99cdff1395facd257019dcfd7340b4512e80d09")),
+    "muxtree": (
+        (6, 3, "4f43246b9077ec85ce9cdb089704d5d0b7fdbc1203744a6dda3ab4d8b3ce11a1"),
+        (6, 3, "4f43246b9077ec85ce9cdb089704d5d0b7fdbc1203744a6dda3ab4d8b3ce11a1")),
+    "shifter": (
+        (97, 10, "75fab937457a3702990bae5a539048cfc219343506137002e0ab9804d8d1191a"),
+        (95, 10, "aa5a6bc502e259cde7d8840c0b9ccdeb9e9070dd7a7af310257aee75a224bcfa")),
+    "forloop": (
+        (0, 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+        (0, 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945")),
+    "shiftreg": (
+        (0, 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+        (0, 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945")),
+    "alu_16": (
+        (270, 16, "2e5648daaa07f0630ef87b1fef17d3a58001e14d1a34900d93074112eb6ccfba"),
+        (284, 13, "507aad93a07e9a0e8608b24ebf1cec876b2ad3fb4c9cf1364f46d1445e08a2c6")),
+    "adder_32": (
+        (155, 22, "708d9118eb98658acb4242c19bcb74f47c78c9f1a38cb7d0cf2ff6b9e5c66627"),
+        (155, 22, "708d9118eb98658acb4242c19bcb74f47c78c9f1a38cb7d0cf2ff6b9e5c66627")),
+    "muxtree_16": (
+        (50, 3, "1c6d631505af216218e39f4c78260a6724b1903182da67e9938588df12fba82e"),
+        (50, 3, "1c6d631505af216218e39f4c78260a6724b1903182da67e9938588df12fba82e")),
+    "counter_16": (
+        (41, 7, "d545a07bb9d1aa80265d1283bd1fc8d2257749bee31d940ad6ec32a23c612009"),
+        (42, 5, "47fafb3ffcaab41975d59854291fdd3f5ca133c7780491b4cd1058f827f85a48")),
+    "multiplier_6": (
+        (86, 10, "4206471442f58c17c5782c49a70754a3a15e74c2acd4fba28918ae322a9ba205"),
+        (86, 10, "4206471442f58c17c5782c49a70754a3a15e74c2acd4fba28918ae322a9ba205")),
+}
+
+_FLOW_DESIGNS = {f"{factory.__name__}_{width}": (factory, width)
+                 for factory, width in bench_designs.FLOW_SIZES["full"]}
+
+
+def _pinned_netlist(name):
+    if name in _FLOW_DESIGNS:
+        factory, width = _FLOW_DESIGNS[name]
+        design = factory(width)
+        return elaborate(design.src, top=design.top)
+    _, source, top, params = DESIGNS[DESIGN_IDS.index(name)]
+    return elaborate(source, top=top, params=params)
+
+
+@pytest.mark.parametrize("name", COVER_PINS)
+def test_map_covers_match_pinned_results(name):
+    aig = from_netlist(optimize(_pinned_netlist(name)).netlist)
+    for k, pinned in zip((4, 6), COVER_PINS[name]):
+        result = map_aig(aig, k)
+        listing = [(lut.output, lut.inputs, lut.truth) for lut in result.luts]
+        digest = hashlib.sha256(repr(listing).encode()).hexdigest()
+        assert (result.lut_count, result.depth, digest) == pinned, k
 
 
 @pytest.mark.parametrize("name,source,top,params", DESIGNS, ids=DESIGN_IDS)

@@ -7,10 +7,10 @@ Subpackages:
 * :mod:`repro.netlist` — gate-level netlist IR, the RTL elaborator that
   lowers parsed designs into it, a bit-level simulator and a vector-level
   reference interpreter;
-* :mod:`repro.netlist.sim` — the compiled bit-parallel simulation engine
-  (netlists levelized and code-generated into straight-line Python, up to
-  W stimulus patterns packed per net), the default behind
-  ``simulate_vectors`` / ``simulate_sequence``;
+* :mod:`repro.netlist.sim` — the compiled simulation engine (netlists
+  levelized and code-generated into straight-line Python that runs one
+  stimulus pattern per call), the engine behind ``simulate_vectors`` /
+  ``simulate_sequence``;
 * :mod:`repro.netlist.opt` — AIG optimization: ``optimize()`` lowers the
   netlist to the AIG once, runs cut-based DAG-aware rewriting over the
   NPN structure library or FRAIG sweeping, raises once and balances,

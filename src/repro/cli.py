@@ -7,7 +7,7 @@ balance), optionally proves the optimized netlist equivalent to the
 unoptimized one with the SAT checker (``--check``) or to a second
 design (``--check-against FILE``), optionally measures
 simulation throughput over random stimulus (``--cycles``, on the
-compiled bit-parallel engine), and prints gate/depth/flip-flop
+compiled single-pattern engine), and prints gate/depth/flip-flop
 statistics — as a table or as JSON.  Frontend and elaboration problems
 are reported as one-line diagnostics with exit code 1.
 

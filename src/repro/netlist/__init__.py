@@ -3,11 +3,11 @@ interpreter and SAT-based equivalence checker.
 
 The canonical pipeline is ``elaborate(source, top=...) -> Netlist`` followed
 by :func:`simulate_vectors` / :func:`simulate_sequence` (word-level, on
-the compiled bit-parallel engine in :mod:`repro.netlist.sim`); the
-per-gate :func:`simulate` is the bit-level reference oracle.
+the compiled engine in :mod:`repro.netlist.sim`); the per-gate
+:func:`simulate` is the bit-level reference oracle.
 :func:`compile_netlist` levelizes a netlist into a straight-line Python
-function that evaluates up to W packed stimulus patterns per net; an
-:class:`AIG` is simulated by :func:`repro.netlist.sim.aig_signatures`.
+function that runs one stimulus pattern per call; an :class:`AIG` is
+simulated pattern-parallel by :func:`repro.netlist.sim.aig_signatures`.
 :func:`optimize` shrinks a netlist by rewriting it on the AIG and returns
 the new netlist with one statistics row per pass; :mod:`repro.netlist.sat`
 proves an optimized netlist equivalent to its source via a Tseitin-encoded

@@ -1,10 +1,10 @@
 """Canonical and-inverter graph (AIG): the hash-consed core IR.
 
 Every consumer of the gate-level netlist — the optimization passes, the
-SAT-based equivalence checker and the compiled simulator — wants the same
-canonical view: two-input ANDs, inversion as a free edge attribute, and
-structurally identical cones merged.  This module provides that view once,
-at construction time.
+SAT-based equivalence checker and the pattern-parallel simulator — wants
+the same canonical view: two-input ANDs, inversion as a free edge
+attribute, and structurally identical cones merged.  This module provides
+that view once, at construction time.
 
 A node is an integer id; an *edge* (the unit every API works in) is a
 **literal** ``2 * node + complement``.  Node 0 is the constant-false
@@ -343,20 +343,24 @@ class AIG:
                 stack.append(f1s[nid] >> 1)
         return seen
 
-    def levels(self) -> int:
-        """Longest path from a source to an observed root, in AND nodes."""
-        cone = self.cone(self.and_roots())
+    def live_ands_and_levels(self) -> tuple[int, int]:
+        """The live AND nodes (those an observed root reads) and the
+        longest path from a source to an observed root, in AND nodes: one
+        walk of the cone, which is what an optimizer pass row records."""
         level = 0
         depth: dict[int, int] = {}
         kinds, f0s, f1s = self._kind, self._fanin0, self._fanin1
-        for nid in sorted(cone):
-            if kinds[nid] != _AND:
-                depth[nid] = 0
-                continue
-            depth[nid] = 1 + max(depth.get(f0s[nid] >> 1, 0),
-                                 depth.get(f1s[nid] >> 1, 0))
-            level = max(level, depth[nid])
-        return level
+        for nid in sorted(self.cone(self.and_roots())):
+            if kinds[nid] == _AND:
+                d = depth[nid] = 1 + max(depth.get(f0s[nid] >> 1, 0),
+                                         depth.get(f1s[nid] >> 1, 0))
+                if d > level:
+                    level = d
+        return len(depth), level
+
+    def levels(self) -> int:
+        """Longest path from a source to an observed root, in AND nodes."""
+        return self.live_ands_and_levels()[1]
 
     def stats(self) -> dict[str, int]:
         """Basic size statistics (AND-node count, not netlist gates)."""
@@ -372,9 +376,8 @@ class AIG:
 
     def _codec_state(self) -> tuple:
         """Compact tuple behind :meth:`to_bytes`: the parallel node arrays
-        plus interface lists, nothing derived (the unique table, name
-        indexes and the compiled-simulator/signature caches are left
-        out).
+        plus interface lists, nothing derived (the unique table and the
+        name indexes are left out).
         """
         return (self.name, tuple(self._kind), tuple(self._fanin0),
                 tuple(self._fanin1), tuple(self._name),

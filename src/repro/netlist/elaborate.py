@@ -28,9 +28,9 @@ The module also provides the word-level simulation conveniences
 :func:`simulate_vectors` / :func:`simulate_sequence`, which pack and unpack
 the per-bit port naming convention used by the elaborator (``name`` for
 scalars, ``name[i]`` for vector bits).  Both run the compiled
-bit-parallel engine (:mod:`repro.netlist.sim`); the per-gate
-:func:`~repro.netlist.logic.simulate` stays as the bit-level reference
-oracle the tests check it against.
+single-pattern engine (:mod:`repro.netlist.sim`), one call per cycle; the
+per-gate :func:`~repro.netlist.logic.simulate` stays as the bit-level
+reference oracle the tests check it against.
 """
 
 from __future__ import annotations
@@ -835,8 +835,8 @@ def simulate_sequence(netlist: Netlist,
                       ) -> list[dict[str, int]]:
     """Simulate a sequence of word-level input vectors (one per clock cycle).
 
-    The netlist is levelized and code-generated once (cached on the
-    netlist across calls).
+    The netlist is levelized and code-generated once (kept in the
+    netlist's store of derived data across calls).
     """
     compiled = compile_netlist(netlist)
     run_words = compiled.run_words

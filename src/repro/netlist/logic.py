@@ -14,22 +14,28 @@ Storage is three parallel per-net lists indexed by gate id, the layout the
 :class:`~repro.netlist.aig.AIG` already uses: ``_type`` (the
 :class:`GateType`), ``_fanins`` (a tuple of net ids) and ``_name`` (``None``
 when unnamed).  There is no object per net.  The modules of this package
-that walk every net (bit-blasting, AIG lowering, simulation, emission,
-balancing, equivalence checking) read those lists directly; everyone else
-reads one net at a time through :meth:`Netlist.gate_type`,
+that walk every net (bit-blasting, AIG lowering, the reference simulator,
+emission, balancing, equivalence checking) read those lists directly;
+everyone else reads one net at a time through :meth:`Netlist.gate_type`,
 :meth:`Netlist.fanins` and :meth:`Netlist.gate_name`, which reject an
 unknown id.  :meth:`Netlist.add_gate` is the one builder of a gate (inputs,
 constants and flip-flops have their own wrappers around it), and it checks
 every id it is given to be an ``int`` (not a ``bool``) with
 ``0 <= id < num_nets``, because a list would quietly accept a negative
 index.
+
+Everything derived from the structure (topological order, registers, gate
+count, levels, content hash, the compiled simulator) lives in one store,
+filled on demand by :meth:`Netlist.cached` and cleared by each of the three
+mutators, :meth:`Netlist.add_gate`, :meth:`Netlist.set_fanins` and
+:meth:`Netlist.add_output`.
 """
 
 from __future__ import annotations
 
 import hashlib
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, TypeVar
 
 
 class GateType(str, Enum):
@@ -78,6 +84,8 @@ _FANIN_COUNT = {
     GateType.DFF: 1,
 }
 
+T = TypeVar("T")
+
 #: Each type's serialized value (``GateType.value`` is a property lookup).
 _TYPE_VALUE = {gtype: gtype.value for gtype in GateType}
 
@@ -101,24 +109,9 @@ class Netlist:
         self._const1: Optional[int] = None
         self._input_index: dict[str, int] = {}
         self._output_index: dict[str, int] = {}
-        self._topo_cache: Optional[tuple[int, ...]] = None
-        self._registers_cache: Optional[tuple[int, ...]] = None
-        #: ``(version, value)`` caches of :attr:`num_gates`,
-        #: :meth:`logic_levels` and :meth:`content_hash`, stale once
-        #: ``version`` moves on.
-        self._gates_cache: Optional[tuple[int, int]] = None
-        self._levels_cache: Optional[tuple[int, int]] = None
-        self._hash_cache: Optional[tuple[int, str]] = None
-        #: Monotonic structural revision, bumped on every mutation (including
-        #: :meth:`add_output`, which does not disturb the topological order
-        #: but does change what a compiled simulator must produce).  Derived
-        #: artifacts such as :func:`repro.netlist.sim.compile_netlist` cache
-        #: against it.
-        self.version = 0
-        #: Cache slot for :func:`repro.netlist.sim.compile_netlist` (a
-        #: :class:`~repro.netlist.sim.CompiledNetlist` tagged with the
-        #: ``version`` it was built from; stale entries are recompiled).
-        self._compiled_cache = None
+        #: Everything derived from the structure, keyed by the function
+        #: that builds it (see :meth:`cached`).
+        self._derived: dict[Callable[[Netlist], Any], Any] = {}
 
     # -- construction -----------------------------------------------------------
 
@@ -161,9 +154,7 @@ class Netlist:
         types.append(gtype)
         self._fanins.append(fanins)
         self._name.append(name)
-        self._topo_cache = None
-        self._registers_cache = None
-        self.version += 1
+        self._derived.clear()
         return gid
 
     def set_fanins(self, gid: int, fanins: Iterable[int]) -> None:
@@ -179,9 +170,7 @@ class Netlist:
         gtype = self._type[gid]
         self._check_fanins(gtype, fanins)
         self._fanins[gid] = fanins
-        self._topo_cache = None
-        self._registers_cache = None
-        self.version += 1
+        self._derived.clear()
 
     def const0(self) -> int:
         """Return the (unique) constant-zero net."""
@@ -203,7 +192,7 @@ class Netlist:
             raise NetlistError(f"duplicate primary output name '{name}'")
         self.outputs.append((name, net))
         self._output_index[name] = net
-        self.version += 1
+        self._derived.clear()
 
     def add_dff(self, data: int, name: Optional[str] = None) -> int:
         """Create a D flip-flop whose data pin is ``data``; returns Q net."""
@@ -233,19 +222,25 @@ class Netlist:
         """Number of nets of every type (gate ids run ``0 .. num_nets-1``)."""
         return len(self._type)
 
+    def cached(self, build: Callable[[Netlist], T]) -> T:
+        """``build(self)``, computed once per structure.
+
+        The one store of derived data: the topological order, registers,
+        gate count, levels and content hash below, and the compiled
+        simulator of :func:`repro.netlist.sim.compile_netlist`.
+        :meth:`add_gate`, :meth:`set_fanins` and :meth:`add_output` each
+        clear it, so a value is never served for an older structure.
+        """
+        store = self._derived
+        if build in store:
+            return store[build]
+        value = store[build] = build(self)
+        return value
+
     @property
     def num_gates(self) -> int:
-        """Number of combinational gates (excludes sources and registers).
-
-        Cached against the structural ``version`` counter.
-        """
-        cached = self._gates_cache
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        types = self._type
-        count = len(types) - sum(types.count(t) for t in NON_COMB_TYPES)
-        self._gates_cache = (self.version, count)
-        return count
+        """Number of combinational gates (excludes sources and registers)."""
+        return self.cached(_count_gates)
 
     @property
     def num_registers(self) -> int:
@@ -255,13 +250,10 @@ class Netlist:
     def registers(self) -> list[int]:
         """Gate ids of all flip-flops, in id order.
 
-        Cached (and invalidated on structural change) so per-cycle consumers
-        like :func:`simulate` do not rescan every gate.
+        Cached so per-cycle consumers like :func:`simulate` do not rescan
+        every gate.
         """
-        if self._registers_cache is None:
-            self._registers_cache = tuple(
-                gid for gid, gtype in enumerate(self._type) if gtype is DFF)
-        return list(self._registers_cache)
+        return list(self.cached(_registers))
 
     def register_map(self) -> dict[str, int]:
         """Map each flip-flop's name to its gate id.
@@ -338,63 +330,14 @@ class Netlist:
         sequential, not combinational), so any purely combinational cycle
         raises :class:`NetlistError`.
 
-        The order is cached and invalidated on any structural change, so
-        repeated calls (e.g. multi-cycle :func:`simulate` runs) pay the DFS
-        only once.
+        The order is cached, so repeated calls (e.g. multi-cycle
+        :func:`simulate` runs) pay the DFS only once.
         """
-        if self._topo_cache is not None:
-            return list(self._topo_cache)
-        types, fanins = self._type, self._fanins
-        # A flip-flop's data pin is sequential: cut it here.
-        comb = [() if gtype is DFF else fs
-                for gtype, fs in zip(types, fanins)]
-        order: list[int] = []
-        state = bytearray(len(types))  # 0 = unvisited, 1 = visiting, 2 = done
-
-        for start in range(len(types)):
-            if state[start] == 2:
-                continue
-            stack = [(start, iter(comb[start]))]
-            state[start] = 1
-            while stack:
-                gid, fanin_iter = stack[-1]
-                advanced = False
-                for fid in fanin_iter:
-                    status = state[fid]
-                    if status == 1:
-                        raise NetlistError(
-                            f"combinational cycle detected through net {fid}"
-                        )
-                    if status == 0:
-                        state[fid] = 1
-                        stack.append((fid, iter(comb[fid])))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[gid] = 2
-                    order.append(gid)
-                    stack.pop()
-        self._topo_cache = tuple(order)
-        return order
+        return list(self.cached(_topological_order))
 
     def logic_levels(self) -> int:
-        """Longest combinational path length in gate levels.
-
-        Cached against the structural ``version`` counter, like
-        :meth:`content_hash`.
-        """
-        cached = self._levels_cache
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        types, fanins = self._type, self._fanins
-        level = [0] * len(types)
-        for gid in self.topological_order():
-            if types[gid] not in NON_COMB_TYPES:
-                level[gid] = 1 + max(
-                    (level[f] for f in fanins[gid]), default=0)
-        depth = max(level, default=0)
-        self._levels_cache = (self.version, depth)
-        return depth
+        """Longest combinational path length in gate levels (cached)."""
+        return self.cached(_logic_levels)
 
     def stats(self) -> dict[str, int]:
         """Basic size statistics of the netlist."""
@@ -414,9 +357,9 @@ class Netlist:
         Carries only the structural identity of the netlist — one
         ``(gid, type value, fanins, name)`` row per net (in id order),
         primary inputs/outputs, the net count and the interned constant
-        nets.  Derived artifacts (topological order, register cache, the
-        compiled-simulator closure, optimizer statistics) are left out:
-        they do not change what the netlist computes.
+        nets.  Derived data (the :meth:`cached` store: topological order,
+        registers, the compiled simulator, ...) is left out: it does not
+        change what the netlist computes.
         """
         count = len(self._type)
         gates = tuple(zip(range(count),
@@ -440,20 +383,76 @@ class Netlist:
 
         Equal for re-elaborations of the same design, different after any
         mutation that changes observable structure — the key the
-        verification server's result cache shards on.  Cached against the
-        structural ``version`` counter so repeat lookups are free.
+        verification server's result cache shards on.  Cached, so repeat
+        lookups are free.
         """
-        cached = self._hash_cache
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        digest = hashlib.sha256(self.to_bytes()).hexdigest()
-        self._hash_cache = (self.version, digest)
-        return digest
+        return self.cached(_content_hash)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Netlist({self.name!r}, inputs={self.num_inputs}, "
                 f"outputs={self.num_outputs}, gates={self.num_gates}, "
                 f"registers={self.num_registers})")
+
+
+# -- derived data, built by Netlist.cached ---------------------------------------
+
+
+def _count_gates(netlist: Netlist) -> int:
+    types = netlist._type
+    return len(types) - sum(types.count(t) for t in NON_COMB_TYPES)
+
+
+def _registers(netlist: Netlist) -> tuple[int, ...]:
+    return tuple(gid for gid, gtype in enumerate(netlist._type)
+                 if gtype is DFF)
+
+
+def _topological_order(netlist: Netlist) -> tuple[int, ...]:
+    types, fanins = netlist._type, netlist._fanins
+    # A flip-flop's data pin is sequential: cut it here.
+    comb = [() if gtype is DFF else fs
+            for gtype, fs in zip(types, fanins)]
+    order: list[int] = []
+    state = bytearray(len(types))  # 0 = unvisited, 1 = visiting, 2 = done
+
+    for start in range(len(types)):
+        if state[start] == 2:
+            continue
+        stack = [(start, iter(comb[start]))]
+        state[start] = 1
+        while stack:
+            gid, fanin_iter = stack[-1]
+            advanced = False
+            for fid in fanin_iter:
+                status = state[fid]
+                if status == 1:
+                    raise NetlistError(
+                        f"combinational cycle detected through net {fid}"
+                    )
+                if status == 0:
+                    state[fid] = 1
+                    stack.append((fid, iter(comb[fid])))
+                    advanced = True
+                    break
+            if not advanced:
+                state[gid] = 2
+                order.append(gid)
+                stack.pop()
+    return tuple(order)
+
+
+def _logic_levels(netlist: Netlist) -> int:
+    types, fanins = netlist._type, netlist._fanins
+    level = [0] * len(types)
+    for gid in netlist.cached(_topological_order):
+        if types[gid] not in NON_COMB_TYPES:
+            level[gid] = 1 + max(
+                (level[f] for f in fanins[gid]), default=0)
+    return max(level, default=0)
+
+
+def _content_hash(netlist: Netlist) -> str:
+    return hashlib.sha256(netlist.to_bytes()).hexdigest()
 
 
 def simulate(netlist: Netlist, input_values: dict[str, int],

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from ...obs import attach_solver_progress, get_tracer
@@ -63,56 +63,38 @@ from ..sim import aig_signatures, packed_eval
 _MAX_ROUNDS = 16
 
 
+@dataclass
 class FraigStats:
     """Counters from one :func:`fraig_sweep` run."""
 
-    def __init__(self) -> None:
-        self.rounds = 0
-        self.sat_checks = 0
-        self.proven = 0
-        self.refuted = 0
-        #: Candidate pairs a counterexample found earlier in the same
-        #: round already separates: refuted by simulation, never solved.
-        self.sim_refuted = 0
-        self.ands_before = 0
-        self.ands_after = 0
-        #: Aggregated search statistics of every per-round solver instance.
-        self.solver = SolverStats()
-        #: DRAT certification counters (``fraig_sweep(certify=True)``):
-        #: merges certified / charged by the independent RUP checker,
-        #: total learned clauses logged, and time spent checking.
-        self.proofs_checked = 0
-        self.proofs_failed = 0
-        self.proof_clauses = 0
-        self.proof_check_seconds = 0.0
-        #: Lemmas the checker verified (the sum of
-        #: ``DratCheckResult.checked``): one pass over each round's
-        #: proof, so at most ``proof_clauses``.
-        self.lemma_checks = 0
+    rounds: int = 0
+    sat_checks: int = 0
+    proven: int = 0
+    refuted: int = 0
+    #: Candidate pairs a counterexample found earlier in the same
+    #: round already separates: refuted by simulation, never solved.
+    sim_refuted: int = 0
+    ands_before: int = 0
+    ands_after: int = 0
+    #: Aggregated search statistics of every per-round solver instance.
+    solver: SolverStats = field(default_factory=SolverStats)
+    #: DRAT certification counters (``fraig_sweep(certify=True)``):
+    #: merges certified / charged by the independent RUP checker,
+    #: total learned clauses logged, and time spent checking.
+    proofs_checked: int = 0
+    proofs_failed: int = 0
+    proof_clauses: int = 0
+    proof_check_seconds: float = 0.0
+    #: Lemmas the checker verified (the sum of
+    #: ``DratCheckResult.checked``): one pass over each round's
+    #: proof, so at most ``proof_clauses``.
+    lemma_checks: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "sat_checks": self.sat_checks,
-            "proven": self.proven,
-            "refuted": self.refuted,
-            "sim_refuted": self.sim_refuted,
-            "ands_before": self.ands_before,
-            "ands_after": self.ands_after,
-            "solver": self.solver.to_dict(),
-            "proofs_checked": self.proofs_checked,
-            "proofs_failed": self.proofs_failed,
-            "proof_clauses": self.proof_clauses,
-            "proof_check_seconds": round(self.proof_check_seconds, 6),
-            "lemma_checks": self.lemma_checks,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"FraigStats(rounds={self.rounds}, "
-                f"sat_checks={self.sat_checks}, proven={self.proven}, "
-                f"refuted={self.refuted}, "
-                f"sim_refuted={self.sim_refuted}, "
-                f"ands={self.ands_before}->{self.ands_after})")
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        record["solver"] = self.solver.to_dict()
+        record["proof_check_seconds"] = round(self.proof_check_seconds, 6)
+        return record
 
 
 @dataclass

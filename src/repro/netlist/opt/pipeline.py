@@ -28,11 +28,6 @@ def _fraig(aig: AIG) -> tuple[AIG, dict]:
     return fraig_sweep(aig, stats=stats).aig, stats.to_dict()
 
 
-def _qor(aig: AIG) -> tuple[int, int]:
-    """Live AND nodes and depth: what an AIG pass row records."""
-    return sum(map(aig.is_and, aig.cone(aig.and_roots()))), aig.levels()
-
-
 #: The AIG-to-AIG passes ``optimize(passes=...)`` accepts, by name.  Each
 #: returns the new AIG plus the counters for its row's ``details``.
 _AIG_PASSES: dict[str, Callable[[AIG], tuple[AIG, dict]]] = {
@@ -249,14 +244,14 @@ def optimize(netlist: Netlist,
     with tracer.span("optimize", design=netlist.name,
                      gates=gates_before) as span:
         aig = from_netlist(netlist)
-        after = _qor(aig)
+        after = aig.live_ands_and_levels()
         for name in passes:
             before = after
             start = time.perf_counter()
             with tracer.span(f"opt.{name}", ands=before[0]) as pass_span:
                 aig, details = _AIG_PASSES[name](aig)
                 elapsed = time.perf_counter() - start
-                after = _qor(aig)
+                after = aig.live_ands_and_levels()
                 pass_span.set(ands_after=after[0])
             stats.append(PassStats(
                 name, before[0], after[0], before[1], after[1],

@@ -57,7 +57,7 @@ The sweep's gain is a prediction made against the graph as it stood:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from ...obs import get_tracer
@@ -89,15 +89,7 @@ class RewriteStats:
     probes: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "ands_before": self.ands_before,
-            "ands_after": self.ands_after,
-            "cuts_evaluated": self.cuts_evaluated,
-            "replacements": self.replacements,
-            "zero_gain_depth": self.zero_gain_depth,
-            "nodes_saved": self.nodes_saved,
-            "probes": self.probes,
-        }
+        return asdict(self)
 
 
 def _mffc(aig: AIG, refs: dict[int, int], nid: int,

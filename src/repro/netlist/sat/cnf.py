@@ -10,11 +10,10 @@ has already merged shared structure.  Primary inputs and latches are
 leaf variables supplied by the caller, which is what lets incremental
 callers share them between calls.
 
-The encoder is additionally **structure-aware** (``structural=True``,
-the default): AND nodes whose local shape spells XOR, MUX, or 3-input
-majority — the cells arithmetic lowers to, a full adder being one XOR3
-and one MAJ3 — are encoded as one direct constraint over their operand
-variables instead of per-AND triples.  The interior nodes of a matched
+The encoder is additionally **structure-aware**: AND nodes whose local
+shape spells XOR, MUX, or 3-input majority — the cells arithmetic lowers
+to, a full adder being one XOR3 and one MAJ3 — are encoded as one direct
+constraint over their operand variables instead of per-AND triples.  The interior nodes of a matched
 cone are absorbed: no auxiliary variable, no clauses.  This matters for
 CDCL behaviour, not just size: the Tseitin decomposition of an XOR hides
 the parity from unit propagation behind auxiliary variables, while the
@@ -106,8 +105,7 @@ _LEAF = ("leaf",)
 
 
 def encode_aig_cone(cnf: CNF, aig: AIG, roots: Iterable[int],
-                    var_map: Optional[dict[int, int]] = None,
-                    structural: bool = True
+                    var_map: Optional[dict[int, int]] = None
                     ) -> dict[int, int]:
     """Tseitin-encode the cone of the given AIG literals into ``cnf``.
 
@@ -119,12 +117,12 @@ def encode_aig_cone(cnf: CNF, aig: AIG, roots: Iterable[int],
     may carry the result of a previous call over the same AIG so shared
     cones encode once — the incremental-solving workhorse of FRAIG.
 
-    With ``structural=True`` (default) the walk pattern-matches each AND
-    node before descending: XOR cones (4 clauses), MUX cones (6), and
-    3-input majority cones (6) encode directly over their operand
-    variables, and the matched interior nodes are *absorbed* — they get
-    no CNF variable unless some other root path references them (in
-    which case they are simply encoded on that path as usual).
+    The walk pattern-matches each AND node before descending: XOR cones
+    (4 clauses), MUX cones (6), and 3-input majority cones (6) encode
+    directly over their operand variables, and the matched interior nodes
+    are *absorbed* — they get no CNF variable unless some other root path
+    references them (in which case they are simply encoded on that path
+    as usual).
     """
     if var_map is None:
         var_map = {}
@@ -146,28 +144,27 @@ def encode_aig_cone(cnf: CNF, aig: AIG, roots: Iterable[int],
         if not aig.is_and(nid):
             plan[nid] = _LEAF
             continue
-        if structural:
-            m = _match_maj(aig, nid)
-            if m is not None:
-                a, b, c = m
-                plan[nid] = ("maj", a, b, c)
-                stack.append(a >> 1)
-                stack.append(b >> 1)
-                stack.append(c >> 1)
-                continue
-            m = _match_mux(aig, nid)
-            if m is not None:
-                s, e, t = m
-                if t == e ^ 1:
-                    plan[nid] = ("xor", s, e)
-                    stack.append(s >> 1)
-                    stack.append(e >> 1)
-                else:
-                    plan[nid] = ("mux", s, e, t)
-                    stack.append(s >> 1)
-                    stack.append(e >> 1)
-                    stack.append(t >> 1)
-                continue
+        m = _match_maj(aig, nid)
+        if m is not None:
+            a, b, c = m
+            plan[nid] = ("maj", a, b, c)
+            stack.append(a >> 1)
+            stack.append(b >> 1)
+            stack.append(c >> 1)
+            continue
+        m = _match_mux(aig, nid)
+        if m is not None:
+            s, e, t = m
+            if t == e ^ 1:
+                plan[nid] = ("xor", s, e)
+                stack.append(s >> 1)
+                stack.append(e >> 1)
+            else:
+                plan[nid] = ("mux", s, e, t)
+                stack.append(s >> 1)
+                stack.append(e >> 1)
+                stack.append(t >> 1)
+            continue
         f0, f1 = aig.fanins(nid)
         plan[nid] = ("and", f0, f1)
         stack.append(f0 >> 1)

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Optional
 
@@ -115,29 +115,14 @@ class SolverStats:
     def accumulate(self, other: "SolverStats") -> None:
         """Add another stats record into this one (multi-solver rollups:
         FRAIG aggregates its per-round solver instances this way)."""
-        self.decisions += other.decisions
-        self.conflicts += other.conflicts
-        self.propagations += other.propagations
-        self.learned_clauses += other.learned_clauses
-        self.learned_literals += other.learned_literals
-        self.restarts += other.restarts
-        self.lbd_sum += other.lbd_sum
-        self.reduced_clauses += other.reduced_clauses
-        self.gc_runs += other.gc_runs
+        for f in fields(self):
+            setattr(self, f.name,
+                    getattr(self, f.name) + getattr(other, f.name))
 
     def to_dict(self) -> dict:
-        return {
-            "decisions": self.decisions,
-            "conflicts": self.conflicts,
-            "propagations": self.propagations,
-            "learned_clauses": self.learned_clauses,
-            "learned_literals": self.learned_literals,
-            "restarts": self.restarts,
-            "lbd_sum": self.lbd_sum,
-            "mean_lbd": self.mean_lbd,
-            "reduced_clauses": self.reduced_clauses,
-            "gc_runs": self.gc_runs,
-        }
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        record["mean_lbd"] = self.mean_lbd
+        return record
 
 
 class Model:

@@ -1,28 +1,30 @@
-"""Compiled, pattern-parallel netlist simulation engine.
+"""Compiled single-pattern netlist simulation engine.
 
 :func:`repro.netlist.logic.simulate` is an interpreter: one dict lookup, one
-type dispatch and one Python-level boolean op per gate per stimulus pattern.
-This module trades a one-off compile step for a much faster steady state:
+type dispatch and one Python-level boolean op per gate per cycle.  This
+module trades a one-off compile step for a faster steady state:
 
 * :func:`compile_netlist` levelizes the netlist once and emits a flat,
   straight-line Python function (generated source + ``exec``) with one
-  bitwise expression per live gate — no per-gate dict lookups or type
-  dispatch.  Constants are folded at compile time, BUF chains collapse into
-  aliases, and gates outside the output/next-state cone are skipped.
-* Every net is represented as a single Python int holding up to W stimulus
-  patterns, one per bit, so ``a & b`` evaluates an AND gate across all W
-  patterns in one interpreter step.  ``NOT x`` is ``x ^ M`` where ``M`` is
-  the W-bit all-ones mask.
+  line per live gate over *atoms* — a local name, ``0`` or ``1`` — so
+  there are no per-gate dict lookups or type dispatch.  Each gate is
+  translated as it is, with no constant folding: NOT, NAND, NOR and XNOR
+  end in ``^ 1`` and a MUX is ``d1 if s else d0``.  BUF chains collapse
+  into aliases, and gates outside the output/next-state cone are skipped.
+* The function runs one stimulus pattern per call, every net a 0/1 int.
+  Pattern-parallel simulation (one pattern per bit of a Python int) runs on
+  the AIG instead: :func:`aig_signatures` / :func:`packed_eval` below.
 * :meth:`CompiledNetlist.run_words` steps one word-level cycle; it is
   what :func:`~repro.netlist.elaborate.simulate_vectors` /
   ``simulate_sequence`` run, so word-level harnesses compare this engine
   with :class:`repro.netlist.interp.Interpreter` directly.  The per-gate
   :func:`~repro.netlist.logic.simulate` stays as the bit-level reference
-  oracle; this engine ran the width-16 ALU about 60x faster than it.
+  oracle.
 
-Compilation results are cached on the netlist (keyed by its structural
-``version``), so repeated :func:`simulate_compiled` calls — e.g. SAT
-counterexample replay — compile at most once per netlist revision.
+The compiled function lives in the netlist's one store of derived data
+(:meth:`~repro.netlist.logic.Netlist.cached`), which every mutation
+clears, so repeated :func:`simulate_compiled` calls — e.g. SAT
+counterexample replay — compile at most once per netlist structure.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 from ..obs import get_tracer
 from .aig import _AND, AIG
 from .logic import (
-    AND, BUF, CONST0, CONST1, DFF, INPUT, MUX, NAND, NOR, NOT, OR, XNOR, XOR,
-    Netlist, NetlistError,
+    AND, BUF, CONST0, CONST1, MUX, NAND, NOR, NOT, OR, XNOR, XOR, Netlist,
+    NetlistError,
 )
 
 _BIT_SUFFIX = re.compile(r"^(.+)\[(\d+)\]$")
@@ -63,215 +65,100 @@ def _tuple_expr(items: Sequence[str]) -> str:
     return "(" + ", ".join(items) + ",)"
 
 
+#: The operator joining an n-ary gate's operands, and whether the gate
+#: inverts the result.
+_NARY = {
+    AND: (" & ", False), NAND: (" & ", True),
+    OR: (" | ", False), NOR: (" | ", True),
+    XOR: (" ^ ", False), XNOR: (" ^ ", True),
+}
+
+
+def _generate(netlist: Netlist) -> str:
+    """The source of ``_cycle(I, S)`` for :class:`CompiledNetlist`."""
+    registers = netlist.registers
+    roots = [net for _, net in netlist.outputs]
+    roots.extend(netlist.fanins(gid)[0] for gid in registers)
+    roots.extend(registers)
+    cone = netlist.transitive_fanin(roots)
+    #: Every net's value as a source atom; BUFs alias their fanin's atom.
+    atoms = {gid: f"i{k}" for k, gid in enumerate(netlist.inputs)}
+    atoms.update((gid, f"s{k}") for k, gid in enumerate(registers))
+    lines = ["def _cycle(I, S):"]
+    if netlist.inputs:
+        names = [f"i{k}" for k in range(len(netlist.inputs))]
+        lines.append(f"    {_tuple_expr(names)} = I")
+    if registers:
+        names = [f"s{k}" for k in range(len(registers))]
+        lines.append(f"    {_tuple_expr(names)} = S")
+    for gid in netlist.topological_order():
+        if gid not in cone or gid in atoms:
+            continue
+        gtype = netlist.gate_type(gid)
+        ops = [atoms[fid] for fid in netlist.fanins(gid)]
+        if gtype is CONST0:
+            atoms[gid] = "0"
+            continue
+        if gtype is CONST1:
+            atoms[gid] = "1"
+            continue
+        if gtype is BUF:
+            atoms[gid] = ops[0]
+            continue
+        if gtype is NOT:
+            expr = f"{ops[0]} ^ 1"
+        elif gtype is MUX:
+            expr = f"{ops[2]} if {ops[0]} else {ops[1]}"
+        else:
+            joiner, invert = _NARY[gtype]
+            expr = joiner.join(ops)
+            if invert:
+                expr = f"({expr}) ^ 1"
+        lines.append(f"    n{gid} = {expr}")
+        atoms[gid] = f"n{gid}"
+    out_atoms = [atoms[net] for _, net in netlist.outputs]
+    ns_atoms = [atoms[netlist.fanins(gid)[0]] for gid in registers]
+    lines.append(f"    return {_tuple_expr(out_atoms)}, "
+                 f"{_tuple_expr(ns_atoms)}")
+    return "\n".join(lines) + "\n"
+
+
 class CompiledNetlist:
     """A netlist lowered to one straight-line Python function.
 
-    The generated function has the signature ``_cycle(I, S, M)`` where ``I``
-    is a tuple of packed primary-input values (``netlist.inputs`` order),
-    ``S`` a tuple of packed flip-flop Q values (``netlist.registers``
-    order) and ``M`` the pattern mask (``(1 << W) - 1`` for W packed
-    patterns).  It returns ``(outputs, next_state)`` tuples in
-    ``netlist.outputs`` / register order.  AIGs are not compiled: they
-    are simulated by :func:`aig_signatures` / :func:`packed_eval`.
+    The generated function has the signature ``_cycle(I, S)`` where ``I``
+    is a tuple of primary-input bits (``netlist.inputs`` order) and ``S``
+    a tuple of flip-flop Q bits (``netlist.registers`` order).  It returns
+    ``(outputs, next_state)`` tuples of bits in ``netlist.outputs`` /
+    register order.
 
     The generated source is kept on :attr:`source` for inspection.
     """
 
     def __init__(self, netlist: Netlist):
-        self.netlist = netlist
         self.name = netlist.name
-        self.version = netlist.version
-        self.input_gids = list(netlist.inputs)
         self.input_names = netlist.input_names()
         self.output_names = netlist.output_names()
         self.registers = netlist.registers
         #: (port base, bit index) per primary input / output, word packing.
         self._in_bits = [_split_bit_name(n) for n in self.input_names]
         self._out_bits = [_split_bit_name(n) for n in self.output_names]
-        self.source = self._generate()
+        self.source = _generate(netlist)
         namespace: dict = {"__builtins__": {}}
         exec(compile(self.source, f"<compiled:{self.name}>", "exec"),
              namespace)
         self._fn = namespace["_cycle"]
 
-    # -- code generation -----------------------------------------------------
-
-    def _generate(self) -> str:
-        netlist = self.netlist
-        types, fanins = netlist._type, netlist._fanins
-        roots = [net for _, net in netlist.outputs]
-        roots.extend(fanins[gid][0] for gid in self.registers)
-        roots.extend(self.registers)
-        cone = netlist.transitive_fanin(roots) if roots else set()
-
-        input_pos = {gid: k for k, gid in enumerate(self.input_gids)}
-        reg_pos = {gid: k for k, gid in enumerate(self.registers)}
-        #: Every net's value as a source *atom*: a local variable name,
-        #: ``"0"`` or ``"M"`` — aliases collapse BUF chains and folded
-        #: constants without emitting code.
-        exprs: dict[int, str] = {}
-        consts: dict[int, int] = {}
-        lines: list[str] = ["def _cycle(I, S, M):"]
-        if self.input_gids:
-            unpack = _tuple_expr([f"i{k}" for k in range(len(self.input_gids))])
-            lines.append(f"    {unpack} = I")
-        if self.registers:
-            unpack = _tuple_expr([f"s{k}" for k in range(len(self.registers))])
-            lines.append(f"    {unpack} = S")
-
-        def emit(gid: int, expr: str) -> None:
-            lines.append(f"    n{gid} = {expr}")
-            exprs[gid] = f"n{gid}"
-
-        def alias(gid: int, fid: int) -> None:
-            exprs[gid] = exprs[fid]
-            if fid in consts:
-                consts[gid] = consts[fid]
-
-        def set_const(gid: int, value: int) -> None:
-            consts[gid] = value
-            exprs[gid] = "M" if value else "0"
-
-        def and_or(gid: int, fanins: tuple[int, ...], is_and: bool,
-                   invert: bool) -> None:
-            dominating = 0 if is_and else 1
-            ops: list[str] = []
-            seen: set[int] = set()
-            for fid in fanins:
-                c = consts.get(fid)
-                if c is not None:
-                    if c == dominating:
-                        set_const(gid, dominating ^ invert)
-                        return
-                    continue  # identity operand folds away
-                if fid in seen:
-                    continue  # x & x == x, x | x == x
-                seen.add(fid)
-                ops.append(exprs[fid])
-            if not ops:
-                set_const(gid, (1 - dominating) ^ invert)
-                return
-            joined = (" & " if is_and else " | ").join(ops)
-            if invert:
-                emit(gid, f"({joined}) ^ M" if len(ops) > 1
-                     else f"{ops[0]} ^ M")
-            elif len(ops) == 1:
-                exprs[gid] = ops[0]
-            else:
-                emit(gid, joined)
-
-        def xor(gid: int, fanins: tuple[int, ...], invert: bool) -> None:
-            parity = 1 if invert else 0
-            counts: dict[int, int] = {}
-            order_ids: list[int] = []
-            for fid in fanins:
-                c = consts.get(fid)
-                if c is not None:
-                    parity ^= c
-                    continue
-                if fid not in counts:
-                    order_ids.append(fid)
-                counts[fid] = counts.get(fid, 0) + 1
-            ops = [exprs[fid] for fid in order_ids if counts[fid] % 2]
-            if not ops:
-                set_const(gid, parity)
-                return
-            if parity:
-                ops.append("M")
-            if len(ops) == 1:
-                exprs[gid] = ops[0]
-            else:
-                emit(gid, " ^ ".join(ops))
-
-        def mux(gid: int, fanins: tuple[int, ...]) -> None:
-            sel, d0, d1 = fanins
-            cs = consts.get(sel)
-            if cs is not None:
-                alias(gid, d1 if cs else d0)
-                return
-            if exprs[d0] == exprs[d1]:
-                alias(gid, d0)
-                return
-            se, e0, e1 = exprs[sel], exprs[d0], exprs[d1]
-            c0, c1 = consts.get(d0), consts.get(d1)
-            if c0 == 0 and c1 == 1:
-                exprs[gid] = se
-            elif c0 == 1 and c1 == 0:
-                emit(gid, f"{se} ^ M")
-            elif c1 == 1:
-                emit(gid, f"{se} | {e0}")
-            elif c1 == 0:
-                emit(gid, f"({se} ^ M) & {e0}")
-            elif c0 == 0:
-                emit(gid, f"{se} & {e1}")
-            elif c0 == 1:
-                emit(gid, f"({se} ^ M) | {e1}")
-            else:
-                emit(gid, f"({se} & {e1}) | (({se} ^ M) & {e0})")
-
-        for gid in netlist.topological_order():
-            if gid not in cone:
-                continue
-            gtype = types[gid]
-            fs = fanins[gid]
-            if gtype is INPUT:
-                exprs[gid] = f"i{input_pos[gid]}"
-            elif gtype is DFF:
-                exprs[gid] = f"s{reg_pos[gid]}"
-            elif gtype is CONST0:
-                set_const(gid, 0)
-            elif gtype is CONST1:
-                set_const(gid, 1)
-            elif gtype is BUF:
-                alias(gid, fs[0])
-            elif gtype is NOT:
-                fid = fs[0]
-                c = consts.get(fid)
-                if c is not None:
-                    set_const(gid, 1 - c)
-                else:
-                    emit(gid, f"{exprs[fid]} ^ M")
-            elif gtype is AND or gtype is NAND:
-                and_or(gid, fs, is_and=True, invert=gtype is NAND)
-            elif gtype is OR or gtype is NOR:
-                and_or(gid, fs, is_and=False, invert=gtype is NOR)
-            elif gtype is XOR or gtype is XNOR:
-                xor(gid, fs, invert=gtype is XNOR)
-            elif gtype is MUX:
-                mux(gid, fs)
-            else:  # pragma: no cover - GateType is closed
-                raise NetlistError(f"cannot compile gate type {gtype.value}")
-
-        out_exprs = [exprs[net] for _, net in netlist.outputs]
-        ns_exprs = [exprs[fanins[gid][0]] for gid in self.registers]
-        lines.append(f"    return {_tuple_expr(out_exprs)}, "
-                     f"{_tuple_expr(ns_exprs)}")
-        return "\n".join(lines) + "\n"
-
-    # -- raw packed interface ------------------------------------------------
-
-    def run(self, inputs: Sequence[int], state: Sequence[int],
-            mask: int = 1) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """One packed cycle over raw per-net values.
-
-        ``inputs`` / ``state`` follow ``netlist.inputs`` /
-        ``netlist.registers`` order; each int carries one pattern per bit
-        under ``mask``.  Returns packed ``(outputs, next_state)`` tuples.
-        """
-        return self._fn(tuple(inputs), tuple(state), mask)
-
-    # -- word-level single-pattern interface ---------------------------------
-
     def run_words(self, inputs: Mapping[str, int], state: Sequence[int]
                   ) -> tuple[dict[str, int], tuple[int, ...]]:
-        """One single-pattern cycle with word-level port values.
+        """One cycle with word-level port values.
 
         ``inputs`` maps port base names to unsigned integers (the
         :func:`~repro.netlist.elaborate.simulate_vectors` convention);
         outputs are packed back the same way.
         """
         try:
-            packed = tuple(
+            bits = tuple(
                 (int(inputs[base]) >> index) & 1
                 for base, index in self._in_bits
             )
@@ -279,7 +166,7 @@ class CompiledNetlist:
             raise KeyError(
                 f"missing value for input port '{exc.args[0]}'"
             ) from None
-        out_bits, next_state = self._fn(packed, tuple(state), 1)
+        out_bits, next_state = self._fn(bits, tuple(state))
         outputs: dict[str, int] = {}
         for (base, index), bit in zip(self._out_bits, out_bits):
             outputs[base] = outputs.get(base, 0) | (bit << index)
@@ -293,22 +180,23 @@ class CompiledNetlist:
         return tuple(int(bool(state.get(gid, 0))) for gid in self.registers)
 
 
-def compile_netlist(netlist: Netlist) -> CompiledNetlist:
-    """Compile (or fetch the cached compilation of) a netlist.
-
-    The result is cached on the netlist and keyed by its structural
-    ``version``, so callers may invoke this per cycle without paying
-    recompilation; any mutation triggers a fresh compile on the next call.
-    """
-    cached = netlist._compiled_cache
-    if cached is not None and cached.version == netlist.version:
-        return cached
+def _compile(netlist: Netlist) -> CompiledNetlist:
     with get_tracer().span("sim.compile", design=netlist.name) as span:
         compiled = CompiledNetlist(netlist)
         span.set(inputs=len(compiled.input_names),
                  registers=len(compiled.registers))
-    netlist._compiled_cache = compiled
     return compiled
+
+
+def compile_netlist(netlist: Netlist) -> CompiledNetlist:
+    """Compile (or fetch the cached compilation of) a netlist.
+
+    The result is kept in the netlist's store of derived data
+    (:meth:`~repro.netlist.logic.Netlist.cached`), so callers may invoke
+    this per cycle without paying recompilation; any mutation clears the
+    store, and the next call compiles afresh.
+    """
+    return netlist.cached(_compile)
 
 
 def simulate_compiled(netlist: Netlist, input_values: Mapping[str, int],
@@ -321,13 +209,12 @@ def simulate_compiled(netlist: Netlist, input_values: Mapping[str, int],
     compiled straight-line call instead of a per-gate interpretation loop.
     """
     compiled = compile_netlist(netlist)
-    packed = []
+    bits = []
     for name in compiled.input_names:
         if name not in input_values:
             raise NetlistError(f"missing value for input '{name}'")
-        packed.append(int(bool(input_values[name])))
-    out_bits, ns_bits = compiled._fn(tuple(packed),
-                                     compiled.pack_state(state), 1)
+        bits.append(int(bool(input_values[name])))
+    out_bits, ns_bits = compiled._fn(tuple(bits), compiled.pack_state(state))
     outputs = dict(zip(compiled.output_names, out_bits))
     next_state = dict(zip(compiled.registers, ns_bits))
     return outputs, next_state

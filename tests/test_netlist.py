@@ -175,15 +175,15 @@ endmodule
 def test_topological_order_cached_and_invalidated():
     netlist = build_xor_netlist()
     first = netlist.topological_order()
-    assert netlist._topo_cache is not None
     assert netlist.topological_order() == first
     # Returned lists are copies: caller mutation must not corrupt the cache.
     first.clear()
     assert netlist.topological_order() != []
-    # Structural changes invalidate.
-    netlist.add_gate(GateType.NOT, (netlist.inputs[0],))
-    assert netlist._topo_cache is None
-    assert len(netlist.topological_order()) == netlist.num_nets
+    # The next order after a new gate holds it, after its fanin.
+    inv = netlist.add_gate(GateType.NOT, (netlist.inputs[0],))
+    order = netlist.topological_order()
+    assert len(order) == netlist.num_nets
+    assert order.index(netlist.inputs[0]) < order.index(inv)
 
 
 def test_gate_count_and_levels_cached_and_invalidated():
@@ -193,18 +193,25 @@ def test_gate_count_and_levels_cached_and_invalidated():
     gate = netlist.add_gate(GateType.AND, (a, b))
     netlist.add_output("y", gate)
     assert (netlist.num_gates, netlist.logic_levels()) == (1, 1)
-    assert netlist._gates_cache == (netlist.version, 1)
-    assert netlist._levels_cache == (netlist.version, 1)
-    # Every structural mutation moves ``version`` on, so the cached
-    # values are recomputed rather than served stale.
+    # After each kind of mutation the cached values are recomputed, not
+    # served stale: the content hash moves on every time.
+    hashes = [netlist.content_hash()]
     inv = netlist.add_gate(GateType.NOT, (gate,))
     assert (netlist.num_gates, netlist.logic_levels()) == (2, 2)
+    hashes.append(netlist.content_hash())
     buf = netlist.add_gate(GateType.BUF, (a,))
     netlist.set_fanins(inv, (buf,))
     assert (netlist.num_gates, netlist.logic_levels()) == (3, 2)
-    netlist.add_dff(inv, name="q")
+    hashes.append(netlist.content_hash())
+    q = netlist.add_dff(inv, name="q")
     assert (netlist.num_gates, netlist.num_registers) == (3, 1)
+    assert netlist.registers == [q]
     assert netlist.stats()["levels"] == 2
+    hashes.append(netlist.content_hash())
+    netlist.add_output("z", inv)
+    assert netlist.stats()["outputs"] == 2
+    hashes.append(netlist.content_hash())
+    assert len(set(hashes)) == len(hashes)
 
 
 def test_set_fanins_patches_and_invalidates():
@@ -215,9 +222,17 @@ def test_set_fanins_patches_and_invalidates():
     netlist.add_output("y", gate)
     netlist.topological_order()
     netlist.set_fanins(gate, (b,))
-    assert netlist._topo_cache is None
     out, _ = simulate(netlist, {"a": 0, "b": 1})
     assert out["y"] == 1
+    # Rewired to a later gate, the BUF moves after it in the next order.
+    late = netlist.add_gate(GateType.NOT, (a,))
+    assert netlist.topological_order().index(gate) < \
+        netlist.topological_order().index(late)
+    netlist.set_fanins(gate, (late,))
+    order = netlist.topological_order()
+    assert order.index(late) < order.index(gate)
+    out, _ = simulate(netlist, {"a": 1, "b": 1})
+    assert out["y"] == 0
     with pytest.raises(NetlistError):
         netlist.set_fanins(gate, (a, b))
     with pytest.raises(NetlistError):

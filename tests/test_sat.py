@@ -511,6 +511,20 @@ def _maj_cone(aig, a, b, c):
                                aig_not(bc)))
 
 
+def _plain_tseitin(cnf, aig, roots):
+    """The reference encoding: three clauses per AND node of the cone and
+    the constant node pinned false, with no pattern matching."""
+    var_map = {}
+    for nid in sorted(aig.cone(roots)):
+        var = var_map[nid] = cnf.new_var()
+        if nid == 0:
+            cnf.clauses.append((-var,))
+        elif aig.is_and(nid):
+            a, b = (aig_lit_sat(var_map, lit) for lit in aig.fanins(nid))
+            cnf.clauses.extend([(-var, a), (-var, b), (var, -a, -b)])
+    return var_map
+
+
 _STRUCTURAL_CASES = [
     ("xor", _xor_cone, 2, lambda a, b: a ^ b),
     ("mux", _mux_cone, 3, lambda s, t, e: t if s else e),
@@ -525,12 +539,13 @@ def test_structural_aig_encoding_matches_truth_table(name, build, arity,
     """Exhaustive check that the pattern-matched compact encodings admit
     exactly the assignments the boolean function does, and that they are
     smaller than plain Tseitin over the same cone."""
-    for structural in (False, True):
+    for encode in (_plain_tseitin, encode_aig_cone):
+        structural = encode is encode_aig_cone
         aig = AIG()
         ins = [aig.add_input(f"i{k}") for k in range(arity)]
         root = build(aig, *ins)
         cnf = CNF()
-        var_map = encode_aig_cone(cnf, aig, [root], structural=structural)
+        var_map = encode(cnf, aig, [root])
         if structural:
             structural_clauses = len(cnf.clauses)
         else:
@@ -560,11 +575,10 @@ def test_structural_encoding_verdict_parity_on_alu():
     pairs = [(b, a) for _, _, b, a in named if b != a]
     assert pairs
     sizes = {}
-    for structural in (False, True):
+    for encode in (_plain_tseitin, encode_aig_cone):
+        structural = encode is encode_aig_cone
         cnf = CNF()
-        var_map = encode_aig_cone(cnf, aig, [lit for pair in pairs
-                                             for lit in pair],
-                                  structural=structural)
+        var_map = encode(cnf, aig, [lit for pair in pairs for lit in pair])
         cec._assert_disagreement(cnf, [
             (aig_lit_sat(var_map, b), aig_lit_sat(var_map, a))
             for b, a in pairs])
